@@ -279,9 +279,7 @@ func BenchmarkAblationDirectAP(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			tr.Step()
-		}
+		tr.RunSteps(b.N)
 	})
 }
 
@@ -356,9 +354,7 @@ func BenchmarkSGDStepUniform(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Step()
-	}
+	tr.RunSteps(b.N)
 }
 
 // BenchmarkSGDStepDSS measures one CLAPF SGD step under the DSS sampler,
@@ -373,9 +369,7 @@ func BenchmarkSGDStepDSS(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Step()
-	}
+	tr.RunSteps(b.N)
 }
 
 // BenchmarkScoreAll measures scoring every item for one user — the

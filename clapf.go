@@ -126,7 +126,10 @@ func DefaultConfig(v Variant, trainPairs int) Config {
 	return core.DefaultConfig(v, trainPairs)
 }
 
-// Trainer learns a CLAPF model by stochastic gradient descent.
+// Trainer learns a CLAPF model by stochastic gradient descent, on one
+// worker (serial, bit-reproducible; NewTrainer) or on several lock-free
+// Hogwild workers (NewParallelTrainer). It is one type with one API
+// either way.
 type Trainer = core.Trainer
 
 // TrainStats is one training-telemetry snapshot (smoothed loss, gradient
@@ -142,34 +145,26 @@ func NewTrainer(cfg Config, train *Dataset) (*Trainer, error) {
 }
 
 // TrainerState is a trainer's resumable non-parameter state — what
-// Trainer.Snapshot captures and Trainer.Restore replays. Together with
-// the model parameters it makes training crash-safe.
+// Trainer.Snapshot captures and Trainer.Restore replays: the schedule
+// position and one WorkerState per worker. Together with the model
+// parameters it makes training crash-safe.
 type TrainerState = core.TrainerState
 
-// SamplerState is the triple sampler's resumable state inside a
-// TrainerState.
+// WorkerState is one worker's RNG streams inside a TrainerState.
+type WorkerState = core.WorkerState
+
+// SamplerState is a triple sampler's resumable state inside a
+// WorkerState.
 type SamplerState = sampling.SamplerState
-
-// ParallelTrainer learns a CLAPF model with lock-free Hogwild SGD across
-// several worker goroutines; see NewParallelTrainer.
-type ParallelTrainer = core.ParallelTrainer
-
-// ParallelTrainerState is a parallel trainer's resumable non-parameter
-// state — the multi-worker analogue of TrainerState.
-type ParallelTrainerState = core.ParallelTrainerState
-
-// ParallelWorkerState is one worker's RNG streams inside a
-// ParallelTrainerState.
-type ParallelWorkerState = core.ParallelWorkerState
 
 // WorkerStat reports one training worker's lifetime throughput.
 type WorkerStat = core.WorkerStat
 
 // NewParallelTrainer validates cfg and prepares a trainer that shards
-// users across numWorkers goroutines. Multi-worker runs are statistically
-// equivalent to serial training but not bit-reproducible; see the
-// internal/core package documentation.
-func NewParallelTrainer(cfg Config, train *Dataset, numWorkers int) (*ParallelTrainer, error) {
+// users across numWorkers workers; NewTrainer is the numWorkers = 1 case.
+// Multi-worker runs are statistically equivalent to serial training but
+// not bit-reproducible; see the internal/core package documentation.
+func NewParallelTrainer(cfg Config, train *Dataset, numWorkers int) (*Trainer, error) {
 	return core.NewParallelTrainer(cfg, train, numWorkers)
 }
 

@@ -10,7 +10,9 @@
 //	            [-workers N] [-prom-out metrics.prom]
 //	            [-clip-norm C] [-watchdog] [-max-rollbacks N]
 //
-// -workers N > 1 trains with lock-free Hogwild SGD: users are sharded
+// -workers N selects how many workers the one trainer runs. 1 (the
+// default) steps the model in place on the calling goroutine and is
+// bit-reproducible. N > 1 is lock-free Hogwild SGD: users are sharded
 // across N goroutines, item factors are updated with element-wise atomic
 // stores, and DSS refreshes, telemetry, and checkpoints run at
 // epoch-style barriers. Multi-worker training is statistically
@@ -40,8 +42,8 @@
 // finishes, a final checkpoint is written, and the process exits cleanly.
 // -resume restarts from the newest valid generation, skipping truncated
 // or corrupt files, after verifying the checkpoint belongs to the same
-// dataset and hyper-parameters. Parallel checkpoints record per-worker
-// RNG streams, so resuming requires the same -workers value.
+// dataset and hyper-parameters. Checkpoints record every worker's RNG
+// streams, so resuming requires the same -workers value.
 //
 // Training guardrails: -clip-norm C bounds the L2 norm of each update's
 // data-term gradient (0 disables; clipped updates are counted in
@@ -168,19 +170,6 @@ type telemetryDump struct {
 	NegDraws          obs.HistogramSnapshot `json:"neg_draws"`
 }
 
-// sgdTrainer is the surface shared by the serial and parallel trainers;
-// run, checkpointing, and the guard supervisor are all generic over it
-// (it subsumes guard.Trainee).
-type sgdTrainer interface {
-	guard.Trainee
-	SmoothedLoss() float64
-	SetStatsHook(every int, fn clapf.StatsHook) error
-	InstrumentSampler(pos, neg *obs.Histogram)
-	SetGuard(cfg guard.Config, m *guard.Metrics) error
-	SetTracer(t *trace.Tracer)
-	MetaSnapshot() *store.Meta
-}
-
 func run(w io.Writer, o options) error {
 	if o.trainPath == "" {
 		return fmt.Errorf("-train is required")
@@ -221,32 +210,15 @@ func run(w io.Writer, o options) error {
 	if o.maxRollbacks < 0 {
 		return fmt.Errorf("-max-rollbacks %d: want >= 0", o.maxRollbacks)
 	}
-	var trainer sgdTrainer
-	var parallel *clapf.ParallelTrainer
-	if o.workers > 1 {
-		pt, err := clapf.NewParallelTrainer(cfg, train, o.workers)
-		if err != nil {
-			return err
-		}
-		trainer, parallel = pt, pt
-	} else {
-		tr, err := clapf.NewTrainer(cfg, train)
-		if err != nil {
-			return err
-		}
-		trainer = tr
+	trainer, err := clapf.NewParallelTrainer(cfg, train, o.workers)
+	if err != nil {
+		return err
 	}
 
 	// Prometheus export: register before training so the per-worker
 	// counters accumulate at every barrier.
 	registry := obs.NewRegistry()
-	if parallel != nil {
-		parallel.RegisterMetrics(registry)
-	} else {
-		registry.NewGaugeFunc("clapf_train_workers",
-			"Hogwild training workers in the current run.",
-			func() float64 { return 1 })
-	}
+	trainer.RegisterMetrics(registry)
 	// Per-stage latency attribution: train.* stage durations land in
 	// clapf_stage_duration_seconds on the same registry (-prom-out picks
 	// them up). SampleRate 0 keeps the flight recorder quiet — there is no
@@ -356,10 +328,8 @@ func run(w io.Writer, o options) error {
 			posDraws.Mean(), negDraws.Mean(), train.NumItems())
 	}
 
-	if parallel != nil {
-		for _, ws := range parallel.WorkerStats() {
-			fmt.Fprintf(w, "  worker %d: %d steps, %.0f steps/s\n", ws.ID, ws.Steps, ws.StepsPerSec)
-		}
+	for _, ws := range trainer.WorkerStats() {
+		fmt.Fprintf(w, "  worker %d: %d steps, %.0f steps/s\n", ws.ID, ws.Steps, ws.StepsPerSec)
 	}
 
 	if o.promOut != "" {
@@ -375,10 +345,8 @@ func run(w io.Writer, o options) error {
 
 	if o.metricsOut != "" {
 		var workerStats []workerRecord
-		if parallel != nil {
-			for _, ws := range parallel.WorkerStats() {
-				workerStats = append(workerStats, workerRecord{ID: ws.ID, Steps: ws.Steps, StepsPerSec: ws.StepsPerSec})
-			}
+		for _, ws := range trainer.WorkerStats() {
+			workerStats = append(workerStats, workerRecord{ID: ws.ID, Steps: ws.Steps, StepsPerSec: ws.StepsPerSec})
 		}
 		dump := telemetryDump{
 			Variant:           v.String(),
@@ -455,7 +423,7 @@ func run(w io.Writer, o options) error {
 // final checkpoint is written, and the loop reports interrupted=true.
 // With a guard supervisor, trips are recovered at batch boundaries and
 // every checkpoint write is gated on a full parameter scan.
-func trainLoop(w io.Writer, trainer sgdTrainer, tracer *trace.Tracer, train *clapf.Dataset, o options, cfg clapf.Config, stop <-chan os.Signal, sup *guard.Supervisor) (interrupted bool, err error) {
+func trainLoop(w io.Writer, trainer *clapf.Trainer, tracer *trace.Tracer, train *clapf.Dataset, o options, cfg clapf.Config, stop <-chan os.Signal, sup *guard.Supervisor) (interrupted bool, err error) {
 	ckptEvery := o.checkpointEvery
 	if ckptEvery <= 0 {
 		ckptEvery = train.NumPairs() // one epoch-equivalent
@@ -554,7 +522,6 @@ func hyperMap(o options) map[string]string {
 		"rate":    fmt.Sprintf("%g", o.rate),
 		"reg":     fmt.Sprintf("%g", o.reg),
 		"seed":    fmt.Sprintf("%d", o.seed),
-		"workers": fmt.Sprintf("%d", o.workers),
 		// Clipping alters the trajectory, so a resume must match it; old
 		// checkpoints without the key resume freely.
 		"clip_norm": fmt.Sprintf("%g", o.clipNorm),
@@ -562,10 +529,10 @@ func hyperMap(o options) map[string]string {
 }
 
 // writeCheckpoint snapshots the trainer into a durable v2 checkpoint
-// generation, pruning old generations beyond -checkpoint-keep. Both
-// trainers are quiescent between RunSteps calls, so snapshotting here is
-// always safe — parallel workers included.
-func writeCheckpoint(trainer sgdTrainer, train *clapf.Dataset, o options, cfg clapf.Config) (string, error) {
+// generation, pruning old generations beyond -checkpoint-keep. The
+// trainer is quiescent between RunSteps calls, so snapshotting here is
+// always safe — for any worker count.
+func writeCheckpoint(trainer *clapf.Trainer, train *clapf.Dataset, o options, cfg clapf.Config) (string, error) {
 	meta := trainer.MetaSnapshot()
 	meta.Epoch = meta.Step / train.NumPairs()
 	meta.TotalSteps = cfg.Steps
@@ -577,7 +544,7 @@ func writeCheckpoint(trainer sgdTrainer, train *clapf.Dataset, o options, cfg cl
 // resumeFromCheckpoint restores the trainer from the newest valid
 // generation in -checkpoint-dir, refusing checkpoints from a different
 // dataset or hyper-parameter setting.
-func resumeFromCheckpoint(w io.Writer, trainer sgdTrainer, train *clapf.Dataset, o options) error {
+func resumeFromCheckpoint(w io.Writer, trainer *clapf.Trainer, train *clapf.Dataset, o options) error {
 	model, meta, path, skipped, err := store.LatestCheckpoint(o.checkpointDir)
 	for _, s := range skipped {
 		fmt.Fprintf(w, "skipping invalid checkpoint %s\n", s)
@@ -592,13 +559,8 @@ func resumeFromCheckpoint(w io.Writer, trainer sgdTrainer, train *clapf.Dataset,
 	if err := hyperCompatible(meta.Hyper, hyperMap(o)); err != nil {
 		return fmt.Errorf("resume: checkpoint %s: %w", path, err)
 	}
-	// Topology mismatches get actionable guidance before the restore would
-	// reject them with the same diagnosis.
-	if n := len(meta.Workers); n > 0 && o.workers == 1 {
-		return fmt.Errorf("resume: checkpoint %s is from a %d-worker parallel run; pass -workers %d", path, n, n)
-	} else if n == 0 && o.workers > 1 {
-		return fmt.Errorf("resume: checkpoint %s is from a serial run; pass -workers 1", path)
-	}
+	// RestoreFromMeta is where a -workers value other than the
+	// checkpoint's is refused.
 	if err := trainer.RestoreFromMeta(model, meta); err != nil {
 		return fmt.Errorf("resume: checkpoint %s: %w", path, err)
 	}

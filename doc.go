@@ -14,6 +14,12 @@
 //	recs := clapf.Recommend(trainer.Model(), train, user, 10)
 //	result := clapf.Evaluate(trainer.Model(), train, test, clapf.EvalOptions{})
 //
+// NewTrainer is the one-worker, bit-reproducible case of the one trainer;
+// NewParallelTrainer(cfg, train, n) returns the same *Trainer stepping on
+// n lock-free Hogwild workers. Both loop one SGD step, the Eq. 22 update
+// in internal/core/step.go, which the CLAPF variants, CLAPF-Multi, BPR
+// and MPR share and differ from each other only by a coefficient vector.
+//
 // Everything below it — matrix factorization, samplers, metrics, the
 // baseline zoo (BPR, MPR, CLiMF, WMF, PopRank, RandomWalk, NeuMF, NeuPR,
 // DeepICF), the synthetic dataset generator, and the experiment harness

@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"clapf/internal/core"
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
@@ -102,28 +103,15 @@ func (b *BPR) ScoreAll(u int32, out []float64) { b.model.ScoreAll(u, out) }
 func (b *BPR) Fit(train *dataset.Dataset) error {
 	rng := mathx.NewRNG(b.cfg.Seed)
 	var err error
-	b.model, err = mf.New(mf.Config{
-		NumUsers: train.NumUsers(),
-		NumItems: train.NumItems(),
-		Dim:      b.cfg.Dim,
-		UseBias:  b.cfg.UseBias,
-	})
-	if err != nil {
+	if b.model, err = core.NewModel(train, b.cfg.Dim, b.cfg.UseBias, b.cfg.InitStd, rng.Split()); err != nil {
 		return err
 	}
-	b.model.InitGaussian(rng.Split(), b.cfg.InitStd)
-
 	// Pair-uniform SGD: each step draws one observed record uniformly, as
 	// in the reference implementation; only users who observed the whole
 	// catalog are excluded.
-	var pairs []dataset.Interaction
-	train.ForEach(func(u, i int32) {
-		if train.NumPositives(u) < train.NumItems() {
-			pairs = append(pairs, dataset.Interaction{User: u, Item: i})
-		}
-	})
-	if len(pairs) == 0 {
-		return fmt.Errorf("baselines: BPR has no trainable records")
+	pairs, err := core.TrainableRecords(train, 1)
+	if err != nil {
+		return fmt.Errorf("baselines: BPR: %w", err)
 	}
 
 	var negative func(u int32) int32
@@ -155,32 +143,14 @@ func (b *BPR) Fit(train *dataset.Dataset) error {
 		return fmt.Errorf("baselines: unknown BPR sampler %d", b.cfg.Sampler)
 	}
 
+	// BPR's risk x = f_ui − f_uj is CLAPF's at λ = 0: the coefficient
+	// vector (1, −1) over (i, j).
+	coef := []float64{1, -1}
+	rates := core.Rates{Learn: b.cfg.LearnRate, RegUser: b.cfg.Reg, RegItem: b.cfg.Reg, RegBias: b.cfg.Reg}
+	kern := core.NewKernel(b.model, core.Plain)
 	for step := 0; step < b.cfg.Steps; step++ {
 		rec := pairs[rng.Intn(len(pairs))]
-		b.update(rec.User, rec.Item, negative(rec.User))
+		kern.Step(rec.User, []int32{rec.Item, negative(rec.User)}, coef, rates)
 	}
 	return nil
-}
-
-// update applies one BPR step: with x = f_ui − f_uj and g = 1 − σ(x),
-// Θ += γ(g·∂x/∂Θ − reg·Θ).
-func (b *BPR) update(u, i, j int32) {
-	uf := b.model.UserFactors(u)
-	vi := b.model.ItemFactors(i)
-	vj := b.model.ItemFactors(j)
-	x := mathx.Dot(uf, vi) + b.model.Bias(i) - mathx.Dot(uf, vj) - b.model.Bias(j)
-	g := 1 - mathx.Sigmoid(x)
-	gamma, reg := b.cfg.LearnRate, b.cfg.Reg
-	for q := range uf {
-		du := g*(vi[q]-vj[q]) - reg*uf[q]
-		di := g*uf[q] - reg*vi[q]
-		dj := -g*uf[q] - reg*vj[q]
-		uf[q] += gamma * du
-		vi[q] += gamma * di
-		vj[q] += gamma * dj
-	}
-	if b.model.HasBias() {
-		b.model.AddBias(i, gamma*(g-reg*b.model.Bias(i)))
-		b.model.AddBias(j, gamma*(-g-reg*b.model.Bias(j)))
-	}
 }

@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"clapf/internal/core"
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
@@ -69,16 +70,10 @@ func (c *CLiMF) ScoreAll(u int32, out []float64) { c.model.ScoreAll(u, out) }
 func (c *CLiMF) Fit(train *dataset.Dataset) error {
 	rng := mathx.NewRNG(c.cfg.Seed)
 	var err error
-	c.model, err = mf.New(mf.Config{
-		NumUsers: train.NumUsers(),
-		NumItems: train.NumItems(),
-		Dim:      c.cfg.Dim,
-		UseBias:  false, // the original CLiMF model has no item bias
-	})
-	if err != nil {
+	// The original CLiMF model has no item bias.
+	if c.model, err = core.NewModel(train, c.cfg.Dim, false, c.cfg.InitStd, rng.Split()); err != nil {
 		return err
 	}
-	c.model.InitGaussian(rng.Split(), c.cfg.InitStd)
 
 	d := c.cfg.Dim
 	gamma, reg := c.cfg.LearnRate, c.cfg.Reg

@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"clapf/internal/core"
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
@@ -84,25 +85,12 @@ func (g *GBPR) ScoreAll(u int32, out []float64) { g.model.ScoreAll(u, out) }
 func (g *GBPR) Fit(train *dataset.Dataset) error {
 	rng := mathx.NewRNG(g.cfg.Seed)
 	var err error
-	g.model, err = mf.New(mf.Config{
-		NumUsers: train.NumUsers(),
-		NumItems: train.NumItems(),
-		Dim:      g.cfg.Dim,
-		UseBias:  g.cfg.UseBias,
-	})
-	if err != nil {
+	if g.model, err = core.NewModel(train, g.cfg.Dim, g.cfg.UseBias, g.cfg.InitStd, rng.Split()); err != nil {
 		return err
 	}
-	g.model.InitGaussian(rng.Split(), g.cfg.InitStd)
-
-	var pairs []dataset.Interaction
-	train.ForEach(func(u, i int32) {
-		if train.NumPositives(u) < train.NumItems() {
-			pairs = append(pairs, dataset.Interaction{User: u, Item: i})
-		}
-	})
-	if len(pairs) == 0 {
-		return fmt.Errorf("baselines: GBPR has no trainable records")
+	pairs, err := core.TrainableRecords(train, 1)
+	if err != nil {
+		return fmt.Errorf("baselines: GBPR: %w", err)
 	}
 	itemUsers := make([][]int32, train.NumItems())
 	train.ForEach(func(u, i int32) {

@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"clapf/internal/core"
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
@@ -82,27 +83,14 @@ func (m *MPR) ScoreAll(u int32, out []float64) { m.model.ScoreAll(u, out) }
 func (m *MPR) Fit(train *dataset.Dataset) error {
 	rng := mathx.NewRNG(m.cfg.Seed)
 	var err error
-	m.model, err = mf.New(mf.Config{
-		NumUsers: train.NumUsers(),
-		NumItems: train.NumItems(),
-		Dim:      m.cfg.Dim,
-		UseBias:  m.cfg.UseBias,
-	})
-	if err != nil {
+	if m.model, err = core.NewModel(train, m.cfg.Dim, m.cfg.UseBias, m.cfg.InitStd, rng.Split()); err != nil {
 		return err
 	}
-	m.model.InitGaussian(rng.Split(), m.cfg.InitStd)
-
 	// Pair-uniform SGD over observed records; users need two unobserved
 	// items so the middle item v and the negative j can differ.
-	var pairs []dataset.Interaction
-	train.ForEach(func(u, i int32) {
-		if train.NumPositives(u)+1 < train.NumItems() {
-			pairs = append(pairs, dataset.Interaction{User: u, Item: i})
-		}
-	})
-	if len(pairs) == 0 {
-		return fmt.Errorf("baselines: MPR has no trainable records")
+	pairs, err := core.TrainableRecords(train, 2)
+	if err != nil {
+		return fmt.Errorf("baselines: MPR: %w", err)
 	}
 
 	uniform := sampling.NewUniformPair(train, rng.Split())
@@ -111,6 +99,12 @@ func (m *MPR) Fit(train *dataset.Dataset) error {
 		return err
 	}
 
+	// R = ρ(f_ui − f_uv) + (1−ρ)(f_uv − f_uj); writing it as
+	// a·f_ui + b·f_uv + c·f_uj gives a = ρ, b = 1−2ρ, c = −(1−ρ).
+	rho, reg := m.cfg.Rho, m.cfg.Reg
+	coef := []float64{rho, 1 - 2*rho, -(1 - rho)}
+	rates := core.Rates{Learn: m.cfg.LearnRate, RegUser: reg, RegItem: reg, RegBias: reg}
+	kern := core.NewKernel(m.model, core.Plain)
 	for step := 0; step < m.cfg.Steps; step++ {
 		rec := pairs[rng.Intn(len(pairs))]
 		j := uniform.SampleNegative(rec.User)
@@ -118,40 +112,7 @@ func (m *MPR) Fit(train *dataset.Dataset) error {
 		for v == j { // the two negatives must differ
 			v = popNeg.Sample(rec.User)
 		}
-		m.update(rec.User, rec.Item, v, j)
+		kern.Step(rec.User, []int32{rec.Item, v, j}, coef, rates)
 	}
 	return nil
-}
-
-// update applies one step on R = ρ(f_ui − f_uv) + (1−ρ)(f_uv − f_uj);
-// writing R = a·f_ui + b·f_uv + c·f_uj gives a = ρ, b = 1−2ρ, c = −(1−ρ).
-func (m *MPR) update(u, i, v, j int32) {
-	rho := m.cfg.Rho
-	a, b, c := rho, 1-2*rho, -(1 - rho)
-
-	uf := m.model.UserFactors(u)
-	vi := m.model.ItemFactors(i)
-	vv := m.model.ItemFactors(v)
-	vj := m.model.ItemFactors(j)
-
-	r := a*(mathx.Dot(uf, vi)+m.model.Bias(i)) +
-		b*(mathx.Dot(uf, vv)+m.model.Bias(v)) +
-		c*(mathx.Dot(uf, vj)+m.model.Bias(j))
-	g := 1 - mathx.Sigmoid(r)
-	gamma, reg := m.cfg.LearnRate, m.cfg.Reg
-	for q := range uf {
-		du := g*(a*vi[q]+b*vv[q]+c*vj[q]) - reg*uf[q]
-		di := g*a*uf[q] - reg*vi[q]
-		dv := g*b*uf[q] - reg*vv[q]
-		dj := g*c*uf[q] - reg*vj[q]
-		uf[q] += gamma * du
-		vi[q] += gamma * di
-		vv[q] += gamma * dv
-		vj[q] += gamma * dj
-	}
-	if m.model.HasBias() {
-		m.model.AddBias(i, gamma*(g*a-reg*m.model.Bias(i)))
-		m.model.AddBias(v, gamma*(g*b-reg*m.model.Bias(v)))
-		m.model.AddBias(j, gamma*(g*c-reg*m.model.Bias(j)))
-	}
 }

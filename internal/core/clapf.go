@@ -19,12 +19,15 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
+	"sync"
 	"time"
 
 	"clapf/internal/dataset"
 	"clapf/internal/guard"
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
+	"clapf/internal/obs"
 	"clapf/internal/obs/trace"
 	"clapf/internal/sampling"
 )
@@ -123,110 +126,221 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Trainer learns a CLAPF model by looping Eq. 22 over sampled triples.
+// Trainer learns a CLAPF model by looping the Eq. 22 step (step.go) over
+// sampled triples, on one worker or on N lock-free Hogwild workers.
+//
+// Users are sharded across workers, so each user row U_u has exactly one
+// writer; item factors and biases are shared. One worker owns the whole
+// model and steps it in place (Plain access) on the caller's goroutine:
+// identically seeded runs are bit-identical. With more workers each one
+// reaches item rows through element-wise atomic loads and stores (Atomic
+// access), which keeps the rare colliding update well-defined — last
+// writer wins per element — without any locking on the hot path. The
+// structural argument is the one BPR-style Hogwild trainers rely on: a
+// step touches one user row and three of m item rows, and on sparse
+// implicit-feedback data two concurrent steps almost never pick the same
+// items, so lost updates are vanishingly rare and SGD's noise tolerance
+// absorbs them. The exact trajectory then depends on the OS schedule:
+// identically seeded multi-worker runs are statistically equivalent, not
+// bit-identical (parallel_test.go enforces the equivalence by t-test).
+// Workers draw from deterministic per-worker RNG streams split from the
+// seed, so everything *except* the write interleaving is reproducible.
+//
+// Work proceeds in segments separated by barriers, cut wherever the stats
+// hook, the guard check or (with several workers) the DSS refresh falls
+// due. Between barriers the workers run free; at a barrier the
+// coordinator merges telemetry, promotes worker-local guard trips,
+// rebuilds the DSS rank lists and fires the hook. Every method other than
+// RunSteps, Run and Step may only be called between those calls, when
+// every worker is quiescent by construction.
 type Trainer struct {
 	cfg     Config
-	data    *dataset.Dataset
 	model   *mf.Model
-	sampler *sampling.TripleSampler
-	rng     *mathx.RNG
-	pairs   []dataset.Interaction // trainable (u, i) records
+	sampler *sampling.TripleSampler // owns the rank lists
+	workers []*worker
 
-	stepsDone int
-	gradMag   mathx.OnlineStats // running mean of 1−σ(R), Eq. 23's scalar
-	wv        []float64         // scratch a·V_i+b·V_k+c·V_j, shared by clip and update
+	stepsDone    int
+	sinceRefresh int // aggregate steps since the last barrier refresh (several workers only)
 
 	// Guardrails (see guarded.go); nil until SetGuard installs them.
+	// Workers never touch gd's mutable state — they record trips and clip
+	// counts locally and the coordinator merges them at barriers.
 	gd    *guardState
 	clips uint64 // lifetime norm-clipped updates (counted whenever ClipNorm > 0)
 
-	// Tracing (see trace.go); nil until SetTracer attaches a tracer, so
-	// the bare loop pays one nil check per step.
-	tracer    *trace.Tracer
-	stages    *stageTimers
-	stageTick uint64
-	timedStep bool      // this step samples its phase timings
-	timedAt   time.Time // start of the phase being timed
-
-	// Telemetry (see stats.go); inactive until SetStatsHook installs a
-	// hook, so the bare training loop pays nothing.
-	hook         StatsHook
-	hookEvery    int
+	// Telemetry (see stats.go), written only at barriers — or, for the
+	// smoothed loss of a one-worker run, by that worker between them.
+	gradSum      float64 // Σ of Eq. 23's scalar 1−σ(R) since the last read
+	gradN        int
 	lossEWMA     float64
 	lossN        int
+	hook         StatsHook
+	hookEvery    int
 	trainStart   time.Time
 	lastHookTime time.Time
 	lastHookStep int
+
+	// Optional obs export (RegisterMetrics), updated at barriers.
+	stepsVec *obs.CounterVec
+	spsVec   *obs.GaugeVec
+
+	// Tracing (see trace.go); nil until SetTracer attaches a tracer, so
+	// the bare loop pays one nil check per step.
+	tracer *trace.Tracer
+	stages *stageTimers
 }
 
-// NewTrainer validates the configuration and prepares a trainer over the
-// training split.
+// worker is one training goroutine's state: a user shard, private RNG
+// and sampler, a step kernel, and accumulators the coordinator merges at
+// each barrier.
+type worker struct {
+	id      int
+	label   string // obs label, strconv.Itoa(id)
+	rng     *mathx.RNG
+	sampler *sampling.TripleSampler
+	pairs   []dataset.Interaction // this shard's (u, i) records
+	kern    *Kernel
+
+	steps int           // lifetime SGD updates
+	busy  time.Duration // lifetime time spent inside segments
+
+	seg segment // merged and reset by the coordinator at each barrier
+
+	lossTick  uint64 // 1-in-8 loss sampling under a hook-less watchdog
+	stageTick uint64 // sampled step-phase timing (see trace.go)
+
+	// With several workers, each one's two generators live here and the
+	// pad keeps whatever the allocator places next a cache line away. As
+	// separate 32-byte allocations, one worker's sampler stream and the
+	// next worker's record stream could land on one line, and every draw
+	// on one core then invalidated it under the other: two-worker steps/s
+	// moved by 16 % with the luck of the layout.
+	streams [2]mathx.RNG
+	_       [64]byte
+}
+
+// segment is what one worker accumulates between two barriers.
+type segment struct {
+	steps   int
+	gradSum float64 // Σ of Eq. 23's scalar 1−σ(R)
+	gradN   int
+	lossSum float64 // unused by a lone worker, which folds per step
+	lossN   int
+	clips   int
+	// trip ends the worker's segment early; the coordinator promotes the
+	// first one to the trainer's guard.
+	trip *guard.Trip
+}
+
+// NewTrainer validates the configuration and prepares a one-worker
+// trainer over the training split: the serial, bit-reproducible case.
 func NewTrainer(cfg Config, train *dataset.Dataset) (*Trainer, error) {
+	return NewParallelTrainer(cfg, train, 1)
+}
+
+// NewParallelTrainer validates the configuration and prepares a trainer
+// that shards users across numWorkers workers. Model initialization and
+// the rank-list sampler consume the seed the same way for every worker
+// count, so all of them start from the same parameters. One worker draws
+// records from the seed's root stream and triples from that sampler,
+// which rebuilds its own rank lists as it goes; several workers each get
+// a pair of streams split off in worker order and a read-only view of
+// the sampler, which the coordinator rebuilds at barriers.
+func NewParallelTrainer(cfg Config, train *dataset.Dataset, numWorkers int) (*Trainer, error) {
+	if numWorkers < 1 {
+		return nil, fmt.Errorf("core: %d workers, want >= 1", numWorkers)
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if train == nil {
 		return nil, fmt.Errorf("core: nil training data")
 	}
-	// SGD draws training records (u, i) uniformly over observed pairs
-	// (§4.3: "randomly select a record"), so active users are visited in
-	// proportion to their history. Users with a single observed item
-	// still train — the sampler returns k = i and the triple degenerates
-	// to a (1−λ)-scaled BPR pair — so on ultra-sparse corpora (Flixter's
-	// density is 0.02%) CLAPF sees every record BPR sees. Only users who
-	// observed the whole catalog are excluded (no negative to sample).
-	var pairs []dataset.Interaction
-	train.ForEach(func(u, i int32) {
-		if train.NumPositives(u) < train.NumItems() {
-			pairs = append(pairs, dataset.Interaction{User: u, Item: i})
-		}
-	})
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("core: no trainable records (every user observed every item)")
+	// Users with a single observed item still train — the sampler returns
+	// k = i and the triple degenerates to a (1−λ)-scaled BPR pair — so on
+	// ultra-sparse corpora (Flixter's density is 0.02%) CLAPF sees every
+	// record BPR sees. Only users who observed the whole catalog are
+	// excluded (no negative to sample).
+	pairs, err := TrainableRecords(train, 1)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
+	if numWorkers > len(pairs) {
+		numWorkers = len(pairs) // more workers than records would idle anyway
+	}
+
 	rng := mathx.NewRNG(cfg.Seed)
-	model, err := mf.New(mf.Config{
-		NumUsers: train.NumUsers(),
-		NumItems: train.NumItems(),
-		Dim:      cfg.Dim,
-		UseBias:  cfg.UseBias,
-		InitStd:  cfg.InitStd,
-	})
+	model, err := NewModel(train, cfg.Dim, cfg.UseBias, cfg.InitStd, rng.Split())
 	if err != nil {
 		return nil, err
 	}
-	model.InitGaussian(rng.Split(), cfg.InitStd)
-
 	samplerCfg := cfg.Sampler
 	samplerCfg.Objective = cfg.Variant
 	sampler, err := sampling.NewTripleSampler(samplerCfg, train, model, rng.Split())
 	if err != nil {
 		return nil, err
 	}
-	return &Trainer{
-		cfg:     cfg,
-		data:    train,
-		model:   model,
-		sampler: sampler,
-		rng:     rng,
-		pairs:   pairs,
-		wv:      make([]float64, cfg.Dim),
-	}, nil
+
+	t := &Trainer{cfg: cfg, model: model, sampler: sampler}
+	t.workers = make([]*worker, numWorkers)
+	access := Plain
+	if numWorkers > 1 {
+		access = Atomic
+	}
+	for id := range t.workers {
+		t.workers[id] = &worker{id: id, label: strconv.Itoa(id), kern: NewKernel(model, access)}
+	}
+	if numWorkers == 1 {
+		w := t.workers[0]
+		w.rng, w.sampler, w.pairs = rng, sampler, pairs
+		return t, nil
+	}
+	// Shard users deterministically: walk users in id order, placing each
+	// on the worker with the lightest record load so far (ties break to
+	// the lowest id). Record-count balance keeps barrier idle time low even
+	// under heavy-tailed user activity.
+	for len(pairs) > 0 {
+		n := 1
+		for n < len(pairs) && pairs[n].User == pairs[0].User {
+			n++
+		}
+		best := t.workers[0]
+		for _, w := range t.workers[1:] {
+			if len(w.pairs) < len(best.pairs) {
+				best = w
+			}
+		}
+		best.pairs = append(best.pairs, pairs[:n]...)
+		pairs = pairs[n:]
+	}
+	for _, w := range t.workers {
+		w.streams = [2]mathx.RNG{*rng.Split(), *rng.Split()}
+		w.rng = &w.streams[0]
+		w.sampler = sampler.SharedView(&w.streams[1])
+	}
+	return t, nil
 }
 
 // Model returns the live model; it satisfies eval.Scorer.
 func (t *Trainer) Model() *mf.Model { return t.model }
 
-// StepsDone returns the number of SGD updates applied so far.
+// StepsDone returns the aggregate number of SGD updates applied so far.
 func (t *Trainer) StepsDone() int { return t.stepsDone }
 
-// GradMagnitude returns the running mean of the multiplicative gradient
-// scalar 1−σ(R) (Eq. 23) since the last call, and resets the accumulator.
-// A value near zero means sampled triples carry no learning signal — the
+// Workers returns the worker count (which may be lower than requested on
+// degenerate datasets with fewer trainable records than workers).
+func (t *Trainer) Workers() int { return len(t.workers) }
+
+// GradMagnitude returns the mean of the multiplicative gradient scalar
+// 1−σ(R) (Eq. 23) since the last call, and resets the accumulator. A
+// value near zero means sampled triples carry no learning signal — the
 // gradient-vanishing regime DSS is designed to escape.
 func (t *Trainer) GradMagnitude() float64 {
-	m := t.gradMag.Mean()
-	t.gradMag = mathx.OnlineStats{}
+	if t.gradN == 0 {
+		return 0
+	}
+	m := t.gradSum / float64(t.gradN)
+	t.gradSum, t.gradN = 0, 0
 	return m
 }
 
@@ -235,180 +349,281 @@ func (t *Trainer) Run() {
 	t.RunSteps(t.cfg.Steps - t.stepsDone)
 }
 
-// RunSteps performs n SGD updates (useful for convergence traces that
-// evaluate between chunks). A tripped guard stops the loop early; the
-// caller observes the trip via GuardTrip. With a tracer attached the
-// whole call runs as one "train.batch" trace (tail-kept when the guard
-// trips) whose "train.steps" child covers the update loop.
-func (t *Trainer) RunSteps(n int) {
-	var batch *trace.Trace
-	var stepsSp trace.Span
-	if t.tracer != nil {
-		var ctx context.Context
-		ctx, batch = t.tracer.StartTrace(context.Background(), "train.batch")
-		stepsSp = trace.StartSpanNoCtx(ctx, "train.steps")
-	}
-	for s := 0; s < n; s++ {
-		if t.gd != nil && t.gd.trip != nil {
-			break
-		}
-		t.Step()
-	}
-	if t.gd != nil {
-		t.gd.flushClips(t.clips)
-	}
-	stepsSp.End()
-	if t.gd != nil && t.gd.trip != nil {
-		batch.MarkError()
-	}
-	batch.Finish(0, 0)
-}
+// Step samples one (u, i, k, j) case and applies Eq. 22. It is
+// RunSteps(1) and pays that call's barrier bookkeeping every time; loops
+// should hand their whole budget to RunSteps.
+func (t *Trainer) Step() { t.RunSteps(1) }
 
-// Step samples one (u, i, k, j) case and applies Eq. 22.
-func (t *Trainer) Step() {
+// RunSteps performs n aggregate SGD updates and returns once all of them
+// have been applied (so the caller always observes a quiescent model).
+// Steps are divided among workers in proportion to their shard's record
+// count, which keeps sampling record-uniform in expectation. A tripped
+// guard stops the loop early; the caller observes the trip via
+// GuardTrip.
+func (t *Trainer) RunSteps(n int) {
+	if n <= 0 {
+		return
+	}
 	if t.hook != nil && t.trainStart.IsZero() {
 		now := time.Now()
 		t.trainStart, t.lastHookTime, t.lastHookStep = now, now, t.stepsDone
 	}
-	t.timedStep = false
-	var phaseStart time.Time
-	if t.stages != nil {
-		if t.stageTick&(stageSampleEvery-1) == 0 {
-			t.timedStep = true
-			phaseStart = time.Now()
+	// With a tracer attached the whole call is one "train.batch" trace
+	// (tail-kept when the guard trips); segment, barrier, refresh, and
+	// hook work become child spans, so a slow batch in the flight recorder
+	// shows which phase ate the time.
+	ctx := context.Background()
+	var batch *trace.Trace
+	if t.tracer != nil {
+		ctx, batch = t.tracer.StartTrace(ctx, "train.batch")
+	}
+	// One worker samples from the sampler that owns the rank lists, and
+	// that sampler rebuilds them itself, *before* the draw on which its
+	// own step count reaches a multiple of RefreshEvery. Views never
+	// rebuild, so with several workers the coordinator does it here,
+	// *after* RefreshEvery aggregate steps. Doing both would refresh a
+	// one-worker run twice per period and move its trajectory.
+	refreshEvery := 0
+	if len(t.workers) > 1 && t.cfg.Sampler.Strategy != sampling.Uniform {
+		refreshEvery = t.sampler.RefreshEvery()
+	}
+	for n > 0 && t.GuardTrip() == nil {
+		// Cut the segment at whichever boundary is due first, so hooks,
+		// guard checks and refreshes all land on a quiescent barrier.
+		seg := n
+		if refreshEvery > 0 && refreshEvery-t.sinceRefresh < seg {
+			seg = refreshEvery - t.sinceRefresh
 		}
-		t.stageTick++
-	}
-	rec := t.pairs[t.rng.Intn(len(t.pairs))]
-	tr := t.sampler.SampleWithI(rec.User, rec.Item)
-	if t.timedStep {
-		t.timedAt = observePhase(t.stages.sample, phaseStart)
-	}
-	t.update(rec.User, tr)
-	t.stepsDone++
-	if t.hook != nil {
-		t.maybeFireHook()
+		if t.hook != nil {
+			if due := t.hookEvery - (t.stepsDone - t.lastHookStep); due < seg {
+				seg = due
+			}
+		}
+		if t.gd != nil {
+			if due := t.gd.cfg.CheckEvery - (t.stepsDone - t.gd.lastCheck); due < seg {
+				seg = due
+			}
+		}
+		if seg <= 0 { // boundary already due; settle it before running more
+			seg = 1
+		}
+		t.runSegment(ctx, seg)
+		n -= seg
+
+		if refreshEvery > 0 && t.sinceRefresh >= refreshEvery {
+			sp := trace.StartSpanNoCtx(ctx, "train.refresh")
+			t.sampler.Refresh() // workers are quiescent: safe to rebuild
+			sp.End()
+			t.sinceRefresh = 0
+		}
+		if t.hook != nil && t.stepsDone-t.lastHookStep >= t.hookEvery {
+			sp := trace.StartSpanNoCtx(ctx, "train.hook")
+			t.fireHook()
+			sp.End()
+		}
+		if t.gd != nil {
+			// The check itself reports as the "train.guard_scan" stage
+			// (see guardState.check), so no span here.
+			t.gd.maybeCheck(t.stepsDone, t.lossEWMA, t.lossN, t.clips, t.model)
+		}
 	}
 	if t.gd != nil {
-		t.gd.maybeCheck(t.stepsDone, t.lossEWMA, t.lossN, t.clips, t.model)
+		t.gd.flushClips(t.clips)
+		if t.gd.trip != nil {
+			batch.MarkError()
+		}
 	}
+	batch.Finish(0, 0)
 }
 
-// update applies the SGD update for one sampled triple.
-//
-// Writing R as a·f_ui + b·f_uk + c·f_uj, the variants differ only in the
-// coefficient vector (a, b, c):
-//
-//	MAP: a = 1−2λ, b = λ,  c = −(1−λ)
-//	MRR: a = 1,    b = −λ, c = −(1−λ)
-//
-// ∂R/∂U_u = a·V_i + b·V_k + c·V_j, ∂R/∂V_t = coeff_t·U_u, ∂R/∂b_t = coeff_t,
-// and the minimization step is Θ += γ[(1−σ(R))·∂R/∂Θ − reg·Θ].
-func (t *Trainer) update(u int32, tr sampling.Triple) {
-	a, b, c := riskCoeffs(t.cfg.Variant, t.cfg.Lambda, tr.K == tr.I)
-
-	uf := t.model.UserFactors(u)
-	vi := t.model.ItemFactors(tr.I)
-	vk := t.model.ItemFactors(tr.K)
-	vj := t.model.ItemFactors(tr.J)
-
-	// With clipping armed, one fused sweep yields the risk dot products
-	// (bit-identical to mathx.Dot) plus the clip norm terms and the w
-	// buffer; without it, the three plain dots.
-	cn := t.cfg.ClipNorm
-	var r, wsq, usq float64
-	if cn > 0 {
-		var di, dk, dj float64
-		di, dk, dj, wsq, usq = riskAndClipTerms(a, b, c, uf, vi, vk, vj, t.wv)
-		r = a*(di+t.model.Bias(tr.I)) +
-			b*(dk+t.model.Bias(tr.K)) +
-			c*(dj+t.model.Bias(tr.J))
+// runSegment runs seg steps — inline on one worker, fanned out to
+// goroutines on several — and merges telemetry after the join barrier.
+// The run-to-join interval is the "train.segment" span; the
+// coordinator-side merge that follows is "train.barrier".
+func (t *Trainer) runSegment(ctx context.Context, seg int) {
+	sp := trace.StartSpanNoCtx(ctx, "train.segment")
+	if len(t.workers) == 1 {
+		t.workers[0].run(t, seg)
 	} else {
-		r = a*(mathx.Dot(uf, vi)+t.model.Bias(tr.I)) +
-			b*(mathx.Dot(uf, vk)+t.model.Bias(tr.K)) +
-			c*(mathx.Dot(uf, vj)+t.model.Bias(tr.J))
+		var wg sync.WaitGroup
+		for i, quota := range proportionalShares(seg, t.workers) {
+			if quota == 0 {
+				continue
+			}
+			wg.Add(1)
+			go func(w *worker, quota int) {
+				defer wg.Done()
+				w.run(t, quota)
+			}(t.workers[i], quota)
+		}
+		wg.Wait()
+	}
+	sp.End()
+
+	sp = trace.StartSpanNoCtx(ctx, "train.barrier")
+	// Merge per-worker accumulators in worker order (deterministic
+	// reduction) and refresh the exported metrics.
+	var trip *guard.Trip
+	for _, w := range t.workers {
+		t.stepsDone += w.seg.steps
+		if len(t.workers) > 1 {
+			t.sinceRefresh += w.seg.steps
+		}
+		t.gradSum += w.seg.gradSum
+		t.gradN += w.seg.gradN
+		t.foldLoss(w.seg.lossSum, w.seg.lossN)
+		t.clips += uint64(w.seg.clips)
+		if t.stepsVec != nil {
+			t.stepsVec.With(w.label).Add(uint64(w.seg.steps))
+			if secs := w.busy.Seconds(); secs > 0 {
+				t.spsVec.With(w.label).Set(float64(w.steps) / secs)
+			}
+		}
+		if trip == nil {
+			trip = w.seg.trip
+		}
+		w.seg = segment{}
+	}
+	// Worker-local trips carry no step (workers do not know the aggregate
+	// count); the first one becomes the trainer's, stamped here.
+	if trip != nil {
+		trip.Step = t.stepsDone
+		t.gd.trip = trip
+	}
+	sp.End()
+}
+
+// run applies up to quota steps on this worker's shard; a trip ends the
+// segment early (the tripped step counts, its update was not applied).
+func (w *worker) run(t *Trainer, quota int) {
+	start := time.Now()
+	for w.seg.steps < quota && w.seg.trip == nil {
+		w.step(t)
+		w.seg.steps++
+	}
+	w.busy += time.Since(start)
+	w.steps += w.seg.steps
+}
+
+// step draws one record and one triple from this worker's streams and
+// applies the Eq. 22 step for CLAPF's risk. Writing R as
+// a·f_ui + b·f_uk + c·f_uj, the variants differ only in the coefficient
+// vector (see riskCoeffs). Everything around the kernel's arithmetic —
+// the non-finite sentinel, the Eq. 23 scalar's mean, loss tracking, clip
+// counting, sampled phase timing — is attached here, once.
+func (w *worker) step(t *Trainer) {
+	var timedAt time.Time
+	timed := false
+	if t.stages != nil {
+		if w.stageTick&(stageSampleEvery-1) == 0 {
+			timed = true
+			timedAt = time.Now()
+		}
+		w.stageTick++
+	}
+	rec := w.pairs[w.rng.Intn(len(w.pairs))]
+	tr := w.sampler.SampleWithI(rec.User, rec.Item)
+	if timed {
+		timedAt = observePhase(t.stages.sample, timedAt)
 	}
 
-	if t.gd != nil && t.gd.watching() && !isFinite(r) {
+	a, b, c := riskCoeffs(t.cfg.Variant, t.cfg.Lambda, tr.K == tr.I)
+	items := [...]int32{tr.I, tr.K, tr.J}
+	coef := [...]float64{a, b, c}
+	r := w.kern.Risk(rec.User, items[:], coef[:])
+
+	watchdog := t.gd != nil && t.gd.cfg.Watchdog
+	if watchdog && !isFinite(r) {
 		// Applying this update would spread the poison to three more item
-		// rows; record the trip and leave the parameters as they are.
-		t.gd.trip = &guard.Trip{Step: t.stepsDone, Reason: guard.ReasonNonFiniteRisk,
-			Detail: fmt.Sprintf("risk R = %v for user %d", r, u)}
+		// rows; record the trip and leave the parameters as they are. No
+		// step stamp: the aggregate count lives with the coordinator,
+		// which adds it at the barrier.
+		w.seg.trip = &guard.Trip{Reason: guard.ReasonNonFiniteRisk,
+			Detail: fmt.Sprintf("risk R = %v for user %d on worker %d", r, rec.User, w.id)}
 		return
 	}
 
 	g := 1 - mathx.Sigmoid(r) // Eq. 23's multiplicative scalar
-	t.gradMag.Add(g)
-	if t.hook != nil {
-		t.observeLoss(-mathx.LogSigmoid(r))
-	} else if t.gd != nil && t.gd.watching() && t.gd.tickLoss() {
+	w.seg.gradSum += g
+	w.seg.gradN++
+	trackLoss := t.hook != nil
+	if !trackLoss && watchdog {
 		// The watchdog needs the loss curve but not per-step resolution:
-		// a 1-in-8 sample keeps the EWMA faithful while sparing the
+		// a 1-in-8 sample keeps the average faithful while sparing the
 		// unhooked hot path most of the LogSigmoid cost.
-		t.observeLoss(-mathx.LogSigmoid(r))
+		w.lossTick++
+		trackLoss = w.lossTick&7 == 0
+	}
+	if trackLoss {
+		loss := -mathx.LogSigmoid(r)
+		if len(t.workers) == 1 {
+			// Fold per step, not per segment: the watchdog's thresholds
+			// are tuned to this form, and nobody else is writing.
+			t.foldLoss(loss, 1)
+		} else {
+			w.seg.lossSum += loss
+			w.seg.lossN++
+		}
+	}
+	if timed {
+		timedAt = observePhase(t.stages.risk, timedAt)
 	}
 
-	if t.timedStep {
-		t.timedAt = observePhase(t.stages.risk, t.timedAt)
-	}
-
-	gamma := t.cfg.LearnRate
-	regU, regV, regB := t.cfg.RegUser, t.cfg.RegItem, t.cfg.RegBias
-
-	// U_u += γ[g·(a·V_i + b·V_k + c·V_j) − α_u·U_u]; item updates must use
-	// the *pre-update* user factors, so compute the user gradient first.
-	skipK := tr.K == tr.I // vk aliases vi; its update is folded into a
-	if cn > 0 {
+	if cn := t.cfg.ClipNorm; cn > 0 {
 		var clipped bool
-		if g, clipped = clipG(g, cn, a, b, c, wsq, usq, t.model.HasBias()); clipped {
-			t.clips++
-		}
-		// The fused sweep captured w = a·V_i + b·V_k + c·V_j; reuse it.
-		for q := range uf {
-			du := g*t.wv[q] - regU*uf[q]
-			di := g*a*uf[q] - regV*vi[q]
-			dk := g*b*uf[q] - regV*vk[q]
-			dj := g*c*uf[q] - regV*vj[q]
-			uf[q] += gamma * du
-			vi[q] += gamma * di
-			if !skipK {
-				vk[q] += gamma * dk
-			}
-			vj[q] += gamma * dj
-		}
-	} else {
-		for q := range uf {
-			du := g*(a*vi[q]+b*vk[q]+c*vj[q]) - regU*uf[q]
-			di := g*a*uf[q] - regV*vi[q]
-			dk := g*b*uf[q] - regV*vk[q]
-			dj := g*c*uf[q] - regV*vj[q]
-			uf[q] += gamma * du
-			vi[q] += gamma * di
-			if !skipK {
-				vk[q] += gamma * dk
-			}
-			vj[q] += gamma * dj
+		if g, clipped = w.kern.Clip(g, cn); clipped {
+			w.seg.clips++
 		}
 	}
-	if t.model.HasBias() {
-		t.model.AddBias(tr.I, gamma*(g*a-regB*t.model.Bias(tr.I)))
-		if !skipK {
-			t.model.AddBias(tr.K, gamma*(g*b-regB*t.model.Bias(tr.K)))
-		}
-		t.model.AddBias(tr.J, gamma*(g*c-regB*t.model.Bias(tr.J)))
-	}
-	if t.timedStep {
-		observePhase(t.stages.update, t.timedAt)
+	w.kern.Apply(g, Rates{Learn: t.cfg.LearnRate, RegUser: t.cfg.RegUser, RegItem: t.cfg.RegItem, RegBias: t.cfg.RegBias})
+	if timed {
+		observePhase(t.stages.update, timedAt)
 	}
 }
 
+// proportionalShares splits seg among the workers in proportion to their
+// record counts (largest-remainder rounding, ties to the lowest id), so
+// aggregate sampling stays record-uniform and the allocation is a pure
+// function of (seg, shard sizes) — reproducible across runs and resumes.
+func proportionalShares(seg int, workers []*worker) []int {
+	total := 0
+	for _, w := range workers {
+		total += len(w.pairs)
+	}
+	shares := make([]int, len(workers))
+	rems := make([]int64, len(workers))
+	assigned := 0
+	for i, w := range workers {
+		num := int64(seg) * int64(len(w.pairs))
+		shares[i] = int(num / int64(total))
+		rems[i] = num % int64(total)
+		assigned += shares[i]
+	}
+	for assigned < seg {
+		best := -1
+		for i := range workers {
+			if rems[i] >= 0 && (best < 0 || rems[i] > rems[best]) {
+				best = i
+			}
+		}
+		shares[best]++
+		rems[best] = -1 // one top-up per worker per round
+		assigned++
+	}
+	return shares
+}
+
 // riskCoeffs returns the coefficient vector (a, b, c) of the linearized
-// risk R = a·f_ui + b·f_uk + c·f_uj for the given variant and λ (see the
-// update comment above). When k aliases i — a single-positive user, whose
-// listwise pair vanishes because f_uk = f_ui — b folds into a so the
-// aliased item vector is updated once with the combined coefficient and
-// regularized once, leaving R = (1−λ)(f_ui − f_uj). Shared by the serial
-// and Hogwild update paths so the math cannot drift between them.
+// risk R = a·f_ui + b·f_uk + c·f_uj for the given variant and λ:
+//
+//	MAP: a = 1−2λ, b = λ,  c = −(1−λ)
+//	MRR: a = 1,    b = −λ, c = −(1−λ)
+//
+// When k aliases i — a single-positive user, whose listwise pair vanishes
+// because f_uk = f_ui — b folds into a so the aliased item vector is
+// updated once with the combined coefficient and regularized once (the
+// kernel does not write a zero-coefficient repeat), leaving
+// R = (1−λ)(f_ui − f_uj).
 func riskCoeffs(variant sampling.Objective, lam float64, kIsI bool) (a, b, c float64) {
 	if variant == sampling.MRR {
 		a, b, c = 1, -lam, -(1 - lam)

@@ -111,9 +111,9 @@ func TestSinglePositiveUsersTrain(t *testing.T) {
 	}
 }
 
-// TestGradientMatchesFiniteDifference verifies that one SGD step moves every
-// touched parameter by exactly −γ · ∂f/∂Θ, comparing against central finite
-// differences of TripleLoss.
+// TestGradientMatchesFiniteDifference verifies that one kernel step with
+// CLAPF's coefficient vector moves every touched parameter by exactly
+// −γ · ∂f/∂Θ, comparing against central finite differences of TripleLoss.
 func TestGradientMatchesFiniteDifference(t *testing.T) {
 	d := smallData(t, 2)
 	for _, variant := range []sampling.Objective{sampling.MAP, sampling.MRR} {
@@ -129,7 +129,7 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 			// Warm up so factors are not at the tiny init scale.
 			tr.RunSteps(200)
 
-			u := tr.pairs[0].User
+			u := tr.workers[0].pairs[0].User
 			obs := d.Positives(u)
 			triple := sampling.Triple{I: obs[0], K: obs[1], J: unobservedItem(d, u)}
 
@@ -147,7 +147,9 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 				plus := lossAt(func() { set(orig + h) }, func() { set(orig) })
 				minus := lossAt(func() { set(orig - h) }, func() { set(orig) })
 				fd := (plus - minus) / (2 * h)
-				tr.update(u, triple)
+				a, b, c := riskCoeffs(variant, lambda, false)
+				NewKernel(tr.model, Plain).Step(u, []int32{triple.I, triple.K, triple.J}, []float64{a, b, c},
+					Rates{Learn: cfg.LearnRate, RegUser: cfg.RegUser, RegItem: cfg.RegItem, RegBias: cfg.RegBias})
 				moved := get() - orig
 				set(orig) // roll back the probe step
 				// moved = −γ·grad with γ=1.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"time"
 
 	"clapf/internal/guard"
@@ -10,19 +9,16 @@ import (
 	"clapf/internal/obs/trace"
 )
 
-// This file wires the guard subsystem (internal/guard) into both
-// trainers. Division of labor: the trainers own the hot path — per-step
-// non-finite risk sentinels, gradient clipping, sampled loss tracking —
-// and the guardState below runs the periodic checks (sampled parameter
-// scan, loss watchdog, metric flush) every CheckEvery steps at points
-// where the model is quiescent: between serial steps, and at segment
-// barriers for the parallel trainer, so the race detector stays clean.
+// This file wires the guard subsystem (internal/guard) into the trainer.
+// Division of labor: the workers own the hot path — per-step non-finite
+// risk sentinels, gradient clipping, sampled loss tracking — and the
+// guardState below runs the periodic checks (sampled parameter scan,
+// loss watchdog, metric flush) every CheckEvery steps at segment
+// barriers, where the model is quiescent for any worker count, so the
+// race detector stays clean.
 
-// Compile-time proof that both trainers can be supervised.
-var (
-	_ guard.Trainee = (*Trainer)(nil)
-	_ guard.Trainee = (*ParallelTrainer)(nil)
-)
+// Compile-time proof that the trainer can be supervised.
+var _ guard.Trainee = (*Trainer)(nil)
 
 // guardState is a trainer's installed guard: configuration, watchdog,
 // pending trip, and check bookkeeping. Touched only from the coordinating
@@ -36,7 +32,6 @@ type guardState struct {
 	trip         *guard.Trip
 	lastCheck    int    // step of the previous periodic check
 	clipsFlushed uint64 // clip count already pushed to metrics
-	lossTick     uint64 // 1-in-8 loss-sampling counter (serial trainer)
 
 	// tracer, when set (via SetTracer on the owning trainer, in either
 	// installation order), attributes the periodic check's latency to the
@@ -58,16 +53,6 @@ func newGuardState(cfg guard.Config, m *guard.Metrics, seed uint64) (*guardState
 		rng:     mathx.NewRNG(seed ^ 0x6775617264), // "guard"
 		metrics: m,
 	}, nil
-}
-
-// watching reports whether divergence detection is armed (watchdog
-// enabled and no trip pending).
-func (g *guardState) watching() bool { return g.cfg.Watchdog && g.trip == nil }
-
-// tickLoss returns true on every 8th call.
-func (g *guardState) tickLoss() bool {
-	g.lossTick++
-	return g.lossTick&7 == 0
 }
 
 // maybeCheck runs the periodic check when the cadence is due.
@@ -131,113 +116,24 @@ func isFinite(x float64) bool {
 	return x-x == 0
 }
 
-// clipScalar bounds the L2 norm of the data-term gradient by scaling the
-// Eq. 23 multiplier g. Every data-term component carries the factor g —
-// ∂/∂U_u = g·w with w = a·V_i + b·V_k + c·V_j, ∂/∂V_t = g·coeff_t·U_u,
-// ∂/∂b_t = g·coeff_t — so with s = a² + b² + c²,
-//
-//	‖grad‖² = g²·(‖w‖² + s·‖U_u‖² [+ s with bias])
-//
-// and clipping to norm cn is exactly g ← g·cn/‖grad‖: one extra
-// accumulation pass, no scratch vectors, directions untouched, and the
-// unclipped path bit-identical to an unguarded trainer. When k aliases i
-// the caller passes b = 0, which makes both w and s degenerate correctly.
-// Regularization is excluded from the clipped norm — it contracts Θ
-// toward zero and cannot diverge.
-func clipScalar(g, cn, a, b, c float64, uf, vi, vk, vj []float64, bias bool) (float64, bool) {
-	return clipScalarW(g, cn, a, b, c, uf, vi, vk, vj, make([]float64, len(uf)), bias)
-}
-
-// clipScalarW is clipScalar with a caller-provided w scratch buffer; the
-// hot paths use the fused riskAndClipTerms + clipG below instead, and
-// this wrapper keeps the unit tests exercising those same building
-// blocks.
-func clipScalarW(g, cn, a, b, c float64, uf, vi, vk, vj, wbuf []float64, bias bool) (float64, bool) {
-	_, _, _, wsq, usq := riskAndClipTerms(a, b, c, uf, vi, vk, vj, wbuf)
-	return clipG(g, cn, a, b, c, wsq, usq, bias)
-}
-
-// riskAndClipTerms is the clipped hot path's single sweep over the four
-// factor vectors. It computes, in one pass:
-//
-//   - the three dot products the risk needs, accumulated element-by-
-//     element in index order — bit-identical to mathx.Dot, so a clipped
-//     trainer whose threshold never fires follows the exact trajectory
-//     of an unguarded one;
-//   - the combination w[q] = a·vi[q] + b·vk[q] + c·vj[q] into wbuf, for
-//     the update loop to reuse instead of recomputing;
-//   - the clip norm terms ‖w‖² and ‖U_u‖², in two-way-unrolled split
-//     accumulators (their chains are latency-bound; pairwise partial
-//     sums halve the depth, and the ulp-level reassociation only moves
-//     the clip threshold, never the risk).
-//
-// Without clipping the trainer needs three separate Dot sweeps anyway,
-// so the marginal cost of clipping is the w/norm arithmetic on data
-// already in registers — not a second pass over memory.
-func riskAndClipTerms(a, b, c float64, uf, vi, vk, vj, wbuf []float64) (di, dk, dj, wsq, usq float64) {
-	// Reslice to the common length so the compiler drops the per-element
-	// bounds checks in the accumulation loop.
-	vi, vk, vj, wbuf = vi[:len(uf)], vk[:len(uf)], vj[:len(uf)], wbuf[:len(uf)]
-	var wsq0, wsq1, usq0, usq1 float64
-	q := 0
-	for ; q+1 < len(uf); q += 2 {
-		u0, u1 := uf[q], uf[q+1]
-		x0, x1 := vi[q], vi[q+1]
-		y0, y1 := vk[q], vk[q+1]
-		z0, z1 := vj[q], vj[q+1]
-		di += u0 * x0
-		di += u1 * x1
-		dk += u0 * y0
-		dk += u1 * y1
-		dj += u0 * z0
-		dj += u1 * z1
-		w0 := a*x0 + b*y0 + c*z0
-		w1 := a*x1 + b*y1 + c*z1
-		wbuf[q], wbuf[q+1] = w0, w1
-		wsq0 += w0 * w0
-		wsq1 += w1 * w1
-		usq0 += u0 * u0
-		usq1 += u1 * u1
-	}
-	if q < len(uf) {
-		u := uf[q]
-		di += u * vi[q]
-		dk += u * vk[q]
-		dj += u * vj[q]
-		w := a*vi[q] + b*vk[q] + c*vj[q]
-		wbuf[q] = w
-		wsq0 += w * w
-		usq0 += u * u
-	}
-	return di, dk, dj, wsq0 + wsq1, usq0 + usq1
-}
-
-// clipG applies the clip decision to the Eq. 23 multiplier g given the
-// precomputed norm terms (see clipScalar for the algebra).
-func clipG(g, cn, a, b, c, wsq, usq float64, bias bool) (float64, bool) {
-	s := a*a + b*b + c*c
-	normsq := wsq + s*usq
-	if bias {
-		normsq += s
-	}
-	normsq *= g * g
-	if normsq <= cn*cn {
-		return g, false
-	}
-	return g * cn / math.Sqrt(normsq), true
-}
-
 // SetGuard installs training guardrails (defaults applied to zero
 // fields): with cfg.Watchdog, per-step non-finite sentinels, sampled
 // parameter scans, and the loss watchdog; in any case, the clip counter
-// flush into m. Call before training or between RunSteps calls; passing
-// metrics m is optional. A second call replaces the guard.
+// flush into m. Checks run at segment barriers (see RunSteps), so the
+// hot path only pays for the per-step sentinel and worker-local
+// accumulation. Call before training or between RunSteps calls; passing
+// metrics m is optional. A second call replaces the guard; the new one
+// counts clips from here on.
 func (t *Trainer) SetGuard(cfg guard.Config, m *guard.Metrics) error {
 	gd, err := newGuardState(cfg, m, t.cfg.Seed)
 	if err != nil {
 		return err
 	}
 	gd.lastCheck = t.stepsDone
+	// t.clips is a lifetime count and everything before this call has
+	// been flushed already (RunSteps flushes on return); starting from 0
+	// would export those clips a second time.
+	gd.clipsFlushed = t.clips
 	gd.tracer = t.tracer
 	t.gd = gd
 	return nil
@@ -263,69 +159,13 @@ func (t *Trainer) ClearGuardTrip() {
 // ScaleLearnRate multiplies the learning rate by factor and returns the
 // new rate. Rollback recovery uses it for backoff; the scaling survives
 // Restore because restored state covers the optimization trajectory, not
-// the hyper-parameters.
+// the hyper-parameters. Call only between RunSteps calls (workers read
+// the rate lock-free while training).
 func (t *Trainer) ScaleLearnRate(factor float64) float64 {
 	t.cfg.LearnRate *= factor
 	return t.cfg.LearnRate
 }
 
-// GradClips returns the lifetime count of norm-clipped updates.
-func (t *Trainer) GradClips() uint64 { return t.clips }
-
-// SetGuard installs training guardrails on the parallel trainer; checks
-// run at segment barriers (see RunSteps), so the Hogwild hot path only
-// pays for the per-step sentinel and worker-local accumulation.
-func (pt *ParallelTrainer) SetGuard(cfg guard.Config, m *guard.Metrics) error {
-	gd, err := newGuardState(cfg, m, pt.cfg.Seed)
-	if err != nil {
-		return err
-	}
-	gd.lastCheck = pt.stepsDone
-	gd.tracer = pt.tracer
-	pt.gd = gd
-	return nil
-}
-
-// GuardTrip returns the pending guard trip, or nil while healthy (or
-// unguarded). Safe between RunSteps calls.
-func (pt *ParallelTrainer) GuardTrip() *guard.Trip {
-	if pt.gd == nil {
-		return nil
-	}
-	return pt.gd.trip
-}
-
-// ClearGuardTrip re-arms a tripped guard after a checkpoint restore.
-func (pt *ParallelTrainer) ClearGuardTrip() {
-	if pt.gd != nil {
-		pt.gd.clear(pt.stepsDone)
-	}
-}
-
-// ScaleLearnRate multiplies the learning rate by factor and returns the
-// new rate. Call only between RunSteps calls (workers read the rate
-// lock-free while training).
-func (pt *ParallelTrainer) ScaleLearnRate(factor float64) float64 {
-	pt.cfg.LearnRate *= factor
-	return pt.cfg.LearnRate
-}
-
 // GradClips returns the lifetime count of norm-clipped updates (merged at
 // barriers; exact between RunSteps calls).
-func (pt *ParallelTrainer) GradClips() uint64 { return pt.clips }
-
-// mergeWorkerTrips promotes the first worker-local trip to the trainer
-// guard at a barrier, stamping it with the aggregate step. Worker-local
-// trips carry no step (workers do not know the global count); everything
-// else is preserved.
-func (pt *ParallelTrainer) mergeWorkerTrips() {
-	for _, w := range pt.workers {
-		if w.trip != nil {
-			if pt.gd.trip == nil {
-				w.trip.Step = pt.stepsDone
-				pt.gd.trip = w.trip
-			}
-			w.trip = nil
-		}
-	}
-}
+func (t *Trainer) GradClips() uint64 { return t.clips }

@@ -7,6 +7,8 @@ import (
 
 	"clapf/internal/guard"
 	"clapf/internal/mathx"
+	"clapf/internal/mf"
+	"clapf/internal/obs"
 	"clapf/internal/sampling"
 	"clapf/internal/store"
 )
@@ -49,22 +51,18 @@ func TestConfigValidateNonFinite(t *testing.T) {
 }
 
 // TestClipScalarMatchesBruteForce checks the closed-form gradient norm
-// behind clipScalar against an explicitly assembled data-term gradient:
+// behind Kernel.Clip against an explicitly assembled data-term gradient:
 // ∂/∂U_u = g·(a·V_i + b·V_k + c·V_j), ∂/∂V_t = g·coeff_t·U_u,
 // ∂/∂b_t = g·coeff_t.
 func TestClipScalarMatchesBruteForce(t *testing.T) {
 	rng := mathx.NewRNG(11)
-	vec := func(n int) []float64 {
-		s := make([]float64, n)
-		for i := range s {
-			s[i] = rng.NormFloat64()
-		}
-		return s
-	}
 	for _, bias := range []bool{true, false} {
+		const dim = 6
+		m := mf.MustNew(mf.Config{NumUsers: 1, NumItems: 3, Dim: dim, UseBias: bias})
+		kern := NewKernel(m, Plain)
 		for trial := 0; trial < 50; trial++ {
-			const dim = 6
-			uf, vi, vk, vj := vec(dim), vec(dim), vec(dim), vec(dim)
+			m.InitGaussian(rng, 1)
+			uf, vi, vk, vj := m.UserFactors(0), m.ItemFactors(0), m.ItemFactors(1), m.ItemFactors(2)
 			a, b, c := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
 			g := 0.5 + rng.Float64()
 
@@ -79,13 +77,14 @@ func TestClipScalarMatchesBruteForce(t *testing.T) {
 			}
 			norm := math.Sqrt(normsq)
 
+			kern.Risk(0, []int32{0, 1, 2}, []float64{a, b, c})
 			// A threshold above the norm leaves g untouched — exactly.
-			if got, clipped := clipScalar(g, norm*1.01, a, b, c, uf, vi, vk, vj, bias); clipped || got != g {
+			if got, clipped := kern.Clip(g, norm*1.01); clipped || got != g {
 				t.Fatalf("bias=%v trial %d: under-threshold clip = (%v, %v), want (%v, false)", bias, trial, got, clipped, g)
 			}
 			// A threshold below the norm scales g so the norm lands on cn.
 			cn := norm * 0.37
-			got, clipped := clipScalar(g, cn, a, b, c, uf, vi, vk, vj, bias)
+			got, clipped := kern.Clip(g, cn)
 			if !clipped {
 				t.Fatalf("bias=%v trial %d: over-threshold update not clipped", bias, trial)
 			}
@@ -178,6 +177,34 @@ func TestSetGuardValidates(t *testing.T) {
 	}
 	if err := pt.SetGuard(guard.Config{RisePatience: -1}, nil); err == nil {
 		t.Error("parallel SetGuard accepted RisePatience -1")
+	}
+}
+
+// TestSetGuardTwiceCountsClipsOnce replaces an installed guard mid-run
+// (documented as allowed): the clips the first guard already exported to
+// clapf_grad_clip_total must not be exported again by the second.
+func TestSetGuardTwiceCountsClipsOnce(t *testing.T) {
+	d := smallData(t, 8)
+	cfg := quickConfig(sampling.MAP)
+	cfg.ClipNorm = 0.05
+	tr, err := NewTrainer(cfg, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gm := guard.NewMetrics(obs.NewRegistry())
+	if err := tr.SetGuard(guard.Config{}, gm); err != nil {
+		t.Fatal(err)
+	}
+	tr.RunSteps(2000)
+	if tr.GradClips() == 0 || gm.Clips.Value() != tr.GradClips() {
+		t.Fatalf("first guard exported %d clips, trainer counted %d (want equal and > 0)", gm.Clips.Value(), tr.GradClips())
+	}
+	if err := tr.SetGuard(guard.Config{CheckEvery: 128}, gm); err != nil {
+		t.Fatal(err)
+	}
+	tr.RunSteps(2000)
+	if gm.Clips.Value() != tr.GradClips() {
+		t.Errorf("after replacing the guard the counter reads %d, trainer counted %d", gm.Clips.Value(), tr.GradClips())
 	}
 }
 
@@ -350,8 +377,8 @@ func TestMetaSnapshotRoundTripParallel(t *testing.T) {
 	}
 	ref.RunSteps(2000)
 	meta := ref.MetaSnapshot()
-	if len(meta.Workers) != 1 {
-		t.Fatalf("meta carries %d workers, want 1", len(meta.Workers))
+	if len(meta.Workers) != 0 || len(meta.RNG) != 4 {
+		t.Fatalf("meta = %+v, want the one-worker (serial) trailer shape", meta)
 	}
 	frozen := ref.Model().Clone()
 	ref.RunSteps(3000)

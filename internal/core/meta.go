@@ -13,89 +13,61 @@ import (
 // guard supervisor, tests) shares one encoding. MetaSnapshot fills only
 // the trainer-owned fields; contextual fields — Epoch, TotalSteps,
 // DataFingerprint, Hyper — belong to the caller.
+//
+// The trailer has two shapes, both older than the one-trainer design and
+// both kept so existing checkpoint directories resume: a one-worker run
+// writes its streams in the top-level RNG/SamplerRNG/SamplerSteps fields,
+// a run with several workers writes Workers[] and SinceRefresh.
 
 // MetaSnapshot captures the trainer's resumable state as a checkpoint
 // trailer. Call between RunSteps calls.
 func (t *Trainer) MetaSnapshot() *store.Meta {
 	st := t.Snapshot()
-	return &store.Meta{
-		Step:         st.Step,
-		RNG:          append([]uint64(nil), st.RNG[:]...),
-		SamplerRNG:   append([]uint64(nil), st.Sampler.RNG[:]...),
-		SamplerSteps: st.Sampler.Steps,
-		LossEWMA:     st.LossEWMA,
-		LossN:        st.LossN,
+	meta := &store.Meta{Step: st.Step, LossEWMA: st.LossEWMA, LossN: st.LossN}
+	streams := make([]store.WorkerMeta, len(st.Workers))
+	for i, w := range st.Workers {
+		streams[i] = store.WorkerMeta{
+			RNG:          append([]uint64(nil), w.RNG[:]...),
+			SamplerRNG:   append([]uint64(nil), w.Sampler.RNG[:]...),
+			SamplerSteps: w.Sampler.Steps,
+		}
 	}
+	if len(streams) == 1 {
+		meta.RNG, meta.SamplerRNG, meta.SamplerSteps = streams[0].RNG, streams[0].SamplerRNG, streams[0].SamplerSteps
+		return meta
+	}
+	meta.SinceRefresh = st.SinceRefresh
+	meta.Workers = streams
+	return meta
 }
 
 // RestoreFromMeta rewinds the trainer to a checkpoint: parameters from m,
 // schedule/RNG/loss state from meta. It validates the trailer's shape
-// (serial vs parallel, RNG word counts); dataset and hyper-parameter
-// compatibility are the caller's concern — the trailer carries them, the
-// trainer cannot judge them.
+// (worker count, RNG word counts) — this is the one place a worker-count
+// mismatch is diagnosed; dataset and hyper-parameter compatibility are
+// the caller's concern — the trailer carries them, the trainer cannot
+// judge them.
 func (t *Trainer) RestoreFromMeta(m *mf.Model, meta *store.Meta) error {
 	if meta == nil {
 		return fmt.Errorf("core: nil checkpoint metadata")
 	}
-	if len(meta.Workers) > 0 {
-		return fmt.Errorf("core: checkpoint is from a %d-worker parallel run, trainer is serial", len(meta.Workers))
+	streams, from := meta.Workers, "parallel"
+	if len(streams) == 0 {
+		streams = []store.WorkerMeta{{RNG: meta.RNG, SamplerRNG: meta.SamplerRNG, SamplerSteps: meta.SamplerSteps}}
+		from = "serial"
 	}
-	rng, err := rngWords(meta.RNG, "rng")
-	if err != nil {
-		return err
+	if len(streams) != len(t.workers) {
+		return fmt.Errorf("core: checkpoint is from a %s run with %d worker(s), this trainer has %d; the worker count must match",
+			from, len(streams), len(t.workers))
 	}
-	samplerRNG, err := rngWords(meta.SamplerRNG, "sampler_rng")
-	if err != nil {
-		return err
-	}
-	return t.Restore(TrainerState{
-		Step:     meta.Step,
-		RNG:      rng,
-		Sampler:  sampling.SamplerState{RNG: samplerRNG, Steps: meta.SamplerSteps},
-		LossEWMA: meta.LossEWMA,
-		LossN:    meta.LossN,
-	}, m)
-}
-
-// MetaSnapshot captures the parallel trainer's resumable state — the
-// schedule position, refresh cadence, and every worker's RNG streams —
-// as a checkpoint trailer. Call between RunSteps calls.
-func (pt *ParallelTrainer) MetaSnapshot() *store.Meta {
-	st := pt.Snapshot()
-	meta := &store.Meta{
-		Step:         st.Step,
-		LossEWMA:     st.LossEWMA,
-		LossN:        st.LossN,
-		SinceRefresh: st.SinceRefresh,
-		Workers:      make([]store.WorkerMeta, len(st.Workers)),
-	}
-	for i := range st.Workers {
-		meta.Workers[i] = store.WorkerMeta{
-			RNG:          append([]uint64(nil), st.Workers[i].RNG[:]...),
-			SamplerRNG:   append([]uint64(nil), st.Workers[i].Sampler.RNG[:]...),
-			SamplerSteps: st.Workers[i].Sampler.Steps,
-		}
-	}
-	return meta
-}
-
-// RestoreFromMeta rewinds the parallel trainer to a checkpoint. The
-// trailer must come from a parallel run with the same worker count.
-func (pt *ParallelTrainer) RestoreFromMeta(m *mf.Model, meta *store.Meta) error {
-	if meta == nil {
-		return fmt.Errorf("core: nil checkpoint metadata")
-	}
-	if len(meta.Workers) == 0 {
-		return fmt.Errorf("core: checkpoint is from a serial run, trainer has %d workers", len(pt.workers))
-	}
-	st := ParallelTrainerState{
+	st := TrainerState{
 		Step:         meta.Step,
 		SinceRefresh: meta.SinceRefresh,
 		LossEWMA:     meta.LossEWMA,
 		LossN:        meta.LossN,
-		Workers:      make([]ParallelWorkerState, len(meta.Workers)),
+		Workers:      make([]WorkerState, len(streams)),
 	}
-	for i, wm := range meta.Workers {
+	for i, wm := range streams {
 		rng, err := rngWords(wm.RNG, fmt.Sprintf("worker %d rng", i))
 		if err != nil {
 			return err
@@ -104,12 +76,12 @@ func (pt *ParallelTrainer) RestoreFromMeta(m *mf.Model, meta *store.Meta) error 
 		if err != nil {
 			return err
 		}
-		st.Workers[i] = ParallelWorkerState{
+		st.Workers[i] = WorkerState{
 			RNG:     rng,
 			Sampler: sampling.SamplerState{RNG: samplerRNG, Steps: wm.SamplerSteps},
 		}
 	}
-	return pt.Restore(st, m)
+	return t.Restore(st, m)
 }
 
 // rngWords converts a checkpoint's RNG word list into generator state.

@@ -25,6 +25,7 @@ type MultiTrainer struct {
 	cfg   MultiConfig
 	data  *dataset.Dataset
 	model *mf.Model
+	kern  *Kernel
 	rng   *mathx.RNG
 	pairs []dataset.Interaction
 
@@ -103,28 +104,16 @@ func NewMultiTrainer(cfg MultiConfig, train *dataset.Dataset) (*MultiTrainer, er
 	cfg.Lambda2 /= sum
 	cfg.Lambda3 /= sum
 
-	var pairs []dataset.Interaction
-	train.ForEach(func(u, i int32) {
-		// v and j must be distinct unobserved items.
-		if train.NumPositives(u)+1 < train.NumItems() {
-			pairs = append(pairs, dataset.Interaction{User: u, Item: i})
-		}
-	})
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("core: no trainable records for CLAPF-Multi")
+	// v and j must be distinct unobserved items.
+	pairs, err := TrainableRecords(train, 2)
+	if err != nil {
+		return nil, fmt.Errorf("core: CLAPF-Multi: %w", err)
 	}
-
 	rng := mathx.NewRNG(cfg.Seed)
-	model, err := mf.New(mf.Config{
-		NumUsers: train.NumUsers(),
-		NumItems: train.NumItems(),
-		Dim:      cfg.Dim,
-		UseBias:  cfg.UseBias,
-	})
+	model, err := NewModel(train, cfg.Dim, cfg.UseBias, cfg.InitStd, rng.Split())
 	if err != nil {
 		return nil, err
 	}
-	model.InitGaussian(rng.Split(), cfg.InitStd)
 	popNeg, err := sampling.NewPopNegative(train, rng.Split())
 	if err != nil {
 		return nil, err
@@ -133,6 +122,7 @@ func NewMultiTrainer(cfg MultiConfig, train *dataset.Dataset) (*MultiTrainer, er
 		cfg:     cfg,
 		data:    train,
 		model:   model,
+		kern:    NewKernel(model, Plain),
 		rng:     rng,
 		pairs:   pairs,
 		uniform: sampling.NewUniformPair(train, rng.Split()),
@@ -158,7 +148,8 @@ func (t *MultiTrainer) RunSteps(n int) {
 	}
 }
 
-// Step samples one (u, i, k, v, j) case and applies the SGD update.
+// Step samples one (u, i, k, v, j) case and applies one minimization
+// step on −ln σ(R) + reg.
 func (t *MultiTrainer) Step() {
 	rec := t.pairs[t.rng.Intn(len(t.pairs))]
 	u, i := rec.User, rec.Item
@@ -175,54 +166,16 @@ func (t *MultiTrainer) Step() {
 	for v == j {
 		v = t.popNeg.Sample(u)
 	}
-	t.update(u, i, k, v, j)
-	t.stepsDone++
-}
 
-// update applies one minimization step on −ln σ(R) + reg.
-// R = a·f_ui + b·f_uk + c·f_uv + e·f_uj with a = λ₂−λ₁, b = λ₁,
-// c = λ₃−λ₂, e = −λ₃.
-func (t *MultiTrainer) update(u, i, k, v, j int32) {
+	// R = a·f_ui + b·f_uk + c·f_uv + e·f_uj with a = λ₂−λ₁, b = λ₁,
+	// c = λ₃−λ₂, e = −λ₃.
 	l1, l2, l3 := t.cfg.Lambda1, t.cfg.Lambda2, t.cfg.Lambda3
-	a, b, c, e := l2-l1, l1, l3-l2, -l3
+	a, b := l2-l1, l1
 	if k == i {
 		a, b = a+b, 0 // single-positive degenerate case, as in CLAPF
 	}
-
-	uf := t.model.UserFactors(u)
-	vi := t.model.ItemFactors(i)
-	vk := t.model.ItemFactors(k)
-	vv := t.model.ItemFactors(v)
-	vj := t.model.ItemFactors(j)
-
-	r := a*(mathx.Dot(uf, vi)+t.model.Bias(i)) +
-		b*(mathx.Dot(uf, vk)+t.model.Bias(k)) +
-		c*(mathx.Dot(uf, vv)+t.model.Bias(v)) +
-		e*(mathx.Dot(uf, vj)+t.model.Bias(j))
-	g := 1 - mathx.Sigmoid(r)
-
-	gamma, reg := t.cfg.LearnRate, t.cfg.Reg
-	skipK := k == i
-	for q := range uf {
-		du := g*(a*vi[q]+b*vk[q]+c*vv[q]+e*vj[q]) - reg*uf[q]
-		di := g*a*uf[q] - reg*vi[q]
-		dk := g*b*uf[q] - reg*vk[q]
-		dv := g*c*uf[q] - reg*vv[q]
-		dj := g*e*uf[q] - reg*vj[q]
-		uf[q] += gamma * du
-		vi[q] += gamma * di
-		if !skipK {
-			vk[q] += gamma * dk
-		}
-		vv[q] += gamma * dv
-		vj[q] += gamma * dj
-	}
-	if t.model.HasBias() {
-		t.model.AddBias(i, gamma*(g*a-reg*t.model.Bias(i)))
-		if !skipK {
-			t.model.AddBias(k, gamma*(g*b-reg*t.model.Bias(k)))
-		}
-		t.model.AddBias(v, gamma*(g*c-reg*t.model.Bias(v)))
-		t.model.AddBias(j, gamma*(g*e-reg*t.model.Bias(j)))
-	}
+	reg := t.cfg.Reg
+	t.kern.Step(u, []int32{i, k, v, j}, []float64{a, b, l3 - l2, -l3},
+		Rates{Learn: t.cfg.LearnRate, RegUser: reg, RegItem: reg, RegBias: reg})
+	t.stepsDone++
 }

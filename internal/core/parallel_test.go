@@ -375,10 +375,10 @@ func TestParallelRestoreErrors(t *testing.T) {
 
 func TestProportionalShares(t *testing.T) {
 	t.Parallel()
-	mk := func(sizes ...int) []*parallelWorker {
-		ws := make([]*parallelWorker, len(sizes))
+	mk := func(sizes ...int) []*worker {
+		ws := make([]*worker, len(sizes))
 		for i, n := range sizes {
-			ws[i] = &parallelWorker{pairs: make([]dataset.Interaction, n)}
+			ws[i] = &worker{pairs: make([]dataset.Interaction, n)}
 		}
 		return ws
 	}

@@ -10,12 +10,12 @@ import (
 // Training-loop latency attribution. Two granularities:
 //
 //   - Batch/segment level: each RunSteps call runs under a "train.batch"
-//     trace; the parallel trainer adds "train.segment" (worker fan-out to
-//     join), "train.barrier" (telemetry merge + metric export),
-//     "train.refresh" (DSS rank-list rebuild), and "train.hook" spans, so
-//     the flight recorder shows where a slow batch went. The periodic
-//     guard check reports as the "train.guard_scan" stage and checkpoint
-//     writes as "train.checkpoint" (cmd/clapf-train).
+//     trace with "train.segment" (the workers stepping, fan-out to join),
+//     "train.barrier" (telemetry merge + metric export), "train.refresh"
+//     (barrier DSS rank-list rebuild, several workers only), and
+//     "train.hook" spans, so the flight recorder shows where a slow batch
+//     went. The periodic guard check reports as the "train.guard_scan"
+//     stage and checkpoint writes as "train.checkpoint" (cmd/clapf-train).
 //
 //   - Step level, sampled: timing every SGD step would double its cost,
 //     so 1-in-stageSampleEvery steps measure their three phases —
@@ -55,26 +55,16 @@ func newStageTimers(t *trace.Tracer) *stageTimers {
 	}
 }
 
-// SetTracer attaches tr to the serial trainer: RunSteps batches become
-// traces, sampled step phases feed the stage histogram, and the guard
-// (whenever installed, before or after this call) reports its scan
-// latency. nil detaches.
+// SetTracer attaches tr to the trainer: RunSteps batches become traces,
+// sampled step phases feed the stage histogram, and the guard (whenever
+// installed, before or after this call) reports its scan latency. nil
+// detaches. Call between RunSteps calls only: workers read the stage
+// timers lock-free while training.
 func (t *Trainer) SetTracer(tr *trace.Tracer) {
 	t.tracer = tr
 	t.stages = newStageTimers(tr)
 	if t.gd != nil {
 		t.gd.tracer = tr
-	}
-}
-
-// SetTracer attaches tr to the parallel trainer (see Trainer.SetTracer).
-// Call between RunSteps calls only: workers read the stage timers
-// lock-free while training.
-func (pt *ParallelTrainer) SetTracer(tr *trace.Tracer) {
-	pt.tracer = tr
-	pt.stages = newStageTimers(tr)
-	if pt.gd != nil {
-		pt.gd.tracer = tr
 	}
 }
 

@@ -13,10 +13,10 @@
 // rate, and continues — or, when the retry budget is exhausted, fails
 // loudly with a diagnostic report instead of reporting garbage.
 //
-// The detection state machine lives here; the trainers in internal/core
-// own the hot path and call into it at their natural quiescent points
-// (every step for sentinels, every CheckEvery steps for scans and the
-// watchdog, segment barriers for the parallel trainer).
+// The detection state machine lives here; the trainer in internal/core
+// owns the hot path and calls into it at its natural quiescent points
+// (every step for sentinels, the segment barrier every CheckEvery steps
+// for scans and the watchdog).
 package guard
 
 import (
@@ -45,8 +45,8 @@ const (
 
 // Trip records why a guarded trainer stopped applying updates.
 type Trip struct {
-	// Step is the aggregate SGD step at which the trip was recorded (for
-	// parallel trainers, the barrier step at which it was merged).
+	// Step is the aggregate SGD step at which the trip was recorded: the
+	// barrier at which the tripping worker's segment ended.
 	Step int
 	// Reason is one of the Reason* constants.
 	Reason string
@@ -90,8 +90,8 @@ type Config struct {
 }
 
 // Default check cadence and thresholds. The cadence trades detection
-// latency for hot-path cost: each check costs a parameter sample plus, on
-// the parallel trainer, a worker barrier, so 16384 steps (~10 ms of SGD)
+// latency for hot-path cost: each check costs a parameter sample plus,
+// with several workers, a barrier, so 16384 steps (~10 ms of SGD)
 // keeps the amortized overhead well under a percent — even when workers
 // outnumber cores and every barrier is a context switch — while still
 // bounding how far a divergence can run before it is caught.

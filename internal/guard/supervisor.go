@@ -9,8 +9,8 @@ import (
 	"clapf/internal/store"
 )
 
-// Trainee is the trainer surface the supervisor drives. Both core.Trainer
-// and core.ParallelTrainer satisfy it. All methods are called between
+// Trainee is the trainer surface the supervisor drives; core.Trainer
+// satisfies it for any worker count. All methods are called between
 // RunSteps calls, when the trainer is quiescent.
 type Trainee interface {
 	RunSteps(n int)

@@ -2,8 +2,8 @@ package mf
 
 import "clapf/internal/mathx"
 
-// Atomic parameter access for Hogwild-style parallel SGD (see
-// core.ParallelTrainer). Item factors and biases are the only parameters
+// Atomic parameter access for Hogwild-style parallel SGD (core.Kernel's
+// Atomic access policy). Item factors and biases are the only parameters
 // shared between training workers — users are sharded, so user rows stay
 // single-writer — and workers touch them exclusively through these
 // element-wise atomic accessors. That makes the unavoidable collisions of

@@ -18,11 +18,24 @@ go test -race -shuffle=on ./...
 # Chaos-recovery gate: the guardrail subsystem's end-to-end guarantee —
 # injected NaN poisoning, torn checkpoints, and exploding learning rates
 # must all recover via rollback + backoff — exercised explicitly under
-# the race detector (the parallel trainer's guard checks run at segment
+# the race detector (with several workers the guard checks run at segment
 # barriers and must stay race-clean). -count=1 defeats the test cache so
 # the gate always actually runs.
 go test -race -count=1 -run '^TestChaos' ./internal/fault
 echo "chaos-recovery gate ok"
+
+# Trainer equivalence gate: every SGD objective with a linear risk runs
+# one step kernel (internal/core/step.go) under one trainer, so an edit
+# there moves all of them at once. Held here: seeded trajectories pinned
+# to the bits of the pre-kernel loops (and one worker to the serial
+# run), the kernel's Plain and Atomic access policies and its λ = 0
+# reduction to BPR bit for bit, several workers Welch-equivalent to one,
+# the Hogwild surface race-clean, and the golden metrics. -count=1
+# defeats the test cache so the gate always actually runs.
+go test -race -count=1 \
+	-run '^Test(TrajectoryPinned|TrajectoryOneWorkerIsSerial|StepKernel|ParallelStatisticalEquivalence|ParallelConcurrentRace|GoldenMetrics)' \
+	./internal/core ./internal/baselines ./internal/experiments
+echo "trainer equivalence gate ok"
 
 # Short fuzz smoke over the model-file loader: a few seconds of random
 # inputs against the corrupt-file handling, on top of the seed corpus the
