@@ -98,7 +98,7 @@ func startShards(t *testing.T, m *mf.Model, train *dataset.Dataset, n int) ([]st
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.EnableAdminReload(func() error { return s.SwapModel(s.Model().Clone()) })
+		s.EnableAdminReload(func() error { return s.Install(s.Model().Clone(), serve.InstallOpts{Folded: serve.KeepFoldedSeq}) })
 		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL

@@ -3,7 +3,14 @@
 // Usage:
 //
 //	clapf-serve -model model.clapf -train train.tsv [-addr :8080] [-pprof]
-//	            [-retrieval exact|ivf] [-nlist N] [-nprobe P] [-store-mmap]
+//	            [-retrieval exact|ivf] [-nlist N] [-nprobe P]
+//	            [-feedback-log DIR [-promote-every D]]
+//
+// The model file decides how it is served; no flag does. A float32 file
+// (version 3, from clapf-train -export-f32) is mapped and scored from the
+// page cache by the float32 kernels; a float64 file (version 1 or 2) is
+// parsed onto the heap. /healthz reports which ("precision", "mapped"),
+// and a SIGHUP reload follows whatever file is at -model then.
 //
 // Endpoints (JSON): GET /healthz (liveness, model dims, uptime, request
 // totals), GET /readyz (readiness — 503 while draining), GET
@@ -33,7 +40,9 @@
 // the WAL is replayed — torn tails are truncated, acknowledged events
 // are never lost — and -promote-every folds the accumulated log into
 // -model on a cadence, hot-promoting the re-export with generation
-// fencing; a failed promotion leaves the old generation serving.
+// fencing; a failed promotion leaves the old generation serving. The
+// re-export keeps the representation of the file it started from, so a
+// float32 model stays float32 and mapped across promotions.
 //
 // -retrieval ivf answers top-K queries from a cluster-pruned IVF index
 // over the item factors instead of scoring the whole catalog — sublinear
@@ -94,7 +103,6 @@ type options struct {
 	adminReload          bool
 	retrievalMode        string
 	nlist, nprobe        int
-	storeMmap            bool
 	feedbackLog          string
 	feedbackSync         int
 	feedbackFlush        time.Duration
@@ -126,8 +134,7 @@ func main() {
 	flag.StringVar(&o.retrievalMode, "retrieval", "exact", "top-K retrieval strategy: exact (dense scoring) or ivf (cluster-pruned approximate index, rebuilt on every model reload)")
 	flag.IntVar(&o.nlist, "nlist", 0, "IVF cells for -retrieval ivf (0 = 2*sqrt(items))")
 	flag.IntVar(&o.nprobe, "nprobe", 0, "IVF cells probed per query for -retrieval ivf (0 = nlist/4)")
-	flag.BoolVar(&o.storeMmap, "store-mmap", false, "mmap a float32 v3 model file instead of parsing it onto the heap (requires a -model exported with clapf-train -export-f32; SIGHUP reloads stay mapped)")
-	flag.StringVar(&o.feedbackLog, "feedback-log", "", "directory for the streaming-feedback WAL; enables POST /feedback with durable acks and online fold-in updates (incompatible with -store-mmap: promotion re-exports float64 factors)")
+	flag.StringVar(&o.feedbackLog, "feedback-log", "", "directory for the streaming-feedback WAL; enables POST /feedback with durable acks and online fold-in updates (works on float64 and float32 model files alike)")
 	flag.IntVar(&o.feedbackSync, "feedback-sync", 1, "fsync the feedback WAL every N appends (1 = every event before its ack; higher batches group commits)")
 	flag.DurationVar(&o.feedbackFlush, "feedback-flush-interval", 5*time.Millisecond, "max time an unsynced feedback append waits for its group-commit fsync (only with -feedback-sync > 1)")
 	flag.DurationVar(&o.promoteEvery, "promote-every", 0, "interval for folding the feedback log into -model and hot-promoting it (0 disables the promotion loop)")
@@ -140,14 +147,12 @@ func main() {
 	}
 }
 
-// buildServer loads the model and dataset and wires the HTTP server.
-// With storeMmap the model file is paged in via mmap (v3 float32 format
-// only) after a one-off full-section checksum, and the server is flagged
-// so hot reloads stay on the mapped path. The returned meta is the model
-// file's metadata trailer (nil on the mmap path or for files without
-// one) — its FeedbackSeq watermark seeds the feedback ingest pipeline;
-// the dataset is returned so the same parse feeds the ingestor.
-func buildServer(modelPath, trainPath string, storeMmap bool) (*serve.Server, *store.Meta, *dataset.Dataset, error) {
+// buildServer opens the model the way its file asks to be served
+// (store.Open), parses the dataset and wires the HTTP server. The returned
+// meta is the model file's metadata — its FeedbackSeq watermark seeds the
+// feedback ingest pipeline; the dataset is returned so the same parse
+// feeds the ingestor.
+func buildServer(modelPath, trainPath string) (*serve.Server, *store.Meta, *dataset.Dataset, error) {
 	if modelPath == "" || trainPath == "" {
 		return nil, nil, nil, fmt.Errorf("-model and -train are required")
 	}
@@ -160,28 +165,11 @@ func buildServer(modelPath, trainPath string, storeMmap bool) (*serve.Server, *s
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if storeMmap {
-		mm, err := store.LoadMapped(modelPath)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := mm.Verify(); err != nil {
-			mm.Close()
-			return nil, nil, nil, err
-		}
-		server, err := serve.NewFromParams(mm.Factors(), train)
-		if err != nil {
-			mm.Close()
-			return nil, nil, nil, err
-		}
-		server.SetStoreMapped(true)
-		return server, nil, train, nil
-	}
-	model, meta, err := store.LoadFileWithMeta(modelPath)
+	model, meta, err := store.Open(modelPath)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	server, err := serve.New(model, train)
+	server, err := serve.NewFromParams(model, train)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -210,10 +198,7 @@ func newHandler(server *serve.Server, pprofOn bool) http.Handler {
 func run(o options) error {
 	logger := obs.NewTextLogger(os.Stderr, slog.LevelInfo)
 
-	if o.feedbackLog != "" && o.storeMmap {
-		return fmt.Errorf("-feedback-log needs float64 factors for online fold-in re-export; drop -store-mmap")
-	}
-	server, meta, train, err := buildServer(o.modelPath, o.trainPath, o.storeMmap)
+	server, meta, train, err := buildServer(o.modelPath, o.trainPath)
 	if err != nil {
 		return err
 	}
@@ -262,10 +247,7 @@ func run(o options) error {
 		}
 		defer wal.Close()
 		ing := feedback.NewIngestor(wal, train, feedback.Config{FoldInReg: server.FoldInReg}, server.Registry())
-		var folded uint64
-		if meta != nil {
-			folded = meta.FeedbackSeq
-		}
+		folded := meta.FeedbackSeq
 		if installed := ing.SetFolded(folded); installed != folded {
 			logger.Warn("feedback: model watermark exceeds the log; clamped",
 				"model_folded_seq", folded, "wal_last_seq", installed,
@@ -318,9 +300,10 @@ func run(o options) error {
 
 	errCh := make(chan error, 1)
 	go func() {
+		precision, mapped := server.Backing()
 		logger.Info("serving", "addr", ln.Addr().String(),
 			"users", params.NumUsers(), "items", params.NumItems(), "dim", params.Dim(),
-			"retrieval", server.Retrieval().String(), "mmap", o.storeMmap, "pprof", o.pprofOn)
+			"retrieval", server.Retrieval().String(), "precision", precision, "mmap", mapped, "pprof", o.pprofOn)
 		errCh <- httpServer.Serve(ln)
 	}()
 

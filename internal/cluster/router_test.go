@@ -59,7 +59,7 @@ func newTestCluster(t testing.TB, n int, mut func(*Config)) (*Router, []*testSha
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.EnableAdminReload(func() error { return s.SwapModel(s.Model().Clone()) })
+		s.EnableAdminReload(func() error { return s.Install(s.Model().Clone(), serve.InstallOpts{Folded: serve.KeepFoldedSeq}) })
 		ch := fault.NewChaos(s.Handler())
 		ts := httptest.NewServer(ch)
 		t.Cleanup(ts.Close)

@@ -48,9 +48,26 @@ func chaosFixture(t testing.TB) (*mf.Model, *dataset.Dataset) {
 	return m, w.Data
 }
 
+// chaosBases are the two things a model file can ask for: float64 factors
+// parsed onto the heap (v2) and float32 factors served from a mapping
+// (v3). The promotion scenarios run over both.
+type chaosBase struct {
+	name      string
+	save      func(path string, m *mf.Model) error
+	precision string
+	mapped    bool
+}
+
+var chaosBases = []chaosBase{
+	{"f64", store.SaveFile, "f64", false},
+	{"f32", func(path string, m *mf.Model) error {
+		return store.SaveF32File(path, mf.QuantizeF32(m), nil)
+	}, "f32", true},
+}
+
 // pipeline is one serve+ingest stack, wired exactly as cmd/clapf-serve
-// wires it: recover WAL, seed watermark from the model file, replay,
-// bind, enable.
+// wires it: open the model file, recover WAL, seed watermark from the
+// file, replay, bind, enable.
 type pipeline struct {
 	srv *serve.Server
 	ing *Ingestor
@@ -61,11 +78,11 @@ type pipeline struct {
 // file and WAL dir. Leaving a previous pipeline un-Closed is the crash.
 func boot(t testing.TB, modelPath, walDir string, train *dataset.Dataset) *pipeline {
 	t.Helper()
-	model, meta, err := store.LoadFileWithMeta(modelPath)
+	model, meta, err := store.Open(modelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := serve.New(model, train)
+	srv, err := serve.NewFromParams(model, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +91,7 @@ func boot(t testing.TB, modelPath, walDir string, train *dataset.Dataset) *pipel
 		t.Fatal(err)
 	}
 	ing := NewIngestor(wal, train, Config{FoldInReg: srv.FoldInReg}, nil)
-	if meta != nil {
-		ing.SetFolded(meta.FeedbackSeq)
-	}
+	ing.SetFolded(meta.FeedbackSeq)
 	if _, err := ing.Replay(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +153,30 @@ func requireSameFactors(t testing.TB, a, b [][]uint64) {
 					u, j, a[u][j], b[u][j])
 			}
 		}
+	}
+}
+
+// recommendBodies returns the raw /recommend response of each user.
+func recommendBodies(t testing.TB, srv *serve.Server, users []int32) []string {
+	t.Helper()
+	h := srv.Handler()
+	out := make([]string, len(users))
+	for i, u := range users {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/recommend?user=%d&k=10", u), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("user %d: status %d: %s", u, rec.Code, rec.Body)
+		}
+		out[i] = rec.Body.String()
+	}
+	return out
+}
+
+// requireBacking checks the live base is held the way its file asked.
+func requireBacking(t testing.TB, srv *serve.Server, precision string, mapped bool) {
+	t.Helper()
+	if p, m := srv.Backing(); p != precision || m != mapped {
+		t.Fatalf("live base is %s mapped=%v, want %s mapped=%v", p, m, precision, mapped)
 	}
 }
 
@@ -285,13 +324,19 @@ func TestFeedbackChaosGroupCommitCrash(t *testing.T) {
 // the schedule: the final serving factors are byte-identical to a run
 // that never crashed, and so are the recommendations.
 func TestFeedbackChaosCrashMidPromotionReplayByteIdentical(t *testing.T) {
+	for _, base := range chaosBases {
+		t.Run(base.name, func(t *testing.T) { crashMidPromotion(t, base) })
+	}
+}
+
+func crashMidPromotion(t *testing.T, base chaosBase) {
 	model, train := chaosFixture(t)
 	events := chaosEvents(train, 30)
 
 	// Uninterrupted reference run: all 30 events, no promotion, no crash.
 	refDir := t.TempDir()
 	refModel := filepath.Join(refDir, "m.clapf")
-	if err := store.SaveFile(refModel, model); err != nil {
+	if err := base.save(refModel, model); err != nil {
 		t.Fatal(err)
 	}
 	ref := boot(t, refModel, filepath.Join(refDir, "wal"), train)
@@ -303,7 +348,7 @@ func TestFeedbackChaosCrashMidPromotionReplayByteIdentical(t *testing.T) {
 	// after 20 — the simulated crash point — then restart and finish.
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "m.clapf")
-	if err := store.SaveFile(modelPath, model); err != nil {
+	if err := base.save(modelPath, model); err != nil {
 		t.Fatal(err)
 	}
 	walDir := filepath.Join(dir, "wal")
@@ -313,27 +358,51 @@ func TestFeedbackChaosCrashMidPromotionReplayByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A promotion changes where a touched user's row lives — overlay
+	// before, user matrix after — and nothing a client can see: the
+	// overlaid row was already at the base's precision.
+	var touched []int32
+	for _, ev := range events[:12] {
+		touched = append(touched, ev[0])
+	}
+	requireBacking(t, p.srv, base.precision, base.mapped)
+	beforeBodies := recommendBodies(t, p.srv, touched)
 	if outcome, err := prom.PromoteOnce(); err != nil || outcome != PromoteOK {
 		t.Fatalf("promotion = %q, %v", outcome, err)
 	}
 	if p.srv.Generation() != 1 {
 		t.Fatalf("generation = %d after promotion, want 1", p.srv.Generation())
 	}
+	for i, after := range recommendBodies(t, p.srv, touched) {
+		if after != beforeBodies[i] {
+			t.Fatalf("user %d top-K changed across the promotion:\n%s\n%s", touched[i], beforeBodies[i], after)
+		}
+	}
+	// The promoted generation is held the way the base was, and it is the
+	// published file: same representation, the promotion's watermark.
+	requireBacking(t, p.srv, base.precision, base.mapped)
+	if _, meta, err := store.Open(modelPath); err != nil || meta.FeedbackSeq != 12 {
+		t.Fatalf("published export: watermark %+v, err %v; want 12", meta, err)
+	}
 	ingestAll(t, p, events[12:20])
-	// The promoter's fold-and-export, written straight to the model path
-	// — the on-disk state right after publish — then the process dies
-	// before anything else happens.
-	base := p.srv.Model()
+	// The promoter's fold-and-export, published to the model path with
+	// no install — the on-disk state right after publish — then the
+	// process dies before anything else happens.
 	seq, users := p.ing.snapshot()
-	clone := base.Clone()
+	folded := mf.NewOverlay(p.srv.BaseParams())
 	for u, merged := range users {
-		vec, err := mf.FoldInUser(base, merged, p.ing.cfg.FoldInReg)
-		if err != nil {
+		if err := folded.FoldIn(u, merged, p.ing.cfg.FoldInReg); err != nil {
 			t.Fatal(err)
 		}
-		copy(clone.UserFactors(u), vec)
 	}
-	if err := store.SaveFileWithMeta(modelPath, clone, &store.Meta{FeedbackSeq: seq}); err != nil {
+	export, err := folded.Bake()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Export(modelPath+".promote", export, &store.Meta{FeedbackSeq: seq}); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Publish(modelPath+".promote", modelPath); err != nil {
 		t.Fatal(err)
 	}
 	// Crash (abandon) and restart from the exported file + WAL.
@@ -342,23 +411,17 @@ func TestFeedbackChaosCrashMidPromotionReplayByteIdentical(t *testing.T) {
 	if got := p2.ing.Folded(); got != seq {
 		t.Fatalf("recovered watermark = %d, want %d", got, seq)
 	}
+	requireBacking(t, p2.srv, base.precision, base.mapped)
 	ingestAll(t, p2, events[20:])
 	requireSameFactors(t, want, servingFactors(p2.srv))
 
 	// Recommendations agree too: the exclusion history (train + every
 	// replayed event) survived the crash alongside the factors.
-	refH, gotH := ref.srv.Handler(), p2.srv.Handler()
-	for u := 0; u < 5; u++ {
-		path := fmt.Sprintf("/recommend?user=%d&k=10", u)
-		a := httptest.NewRecorder()
-		refH.ServeHTTP(a, httptest.NewRequest(http.MethodGet, path, nil))
-		b := httptest.NewRecorder()
-		gotH.ServeHTTP(b, httptest.NewRequest(http.MethodGet, path, nil))
-		if a.Code != http.StatusOK || b.Code != http.StatusOK {
-			t.Fatalf("user %d: status %d vs %d", u, a.Code, b.Code)
-		}
-		if a.Body.String() != b.Body.String() {
-			t.Fatalf("user %d top-K diverged after crash recovery:\n%s\n%s", u, a.Body, b.Body)
+	probe := []int32{0, 1, 2, 3, 4}
+	gotBodies := recommendBodies(t, p2.srv, probe)
+	for i, want := range recommendBodies(t, ref.srv, probe) {
+		if gotBodies[i] != want {
+			t.Fatalf("user %d top-K diverged after crash recovery:\n%s\n%s", probe[i], want, gotBodies[i])
 		}
 	}
 }
@@ -437,10 +500,16 @@ func TestFeedbackChaosRotateCrashPruneRestartKeepsSequenceChain(t *testing.T) {
 // deployed model file is never overwritten by the stale export (which
 // only ever existed as a discarded temp file).
 func TestFeedbackChaosRacingReloadNotClobberedByPromotion(t *testing.T) {
+	for _, base := range chaosBases {
+		t.Run(base.name, func(t *testing.T) { racingReload(t, base) })
+	}
+}
+
+func racingReload(t *testing.T, base chaosBase) {
 	model, train := chaosFixture(t)
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "m.clapf")
-	if err := store.SaveFile(modelPath, model); err != nil {
+	if err := base.save(modelPath, model); err != nil {
 		t.Fatal(err)
 	}
 	p := boot(t, modelPath, filepath.Join(dir, "wal"), train)
@@ -457,7 +526,7 @@ func TestFeedbackChaosRacingReloadNotClobberedByPromotion(t *testing.T) {
 	prom.beforeSwap = func() {
 		// The operator deploys a new trained model and reloads — after
 		// the promoter computed its export, before the fenced swap.
-		if err := store.SaveFile(modelPath, operator); err != nil {
+		if err := base.save(modelPath, operator); err != nil {
 			t.Fatal(err)
 		}
 		if err := p.srv.ReloadFromFile(modelPath); err != nil {
@@ -483,15 +552,25 @@ func TestFeedbackChaosRacingReloadNotClobberedByPromotion(t *testing.T) {
 	if _, err := os.Stat(modelPath + ".promote"); !os.IsNotExist(err) {
 		t.Fatalf("fenced promotion left its temp export behind: %v", err)
 	}
+	// The operator's generation — not the discarded export's mapping — is
+	// what keeps serving, held the way its file asked.
+	requireBacking(t, p.srv, base.precision, base.mapped)
+	recommendBodies(t, p.srv, []int32{0, 1, 2})
 }
 
 // A promotion that cannot export (or loses the generation fence) leaves
 // the previous generation serving, untouched.
 func TestFeedbackChaosFailedPromotionKeepsOldGeneration(t *testing.T) {
+	for _, base := range chaosBases {
+		t.Run(base.name, func(t *testing.T) { failedPromotion(t, base) })
+	}
+}
+
+func failedPromotion(t *testing.T, base chaosBase) {
 	model, train := chaosFixture(t)
 	dir := t.TempDir()
 	modelPath := filepath.Join(dir, "m.clapf")
-	if err := store.SaveFile(modelPath, model); err != nil {
+	if err := base.save(modelPath, model); err != nil {
 		t.Fatal(err)
 	}
 	p := boot(t, modelPath, filepath.Join(dir, "wal"), train)
@@ -516,13 +595,15 @@ func TestFeedbackChaosFailedPromotionKeepsOldGeneration(t *testing.T) {
 	requireSameFactors(t, before, servingFactors(p.srv))
 
 	// A stale generation fence refuses the swap the same way.
-	if err := p.srv.SwapParamsFenced(p.srv.Model().Clone(), 5, gen+100); err != serve.ErrGenerationFenced {
+	stale := gen + 100
+	if err := p.srv.Install(p.srv.BaseParams(), serve.InstallOpts{Folded: 5, ExpectGen: &stale}); err != serve.ErrGenerationFenced {
 		t.Fatalf("stale fence: err = %v, want ErrGenerationFenced", err)
 	}
 	if p.srv.Generation() != gen {
 		t.Fatalf("fenced swap bumped generation to %d", p.srv.Generation())
 	}
 	requireSameFactors(t, before, servingFactors(p.srv))
+	requireBacking(t, p.srv, base.precision, base.mapped)
 
 	// And the watermark never advanced, so the next healthy promotion
 	// still covers every event.
@@ -532,5 +613,70 @@ func TestFeedbackChaosFailedPromotionKeepsOldGeneration(t *testing.T) {
 	stats := p.ing.Stats()
 	if stats.Promotions[PromoteError] != 1 {
 		t.Fatalf("promotions = %v, want one error outcome", stats.Promotions)
+	}
+}
+
+// The watermark travels with the file on every path: a model file
+// carrying Meta.FeedbackSeq = S leaves the ingestor folded at S — on boot
+// and on a hot reload, whichever version the file is — and the overlay
+// holds only users with events beyond S. The mapped v3 path used to drop
+// the file's metadata on boot and reload with "keep the current
+// watermark".
+func TestFeedbackChaosWatermarkTravelsWithFile(t *testing.T) {
+	for _, base := range chaosBases {
+		t.Run(base.name, func(t *testing.T) {
+			model, train := chaosFixture(t)
+			dir := t.TempDir()
+			modelPath := filepath.Join(dir, "m.clapf")
+			if err := base.save(modelPath, model); err != nil {
+				t.Fatal(err)
+			}
+			walDir := filepath.Join(dir, "wal")
+			events := chaosEvents(train, 20)
+			const s = 12
+			beyond := make(map[int32]bool)
+			for _, ev := range events[s:] {
+				beyond[ev[0]] = true
+			}
+			requireWatermark := func(p *pipeline, when string) {
+				t.Helper()
+				if got := p.ing.Folded(); got != s {
+					t.Fatalf("%s: folded = %d, want the file's watermark %d", when, got, s)
+				}
+				ov := p.srv.Params().(*mf.Overlay)
+				if ov.Len() != len(beyond) {
+					t.Fatalf("%s: overlay holds %d users, want the %d with events beyond %d", when, ov.Len(), len(beyond), s)
+				}
+				for u := range beyond {
+					if ov.Row(u) == nil {
+						t.Fatalf("%s: user %d has an event beyond %d but no overlay row", when, u, s)
+					}
+				}
+				requireBacking(t, p.srv, base.precision, base.mapped)
+			}
+
+			// Hot reload: the log is ahead of a file that folded nothing;
+			// a file that folded the first s events is deployed over it.
+			p := boot(t, modelPath, walDir, train)
+			ingestAll(t, p, events)
+			if p.ing.Folded() != 0 {
+				t.Fatalf("fresh file: folded = %d, want 0", p.ing.Folded())
+			}
+			if err := store.Export(modelPath+".next", p.srv.BaseParams(), &store.Meta{FeedbackSeq: s}); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Publish(modelPath+".next", modelPath); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.srv.ReloadFromFile(modelPath); err != nil {
+				t.Fatal(err)
+			}
+			requireWatermark(p, "reload")
+
+			// Boot: crash, restart from the same file and log.
+			p2 := boot(t, modelPath, walDir, train)
+			defer p2.wal.Close()
+			requireWatermark(p2, "boot")
+		})
 	}
 }

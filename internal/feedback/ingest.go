@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"clapf/internal/dataset"
-	"clapf/internal/guard"
 	"clapf/internal/mf"
 	"clapf/internal/obs"
 	"clapf/internal/serve"
@@ -212,13 +211,10 @@ func (ing *Ingestor) Ingest(ctx context.Context, user, item int32) (uint64, bool
 	if applied {
 		merged := dataset.MergeSorted(ing.train.Positives(user), ing.extras[user])
 		if uerr := ing.srv.UpdateUser(user, merged); uerr != nil {
-			// The event is recorded and will be durable; the factor update
-			// is refused (non-finite guard). The user keeps serving base
-			// factors — but the exclusion set just grew, so any cached
-			// top-K may still carry the ingested item. UpdateUser only
-			// invalidates on success; drop the stale entries here.
+			// The event is recorded and will be durable; only the factor
+			// update is refused (non-finite guard). The user keeps serving
+			// base factors, with the ingested item excluded.
 			applied = false
-			ing.srv.InvalidateUserCache(user)
 		} else if ing.updates != nil {
 			ing.updates.Inc()
 		}
@@ -267,15 +263,8 @@ func (ing *Ingestor) RebuildOverlay(base mf.Params, folded uint64) (*mf.Overlay,
 		if len(merged) == 0 {
 			continue
 		}
-		vec, err := mf.FoldInUser(base, merged, ing.cfg.FoldInReg)
-		if err != nil {
+		if err := ov.FoldIn(u, merged, ing.cfg.FoldInReg); err != nil {
 			return nil, fmt.Errorf("feedback: re-solving user %d: %w", u, err)
-		}
-		if n := guard.ScanVector(vec); n > 0 {
-			return nil, fmt.Errorf("feedback: re-solved factors for user %d carry %d non-finite entries", u, n)
-		}
-		if err := ov.Set(u, vec); err != nil {
-			return nil, err
 		}
 	}
 	return ov, nil

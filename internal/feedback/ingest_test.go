@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -261,5 +262,67 @@ func TestFeedbackMetricsExposition(t *testing.T) {
 		if !strings.Contains(body, name) {
 			t.Errorf("/metrics missing %q", name)
 		}
+	}
+}
+
+// Overlay rows live at the base's precision, and the non-finite guard
+// runs after the rounding: a fold-in solve that is finite in float64 but
+// overflows float32 is refused on a float32 base — the event stays
+// durable and excluded, the user keeps base factors — where the same
+// solve on the float64 base is applied.
+func TestIngestRefusesFloat32OverflowRow(t *testing.T) {
+	model, train := chaosFixture(t)
+	const u, item = int32(3), int32(0)
+	if train.IsPositive(u, item) {
+		t.Fatalf("fixture: item %d is already a training positive of user %d", item, u)
+	}
+	// An item whose bias sits at the edge of float32 range drives the
+	// ridge solve's right-hand side (1 - b_i)·V_i past it.
+	for j := range model.ItemFactors(item) {
+		model.ItemFactors(item)[j] = 0
+	}
+	model.ItemFactors(item)[0] = 0.3
+	model.AddBias(item, -3.3e38-model.Bias(item))
+
+	for _, base := range chaosBases {
+		t.Run(base.name, func(t *testing.T) {
+			dir := t.TempDir()
+			modelPath := filepath.Join(dir, "m.clapf")
+			if err := base.save(modelPath, model); err != nil {
+				t.Fatal(err)
+			}
+			p := boot(t, modelPath, filepath.Join(dir, "wal"), train)
+			defer p.wal.Close()
+			before := servingFactors(p.srv)[u]
+
+			seq, applied, err := p.ing.Ingest(context.Background(), u, item)
+			if err != nil || seq != 1 {
+				t.Fatalf("ingest: seq %d, err %v; the event must be durable either way", seq, err)
+			}
+			if got := p.ing.ExtraPositives(u); len(got) != 1 || got[0] != item {
+				t.Fatalf("extras = %v, want [%d]: exclusion does not depend on the factor update", got, item)
+			}
+			after := servingFactors(p.srv)[u]
+			changed := false
+			for j := range after {
+				if math.IsInf(math.Float64frombits(after[j]), 0) {
+					t.Fatalf("factor %d served as ±Inf", j)
+				}
+				changed = changed || after[j] != before[j]
+			}
+			// float64 holds the solve; float32 cannot, so the row is refused.
+			if wantApplied := base.precision == "f64"; applied != wantApplied || changed != wantApplied {
+				t.Fatalf("applied=%v changed=%v, want both %v on a %s base", applied, changed, wantApplied, base.precision)
+			}
+			rec := httptest.NewRecorder()
+			p.srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			want := "clapf_online_update_rejected_total 1"
+			if applied {
+				want = "clapf_online_update_rejected_total 0"
+			}
+			if !strings.Contains(rec.Body.String(), want) {
+				t.Errorf("/metrics missing %q", want)
+			}
+		})
 	}
 }

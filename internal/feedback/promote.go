@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"time"
 
-	"clapf/internal/guard"
 	"clapf/internal/mf"
 	"clapf/internal/obs"
 	"clapf/internal/serve"
@@ -65,23 +63,28 @@ type PromoteConfig struct {
 //	snapshot  — capture (S, merged histories) under the ingest lock.
 //	sync      — force the WAL durable through S (normally a no-op: acks
 //	            already waited).
-//	export    — clone the base model, re-solve each touched user's
-//	            factors, write to a temp file beside ModelPath with
-//	            Meta.FeedbackSeq = S. The shared model path is NOT
-//	            touched yet: an operator may be deploying a new trained
-//	            model to it right now, and an export folded from the old
-//	            base must never clobber that. Crash before/during: old
-//	            file + old watermark remain; restart replays everything
-//	            it needs.
-//	promote   — SwapParamsFenced(clone, S, gen): under the swap lock,
-//	            abort unless the server generation still equals the one
-//	            the export was computed against; otherwise rebuild the
-//	            overlay (users fully at or below S drop out; later
-//	            events re-solve) and bump the generation. Failure or
-//	            fence leaves the previous generation serving untouched
-//	            and discards the temp export.
-//	publish   — rename the temp export onto ModelPath, after re-checking
-//	            that no further swap superseded ours. Crash between
+//	export    — re-solve each touched user's factors into a copy of the
+//	            base, in the base's own representation (float64 → v2,
+//	            float32 → v3), and write it to a temp file beside
+//	            ModelPath with Meta.FeedbackSeq = S. The shared model
+//	            path is NOT touched yet: an operator may be deploying a
+//	            new trained model to it right now, and an export folded
+//	            from the old base must never clobber that. Crash
+//	            before/during: old file + old watermark remain; restart
+//	            replays everything it needs.
+//	promote   — store.Open the export — so what goes live is the file's
+//	            own bytes, mapped if the file says so — and
+//	            Install(it, {S, gen}): under the swap lock, abort unless
+//	            the server generation still equals the one the export
+//	            was computed against; otherwise rebuild the overlay
+//	            (users fully at or below S drop out; later events
+//	            re-solve) and bump the generation. Failure or fence
+//	            leaves the previous generation serving untouched and
+//	            discards the temp export; nothing is closed — a mapping
+//	            nobody installed is retired by its finalizer.
+//	publish   — rename the temp export (the inode just installed) onto
+//	            ModelPath, after re-checking that no further swap
+//	            superseded ours. Crash between
 //	            promote and publish: the old file + old watermark
 //	            remain; restart replays seq > old-watermark — factors
 //	            identical (fold-in is a pure function of the merged
@@ -147,10 +150,7 @@ func (p *Promoter) PromoteOnce() (string, error) {
 
 func (p *Promoter) promote() (string, error) {
 	gen := p.srv.Generation()
-	base := p.srv.Model()
-	if base == nil {
-		return PromoteError, fmt.Errorf("feedback: promotion needs a float64 base model (mmap/float32 serving cannot re-export)")
-	}
+	base := p.srv.BaseParams()
 	seq, users := p.ing.snapshot()
 	if seq <= p.ing.Folded() {
 		return PromoteNoop, nil
@@ -161,56 +161,54 @@ func (p *Promoter) promote() (string, error) {
 	if err := p.ing.WAL().Sync(); err != nil {
 		return PromoteError, err
 	}
-	clone := base.Clone()
+	folded := mf.NewOverlay(base)
 	for u, merged := range users {
-		vec, err := mf.FoldInUser(base, merged, p.ing.cfg.FoldInReg)
-		if err != nil {
+		if err := folded.FoldIn(u, merged, p.ing.cfg.FoldInReg); err != nil {
 			return PromoteError, fmt.Errorf("feedback: folding user %d: %w", u, err)
 		}
-		if n := guard.ScanVector(vec); n > 0 {
-			return PromoteError, fmt.Errorf("feedback: folded factors for user %d carry %d non-finite entries", u, n)
-		}
-		copy(clone.UserFactors(u), vec)
 	}
-	// Export beside the shared model path; it becomes ModelPath only
-	// after the fenced swap has made this export the live generation.
-	tmpPath := p.cfg.ModelPath + ".promote"
-	if err := store.SaveFileWithMeta(tmpPath, clone, &store.Meta{FeedbackSeq: seq}); err != nil {
+	export, err := folded.Bake()
+	if err != nil {
 		return PromoteError, err
 	}
+	// Export beside the shared model path; it becomes ModelPath only
+	// after the fenced install has made this export the live generation.
+	tmpPath := p.cfg.ModelPath + ".promote"
+	if err := store.Export(tmpPath, export, &store.Meta{FeedbackSeq: seq}); err != nil {
+		return PromoteError, err
+	}
+	// Every way out but a publish discards the export; after a publish
+	// the name is gone and this does nothing.
+	defer os.Remove(tmpPath)
 	if p.beforeSwap != nil {
 		p.beforeSwap()
 	}
-	err := p.srv.SwapParamsFenced(clone, seq, gen)
+	candidate, _, err := store.Open(tmpPath)
+	if err == nil {
+		err = p.srv.Install(candidate, serve.InstallOpts{Folded: seq, ExpectGen: &gen})
+	}
 	if errors.Is(err, serve.ErrGenerationFenced) {
 		// Another reload won between export and promote. The export is
 		// stale relative to the new generation's base; discard it — the
 		// next tick re-exports against the winner. Nothing was swapped
 		// and the deployed model file was never touched.
-		os.Remove(tmpPath)
 		return PromoteFenced, nil
 	}
 	if err != nil {
-		os.Remove(tmpPath)
 		return PromoteError, err
 	}
 	// Publish. Re-check that our swap (gen+1) is still the live
 	// generation: a reload landing in the instant since would have
 	// deployed a fresher model file that this export must not overwrite.
 	if p.srv.Generation() != gen+1 {
-		os.Remove(tmpPath)
 		return PromoteFenced, nil
 	}
-	if err := os.Rename(tmpPath, p.cfg.ModelPath); err == nil {
-		err = syncDir(filepath.Dir(p.cfg.ModelPath))
-	}
-	if err != nil {
+	if err := store.Publish(tmpPath, p.cfg.ModelPath); err != nil {
 		// The promoted generation is live; only the on-disk copy lags (or
 		// its rename is not yet durable). A restart before the next
 		// successful publish loads the old file and replays the WAL —
 		// factors identical — but pruning would break exactly that
 		// replay, so skip it.
-		os.Remove(tmpPath)
 		return PromoteError, fmt.Errorf("feedback: promoted generation %d is live but publishing its export failed: %w",
 			p.srv.Generation(), err)
 	}

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"clapf/internal/obs"
+	"clapf/internal/store"
 )
 
 // Event is one feedback observation: user u interacted with item i. Seq
@@ -298,7 +299,7 @@ func (w *WAL) recover() (RecoveryInfo, error) {
 			if err := os.Remove(path); err != nil {
 				return info, fmt.Errorf("feedback: drop torn segment: %w", err)
 			}
-			if err := syncDir(w.dir); err != nil {
+			if err := store.SyncDir(w.dir); err != nil {
 				return info, err
 			}
 			info.DroppedSegment = name
@@ -407,7 +408,7 @@ func (w *WAL) openSegment(firstSeq uint64) error {
 		f.Close()
 		return fmt.Errorf("feedback: fsync %s: %w", path, err)
 	}
-	if err := syncDir(w.dir); err != nil {
+	if err := store.SyncDir(w.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -640,7 +641,7 @@ func (w *WAL) PruneTo(seq uint64) (removed int, err error) {
 		removed++
 	}
 	if removed > 0 {
-		if err := syncDir(w.dir); err != nil {
+		if err := store.SyncDir(w.dir); err != nil {
 			return removed, err
 		}
 	}
@@ -678,18 +679,6 @@ func fsyncPath(path string) error {
 	defer f.Close()
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("feedback: fsync %s: %w", path, err)
-	}
-	return nil
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("feedback: open dir %s: %w", dir, err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil && !os.IsPermission(err) {
-		return fmt.Errorf("feedback: fsync dir %s: %w", dir, err)
 	}
 	return nil
 }

@@ -215,20 +215,6 @@ func (r ScanResult) String() string {
 		r.Total(), r.U, r.V, r.B, kind)
 }
 
-// ScanVector counts non-finite entries in a single factor vector. The
-// online-update path runs it on every fold-in solve before the result can
-// reach the serving overlay — the same gate ScanModel applies to whole
-// checkpoints, at per-row cost.
-func ScanVector(v []float64) int {
-	n := 0
-	for _, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			n++
-		}
-	}
-	return n
-}
-
 // ScanModel fully scans the model's parameters for non-finite entries.
 func ScanModel(m *mf.Model) ScanResult {
 	u, v, b := m.CountNonFinite()

@@ -102,6 +102,10 @@ func FromRaw32(cfg Config, u, v, b []float32) (*Factors32, error) {
 // through f's slices (which the GC does not trace into the mapping).
 func (f *Factors32) Retain(x any) { f.retain = x }
 
+// Mapped reports whether f's storage is pinned outside the Go heap — a
+// store mapping — rather than owned slices.
+func (f *Factors32) Mapped() bool { return f.retain != nil }
+
 // NumUsers returns n.
 func (f *Factors32) NumUsers() int { return f.numUsers }
 

@@ -1,6 +1,7 @@
 package mf
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -9,15 +10,19 @@ import (
 // Overlay is an updatable per-user layer over a read-only Params: the
 // online-learning surface. The base representation (a trained Model or a
 // mapped Factors32 store) stays frozen; users touched by streaming
-// feedback get a replacement float64 factor row — the output of a
-// FoldInUser solve over their extended history — and every scoring method
-// routes those users through the fold-in kernels while everyone else hits
-// the base's stored-user path untouched.
+// feedback get a replacement factor row — the output of a FoldInUser solve
+// over their extended history — and every scoring method routes those
+// users through the fold-in kernels while everyone else hits the base's
+// stored-user path untouched.
 //
+// Rows live at the base's precision: on a float32 base Set rounds the
+// float64 solve to float32 (and keeps it widened) before it stores it.
 // Because FoldInUser is a pure function of (item factors, deduped sorted
-// history, reg), an overlaid row is exactly what a promotion export bakes
-// into the user matrix and exactly what a post-crash replay recomputes —
-// the property the feedback pipeline's consistency proofs rest on.
+// history, reg), an overlaid row is then exactly what Bake writes into the
+// user matrix of a promotion export — ScoreAllFoldIn(row) before the
+// promotion and ScoreAll(u) after it see the same bits — and exactly what
+// a post-crash replay recomputes: the property the feedback pipeline's
+// consistency proofs rest on. On a float64 base nothing is rounded.
 //
 // Rows are immutable once set: Set stores a private copy and replaces the
 // map entry, so a reader that picked up a row before a concurrent Set
@@ -35,12 +40,14 @@ func NewOverlay(base Params) *Overlay {
 	return &Overlay{base: base, rows: make(map[int32][]float64)}
 }
 
-// Base returns the wrapped read-only parameter set.
-func (o *Overlay) Base() Params { return o.base }
+// ErrNonFiniteRow marks an overlay row refused for a NaN or ±Inf entry.
+var ErrNonFiniteRow = errors.New("mf: non-finite overlay row")
 
-// Set installs a replacement factor row for user u. The vector is copied;
-// non-finite entries and shape mismatches are rejected so a poisoned
-// fold-in solve can never reach the scoring path.
+// Set installs a replacement factor row for user u. The vector is copied
+// and brought to the base's precision; shape mismatches and non-finite
+// entries are rejected so a poisoned fold-in solve can never reach the
+// scoring path. Rounding comes first, the scan second: a float64 solve
+// that overflows float32 is refused here, never baked as ±Inf.
 func (o *Overlay) Set(u int32, vec []float64) error {
 	if u < 0 || int(u) >= o.base.NumUsers() {
 		return fmt.Errorf("mf: overlay user %d out of range [0,%d)", u, o.base.NumUsers())
@@ -48,24 +55,63 @@ func (o *Overlay) Set(u int32, vec []float64) error {
 	if len(vec) != o.base.Dim() {
 		return fmt.Errorf("mf: overlay row has dim %d, want %d", len(vec), o.base.Dim())
 	}
-	for _, x := range vec {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("mf: overlay row for user %d has non-finite entry %v", u, x)
-		}
-	}
 	row := make([]float64, len(vec))
 	copy(row, vec)
+	if o.base.ElemBytes() == 4 {
+		for i, x := range row {
+			row[i] = float64(float32(x))
+		}
+	}
+	for _, x := range row {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%w: user %d has entry %v at the base's %d-byte precision",
+				ErrNonFiniteRow, u, x, o.base.ElemBytes())
+		}
+	}
 	o.mu.Lock()
 	o.rows[u] = row
 	o.mu.Unlock()
 	return nil
 }
 
-// Drop removes user u's overlaid row, restoring the base factors.
-func (o *Overlay) Drop(u int32) {
-	o.mu.Lock()
-	delete(o.rows, u)
-	o.mu.Unlock()
+// FoldIn re-solves user u's factors over history against the base's item
+// factors and installs the result — the one way a feedback event, an
+// overlay rebuild and a promotion export turn a history into a row.
+func (o *Overlay) FoldIn(u int32, history []int32, reg float64) error {
+	vec, err := FoldInUser(o.base, history, reg)
+	if err != nil {
+		return err
+	}
+	return o.Set(u, vec)
+}
+
+// Bake returns a copy of the base, in the base's own representation, with
+// every overlaid row written into the user matrix — what a promotion
+// exports. Rows are already at the base's precision, so the write is
+// exact. Item parameters are shared with the base, not copied: the result
+// is as read-only as the base is.
+func (o *Overlay) Bake() (Params, error) {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	switch base := o.base.(type) {
+	case *Model:
+		out := base.Clone()
+		for u, row := range o.rows {
+			copy(out.UserFactors(u), row)
+		}
+		return out, nil
+	case *Factors32:
+		out := *base // keeps base's pin on a mapping V and b still point into
+		out.u = append([]float32(nil), base.u...)
+		for u, row := range o.rows {
+			dst := out.userRow(u)
+			for i, x := range row {
+				dst[i] = float32(x)
+			}
+		}
+		return &out, nil
+	}
+	return nil, fmt.Errorf("mf: cannot bake an overlay over a %T", o.base)
 }
 
 // Len reports how many users currently have overlaid rows.
@@ -159,8 +205,8 @@ func (o *Overlay) CountNonFinite() (u, v, b int) {
 	return
 }
 
-// ElemBytes reports the base's storage width; overlaid rows are always
-// float64 but are a vanishing fraction of the footprint.
+// ElemBytes reports the base's storage width; overlaid rows are held
+// widened to float64 but are a vanishing fraction of the footprint.
 func (o *Overlay) ElemBytes() int { return o.base.ElemBytes() }
 
 // ParamBytes returns the base footprint plus the overlaid rows'.

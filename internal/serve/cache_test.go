@@ -126,7 +126,7 @@ func TestSetCacheSizeZeroDisables(t *testing.T) {
 	}
 }
 
-// The acceptance property of the generation-keyed cache: after SwapModel,
+// The acceptance property of the generation-keyed cache: after Install,
 // no request may be answered with a pre-swap entry. The swapped-in model
 // negates every parameter, which reverses the score order — if any stale
 // entry leaked through, the comparison against freshly computed rankings
@@ -165,7 +165,7 @@ func TestCacheInvalidatedOnSwapModel(t *testing.T) {
 	for i := range b {
 		b[i] = -b[i]
 	}
-	if err := s.SwapModel(neg); err != nil {
+	if err := s.Install(neg, InstallOpts{Folded: KeepFoldedSeq}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,11 +3,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 
-	"clapf/internal/guard"
 	"clapf/internal/mf"
 	"clapf/internal/obs/trace"
 )
@@ -110,39 +110,24 @@ func (s *Server) feedbackSink() FeedbackSink {
 
 // UpdateUser re-solves user u's factors over history (training positives
 // merged with ingested extras, sorted) against the live base parameters
-// and installs the result in the online-update overlay, invalidating only
-// u's cached top-K entries. Callers (the ingest path) hold the sink lock,
+// and installs the result in the online-update overlay at the base's
+// precision (mf.Overlay.FoldIn). u's cached top-K entries are dropped
+// whether or not the row is accepted: the event already extended u's
+// exclusion set, so a cached ranking may carry the just-ingested item
+// even when the non-finite guard refuses the factor update and u keeps
+// serving base factors. Callers (the ingest path) hold the sink lock,
 // which serializes this against overlay rebuilds — see FeedbackSink.
 func (s *Server) UpdateUser(u int32, history []int32) error {
 	st := s.live.Load()
 	if st.overlay == nil {
 		return fmt.Errorf("serve: feedback not enabled")
 	}
-	vec, err := mf.FoldInUser(st.base, history, s.FoldInReg)
-	if err != nil {
-		return err
-	}
-	if n := guard.ScanVector(vec); n > 0 {
-		if s.onlineRejected != nil {
-			s.onlineRejected.Inc()
-		}
-		return fmt.Errorf("serve: online update for user %d produced %d non-finite factors", u, n)
-	}
-	if err := st.overlay.Set(u, vec); err != nil {
-		return err
+	err := st.overlay.FoldIn(u, history, s.FoldInReg)
+	if errors.Is(err, mf.ErrNonFiniteRow) {
+		s.onlineRejected.Inc()
 	}
 	st.cache.invalidateUser(u)
-	return nil
-}
-
-// InvalidateUserCache drops user u's cached top-K entries from the live
-// generation. The ingest path calls it when an event extends u's
-// exclusion set but the factor update itself is refused (non-finite
-// guard): UpdateUser only invalidates on success, yet the cached
-// rankings may still carry the just-ingested item that positivesFor now
-// excludes.
-func (s *Server) InvalidateUserCache(u int32) {
-	s.live.Load().cache.invalidateUser(u)
+	return err
 }
 
 // feedbackRequest is the POST /feedback body: one event, or a batch under

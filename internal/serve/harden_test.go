@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -144,70 +146,124 @@ func TestReadyz(t *testing.T) {
 	}
 }
 
+// TestReloadFromFile runs over both things a model file can be: the file,
+// not the server, decides what a reload serves — a float64 server that is
+// handed a float32 file maps it — and a rejected file of either kind
+// leaves the whole live state (model, index, cache, mapping) and the
+// generation untouched.
 func TestReloadFromFile(t *testing.T) {
-	s, _ := testServer(t)
-	dir := t.TempDir()
-	before := s.Model()
+	for _, rep := range []struct {
+		name      string
+		write     func(io.Writer, *mf.Model) error
+		precision string
+		mapped    bool
+	}{
+		{"f64", store.Save, "f64", false},
+		{"f32", func(w io.Writer, m *mf.Model) error {
+			return store.SaveF32(w, mf.QuantizeF32(m), nil)
+		}, "f32", true},
+	} {
+		t.Run(rep.name, func(t *testing.T) {
+			s, _ := testServer(t)
+			dir := t.TempDir()
+			before := s.Model()
+			save := func(name string, m *mf.Model) string {
+				t.Helper()
+				var buf bytes.Buffer
+				if err := rep.write(&buf, m); err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join(dir, name)
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return path
+			}
 
-	// A valid same-shape model swaps in.
-	next := mf.MustNew(mf.Config{
-		NumUsers: before.NumUsers(), NumItems: before.NumItems(),
-		Dim: before.Dim(), UseBias: before.HasBias(), InitStd: 0.1,
-	})
-	good := filepath.Join(dir, "good.clapf")
-	if err := store.SaveFile(good, next); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ReloadFromFile(good); err != nil {
-		t.Fatalf("valid reload failed: %v", err)
-	}
-	if s.Model() == before || s.Generation() != 1 {
-		t.Fatalf("model not swapped: generation = %d", s.Generation())
-	}
-	current := s.Model()
+			// A valid same-shape model swaps in, held the way its file asks.
+			next := mf.MustNew(mf.Config{
+				NumUsers: before.NumUsers(), NumItems: before.NumItems(),
+				Dim: before.Dim(), UseBias: before.HasBias(), InitStd: 0.1,
+			})
+			good := save("good.clapf", next)
+			if err := s.ReloadFromFile(good); err != nil {
+				t.Fatalf("valid reload failed: %v", err)
+			}
+			if s.BaseParams() == mf.Params(before) || s.Generation() != 1 {
+				t.Fatalf("model not swapped: generation = %d", s.Generation())
+			}
+			if p, m := s.Backing(); p != rep.precision || m != rep.mapped {
+				t.Fatalf("reloaded base is %s mapped=%v, want %s mapped=%v", p, m, rep.precision, rep.mapped)
+			}
+			current := s.live.Load()
 
-	// A torn file is rejected and the current model keeps serving.
-	torn := filepath.Join(dir, "torn.clapf")
-	if err := fault.CrashFile(torn, 64, func(w io.Writer) error {
-		return store.Save(w, next)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ReloadFromFile(torn); err == nil {
-		t.Fatal("torn file accepted")
-	}
+			// A torn file is rejected and the current model keeps serving.
+			torn := filepath.Join(dir, "torn.clapf")
+			if err := fault.CrashFile(torn, 64, func(w io.Writer) error {
+				return rep.write(w, next)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ReloadFromFile(torn); err == nil {
+				t.Fatal("torn file accepted")
+			}
 
-	// A well-formed file with the wrong shape is rejected too.
-	small := mf.MustNew(mf.Config{NumUsers: 2, NumItems: 2, Dim: 2})
-	mismatched := filepath.Join(dir, "mismatched.clapf")
-	if err := store.SaveFile(mismatched, small); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ReloadFromFile(mismatched); err == nil {
-		t.Fatal("mismatched model accepted")
-	}
-	if err := s.ReloadFromFile(filepath.Join(dir, "missing.clapf")); err == nil {
-		t.Fatal("missing file accepted")
-	}
+			// So is a complete file with one flipped payload byte: the
+			// checksum (v3: of the mapped section) is verified before the swap.
+			raw, err := os.ReadFile(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)-5] ^= 0x01
+			flipped := filepath.Join(dir, "flipped.clapf")
+			if err := os.WriteFile(flipped, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.ReloadFromFile(flipped); err == nil {
+				t.Fatal("bit-flipped file accepted")
+			}
 
-	if s.Model() != current || s.Generation() != 1 {
-		t.Errorf("failed reloads disturbed the served model: generation = %d", s.Generation())
-	}
-	if s.reloadOK.Value() != 1 || s.reloadFail.Value() != 3 {
-		t.Errorf("reload counters ok=%d fail=%d, want 1/3",
-			s.reloadOK.Value(), s.reloadFail.Value())
-	}
+			// A well-formed file with the wrong shape is rejected too.
+			mismatched := save("mismatched.clapf", mf.MustNew(mf.Config{NumUsers: 2, NumItems: 2, Dim: 2}))
+			if err := s.ReloadFromFile(mismatched); err == nil {
+				t.Fatal("mismatched model accepted")
+			}
+			if err := s.ReloadFromFile(filepath.Join(dir, "missing.clapf")); err == nil {
+				t.Fatal("missing file accepted")
+			}
 
-	// The server still answers after the failed reloads.
-	rec, _ := get(t, s.Handler(), "/recommend?user=1&k=3")
-	if rec.Code != http.StatusOK {
-		t.Errorf("post-reload request: status = %d", rec.Code)
+			if s.live.Load() != current || s.Generation() != 1 {
+				t.Errorf("failed reloads disturbed the live state: generation = %d", s.Generation())
+			}
+			if s.reloadOK.Value() != 1 || s.reloadFail.Value() != 4 {
+				t.Errorf("reload counters ok=%d fail=%d, want 1/4",
+					s.reloadOK.Value(), s.reloadFail.Value())
+			}
+
+			// The server still answers after the failed reloads, and
+			// /healthz says what the file decided.
+			h := s.Handler()
+			rec, _ := get(t, h, "/recommend?user=1&k=3")
+			if rec.Code != http.StatusOK {
+				t.Errorf("post-reload request: status = %d", rec.Code)
+			}
+			hrec := httptest.NewRecorder()
+			h.ServeHTTP(hrec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+			var health HealthResponse
+			if err := json.Unmarshal(hrec.Body.Bytes(), &health); err != nil {
+				t.Fatal(err)
+			}
+			if health.Precision != rep.precision || health.Mapped != rep.mapped {
+				t.Errorf("/healthz precision=%q mapped=%v, want %q/%v",
+					health.Precision, health.Mapped, rep.precision, rep.mapped)
+			}
+		})
 	}
 }
 
 func TestHealthzReportsGeneration(t *testing.T) {
 	s, _ := testServer(t)
-	if err := s.SwapModel(s.Model().Clone()); err != nil {
+	if err := s.Install(s.Model().Clone(), InstallOpts{Folded: KeepFoldedSeq}); err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
@@ -269,7 +325,7 @@ func TestPoisonedModelSwapRejected(t *testing.T) {
 	// must refuse it and keep the healthy generation serving.
 	poisoned := before.Clone()
 	fault.PoisonItemFactors(poisoned, 5, 3)
-	if err := s.SwapModel(poisoned); err == nil {
+	if err := s.Install(poisoned, InstallOpts{Folded: KeepFoldedSeq}); err == nil {
 		t.Fatal("poisoned model accepted")
 	}
 	if s.Model() != before || s.Generation() != 0 {

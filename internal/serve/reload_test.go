@@ -126,7 +126,7 @@ func TestHotReloadUnderConcurrentTraffic(t *testing.T) {
 			next = genA
 		}
 		before := s.Generation()
-		if err := s.SwapModel(next); err != nil {
+		if err := s.Install(next, InstallOpts{Folded: KeepFoldedSeq}); err != nil {
 			t.Fatalf("valid swap %d rejected: %v", i, err)
 		}
 		if s.Generation() != before+1 {
@@ -137,7 +137,7 @@ func TestHotReloadUnderConcurrentTraffic(t *testing.T) {
 			bad = misshapen
 		}
 		gen, model := s.Generation(), s.Model()
-		if err := s.SwapModel(bad); err == nil {
+		if err := s.Install(bad, InstallOpts{Folded: KeepFoldedSeq}); err == nil {
 			t.Fatalf("invalid swap %d accepted", i)
 		}
 		if s.Generation() != gen || s.Model() != model {

@@ -177,7 +177,7 @@ func TestCacheModeKeying(t *testing.T) {
 }
 
 // TestIVFHotReloadUnderConcurrentTraffic is the reload-churn hammer with
-// the IVF index in the liveState: /recommend traffic races SwapModel while
+// the IVF index in the liveState: /recommend traffic races Install while
 // the model rolls forward and back, with rejected swaps (poisoned, wrong
 // shape) slammed in between. Every response must byte-match exactly one
 // generation's expected IVF top-K — a torn liveState (new model with the
@@ -270,7 +270,7 @@ func TestIVFHotReloadUnderConcurrentTraffic(t *testing.T) {
 			next = genA
 		}
 		before := s.Generation()
-		if err := s.SwapModel(next); err != nil {
+		if err := s.Install(next, InstallOpts{Folded: KeepFoldedSeq}); err != nil {
 			t.Fatalf("valid swap %d rejected: %v", i, err)
 		}
 		if s.Generation() != before+1 {
@@ -284,7 +284,7 @@ func TestIVFHotReloadUnderConcurrentTraffic(t *testing.T) {
 			bad = misshapen
 		}
 		gen, ix := s.Generation(), s.live.Load().index
-		if err := s.SwapModel(bad); err == nil {
+		if err := s.Install(bad, InstallOpts{Folded: KeepFoldedSeq}); err == nil {
 			t.Fatalf("invalid swap %d accepted", i)
 		}
 		if s.Generation() != gen || s.live.Load().index != ix {

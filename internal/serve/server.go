@@ -56,7 +56,7 @@ import (
 // another generation's answers. An mmap-backed generation needs no
 // explicit teardown on retirement: the Factors32 pins its mapping, and a
 // finalizer releases the pages once the last request-held snapshot is
-// gone (see store.MappedModel).
+// gone (see store.Open).
 type liveState struct {
 	params mf.Params
 	// base is the read-only parameter set under params. With streaming
@@ -105,14 +105,13 @@ type Server struct {
 	// retr is the retrieval strategy applied whenever a liveState is
 	// built; change it through SetRetrieval.
 	retr atomic.Pointer[retrievalSettings]
-	// swapMu serializes liveState rebuilds (SwapModel, SetCacheSize,
+	// swapMu serializes liveState rebuilds (Install, SetCacheSize,
 	// SetRetrieval). Readers stay lock-free; without this, two concurrent
 	// rebuilds could interleave their load-build-store sequences and
 	// publish a state derived from a model that was just swapped out.
 	swapMu sync.Mutex
 
 	ready       atomic.Bool
-	storeMapped atomic.Bool   // ReloadFromFile pages v3 files in via mmap
 	shedSem     chan struct{} // the live shed semaphore (test hook)
 	adminReload func() error  // optional /admin/reload action (EnableAdminReload)
 	// feedback is the optional streaming-ingest sink. Atomic because
@@ -152,8 +151,8 @@ func New(model *mf.Model, train *dataset.Dataset) (*Server, error) {
 	return NewFromParams(model, train)
 }
 
-// NewFromParams is New for any parameter representation — in particular a
-// float32 set paged in by store.LoadMapped (cmd/clapf-serve -store-mmap).
+// NewFromParams is New for any parameter representation — whatever
+// store.Open made of the model file.
 func NewFromParams(model mf.Params, train *dataset.Dataset) (*Server, error) {
 	if model == nil {
 		return nil, fmt.Errorf("serve: nil model")
@@ -319,7 +318,7 @@ func (s *Server) Params() mf.Params { return s.live.Load().params }
 
 // Model returns the currently served model when the live parameter set is
 // a float64 *mf.Model, and nil when the server is serving float32 factors
-// (NewFromParams/SwapParams with an mf.Factors32). With feedback enabled
+// (NewFromParams/Install with an mf.Factors32). With feedback enabled
 // the online-update overlay is transparent: this returns the base model
 // under it. Callers that only need dimensions or scores should use Params.
 func (s *Server) Model() *mf.Model {
@@ -332,6 +331,20 @@ func (s *Server) Model() *mf.Model {
 // online-update overlay. Fold-in solves on the ingest path run against it
 // so they see exactly the factors a promotion export will bake.
 func (s *Server) BaseParams() mf.Params { return s.live.Load().base }
+
+// Backing reports how the live base parameters are held — "f64" or "f32",
+// and whether they are served from a file mapping instead of the heap.
+// Both follow from the model file (store.Open); no option selects them.
+func (s *Server) Backing() (precision string, mapped bool) {
+	return backing(s.live.Load().base)
+}
+
+func backing(base mf.Params) (precision string, mapped bool) {
+	if f, ok := base.(*mf.Factors32); ok {
+		return "f32", f.Mapped()
+	}
+	return "f64", false
+}
 
 // Generation returns how many successful model swaps have happened.
 func (s *Server) Generation() uint64 { return s.generation.Load() }
@@ -350,12 +363,9 @@ func (s *Server) SetCacheSize(n int) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	s.cacheSize.Store(int64(n))
-	st := s.live.Load()
-	s.live.Store(&liveState{
-		params: st.params, base: st.base, overlay: st.overlay, eng: st.eng,
-		mode: st.mode, index: st.index,
-		cache: newResultCache(n),
-	})
+	st := *s.live.Load()
+	st.cache = newResultCache(n)
+	s.live.Store(&st)
 }
 
 // retrievalSettings is the serving-wide retrieval strategy applied
@@ -395,7 +405,8 @@ func (s *Server) SetRetrieval(mode retrieval.Mode, cfg retrieval.Config) error {
 // (or, in New, be the only goroutine that can see the server).
 //
 // folded is the feedback watermark m incorporates (KeepFoldedSeq when the
-// caller doesn't know — retrieval/cache rebuilds, non-promotion swaps).
+// caller doesn't know — retrieval/cache rebuilds, installs of parameters
+// that came from neither a file nor a promotion).
 // With a feedback sink attached, the whole build-and-publish runs under
 // the sink's lock: the sink rebuilds the overlay from events beyond the
 // watermark, and because ingest applies updates under the same lock, an
@@ -438,71 +449,57 @@ func (s *Server) install(m mf.Params, folded uint64) error {
 // while in-flight requests finish.
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
-// SwapModel atomically replaces the served model after validating it
-// against the exclusion dataset. On error the old model keeps serving.
-// The swap installs a fresh liveState — model, engine, retrieval index
-// (rebuilt for the new model when IVF mode is on), and an empty result
-// cache — in one pointer store, so no request can ever serve a previous
-// generation's cached top-K, or probe a previous generation's index,
-// under the new model. A rejected candidate (shape mismatch, non-finite
-// parameters, index build failure) leaves model, index, and generation
-// untouched.
-func (s *Server) SwapModel(m *mf.Model) error {
-	if m == nil {
-		return fmt.Errorf("serve: nil model")
-	}
-	return s.SwapParams(m)
-}
-
-// SwapParams is SwapModel for any parameter representation — the reload
-// path a float32 (possibly mmap-backed) generation comes in through. The
-// outgoing generation needs no teardown: once the last in-flight request
-// drops its liveState snapshot, an mmap-backed parameter set is unmapped
-// by its finalizer.
-func (s *Server) SwapParams(m mf.Params) error {
-	return s.swapParams(m, KeepFoldedSeq, 0, false)
-}
-
 // KeepFoldedSeq passed as a folded watermark means "unknown — keep the
-// feedback sink's current watermark". Swaps that do not come from a
-// promotion or a watermarked file use it.
+// feedback sink's current watermark". Installs that do not come from a
+// promotion or a model file use it.
 const KeepFoldedSeq = ^uint64(0)
 
-// ErrGenerationFenced is returned by SwapParamsFenced when another swap
-// won the race: the candidate was exported against a generation that is
-// no longer live, so promoting it could silently roll the model back.
+// ErrGenerationFenced is returned by a fenced Install when another
+// install won the race: the candidate was exported against a generation
+// that is no longer live, so promoting it could silently roll the model
+// back.
 var ErrGenerationFenced = fmt.Errorf("serve: generation changed since export; promotion fenced")
 
-// SwapParamsAt is SwapParams for a candidate that incorporates feedback
-// events up to WAL sequence number folded (a promotion export or a model
-// file with a FeedbackSeq watermark). The feedback overlay is rebuilt to
-// carry only events beyond the watermark.
-func (s *Server) SwapParamsAt(m mf.Params, folded uint64) error {
-	return s.swapParams(m, folded, 0, false)
+// InstallOpts says what an Install candidate is.
+type InstallOpts struct {
+	// Folded is the feedback WAL sequence number the candidate's user
+	// factors incorporate — a model file's FeedbackSeq, a promotion's
+	// snapshot — or KeepFoldedSeq when the caller does not know. The
+	// feedback overlay is rebuilt to carry only events beyond it.
+	Folded uint64
+	// ExpectGen, when non-nil, fences the install: it proceeds only if the
+	// server's generation still equals *ExpectGen, the generation the
+	// candidate was exported against. The check runs under the swap lock,
+	// so a SIGHUP reload racing a promotion cannot interleave.
+	ExpectGen *uint64
 }
 
-// SwapParamsFenced is SwapParamsAt guarded by generation fencing: the
-// swap proceeds only if the server's generation still equals expectGen —
-// the generation the caller exported against. The check runs under the
-// swap lock, so a SIGHUP reload racing a promotion cannot interleave.
-func (s *Server) SwapParamsFenced(m mf.Params, folded, expectGen uint64) error {
-	return s.swapParams(m, folded, expectGen, true)
-}
-
-func (s *Server) swapParams(m mf.Params, folded, expectGen uint64, fence bool) error {
+// Install is the one way a candidate parameter set — any representation,
+// from a file, a promotion or a test — becomes the served model. It is
+// validated against the exclusion dataset, then a fresh liveState — model,
+// engine, retrieval index (rebuilt for the new model when IVF mode is
+// on), feedback overlay, and an empty result cache — is published in one
+// pointer store, so no request can ever serve a previous generation's
+// cached top-K, or probe a previous generation's index, under the new
+// model. A rejected candidate (fence, shape mismatch, non-finite
+// parameters, index build failure) leaves model, index, cache and
+// generation untouched. The outgoing generation needs no teardown: once
+// the last in-flight request drops its liveState snapshot, an mmap-backed
+// parameter set is unmapped by its finalizer — and so is a rejected one.
+func (s *Server) Install(m mf.Params, o InstallOpts) error {
 	if m == nil {
 		return fmt.Errorf("serve: nil model")
 	}
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	if fence && s.generation.Load() != expectGen {
+	if o.ExpectGen != nil && s.generation.Load() != *o.ExpectGen {
 		return ErrGenerationFenced
 	}
 	if err := validateParams(m, s.train); err != nil {
 		s.reloadRejected.Inc()
 		return err
 	}
-	if err := s.install(m, folded); err != nil {
+	if err := s.install(m, o.Folded); err != nil {
 		s.reloadRejected.Inc()
 		return err
 	}
@@ -510,44 +507,23 @@ func (s *Server) swapParams(m mf.Params, folded, expectGen uint64, fence bool) e
 	return nil
 }
 
-// SetStoreMapped selects how ReloadFromFile reads model files: false (the
-// default) parses them into a float64 model; true maps v3 files with
-// store.LoadMapped and serves the float32 factors from the page cache
-// (cmd/clapf-serve -store-mmap).
-func (s *Server) SetStoreMapped(on bool) { s.storeMapped.Store(on) }
+// SetStoreMapped does nothing: the model file's version, read by
+// store.Open, decides whether a reload maps or parses. It survives only
+// because the frozen benchmark/ calls it, and goes at the next benchmark
+// re-cut (ROADMAP).
+func (s *Server) SetStoreMapped(bool) {}
 
-// ReloadFromFile hot-reloads the model from path: the file is read and
-// checksum-verified, its dimensions are validated against the dataset,
-// and only then does the pointer swap — a torn, corrupt, or mismatched
-// file leaves the old model serving and counts as a failed reload. In
-// mapped mode (SetStoreMapped) the factor section is paged in lazily, but
-// its checksum is still verified up front: a reload must never publish
-// bytes it has not vouched for.
+// ReloadFromFile hot-reloads the model from path: the file is opened and
+// checksum-verified the way its version asks (store.Open), its dimensions
+// are validated against the dataset, and only then does the pointer swap —
+// a torn, corrupt, or mismatched file leaves the old model serving and
+// counts as a failed reload. The file's FeedbackSeq watermark (0 for a
+// file that never saw feedback) tells the overlay rebuild which WAL events
+// the user factors already incorporate.
 func (s *Server) ReloadFromFile(path string) error {
-	var err error
-	if s.storeMapped.Load() {
-		var mm *store.MappedModel
-		if mm, err = store.LoadMapped(path); err == nil {
-			if err = mm.Verify(); err == nil {
-				err = s.SwapParams(mm.Factors())
-			}
-			if err != nil {
-				mm.Close()
-			}
-		}
-	} else {
-		var m *mf.Model
-		var meta *store.Meta
-		if m, meta, err = store.LoadFileWithMeta(path); err == nil {
-			// The file's FeedbackSeq watermark (0 for pre-feedback files)
-			// tells the overlay rebuild which WAL events the user factors
-			// already incorporate.
-			folded := uint64(0)
-			if meta != nil {
-				folded = meta.FeedbackSeq
-			}
-			err = s.SwapParamsAt(m, folded)
-		}
+	m, meta, err := store.Open(path)
+	if err == nil {
+		err = s.Install(m, InstallOpts{Folded: meta.FeedbackSeq})
 	}
 	if err != nil {
 		s.reloadFail.Inc()
@@ -652,6 +628,10 @@ type HealthResponse struct {
 	ModelGeneration uint64 `json:"model_generation"`
 	// Retrieval names the live retrieval strategy ("exact" or "ivf").
 	Retrieval string `json:"retrieval"`
+	// Precision ("f64" or "f32") and Mapped (factors served from a file
+	// mapping, not the heap) are what the model file decided; see Backing.
+	Precision string `json:"precision"`
+	Mapped    bool   `json:"mapped"`
 	// UptimeSeconds is the time since the server was constructed.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// RequestsTotal counts requests completed before this one, across
@@ -669,6 +649,7 @@ type HealthResponse struct {
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	st := s.live.Load()
 	m := st.params
+	precision, mapped := backing(st.base)
 	resp := HealthResponse{
 		Status:          "ok",
 		Users:           m.NumUsers(),
@@ -676,6 +657,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Dim:             m.Dim(),
 		ModelGeneration: s.generation.Load(),
 		Retrieval:       st.mode.String(),
+		Precision:       precision,
+		Mapped:          mapped,
 		UptimeSeconds:   time.Since(s.started).Seconds(),
 		RequestsTotal:   s.httpm.TotalRequests(),
 		Runtime:         s.RuntimeVitals(),

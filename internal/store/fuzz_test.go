@@ -7,9 +7,12 @@ import (
 	"clapf/internal/mf"
 )
 
-// FuzzLoad throws arbitrary bytes at the model loader. Load must never
-// panic or over-allocate; it either returns a model whose re-serialization
-// is consistent, or an error. The seed corpus covers the interesting
+// FuzzLoad throws arbitrary bytes at both readers: the streaming loader
+// and, through a temp file, Open. Neither may panic or over-allocate. The
+// loader either returns a model whose re-serialization is consistent, or
+// an error; whatever Open accepts the loader accepts too (Open is the
+// stricter: it also refuses trailing bytes on a v3 file), as the same
+// model. The seed corpus covers the interesting
 // shapes: valid v1, v2, and v3 files, truncated files, and files whose
 // checksums were flipped.
 func FuzzLoad(f *testing.F) {
@@ -46,7 +49,16 @@ func FuzzLoad(f *testing.F) {
 	f.Add(v3hdr)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		opened, openedMeta, openErr := openBytes(t, data)
 		got, meta, err := LoadWithMeta(bytes.NewReader(data))
+		if openErr == nil {
+			if err != nil {
+				t.Fatalf("Open accepted what LoadWithMeta rejects: %v", err)
+			}
+			if openedMeta == nil || !sameParams(got, opened) {
+				t.Fatal("Open and LoadWithMeta disagree on an accepted file")
+			}
+		}
 		if err != nil {
 			return
 		}

@@ -1,10 +1,8 @@
 package store
 
 import (
-	"bufio"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"runtime"
 	"sync/atomic"
@@ -16,7 +14,7 @@ import (
 // hostLittleEndian reports whether the running machine stores integers
 // little-endian — the file's byte order. On such hosts (every platform
 // this repository targets) the mapped section casts directly to []float32;
-// otherwise LoadMapped falls back to a decode copy.
+// otherwise mapV3 falls back to a decode copy.
 var hostLittleEndian = func() bool {
 	var x uint16 = 0x0102
 	return *(*byte)(unsafe.Pointer(&x)) == 0x02
@@ -42,7 +40,7 @@ func (mp *mapping) close() error {
 	return mp.unmap()
 }
 
-// MappedModel is a v3 store file paged in by LoadMapped: a float32
+// MappedModel is a v3 store file paged in by Open or LoadMapped: a float32
 // parameter set whose backing storage is the kernel's page cache, not the
 // Go heap. Loading costs O(header) — the factor section is mapped, not
 // read — so serve start-up and hot reload of a multi-gigabyte model are
@@ -65,50 +63,26 @@ type MappedModel struct {
 // LoadMapped opens a version-3 store file and maps its factor section.
 // The header (geometry, meta, header CRC) is read and verified eagerly;
 // the factor payload is not touched. Call Verify to checksum the section
-// before trusting the factors — the serve reload path does, so a torn or
-// bit-flipped file can never go live.
+// before trusting the factors. Serving goes through Open, which does both
+// and hands back the factors; LoadMapped is for callers that want the
+// handle — header-only inspection, or an eager Close.
 //
-// Only v3 files can be mapped; v1/v2 files need the parsing loaders
-// (Load/LoadFile).
+// Only v3 files can be mapped; v1/v2 files need the parsing loaders.
 func LoadMapped(path string) (*MappedModel, error) {
-	file, err := os.Open(path)
+	file, cr, h, err := openHeader(path)
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, err
 	}
 	defer file.Close()
+	if h.version != VersionF32 {
+		return nil, fmt.Errorf("store: cannot map version-%d file (only v%d is mmap-able; use Load)", h.version, VersionF32)
+	}
+	return mapV3(file, cr, h)
+}
 
-	crc := crc32.NewIEEE()
-	br := bufio.NewReader(file)
-	tr := io.TeeReader(br, crc)
-
-	var gotMagic [8]byte
-	if _, err := io.ReadFull(tr, gotMagic[:]); err != nil {
-		return nil, fmt.Errorf("store: read magic: %w", err)
-	}
-	if gotMagic != magic {
-		return nil, fmt.Errorf("store: bad magic %q", gotMagic[:])
-	}
-	version, err := readU32(tr)
-	if err != nil {
-		return nil, err
-	}
-	if version != VersionF32 {
-		return nil, fmt.Errorf("store: cannot map version-%d file (only v%d is mmap-able; use Load)", version, VersionF32)
-	}
-	flags, err := readU32(tr)
-	if err != nil {
-		return nil, err
-	}
-	dims := make([]uint64, 3)
-	for i := range dims {
-		if dims[i], err = readU64(tr); err != nil {
-			return nil, err
-		}
-	}
-	if err := validateDims(dims); err != nil {
-		return nil, err
-	}
-	h, err := readV3Rest(tr, crc, br, flags, dims)
+// mapV3 finishes the v3 header parse and maps the file.
+func mapV3(file *os.File, cr *crcReader, hd header) (*MappedModel, error) {
+	h, err := readV3Rest(cr, hd)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +96,7 @@ func LoadMapped(path string) (*MappedModel, error) {
 
 	data, unmap, err := mmapFile(file, st.Size())
 	if err != nil {
-		return nil, fmt.Errorf("store: mmap %s: %w", path, err)
+		return nil, fmt.Errorf("store: mmap %s: %w", file.Name(), err)
 	}
 	mp := &mapping{data: data, unmap: unmap}
 	runtime.SetFinalizer(mp, func(mp *mapping) { _ = mp.close() })
@@ -150,7 +124,7 @@ func LoadMapped(path string) (*MappedModel, error) {
 		return nil, err
 	}
 	f.Retain(mp)
-	meta, err := h.decodeMeta()
+	meta, err := decodeMeta(h.metaRaw)
 	if err != nil {
 		mp.close()
 		return nil, err
@@ -162,9 +136,6 @@ func LoadMapped(path string) (*MappedModel, error) {
 // returned value stays valid after the MappedModel itself is dropped — it
 // pins the mapped pages until it is itself unreachable.
 func (mm *MappedModel) Factors() *mf.Factors32 { return mm.f }
-
-// Meta returns the metadata trailer (never nil for a v3 file).
-func (mm *MappedModel) Meta() *Meta { return mm.meta }
 
 // Verify checksums the mapped factor section against the header's section
 // CRC. This is the one deliberately O(bytes) operation on the mapped path

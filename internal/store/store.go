@@ -25,9 +25,19 @@
 //
 // Version 3 (storef32.go) is the serving-side export format: a
 // page-aligned, little-endian float32 flat section with split header and
-// section checksums, written by SaveF32/SaveF32File and readable either
-// through the ordinary streaming loaders (widened to float64) or
-// zero-copy via LoadMapped (mapped.go).
+// section checksums.
+//
+// Writers: Save/SaveFile emit v1, SaveWithMeta/SaveFileWithMeta (every
+// training checkpoint) v2, SaveF32/SaveF32File v3; Export picks by
+// representation — *mf.Model as v2, *mf.Factors32 as v3 — which is how a
+// feedback promotion re-exports whatever it was serving.
+//
+// Serving reads through one front door, Open: the file's version word,
+// not a caller's option, decides the in-memory representation (v3 mapped
+// and served as float32 from the page cache, v1/v2 parsed into a float64
+// model) and the metadata comes back on every path. The streaming loaders
+// (Load*, which widen a v3 section) stay for consumers that need a
+// trainable float64 model whatever the file holds: resume, eval.
 package store
 
 import (
@@ -35,6 +45,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"hash/crc32"
 	"io"
 	"math"
@@ -156,12 +167,9 @@ func save(w io.Writer, m *mf.Model, meta *Meta) error {
 		}
 	}
 	if meta != nil {
-		buf, err := json.Marshal(meta)
+		buf, err := encodeMeta(meta)
 		if err != nil {
-			return fmt.Errorf("store: encode meta: %w", err)
-		}
-		if len(buf) > maxMetaLen {
-			return fmt.Errorf("store: meta trailer is %d bytes, limit %d", len(buf), maxMetaLen)
+			return err
 		}
 		if err := writeU32(mw, uint32(len(buf))); err != nil {
 			return err
@@ -173,6 +181,44 @@ func save(w io.Writer, m *mf.Model, meta *Meta) error {
 	return writeU32(w, crc.Sum32())
 }
 
+// encodeMeta marshals the metadata block v2 and v3 carry length-prefixed.
+func encodeMeta(meta *Meta) ([]byte, error) {
+	buf, err := json.Marshal(meta)
+	if err != nil {
+		return nil, fmt.Errorf("store: encode meta: %w", err)
+	}
+	if len(buf) > maxMetaLen {
+		return nil, fmt.Errorf("store: meta trailer is %d bytes, limit %d", len(buf), maxMetaLen)
+	}
+	return buf, nil
+}
+
+// readMetaRaw reads that block, still undecoded: decoding waits
+// (decodeMeta) until a checksum has vouched for the bytes, so a torn block
+// surfaces as a checksum error, not a JSON one.
+func readMetaRaw(r io.Reader) ([]byte, error) {
+	metaLen, err := readU32(r)
+	if err != nil {
+		return nil, fmt.Errorf("store: read meta length: %w", err)
+	}
+	if metaLen > maxMetaLen {
+		return nil, fmt.Errorf("store: meta trailer length %d exceeds limit %d", metaLen, maxMetaLen)
+	}
+	raw := make([]byte, metaLen)
+	if _, err := io.ReadFull(r, raw); err != nil {
+		return nil, fmt.Errorf("store: read meta: %w", err)
+	}
+	return raw, nil
+}
+
+func decodeMeta(raw []byte) (*Meta, error) {
+	meta := &Meta{}
+	if err := json.Unmarshal(raw, meta); err != nil {
+		return nil, fmt.Errorf("store: decode meta: %w", err)
+	}
+	return meta, nil
+}
+
 // Load reads a model written by Save or SaveWithMeta, verifying magic,
 // version, and checksum. Any metadata trailer is discarded; use
 // LoadWithMeta to keep it.
@@ -181,78 +227,97 @@ func Load(r io.Reader) (*mf.Model, error) {
 	return m, err
 }
 
-// LoadWithMeta reads a model and its metadata trailer. For version-1 files
-// the returned Meta is nil.
-func LoadWithMeta(r io.Reader) (*mf.Model, *Meta, error) {
-	crc := crc32.NewIEEE()
-	tr := io.TeeReader(r, crc)
+// crcReader reads a model file through a running CRC-32: format words
+// come off tee and enter the digest, the checksum words that vouch for
+// them come off raw and do not.
+type crcReader struct {
+	raw io.Reader
+	crc hash.Hash32
+	tee io.Reader
+}
 
+func newCRCReader(r io.Reader) *crcReader {
+	crc := crc32.NewIEEE()
+	return &crcReader{raw: r, crc: crc, tee: io.TeeReader(r, crc)}
+}
+
+// header is the leading words every format version shares.
+type header struct {
+	version, flags uint32
+	dims           [3]uint64 // users, items, dim
+}
+
+// readHeader is the one parse of magic, version, flags and dimensions;
+// the formats diverge only after it.
+func readHeader(r *crcReader) (header, error) {
+	var h header
 	var gotMagic [8]byte
-	if _, err := io.ReadFull(tr, gotMagic[:]); err != nil {
-		return nil, nil, fmt.Errorf("store: read magic: %w", err)
+	if _, err := io.ReadFull(r.tee, gotMagic[:]); err != nil {
+		return h, fmt.Errorf("store: read magic: %w", err)
 	}
 	if gotMagic != magic {
-		return nil, nil, fmt.Errorf("store: bad magic %q", gotMagic[:])
+		return h, fmt.Errorf("store: bad magic %q", gotMagic[:])
 	}
-	version, err := readU32(tr)
-	if err != nil {
-		return nil, nil, err
+	var err error
+	if h.version, err = readU32(r.tee); err != nil {
+		return h, err
 	}
-	if version < 1 || version > VersionF32 {
-		return nil, nil, fmt.Errorf("store: unsupported version %d (have %d)", version, VersionF32)
+	if h.version < 1 || h.version > VersionF32 {
+		return h, fmt.Errorf("store: unsupported version %d (have %d)", h.version, VersionF32)
 	}
-	flags, err := readU32(tr)
-	if err != nil {
-		return nil, nil, err
+	if h.flags, err = readU32(r.tee); err != nil {
+		return h, err
 	}
-	dims := make([]uint64, 3)
-	for i := range dims {
-		if dims[i], err = readU64(tr); err != nil {
-			return nil, nil, err
+	for i := range h.dims {
+		if h.dims[i], err = readU64(r.tee); err != nil {
+			return h, err
 		}
 	}
-	if err := validateDims(dims); err != nil {
-		return nil, nil, err
-	}
-	if version == VersionF32 {
-		// The float32 flat layout diverges after the dims words; its
-		// loader widens the factors into a float64 Model so every
-		// existing consumer reads v3 files transparently.
-		return loadV3Stream(tr, crc, r, flags, dims)
-	}
-	numUsers, numItems, dim := int(dims[0]), int(dims[1]), int(dims[2])
-	useBias := flags&flagBias != 0
+	return h, validateDims(h.dims[:])
+}
 
-	u, err := readFloats(tr, numUsers*dim)
+// LoadWithMeta reads a model and its metadata trailer. For version-1 files
+// the returned Meta is nil. A version-3 file is widened into a float64
+// Model, so every v1/v2 consumer reads it transparently.
+func LoadWithMeta(r io.Reader) (*mf.Model, *Meta, error) {
+	cr := newCRCReader(r)
+	h, err := readHeader(cr)
 	if err != nil {
 		return nil, nil, err
 	}
-	v, err := readFloats(tr, numItems*dim)
+	if h.version == VersionF32 {
+		return loadV3Stream(cr, h)
+	}
+	return loadV12(cr, h)
+}
+
+// loadV12 parses the float64 formats from the point just after the header.
+func loadV12(r *crcReader, h header) (*mf.Model, *Meta, error) {
+	numUsers, numItems, dim := int(h.dims[0]), int(h.dims[1]), int(h.dims[2])
+	useBias := h.flags&flagBias != 0
+
+	u, err := readFloats(r.tee, numUsers*dim)
+	if err != nil {
+		return nil, nil, err
+	}
+	v, err := readFloats(r.tee, numItems*dim)
 	if err != nil {
 		return nil, nil, err
 	}
 	var b []float64
 	if useBias {
-		if b, err = readFloats(tr, numItems); err != nil {
+		if b, err = readFloats(r.tee, numItems); err != nil {
 			return nil, nil, err
 		}
 	}
 	var metaRaw []byte
-	if version >= 2 {
-		metaLen, err := readU32(tr)
-		if err != nil {
-			return nil, nil, fmt.Errorf("store: read meta length: %w", err)
-		}
-		if metaLen > maxMetaLen {
-			return nil, nil, fmt.Errorf("store: meta trailer length %d exceeds limit %d", metaLen, maxMetaLen)
-		}
-		metaRaw = make([]byte, metaLen)
-		if _, err := io.ReadFull(tr, metaRaw); err != nil {
-			return nil, nil, fmt.Errorf("store: read meta: %w", err)
+	if h.version >= 2 {
+		if metaRaw, err = readMetaRaw(r.tee); err != nil {
+			return nil, nil, err
 		}
 	}
-	wantSum := crc.Sum32()
-	gotSum, err := readU32(r)
+	wantSum := r.crc.Sum32()
+	gotSum, err := readU32(r.raw)
 	if err != nil {
 		return nil, nil, fmt.Errorf("store: read checksum: %w", err)
 	}
@@ -269,12 +334,9 @@ func LoadWithMeta(r io.Reader) (*mf.Model, *Meta, error) {
 		return nil, nil, err
 	}
 	var meta *Meta
-	if version >= 2 {
-		// Decode only after the checksum has vouched for the bytes, so a
-		// torn trailer surfaces as a checksum error, not a JSON one.
-		meta = &Meta{}
-		if err := json.Unmarshal(metaRaw, meta); err != nil {
-			return nil, nil, fmt.Errorf("store: decode meta: %w", err)
+	if h.version >= 2 {
+		if meta, err = decodeMeta(metaRaw); err != nil {
+			return nil, nil, err
 		}
 	}
 	return m, meta, nil
@@ -286,50 +348,86 @@ func LoadWithMeta(r io.Reader) (*mf.Model, *Meta, error) {
 // SaveFile returns, a power failure leaves either the old file or the
 // complete new one, never a torn or vanished model.
 func SaveFile(path string, m *mf.Model) error {
-	return saveFile(path, m, nil)
+	return writeFile(path, func(w io.Writer) error { return Save(w, m) })
 }
 
 // SaveFileWithMeta is SaveFile for version-2 checkpoints.
 func SaveFileWithMeta(path string, m *mf.Model, meta *Meta) error {
-	if meta == nil {
-		meta = &Meta{}
-	}
-	return saveFile(path, m, meta)
+	return writeFile(path, func(w io.Writer) error { return SaveWithMeta(w, m, meta) })
 }
 
-func saveFile(path string, m *mf.Model, meta *Meta) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".clapf-model-*")
+// writeFile is the atomic, durable file write behind every Save*File:
+// durable temp beside path, then Publish.
+func writeFile(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".clapf-model-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriter(tmp)
-	if err := save(bw, m, meta); err != nil {
-		tmp.Close()
+	if err := writeDurable(tmp, write); err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: fsync %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return syncDir(dir)
+	return Publish(tmp.Name(), path)
 }
 
-// syncDir fsyncs a directory so a just-renamed entry survives power loss.
+// writeDurable streams write into f, then flushes, fsyncs and closes it.
+func writeDurable(f *os.File, write func(io.Writer) error) error {
+	bw := bufio.NewWriter(f)
+	err := write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("store: write %s: %w", f.Name(), err)
+	}
+	return nil
+}
+
+// Export writes p and its metadata durably to tmp in p's own
+// representation: version 2 for a float64 *mf.Model, version 3 for a
+// float32 *mf.Factors32. It is the first half of writeFile, split where a
+// promotion needs it: the caller opens and installs the export, and only
+// then makes it the model file with Publish. A failed export removes tmp.
+func Export(tmp string, p mf.Params, meta *Meta) error {
+	f, err := os.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	err = writeDurable(f, func(w io.Writer) error {
+		switch p := p.(type) {
+		case *mf.Model:
+			return SaveWithMeta(w, p, meta)
+		case *mf.Factors32:
+			return SaveF32(w, p, meta)
+		}
+		return fmt.Errorf("store: cannot export a %T", p)
+	})
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// Publish renames the durable file tmp onto path and fsyncs the
+// directory, so the rename itself survives power loss.
+func Publish(tmp, path string) error {
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return SyncDir(filepath.Dir(path))
+}
+
+// SyncDir fsyncs a directory so a just-renamed entry survives power loss
+// (the feedback WAL seals and prunes segments through it too).
 // Filesystems that do not support fsync on directories report that as a
 // non-error here: the rename itself already happened.
-func syncDir(dir string) error {
+func SyncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("store: open dir %s: %w", dir, err)
@@ -339,6 +437,56 @@ func syncDir(dir string) error {
 		return fmt.Errorf("store: fsync dir %s: %w", dir, err)
 	}
 	return nil
+}
+
+// Open reads the model file at path the way it is served, and the file
+// alone decides how: a version-3 file is mapped, its factor section is
+// checksummed, and the result is a float32 *mf.Factors32 that pins its
+// mapping (the pages are released by a finalizer once no reader can reach
+// them); a version-1 or -2 file is parsed into a float64 *mf.Model. The
+// returned Meta is never nil — a file without a trailer yields the zero
+// Meta — so the feedback watermark travels with the file on every path.
+func Open(path string) (mf.Params, *Meta, error) {
+	file, cr, h, err := openHeader(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer file.Close()
+	if h.version != VersionF32 {
+		m, meta, err := loadV12(cr, h)
+		if err != nil {
+			return nil, nil, err
+		}
+		if meta == nil {
+			meta = &Meta{}
+		}
+		return m, meta, nil
+	}
+	mm, err := mapV3(file, cr, h)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := mm.Verify(); err != nil {
+		mm.Close()
+		return nil, nil, err
+	}
+	return mm.f, mm.meta, nil
+}
+
+// openHeader opens path and parses the shared header; the caller closes
+// the file.
+func openHeader(path string) (*os.File, *crcReader, header, error) {
+	file, err := os.Open(path)
+	if err != nil {
+		return nil, nil, header{}, fmt.Errorf("store: %w", err)
+	}
+	cr := newCRCReader(bufio.NewReader(file))
+	h, err := readHeader(cr)
+	if err != nil {
+		file.Close()
+		return nil, nil, h, err
+	}
+	return file, cr, h, nil
 }
 
 // LoadFile reads a model from path.
@@ -414,13 +562,18 @@ func readU64(r io.Reader) (uint64, error) {
 }
 
 func readFloats(r io.Reader, n int) ([]float64, error) {
-	raw := make([]byte, 8*n)
-	if _, err := io.ReadFull(r, raw); err != nil {
-		return nil, fmt.Errorf("store: read %d floats: %w", n, err)
-	}
-	xs := make([]float64, n)
-	for i := range xs {
-		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	// Allocate 32 MB at most up front and the rest as the bytes arrive: a
+	// corrupt dimension word must run into EOF, not into a huge make.
+	xs := make([]float64, 0, min(n, 1<<22))
+	raw := make([]byte, 8*min(n, 1<<16))
+	for len(xs) < n {
+		buf := raw[:min(len(raw), 8*(n-len(xs)))]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, fmt.Errorf("store: read %d floats: %w", n, err)
+		}
+		for ; len(buf) > 0; buf = buf[8:] {
+			xs = append(xs, math.Float64frombits(binary.LittleEndian.Uint64(buf)))
+		}
 	}
 	return xs, nil
 }

@@ -70,6 +70,16 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// openBytes runs Open, the serving front door, over raw as a file.
+func openBytes(t testing.TB, raw []byte) (mf.Params, *Meta, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "m.clapf")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return Open(path)
+}
+
 func TestLoadRejectsCorruption(t *testing.T) {
 	m := sampleModel(2, true)
 	var buf bytes.Buffer
@@ -77,32 +87,34 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	clean := buf.Bytes()
+	// Both readers — the streaming loader and Open — must refuse.
+	reject := func(what string, raw []byte) {
+		t.Helper()
+		if _, err := Load(bytes.NewReader(raw)); err == nil {
+			t.Errorf("Load: %s accepted", what)
+		}
+		if _, _, err := openBytes(t, raw); err == nil {
+			t.Errorf("Open: %s accepted", what)
+		}
+	}
 
 	// Flip one byte in the parameter region: checksum must catch it.
 	corrupt := append([]byte(nil), clean...)
 	corrupt[len(corrupt)/2] ^= 0xFF
-	if _, err := Load(bytes.NewReader(corrupt)); err == nil {
-		t.Error("corrupted payload accepted")
-	}
+	reject("corrupted payload", corrupt)
 
 	// Truncation must fail cleanly.
-	if _, err := Load(bytes.NewReader(clean[:len(clean)-10])); err == nil {
-		t.Error("truncated payload accepted")
-	}
+	reject("truncated payload", clean[:len(clean)-10])
 
 	// Wrong magic.
 	bad := append([]byte(nil), clean...)
 	bad[0] = 'X'
-	if _, err := Load(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic accepted")
-	}
+	reject("bad magic", bad)
 
 	// Wrong version.
 	badv := append([]byte(nil), clean...)
 	badv[8] = 0xFE
-	if _, err := Load(bytes.NewReader(badv)); err == nil {
-		t.Error("bad version accepted")
-	}
+	reject("bad version", badv)
 }
 
 func TestLoadRejectsHugeDimensions(t *testing.T) {
@@ -315,15 +327,26 @@ func TestLoadRejectsHugeMetaLength(t *testing.T) {
 
 func TestLoadTruncatedEverywhere(t *testing.T) {
 	m := sampleModel(8, true)
-	var buf bytes.Buffer
-	if err := Save(&buf, m); err != nil {
+	var v1, v2, v3 bytes.Buffer
+	if err := Save(&v1, m); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	// Truncating at every prefix length must fail, never panic.
-	for n := 0; n < len(full)-1; n += 37 {
-		if _, err := Load(bytes.NewReader(full[:n])); err == nil {
-			t.Fatalf("truncation at %d bytes accepted", n)
+	if err := SaveWithMeta(&v2, m, sampleMeta()); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveF32(&v3, mf.QuantizeF32(m), sampleMeta()); err != nil {
+		t.Fatal(err)
+	}
+	// Truncating at every prefix length must fail, never panic — in every
+	// version, through the streaming loader and through Open.
+	for name, full := range map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes(), "v3": v3.Bytes()} {
+		for n := 0; n < len(full)-1; n += 37 {
+			if _, err := Load(bytes.NewReader(full[:n])); err == nil {
+				t.Fatalf("%s: Load accepted a truncation at %d bytes", name, n)
+			}
+			if _, _, err := openBytes(t, full[:n]); err == nil {
+				t.Fatalf("%s: Open accepted a truncation at %d bytes", name, n)
+			}
 		}
 	}
 }

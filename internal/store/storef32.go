@@ -1,16 +1,11 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
-	"path/filepath"
 
 	"clapf/internal/mf"
 )
@@ -62,12 +57,9 @@ func SaveF32(w io.Writer, f *mf.Factors32, meta *Meta) error {
 	if meta == nil {
 		meta = &Meta{}
 	}
-	metaRaw, err := json.Marshal(meta)
+	metaRaw, err := encodeMeta(meta)
 	if err != nil {
-		return fmt.Errorf("store: encode meta: %w", err)
-	}
-	if len(metaRaw) > maxMetaLen {
-		return fmt.Errorf("store: meta trailer is %d bytes, limit %d", len(metaRaw), maxMetaLen)
+		return err
 	}
 
 	u, v, b := f.RawParams32()
@@ -136,32 +128,7 @@ func SaveF32(w io.Writer, f *mf.Factors32, meta *Meta) error {
 // with the same atomic, durable temp-file + fsync + rename discipline as
 // SaveFile.
 func SaveF32File(path string, f *mf.Factors32, meta *Meta) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".clapf-model-*")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	bw := bufio.NewWriter(tmp)
-	if err := SaveF32(bw, f, meta); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: fsync %s: %w", tmp.Name(), err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return syncDir(dir)
+	return writeFile(path, func(w io.Writer) error { return SaveF32(w, f, meta) })
 }
 
 // v3Header is the parsed and validated v3 geometry.
@@ -174,38 +141,28 @@ type v3Header struct {
 	nu, nv, nb int // element counts of the U, V, B blocks
 }
 
-// readV3Rest parses a v3 header from the point just after the dims words:
-// tr must tee into crcAcc (which already digested magic through dims), and
-// raw is the underlying reader the headerCRC word is read from without
-// entering the accumulator. Validation rejects any geometry the format
-// cannot have produced — wrong flag, misaligned or non-canonical section
-// offset, section length that disagrees with the dims — before a single
-// factor byte is read.
-func readV3Rest(tr io.Reader, crcAcc hash.Hash32, raw io.Reader, flags uint32, dims []uint64) (*v3Header, error) {
+// readV3Rest parses a v3 header from the point just after the shared
+// header words. Validation rejects any geometry the format cannot have
+// produced — wrong flag, misaligned or non-canonical section offset,
+// section length that disagrees with the dims — before a single factor
+// byte is read.
+func readV3Rest(r *crcReader, hd header) (*v3Header, error) {
 	var h v3Header
 	var err error
-	if h.sectionOff, err = readU64(tr); err != nil {
+	if h.sectionOff, err = readU64(r.tee); err != nil {
 		return nil, err
 	}
-	if h.sectionLen, err = readU64(tr); err != nil {
+	if h.sectionLen, err = readU64(r.tee); err != nil {
 		return nil, err
 	}
-	if h.sectionCRC, err = readU32(tr); err != nil {
+	if h.sectionCRC, err = readU32(r.tee); err != nil {
 		return nil, err
 	}
-	metaLen, err := readU32(tr)
-	if err != nil {
-		return nil, fmt.Errorf("store: read meta length: %w", err)
+	if h.metaRaw, err = readMetaRaw(r.tee); err != nil {
+		return nil, err
 	}
-	if metaLen > maxMetaLen {
-		return nil, fmt.Errorf("store: meta trailer length %d exceeds limit %d", metaLen, maxMetaLen)
-	}
-	h.metaRaw = make([]byte, metaLen)
-	if _, err := io.ReadFull(tr, h.metaRaw); err != nil {
-		return nil, fmt.Errorf("store: read meta: %w", err)
-	}
-	wantSum := crcAcc.Sum32()
-	gotSum, err := readU32(raw)
+	wantSum := r.crc.Sum32()
+	gotSum, err := readU32(r.raw)
 	if err != nil {
 		return nil, fmt.Errorf("store: read header checksum: %w", err)
 	}
@@ -213,21 +170,21 @@ func readV3Rest(tr io.Reader, crcAcc hash.Hash32, raw io.Reader, flags uint32, d
 		return nil, fmt.Errorf("store: header checksum mismatch: file %08x, computed %08x", gotSum, wantSum)
 	}
 
-	if flags&flagF32 == 0 {
+	if hd.flags&flagF32 == 0 {
 		return nil, fmt.Errorf("store: version-3 file without float32 section flag")
 	}
 	h.cfg = mf.Config{
-		NumUsers: int(dims[0]),
-		NumItems: int(dims[1]),
-		Dim:      int(dims[2]),
-		UseBias:  flags&flagBias != 0,
+		NumUsers: int(hd.dims[0]),
+		NumItems: int(hd.dims[1]),
+		Dim:      int(hd.dims[2]),
+		UseBias:  hd.flags&flagBias != 0,
 	}
 	h.nu = h.cfg.NumUsers * h.cfg.Dim
 	h.nv = h.cfg.NumItems * h.cfg.Dim
 	if h.cfg.UseBias {
 		h.nb = h.cfg.NumItems
 	}
-	headerEnd := uint64(v3HeaderFixed) + uint64(metaLen)
+	headerEnd := uint64(v3HeaderFixed + len(h.metaRaw))
 	wantOff := (headerEnd + sectionAlign - 1) / sectionAlign * sectionAlign
 	if h.sectionOff != wantOff {
 		return nil, fmt.Errorf("store: section offset %d, want %d (aligned to %d)", h.sectionOff, wantOff, sectionAlign)
@@ -238,31 +195,21 @@ func readV3Rest(tr io.Reader, crcAcc hash.Hash32, raw io.Reader, flags uint32, d
 	return &h, nil
 }
 
-// decodeMeta unmarshals a header-CRC-vouched meta payload.
-func (h *v3Header) decodeMeta() (*Meta, error) {
-	meta := &Meta{}
-	if err := json.Unmarshal(h.metaRaw, meta); err != nil {
-		return nil, fmt.Errorf("store: decode meta: %w", err)
-	}
-	return meta, nil
-}
-
 // loadV3Stream is the sequential-reader v3 path of LoadWithMeta: skip the
 // padding, stream the section through its checksum, and widen the factors
-// into a float64 Model so every v1/v2 consumer (training resume, plain
-// serving, eval) reads v3 files transparently. The zero-copy path is
-// LoadMapped.
-func loadV3Stream(tr io.Reader, crcAcc hash.Hash32, raw io.Reader, flags uint32, dims []uint64) (*mf.Model, *Meta, error) {
-	h, err := readV3Rest(tr, crcAcc, raw, flags, dims)
+// into a float64 Model so every v1/v2 consumer (training resume, eval)
+// reads v3 files transparently. The zero-copy path is Open.
+func loadV3Stream(r *crcReader, hd header) (*mf.Model, *Meta, error) {
+	h, err := readV3Rest(r, hd)
 	if err != nil {
 		return nil, nil, err
 	}
 	pad := int64(h.sectionOff) - int64(v3HeaderFixed+len(h.metaRaw))
-	if _, err := io.CopyN(io.Discard, raw, pad); err != nil {
+	if _, err := io.CopyN(io.Discard, r.raw, pad); err != nil {
 		return nil, nil, fmt.Errorf("store: skip section padding: %w", err)
 	}
 	section := make([]byte, h.sectionLen)
-	if _, err := io.ReadFull(raw, section); err != nil {
+	if _, err := io.ReadFull(r.raw, section); err != nil {
 		return nil, nil, fmt.Errorf("store: read factor section: %w", err)
 	}
 	if got := crc32.ChecksumIEEE(section); got != h.sectionCRC {
@@ -286,7 +233,7 @@ func loadV3Stream(tr io.Reader, crcAcc hash.Hash32, raw io.Reader, flags uint32,
 	if err != nil {
 		return nil, nil, err
 	}
-	meta, err := h.decodeMeta()
+	meta, err := decodeMeta(h.metaRaw)
 	if err != nil {
 		return nil, nil, err
 	}

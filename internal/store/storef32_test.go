@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -127,8 +128,8 @@ func TestLoadMappedRoundTrip(t *testing.T) {
 		if !f32Equal(f, mm.Factors()) {
 			t.Error("mapped factors differ from saved factors")
 		}
-		if !metasEqual(sampleMeta(), mm.Meta()) {
-			t.Errorf("mapped meta = %+v", mm.Meta())
+		if !metasEqual(sampleMeta(), mm.meta) {
+			t.Errorf("mapped meta = %+v", mm.meta)
 		}
 		m, err := LoadFile(path)
 		if err != nil {
@@ -170,6 +171,9 @@ func TestLoadMappedRejects(t *testing.T) {
 			mm.Close()
 			t.Fatalf("%s: LoadMapped accepted a corrupt file", name)
 		}
+		if _, _, err := Open(write(name, raw)); err == nil {
+			t.Fatalf("%s: Open accepted a corrupt file", name)
+		}
 	}
 
 	// Truncations at every structural boundary.
@@ -195,6 +199,10 @@ func TestLoadMappedRejects(t *testing.T) {
 		t.Error("Verify missed a flipped section byte")
 	}
 	mm.Close()
+	// Open verifies before it hands anything out.
+	if _, _, err := Open(write("secflip", bad)); err == nil {
+		t.Error("Open served a flipped section byte")
+	}
 	// Misaligned (non-canonical) section offset with a recomputed header
 	// CRC — internally consistent, geometrically wrong.
 	bad = append([]byte(nil), good...)
@@ -203,12 +211,20 @@ func TestLoadMappedRejects(t *testing.T) {
 	hdrEnd := v3HeaderFixed + int(metaLen)
 	binary.LittleEndian.PutUint32(bad[hdrEnd-4:], crc32.ChecksumIEEE(bad[:hdrEnd-4]))
 	reject("misaligned", bad)
-	// Version-2 file: mmap requires v3.
+	// Version-2 file: mmap requires v3; Open parses it instead.
 	var v2 bytes.Buffer
 	if err := SaveWithMeta(&v2, sampleModel(6, true), sampleMeta()); err != nil {
 		t.Fatal(err)
 	}
-	reject("v2", v2.Bytes())
+	if mm, err := LoadMapped(write("v2", v2.Bytes())); err == nil {
+		mm.Close()
+		t.Fatal("LoadMapped accepted a v2 file")
+	}
+	if p, _, err := Open(write("v2", v2.Bytes())); err != nil {
+		t.Fatalf("Open refused a clean v2 file: %v", err)
+	} else if _, ok := p.(*mf.Model); !ok {
+		t.Fatalf("Open made a %T of a v2 file", p)
+	}
 
 	// The streaming loader must reject the same corruptions.
 	for _, raw := range [][]byte{good[:len(good)-1], func() []byte {
@@ -241,5 +257,116 @@ func TestV1V2StillLoad(t *testing.T) {
 		if !modelsEqual(m, got) {
 			t.Errorf("%s: model changed through round trip", name)
 		}
+	}
+}
+
+// sameParams compares two parameter sets of any representation through
+// the float64 view every scorer sees, bit for bit.
+func sameParams(a, b mf.Params) bool {
+	if a.NumUsers() != b.NumUsers() || a.NumItems() != b.NumItems() ||
+		a.Dim() != b.Dim() || a.HasBias() != b.HasBias() {
+		return false
+	}
+	eq := func(x, y []float64) bool {
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for u := int32(0); u < int32(a.NumUsers()); u++ {
+		if !eq(a.UserVector(u, nil), b.UserVector(u, nil)) {
+			return false
+		}
+	}
+	for i := int32(0); i < int32(a.NumItems()); i++ {
+		if !eq(a.ItemVector(i, nil), b.ItemVector(i, nil)) ||
+			math.Float64bits(a.Bias(i)) != math.Float64bits(b.Bias(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestOpenFileDecides pins the one front door: the version word alone
+// picks the representation — v1/v2 parsed to a float64 model on the heap,
+// v3 mapped as float32 — the metadata comes back on every path (never
+// nil), and Export writes each representation back as the version Open
+// made it from, so an export re-opens to the same thing.
+func TestOpenFileDecides(t *testing.T) {
+	m := sampleModel(14, true)
+	dir := t.TempDir()
+	v1, v2, v3 := filepath.Join(dir, "v1"), filepath.Join(dir, "v2"), filepath.Join(dir, "v3")
+	if err := SaveFile(v1, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveFileWithMeta(v2, m, sampleMeta()); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveF32File(v3, mf.QuantizeF32(m), sampleMeta()); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path    string
+		want    mf.Params
+		meta    *Meta
+		mapped  bool
+		version byte // what Export must write for this representation
+	}{
+		{v1, m, &Meta{}, false, 2},
+		{v2, m, sampleMeta(), false, 2},
+		{v3, mf.QuantizeF32(m), sampleMeta(), true, 3},
+	} {
+		p, meta, err := Open(c.path)
+		if err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		if !sameParams(c.want, p) {
+			t.Errorf("%s: parameters changed", c.path)
+		}
+		if meta == nil || !metasEqual(c.meta, meta) {
+			t.Errorf("%s: meta = %+v, want %+v", c.path, meta, c.meta)
+		}
+		f32, isF32 := p.(*mf.Factors32)
+		if isF32 != c.mapped || (isF32 && !f32.Mapped()) {
+			t.Errorf("%s: opened as %T, want mapped float32 = %v", c.path, p, c.mapped)
+		}
+
+		// Export → Publish → Open is the promotion's round trip.
+		tmp, out := c.path+".promote", c.path+".out"
+		stamped := &Meta{FeedbackSeq: 41}
+		if err := Export(tmp, p, stamped); err != nil {
+			t.Fatal(err)
+		}
+		if err := Publish(tmp, out); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+			t.Errorf("%s: Publish left the temp export behind: %v", c.path, err)
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raw[8] != c.version {
+			t.Errorf("%s: Export wrote version %d, want %d", c.path, raw[8], c.version)
+		}
+		again, meta, err := Open(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameParams(p, again) || meta.FeedbackSeq != 41 {
+			t.Errorf("%s: export round trip changed the model or lost the watermark (%+v)", c.path, meta)
+		}
+	}
+
+	// A representation no format holds is refused, and leaves nothing.
+	tmp := filepath.Join(dir, "overlay.promote")
+	if err := Export(tmp, mf.NewOverlay(m), nil); err == nil {
+		t.Error("Export accepted an overlay")
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Errorf("failed Export left %s behind: %v", tmp, err)
 	}
 }

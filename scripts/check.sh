@@ -40,15 +40,18 @@ echo "trainer equivalence gate ok"
 # Short fuzz smoke over the model-file loader: a few seconds of random
 # inputs against the corrupt-file handling, on top of the seed corpus the
 # regular tests already replay. The corpus seeds all three format
-# versions, including v3 float32 files with flipped section/header bytes.
+# versions, including v3 float32 files with flipped section/header bytes;
+# each input goes through the streaming loader and, as a file, store.Open.
 go test -run='^$' -fuzz='^FuzzLoad$' -fuzztime=5s ./internal/store
 
-# Store v3 gate: round-trip, mmap load/Verify/Close, and the corruption
-# matrix (truncation at every boundary, CRC flips, non-canonical section
-# offsets) must all be clean errors, never panics. -count=1 defeats the
-# test cache so the gate always actually runs.
-go test -race -count=1 -run '^Test(SaveF32|V3|LoadMapped|V1V2)' ./internal/store
-echo "store v3 gate ok"
+# Store gate: round-trip, mmap load/Verify/Close, store.Open picking the
+# representation from the file's version and Export/Publish writing it
+# back, and the corruption matrices (truncation at every boundary, CRC
+# flips, non-canonical section offsets) through every reader including
+# Open — all clean errors, never panics. -count=1 defeats the test cache
+# so the gate always actually runs.
+go test -race -count=1 -run '^Test(SaveF32|V3|LoadMapped|V1V2|Open|LoadRejects|LoadTruncated)' ./internal/store
+echo "store gate ok"
 
 # IVF fuzz smoke: adversarial factor matrices (NaN/Inf rows, zero norms,
 # duplicates, nlist > items) against index construction and full-width
@@ -101,8 +104,12 @@ echo "cluster chaos gate ok"
 # even when the crash lands between the watermarked export and the hot
 # swap, and a failed promotion leaves the old generation serving. Under
 # the race detector: ingest, overlay rebuilds, and promotion all share
-# the consistency lock. -count=1 defeats the test cache.
+# the consistency lock. The promotion scenarios run over both a float64
+# (v2) and a float32 mapped (v3) base; the last line is the same
+# composition through cmd/clapf-serve's run(): float32 model, feedback
+# log, promotion, SIGHUP, restarts. -count=1 defeats the test cache.
 go test -race -count=1 -run '^TestFeedbackChaos' ./internal/feedback
+go test -race -count=1 -run '^TestRunFeedbackComposes' ./cmd/clapf-serve
 echo "feedback chaos gate ok"
 
 # WAL decoder fuzz smoke: random and mutated segment bodies against the
