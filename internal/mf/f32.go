@@ -167,11 +167,15 @@ func (f *Factors32) Score(u, i int32) float64 {
 // ScoreAll fills out[i] with f_ui for every item; out must have length
 // NumItems. Mirrors Model.ScoreAll with half the memory traffic.
 func (f *Factors32) ScoreAll(u int32, out []float64) {
+	if len(out) != f.numItems {
+		panic(fmt.Sprintf("mf: ScoreAll buffer has length %d, want %d", len(out), f.numItems))
+	}
 	f.ScoreRange(u, 0, f.numItems, out)
 }
 
-// ScoreRange fills out[lo:hi) with exactly the values ScoreAll computes —
-// same kernel, same accumulation order — for the blocked engine's tiles.
+// ScoreRange fills the tile out (len(out) == hi-lo, out[j] is item lo+j)
+// with exactly the values ScoreAll computes — same kernel, same
+// accumulation order — for the blocked engine's tiles.
 //
 // The sweep widens the (tiny) user row to float64 up front and scans the
 // item rows with the mixed-precision DotF64F32 kernel: one convert per
@@ -181,12 +185,6 @@ func (f *Factors32) ScoreAll(u int32, out []float64) {
 // widening is exact and the two kernels share one accumulator structure —
 // so every float32 path still agrees to the last bit.
 func (f *Factors32) ScoreRange(u int32, lo, hi int, out []float64) {
-	if lo < 0 || hi > f.numItems || lo > hi {
-		panic(fmt.Sprintf("mf: ScoreRange [%d,%d) out of range [0,%d)", lo, hi, f.numItems))
-	}
-	if len(out) != f.numItems {
-		panic(fmt.Sprintf("mf: ScoreRange buffer has length %d, want %d", len(out), f.numItems))
-	}
 	var ufbuf [64]float64
 	var uf []float64
 	if f.dim <= len(ufbuf) {
@@ -194,14 +192,7 @@ func (f *Factors32) ScoreRange(u int32, lo, hi int, out []float64) {
 	} else {
 		uf = mathx.WidenF32(f.userRow(u), nil)
 	}
-	for i := lo; i < hi; i++ {
-		off := i * f.dim
-		s := mathx.DotF64F32(uf, f.v[off:off+f.dim])
-		if f.b != nil {
-			s += float64(f.b[i])
-		}
-		out[i] = s
-	}
+	f.ScoreRangeFoldIn(uf, lo, hi, out)
 }
 
 // ScoreAllFoldIn scores every item under a folded-in float64 user vector.
@@ -209,33 +200,24 @@ func (f *Factors32) ScoreAllFoldIn(userFactors []float64, out []float64) {
 	if len(out) != f.numItems {
 		panic(fmt.Sprintf("mf: ScoreAllFoldIn buffer has length %d, want %d", len(out), f.numItems))
 	}
-	for i := 0; i < f.numItems; i++ {
-		off := i * f.dim
-		s := mathx.DotF64F32(userFactors, f.v[off:off+f.dim])
-		if f.b != nil {
-			s += float64(f.b[i])
-		}
-		out[i] = s
-	}
+	f.ScoreRangeFoldIn(userFactors, 0, f.numItems, out)
 }
 
-// ScoreRangeFoldIn fills out[lo:hi) with exactly the values ScoreAllFoldIn
-// computes — same DotF64F32 kernel, same accumulation order — so blocked
-// folded-in sweeps agree with the dense one to the last bit.
+// ScoreRangeFoldIn fills the tile out (len(out) == hi-lo, out[j] is item
+// lo+j) with exactly the values ScoreAllFoldIn computes — same DotF64F32
+// kernel, same accumulation order — so blocked folded-in sweeps agree with
+// the dense one to the last bit. It is the representation's one item scan;
+// the stored-user methods widen the user row and call it.
 func (f *Factors32) ScoreRangeFoldIn(userFactors []float64, lo, hi int, out []float64) {
-	if lo < 0 || hi > f.numItems || lo > hi {
-		panic(fmt.Sprintf("mf: ScoreRangeFoldIn [%d,%d) out of range [0,%d)", lo, hi, f.numItems))
-	}
-	if len(out) != f.numItems {
-		panic(fmt.Sprintf("mf: ScoreRangeFoldIn buffer has length %d, want %d", len(out), f.numItems))
-	}
-	for i := lo; i < hi; i++ {
+	checkTile(len(userFactors), f.dim, lo, hi, f.numItems, len(out))
+	for j := range out {
+		i := lo + j
 		off := i * f.dim
 		s := mathx.DotF64F32(userFactors, f.v[off:off+f.dim])
 		if f.b != nil {
 			s += float64(f.b[i])
 		}
-		out[i] = s
+		out[j] = s
 	}
 }
 

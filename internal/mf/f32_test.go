@@ -64,7 +64,7 @@ func TestF32ScoreRangeWindow(t *testing.T) {
 	for i := range part {
 		part[i] = math.Inf(-1)
 	}
-	f.ScoreRange(3, 4, 9, part)
+	f.ScoreRange(3, 4, 9, part[4:9])
 	for i := 0; i < n; i++ {
 		if i >= 4 && i < 9 {
 			if part[i] != full[i] {

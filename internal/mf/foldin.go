@@ -67,25 +67,29 @@ func (m *Model) ScoreFoldIn(userFactors []float64, i int32) float64 {
 // ScoreAllFoldIn fills out with scores for every item under a folded-in
 // user vector; out must have length NumItems.
 func (m *Model) ScoreAllFoldIn(userFactors []float64, out []float64) {
-	if len(out) != m.NumItems() {
-		panic(fmt.Sprintf("mf: ScoreAllFoldIn buffer has length %d, want %d", len(out), m.NumItems()))
+	if len(out) != m.numItems {
+		panic(fmt.Sprintf("mf: ScoreAllFoldIn buffer has length %d, want %d", len(out), m.numItems))
 	}
-	for i := int32(0); int(i) < m.NumItems(); i++ {
-		out[i] = m.ScoreFoldIn(userFactors, i)
-	}
+	m.ScoreRangeFoldIn(userFactors, 0, m.numItems, out)
 }
 
-// ScoreRangeFoldIn fills out[lo:hi) with exactly the values ScoreAllFoldIn
-// computes — same per-item kernel — for blocked folded-in scans.
+// ScoreRangeFoldIn fills the tile out (len(out) == hi-lo, out[j] is item
+// lo+j) with the scores of items [lo, hi) under a folded-in user vector —
+// ScoreFoldIn's values. It is the model's one item scan: ScoreAll,
+// ScoreRange and ScoreAllFoldIn are this loop under a stored or a supplied
+// user vector, which is what makes them agree bit for bit.
 func (m *Model) ScoreRangeFoldIn(userFactors []float64, lo, hi int, out []float64) {
-	if lo < 0 || hi > m.NumItems() || lo > hi {
-		panic(fmt.Sprintf("mf: ScoreRangeFoldIn [%d,%d) out of range [0,%d)", lo, hi, m.NumItems()))
-	}
-	if len(out) != m.NumItems() {
-		panic(fmt.Sprintf("mf: ScoreRangeFoldIn buffer has length %d, want %d", len(out), m.NumItems()))
-	}
-	for i := lo; i < hi; i++ {
-		out[i] = m.ScoreFoldIn(userFactors, int32(i))
+	d := m.dim
+	checkTile(len(userFactors), d, lo, hi, m.numItems, len(out))
+	uf := userFactors[:d] // both Dot operands provably d long: no bounds check per element
+	for j := range out {
+		i := lo + j
+		off := i * d
+		s := mathx.Dot(uf, m.v[off:off+d])
+		if m.b != nil {
+			s += m.b[i]
+		}
+		out[j] = s
 	}
 }
 

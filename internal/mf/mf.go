@@ -145,36 +145,31 @@ func (m *Model) ScoreAll(u int32, out []float64) {
 	if len(out) != m.numItems {
 		panic(fmt.Sprintf("mf: ScoreAll buffer has length %d, want %d", len(out), m.numItems))
 	}
-	uf := m.UserFactors(u)
-	for i := 0; i < m.numItems; i++ {
-		off := i * m.dim
-		s := mathx.Dot(uf, m.v[off:off+m.dim])
-		if m.b != nil {
-			s += m.b[i]
-		}
-		out[i] = s
-	}
+	m.ScoreRangeFoldIn(m.UserFactors(u), 0, m.numItems, out)
 }
 
-// ScoreRange fills out[lo:hi] with f_ui for items in [lo, hi). It computes
-// exactly the values ScoreAll would — same dot-product order, bit for bit —
-// so blocked callers (internal/score) can tile the item scan for cache
-// locality without perturbing any ranking downstream.
+// ScoreRange fills out — one tile, len(out) == hi-lo — with f_ui for items
+// in [lo, hi): out[j] is item lo+j. It computes exactly the values ScoreAll
+// would — same dot-product order, bit for bit — so blocked callers
+// (internal/score) can tile the item scan for cache locality, into a row's
+// window or a small reused buffer, without perturbing any ranking
+// downstream.
 func (m *Model) ScoreRange(u int32, lo, hi int, out []float64) {
-	if lo < 0 || hi > m.numItems || lo > hi {
-		panic(fmt.Sprintf("mf: ScoreRange [%d,%d) out of range [0,%d)", lo, hi, m.numItems))
+	m.ScoreRangeFoldIn(m.UserFactors(u), lo, hi, out)
+}
+
+// checkTile panics unless the user vector has the model's dimensionality,
+// [lo, hi) is a range of the numItems items and the tile buffer holds
+// exactly its hi-lo scores — a caller bug, never input.
+func checkTile(ufLen, dim, lo, hi, numItems, outLen int) {
+	if ufLen != dim {
+		panic(fmt.Sprintf("mf: user vector has dim %d, want %d", ufLen, dim))
 	}
-	if len(out) != m.numItems {
-		panic(fmt.Sprintf("mf: ScoreRange buffer has length %d, want %d", len(out), m.numItems))
+	if lo < 0 || hi > numItems || lo > hi {
+		panic(fmt.Sprintf("mf: score range [%d,%d) out of range [0,%d)", lo, hi, numItems))
 	}
-	uf := m.UserFactors(u)
-	for i := lo; i < hi; i++ {
-		off := i * m.dim
-		s := mathx.Dot(uf, m.v[off:off+m.dim])
-		if m.b != nil {
-			s += m.b[i]
-		}
-		out[i] = s
+	if outLen != hi-lo {
+		panic(fmt.Sprintf("mf: score tile has length %d, want %d", outLen, hi-lo))
 	}
 }
 

@@ -155,7 +155,7 @@ func (o *Overlay) ScoreAll(u int32, out []float64) {
 	o.base.ScoreAll(u, out)
 }
 
-// ScoreRange fills out[lo:hi) with the same values ScoreAll computes.
+// ScoreRange fills the tile out with the same values ScoreAll computes.
 func (o *Overlay) ScoreRange(u int32, lo, hi int, out []float64) {
 	if row := o.Row(u); row != nil {
 		o.base.ScoreRangeFoldIn(row, lo, hi, out)

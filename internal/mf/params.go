@@ -24,18 +24,21 @@ type Params interface {
 	// length NumItems.
 	ScoreAll(u int32, out []float64)
 
-	// ScoreRange fills out[lo:hi] with the same values ScoreAll would,
-	// bit for bit, so blocked callers can tile the item scan.
+	// ScoreRange fills one tile — len(out) == hi-lo, out[j] is item
+	// lo+j — with the same values ScoreAll would, bit for bit, so blocked
+	// callers can tile the item scan into a window of a full row or into
+	// a small buffer they reuse.
 	ScoreRange(u int32, lo, hi int, out []float64)
 
 	// ScoreAllFoldIn scores every item under a folded-in float64 user
 	// vector; out must have length NumItems.
 	ScoreAllFoldIn(userFactors []float64, out []float64)
 
-	// ScoreRangeFoldIn fills out[lo:hi) with the same values
-	// ScoreAllFoldIn would, bit for bit, so blocked callers can tile a
-	// folded-in scan the way ScoreRange tiles a stored-user scan. The
-	// online-update overlay routes updated users through it.
+	// ScoreRangeFoldIn fills one tile (len(out) == hi-lo) with the same
+	// values ScoreAllFoldIn would, bit for bit, so blocked callers can
+	// tile a folded-in scan the way ScoreRange tiles a stored-user scan.
+	// The online-update overlay routes updated users through it, and the
+	// fused exact top-K (score.Engine.TopK) scans every user through it.
 	ScoreRangeFoldIn(userFactors []float64, lo, hi int, out []float64)
 
 	// UserVector returns U_u as float64, reusing dst when it has

@@ -107,19 +107,23 @@ func isLowerHex(s string) bool {
 }
 
 // Inject writes a traceparent header identifying the context's current
-// span, so an outbound hop (the future router→shard call) continues this
-// trace. No-op when the context carries no trace.
+// span, so an outbound hop (router→shard) continues this trace. No-op when
+// the context carries no trace — or a trace that has since finished and
+// been recycled for another request: a hedge attempt that loses its race
+// can outlive its request, and must not stamp the next request's ID on its
+// own outbound call. The trace's fields are read under its lock, where
+// StartTrace writes them.
 func Inject(ctx context.Context, h http.Header) {
 	v, ok := ctx.Value(ctxKey{}).(ctxVal)
 	if !ok || v.tr == nil {
 		return
 	}
 	v.tr.mu.Lock()
-	sp := v.tr.spans[v.span].id
+	if v.gen != v.tr.gen {
+		v.tr.mu.Unlock()
+		return
+	}
+	tp := Traceparent{TraceID: v.tr.id, SpanID: v.tr.spans[v.span].id, Sampled: v.tr.sampled}
 	v.tr.mu.Unlock()
-	h.Set(Header, Traceparent{
-		TraceID: v.tr.id,
-		SpanID:  sp,
-		Sampled: v.tr.sampled,
-	}.String())
+	h.Set(Header, tp.String())
 }

@@ -110,3 +110,56 @@ func TestInject(t *testing.T) {
 		t.Errorf("inject on untraced context wrote %q", h3.Get(Header))
 	}
 }
+
+// TestInjectFromHedgeOutlivingRequest holds a hedge attempt open past its
+// request: the attempt's goroutine keeps injecting from its span context
+// while the request finishes and the pooled Trace is handed to later
+// requests. Every header it writes must carry its own request's trace ID,
+// and once the Trace has been reused it must write nothing — under -race
+// this is also the proof that Inject and StartTrace synchronize.
+func TestInjectFromHedgeOutlivingRequest(t *testing.T) {
+	tr := newTestTracer(Config{SampleRate: 1})
+	ctx, req := tr.StartTrace(context.Background(), "req")
+	hedgeCtx, _ := StartSpan(ctx, "shard:b")
+	want := req.ID()
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			h := make(http.Header)
+			Inject(hedgeCtx, h)
+			v := h.Get(Header)
+			if v == "" {
+				continue
+			}
+			if tp, ok := ParseTraceparent(v); !ok || tp.TraceID != want {
+				t.Errorf("hedge injected %q, want trace %s or nothing", v, want)
+				return
+			}
+		}
+	}()
+
+	req.Finish(200, 0)
+	reused := false
+	for i := 0; i < 100000 && !reused; i++ {
+		_, next := tr.StartTrace(context.Background(), "next")
+		reused = next == req
+		next.Finish(200, 0)
+	}
+	close(stop)
+	<-done
+	if !reused {
+		t.Skip("the pool never handed the finished trace to a later request")
+	}
+	h := make(http.Header)
+	Inject(hedgeCtx, h)
+	if v := h.Get(Header); v != "" {
+		t.Errorf("inject from a recycled trace wrote %q, want nothing", v)
+	}
+}

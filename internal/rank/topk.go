@@ -2,6 +2,14 @@
 // score vectors and rank lookups, the building blocks of both the
 // evaluation protocol (rank all unobserved items) and the rank-aware
 // samplers.
+//
+// There is one selection loop. Selector.Offer — count and drop a
+// non-finite score, reject a below-floor candidate with a local
+// comparison, push onto the bounded Heap — is what the dense
+// (TopKDropped), candidate-list (TopKEntriesDropped), IVF
+// (retrieval.Index.SearchCells) and fused exact (score.Engine.TopK) paths
+// all call, so identical inputs select identical entries and count
+// identical drops whichever path scored them.
 package rank
 
 import (
@@ -44,20 +52,13 @@ func TopKDropped(scores []float64, k int, exclude func(item int32) bool) ([]Entr
 	if k <= 0 {
 		return nil, 0
 	}
-	h := NewHeap(k)
-	dropped := 0
+	sel := NewSelector(k, nil)
 	for i, sc := range scores {
-		it := int32(i)
-		if exclude != nil && exclude(it) {
-			continue
+		if it := int32(i); exclude == nil || !exclude(it) {
+			sel.Offer(it, sc)
 		}
-		if math.IsNaN(sc) || math.IsInf(sc, 0) {
-			dropped++
-			continue
-		}
-		h.Push(Entry{Item: it, Score: sc})
 	}
-	return h.Finish(), dropped
+	return sel.Finish()
 }
 
 // TopKEntries selects the k best of the given entries under the same
@@ -82,30 +83,136 @@ func TopKEntriesDropped(es []Entry, k int) ([]Entry, int) {
 	if k <= 0 {
 		return nil, 0
 	}
-	h := NewHeap(k)
-	dropped := 0
+	sel := NewSelector(k, nil)
 	for _, e := range es {
-		if math.IsNaN(e.Score) || math.IsInf(e.Score, 0) {
-			dropped++
-			continue
-		}
-		h.Push(e)
+		sel.Offer(e.Item, e.Score)
 	}
-	return h.Finish(), dropped
+	return sel.Finish()
 }
+
+// Selector is the bounded top-k selection every ranking path shares: a
+// Heap plus the three checks that stand between a scored candidate and a
+// push. Callers stream candidates through Offer in any order; Finish
+// returns the k best, best first, and how many offered scores were
+// dropped for being non-finite. Because the Heap's order is total, the
+// result depends only on the set of offered (item, score) pairs.
+//
+// A Selector also carries the caller's exclusion list as a merge pointer
+// (Excluded, Seek), so a scan that visits ids in ascending runs filters
+// its positives without a per-item search or closure call. Excluded ids
+// are the caller's to skip — before scoring where that saves the dot
+// product (the IVF scan), after it where scores arrive a tile at a time
+// (OfferRun).
+//
+// The zero Selector is not usable; build one with NewSelector. It is a
+// value so that it can live on the caller's stack.
+type Selector struct {
+	heap Heap
+	// floor is the score of the heap's root once it holds k entries, and
+	// -Inf before that, which no finite score is below: one comparison
+	// serves both states.
+	floor   float64
+	dropped int
+	ex      []int32 // ascending item ids to skip
+	p       int     // merge pointer into ex
+}
+
+// NewSelector returns a selector retaining the k best offered entries.
+// excludeSorted is an ascending list of item ids for Excluded to report
+// (nil for none); it is read, never written.
+func NewSelector(k int, excludeSorted []int32) Selector {
+	if k < 0 {
+		k = 0
+	}
+	return Selector{
+		heap:  Heap{h: make([]Entry, 0, k), k: k},
+		floor: math.Inf(-1),
+		ex:    excludeSorted,
+	}
+}
+
+// Seek positions the exclusion merge pointer for a new ascending run of
+// ids starting at id. Excluded only ever moves the pointer forward, so a
+// scan made of several ascending runs (one per IVF cell) seeks once per
+// run.
+func (s *Selector) Seek(id int32) {
+	s.p = sort.Search(len(s.ex), func(j int) bool { return s.ex[j] >= id })
+}
+
+// Excluded reports whether id is on the exclusion list. Ids must be asked
+// about in ascending order between Seeks.
+func (s *Selector) Excluded(id int32) bool {
+	s.skipTo(id)
+	return s.p < len(s.ex) && s.ex[s.p] == id
+}
+
+// skipTo advances the merge pointer to the first excluded id >= id.
+func (s *Selector) skipTo(id int32) {
+	for s.p < len(s.ex) && s.ex[s.p] < id {
+		s.p++
+	}
+}
+
+// Offer is the selection step: a non-finite score is counted and dropped;
+// a candidate scoring below the current floor is rejected with one local
+// comparison; anything else goes to the heap, whose total order settles a
+// tie with the floor (the smaller id stays). The non-finite test comes
+// strictly first — a -Inf score must count as dropped, not silently fail
+// the floor comparison. Small enough to inline into the caller's scan
+// loop; the heap work is out of line in push.
+func (s *Selector) Offer(item int32, score float64) {
+	if score-score != 0 { // NaN or ±Inf: x-x is 0 for every finite x only
+		s.dropped++
+	} else if score >= s.floor {
+		s.push(item, score)
+	}
+}
+
+// push retains the entry and refreshes the floor once the heap is full.
+func (s *Selector) push(item int32, score float64) {
+	s.heap.Push(Entry{Item: item, Score: score})
+	if s.heap.k > 0 && s.heap.Len() == s.heap.k {
+		s.floor = s.heap.Root().Score
+	}
+}
+
+// OfferRun offers a dense run of scores — scores[j] belongs to item
+// first+j — skipping excluded ids with the merge pointer. The fused exact
+// scan feeds it one cache-resident tile at a time. The run is cut at each
+// excluded id, so between two of them the loop is Offer alone.
+func (s *Selector) OfferRun(first int32, scores []float64) {
+	for len(scores) > 0 {
+		s.skipTo(first)
+		n := len(scores) // offered before the next excluded id, if any is in the run
+		if s.p < len(s.ex) && int(s.ex[s.p]-first) < n {
+			n = int(s.ex[s.p] - first)
+		}
+		for j, sc := range scores[:n] {
+			s.Offer(first+int32(j), sc)
+		}
+		if n == len(scores) {
+			return
+		}
+		first, scores = first+int32(n)+1, scores[n+1:]
+	}
+}
+
+// Finish returns the retained entries best first and the number of
+// offered scores dropped for being non-finite. The selector must not be
+// used afterwards.
+func (s *Selector) Finish() ([]Entry, int) { return s.heap.Finish(), s.dropped }
 
 // Heap is the bounded min-heap behind every top-k selection in this
 // package: it retains the k best entries pushed so far, evicting the
 // current worst. The ordering is total — descending score, ties toward the
 // smaller item id — so the retained set, and therefore Finish's output, is
 // a pure function of the set of pushed entries, independent of push order.
-// Sharing one implementation is what lets the dense (TopKDropped),
-// candidate-list (TopKEntriesDropped), and streaming (IVF probe) paths
+// Every top-k path reaches it through a Selector, which is what lets them
 // guarantee identical selections for identical inputs.
 //
 // Pushing a NaN score corrupts the heap invariant (NaN breaks the total
-// order); callers must drop non-finite scores first, as the TopK wrappers
-// do.
+// order); callers must drop non-finite scores first, as Selector.Offer
+// does.
 type Heap struct {
 	h []Entry
 	k int
@@ -180,9 +287,8 @@ func (t *Heap) siftDown(i int) {
 func (t *Heap) Len() int { return len(t.h) }
 
 // Root returns the worst retained entry — the one the next successful
-// Push would evict. It is only meaningful once Len() == k; hot loops use
-// it to reject below-floor candidates with a local comparison instead of
-// a Push call.
+// Push would evict. It is only meaningful once Len() == k; it is the floor
+// a Selector rejects candidates against without a Push call.
 func (t *Heap) Root() Entry { return t.h[0] }
 
 // Finish sorts the retained entries best-first (descending score, ties

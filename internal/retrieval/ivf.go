@@ -220,42 +220,28 @@ func (ix *Index) Search(uf []float64, k, nprobe int, excludeSorted []int32) ([]r
 // SearchCells is the scoring half of Search: exactly re-rank the members
 // of the given cells (a ProbeCells result) and return the top k. Splitting
 // the phases lets the serve path time candidate selection ("probe") and
-// scan-plus-select ("score") as separate trace stages.
+// scan-plus-select ("score") as separate trace stages. Exclusion,
+// non-finite drop-and-count, floor rejection and the heap are the shared
+// rank.Selector's — the same selection the exact scan runs.
 func (ix *Index) SearchCells(uf []float64, cells []int32, k int, excludeSorted []int32) ([]rank.Entry, int) {
 	if k <= 0 {
 		return nil, 0 // mirror rank.TopKDropped: no selection, no counting
 	}
-	h := rank.NewHeap(k)
-	dropped := 0
+	sel := rank.NewSelector(k, excludeSorted)
 	d, stride := ix.dim, ix.dim+1
-	ex, lp := excludeSorted, len(excludeSorted)
-	// Floor-rejection fast path: once the heap is full, a candidate that
-	// would not displace the root is dropped with a local comparison
-	// instead of a Push call. The floor refreshes after every real push.
-	full := false
-	var floorScore float64
-	var floorItem int32
 	for _, c := range cells {
 		lo, hi := int(ix.offsets[c]), int(ix.offsets[c+1])
 		if lo == hi {
 			continue
 		}
-		// Ids ascend within a cell, so one binary search positions a
-		// merge pointer for the whole span.
-		p := lp
-		if lp > 0 {
-			first := ix.ids[lo]
-			p = sort.Search(lp, func(j int) bool { return ex[j] >= first })
-		}
+		// Ids ascend within a cell, so one seek positions the selector's
+		// exclusion merge pointer for the whole span; an excluded id is
+		// skipped before its dot product is paid for.
+		sel.Seek(ix.ids[lo])
 		for j := lo; j < hi; j++ {
 			id := ix.ids[j]
-			if p < lp {
-				for p < lp && ex[p] < id {
-					p++
-				}
-				if p < lp && ex[p] == id {
-					continue
-				}
+			if sel.Excluded(id) {
+				continue
 			}
 			off := j * stride
 			// The branch is taken the same way for every candidate of a
@@ -269,24 +255,10 @@ func (ix *Index) SearchCells(uf []float64, cells []int32, k int, excludeSorted [
 				row := ix.packed[off : off+stride]
 				s = mathx.Dot(uf, row[:d]) + row[d]
 			}
-			// Non-finite check strictly before floor rejection: a -Inf
-			// score must count as dropped (as the dense path counts it),
-			// not silently fail the floor comparison.
-			if math.IsNaN(s) || math.IsInf(s, 0) {
-				dropped++
-				continue
-			}
-			if full && (s < floorScore || (s == floorScore && id > floorItem)) {
-				continue
-			}
-			h.Push(rank.Entry{Item: id, Score: s})
-			if r := h.Root(); full || h.Len() == k {
-				floorScore, floorItem = r.Score, r.Item
-				full = true
-			}
+			sel.Offer(id, s)
 		}
 	}
-	return h.Finish(), dropped
+	return sel.Finish()
 }
 
 // augmentItems maps every item onto the common-norm sphere: row i is

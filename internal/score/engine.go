@@ -8,15 +8,20 @@
 // item-factor matrix V through the cache hierarchy once per user; scoring a
 // batch with the item loop *outside* the user loop keeps each block of V
 // hot across the entire batch, so V is effectively read once per batch
-// block instead of once per user. Engine packages that blocked kernel plus
-// a worker pool for large batches, and is reused by the HTTP serve path
-// (/recommend and /recommend/batch), the evaluation protocol, and
-// clapf-bench.
+// block instead of once per user. Engine packages that blocked kernel in
+// two forms. ScoreUsers materialises full score rows — what the evaluation
+// protocol and clapf-bench need, since they read every score. TopK,
+// TopKFoldIn and TopKUsers are the serve path's exact retrieval: one
+// streaming pass that scores a small tile of items and offers each score
+// straight to a rank.Selector, so a request that keeps ten items never
+// allocates, writes or re-reads a NumItems-sized row.
 //
-// Every method computes bit-identical values to mf.Model.ScoreAll — the
-// per-item dot products are the same operations in the same order — so
-// swapping the engine into a ranking path can never change a result, only
-// its cost.
+// Both forms tile through mf.Params.ScoreRange/ScoreRangeFoldIn, which are
+// tile-relative (the output has length hi-lo): ScoreUsers hands them a
+// window of each row, the fused scan one small reused buffer. Every method
+// computes bit-identical values to mf.Model.ScoreAll — the per-item dot
+// products are the same operations in the same order — so swapping the
+// engine into a ranking path can never change a result, only its cost.
 package score
 
 import (
@@ -25,6 +30,7 @@ import (
 	"sync"
 
 	"clapf/internal/mf"
+	"clapf/internal/rank"
 )
 
 // blockBytes is the target footprint of one item-factor block. 32 KiB
@@ -36,15 +42,18 @@ const blockBytes = 32 << 10
 // don't degenerate into per-item loop overhead.
 const minBlockItems = 16
 
+// tileItems is the fused scan's tile: 512 scores are 4 KB, which stays in
+// L1 between the kernel writing them and the selector reading them.
+const tileItems = 512
+
 // Engine scores users against one immutable parameter set — a float64
 // mf.Model or a float32 mf.Factors32; the blocked kernel is generic over
 // mf.Params. It is stateless beyond its configuration, safe for concurrent
 // use, and cheap to construct — the serve path builds a fresh Engine on
 // every model swap.
 type Engine struct {
-	m       mf.Params
-	block   int // items per blocked-kernel tile
-	workers int // max goroutines for ScoreUsersParallel
+	m     mf.Params
+	block int // items per ScoreUsers tile
 }
 
 // Option configures an Engine.
@@ -61,25 +70,14 @@ func WithBlockItems(n int) Option {
 	}
 }
 
-// WithWorkers bounds the goroutines ScoreUsersParallel may use. n < 1
-// keeps the default of GOMAXPROCS.
-func WithWorkers(n int) Option {
-	return func(e *Engine) {
-		if n >= 1 {
-			e.workers = n
-		}
-	}
-}
-
 // NewEngine builds an engine over any parameter set. The default block
 // size targets blockBytes of item factors per tile — sized by the
 // representation's element width, so a float32 model fits twice the items
-// per tile; the default worker cap is GOMAXPROCS.
+// per tile.
 func NewEngine(m mf.Params, opts ...Option) *Engine {
 	e := &Engine{
-		m:       m,
-		block:   blockBytes / (m.ElemBytes() * m.Dim()),
-		workers: runtime.GOMAXPROCS(0),
+		m:     m,
+		block: blockBytes / (m.ElemBytes() * m.Dim()),
 	}
 	if e.block < minBlockItems {
 		e.block = minBlockItems
@@ -106,47 +104,119 @@ func (e *Engine) ScoreUsers(users []int32, out [][]float64) {
 		panic(fmt.Sprintf("score: %d output rows for %d users", len(out), len(users)))
 	}
 	m := e.m.NumItems()
+	for ui := range users {
+		if len(out[ui]) != m {
+			panic(fmt.Sprintf("score: output row %d has length %d, want %d", ui, len(out[ui]), m))
+		}
+	}
 	for lo := 0; lo < m; lo += e.block {
 		hi := lo + e.block
 		if hi > m {
 			hi = m
 		}
 		for ui, u := range users {
-			e.m.ScoreRange(u, lo, hi, out[ui])
+			e.m.ScoreRange(u, lo, hi, out[ui][lo:hi])
 		}
 	}
 }
 
-// ScoreUsersParallel shards the batch across up to WithWorkers goroutines,
-// each running the blocked kernel over its contiguous share. Row i of out
-// always corresponds to users[i], so results are identical to ScoreUsers
-// for any worker count.
-func (e *Engine) ScoreUsersParallel(users []int32, out [][]float64) {
-	if len(out) < len(users) {
-		panic(fmt.Sprintf("score: %d output rows for %d users", len(out), len(users)))
+// TopK returns user u's k best items outside excludeSorted (an ascending
+// id list, nil for none), best first, and how many scores were dropped for
+// being non-finite: entries and count are bit-identical to
+// rank.TopKDropped over ScoreAll(u), without the score row. The scan runs
+// under u's factor vector through the fold-in kernel — on every parameter
+// representation ScoreAll(u) and ScoreAllFoldIn(UserVector(u)) are the
+// same operations in the same order.
+func (e *Engine) TopK(u int32, k int, excludeSorted []int32) ([]rank.Entry, int) {
+	return e.TopKFoldIn(e.m.UserVector(u, nil), k, excludeSorted)
+}
+
+// TopKFoldIn is TopK for a caller-supplied (folded-in) user vector.
+func (e *Engine) TopKFoldIn(userFactors []float64, k int, excludeSorted []int32) ([]rank.Entry, int) {
+	if k <= 0 {
+		return nil, 0 // mirror rank.TopKDropped: no selection, no counting
 	}
-	workers := e.workers
-	if workers > len(users) {
-		workers = len(users)
-	}
-	if workers <= 1 {
-		e.ScoreUsers(users, out)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (len(users) + workers - 1) / workers
-	for start := 0; start < len(users); start += chunk {
-		end := start + chunk
-		if end > len(users) {
-			end = len(users)
+	qs := [1]query{{uf: userFactors, sel: rank.NewSelector(k, excludeSorted)}}
+	e.sweep(qs[:])
+	return qs[0].sel.Finish()
+}
+
+// TopKQuery is one known-user request of a TopKUsers batch.
+type TopKQuery struct {
+	User          int32
+	K             int
+	ExcludeSorted []int32 // ascending ids to skip; nil for none
+}
+
+// TopKResult is one query's answer: what TopK returns.
+type TopKResult struct {
+	Entries []rank.Entry
+	Dropped int
+}
+
+// TopKUsers answers a batch of queries with the blocked sweep: the item
+// tile is the outer loop and the queries the inner one, so each tile of V
+// is read once for the whole batch, and every query owns one selector.
+// Adjacent queries for the same user share that user's tile scores. The
+// batch is split into contiguous shares across up to GOMAXPROCS
+// goroutines; result i always answers qs[i], identical to TopK for any
+// worker count.
+func (e *Engine) TopKUsers(qs []TopKQuery) []TopKResult {
+	work := make([]query, len(qs))
+	for i, q := range qs {
+		if i > 0 && q.User == qs[i-1].User {
+			work[i].uf, work[i].shared = work[i-1].uf, true
+		} else {
+			work[i].uf = e.m.UserVector(q.User, nil)
 		}
+		work[i].sel = rank.NewSelector(q.K, q.ExcludeSorted)
+	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(work)))
+	chunk := (len(work) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for start := 0; start < len(work); start += chunk {
+		share := work[start:min(start+chunk, len(work))]
+		share[0].shared = false // the previous query's tile lives in another goroutine
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			e.ScoreUsers(users[lo:hi], out[lo:hi])
-		}(start, end)
+			e.sweep(share)
+		}()
 	}
 	wg.Wait()
+	out := make([]TopKResult, len(qs))
+	for i := range work {
+		if qs[i].K > 0 {
+			out[i].Entries, out[i].Dropped = work[i].sel.Finish()
+		}
+	}
+	return out
+}
+
+// query is one selector riding the fused sweep under one user vector.
+type query struct {
+	uf     []float64
+	sel    rank.Selector
+	shared bool // same vector as the previous query: reuse its tile scores
+}
+
+// sweep is the fused exact scan: stream the catalog once, a tile at a
+// time, scoring the tile under each query's vector with the parameter
+// set's own per-item kernel and offering the scores to that query's
+// selector while they are still in L1.
+func (e *Engine) sweep(qs []query) {
+	var tile [tileItems]float64
+	m := e.m.NumItems()
+	for lo := 0; lo < m; lo += tileItems {
+		t := tile[:min(tileItems, m-lo)]
+		for i := range qs {
+			q := &qs[i]
+			if !q.shared {
+				e.m.ScoreRangeFoldIn(q.uf, lo, lo+len(t), t)
+			}
+			q.sel.OfferRun(int32(lo), t)
+		}
+	}
 }
 
 // NewScoreRows allocates a batch output buffer: rows score rows of

@@ -61,25 +61,6 @@ func TestScoreUsersMatchesScoreAll(t *testing.T) {
 	}
 }
 
-func TestScoreUsersParallelMatchesSequential(t *testing.T) {
-	m := testModel(t, 50, 83, 5)
-	users := []int32{3, 1, 4, 1, 5, 9, 2, 6, 49, 0, 11, 17}
-	seq := NewScoreRows(len(users), m.NumItems())
-	NewEngine(m, WithWorkers(1)).ScoreUsers(users, seq)
-	for _, workers := range []int{2, 3, 8, 64} {
-		par := NewScoreRows(len(users), m.NumItems())
-		NewEngine(m, WithWorkers(workers)).ScoreUsersParallel(users, par)
-		for r := range users {
-			for i := range par[r] {
-				if par[r][i] != seq[r][i] {
-					t.Fatalf("workers=%d row %d item %d: %v != %v",
-						workers, r, i, par[r][i], seq[r][i])
-				}
-			}
-		}
-	}
-}
-
 func TestScoreAllDelegates(t *testing.T) {
 	m := testModel(t, 4, 31, 3)
 	e := NewEngine(m)
@@ -144,7 +125,7 @@ func BenchmarkScoreUsersBlocked(b *testing.B) {
 	m := benchModel(b)
 	users := benchUsers(m, 64)
 	out := NewScoreRows(len(users), m.NumItems())
-	e := NewEngine(m, WithWorkers(1))
+	e := NewEngine(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.ScoreUsers(users, out)

@@ -1,0 +1,240 @@
+package score
+
+import (
+	"fmt"
+	"math"
+	"runtime"
+	"testing"
+
+	"clapf/internal/mathx"
+	"clapf/internal/mf"
+	"clapf/internal/rank"
+)
+
+// plantedModel is a random catalog with the rows the fused scan could get
+// wrong planted in it. With biases: NaN, +Inf and -Inf scores for every
+// user (one -Inf in the last tile, where the heap is long full and the
+// score would merely fail the floor test if it were not counted first),
+// and four identical best-scoring rows straddling the first tile boundary,
+// so a k that cuts the tie must keep the smaller ids. Without biases a NaN
+// factor poisons one row.
+func plantedModel(seed uint64, items int, useBias bool) *mf.Model {
+	m := mf.MustNew(mf.Config{NumUsers: 9, NumItems: items, Dim: 6, UseBias: useBias, InitStd: 0.1})
+	m.InitGaussian(mathx.NewRNG(seed), 0.1)
+	if !useBias {
+		m.ItemFactors(int32(items / 2))[3] = math.NaN()
+		return m
+	}
+	for i := 0; i < items; i++ {
+		m.AddBias(int32(i), 0.01*float64(i%13))
+	}
+	m.AddBias(0, math.Inf(-1))
+	m.AddBias(int32(items/3), math.NaN())
+	m.AddBias(int32(items/2), math.Inf(1))
+	m.AddBias(int32(items-2), math.Inf(-1))
+	if items > tileItems+2 {
+		for i := tileItems - 2; i < tileItems+2; i++ {
+			copy(m.ItemFactors(int32(i)), m.ItemFactors(tileItems))
+			m.AddBias(int32(i), 50-m.Bias(int32(i)))
+		}
+	}
+	return m
+}
+
+// twoPass is the reference the fused scan replaced: materialise the score
+// row, then select from it.
+func twoPass(scores []float64, k int, excludeSorted []int32) ([]rank.Entry, int) {
+	ex := make(map[int32]bool, len(excludeSorted))
+	for _, i := range excludeSorted {
+		ex[i] = true
+	}
+	return rank.TopKDropped(scores, k, func(i int32) bool { return ex[i] })
+}
+
+func sameTopK(t *testing.T, label string, got []rank.Entry, gotDropped int, want []rank.Entry, wantDropped int) {
+	t.Helper()
+	if gotDropped != wantDropped {
+		t.Fatalf("%s: dropped %d, want %d", label, gotDropped, wantDropped)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Item != want[i].Item || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("%s: entry %d = %+v, want %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestFusedTopKBitIdentical is the contract of the fused exact scan: for
+// every parameter representation, over catalogs whose size is not a tile
+// multiple, TopK, TopKFoldIn and TopKUsers return the same entries — ids
+// and score bits — and the same dropped count as rank.TopKDropped over the
+// materialised ScoreAll row.
+func TestFusedTopKBitIdentical(t *testing.T) {
+	prev := runtime.GOMAXPROCS(3) // make TopKUsers fan out
+	defer runtime.GOMAXPROCS(prev)
+
+	for _, items := range []int{100, tileItems, tileItems + 1, 2*tileItems + 37} {
+		for _, useBias := range []bool{true, false} {
+			m := plantedModel(uint64(items), items, useBias)
+			f32 := mf.QuantizeF32(m)
+			reps := map[string]mf.Params{"f64": m, "f32": f32}
+			for name, base := range map[string]mf.Params{"overlay-f64": m, "overlay-f32": f32} {
+				ov := mf.NewOverlay(base)
+				for _, u := range []int32{1, 4} {
+					row := make([]float64, m.Dim())
+					for q := range row {
+						row[q] = 0.3 * float64(int(u)-q)
+					}
+					if err := ov.Set(u, row); err != nil {
+						t.Fatal(err)
+					}
+				}
+				reps[name] = ov
+			}
+			for name, p := range reps {
+				checkFused(t, fmt.Sprintf("%s items=%d bias=%v", name, items, useBias), p)
+			}
+		}
+	}
+}
+
+func checkFused(t *testing.T, label string, p mf.Params) {
+	t.Helper()
+	n := p.NumItems()
+	e := NewEngine(p)
+	rng := mathx.NewRNG(uint64(n))
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	scoreable := 0
+	probe := make([]float64, n)
+	p.ScoreAll(0, probe)
+	for _, s := range probe {
+		if !math.IsNaN(s) && !math.IsInf(s, 0) {
+			scoreable++
+		}
+	}
+	excludes := map[string][]int32{
+		"none":  nil,
+		"empty": {},
+		"all":   all,
+		// The tied rows' smaller ids and a planted -Inf excluded: exclusion
+		// must win over both the tie and the drop count.
+		"planted": {0, int32(min(n-1, tileItems-2)), int32(n - 1)},
+	}
+	var sparse []int32
+	for i := 0; i < n; i++ {
+		if rng.Intn(7) == 0 {
+			sparse = append(sparse, int32(i))
+		}
+	}
+	excludes["sparse"] = sparse
+
+	scores := make([]float64, n)
+	var batch []TopKQuery
+	var batchWant []TopKResult
+	for u := int32(0); u < int32(p.NumUsers()); u++ {
+		p.ScoreAll(u, scores)
+		for exName, ex := range excludes {
+			for _, k := range []int{0, 1, 2, 3, 10, scoreable + 5} {
+				want, wantDropped := twoPass(scores, k, ex)
+				at := fmt.Sprintf("%s u=%d k=%d exclude=%s", label, u, k, exName)
+
+				got, dropped := e.TopK(u, k, ex)
+				sameTopK(t, "TopK "+at, got, dropped, want, wantDropped)
+
+				got, dropped = e.TopKFoldIn(p.UserVector(u, nil), k, ex)
+				sameTopK(t, "TopKFoldIn "+at, got, dropped, want, wantDropped)
+
+				batch = append(batch, TopKQuery{User: u, K: k, ExcludeSorted: ex})
+				batchWant = append(batchWant, TopKResult{Entries: want, Dropped: wantDropped})
+			}
+		}
+	}
+	// One batch of every query above: same-user queries are adjacent, so
+	// the shared-tile path runs, across share boundaries too.
+	for i, res := range e.TopKUsers(batch) {
+		at := fmt.Sprintf("TopKUsers %s query %d (u=%d k=%d)", label, i, batch[i].User, batch[i].K)
+		sameTopK(t, at, res.Entries, res.Dropped, batchWant[i].Entries, batchWant[i].Dropped)
+	}
+	if got := e.TopKUsers(nil); len(got) != 0 {
+		t.Fatalf("%s: empty batch returned %d results", label, len(got))
+	}
+}
+
+// TestScoreAllIsFoldInOfUserVector pins what lets the fused scan run every
+// user through the fold-in kernel: on all three representations
+// ScoreAll(u) and ScoreAllFoldIn(UserVector(u)) are the same bits.
+func TestScoreAllIsFoldInOfUserVector(t *testing.T) {
+	for _, useBias := range []bool{true, false} {
+		m := plantedModel(5, 300, useBias)
+		ov := mf.NewOverlay(m)
+		if err := ov.Set(2, []float64{1, -2, 3, -4, 5, -6}); err != nil {
+			t.Fatal(err)
+		}
+		for name, p := range map[string]mf.Params{"f64": m, "f32": mf.QuantizeF32(m), "overlay": ov} {
+			a, b := make([]float64, p.NumItems()), make([]float64, p.NumItems())
+			for u := int32(0); u < int32(p.NumUsers()); u++ {
+				p.ScoreAll(u, a)
+				p.ScoreAllFoldIn(p.UserVector(u, nil), b)
+				for i := range a {
+					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+						t.Fatalf("%s bias=%v u=%d item %d: ScoreAll %v, fold-in of the user vector %v",
+							name, useBias, u, i, a[i], b[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// The exact-retrieval kernel at the benchmark's catalog shape: 26 744
+// items × 16 factors, k = 10, ~150 excluded ids. "two-pass" is what the
+// serve path did before the fused scan — allocate the row, ScoreAll, then
+// rank.TopKDropped with a merge-pointer closure.
+func benchExactTopK(b *testing.B, p mf.Params) {
+	const k = 10
+	rng := mathx.NewRNG(3)
+	var exclude []int32
+	for i := 0; i < p.NumItems(); i++ {
+		if rng.Intn(p.NumItems()/150) == 0 {
+			exclude = append(exclude, int32(i))
+		}
+	}
+	e := NewEngine(p)
+	b.Run("two-pass", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			scores := make([]float64, p.NumItems())
+			e.ScoreAll(int32(i%p.NumUsers()), scores)
+			idx := 0
+			benchSink, _ = rank.TopKDropped(scores, k, func(it int32) bool {
+				for idx < len(exclude) && exclude[idx] < it {
+					idx++
+				}
+				return idx < len(exclude) && exclude[idx] == it
+			})
+		}
+	})
+	b.Run("fused", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink, _ = e.TopK(int32(i%p.NumUsers()), k, exclude)
+		}
+	})
+}
+
+var benchSink []rank.Entry
+
+func benchCatalog() *mf.Model {
+	m := mf.MustNew(mf.Config{NumUsers: 256, NumItems: 26744, Dim: 16, UseBias: true, InitStd: 0.1})
+	m.InitGaussian(mathx.NewRNG(1), 0.1)
+	return m
+}
+
+func BenchmarkExactTopKF64(b *testing.B) { benchExactTopK(b, benchCatalog()) }
+
+func BenchmarkExactTopKF32(b *testing.B) { benchExactTopK(b, mf.QuantizeF32(benchCatalog())) }

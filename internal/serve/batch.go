@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"clapf/internal/obs/trace"
@@ -53,10 +55,11 @@ type BatchResponse struct {
 // (topKForUser), so under IVF a batch probes the index per entry instead
 // of silently falling back to dense scoring, and every cache key carries
 // the mode. In exact mode the cache misses are additionally collected and
-// scored together through the engine's blocked batch kernel, which reads
-// each tile of the item-factor matrix once for the whole batch instead of
-// once per user (the IVF path already reads only the probed cells, so
-// there is no shared sweep to batch).
+// answered together by the engine's fused batch sweep, which reads each
+// tile of the item-factor matrix once for the whole batch instead of once
+// per user and keeps one top-K selector per entry instead of one score row
+// per user (the IVF path already reads only the probed cells, so there is
+// no shared sweep to batch).
 func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBody)
@@ -88,18 +91,15 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	results := make([]BatchResult, len(req.Requests))
 
 	// Pass 1: validate every entry, answer cache hits, and collect the
-	// known users that still need scoring (deduped across entries — two
-	// entries for the same user share one score row). Each entry runs
-	// under its own "entry" span (note = entry index) so a slow batch
-	// shows which member dragged it down; cold-start stages nest inside.
+	// known-user entries that still need scoring. Each entry runs under
+	// its own "entry" span (note = entry index) so a slow batch shows
+	// which member dragged it down; cold-start stages nest inside.
 	type pendingKnown struct {
 		idx int
 		u   int32
 		k   int
 	}
 	var pending []pendingKnown
-	rowOf := make(map[int32]int) // user -> index into the score batch
-	var missUsers []int32
 	for idx := range req.Requests {
 		ectx, esp := trace.StartSpan(ctx, "entry")
 		if esp.Active() {
@@ -144,10 +144,6 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 				if st.cache != nil {
 					s.cacheMisses.Inc()
 				}
-				if _, ok := rowOf[u]; !ok {
-					rowOf[u] = len(missUsers)
-					missUsers = append(missUsers, u)
-				}
 				pending = append(pending, pendingKnown{idx: idx, u: u, k: k})
 			case len(e.Items) > 0:
 				history, err := dedupeIDs(e.Items, st.params.NumItems(), s.MaxHistory)
@@ -168,19 +164,25 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Pass 2 (exact mode only — IVF entries were fully answered in pass 1):
-	// one blocked, parallel scoring sweep over the cache misses. The sweep
-	// serves many entries at once, so its stages attach to the request
-	// root, not to any single entry span.
-	if len(missUsers) > 0 {
-		sp := trace.StartSpanNoCtx(ctx, "score")
-		rows := score.NewScoreRows(len(missUsers), st.params.NumItems())
-		st.eng.ScoreUsersParallel(missUsers, rows)
+	// one blocked, parallel fused sweep over the cache misses, a selector
+	// per entry. Entries for the same user are made adjacent so they share
+	// one scan of each tile. The sweep serves many entries at once, so its
+	// stages attach to the request root, not to any single entry span.
+	if len(pending) > 0 {
+		sp := trace.StartSpanNoCtx(ctx, "merge")
+		slices.SortStableFunc(pending, func(a, b pendingKnown) int { return cmp.Compare(a.u, b.u) })
+		queries := make([]score.TopKQuery, len(pending))
+		for i, p := range pending {
+			queries[i] = score.TopKQuery{User: p.u, K: p.k, ExcludeSorted: s.positivesFor(p.u)}
+		}
 		sp.End()
-		sp = trace.StartSpanNoCtx(ctx, "topk")
-		for _, p := range pending {
-			u := p.u
-			items := s.rankTopK(rows[rowOf[u]], p.k, excludeSorted(s.positivesFor(u)))
-			s.cacheEvictions.Add(uint64(st.cache.put(cacheKey{user: u, k: p.k, mode: st.mode}, items)))
+		sp = trace.StartSpanNoCtx(ctx, "score")
+		ranked := st.eng.TopKUsers(queries)
+		sp.End()
+		sp = trace.StartSpanNoCtx(ctx, "cache")
+		for i, p := range pending {
+			items := s.countDropped(ranked[i].Entries, ranked[i].Dropped)
+			s.cacheEvictions.Add(uint64(st.cache.put(cacheKey{user: p.u, k: p.k, mode: st.mode}, items)))
 			results[p.idx].Items = items
 		}
 		sp.End()

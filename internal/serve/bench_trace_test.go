@@ -12,7 +12,7 @@ import (
 // on the full /recommend pipeline.
 func benchRecommend(b *testing.B, traced bool) {
 	s, _ := testServer(b)
-	s.SetCacheSize(0) // priced path is the full score/topk pipeline
+	s.SetCacheSize(0) // priced path is the full merge/score pipeline
 	s.SetTracing(traced)
 	if traced {
 		s.Tracer().SetSampleRate(0.01) // production default

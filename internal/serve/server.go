@@ -28,7 +28,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -67,7 +67,10 @@ type liveState struct {
 	eng     *score.Engine
 	mode    retrieval.Mode
 	index   *retrieval.Index // nil in exact mode
-	cache   *resultCache
+	// indexCfg is the configuration index was built under; with base it
+	// decides whether the next install may carry the index over.
+	indexCfg retrieval.Config
+	cache    *resultCache
 }
 
 // DefaultCacheSize bounds the per-generation top-K result cache.
@@ -399,7 +402,11 @@ func (s *Server) SetRetrieval(mode retrieval.Mode, cfg retrieval.Config) error {
 
 // install builds and publishes the liveState for base parameter set m:
 // the online-update overlay when feedback is enabled, the scoring engine,
-// the retrieval index when IVF mode is on, plus an empty result cache.
+// the retrieval index when IVF mode is on, plus an empty result cache. The
+// index is a function of the base's item parameters — which an overlay
+// never changes — and the retrieval config, so a reinstall over the same
+// base under the same config (EnableFeedback after SetRetrieval) carries
+// the previous state's index over instead of rebuilding it.
 // Publishing the bundle through one pointer store is what makes cache and
 // index invalidation atomic with the model swap. Callers must hold swapMu
 // (or, in New, be the only goroutine that can see the server).
@@ -434,11 +441,16 @@ func (s *Server) install(m mf.Params, folded uint64) error {
 	}
 	st.eng = score.NewEngine(st.params)
 	if st.mode == retrieval.ModeIVF {
-		ix, err := retrieval.BuildIVF(st.params, s.retr.Load().cfg)
-		if err != nil {
-			return fmt.Errorf("serve: building IVF index: %w", err)
+		st.indexCfg = s.retr.Load().cfg
+		if prev := s.live.Load(); prev != nil && prev.index != nil && prev.base == m && prev.indexCfg == st.indexCfg {
+			st.index = prev.index
+		} else {
+			ix, err := retrieval.BuildIVF(m, st.indexCfg)
+			if err != nil {
+				return fmt.Errorf("serve: building IVF index: %w", err)
+			}
+			st.index = ix
 		}
-		st.index = ix
 	}
 	s.live.Store(st)
 	return nil
@@ -720,12 +732,14 @@ func (s *Server) recommendKnown(ctx context.Context, w http.ResponseWriter, user
 // topKForUser answers a known-user top-K from st's cache when possible,
 // scoring and filling the cache otherwise. All counters (hits, misses,
 // evictions, non-finite drops) are maintained here so the single and batch
-// paths report identically. Each phase is a trace stage. Exact mode:
-// "cache" (lookup, and the fill put on a miss), "score", "merge"
-// (exclusion construction — the per-item filtering itself is fused into
-// the top-K scan and attributed to "topk"), and "topk". IVF mode: "cache",
-// "probe" (centroid scan and cell selection), then "score" (the pruned
-// exact re-rank, with exclusion and top-K selection fused into the scan).
+// paths report identically. Each phase is a trace stage, the same
+// vocabulary in both modes: "cache" (lookup, and the fill put on a miss),
+// then in exact mode "merge" (the user's exclusion list) and "score" — the
+// engine's fused scan: a tile of items is scored and offered straight to
+// the top-K selector, so exclusion and selection are part of the scan and
+// no score row exists; in IVF mode "probe" (centroid scan and cell
+// selection) and "score" (the pruned exact re-rank, exclusion and
+// selection fused into it the same way).
 func (s *Server) topKForUser(ctx context.Context, st *liveState, u int32, k int) []Item {
 	key := cacheKey{user: u, k: k, mode: st.mode}
 	sp := trace.StartSpanNoCtx(ctx, "cache")
@@ -738,27 +752,25 @@ func (s *Server) topKForUser(ctx context.Context, st *liveState, u int32, k int)
 	if st.cache != nil {
 		s.cacheMisses.Inc()
 	}
+	var top []rank.Entry
+	var dropped int
 	if st.mode == retrieval.ModeIVF {
 		uf := st.params.UserVector(u, nil)
 		sp = trace.StartSpanNoCtx(ctx, "probe")
 		cells := st.index.ProbeCells(uf, 0)
 		sp.End()
 		sp = trace.StartSpanNoCtx(ctx, "score")
-		top, dropped := st.index.SearchCells(uf, cells, k, s.positivesFor(u))
+		top, dropped = st.index.SearchCells(uf, cells, k, s.positivesFor(u))
 		sp.End()
-		items = s.countDropped(top, dropped)
 	} else {
-		sp = trace.StartSpanNoCtx(ctx, "score")
-		scores := make([]float64, st.params.NumItems())
-		st.eng.ScoreAll(u, scores)
-		sp.End()
 		sp = trace.StartSpanNoCtx(ctx, "merge")
-		exclude := excludeSorted(s.positivesFor(u))
+		pos := s.positivesFor(u)
 		sp.End()
-		sp = trace.StartSpanNoCtx(ctx, "topk")
-		items = s.rankTopK(scores, k, exclude)
+		sp = trace.StartSpanNoCtx(ctx, "score")
+		top, dropped = st.eng.TopK(u, k, pos)
 		sp.End()
 	}
+	items = s.countDropped(top, dropped)
 	sp = trace.StartSpanNoCtx(ctx, "cache")
 	s.cacheEvictions.Add(uint64(st.cache.put(key, items)))
 	sp.End()
@@ -782,39 +794,14 @@ func (s *Server) positivesFor(u int32) []int32 {
 	return pos
 }
 
-// excludeSorted builds a TopK exclusion over a sorted id list. rank.TopK
-// visits items in increasing order (part of its contract), so one merge
-// pointer replaces a binary search per item — profiling showed the
-// per-item IsPositive search was ~30% of serve-path CPU.
-func excludeSorted(pos []int32) func(int32) bool {
-	idx := 0
-	return func(i int32) bool {
-		for idx < len(pos) && pos[idx] < i {
-			idx++
-		}
-		return idx < len(pos) && pos[idx] == i
-	}
-}
-
-// countDropped is rankTopK's accounting for the IVF path, where exclusion
-// and selection are fused into the index scan and the non-finite drop
-// count comes back alongside the entries.
-func (s *Server) countDropped(top []rank.Entry, dropped int) []Item {
-	if dropped > 0 {
-		s.nonfinite.Add(uint64(dropped))
-		s.log.Warn("dropped non-finite scores from ranking",
-			"dropped", dropped, "generation", s.generation.Load())
-	}
-	return toItems(top)
-}
-
-// rankTopK is the one funnel every serve-path ranking goes through: TopK
-// with non-finite scores dropped, counted, and logged. A nonzero
+// countDropped is the one funnel every serve-path ranking goes through:
+// exclusion and selection are fused into the scan (the engine's or the
+// index's), which hands back the entries and how many scores it dropped
+// for being non-finite; the drops are counted and logged here. A nonzero
 // clapf_nonfinite_scores_total means the live model carries NaN/Inf
 // parameters (diverged run, bit-flipped file) — worth an alert, not a
 // silent mis-ranking.
-func (s *Server) rankTopK(scores []float64, k int, exclude func(int32) bool) []Item {
-	top, dropped := rank.TopKDropped(scores, k, exclude)
+func (s *Server) countDropped(top []rank.Entry, dropped int) []Item {
 	if dropped > 0 {
 		s.nonfinite.Add(uint64(dropped))
 		s.log.Warn("dropped non-finite scores from ranking",
@@ -840,12 +827,12 @@ func (s *Server) recommendColdStart(ctx context.Context, w http.ResponseWriter, 
 
 // topKColdStart folds a (deduped) history into user factors and ranks all
 // items outside it. Cold-start results are never cached: the history is
-// the key and its space is unbounded. Stages in exact mode: "foldin"
-// (ridge solve), "merge" (history exclusion set), "score", "topk"; in IVF
-// mode "merge" sorts the history for the index's merge-exclusion, then
-// "probe" and "score" replace the dense scan. The folded-in vector has the
-// same shape as a trained user's factors, so the index probes it
-// unchanged.
+// the key and its space is unbounded. Stages: "foldin" (ridge solve),
+// "merge" (the history sorted into the scan's exclusion list), then
+// "score" — the engine's fused scan in exact mode; in IVF mode "probe"
+// comes first and "score" is the pruned re-rank. The folded-in vector has
+// the same shape as a trained user's factors, so the engine scans and the
+// index probes it unchanged.
 func (s *Server) topKColdStart(ctx context.Context, st *liveState, history []int32, k int) ([]Item, error) {
 	sp := trace.StartSpanNoCtx(ctx, "foldin")
 	uf, err := mf.FoldInUser(st.params, history, s.FoldInReg)
@@ -853,32 +840,21 @@ func (s *Server) topKColdStart(ctx context.Context, st *liveState, history []int
 	if err != nil {
 		return nil, err
 	}
+	sp = trace.StartSpanNoCtx(ctx, "merge")
+	exclude := slices.Clone(history)
+	slices.Sort(exclude)
+	sp.End()
 	if st.mode == retrieval.ModeIVF {
-		sp = trace.StartSpanNoCtx(ctx, "merge")
-		exclude := append([]int32(nil), history...)
-		sort.Slice(exclude, func(a, b int) bool { return exclude[a] < exclude[b] })
-		sp.End()
 		sp = trace.StartSpanNoCtx(ctx, "probe")
 		cells := st.index.ProbeCells(uf, 0)
 		sp.End()
 		sp = trace.StartSpanNoCtx(ctx, "score")
 		defer sp.End()
-		top, dropped := st.index.SearchCells(uf, cells, k, exclude)
-		return s.countDropped(top, dropped), nil
+		return s.countDropped(st.index.SearchCells(uf, cells, k, exclude)), nil
 	}
-	sp = trace.StartSpanNoCtx(ctx, "merge")
-	seen := make(map[int32]bool, len(history))
-	for _, it := range history {
-		seen[it] = true
-	}
-	sp.End()
 	sp = trace.StartSpanNoCtx(ctx, "score")
-	scores := make([]float64, st.params.NumItems())
-	st.params.ScoreAllFoldIn(uf, scores)
-	sp.End()
-	sp = trace.StartSpanNoCtx(ctx, "topk")
 	defer sp.End()
-	return s.rankTopK(scores, k, func(i int32) bool { return seen[i] }), nil
+	return s.countDropped(st.eng.TopKFoldIn(uf, k, exclude)), nil
 }
 
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {

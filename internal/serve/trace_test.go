@@ -33,7 +33,7 @@ func debugTraces(t *testing.T, h http.Handler, query string) trace.DebugResponse
 // histogram must be populated in /metrics.
 func TestTraceSmoke(t *testing.T) {
 	s, _ := testServer(t)
-	s.SetCacheSize(0) // force the full score/topk pipeline
+	s.SetCacheSize(0) // force the full merge/score pipeline
 	s.Tracer().SetSampleRate(1)
 	h := s.Handler()
 
@@ -63,10 +63,13 @@ func TestTraceSmoke(t *testing.T) {
 	for _, sp := range reqTrace.Spans {
 		stages[sp.Stage] = true
 	}
-	for _, want := range []string{"/recommend", "shed", "score", "merge", "topk", "encode"} {
+	for _, want := range []string{"/recommend", "shed", "cache", "merge", "score", "encode"} {
 		if !stages[want] {
 			t.Errorf("stage %q missing from trace spans: %v", want, stages)
 		}
+	}
+	if stages["topk"] {
+		t.Errorf("exact mode still emits a topk stage; selection belongs to score: %v", stages)
 	}
 	if reqTrace.Spans[0].Parent != -1 {
 		t.Errorf("root span parent = %d, want -1", reqTrace.Spans[0].Parent)

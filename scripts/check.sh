@@ -74,6 +74,24 @@ echo "ivf retrieval smoke ok"
 go test -race -count=1 -run '^Test(BatchIVF|ModeFlip|ServeFloat32)' ./internal/serve
 echo "batch-ivf gate ok"
 
+# Fused exact-scan gate: exact retrieval is one streaming pass (score a
+# tile, offer it to the shared rank.Selector), so the three things that
+# keep it honest run by name. Bit-identity: the fused top-K — single,
+# fold-in and batch, over float64, float32 and overlaid parameters — and
+# SearchCells at full probe width return the entries and the dropped count
+# of rank.TopKDropped over the materialised row, planted NaN/±Inf rows and
+# cross-tile ties included, and the selector itself matches a naive
+# full-sort oracle; the index build's four-at-a-time assignment kernel
+# matches the plain mathx.Dot loop bit for bit. Allocation: an exact-mode miss through the handler
+# allocates nothing proportional to NumItems. Index reuse: SetRetrieval →
+# EnableFeedback → SetCacheSize builds the IVF index once. -count=1
+# defeats the test cache so the gate always actually runs.
+go test -race -count=1 -run '^Test(FusedTopKBitIdentical|ScoreAllIsFoldInOfUserVector)$' ./internal/score
+go test -race -count=1 -run '^TestSelectorMatchesNaive$' ./internal/rank
+go test -race -count=1 -run '^Test(SearchCellsMatchesTwoPass|NearestMatchesDot)$' ./internal/retrieval
+go test -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossReinstalls)$' ./internal/serve
+echo "fused exact-scan gate ok"
+
 # Serve load-test smoke: a tiny single/batch/cached sweep through a live
 # loopback server — including the float32-vs-float64 kernel arms and the
 # quantization parity check — so a serving regression fails the gate
@@ -87,6 +105,11 @@ echo "serve smoke ok"
 # per-stage histogram. -count=1 defeats the test cache so the gate
 # always actually runs.
 go test -race -count=1 -run '^TestTraceSmoke' ./internal/serve
+# A hedge attempt that loses its race can outlive its request and inject
+# a traceparent after the pooled Trace was recycled: Inject must read
+# under the trace's lock and write nothing for a stale handle. Ten runs,
+# because the pool decides how soon the Trace is reused.
+go test -race -count=10 -run '^TestInjectFromHedgeOutlivingRequest$' ./internal/obs/trace
 echo "trace smoke ok"
 
 # Cluster chaos gate: the sharded-serving guarantee — with one of three
