@@ -17,15 +17,6 @@ check:
 fmt:
 	gofmt -w .
 
-# bench measures Hogwild training and parallel-eval scaling across worker
-# counts (BENCH_parallel.json), serve-path throughput for the single,
-# batch, and cached request paths plus the float32-vs-float64 kernel and
-# quantization-parity arms (BENCH_serve.json), guardrail overhead
-# (BENCH_guard.json), request-tracing overhead with the slow-capture
-# certification (BENCH_trace.json), sharded-serving availability under
-# chaos — shard kill, latency, torn responses (BENCH_cluster.json) —
-# exact-vs-IVF retrieval throughput with recall@10 on the full-size
-# ML20M catalog (BENCH_retrieval.json), and feedback-WAL append
-# throughput plus online-update serve overhead (BENCH_ingest.json).
+# bench runs the one benchmark every PR is judged by (benchmark/README.md).
 bench:
-	sh scripts/bench.sh
+	bash benchmark/run.sh --workload all

@@ -4,39 +4,16 @@
 // Usage:
 //
 //	clapf-bench -exp table1 [-scale 0.1]
-//	clapf-bench -exp table2 -dataset ML100K [-scale 0.25] [-reps 3]
-//	clapf-bench -exp fig2   -dataset ML100K [-scale 0.25]
+//	clapf-bench -exp table2 -dataset ML100K [-scale 0.25] [-reps 3] [-csv]
+//	clapf-bench -exp fig2   -dataset ML100K [-scale 0.25] [-csv]
 //	clapf-bench -exp fig3   -dataset ML100K [-scale 0.25] [-csv]
 //	clapf-bench -exp fig4   -dataset ML100K [-scale 0.25] [-csv]
-//	clapf-bench -exp parallel -dataset ML100K [-workers 1,2,4] [-json out.json]
-//	clapf-bench -exp serve    -dataset ML100K [-requests 2000] [-batch 64] [-json out.json]
-//	clapf-bench -exp guard    -dataset ML100K [-workers 1,2,4] [-clip-norm 10] [-json out.json]
-//	clapf-bench -exp trace    -dataset ML100K [-requests 2000] [-rounds 3] [-json out.json]
-//	clapf-bench -exp cluster  -dataset ML100K [-shards 3] [-requests 2000] [-load-workers 8] [-json out.json]
-//	clapf-bench -exp retrieval -dataset ML20M -scale 1 [-nlist 0] [-nprobe 0] [-bench-users 1200] [-json out.json]
-//	clapf-bench -exp ingest   -dataset ML100K [-events 8192] [-requests 2000] [-json out.json]
 //
 // Each experiment prints an aligned text table (or CSV with -csv where
-// supported) matching the corresponding table/figure of the paper. The
-// parallel experiment measures Hogwild training and evaluation scaling
-// across worker counts; the serve experiment drives the recommendation
-// HTTP stack in-process and compares single, batch, and cached serving
-// throughput; the guard experiment reruns the parallel workload with the
-// training guardrails armed (loss watchdog, non-finite sentinels, gradient
-// clipping) and reports the throughput overhead; the trace experiment
-// A/B-tests request tracing on the serve and train paths and certifies
-// that a slow request is tail-captured in the flight recorder; the
-// cluster experiment stands up a sharded serving tier (router + N
-// in-process shards) and measures availability, degradation labeling,
-// and tail latency under shard kills, injected latency, and torn
-// responses; the retrieval experiment answers the same top-K queries with
-// the dense exact kernel and the cluster-pruned IVF index and reports the
-// throughput ratio alongside recall@10 against the exact ranking; the
-// ingest experiment measures feedback WAL append throughput and durable
-// ack latency across fsync batching levels, then the /recommend p95
-// overhead of serving with a live online-update stream. For these,
-// -json additionally writes the machine-readable report consumed by
-// scripts/bench.sh.
+// supported) matching the corresponding table/figure of the paper.
+// Performance of the serving and training stack is measured elsewhere:
+// benchmark/run.sh (see benchmark/README.md) and the Go benchmarks in
+// the owning packages.
 package main
 
 import (
@@ -44,48 +21,56 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"clapf/internal/datagen"
 	"clapf/internal/experiments"
-	"clapf/internal/retrieval"
 	"clapf/internal/sampling"
 )
 
 func main() {
 	var (
-		exp     = flag.String("exp", "table2", "experiment: table1, table2, fig2, fig3, fig4, parallel, serve, guard, trace, cluster, retrieval, ingest")
-		ds      = flag.String("dataset", "ML100K", "Table 1 dataset profile")
-		scale   = flag.Float64("scale", 0.25, "dataset scale factor (1 = full size)")
+		exp     = flag.String("exp", "table2", "experiment: table1, table2, fig2, fig3, fig4")
+		ds      = flag.String("dataset", "ML100K", "Table 1 dataset profile (table1 covers all of them)")
+		scale   = flag.Float64("scale", 0.25, "dataset scale factor in (0, 1] (1 = full size)")
 		reps    = flag.Int("reps", 3, "replicate splits to average")
-		epochs  = flag.Int("epochs", 240, "epoch-equivalents of SGD per MF method")
+		epochs  = flag.Int("epochs", 240, "epoch-equivalents of SGD per MF method (>= 1)")
 		seed    = flag.Uint64("seed", 1, "experiment seed")
 		maxEval = flag.Int("evalusers", 500, "max users evaluated per replicate (0 = all)")
-		asCSV   = flag.Bool("csv", false, "emit CSV instead of a text table")
-		workers = flag.String("workers", "1,2,4", "comma-separated worker counts for -exp parallel")
-		jsonOut = flag.String("json", "", "also write the parallel/serve report as JSON to this path (- = stdout)")
-		reqs    = flag.Int("requests", 2000, "recommendation lists to serve per phase for -exp serve")
-		batch   = flag.Int("batch", 64, "entries per /recommend/batch request for -exp serve")
-		kitems  = flag.Int("kernel-items", 1<<19, "synthetic catalog items for the float32-vs-float64 kernel arms of -exp serve (0 skips them)")
-		clip    = flag.Float64("clip-norm", 10, "gradient clip threshold for the guarded arm of -exp guard")
-		rounds  = flag.Int("rounds", 3, "alternating best-of rounds per arm for -exp trace")
-		shards  = flag.Int("shards", 3, "serve shards behind the router for -exp cluster")
-		load    = flag.Int("load-workers", 8, "concurrent load-generator workers for -exp cluster")
-		nlist   = flag.Int("nlist", 0, "IVF cell count for -exp retrieval (0 = default)")
-		nprobe  = flag.Int("nprobe", 0, "IVF probe width for -exp retrieval (0 = default)")
-		bu      = flag.Int("bench-users", 1200, "user-base cap for -exp retrieval (full item catalog; 0 = no cap)")
-		evs     = flag.Int("events", 8192, "feedback events per WAL append arm for -exp ingest")
+		asCSV   = flag.Bool("csv", false, "emit CSV instead of a text table (not table1)")
 	)
 	flag.Parse()
 
-	if err := run(os.Stdout, *exp, *ds, *scale, *reps, *epochs, *seed, *maxEval, *asCSV, *workers, *jsonOut, *reqs, *batch, *kitems, *clip, *rounds, *shards, *load, *nlist, *nprobe, *bu, *evs); err != nil {
+	if err := run(os.Stdout, *exp, *ds, *scale, *reps, *epochs, *seed, *maxEval, *asCSV); err != nil {
 		fmt.Fprintln(os.Stderr, "clapf-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(out io.Writer, exp, ds string, scale float64, reps, epochs int, seed uint64, maxEval int, asCSV bool, workers, jsonOut string, requests, batch, kernelItems int, clipNorm float64, rounds, shards, loadWorkers, nlist, nprobe, benchUsers, events int) error {
+func run(out io.Writer, exp, ds string, scale float64, reps, epochs int, seed uint64, maxEval int, asCSV bool) error {
+	// Each of these would otherwise print a plausible but wrong table:
+	// zero epochs leaves every model untrained, and Profile.Scaled reads
+	// any scale outside (0, 1) as full size.
+	if !(scale > 0 && scale <= 1) {
+		return fmt.Errorf("-scale %v out of range (want 0 < scale <= 1)", scale)
+	}
+	if epochs < 1 {
+		return fmt.Errorf("-epochs %d out of range (want >= 1)", epochs)
+	}
+	if maxEval < 0 {
+		return fmt.Errorf("-evalusers %d out of range (want >= 0, 0 = all)", maxEval)
+	}
+
+	if exp == "table1" {
+		if asCSV {
+			return fmt.Errorf("-csv is not supported by -exp table1")
+		}
+		stats, err := experiments.Table1Stats(datagen.Table1Profiles, scale, seed)
+		if err != nil {
+			return err
+		}
+		return experiments.RenderTable1(out, stats)
+	}
+
 	setup, err := experiments.DefaultSetup(ds, scale)
 	if err != nil {
 		return err
@@ -96,13 +81,6 @@ func run(out io.Writer, exp, ds string, scale float64, reps, epochs int, seed ui
 	setup.Budget.EpochEquivalents = epochs
 
 	switch exp {
-	case "table1":
-		stats, err := experiments.Table1Stats(datagen.Table1Profiles, scale, seed)
-		if err != nil {
-			return err
-		}
-		return experiments.RenderTable1(out, stats)
-
 	case "table2", "fig2":
 		methods := experiments.Table2Methods(setup.Profile.Name, setup.Budget)
 		rows, curves, err := experiments.RunComparison(setup, methods)
@@ -164,141 +142,7 @@ func run(out io.Writer, exp, ds string, scale float64, reps, epochs int, seed ui
 		}
 		return experiments.RenderConvergence(out, setup.Profile.Name, traces)
 
-	case "parallel":
-		counts, err := parseWorkerCounts(workers)
-		if err != nil {
-			return err
-		}
-		bench, err := experiments.RunParallelBench(setup, counts, epochs)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderParallelBench(out, bench); err != nil {
-			return err
-		}
-		return writeParallelJSON(out, jsonOut, bench)
-
-	case "serve":
-		bench, err := experiments.RunServeBench(setup, requests, batch, kernelItems)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderServeBench(out, bench); err != nil {
-			return err
-		}
-		return writeJSONReport(out, jsonOut, func(w io.Writer) error {
-			return experiments.WriteServeBenchJSON(w, bench)
-		})
-
-	case "guard":
-		counts, err := parseWorkerCounts(workers)
-		if err != nil {
-			return err
-		}
-		bench, err := experiments.RunGuardBench(setup, counts, epochs, clipNorm)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderGuardBench(out, bench); err != nil {
-			return err
-		}
-		return writeJSONReport(out, jsonOut, func(w io.Writer) error {
-			return experiments.WriteGuardBenchJSON(w, bench)
-		})
-
-	case "trace":
-		bench, err := experiments.RunTraceBench(setup, requests, epochs, rounds)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderTraceBench(out, bench); err != nil {
-			return err
-		}
-		return writeJSONReport(out, jsonOut, func(w io.Writer) error {
-			return experiments.WriteTraceBenchJSON(w, bench)
-		})
-
-	case "cluster":
-		bench, err := experiments.RunClusterBench(setup, shards, requests, loadWorkers)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderClusterBench(out, bench); err != nil {
-			return err
-		}
-		return writeJSONReport(out, jsonOut, func(w io.Writer) error {
-			return experiments.WriteClusterBenchJSON(w, bench)
-		})
-
-	case "retrieval":
-		bench, err := experiments.RunRetrievalBench(setup, benchUsers,
-			retrieval.Config{NLists: nlist, NProbe: nprobe, Seed: seed})
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderRetrievalBench(out, bench); err != nil {
-			return err
-		}
-		return writeJSONReport(out, jsonOut, func(w io.Writer) error {
-			return experiments.WriteRetrievalBenchJSON(w, bench)
-		})
-
-	case "ingest":
-		bench, err := experiments.RunIngestBench(setup, events, requests)
-		if err != nil {
-			return err
-		}
-		if err := experiments.RenderIngestBench(out, bench); err != nil {
-			return err
-		}
-		return writeJSONReport(out, jsonOut, func(w io.Writer) error {
-			return experiments.WriteIngestBenchJSON(w, bench)
-		})
-
 	default:
-		return fmt.Errorf("unknown experiment %q (want table1, table2, fig2, fig3, fig4, parallel, serve, guard, trace, cluster, retrieval, ingest)", exp)
+		return fmt.Errorf("unknown experiment %q (want table1, table2, fig2, fig3, fig4)", exp)
 	}
-}
-
-func parseWorkerCounts(spec string) ([]int, error) {
-	var counts []int
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -workers entry %q (want positive integers)", part)
-		}
-		counts = append(counts, n)
-	}
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("-workers %q names no worker counts", spec)
-	}
-	return counts, nil
-}
-
-func writeParallelJSON(out io.Writer, path string, bench *experiments.ParallelBench) error {
-	return writeJSONReport(out, path, func(w io.Writer) error {
-		return experiments.WriteParallelBenchJSON(w, bench)
-	})
-}
-
-func writeJSONReport(out io.Writer, path string, write func(io.Writer) error) error {
-	switch path {
-	case "":
-		return nil
-	case "-":
-		return write(out)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

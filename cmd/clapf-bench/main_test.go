@@ -1,13 +1,9 @@
 package main
 
 import (
-	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
+	"math"
 	"testing"
-
-	"clapf/internal/experiments"
 )
 
 // The bench CLI's run function is exercised at miniature scale so every
@@ -18,7 +14,7 @@ func TestRunAllExperimentsTiny(t *testing.T) {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
 			// scale 0.05, 1 rep, 2 epoch-equivalents: seconds, not minutes.
-			if err := run(io.Discard, exp, "ML100K", 0.05, 1, 2, 1, 30, false, "", "", 20, 4, 0, 10, 1, 3, 4, 0, 0, 50, 256); err != nil {
+			if err := run(io.Discard, exp, "ML100K", 0.05, 1, 2, 1, 30, false); err != nil {
 				t.Fatalf("%s: %v", exp, err)
 			}
 		})
@@ -27,246 +23,41 @@ func TestRunAllExperimentsTiny(t *testing.T) {
 
 func TestRunCSVModes(t *testing.T) {
 	for _, exp := range []string{"table2", "fig2", "fig3", "fig4"} {
-		if err := run(io.Discard, exp, "ML100K", 0.05, 1, 2, 1, 30, true, "", "", 20, 4, 0, 10, 1, 3, 4, 0, 0, 50, 256); err != nil {
+		if err := run(io.Discard, exp, "ML100K", 0.05, 1, 2, 1, 30, true); err != nil {
 			t.Fatalf("%s csv: %v", exp, err)
 		}
 	}
 }
 
-func TestRunParallelExperiment(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "parallel.json")
-	if err := run(io.Discard, "parallel", "ML100K", 0.05, 1, 2, 1, 30, false, "1,2", jsonPath, 20, 4, 0, 10, 1, 3, 4, 0, 0, 50, 256); err != nil {
-		t.Fatalf("parallel: %v", err)
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("read json report: %v", err)
-	}
-	var bench experiments.ParallelBench
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatalf("decode json report: %v", err)
-	}
-	if len(bench.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(bench.Rows))
-	}
-	if bench.Rows[0].Workers != 1 || bench.Rows[1].Workers != 2 {
-		t.Errorf("worker counts = %d,%d, want 1,2", bench.Rows[0].Workers, bench.Rows[1].Workers)
-	}
-	if bench.Rows[0].Speedup != 1 {
-		t.Errorf("baseline speedup = %v, want 1", bench.Rows[0].Speedup)
-	}
-	for _, r := range bench.Rows {
-		if r.StepsPerSec <= 0 {
-			t.Errorf("workers=%d: steps/sec = %v, want > 0", r.Workers, r.StepsPerSec)
-		}
-	}
-	if bench.Cores < 1 {
-		t.Errorf("cores = %d, want >= 1", bench.Cores)
-	}
-}
-
-func TestRunServeExperiment(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "serve.json")
-	if err := run(io.Discard, "serve", "ML100K", 0.05, 1, 2, 1, 30, false, "", jsonPath, 30, 8, 512, 10, 1, 3, 4, 0, 0, 50, 256); err != nil {
-		t.Fatalf("serve: %v", err)
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("read json report: %v", err)
-	}
-	var bench experiments.ServeBench
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatalf("decode json report: %v", err)
-	}
-	if len(bench.Rows) != 3 {
-		t.Fatalf("rows = %d, want 3 (single, batch, cached)", len(bench.Rows))
-	}
-	for _, r := range bench.Rows {
-		if r.RecsPerSec <= 0 {
-			t.Errorf("%s: recs/sec = %v, want > 0", r.Path, r.RecsPerSec)
-		}
-	}
-	if bench.BatchSpeedup <= 0 || bench.CachedSpeedup <= 0 {
-		t.Errorf("speedups = %v, %v, want > 0", bench.BatchSpeedup, bench.CachedSpeedup)
-	}
-	if bench.F32 == nil || bench.F32.KernelItems != 512 {
-		t.Fatalf("f32 kernel arms missing from report: %+v", bench.F32)
-	}
-	if bench.F32.F32ScanUsersPerSec <= 0 || bench.F32.ParamBytesRatio <= 0 {
-		t.Errorf("f32 arms implausible: %+v", bench.F32)
-	}
-}
-
-func TestRunGuardExperiment(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "guard.json")
-	if err := run(io.Discard, "guard", "ML100K", 0.05, 1, 2, 1, 30, false, "1,2", jsonPath, 20, 4, 0, 10, 1, 3, 4, 0, 0, 50, 256); err != nil {
-		t.Fatalf("guard: %v", err)
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("read json report: %v", err)
-	}
-	var bench experiments.GuardBench
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatalf("decode json report: %v", err)
-	}
-	if len(bench.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(bench.Rows))
-	}
-	if bench.ClipNorm != 10 {
-		t.Errorf("clip norm = %v, want 10", bench.ClipNorm)
-	}
-	for _, r := range bench.Rows {
-		if r.BaseStepsPerSec <= 0 || r.GuardedStepsPerSec <= 0 {
-			t.Errorf("workers=%d: steps/sec %v / %v, want > 0", r.Workers, r.BaseStepsPerSec, r.GuardedStepsPerSec)
-		}
-	}
-}
-
+// Every input here used to produce a table — the wrong one — or to fail
+// on a value the experiment never reads.
 func TestRunUnknowns(t *testing.T) {
-	if err := run(io.Discard, "nope", "ML100K", 0.1, 1, 1, 1, 10, false, "", "", 20, 4, 0, 10, 1, 3, 4, 0, 0, 50, 256); err == nil {
-		t.Error("unknown experiment accepted")
+	rejected := []struct {
+		name, exp, ds string
+		scale         float64
+		epochs        int
+		maxEval       int
+		asCSV         bool
+	}{
+		{"unknown experiment", "nope", "ML100K", 0.1, 1, 10, false},
+		{"deleted experiment", "serve", "ML100K", 0.1, 1, 10, false},
+		{"unknown dataset", "table2", "bogus", 0.1, 1, 10, false},
+		{"zero epochs", "table2", "ML100K", 0.05, 0, 10, false},
+		{"negative epochs", "fig4", "ML100K", 0.05, -3, 10, false},
+		{"zero scale", "table1", "ML100K", 0, 1, 10, false},
+		{"negative scale", "table2", "ML100K", -0.25, 1, 10, false},
+		{"scale above full size", "table1", "ML100K", 1.5, 1, 10, false},
+		{"NaN scale", "table2", "ML100K", math.NaN(), 1, 10, false},
+		{"negative evalusers", "table2", "ML100K", 0.05, 1, -5, false},
+		{"csv with table1", "table1", "ML100K", 0.05, 1, 10, true},
 	}
-	if err := run(io.Discard, "table2", "bogus", 0.1, 1, 1, 1, 10, false, "", "", 20, 4, 0, 10, 1, 3, 4, 0, 0, 50, 256); err == nil {
-		t.Error("unknown dataset accepted")
-	}
-	if err := run(io.Discard, "parallel", "ML100K", 0.05, 1, 1, 1, 10, false, "0,2", "", 20, 4, 0, 10, 1, 3, 4, 0, 0, 50, 256); err == nil {
-		t.Error("zero worker count accepted")
-	}
-	if err := run(io.Discard, "parallel", "ML100K", 0.05, 1, 1, 1, 10, false, " , ", "", 20, 4, 0, 10, 1, 3, 4, 0, 0, 50, 256); err == nil {
-		t.Error("empty worker list accepted")
-	}
-	if err := run(io.Discard, "guard", "ML100K", 0.05, 1, 1, 1, 10, false, "1", "", 20, 4, 0, 0, 1, 3, 4, 0, 0, 50, 256); err == nil {
-		t.Error("non-positive clip norm accepted for -exp guard")
-	}
-	if err := run(io.Discard, "cluster", "ML100K", 0.05, 1, 1, 1, 10, false, "", "", 40, 4, 0, 10, 1, 1, 4, 0, 0, 50, 256); err == nil {
-		t.Error("single-shard cluster bench accepted")
-	}
-}
-
-func TestRunClusterExperiment(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "cluster.json")
-	if err := run(io.Discard, "cluster", "ML100K", 0.05, 1, 2, 1, 30, false, "", jsonPath, 80, 4, 0, 10, 1, 3, 4, 0, 0, 50, 256); err != nil {
-		t.Fatalf("cluster: %v", err)
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("read json report: %v", err)
-	}
-	var bench experiments.ClusterBench
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatalf("decode json report: %v", err)
-	}
-	if bench.Shards != 3 {
-		t.Errorf("shards = %d, want 3", bench.Shards)
-	}
-	if len(bench.Phases) != 5 {
-		t.Fatalf("phases = %d, want 5", len(bench.Phases))
-	}
-	for _, p := range bench.Phases {
-		if p.QPS <= 0 {
-			t.Errorf("phase %s: qps = %v, want > 0", p.Phase, p.QPS)
+	for _, c := range rejected {
+		if err := run(io.Discard, c.exp, c.ds, c.scale, 1, c.epochs, 1, c.maxEval, c.asCSV); err == nil {
+			t.Errorf("%s accepted", c.name)
 		}
 	}
-	if bench.AvailabilityOneDown < 0.99 {
-		t.Errorf("one-shard-down availability = %v, want >= 0.99", bench.AvailabilityOneDown)
-	}
-	if !bench.VictimReadmitted {
-		t.Error("victim shard never readmitted after recovery")
-	}
-}
-
-func TestRunTraceExperiment(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "trace.json")
-	if err := run(io.Discard, "trace", "ML100K", 0.05, 1, 2, 1, 30, false, "", jsonPath, 30, 4, 0, 10, 1, 3, 4, 0, 0, 50, 256); err != nil {
-		t.Fatalf("trace: %v", err)
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("read json report: %v", err)
-	}
-	var bench experiments.TraceBench
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatalf("decode json report: %v", err)
-	}
-	for _, arm := range []experiments.TraceBenchArm{bench.Traced, bench.Untraced} {
-		if arm.ServeRecsPerSec <= 0 || arm.TrainStepsPerSec <= 0 {
-			t.Errorf("arm traced=%v: serve %v recs/s, train %v steps/s, want > 0",
-				arm.Traced, arm.ServeRecsPerSec, arm.TrainStepsPerSec)
-		}
-	}
-	if !bench.SlowCaptureOK {
-		t.Error("slow-request tail capture not certified")
-	}
-	if bench.SlowCaptureSpans < 2 {
-		t.Errorf("slow capture spans = %d, want >= 2 (root + child)", bench.SlowCaptureSpans)
-	}
-}
-
-func TestRunIngestExperiment(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "ingest.json")
-	if err := run(io.Discard, "ingest", "ML100K", 0.05, 1, 2, 1, 30, false, "", jsonPath, 20, 4, 0, 10, 1, 3, 4, 0, 0, 50, 256); err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("read json report: %v", err)
-	}
-	var bench experiments.IngestBench
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatalf("decode json report: %v", err)
-	}
-	if len(bench.Appends) != 3 {
-		t.Fatalf("append rows = %d, want 3 (fsync-every 1, 8, 64)", len(bench.Appends))
-	}
-	for i, want := range []int{1, 8, 64} {
-		r := bench.Appends[i]
-		if r.SyncEvery != want {
-			t.Errorf("row %d: sync_every = %d, want %d", i, r.SyncEvery, want)
-		}
-		if r.EventsPerSec <= 0 || r.Events <= 0 {
-			t.Errorf("row %d: %d events at %v/s, want > 0", i, r.Events, r.EventsPerSec)
-		}
-	}
-	s := bench.Serve
-	if s.BaselineP95ms <= 0 || s.IngestP95ms <= 0 {
-		t.Errorf("serve overhead p95s = %v / %v, want > 0", s.BaselineP95ms, s.IngestP95ms)
-	}
-	if s.ConcurrentEvents <= 0 {
-		t.Errorf("concurrent events = %d, want > 0 (stream never ran)", s.ConcurrentEvents)
-	}
-}
-
-func TestRunRetrievalExperiment(t *testing.T) {
-	jsonPath := filepath.Join(t.TempDir(), "retrieval.json")
-	// Full probe width (nlist == nprobe == 4) so IVF recall must be
-	// exactly 1 even at this miniature scale.
-	if err := run(io.Discard, "retrieval", "ML100K", 0.05, 1, 2, 1, 30, false, "", jsonPath, 20, 4, 0, 10, 1, 3, 4, 4, 4, 50, 256); err != nil {
-		t.Fatalf("retrieval: %v", err)
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("read json report: %v", err)
-	}
-	var bench experiments.RetrievalBench
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		t.Fatalf("decode json report: %v", err)
-	}
-	if len(bench.Rows) != 2 || bench.Rows[0].Path != "exact" || bench.Rows[1].Path != "ivf" {
-		t.Fatalf("rows = %+v, want exact then ivf", bench.Rows)
-	}
-	if bench.Users <= 0 || bench.Users > 50 {
-		t.Errorf("bench users = %d, want in (0, 50] (cap applied)", bench.Users)
-	}
-	if bench.NList != 4 || bench.NProbe != 4 {
-		t.Errorf("index shape = (%d, %d), want (4, 4)", bench.NList, bench.NProbe)
-	}
-	if bench.Rows[1].Recall10 != 1 {
-		t.Errorf("full-probe IVF recall = %v, want exactly 1", bench.Rows[1].Recall10)
-	}
-	for _, r := range bench.Rows {
-		if r.UsersPerSec <= 0 {
-			t.Errorf("%s: users/sec = %v, want > 0", r.Path, r.UsersPerSec)
-		}
+	// table1 covers every profile and never reads -dataset.
+	if err := run(io.Discard, "table1", "bogus", 0.05, 1, 1, 1, 10, false); err != nil {
+		t.Errorf("table1 with an unused bogus -dataset: %v", err)
 	}
 }

@@ -410,8 +410,8 @@ func TestProportionalShares(t *testing.T) {
 }
 
 // BenchmarkParallelTrain measures Hogwild throughput at several worker
-// counts on an ML100K-shaped corpus; scripts/bench.sh turns the 1-vs-N
-// ratio into BENCH_parallel.json.
+// counts on an ML100K-shaped corpus; the ledger's core.par_speedup row
+// (benchmark/README.md) tracks the 1-vs-N ratio at ML1M size.
 func BenchmarkParallelTrain(b *testing.B) {
 	profile := datagen.Table1Profiles[0].Scaled(0.25)
 	w, err := datagen.Generate(profile, mathx.NewRNG(42))

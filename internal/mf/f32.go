@@ -16,11 +16,11 @@ import (
 // float64, so quantization error enters once, at export, not per query.
 // The kernels are mathx.DotF32/DotF64F32, whose four-way accumulation
 // differs from Model's serial mathx.Dot order — float32 scores match
-// float64 scores statistically (the parity gate in clapf-bench), not
-// bit-wise. Within the float32 representation everything is exact: the
-// two kernels are bit-identical to each other on widened inputs, so dense
-// scans, blocked batch sweeps, fold-in, and IVF probes all agree to the
-// last bit.
+// float64 scores statistically (internal/eval's
+// TestFloat32ParityWithFloat64), not bit-wise. Within the float32
+// representation everything is exact: the two kernels are bit-identical
+// to each other on widened inputs, so dense scans, blocked batch sweeps,
+// fold-in, and IVF probes all agree to the last bit.
 type Factors32 struct {
 	numUsers int
 	numItems int

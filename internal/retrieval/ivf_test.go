@@ -102,6 +102,16 @@ func TestIVFSmoke(t *testing.T) {
 	if got := meanRecall(t, ix, m, w.Data, 10, 0); got < 0.95 {
 		t.Fatalf("recall@10 = %.4f, want >= 0.95", got)
 	}
+	// The float32 half of the gate: an index over the quantized factors,
+	// queried at full probe width, is the float32 exact scan — whatever
+	// recall it loses against the float64 ranking is quantization's alone.
+	ix32, err := BuildIVF(mf.QuantizeF32(m), Config{NProbe: 1 << 30})
+	if err != nil {
+		t.Fatalf("BuildIVF(float32): %v", err)
+	}
+	if got := meanRecall(t, ix32, m, w.Data, 10, 0); got < 0.95 {
+		t.Fatalf("float32 full-probe recall@10 = %.4f, want >= 0.95", got)
+	}
 }
 
 func TestBuildIVFDefaults(t *testing.T) {

@@ -7,9 +7,9 @@ import (
 )
 
 // Handler-level tracing cost, without the loopback-TCP noise of the
-// clapf-bench trace experiment: the delta between these two benchmarks
-// is the per-request price of the trace middleware plus the stage spans
-// on the full /recommend pipeline.
+// benchmark's serve.trace_overhead_pct row: the delta between these two
+// benchmarks is the per-request price of the trace middleware plus the
+// stage spans on the full /recommend pipeline.
 func benchRecommend(b *testing.B, traced bool) {
 	s, _ := testServer(b)
 	s.SetCacheSize(0) // priced path is the full merge/score pipeline
