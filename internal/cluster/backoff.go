@@ -54,30 +54,47 @@ func backoffDelay(rng *lockedRNG, base, cap time.Duration, attempt int) time.Dur
 // latencyTracker keeps a fixed window of recent request latencies and
 // answers quantile queries over it. The router derives its hedge delay
 // from P95: hedging earlier than the tail wastes a duplicate request on
-// work the primary would have finished anyway.
+// work the primary would have finished anyway. Every read asks for that
+// quantile and every answer moves the window by one sample, so the
+// window is kept sorted as it turns instead of being sorted per query.
 type latencyTracker struct {
-	mu   sync.Mutex
-	buf  []time.Duration // ring buffer
-	next int
-	n    int // filled entries, <= len(buf)
+	mu     sync.Mutex
+	buf    []time.Duration // ring buffer, arrival order
+	sorted []time.Duration // sorted[:n] holds the same n samples, ascending
+	next   int
+	n      int // filled entries, <= len(buf)
 }
 
 func newLatencyTracker(window int) *latencyTracker {
 	if window < 1 {
 		window = 1
 	}
-	return &latencyTracker{buf: make([]time.Duration, window)}
+	return &latencyTracker{buf: make([]time.Duration, window), sorted: make([]time.Duration, window)}
 }
 
-// Observe records one request latency.
+// Observe records one request latency: the sample it evicts from a full
+// window leaves the sorted mirror and d enters at its rank, one shift of
+// the entries between the two positions.
 func (t *latencyTracker) Observe(d time.Duration) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.buf[t.next] = d
-	t.next = (t.next + 1) % len(t.buf)
-	if t.n < len(t.buf) {
+	m, out := t.n, t.n // out is the slot vacated in sorted: past the end while filling
+	if m == len(t.buf) {
+		old := t.buf[t.next]
+		out = sort.Search(m, func(k int) bool { return t.sorted[k] >= old })
+	} else {
 		t.n++
 	}
+	t.buf[t.next] = d
+	t.next = (t.next + 1) % len(t.buf)
+	in := sort.Search(m, func(k int) bool { return t.sorted[k] > d })
+	if in > out {
+		in--
+		copy(t.sorted[out:in], t.sorted[out+1:in+1])
+	} else {
+		copy(t.sorted[in+1:out+1], t.sorted[in:out])
+	}
+	t.sorted[in] = d
 }
 
 // Quantile returns the q-th (0 < q <= 1) nearest-rank quantile of the
@@ -86,20 +103,16 @@ func (t *latencyTracker) Observe(d time.Duration) {
 // delay from.
 func (t *latencyTracker) Quantile(q float64, minSamples int, fallback time.Duration) time.Duration {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.n < minSamples || t.n == 0 {
-		t.mu.Unlock()
 		return fallback
 	}
-	tmp := make([]time.Duration, t.n)
-	copy(tmp, t.buf[:t.n])
-	t.mu.Unlock()
-	sort.Slice(tmp, func(a, b int) bool { return tmp[a] < tmp[b] })
-	rank := int(q*float64(len(tmp))+0.5) - 1
+	rank := int(q*float64(t.n)+0.5) - 1
 	if rank < 0 {
 		rank = 0
 	}
-	if rank >= len(tmp) {
-		rank = len(tmp) - 1
+	if rank >= t.n {
+		rank = t.n - 1
 	}
-	return tmp[rank]
+	return t.sorted[rank]
 }

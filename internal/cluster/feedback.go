@@ -171,7 +171,7 @@ func (r *Router) tryFeedbackOwner(ctx context.Context, key uint64, body []byte) 
 	}
 	actx, cancel := context.WithTimeout(ctx, fc.AttemptTimeout)
 	defer cancel()
-	sp := trace.StartSpanNoCtx(ctx, "shard:"+sh.name)
+	sp := trace.StartSpanNoCtx(ctx, sh.span)
 	defer sp.End()
 	hreq, err := http.NewRequestWithContext(actx, http.MethodPost, sh.url+"/feedback", bytes.NewReader(body))
 	if err != nil {

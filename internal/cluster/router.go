@@ -83,9 +83,6 @@ type Config struct {
 	// ReloadPath is the shard endpoint RollingReload POSTs to. Default
 	// "/admin/reload".
 	ReloadPath string
-	// Client issues shard requests; nil gets a keep-alive client with a
-	// per-host connection pool.
-	Client *http.Client
 	// Seed drives backoff/hedge jitter. Default 1; cmd/clapf-router
 	// seeds from the clock so distinct routers desynchronize.
 	Seed uint64
@@ -148,6 +145,7 @@ func (c Config) withDefaults() Config {
 type shardState struct {
 	name string
 	url  string
+	span string // "shard:"+name, the attempt span's name
 
 	breaker *Breaker
 	// available is the prober's verdict: false means ejected from
@@ -273,18 +271,15 @@ func NewRouter(cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
+	r := &Router{
+		cfg:  cfg,
+		ring: ring,
+		// Keep-alive connections, pooled per shard.
+		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        256,
 			MaxIdleConnsPerHost: 64,
 			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
-	r := &Router{
-		cfg:      cfg,
-		ring:     ring,
-		client:   client,
+		}},
 		rng:      newLockedRNG(cfg.Seed),
 		lat:      newLatencyTracker(cfg.LatencyWindow),
 		stale:    newStaleCache(cfg.StaleCacheSize),
@@ -296,6 +291,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	for _, sc := range cfg.Shards {
 		sh := &shardState{
 			name:            sc.Name,
+			span:            "shard:" + sc.Name,
 			url:             strings.TrimRight(sc.URL, "/"),
 			breaker:         NewBreaker(cfg.Breaker),
 			expectRetrieval: sc.Retrieval,
@@ -575,19 +571,12 @@ func (r *Router) handleRecommend(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	res := r.forward(req.Context(), rk.key, "/recommend?"+req.URL.RawQuery)
+	res := r.forward(req.Context(), rk.key, "/recommend?"+req.URL.RawQuery, true)
 	switch {
 	case res.err == nil && res.status == http.StatusOK:
-		var body Response
-		if decodeErr := json.Unmarshal(res.body, &body); decodeErr != nil {
-			// A 200 that does not decode is a torn/garbage payload the
-			// attempt layer missed; degrade rather than relay garbage.
-			r.log.Warn("undecodable shard payload", "shard", res.shard.name, "err", decodeErr)
-			r.serveFallback(w, rk)
-			return
-		}
+		body := res.rec
 		body.Shard = res.shard.name
-		if res.shard != r.shards[r.ring.Lookup(rk.key)[0]] {
+		if !res.home {
 			body.Degraded = DegradedReplica
 			r.degraded.With(DegradedReplica).Inc()
 		}
@@ -615,7 +604,7 @@ func (r *Router) handleSimilar(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("invalid item %q", itemParam)})
 		return
 	}
-	res := r.forward(req.Context(), UserKey(int32(i))^0x5bd1e995, "/similar?"+req.URL.RawQuery)
+	res := r.forward(req.Context(), UserKey(int32(i))^0x5bd1e995, "/similar?"+req.URL.RawQuery, false)
 	if res.err != nil {
 		r.unavailable.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(1+r.rng.Intn(3)))
@@ -653,22 +642,25 @@ func (r *Router) serveFallback(w http.ResponseWriter, rk requestKey) {
 
 // attemptResult is one shard attempt's outcome. err != nil means the
 // shard did not produce a usable HTTP response (transport failure, torn
-// body, 5xx, 429 shed, timeout); err == nil carries status and body,
-// where any 2xx or non-429 4xx is a healthy-shard outcome.
+// or undecodable body, 5xx, 429 shed, timeout); err == nil carries status
+// and body, where any 2xx or non-429 4xx is a healthy-shard outcome.
 type attemptResult struct {
 	shard     *shardState
 	status    int
 	body      []byte
+	rec       *Response // the decoded body of a 200, when forward was asked to decode
 	err       error
 	fromHedge bool
+	home      bool // shard is the key's first preference (set by forward)
 }
 
 // forward pushes one GET through the shard tier: preference-ordered
 // candidates from the ring, breaker-gated attempts, bounded retries with
 // full-jitter backoff, and a p95-delayed hedge per attempt. It returns
 // the first usable response or, after the budget is spent, the last
-// error (err != nil) for the caller to degrade on.
-func (r *Router) forward(ctx context.Context, key uint64, pathQuery string) attemptResult {
+// error (err != nil) for the caller to degrade on. With decode set, a
+// 200 must also parse as a Response to be usable.
+func (r *Router) forward(ctx context.Context, key uint64, pathQuery string, decode bool) attemptResult {
 	pref := r.ring.Lookup(key)
 	pos := 0
 	last := attemptResult{err: errors.New("cluster: no eligible shard")}
@@ -689,8 +681,9 @@ func (r *Router) forward(ctx context.Context, key uint64, pathQuery string) atte
 		if sh == nil {
 			return last
 		}
-		res := r.attemptHedged(ctx, sh, pref, &pos, pathQuery)
+		res := r.attemptHedged(ctx, sh, pref, &pos, pathQuery, decode)
 		if res.err == nil {
+			res.home = res.shard == r.shards[pref[0]]
 			return res
 		}
 		last = res
@@ -754,11 +747,11 @@ func (r *Router) hedgeDelay() time.Duration {
 // canceled; its breaker reservation is released without recording an
 // outcome, so hedging never trips a breaker on a shard that was merely
 // slower than its twin. Primary has already passed breaker.Allow.
-func (r *Router) attemptHedged(ctx context.Context, sh *shardState, pref []int, pos *int, pathQuery string) attemptResult {
+func (r *Router) attemptHedged(ctx context.Context, sh *shardState, pref []int, pos *int, pathQuery string, decode bool) attemptResult {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	ch := make(chan attemptResult, 2)
-	go func() { ch <- r.doAttempt(hctx, sh, pathQuery, false) }()
+	go func() { ch <- r.doAttempt(hctx, sh, pathQuery, decode, false) }()
 	inFlight := 1
 	hedgeFired := r.cfg.NoHedge // true blocks the timer arm
 	var timer <-chan time.Time
@@ -786,7 +779,7 @@ func (r *Router) attemptHedged(ctx context.Context, sh *shardState, pref []int, 
 			if hs := r.nextEligible(pref, pos); hs != nil {
 				r.hedges.Inc()
 				inFlight++
-				go func() { ch <- r.doAttempt(hctx, hs, pathQuery, true) }()
+				go func() { ch <- r.doAttempt(hctx, hs, pathQuery, decode, true) }()
 			}
 		}
 	}
@@ -795,7 +788,8 @@ func (r *Router) attemptHedged(ctx context.Context, sh *shardState, pref []int, 
 
 // doAttempt issues one HTTP GET against sh and settles its breaker:
 // Success on any 2xx/4xx except 429 (the shard is healthy; a 4xx is
-// the client's problem), Failure on transport errors, torn bodies,
+// the client's problem), Failure on transport errors, torn bodies, a
+// 200 that does not decode (when decode asks for a Response),
 // per-attempt timeouts, 5xx, and 429 (the shard is shedding — back
 // off and fail over), and Cancel — no outcome — when the parent
 // context ended first (hedge race lost, caller gone, or the client's
@@ -804,10 +798,10 @@ func (r *Router) attemptHedged(ctx context.Context, sh *shardState, pref []int, 
 // candidate set until it expires. The outbound request carries the
 // current trace context (traceparent), so a shard's stage spans join
 // the router's trace.
-func (r *Router) doAttempt(ctx context.Context, sh *shardState, pathQuery string, fromHedge bool) attemptResult {
+func (r *Router) doAttempt(ctx context.Context, sh *shardState, pathQuery string, decode, fromHedge bool) attemptResult {
 	actx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
 	defer cancel()
-	sp := trace.StartSpanNoCtx(ctx, "shard:"+sh.name)
+	sp := trace.StartSpanNoCtx(ctx, sh.span)
 	defer sp.End()
 	req, err := http.NewRequestWithContext(actx, http.MethodGet, sh.url+pathQuery, nil)
 	if err != nil {
@@ -856,10 +850,21 @@ func (r *Router) doAttempt(ctx context.Context, sh *shardState, pathQuery string
 		return attemptResult{shard: sh, status: resp.StatusCode, body: body,
 			err: fmt.Errorf("cluster: shard %s returned %d", sh.name, resp.StatusCode), fromHedge: fromHedge}
 	}
+	took := time.Since(t0) // the shard's answer, not the router's decode of it
+	var rec *Response
+	if decode && resp.StatusCode == http.StatusOK {
+		rec = new(Response)
+		if err := json.Unmarshal(body, rec); err != nil {
+			// The transfer completed but the payload is garbage: the shard
+			// is lying, and a replica may not be.
+			r.shardFailure(sh)
+			return attemptResult{shard: sh, err: fmt.Errorf("cluster: undecodable 200 from %s: %w", sh.name, err), fromHedge: fromHedge}
+		}
+	}
 	sh.breaker.Success()
 	r.shardReqs.With(sh.name, "ok").Inc()
-	r.lat.Observe(time.Since(t0))
-	return attemptResult{shard: sh, status: resp.StatusCode, body: body, fromHedge: fromHedge}
+	r.lat.Observe(took)
+	return attemptResult{shard: sh, status: resp.StatusCode, body: body, rec: rec, fromHedge: fromHedge}
 }
 
 // shardFailure settles a failed attempt: breaker bookkeeping plus the

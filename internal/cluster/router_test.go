@@ -465,7 +465,7 @@ func TestRouterCanceledBackoffDoesNotLeakProbeSlot(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	r.forward(ctx, UserKey(u), fmt.Sprintf("/recommend?user=%d&k=5", u))
+	r.forward(ctx, UserKey(u), fmt.Sprintf("/recommend?user=%d&k=5", u), true)
 	// Whatever path forward took — canceled mid-backoff (the common
 	// case here) or a completed probe — the replica's probe slot must be
 	// free again.
@@ -487,7 +487,7 @@ func TestRouterClientDeadlineDoesNotChargeBreaker(t *testing.T) {
 	shards[0].chaos.SetLatency(300 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	res := r.forward(ctx, UserKey(0), "/recommend?user=0&k=5")
+	res := r.forward(ctx, UserKey(0), "/recommend?user=0&k=5", true)
 	if res.err == nil {
 		t.Fatal("forward succeeded despite the expired client deadline")
 	}
@@ -549,6 +549,40 @@ func TestRouterDegradesOnUndecodable200(t *testing.T) {
 	}
 	if body.Degraded != DegradedPopRank {
 		t.Errorf("degraded=%q, want %q (garbage must not be relayed)", body.Degraded, DegradedPopRank)
+	}
+}
+
+// With healthy replicas behind it, a home shard that answers 200 with
+// garbage is a failed shard like any other: the request walks on to a
+// replica (fresh answer, labelled), the liar is charged, and enough lies
+// open its breaker.
+func TestRouterRetriesUndecodable200OntoReplica(t *testing.T) {
+	garbage := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		fmt.Fprint(w, `this is not json`)
+	}))
+	t.Cleanup(garbage.Close)
+	const liar = 1
+	r, _, _ := newTestCluster(t, 3, func(c *Config) { c.Shards[liar].URL = garbage.URL })
+	h := r.Handler()
+	u := userHomedOn(t, r, liar)
+	for i := 0; i < 3; i++ { // the test cluster's breaker threshold
+		rec, body := routerGet(t, h, fmt.Sprintf("/recommend?user=%d&k=5", u))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d, want 200 via replica", rec.Code)
+		}
+		if body.Degraded != DegradedReplica || body.Shard == "shard-1" || len(body.Items) != 5 {
+			t.Fatalf("degraded=%q shard=%q items=%d, want a labelled replica answer", body.Degraded, body.Shard, len(body.Items))
+		}
+	}
+	if r.shardReqs.With("shard-1", "error").Value() == 0 {
+		t.Error("undecodable 200 not recorded as a shard-1 error")
+	}
+	if r.shardReqs.With("shard-1", "ok").Value() != 0 {
+		t.Error("undecodable 200 recorded as a shard-1 success")
+	}
+	if r.Breaker(liar).Opens() == 0 {
+		t.Error("three undecodable answers in a row did not open the liar's breaker")
 	}
 }
 

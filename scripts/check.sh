@@ -115,8 +115,14 @@ echo "trace smoke ok"
 # answer carries a degradation label, the victim's breaker opens, and
 # the shard is readmitted after recovery. Run under the race detector:
 # the router's hot path (hedges, breaker state, stale cache) is all
-# shared-state concurrency. -count=1 defeats the test cache.
-go test -race -count=1 -run '^TestClusterChaos' ./internal/cluster
+# shared-state concurrency. Beside it, by name: the hedge delay's sorted
+# window answers exactly what a full sort of the window would (and stays
+# clean with observers and readers racing), and a home shard answering
+# 200 with garbage is retried onto a replica and charged, not relayed or
+# dropped to poprank. -count=1 defeats the test cache.
+go test -race -count=1 \
+	-run '^Test(ClusterChaos|LatencyTrackerMatchesNaive|LatencyTrackerConcurrent|RouterRetriesUndecodable200OntoReplica)' \
+	./internal/cluster
 echo "cluster chaos gate ok"
 
 # Feedback chaos gate: the crash-safe ingest guarantee — zero
