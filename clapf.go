@@ -114,7 +114,7 @@ func GenerateDataset(p Profile, scale float64, seed uint64) (*Dataset, error) {
 	return w.Data, nil
 }
 
-// Config parameterizes a CLAPF trainer; see DefaultConfig.
+// Config parameterizes a trainer; see DefaultConfig.
 type Config = core.Config
 
 // SamplerConfig tunes triple sampling inside a Config.
@@ -126,7 +126,8 @@ func DefaultConfig(v Variant, trainPairs int) Config {
 	return core.DefaultConfig(v, trainPairs)
 }
 
-// Trainer learns a CLAPF model by stochastic gradient descent, on one
+// Trainer learns a model for Config.Objective (CLAPF unless set
+// otherwise) by stochastic gradient descent, on one
 // worker (serial, bit-reproducible; NewTrainer) or on several lock-free
 // Hogwild workers (NewParallelTrainer). It is one type with one API
 // either way.
@@ -153,8 +154,8 @@ type TrainerState = core.TrainerState
 // WorkerState is one worker's RNG streams inside a TrainerState.
 type WorkerState = core.WorkerState
 
-// SamplerState is a triple sampler's resumable state inside a
-// WorkerState.
+// SamplerState is the resumable state of an objective's sampler inside a
+// WorkerState: every stream it owns and its refresh position.
 type SamplerState = sampling.SamplerState
 
 // WorkerStat reports one training worker's lifetime throughput.
@@ -282,20 +283,36 @@ func SimilarItems(m *Model, i int32, k int) ([]Recommendation, error) {
 	return out, nil
 }
 
-// MultiConfig parameterizes CLAPF-Multi, the three-pair extension
-// instantiating the paper's "not limited to the instantiations in this
-// paper" direction; see DefaultMultiConfig.
-type MultiConfig = core.MultiConfig
+// Objective is what a Trainer optimizes: which item rows a step touches
+// and with which coefficients. Config.Objective nil is the paper's CLAPF,
+// described by Config.Variant, Lambda and Sampler; BPR and Multi are the
+// other objectives exported here.
+type Objective = core.Objective
 
-// MultiTrainer learns a CLAPF-Multi model.
-type MultiTrainer = core.MultiTrainer
+// BPR is Bayesian Personalized Ranking, CLAPF's λ = 0 reduction, as an
+// objective of the one Trainer; its Negatives field picks the sampler.
+type BPR = core.BPR
 
-// DefaultMultiConfig returns the default three-pair blend.
-func DefaultMultiConfig(trainPairs int) MultiConfig {
-	return core.DefaultMultiConfig(trainPairs)
-}
+// BPR's negative samplers: uniform, Dynamic Negative Sampling, Adaptive
+// Oversampling, and an Alpha-Beta Sampling approximation.
+const (
+	NegativesUniform = sampling.UniformNegatives
+	NegativesDNS     = sampling.DNSNegatives
+	NegativesAoBPR   = sampling.AoBPRNegatives
+	NegativesABS     = sampling.ABSNegatives
+)
 
-// NewMultiTrainer validates cfg and prepares a CLAPF-Multi trainer.
-func NewMultiTrainer(cfg MultiConfig, train *Dataset) (*MultiTrainer, error) {
-	return core.NewMultiTrainer(cfg, train)
+// Multi is CLAPF-Multi, the three-pair extension instantiating the
+// paper's "not limited to the instantiations in this paper" direction,
+// as an objective of the one Trainer; see DefaultMulti.
+type Multi = core.Multi
+
+// DefaultMulti returns the default three-pair blend.
+func DefaultMulti() Multi { return core.DefaultMulti() }
+
+// NewMultiTrainer validates cfg and prepares a CLAPF-Multi trainer: the
+// one Trainer with cfg.Objective set to m.
+func NewMultiTrainer(cfg Config, m Multi, train *Dataset) (*Trainer, error) {
+	cfg.Objective = m
+	return core.NewTrainer(cfg, train)
 }

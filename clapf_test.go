@@ -187,15 +187,25 @@ func TestFacadeMultiTrainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultMultiConfig(data.NumPairs())
+	cfg := DefaultConfig(MAP, data.NumPairs())
 	cfg.Dim = 6
 	cfg.Steps = 5000
-	tr, err := NewMultiTrainer(cfg, data)
+	tr, err := NewMultiTrainer(cfg, DefaultMulti(), data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.Run()
 	if tr.StepsDone() != 5000 {
 		t.Errorf("StepsDone = %d", tr.StepsDone())
+	}
+	// BPR is an objective of the same Trainer, workers included.
+	cfg.Objective = BPR{Negatives: NegativesDNS, Candidates: 5}
+	bpr, err := NewParallelTrainer(cfg, data, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bpr.Run()
+	if bpr.StepsDone() != 5000 || bpr.Workers() != 2 {
+		t.Errorf("BPR: StepsDone = %d on %d workers", bpr.StepsDone(), bpr.Workers())
 	}
 }

@@ -18,7 +18,9 @@
 // NewParallelTrainer(cfg, train, n) returns the same *Trainer stepping on
 // n lock-free Hogwild workers. Both loop one SGD step, the Eq. 22 update
 // in internal/core/step.go, which the CLAPF variants, CLAPF-Multi, BPR
-// and MPR share and differ from each other only by a coefficient vector.
+// and MPR share: they are objectives of that one Trainer
+// (Config.Objective; nil is CLAPF) and differ from each other only by
+// which items a step samples and a coefficient vector.
 //
 // Everything below it — matrix factorization, samplers, metrics, the
 // baseline zoo (BPR, MPR, CLiMF, WMF, PopRank, RandomWalk, NeuMF, NeuPR,

@@ -1,12 +1,16 @@
 package baselines
 
 import (
+	"math"
 	"testing"
 
+	"clapf/internal/core"
 	"clapf/internal/datagen"
 	"clapf/internal/dataset"
 	"clapf/internal/eval"
 	"clapf/internal/mathx"
+	"clapf/internal/mf"
+	"clapf/internal/sampling"
 )
 
 // worldSplit generates a learnable world and a 50/50 split shared by the
@@ -25,9 +29,32 @@ func worldSplit(t *testing.T) (w *datagen.World, train, test *dataset.Dataset) {
 	return
 }
 
-func evalAUC(t *testing.T, r Recommender, train, test *dataset.Dataset) eval.Result {
+func evalAUC(t *testing.T, r eval.Scorer, train, test *dataset.Dataset) eval.Result {
 	t.Helper()
 	return eval.Evaluate(r, train, test, eval.Options{Ks: []int{5}})
+}
+
+// objectiveConfig is the shared MF defaults (d = 20, γ = 0.05, α = 0.01,
+// 30 passes) with one of the trainer's objectives: BPR and MPR, which
+// this package's tests have always covered, are core.Trainer runs.
+func objectiveConfig(o core.Objective, trainPairs int) core.Config {
+	cfg := core.DefaultConfig(sampling.MAP, trainPairs)
+	cfg.Objective = o
+	return cfg
+}
+
+// fit trains cfg to its step budget on the one trainer.
+func fit(t *testing.T, cfg core.Config, train *dataset.Dataset) *mf.Model {
+	t.Helper()
+	tr, err := core.NewTrainer(cfg, train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Run()
+	if trip := tr.GuardTrip(); trip != nil || tr.StepsDone() != cfg.Steps {
+		t.Fatalf("ran %d of %d steps, trip %v", tr.StepsDone(), cfg.Steps, trip)
+	}
+	return tr.Model()
 }
 
 func TestPopRankRecoversPopularity(t *testing.T) {
@@ -169,18 +196,11 @@ func TestWMFValidation(t *testing.T) {
 
 func TestBPRLearns(t *testing.T) {
 	_, train, test := splitOnly(t)
-	cfg := DefaultBPRConfig(train.NumPairs())
+	cfg := objectiveConfig(core.BPR{}, train.NumPairs())
 	cfg.Dim = 10
 	cfg.Steps = 80000
 	cfg.Seed = 3
-	b, err := NewBPR(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	res := evalAUC(t, b, train, test)
+	res := evalAUC(t, fit(t, cfg, train), train, test)
 	if res.AUC < 0.65 {
 		t.Errorf("BPR AUC = %.3f, want >= 0.65", res.AUC)
 	}
@@ -188,27 +208,15 @@ func TestBPRLearns(t *testing.T) {
 
 func TestBPRDNSAtLeastAsGood(t *testing.T) {
 	_, train, test := splitOnly(t)
-	mk := func(s BPRSampler) eval.Result {
-		cfg := DefaultBPRConfig(train.NumPairs())
+	mk := func(s sampling.Negatives) eval.Result {
+		cfg := objectiveConfig(core.BPR{Negatives: s, Candidates: 6}, train.NumPairs())
 		cfg.Dim = 10
 		cfg.Steps = 40000
-		cfg.Sampler = s
-		cfg.DNSCandidates = 6
 		cfg.Seed = 4
-		b, err := NewBPR(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Fit(train); err != nil {
-			t.Fatal(err)
-		}
-		if s == BPRDNS && b.Name() != "BPR-DNS" {
-			t.Errorf("Name = %q", b.Name())
-		}
-		return evalAUC(t, b, train, test)
+		return evalAUC(t, fit(t, cfg, train), train, test)
 	}
-	uni := mk(BPRUniform)
-	dns := mk(BPRDNS)
+	uni := mk(sampling.UniformNegatives)
+	dns := mk(sampling.DNSNegatives)
 	// DNS should not be dramatically worse; it usually converges faster.
 	if dns.MAP < uni.MAP*0.8 {
 		t.Errorf("DNS MAP %.4f collapsed vs uniform %.4f", dns.MAP, uni.MAP)
@@ -216,39 +224,46 @@ func TestBPRDNSAtLeastAsGood(t *testing.T) {
 }
 
 func TestBPRValidation(t *testing.T) {
-	if _, err := NewBPR(BPRConfig{Dim: 0, LearnRate: 1}); err == nil {
-		t.Error("zero dim accepted")
+	_, train, _ := splitOnly(t)
+	bad := func(name string, o core.Objective, mut func(*core.Config)) {
+		t.Helper()
+		cfg := objectiveConfig(o, train.NumPairs())
+		mut(&cfg)
+		if cfg.Validate() == nil {
+			t.Errorf("%s passed Validate", name)
+		}
+		if _, err := core.NewTrainer(cfg, train); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	if _, err := NewBPR(BPRConfig{Dim: 5, LearnRate: 0}); err == nil {
-		t.Error("zero rate accepted")
-	}
-	if _, err := NewBPR(BPRConfig{Dim: 5, LearnRate: 0.1, Sampler: BPRDNS}); err == nil {
-		t.Error("DNS without candidates accepted")
-	}
+	bad("zero dim", core.BPR{}, func(c *core.Config) { c.Dim = 0 })
+	bad("zero rate", core.BPR{}, func(c *core.Config) { c.LearnRate = 0 })
+	bad("DNS without candidates", core.BPR{Negatives: sampling.DNSNegatives}, func(*core.Config) {})
+	bad("unknown sampler", core.BPR{Negatives: 99}, func(*core.Config) {})
 }
 
 func TestMPRLearns(t *testing.T) {
 	_, train, test := splitOnly(t)
-	cfg := DefaultMPRConfig(train.NumPairs())
+	cfg := objectiveConfig(core.MPR{Rho: 0.6}, train.NumPairs())
 	cfg.Dim = 10
 	cfg.Steps = 80000
 	cfg.Seed = 5
-	m, err := NewMPR(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	res := evalAUC(t, m, train, test)
+	res := evalAUC(t, fit(t, cfg, train), train, test)
 	if res.AUC < 0.6 {
 		t.Errorf("MPR AUC = %.3f, want >= 0.6", res.AUC)
 	}
 }
 
 func TestMPRValidation(t *testing.T) {
-	if _, err := NewMPR(MPRConfig{Dim: 5, LearnRate: 0.1, Rho: 1.5}); err == nil {
-		t.Error("rho out of range accepted")
+	_, train, _ := splitOnly(t)
+	for _, rho := range []float64{1.5, -0.1, math.NaN(), math.Inf(1)} {
+		cfg := objectiveConfig(core.MPR{Rho: rho}, train.NumPairs())
+		if cfg.Validate() == nil {
+			t.Errorf("rho = %v passed Validate", rho)
+		}
+		if _, err := core.NewTrainer(cfg, train); err == nil {
+			t.Errorf("rho = %v accepted", rho)
+		}
 	}
 }
 
@@ -296,42 +311,24 @@ func TestAllBaselinesBeatRandomRanking(t *testing.T) {
 	if err := pop.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	bprCfg := DefaultBPRConfig(train.NumPairs())
+	bprCfg := objectiveConfig(core.BPR{}, train.NumPairs())
 	bprCfg.Dim = 10
 	bprCfg.Steps = 40000
-	bpr, err := NewBPR(bprCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bpr.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range []Recommender{pop, bpr} {
+	for name, r := range map[string]eval.Scorer{"PopRank": pop, "BPR": fit(t, bprCfg, train)} {
 		res := evalAUC(t, r, train, test)
 		if res.AUC <= 0.52 {
-			t.Errorf("%s AUC = %.3f, not above chance", r.Name(), res.AUC)
+			t.Errorf("%s AUC = %.3f, not above chance", name, res.AUC)
 		}
 	}
 }
 
 func TestBPRAoBPRSampler(t *testing.T) {
 	_, train, test := splitOnly(t)
-	cfg := DefaultBPRConfig(train.NumPairs())
+	cfg := objectiveConfig(core.BPR{Negatives: sampling.AoBPRNegatives}, train.NumPairs())
 	cfg.Dim = 10
 	cfg.Steps = 40000
-	cfg.Sampler = BPRAoBPR
 	cfg.Seed = 6
-	b, err := NewBPR(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Name() != "BPR-AoBPR" {
-		t.Errorf("Name = %q", b.Name())
-	}
-	if err := b.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	res := evalAUC(t, b, train, test)
+	res := evalAUC(t, fit(t, cfg, train), train, test)
 	if res.AUC < 0.55 {
 		t.Errorf("BPR-AoBPR AUC = %.3f, want > 0.55", res.AUC)
 	}
@@ -412,27 +409,15 @@ func TestGBPRGroupCoupling(t *testing.T) {
 
 func TestBPRABSSampler(t *testing.T) {
 	_, train, test := splitOnly(t)
-	cfg := DefaultBPRConfig(train.NumPairs())
+	cfg := objectiveConfig(core.BPR{Negatives: sampling.ABSNegatives, Candidates: 6}, train.NumPairs())
 	cfg.Dim = 10
 	cfg.Steps = 40000
-	cfg.Sampler = BPRABS
-	cfg.DNSCandidates = 6
 	cfg.Seed = 9
-	b, err := NewBPR(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Name() != "BPR-ABS" {
-		t.Errorf("Name = %q", b.Name())
-	}
-	if err := b.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	if res := evalAUC(t, b, train, test); res.AUC < 0.55 {
+	if res := evalAUC(t, fit(t, cfg, train), train, test); res.AUC < 0.55 {
 		t.Errorf("BPR-ABS AUC = %.3f", res.AUC)
 	}
-	cfg.DNSCandidates = 0
-	if _, err := NewBPR(cfg); err == nil {
+	cfg.Objective = core.BPR{Negatives: sampling.ABSNegatives}
+	if _, err := core.NewTrainer(cfg, train); err == nil {
 		t.Error("ABS without candidates accepted")
 	}
 }

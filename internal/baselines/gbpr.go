@@ -7,6 +7,7 @@ import (
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
+	"clapf/internal/sampling"
 )
 
 // GBPR is Group Bayesian Personalized Ranking (Pan & Chen, IJCAI 2013) —
@@ -88,7 +89,7 @@ func (g *GBPR) Fit(train *dataset.Dataset) error {
 	if g.model, err = core.NewModel(train, g.cfg.Dim, g.cfg.UseBias, g.cfg.InitStd, rng.Split()); err != nil {
 		return err
 	}
-	pairs, err := core.TrainableRecords(train, 1)
+	pairs, err := sampling.TrainableRecords(train, 1)
 	if err != nil {
 		return fmt.Errorf("baselines: GBPR: %w", err)
 	}
@@ -100,7 +101,7 @@ func (g *GBPR) Fit(train *dataset.Dataset) error {
 	group := make([]int32, 0, g.cfg.GroupSize)
 	for step := 0; step < g.cfg.Steps; step++ {
 		rec := pairs[rng.Intn(len(pairs))]
-		j := rejectUnobservedGBPR(train, rec.User, rng)
+		j := sampling.Unobserved(train, rec.User, rng)
 
 		// Sample the group: u plus up to GroupSize−1 distinct co-consumers
 		// of i. Duplicates are skipped rather than resampled — for niche
@@ -183,24 +184,4 @@ func (g *GBPR) update(u, i, j int32, group []int32) {
 		g.model.AddBias(i, gamma*(grad-reg*g.model.Bias(i)))
 		g.model.AddBias(j, gamma*(-grad-reg*g.model.Bias(j)))
 	}
-}
-
-// rejectUnobservedGBPR mirrors the shared rejection sampler without
-// exporting it from the sampling package.
-func rejectUnobservedGBPR(data *dataset.Dataset, u int32, rng *mathx.RNG) int32 {
-	m := data.NumItems()
-	for tries := 0; tries < 64; tries++ {
-		j := int32(rng.Intn(m))
-		if !data.IsPositive(u, j) {
-			return j
-		}
-	}
-	start := rng.Intn(m)
-	for off := 0; off < m; off++ {
-		j := int32((start + off) % m)
-		if !data.IsPositive(u, j) {
-			return j
-		}
-	}
-	panic("baselines: user has observed every item")
 }

@@ -12,15 +12,17 @@ import (
 	"runtime"
 	"testing"
 
+	"clapf/internal/core"
 	"clapf/internal/dataset"
 	"clapf/internal/mf"
+	"clapf/internal/sampling"
 )
 
 // pinTrajectories rewrites testdata/trajectories.json from this build;
 // see the flag of the same name in internal/core. The committed file was
 // recorded at ac980a1, before MPR and BPR moved onto core's step kernel
-// and the Fit preambles onto its helpers — all but "BPR/bias=true", which
-// was re-recorded after the move (see pinnedFitters).
+// and the Fit preambles onto its helpers — all but "BPR/bias=true" and
+// "BPR-ABS/bias=false", each re-recorded once (see pinnedRuns).
 var pinTrajectories = flag.Bool("pin", false, "rewrite testdata/trajectories.json from this build")
 
 const trajectoryFile = "testdata/trajectories.json"
@@ -38,67 +40,75 @@ func paramsHash(m *mf.Model) string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// pinnedFitters are the MF baselines whose Fit the kernel refactor
+// pinnedRuns are the MF methods whose training the kernel refactor
 // touched: MPR and BPR in their arithmetic, GBPR and CLiMF only in the
 // shared model/record preamble (so their RNG split order is pinned too).
+// MPR and BPR have since become objectives of core.Trainer; their pins
+// are the bare loops' bits, which is the proof that each objective
+// consumes the seed as its loop did.
 //
-// "BPR/bias=true" is the one entry the move was allowed to change, by
-// reassociating one sum: the old loop computed the risk as
-// ((dᵢ+bᵢ) − dⱼ) − bⱼ, the kernel computes (dᵢ+bᵢ) − (dⱼ+bⱼ) — within
-// 2.3e-16 of each other, and every write downstream is bit-equal whenever
-// the two sums are (old hash c46ecfe018933da057fd34a50032f0b7; the golden
-// BPR metrics did not move at 1e-6). Without a bias term the two are the
-// same expression, so the four bias-free BPR entries are the old loop's
-// bits.
-func pinnedFitters(t *testing.T, pairs int) map[string]interface {
-	Fitter
-	Model() *mf.Model
-} {
+// Two entries were allowed to move. "BPR/bias=true", when the loops moved
+// onto the kernel, by reassociating one sum: the old loop computed the
+// risk as ((dᵢ+bᵢ) − dⱼ) − bⱼ, the kernel computes (dᵢ+bᵢ) − (dⱼ+bⱼ) —
+// within 2.3e-16 of each other, and every write downstream is bit-equal
+// whenever the two sums are (old hash c46ecfe018933da057fd34a50032f0b7;
+// the golden BPR metrics did not move at 1e-6). Without a bias term the
+// two are the same expression, so the bias-free BPR entries are the old
+// loop's bits. "BPR-ABS/bias=false", when BPR became an objective, by a
+// bug fix: the loop let ABS screen each candidate against a positive of
+// its own choosing and then trained the survivor against the record's i;
+// the objective screens against the record's i (old hash
+// a16ed77b7b5564314a0fbd3d7a1190d1; see
+// sampling.TestABSScreensAgainstTheGivenPositive).
+func pinnedRuns(t *testing.T, d *dataset.Dataset) map[string]func() (*mf.Model, error) {
 	t.Helper()
-	out := map[string]interface {
+	out := map[string]func() (*mf.Model, error){}
+	trainer := func(o core.Objective, bias bool) func() (*mf.Model, error) {
+		return func() (*mf.Model, error) {
+			cfg := objectiveConfig(o, d.NumPairs())
+			cfg.Dim, cfg.Steps, cfg.Seed, cfg.UseBias = 8, 6000, 77, bias
+			tr, err := core.NewTrainer(cfg, d)
+			if err != nil {
+				return nil, err
+			}
+			tr.Run()
+			return tr.Model(), nil
+		}
+	}
+	fitter := func(f interface {
 		Fitter
 		Model() *mf.Model
-	}{}
+	}, err error) func() (*mf.Model, error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() (*mf.Model, error) {
+			err := f.Fit(d)
+			return f.Model(), err
+		}
+	}
 	for _, bias := range []bool{true, false} {
 		name := map[bool]string{true: "bias=true", false: "bias=false"}[bias]
 
-		mc := DefaultMPRConfig(pairs)
-		mc.Dim, mc.Steps, mc.Seed, mc.UseBias = 8, 6000, 77, bias
-		m, err := NewMPR(mc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["MPR/"+name] = m
+		out["MPR/"+name] = trainer(core.MPR{Rho: 0.6}, bias)
 
-		gc := DefaultGBPRConfig(pairs)
+		gc := DefaultGBPRConfig(d.NumPairs())
 		gc.Dim, gc.Steps, gc.Seed, gc.UseBias = 8, 3000, 77, bias
-		g, err := NewGBPR(gc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["GBPR/"+name] = g
+		out["GBPR/"+name] = fitter(NewGBPR(gc))
 
-		for _, s := range []BPRSampler{BPRUniform, BPRDNS, BPRAoBPR, BPRABS} {
-			if bias && s != BPRUniform {
+		for s, bpr := range map[sampling.Negatives]string{
+			sampling.UniformNegatives: "BPR", sampling.DNSNegatives: "BPR-DNS",
+			sampling.AoBPRNegatives: "BPR-AoBPR", sampling.ABSNegatives: "BPR-ABS",
+		} {
+			if bias && s != sampling.UniformNegatives {
 				continue
 			}
-			bc := DefaultBPRConfig(pairs)
-			bc.Dim, bc.Steps, bc.Seed, bc.UseBias = 8, 6000, 77, bias
-			bc.Sampler, bc.DNSCandidates = s, 4
-			b, err := NewBPR(bc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[b.Name()+"/"+name] = b
+			out[bpr+"/"+name] = trainer(core.BPR{Negatives: s, Candidates: 4}, bias)
 		}
 	}
 	cc := DefaultCLiMFConfig()
 	cc.Dim, cc.Epochs, cc.Seed = 8, 3, 77
-	c, err := NewCLiMF(cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out["CLiMF"] = c
+	out["CLiMF"] = fitter(NewCLiMF(cc))
 	return out
 }
 
@@ -122,11 +132,12 @@ func TestTrajectoryPinned(t *testing.T) {
 	}
 
 	got := map[string]string{}
-	for name, f := range pinnedFitters(t, d.NumPairs()) {
-		if err := f.Fit(d); err != nil {
+	for name, run := range pinnedRuns(t, d) {
+		m, err := run()
+		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got[name] = paramsHash(f.Model())
+		got[name] = paramsHash(m)
 	}
 	if *pinTrajectories {
 		buf, err := json.MarshalIndent(got, "", "  ")

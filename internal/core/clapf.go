@@ -12,13 +12,15 @@
 //	f(u, S) = −ln σ(R) + (α_u/2)‖U_u‖² + (α_v/2)Σ‖V_t‖² + (β_v/2)Σ b_t²
 //
 // minimized by Θ ← Θ − γ ∂f/∂Θ (Eq. 22). At λ = 0 both variants reduce
-// exactly to BPR.
+// exactly to BPR. R is linear in the item scores, and so are the risks of
+// BPR, MPR and the CLAPF-Multi extension: one Trainer (this file) loops
+// one step (step.go) for all of them, and an Objective (objective.go)
+// says which items a step touches and with which coefficients.
 package core
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -32,9 +34,13 @@ import (
 	"clapf/internal/sampling"
 )
 
-// Config parameterizes a CLAPF trainer. The zero value is not valid; use
+// Config parameterizes a trainer. The zero value is not valid; use
 // DefaultConfig as a starting point.
 type Config struct {
+	// Objective is what the trainer optimizes (objective.go). Nil means
+	// the paper's CLAPF, described by Variant, Lambda and Sampler below;
+	// any other objective ignores those three.
+	Objective Objective
 	// Variant selects CLAPF-MAP or CLAPF-MRR.
 	Variant sampling.Objective
 	// Lambda is the trade-off λ ∈ [0, 1] between the listwise pair (λ) and
@@ -85,17 +91,21 @@ func DefaultConfig(variant sampling.Objective, trainPairs int) Config {
 	}
 }
 
-// Validate reports the first problem with the configuration.
+// objective resolves the nil default.
+func (c Config) objective() Objective {
+	if c.Objective != nil {
+		return c.Objective
+	}
+	return clapf{variant: c.Variant, lambda: c.Lambda, sampler: c.Sampler}
+}
+
+// Validate reports the first problem with the configuration, the
+// objective's own parameters included.
 func (c Config) Validate() error {
-	// NaN fails every ordered comparison, so the range checks below would
-	// wave a NaN hyper-parameter straight through to the update loop (and
-	// ±Inf passes a one-sided bound outright). Reject non-finite values
-	// explicitly first.
 	for _, f := range []struct {
 		name  string
 		value float64
 	}{
-		{"Lambda", c.Lambda},
 		{"LearnRate", c.LearnRate},
 		{"RegUser", c.RegUser},
 		{"RegItem", c.RegItem},
@@ -103,13 +113,14 @@ func (c Config) Validate() error {
 		{"InitStd", c.InitStd},
 		{"ClipNorm", c.ClipNorm},
 	} {
-		if math.IsNaN(f.value) || math.IsInf(f.value, 0) {
-			return fmt.Errorf("core: %s = %v, want finite", f.name, f.value)
+		if err := finite(f.name, f.value); err != nil {
+			return err
 		}
 	}
+	if err := c.objective().Validate(); err != nil {
+		return err
+	}
 	switch {
-	case c.Lambda < 0 || c.Lambda > 1:
-		return fmt.Errorf("core: Lambda = %v, want [0,1]", c.Lambda)
 	case c.LearnRate <= 0:
 		return fmt.Errorf("core: LearnRate = %v, want > 0", c.LearnRate)
 	case c.RegUser < 0 || c.RegItem < 0 || c.RegBias < 0:
@@ -126,8 +137,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Trainer learns a CLAPF model by looping the Eq. 22 step (step.go) over
-// sampled triples, on one worker or on N lock-free Hogwild workers.
+// Trainer learns a model by looping the Eq. 22 step (step.go) over the
+// steps its objective draws (objective.go), on one worker or on N
+// lock-free Hogwild workers.
 //
 // Users are sharded across workers, so each user row U_u has exactly one
 // writer; item factors and biases are shared. One worker owns the whole
@@ -156,7 +168,7 @@ func (c Config) Validate() error {
 type Trainer struct {
 	cfg     Config
 	model   *mf.Model
-	sampler *sampling.TripleSampler // owns the rank lists
+	sampler Sampler // the bound objective; owns whatever is rebuilt at Refresh
 	workers []*worker
 
 	stepsDone    int
@@ -197,9 +209,10 @@ type worker struct {
 	id      int
 	label   string // obs label, strconv.Itoa(id)
 	rng     *mathx.RNG
-	sampler *sampling.TripleSampler
+	sampler Sampler
 	pairs   []dataset.Interaction // this shard's (u, i) records
 	kern    *Kernel
+	items   [maxStepItems]int32 // the step in flight, filled by sampler.Draw
 
 	steps int           // lifetime SGD updates
 	busy  time.Duration // lifetime time spent inside segments
@@ -240,12 +253,12 @@ func NewTrainer(cfg Config, train *dataset.Dataset) (*Trainer, error) {
 
 // NewParallelTrainer validates the configuration and prepares a trainer
 // that shards users across numWorkers workers. Model initialization and
-// the rank-list sampler consume the seed the same way for every worker
+// the objective's sampler consume the seed the same way for every worker
 // count, so all of them start from the same parameters. One worker draws
-// records from the seed's root stream and triples from that sampler,
-// which rebuilds its own rank lists as it goes; several workers each get
-// a pair of streams split off in worker order and a read-only view of
-// the sampler, which the coordinator rebuilds at barriers.
+// records from the seed's root stream and steps from that sampler, which
+// rebuilds its own rank lists as it goes; several workers each get a
+// pair of streams split off in worker order and a read-only view of the
+// sampler, which the coordinator rebuilds at barriers.
 func NewParallelTrainer(cfg Config, train *dataset.Dataset, numWorkers int) (*Trainer, error) {
 	if numWorkers < 1 {
 		return nil, fmt.Errorf("core: %d workers, want >= 1", numWorkers)
@@ -256,12 +269,8 @@ func NewParallelTrainer(cfg Config, train *dataset.Dataset, numWorkers int) (*Tr
 	if train == nil {
 		return nil, fmt.Errorf("core: nil training data")
 	}
-	// Users with a single observed item still train — the sampler returns
-	// k = i and the triple degenerates to a (1−λ)-scaled BPR pair — so on
-	// ultra-sparse corpora (Flixter's density is 0.02%) CLAPF sees every
-	// record BPR sees. Only users who observed the whole catalog are
-	// excluded (no negative to sample).
-	pairs, err := TrainableRecords(train, 1)
+	objective := cfg.objective()
+	pairs, err := sampling.TrainableRecords(train, objective.MinUnobserved())
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -274,9 +283,7 @@ func NewParallelTrainer(cfg Config, train *dataset.Dataset, numWorkers int) (*Tr
 	if err != nil {
 		return nil, err
 	}
-	samplerCfg := cfg.Sampler
-	samplerCfg.Objective = cfg.Variant
-	sampler, err := sampling.NewTripleSampler(samplerCfg, train, model, rng.Split())
+	sampler, err := objective.Bind(train, model, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -316,7 +323,7 @@ func NewParallelTrainer(cfg Config, train *dataset.Dataset, numWorkers int) (*Tr
 	for _, w := range t.workers {
 		w.streams = [2]mathx.RNG{*rng.Split(), *rng.Split()}
 		w.rng = &w.streams[0]
-		w.sampler = sampler.SharedView(&w.streams[1])
+		w.sampler = sampler.View(&w.streams[1])
 	}
 	return t, nil
 }
@@ -349,7 +356,7 @@ func (t *Trainer) Run() {
 	t.RunSteps(t.cfg.Steps - t.stepsDone)
 }
 
-// Step samples one (u, i, k, j) case and applies Eq. 22. It is
+// Step draws one record and its step and applies Eq. 22. It is
 // RunSteps(1) and pays that call's barrier bookkeeping every time; loops
 // should hand their whole budget to RunSteps.
 func (t *Trainer) Step() { t.RunSteps(1) }
@@ -384,8 +391,8 @@ func (t *Trainer) RunSteps(n int) {
 	// *after* RefreshEvery aggregate steps. Doing both would refresh a
 	// one-worker run twice per period and move its trajectory.
 	refreshEvery := 0
-	if len(t.workers) > 1 && t.cfg.Sampler.Strategy != sampling.Uniform {
-		refreshEvery = t.sampler.RefreshEvery()
+	if len(t.workers) > 1 {
+		refreshEvery = t.sampler.RefreshEvery() // 0: nothing to rebuild
 	}
 	for n > 0 && t.GuardTrip() == nil {
 		// Cut the segment at whichever boundary is due first, so hooks,
@@ -505,12 +512,12 @@ func (w *worker) run(t *Trainer, quota int) {
 	w.steps += w.seg.steps
 }
 
-// step draws one record and one triple from this worker's streams and
-// applies the Eq. 22 step for CLAPF's risk. Writing R as
-// a·f_ui + b·f_uk + c·f_uj, the variants differ only in the coefficient
-// vector (see riskCoeffs). Everything around the kernel's arithmetic —
-// the non-finite sentinel, the Eq. 23 scalar's mean, loss tracking, clip
-// counting, sampled phase timing — is attached here, once.
+// step draws one record from this worker's stream, has the objective turn
+// it into item rows and a coefficient vector, and applies the Eq. 22 step
+// for R = Σ_t c_t·f_ut. Everything around the kernel's arithmetic — the
+// non-finite sentinel, the Eq. 23 scalar's mean, loss tracking, clip
+// counting, sampled phase timing — is attached here, once, for every
+// objective.
 func (w *worker) step(t *Trainer) {
 	var timedAt time.Time
 	timed := false
@@ -522,22 +529,19 @@ func (w *worker) step(t *Trainer) {
 		w.stageTick++
 	}
 	rec := w.pairs[w.rng.Intn(len(w.pairs))]
-	tr := w.sampler.SampleWithI(rec.User, rec.Item)
+	coef := w.sampler.Draw(rec.User, rec.Item, w.items[:])
 	if timed {
 		timedAt = observePhase(t.stages.sample, timedAt)
 	}
 
-	a, b, c := riskCoeffs(t.cfg.Variant, t.cfg.Lambda, tr.K == tr.I)
-	items := [...]int32{tr.I, tr.K, tr.J}
-	coef := [...]float64{a, b, c}
-	r := w.kern.Risk(rec.User, items[:], coef[:])
+	r := w.kern.Risk(rec.User, w.items[:len(coef)], coef)
 
 	watchdog := t.gd != nil && t.gd.cfg.Watchdog
 	if watchdog && !isFinite(r) {
-		// Applying this update would spread the poison to three more item
-		// rows; record the trip and leave the parameters as they are. No
-		// step stamp: the aggregate count lives with the coordinator,
-		// which adds it at the barrier.
+		// Applying this update would spread the poison to every item row
+		// of the step; record the trip and leave the parameters as they
+		// are. No step stamp: the aggregate count lives with the
+		// coordinator, which adds it at the barrier.
 		w.seg.trip = &guard.Trip{Reason: guard.ReasonNonFiniteRisk,
 			Detail: fmt.Sprintf("risk R = %v for user %d on worker %d", r, rec.User, w.id)}
 		return
@@ -613,53 +617,31 @@ func proportionalShares(seg int, workers []*worker) []int {
 	return shares
 }
 
-// riskCoeffs returns the coefficient vector (a, b, c) of the linearized
-// risk R = a·f_ui + b·f_uk + c·f_uj for the given variant and λ:
+// TripleLoss returns the tentative objective f(u, S) of §4.3 for one
+// drawn step under the current model,
 //
-//	MAP: a = 1−2λ, b = λ,  c = −(1−λ)
-//	MRR: a = 1,    b = −λ, c = −(1−λ)
+//	−ln σ(Σ_t c_t·f_ut) + (α_u/2)‖U_u‖² + Σ_t ((α_v/2)‖V_t‖² + (β_v/2)b_t²),
 //
-// When k aliases i — a single-positive user, whose listwise pair vanishes
-// because f_uk = f_ui — b folds into a so the aliased item vector is
-// updated once with the combined coefficient and regularized once (the
-// kernel does not write a zero-coefficient repeat), leaving
-// R = (1−λ)(f_ui − f_uj).
-func riskCoeffs(variant sampling.Objective, lam float64, kIsI bool) (a, b, c float64) {
-	if variant == sampling.MRR {
-		a, b, c = 1, -lam, -(1 - lam)
-	} else {
-		a, b, c = 1-2*lam, lam, -(1 - lam)
-	}
-	if kIsI {
-		a, b = a+b, 0
-	}
-	return a, b, c
-}
-
-// TripleLoss returns the tentative objective f(u, S) of §4.3 for one triple
-// under the current model — the quantity Step decreases in expectation.
-// Exposed for gradient-check tests and loss-curve instrumentation.
-func (t *Trainer) TripleLoss(u int32, tr sampling.Triple) float64 {
-	lam := t.cfg.Lambda
-	fi := t.model.Score(u, tr.I)
-	fk := t.model.Score(u, tr.K)
-	fj := t.model.Score(u, tr.J)
+// the quantity Step decreases in expectation whatever the objective. A
+// zero-coefficient repeat of an earlier item (k aliasing i) is the same
+// vector and is regularized once. Exposed for gradient-check tests and
+// loss-curve instrumentation.
+func (t *Trainer) TripleLoss(u int32, items []int32, coef []float64) float64 {
 	var r float64
-	if t.cfg.Variant == sampling.MRR {
-		r = lam*(fi-fk) + (1-lam)*(fi-fj)
-	} else {
-		r = lam*(fk-fi) + (1-lam)*(fi-fj)
-	}
-	loss := -mathx.LogSigmoid(r)
-	loss += 0.5 * t.cfg.RegUser * mathx.Norm2Sq(t.model.UserFactors(u))
-	items := []int32{tr.I, tr.K, tr.J}
-	if tr.K == tr.I {
-		items = []int32{tr.I, tr.J} // regularize the aliased vector once
-	}
-	for _, it := range items {
+	loss := 0.5 * t.cfg.RegUser * mathx.Norm2Sq(t.model.UserFactors(u))
+rows:
+	for n, it := range items {
+		r += coef[n] * t.model.Score(u, it)
+		if coef[n] == 0 {
+			for _, earlier := range items[:n] {
+				if earlier == it {
+					continue rows
+				}
+			}
+		}
 		loss += 0.5 * t.cfg.RegItem * mathx.Norm2Sq(t.model.ItemFactors(it))
 		bias := t.model.Bias(it)
 		loss += 0.5 * t.cfg.RegBias * bias * bias
 	}
-	return loss
+	return loss - mathx.LogSigmoid(r)
 }

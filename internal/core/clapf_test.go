@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -111,9 +112,58 @@ func TestSinglePositiveUsersTrain(t *testing.T) {
 	}
 }
 
-// TestGradientMatchesFiniteDifference verifies that one kernel step with
-// CLAPF's coefficient vector moves every touched parameter by exactly
-// −γ · ∂f/∂Θ, comparing against central finite differences of TripleLoss.
+// checkStepGradient verifies that one kernel step at γ = 1 moves every
+// parameter the step touches — U_u, and V_t and b_t of each item row —
+// by exactly −∂f/∂Θ, comparing against central finite differences of
+// TripleLoss. The trainer's LearnRate must be 1.
+func checkStepGradient(t *testing.T, label string, tr *Trainer, u int32, items []int32, coef []float64) {
+	t.Helper()
+	cfg := tr.cfg
+	before := tr.model.Clone()
+	const h = 1e-6
+	checkParam := func(name string, get func() float64, set func(float64)) {
+		t.Helper()
+		orig := get()
+		set(orig + h)
+		plus := tr.TripleLoss(u, items, coef)
+		set(orig - h)
+		minus := tr.TripleLoss(u, items, coef)
+		set(orig)
+		fd := (plus - minus) / (2 * h)
+		kernelStep(NewKernel(tr.model, Plain), u, items, coef, 0,
+			Rates{Learn: cfg.LearnRate, RegUser: cfg.RegUser, RegItem: cfg.RegItem, RegBias: cfg.RegBias})
+		moved := get() - orig // = −γ·grad with γ = 1
+		if !mathx.AlmostEqual(-moved, fd, 1e-4*(1+math.Abs(fd))) {
+			t.Errorf("%s %s: update moved %v, finite diff %v", label, name, moved, fd)
+		}
+		if err := tr.model.SetFrom(before); err != nil { // fresh params for the next probe
+			t.Fatal(err)
+		}
+	}
+	for q := 0; q < cfg.Dim; q++ {
+		checkParam(fmt.Sprintf("U_u[%d]", q),
+			func() float64 { return tr.model.UserFactors(u)[q] },
+			func(v float64) { tr.model.UserFactors(u)[q] = v })
+	}
+	for n, it := range items {
+		if coef[n] == 0 {
+			continue // an aliased repeat: the same vector as an earlier row
+		}
+		for q := 0; q < cfg.Dim; q++ {
+			checkParam(fmt.Sprintf("V_%d[%d]", it, q),
+				func() float64 { return tr.model.ItemFactors(it)[q] },
+				func(v float64) { tr.model.ItemFactors(it)[q] = v })
+		}
+		checkParam(fmt.Sprintf("b_%d", it),
+			func() float64 { return tr.model.Bias(it) },
+			func(v float64) { tr.model.AddBias(it, v-tr.model.Bias(it)) })
+	}
+}
+
+// TestGradientMatchesFiniteDifference holds CLAPF's coefficient vectors
+// to the finite differences of the step loss across the λ range, on a
+// hand-picked triple (see TestObjectiveGradients for drawn steps of every
+// objective).
 func TestGradientMatchesFiniteDifference(t *testing.T) {
 	d := smallData(t, 2)
 	for _, variant := range []sampling.Objective{sampling.MAP, sampling.MRR} {
@@ -131,55 +181,9 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 
 			u := tr.workers[0].pairs[0].User
 			obs := d.Positives(u)
-			triple := sampling.Triple{I: obs[0], K: obs[1], J: unobservedItem(d, u)}
-
-			before := tr.model.Clone()
-			lossAt := func(mutate func(), restore func()) float64 {
-				mutate()
-				l := tr.TripleLoss(u, triple)
-				restore()
-				return l
-			}
-			const h = 1e-6
-			checkParam := func(name string, get func() float64, set func(float64)) {
-				t.Helper()
-				orig := get()
-				plus := lossAt(func() { set(orig + h) }, func() { set(orig) })
-				minus := lossAt(func() { set(orig - h) }, func() { set(orig) })
-				fd := (plus - minus) / (2 * h)
-				a, b, c := riskCoeffs(variant, lambda, false)
-				NewKernel(tr.model, Plain).Step(u, []int32{triple.I, triple.K, triple.J}, []float64{a, b, c},
-					Rates{Learn: cfg.LearnRate, RegUser: cfg.RegUser, RegItem: cfg.RegItem, RegBias: cfg.RegBias})
-				moved := get() - orig
-				set(orig) // roll back the probe step
-				// moved = −γ·grad with γ=1.
-				if !mathx.AlmostEqual(-moved, fd, 1e-4*(1+math.Abs(fd))) {
-					t.Errorf("%v λ=%v %s: update moved %v, finite diff %v",
-						variant, lambda, name, moved, fd)
-				}
-				tr.model = before.Clone() // fresh params for next probe
-			}
-
-			m := tr.model
-			checkParam("U_u[0]",
-				func() float64 { return tr.model.UserFactors(u)[0] },
-				func(v float64) { tr.model.UserFactors(u)[0] = v })
-			checkParam("V_i[1]",
-				func() float64 { return tr.model.ItemFactors(triple.I)[1] },
-				func(v float64) { tr.model.ItemFactors(triple.I)[1] = v })
-			checkParam("V_k[2]",
-				func() float64 { return tr.model.ItemFactors(triple.K)[2] },
-				func(v float64) { tr.model.ItemFactors(triple.K)[2] = v })
-			checkParam("V_j[0]",
-				func() float64 { return tr.model.ItemFactors(triple.J)[0] },
-				func(v float64) { tr.model.ItemFactors(triple.J)[0] = v })
-			checkParam("b_i",
-				func() float64 { return tr.model.Bias(triple.I) },
-				func(v float64) { tr.model.AddBias(triple.I, v-tr.model.Bias(triple.I)) })
-			checkParam("b_j",
-				func() float64 { return tr.model.Bias(triple.J) },
-				func(v float64) { tr.model.AddBias(triple.J, v-tr.model.Bias(triple.J)) })
-			_ = m
+			coef, _ := riskCoeffs(variant, lambda)
+			checkStepGradient(t, fmt.Sprintf("%v λ=%v", variant, lambda), tr, u,
+				[]int32{obs[0], obs[1], unobservedItem(d, u)}, coef[:])
 		}
 	}
 }

@@ -17,7 +17,10 @@ import (
 // The trailer has two shapes, both older than the one-trainer design and
 // both kept so existing checkpoint directories resume: a one-worker run
 // writes its streams in the top-level RNG/SamplerRNG/SamplerSteps fields,
-// a run with several workers writes Workers[] and SinceRefresh.
+// a run with several workers writes Workers[] and SinceRefresh. SamplerRNG
+// holds four words per stream the objective's sampler owns: CLAPF's and
+// BPR's one stream is the shape it always had, MPR and CLAPF-Multi write
+// eight.
 
 // MetaSnapshot captures the trainer's resumable state as a checkpoint
 // trailer. Call between RunSteps calls.
@@ -28,7 +31,7 @@ func (t *Trainer) MetaSnapshot() *store.Meta {
 	for i, w := range st.Workers {
 		streams[i] = store.WorkerMeta{
 			RNG:          append([]uint64(nil), w.RNG[:]...),
-			SamplerRNG:   append([]uint64(nil), w.Sampler.RNG[:]...),
+			SamplerRNG:   w.Sampler.RNG,
 			SamplerSteps: w.Sampler.Steps,
 		}
 	}
@@ -72,13 +75,10 @@ func (t *Trainer) RestoreFromMeta(m *mf.Model, meta *store.Meta) error {
 		if err != nil {
 			return err
 		}
-		samplerRNG, err := rngWords(wm.SamplerRNG, fmt.Sprintf("worker %d sampler_rng", i))
-		if err != nil {
-			return err
-		}
+		// The sampler checks its own word count: four per stream it owns.
 		st.Workers[i] = WorkerState{
 			RNG:     rng,
-			Sampler: sampling.SamplerState{RNG: samplerRNG, Steps: wm.SamplerSteps},
+			Sampler: sampling.SamplerState{RNG: wm.SamplerRNG, Steps: wm.SamplerSteps},
 		}
 	}
 	return t.Restore(st, m)

@@ -8,20 +8,31 @@ import (
 	"clapf/internal/dataset"
 	"clapf/internal/eval"
 	"clapf/internal/mathx"
+	"clapf/internal/sampling"
 )
 
+// multiConfig is the shared MF defaults with the CLAPF-Multi objective.
+func multiConfig(trainPairs int, m Multi) Config {
+	cfg := DefaultConfig(sampling.MAP, trainPairs)
+	cfg.Objective = m
+	return cfg
+}
+
 func TestMultiConfigValidate(t *testing.T) {
-	base := DefaultMultiConfig(100)
+	base := multiConfig(100, DefaultMulti())
+	lambdas := func(l1, l2, l3 float64) func(*Config) {
+		return func(c *Config) { c.Objective = Multi{Lambda1: l1, Lambda2: l2, Lambda3: l3} }
+	}
 	cases := []struct {
 		name string
-		mut  func(*MultiConfig)
+		mut  func(*Config)
 	}{
-		{"negative lambda", func(c *MultiConfig) { c.Lambda1 = -0.1 }},
-		{"zero lambdas", func(c *MultiConfig) { c.Lambda1, c.Lambda2, c.Lambda3 = 0, 0, 0 }},
-		{"zero rate", func(c *MultiConfig) { c.LearnRate = 0 }},
-		{"neg reg", func(c *MultiConfig) { c.Reg = -1 }},
-		{"zero dim", func(c *MultiConfig) { c.Dim = 0 }},
-		{"neg steps", func(c *MultiConfig) { c.Steps = -1 }},
+		{"negative lambda", lambdas(-0.1, 0.5, 0.3)},
+		{"zero lambdas", lambdas(0, 0, 0)},
+		{"zero rate", func(c *Config) { c.LearnRate = 0 }},
+		{"neg reg", func(c *Config) { c.RegItem = -1 }},
+		{"zero dim", func(c *Config) { c.Dim = 0 }},
+		{"neg steps", func(c *Config) { c.Steps = -1 }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -39,18 +50,21 @@ func TestMultiConfigValidate(t *testing.T) {
 
 func TestMultiLambdaNormalization(t *testing.T) {
 	d := smallData(t, 21)
-	cfg := DefaultMultiConfig(d.NumPairs())
-	cfg.Lambda1, cfg.Lambda2, cfg.Lambda3 = 2, 5, 3 // sums to 10
+	cfg := multiConfig(d.NumPairs(), Multi{Lambda1: 2, Lambda2: 5, Lambda3: 3}) // sums to 10
 	cfg.Steps = 100
-	tr, err := NewMultiTrainer(cfg, d)
+	tr, err := NewTrainer(cfg, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mathx.AlmostEqual(tr.cfg.Lambda1+tr.cfg.Lambda2+tr.cfg.Lambda3, 1, 1e-12) {
-		t.Errorf("lambdas not normalized: %v %v %v", tr.cfg.Lambda1, tr.cfg.Lambda2, tr.cfg.Lambda3)
+	// coef is (λ₂−λ₁, λ₁, λ₃−λ₂, −λ₃) of the normalized lambdas.
+	coef := tr.sampler.(*multiSampler).coef
+	l1, l3 := coef[1], -coef[3]
+	l2 := coef[0] + l1
+	if !mathx.AlmostEqual(l1+l2+l3, 1, 1e-12) {
+		t.Errorf("lambdas not normalized: %v %v %v", l1, l2, l3)
 	}
-	if !mathx.AlmostEqual(tr.cfg.Lambda2, 0.5, 1e-12) {
-		t.Errorf("normalized λ₂ = %v, want 0.5", tr.cfg.Lambda2)
+	if !mathx.AlmostEqual(l2, 0.5, 1e-12) {
+		t.Errorf("normalized λ₂ = %v, want 0.5", l2)
 	}
 }
 
@@ -63,11 +77,11 @@ func TestMultiTrainerLearns(t *testing.T) {
 		t.Fatal(err)
 	}
 	train, test := dataset.Split(w.Data, mathx.NewRNG(23), 0.5)
-	cfg := DefaultMultiConfig(train.NumPairs())
+	cfg := multiConfig(train.NumPairs(), DefaultMulti())
 	cfg.Dim = 8
 	cfg.Steps = 120000
 	cfg.Seed = 24
-	tr, err := NewMultiTrainer(cfg, train)
+	tr, err := NewTrainer(cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +107,11 @@ func TestMultiTrainerLearns(t *testing.T) {
 func TestMultiTrainerDeterministic(t *testing.T) {
 	d := smallData(t, 25)
 	run := func() float64 {
-		cfg := DefaultMultiConfig(d.NumPairs())
+		cfg := multiConfig(d.NumPairs(), DefaultMulti())
 		cfg.Dim = 6
 		cfg.Steps = 3000
 		cfg.Seed = 26
-		tr, err := NewMultiTrainer(cfg, d)
+		tr, err := NewTrainer(cfg, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +124,7 @@ func TestMultiTrainerDeterministic(t *testing.T) {
 }
 
 func TestMultiTrainerErrors(t *testing.T) {
-	if _, err := NewMultiTrainer(DefaultMultiConfig(10), nil); err == nil {
+	if _, err := NewTrainer(multiConfig(10, DefaultMulti()), nil); err == nil {
 		t.Error("nil data accepted")
 	}
 	// A world with only one unobserved item per user cannot host distinct
@@ -119,7 +133,7 @@ func TestMultiTrainerErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMultiTrainer(DefaultMultiConfig(1), full); err == nil {
+	if _, err := NewTrainer(multiConfig(1, DefaultMulti()), full); err == nil {
 		t.Error("insufficient negatives accepted")
 	}
 }

@@ -12,8 +12,9 @@ import (
 type WorkerState struct {
 	// RNG is the worker's record-selection RNG state.
 	RNG [4]uint64
-	// Sampler is the worker's sampler state (its private RNG and step
-	// count; rank lists are derived state rebuilt on restore).
+	// Sampler is the worker's sampler state (every stream its objective's
+	// sampler owns and the step count; rank lists are derived state
+	// rebuilt on restore).
 	Sampler sampling.SamplerState
 }
 
@@ -85,9 +86,12 @@ func (t *Trainer) Restore(st TrainerState, m *mf.Model) error {
 	}
 	for i, w := range t.workers {
 		w.rng.SetState(st.Workers[i].RNG)
-		w.sampler.Restore(st.Workers[i].Sampler) // a lone worker's sampler rebuilds its lists here
+		// A lone worker's sampler rebuilds its lists here.
+		if err := w.sampler.Restore(st.Workers[i].Sampler); err != nil {
+			return fmt.Errorf("core: restore worker %d: %w", i, err)
+		}
 	}
-	if len(t.workers) > 1 && t.cfg.Sampler.Strategy != sampling.Uniform {
+	if len(t.workers) > 1 {
 		t.sampler.Refresh() // views never rebuild: do it for them
 	}
 	t.stepsDone = st.Step

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"clapf/internal/dataset"
@@ -17,8 +16,8 @@ import (
 //
 // differs only in which items it samples and in the coefficient vector c
 // (CLAPF-MAP, CLAPF-MRR, CLAPF-Multi, MPR, and BPR as CLAPF's λ = 0
-// reduction). With g = 1 − σ(R), Eq. 23's scalar, the minimization step
-// on −ln σ(R) + regularization is
+// reduction: the objectives of objective.go). With g = 1 − σ(R), Eq. 23's
+// scalar, the minimization step on −ln σ(R) + regularization is
 //
 //	V_t += γ(g·c_t·U_u − α_v·V_t)    (from the pre-update U_u)
 //	b_t += γ(g·c_t − β_v·b_t)
@@ -26,7 +25,8 @@ import (
 //
 // The Kernel below does exactly that and nothing else: what to do with a
 // non-finite R, whether to track the loss, and how to time the phases
-// are its callers' decisions, taken between Risk and Apply.
+// are decisions of its one caller, worker.step, taken between Risk and
+// Apply.
 
 // Access selects how a Kernel reaches the item rows and biases.
 type Access int
@@ -222,15 +222,6 @@ func (k *Kernel) Apply(g float64, rt Rates) {
 	}
 }
 
-// Step is Risk, g = 1 − σ(R), Apply: the whole update for callers with
-// nothing to decide in between. It returns R and g.
-func (k *Kernel) Step(u int32, items []int32, coef []float64, rt Rates) (r, g float64) {
-	r = k.Risk(u, items, coef)
-	g = 1 - mathx.Sigmoid(r)
-	k.Apply(g, rt)
-	return r, g
-}
-
 // NewModel allocates a users × items model of the training split's shape
 // and draws its factors from N(0, initStd²) with rng.
 func NewModel(train *dataset.Dataset, dim int, useBias bool, initStd float64, rng *mathx.RNG) (*mf.Model, error) {
@@ -245,23 +236,4 @@ func NewModel(train *dataset.Dataset, dim int, useBias bool, initStd float64, rn
 	}
 	m.InitGaussian(rng, initStd)
 	return m, nil
-}
-
-// TrainableRecords lists, in user-major order, every observed (u, i) of
-// the users who have at least minUnobserved unobserved items left to
-// sample negatives from. SGD draws training records uniformly from this
-// list (§4.3: "randomly select a record"), so active users are visited
-// in proportion to their history; users with a single observed item
-// still train. An empty result is an error: nothing can be sampled.
-func TrainableRecords(train *dataset.Dataset, minUnobserved int) ([]dataset.Interaction, error) {
-	var pairs []dataset.Interaction
-	train.ForEach(func(u, i int32) {
-		if train.NumPositives(u)+minUnobserved <= train.NumItems() {
-			pairs = append(pairs, dataset.Interaction{User: u, Item: i})
-		}
-	})
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("no trainable records (no user has %d unobserved item(s) left)", minUnobserved)
-	}
-	return pairs, nil
 }

@@ -104,12 +104,11 @@ type kernelCase struct {
 // items, CLAPF's and MPR's three, CLAPF-Multi's four — with and without
 // the k == i alias.
 func kernelCases() []kernelCase {
-	a, b, c := riskCoeffs(sampling.MAP, 0.4, false)
-	fa, fb, fc := riskCoeffs(sampling.MAP, 0.4, true)
+	coef, folded := riskCoeffs(sampling.MAP, 0.4)
 	return []kernelCase{
 		{"2 items", []int32{3, 5}, []float64{1, -1}},
-		{"3 items", []int32{3, 8, 5}, []float64{a, b, c}},
-		{"3 items, k == i", []int32{3, 3, 5}, []float64{fa, fb, fc}},
+		{"3 items", []int32{3, 8, 5}, coef[:]},
+		{"3 items, k == i", []int32{3, 3, 5}, folded[:]},
 		{"4 items", []int32{3, 8, 1, 5}, []float64{0.3, 0.2, -0.2, -0.3}},
 		{"4 items, k == i", []int32{3, 3, 1, 5}, []float64{0.5, 0, -0.2, -0.3}},
 	}
@@ -172,9 +171,12 @@ func TestStepKernelLambdaZeroIsBPR(t *testing.T) {
 			for _, k := range []int32{8, i} {
 				bpr, clapf := kernelWorld(bias, 9), kernelWorld(bias, 9)
 				before := clapf.Clone()
-				NewKernel(bpr, Plain).Step(u, []int32{i, j}, []float64{1, -1}, rt)
-				a, b, c := riskCoeffs(variant, 0, k == i)
-				NewKernel(clapf, Plain).Step(u, []int32{i, k, j}, []float64{a, b, c}, rt)
+				kernelStep(NewKernel(bpr, Plain), u, []int32{i, j}, bprCoef[:], 0, rt)
+				coef, folded := riskCoeffs(variant, 0)
+				if k == i {
+					coef = folded
+				}
+				kernelStep(NewKernel(clapf, Plain), u, []int32{i, k, j}, coef[:], 0, rt)
 
 				if k != i {
 					// Give BPR's model the shrink CLAPF's regularizer applied to

@@ -106,8 +106,8 @@ func trajectoryCases() []trajectoryCase {
 	return cases
 }
 
-func multiTrajectoryConfig(bias bool) MultiConfig {
-	cfg := DefaultMultiConfig(1500)
+func multiTrajectoryConfig(bias bool) Config {
+	cfg := multiConfig(1500, DefaultMulti())
 	cfg.Dim = 8
 	cfg.Steps = 6000
 	cfg.Seed = 77
@@ -131,7 +131,7 @@ func runTrajectories(t *testing.T) map[string]string {
 		got[c.name] = paramsHash(tr.Model())
 	}
 	for _, bias := range []bool{true, false} {
-		mt, err := NewMultiTrainer(multiTrajectoryConfig(bias), d)
+		mt, err := NewTrainer(multiTrajectoryConfig(bias), d)
 		if err != nil {
 			t.Fatal(err)
 		}

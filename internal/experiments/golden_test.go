@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"clapf/internal/baselines"
+	"clapf/internal/core"
 	"clapf/internal/datagen"
 	"clapf/internal/dataset"
 	"clapf/internal/sampling"
@@ -56,12 +57,7 @@ func goldenMethods() []Method {
 		fitterMethod("PopRank", func(_ *dataset.Dataset, _ uint64) (fitScorer, error) {
 			return baselines.NewPopRank(), nil
 		}),
-		fitterMethod("BPR", func(train *dataset.Dataset, seed uint64) (fitScorer, error) {
-			cfg := baselines.DefaultBPRConfig(train.NumPairs())
-			cfg.Steps = budget.EpochEquivalents * train.NumPairs()
-			cfg.Seed = seed
-			return baselines.NewBPR(cfg)
-		}),
+		trainerMethod("BPR", budget, func(cfg *core.Config) { cfg.Objective = core.BPR{} }),
 		clapfMethod("CLAPF-MAP", sampling.MAP, sampling.Uniform, 0.4, budget),
 		clapfMethod("CLAPF-MRR", sampling.MRR, sampling.Uniform, 0.6, budget),
 		clapfMethod("CLAPF+DSS-MAP", sampling.MAP, sampling.DSS, 0.4, budget),

@@ -83,16 +83,17 @@ func DefaultBudget() BudgetConfig {
 	}
 }
 
-// clapfMethod builds one CLAPF variant.
-func clapfMethod(name string, variant sampling.Objective, strategy sampling.Strategy, lambda float64, budget BudgetConfig) Method {
+// trainerMethod builds one row trained by core.Trainer — every SGD method
+// with a linear risk: the shared MF defaults, the budget's step count,
+// and whatever configure sets (an objective, or CLAPF's own knobs).
+func trainerMethod(name string, budget BudgetConfig, configure func(cfg *core.Config)) Method {
 	return Method{
 		Name: name,
 		Build: func(train *dataset.Dataset, seed uint64) (eval.Scorer, error) {
-			cfg := core.DefaultConfig(variant, train.NumPairs())
-			cfg.Lambda = lambda
+			cfg := core.DefaultConfig(sampling.MAP, train.NumPairs())
 			cfg.Steps = budget.EpochEquivalents * train.NumPairs()
-			cfg.Sampler.Strategy = strategy
 			cfg.Seed = seed
+			configure(&cfg)
 			tr, err := core.NewTrainer(cfg, train)
 			if err != nil {
 				return nil, err
@@ -101,6 +102,13 @@ func clapfMethod(name string, variant sampling.Objective, strategy sampling.Stra
 			return tr.Model(), nil
 		},
 	}
+}
+
+// clapfMethod builds one CLAPF variant.
+func clapfMethod(name string, variant sampling.Objective, strategy sampling.Strategy, lambda float64, budget BudgetConfig) Method {
+	return trainerMethod(name, budget, func(cfg *core.Config) {
+		cfg.Variant, cfg.Lambda, cfg.Sampler.Strategy = variant, lambda, strategy
+	})
 }
 
 // fitScorer is a model that can be fitted and then used as a scorer —
@@ -149,18 +157,8 @@ func Table2Methods(datasetName string, budget BudgetConfig) []Method {
 			cfg.Seed = seed
 			return baselines.NewWMF(cfg)
 		}),
-		fitterMethod("BPR", func(train *dataset.Dataset, seed uint64) (fitScorer, error) {
-			cfg := baselines.DefaultBPRConfig(train.NumPairs())
-			cfg.Steps = budget.EpochEquivalents * train.NumPairs()
-			cfg.Seed = seed
-			return baselines.NewBPR(cfg)
-		}),
-		fitterMethod("MPR", func(train *dataset.Dataset, seed uint64) (fitScorer, error) {
-			cfg := baselines.DefaultMPRConfig(train.NumPairs())
-			cfg.Steps = budget.EpochEquivalents * train.NumPairs()
-			cfg.Seed = seed
-			return baselines.NewMPR(cfg)
-		}),
+		trainerMethod("BPR", budget, func(cfg *core.Config) { cfg.Objective = core.BPR{} }),
+		trainerMethod("MPR", budget, func(cfg *core.Config) { cfg.Objective = core.MPR{Rho: 0.6} }),
 		fitterMethod("CLiMF", func(_ *dataset.Dataset, seed uint64) (fitScorer, error) {
 			cfg := baselines.DefaultCLiMFConfig()
 			cfg.Epochs = budget.CLiMFEpochs

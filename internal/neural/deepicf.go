@@ -6,6 +6,7 @@ import (
 
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
+	"clapf/internal/sampling"
 )
 
 // DeepICF is the deep item-based CF model of Xue et al. (TOIS 2019): the
@@ -177,9 +178,11 @@ func (d *DeepICF) Fit(train *dataset.Dataset) error {
 	d.tower = tower
 	d.pooled = make([]float64, d.cfg.Dim)
 
-	pairs := train.Interactions()
-	if len(pairs) == 0 {
-		return fmt.Errorf("neural: DeepICF has no training pairs")
+	// A user who observed the whole catalog has no negative to pair with
+	// and contributes no examples.
+	pairs, err := sampling.TrainableRecords(train, 1)
+	if err != nil {
+		return fmt.Errorf("neural: DeepICF: %w", err)
 	}
 	opt := DefaultAdam(d.cfg.LearnRate)
 	opt.WeightDecay = d.cfg.WeightDecay
@@ -193,7 +196,7 @@ func (d *DeepICF) Fit(train *dataset.Dataset) error {
 			p := pairs[idx]
 			d.trainStep(p.User, p.Item, 1, opt)
 			for neg := 0; neg < d.cfg.NegRatio; neg++ {
-				d.trainStep(p.User, sampleUnobserved(train, p.User, rng), 0, opt)
+				d.trainStep(p.User, sampling.Unobserved(train, p.User, rng), 0, opt)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package neural
 
 import (
 	"testing"
+	"time"
 
 	"clapf/internal/datagen"
 	"clapf/internal/dataset"
@@ -176,5 +177,45 @@ func TestNeuralModelsDeterministic(t *testing.T) {
 	}
 	if a, b := score(), score(); a != b {
 		t.Errorf("NeuMF not deterministic under fixed seed: %v vs %v", a, b)
+	}
+}
+
+// TestFitSkipsSaturatedUsers: a user who observed the whole catalog has
+// no negative to pair with, so NeuMF and DeepICF train without that
+// user's records (as NeuPR always has) instead of rejecting candidates
+// forever.
+func TestFitSkipsSaturatedUsers(t *testing.T) {
+	train, err := dataset.FromInteractions("sat", 2, 3, []dataset.Interaction{
+		{User: 0, Item: 0}, {User: 0, Item: 1}, {User: 0, Item: 2}, // saturated
+		{User: 1, Item: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := DefaultNeuMFConfig()
+	nc.Epochs = 2
+	neumf, err := NewNeuMF(nc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc := DefaultDeepICFConfig()
+	dc.Epochs = 2
+	deepicf, err := NewDeepICF(dc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]interface {
+		Fit(*dataset.Dataset) error
+	}{"NeuMF": neumf, "DeepICF": deepicf} {
+		done := make(chan error, 1)
+		go func() { done <- m.Fit(train) }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: Fit hangs on a user who observed every item", name)
+		}
 	}
 }

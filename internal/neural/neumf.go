@@ -5,6 +5,7 @@ import (
 
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
+	"clapf/internal/sampling"
 )
 
 // NeuMF is the advanced NCF instantiation of He et al. (WWW 2017): a
@@ -167,9 +168,11 @@ func (n *NeuMF) Fit(train *dataset.Dataset) error {
 	if err := n.build(train.NumUsers(), train.NumItems(), rng.Split()); err != nil {
 		return err
 	}
-	pairs := train.Interactions()
-	if len(pairs) == 0 {
-		return fmt.Errorf("neural: NeuMF has no training pairs")
+	// A user who observed the whole catalog has no negative to pair with
+	// and contributes no examples.
+	pairs, err := sampling.TrainableRecords(train, 1)
+	if err != nil {
+		return fmt.Errorf("neural: NeuMF: %w", err)
 	}
 	opt := DefaultAdam(n.cfg.LearnRate)
 	opt.WeightDecay = n.cfg.WeightDecay
@@ -183,23 +186,12 @@ func (n *NeuMF) Fit(train *dataset.Dataset) error {
 			p := pairs[idx]
 			n.trainStep(p.User, p.Item, 1, opt)
 			for neg := 0; neg < n.cfg.NegRatio; neg++ {
-				j := sampleUnobserved(train, p.User, rng)
+				j := sampling.Unobserved(train, p.User, rng)
 				n.trainStep(p.User, j, 0, opt)
 			}
 		}
 	}
 	return nil
-}
-
-// sampleUnobserved draws a training-unobserved item for u.
-func sampleUnobserved(d *dataset.Dataset, u int32, rng *mathx.RNG) int32 {
-	m := d.NumItems()
-	for {
-		j := int32(rng.Intn(m))
-		if !d.IsPositive(u, j) {
-			return j
-		}
-	}
 }
 
 // ScoreAll implements eval.Scorer: the predicted probability is monotone in

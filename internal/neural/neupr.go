@@ -5,6 +5,7 @@ import (
 
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
+	"clapf/internal/sampling"
 )
 
 // NeuPR is the neural pairwise ranker of Song et al. (CIKM 2018, "Neural
@@ -129,7 +130,7 @@ func (n *NeuPR) Fit(train *dataset.Dataset) error {
 		u := users[rng.Intn(len(users))]
 		obs := train.Positives(u)
 		i := obs[rng.Intn(len(obs))]
-		j := sampleUnobserved(train, u, rng)
+		j := sampling.Unobserved(train, u, rng)
 
 		diff := n.score(u, i) - n.score(u, j)
 		g := mathx.Sigmoid(diff) - 1 // ∂(−ln σ(diff))/∂diff

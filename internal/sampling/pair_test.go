@@ -6,6 +6,7 @@ import (
 
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
+	"clapf/internal/mf"
 )
 
 func TestAliasMatchesWeights(t *testing.T) {
@@ -69,35 +70,45 @@ func TestAliasErrors(t *testing.T) {
 	}
 }
 
+// negatives builds a NegativeSampler or fails the test.
+func negatives(t *testing.T, scheme Negatives, candidates int, d *dataset.Dataset, m *mf.Model, seed uint64) *NegativeSampler {
+	t.Helper()
+	s, err := NewNegativeSampler(scheme, candidates, d, m, mathx.NewRNG(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestUniformPairInvariants(t *testing.T) {
-	d, _ := fixture(t)
-	s := NewUniformPair(d, mathx.NewRNG(5))
+	d, m := fixture(t)
 	users := d.UsersWithAtLeast(1)
-	for n := 0; n < 2000; n++ {
-		u := users[n%len(users)]
-		p := s.SamplePair(u)
-		if !d.IsPositive(u, p.I) {
-			t.Fatalf("i = %d not observed", p.I)
+	for _, scheme := range []Negatives{UniformNegatives, DNSNegatives, AoBPRNegatives, ABSNegatives} {
+		s := negatives(t, scheme, 4, d, m, 5)
+		for n := 0; n < 2000; n++ {
+			u := users[n%len(users)]
+			obs := d.Positives(u)
+			if j := s.Sample(u, obs[n%len(obs)]); d.IsPositive(u, j) {
+				t.Fatalf("scheme %d: j = %d observed", scheme, j)
+			}
 		}
-		if d.IsPositive(u, p.J) {
-			t.Fatalf("j = %d observed", p.J)
-		}
+	}
+	if _, err := NewNegativeSampler(Negatives(99), 4, d, m, mathx.NewRNG(5)); err == nil {
+		t.Error("unknown scheme accepted")
 	}
 }
 
 func TestDNSPairPicksHarderNegatives(t *testing.T) {
 	d, m := fixture(t) // item score = item id
-	dns, err := NewDNSPair(d, m, mathx.NewRNG(7), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni := NewUniformPair(d, mathx.NewRNG(7))
+	dns := negatives(t, DNSNegatives, 8, d, m, 7)
+	uni := negatives(t, UniformNegatives, 0, d, nil, 7)
 	users := d.UsersWithAtLeast(1)
 	var dnsJ, uniJ mathx.OnlineStats
 	for n := 0; n < 3000; n++ {
 		u := users[n%len(users)]
-		dnsJ.Add(m.Score(u, dns.SamplePair(u).J))
-		uniJ.Add(m.Score(u, uni.SamplePair(u).J))
+		i := d.Positives(u)[0]
+		dnsJ.Add(m.Score(u, dns.Sample(u, i)))
+		uniJ.Add(m.Score(u, uni.Sample(u, i)))
 	}
 	if dnsJ.Mean() <= uniJ.Mean() {
 		t.Errorf("DNS negative score %.2f not above uniform %.2f", dnsJ.Mean(), uniJ.Mean())
@@ -106,11 +117,14 @@ func TestDNSPairPicksHarderNegatives(t *testing.T) {
 
 func TestDNSValidation(t *testing.T) {
 	d, m := fixture(t)
-	if _, err := NewDNSPair(d, nil, mathx.NewRNG(1), 5); err == nil {
+	if _, err := NewNegativeSampler(DNSNegatives, 5, d, nil, mathx.NewRNG(1)); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := NewDNSPair(d, m, mathx.NewRNG(1), 0); err == nil {
+	if _, err := NewNegativeSampler(DNSNegatives, 0, d, m, mathx.NewRNG(1)); err == nil {
 		t.Error("zero candidates accepted")
+	}
+	if _, err := NewNegativeSampler(AoBPRNegatives, 0, d, nil, mathx.NewRNG(1)); err == nil {
+		t.Error("AoBPR without a model accepted")
 	}
 }
 
@@ -146,22 +160,20 @@ func TestPopNegativeWeighting(t *testing.T) {
 
 func TestABSPairPrefersMisrankedPairs(t *testing.T) {
 	d, m := fixture(t) // item score = item id
-	abs, err := NewABSPair(d, m, mathx.NewRNG(11), 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni := NewUniformPair(d, mathx.NewRNG(11))
+	abs := negatives(t, ABSNegatives, 8, d, m, 11)
+	uni := negatives(t, UniformNegatives, 0, d, nil, 11)
 	users := d.UsersWithAtLeast(1)
 	var absMargin, uniMargin mathx.OnlineStats
 	for n := 0; n < 3000; n++ {
 		u := users[n%len(users)]
-		p := abs.SamplePair(u)
-		if !d.IsPositive(u, p.I) || d.IsPositive(u, p.J) {
-			t.Fatal("ABS pair violates positivity invariants")
+		obs := d.Positives(u)
+		i := obs[n%len(obs)]
+		j := abs.Sample(u, i)
+		if d.IsPositive(u, j) {
+			t.Fatal("ABS negative violates the positivity invariant")
 		}
-		absMargin.Add(m.Score(u, p.I) - m.Score(u, p.J))
-		q := uni.SamplePair(u)
-		uniMargin.Add(m.Score(u, q.I) - m.Score(u, q.J))
+		absMargin.Add(m.Score(u, i) - m.Score(u, j))
+		uniMargin.Add(m.Score(u, i) - m.Score(u, uni.Sample(u, i)))
 	}
 	if absMargin.Mean() >= uniMargin.Mean() {
 		t.Errorf("ABS margin %.2f not below uniform %.2f — should mine hard pairs",
@@ -169,12 +181,55 @@ func TestABSPairPrefersMisrankedPairs(t *testing.T) {
 	}
 }
 
+// TestABSScreensAgainstTheGivenPositive plants a model (item score = item
+// id) and replays the sampler's candidate stream on a twin generator: the
+// negative ABS hands back for a record (u, i) is the first candidate the
+// model ranks above that i, or, when none is, the arg-min of f_ui − f_uj
+// over all of them. The pre-objective BPR loop screened each candidate
+// against a positive of ABS's own choosing and trained the survivor
+// against the record's i, so for a high-scored i it stopped early at
+// candidates the record's pair does not misrank.
+func TestABSScreensAgainstTheGivenPositive(t *testing.T) {
+	d, m := fixture(t)
+	const candidates = 6
+	abs := negatives(t, ABSNegatives, candidates, d, m, 13)
+	twin := mathx.NewRNG(13)
+	stoppedEarly, ranAll := 0, 0
+	for n := 0; n < 2000; n++ {
+		u := d.UsersWithAtLeast(1)[n%len(d.UsersWithAtLeast(1))]
+		obs := d.Positives(u)
+		i := obs[n%len(obs)]
+		want, wantMargin := int32(-1), math.Inf(1)
+		for c := 0; c < candidates; c++ {
+			j := Unobserved(d, u, twin)
+			if margin := m.Score(u, i) - m.Score(u, j); margin < wantMargin {
+				want, wantMargin = j, margin
+			}
+			if wantMargin < 0 {
+				break
+			}
+		}
+		if wantMargin < 0 {
+			stoppedEarly++
+		} else {
+			ranAll++
+		}
+		if got := abs.Sample(u, i); got != want {
+			t.Fatalf("draw %d: ABS(u=%d, i=%d) = %d (margin %v), want %d (margin %v)",
+				n, u, i, got, m.Score(u, i)-m.Score(u, got), want, wantMargin)
+		}
+	}
+	if stoppedEarly == 0 || ranAll == 0 {
+		t.Errorf("%d early accepts, %d full screens: the test needs both", stoppedEarly, ranAll)
+	}
+}
+
 func TestABSValidation(t *testing.T) {
 	d, m := fixture(t)
-	if _, err := NewABSPair(d, nil, mathx.NewRNG(1), 4, 0); err == nil {
+	if _, err := NewNegativeSampler(ABSNegatives, 4, d, nil, mathx.NewRNG(1)); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := NewABSPair(d, m, mathx.NewRNG(1), 0, 0); err == nil {
+	if _, err := NewNegativeSampler(ABSNegatives, 0, d, m, mathx.NewRNG(1)); err == nil {
 		t.Error("zero candidates accepted")
 	}
 }

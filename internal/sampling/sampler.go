@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"sort"
 
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
@@ -155,19 +156,22 @@ func NewTripleSampler(cfg TripleConfig, data *dataset.Dataset, model *mf.Model, 
 	}
 	if needModel {
 		s.Refresh()
+	} else {
+		s.cfg.RefreshEvery = 0 // no rank lists to rebuild
 	}
 	return s, nil
 }
 
 // RefreshEvery returns the resolved rank-list rebuild cadence in Sample
-// calls (the configured value, or the m·⌈log₂ m⌉ default). Uniform
-// samplers report the resolved value too, though they never rebuild.
+// calls (the configured value, or the m·⌈log₂ m⌉ default), and 0 for the
+// Uniform strategy, which keeps no rank lists.
 func (s *TripleSampler) RefreshEvery() int { return s.cfg.RefreshEvery }
 
 // Refresh rebuilds the per-factor ranking lists from the current model
-// (§5.2, Step 2). Cost: d · m log m.
+// (§5.2, Step 2). Cost: d · m log m. A Uniform sampler has none and
+// returns at once.
 func (s *TripleSampler) Refresh() {
-	if s.model == nil {
+	if s.cfg.RefreshEvery == 0 {
 		return
 	}
 	d := s.model.Dim()
@@ -224,7 +228,8 @@ func argsortDesc(xs []float64) []int32 {
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	sortSliceInt32(idx, func(a, b int32) bool {
+	sort.Slice(idx, func(x, y int) bool {
+		a, b := idx[x], idx[y]
 		if xs[a] != xs[b] {
 			return xs[a] > xs[b]
 		}
@@ -246,7 +251,7 @@ func (s *TripleSampler) Sample(u int32) Triple {
 // training record (§4.3: "randomly select a record").
 func (s *TripleSampler) SampleWithI(u, i int32) Triple {
 	s.steps++
-	if !s.view && s.cfg.Strategy != Uniform && s.cfg.RefreshEvery > 0 && s.steps%s.cfg.RefreshEvery == 0 {
+	if !s.view && s.cfg.RefreshEvery > 0 && s.steps%s.cfg.RefreshEvery == 0 {
 		s.Refresh()
 	}
 
@@ -255,8 +260,8 @@ func (s *TripleSampler) SampleWithI(u, i int32) Triple {
 	var k, j int32
 	switch s.cfg.Strategy {
 	case Uniform:
-		k = s.uniformK(obs, i)
-		j = s.uniformJ(u)
+		k = OtherObserved(obs, i, s.rng)
+		j = Unobserved(s.data, u, s.rng)
 	case DSS:
 		q, descending := s.pickFactorList(u)
 		k = s.rankedK(u, obs, i, q, descending)
@@ -264,10 +269,10 @@ func (s *TripleSampler) SampleWithI(u, i int32) Triple {
 	case PositiveOnly:
 		q, descending := s.pickFactorList(u)
 		k = s.rankedK(u, obs, i, q, descending)
-		j = s.uniformJ(u)
+		j = Unobserved(s.data, u, s.rng)
 	case NegativeOnly:
 		q, descending := s.pickFactorList(u)
-		k = s.uniformK(obs, i)
+		k = OtherObserved(obs, i, s.rng)
 		j = s.rankedJ(u, q, descending)
 	default:
 		panic(fmt.Sprintf("sampling: unknown strategy %v", s.cfg.Strategy))
@@ -292,18 +297,41 @@ func (s *TripleSampler) SharedView(rng *mathx.RNG) *TripleSampler {
 	return &v
 }
 
-// SamplerState captures the sampler's resumable state: the RNG position
-// and the step counter that drives the rank-list refresh schedule. The
-// rank lists themselves are not part of the state — they are derived from
-// the model and rebuilt on Restore.
+// SamplerState captures a sampler's resumable state: the position of
+// every generator it owns — four xoshiro256** words per stream, in the
+// sampler's own fixed order — and the step counter that drives the
+// rank-list refresh schedule. The rank lists themselves are not part of
+// the state — they are derived from the model and rebuilt on Restore.
 type SamplerState struct {
-	RNG   [4]uint64
+	RNG   []uint64
 	Steps int
+}
+
+// StreamWords concatenates the state words of the given generators.
+func StreamWords(rngs ...*mathx.RNG) []uint64 {
+	words := make([]uint64, 0, 4*len(rngs))
+	for _, r := range rngs {
+		st := r.State()
+		words = append(words, st[:]...)
+	}
+	return words
+}
+
+// SetStreams repositions the generators from words written by
+// StreamWords for the same number of streams.
+func SetStreams(words []uint64, rngs ...*mathx.RNG) error {
+	if len(words) != 4*len(rngs) {
+		return fmt.Errorf("sampling: sampler state has %d RNG words, want %d (%d stream(s))", len(words), 4*len(rngs), len(rngs))
+	}
+	for n, r := range rngs {
+		r.SetState([4]uint64(words[4*n : 4*n+4]))
+	}
+	return nil
 }
 
 // State returns the sampler's resumable state for checkpointing.
 func (s *TripleSampler) State() SamplerState {
-	return SamplerState{RNG: s.rng.State(), Steps: s.steps}
+	return SamplerState{RNG: StreamWords(s.rng), Steps: s.steps}
 }
 
 // Restore resumes the sampler from a captured state and rebuilds the
@@ -311,12 +339,15 @@ func (s *TripleSampler) State() SamplerState {
 // the continuation is bit-identical to the uninterrupted stream; for
 // rank-aware strategies the refreshed lists reflect the restored model
 // rather than the lists in memory at checkpoint time (see DESIGN.md).
-func (s *TripleSampler) Restore(st SamplerState) {
-	s.rng.SetState(st.RNG)
+func (s *TripleSampler) Restore(st SamplerState) error {
+	if err := SetStreams(st.RNG, s.rng); err != nil {
+		return err
+	}
 	s.steps = st.Steps
 	if !s.view {
 		s.Refresh()
 	}
+	return nil
 }
 
 // SetDrawHists attaches optional histograms recording the geometric rank
@@ -337,35 +368,57 @@ func (s *TripleSampler) pickFactorList(u int32) (q int, descending bool) {
 	return q, s.model.UserFactor(u, q) >= 0
 }
 
-// uniformK draws a second observed item distinct from i when possible.
-func (s *TripleSampler) uniformK(obs []int32, i int32) int32 {
+// TrainableRecords lists, in user-major order, every observed (u, i) of
+// the users who have at least minUnobserved unobserved items left to
+// sample negatives from. SGD draws training records uniformly from this
+// list (§4.3: "randomly select a record"), so active users are visited
+// in proportion to their history; users with a single observed item
+// still train. An empty result is an error: nothing can be sampled.
+func TrainableRecords(train *dataset.Dataset, minUnobserved int) ([]dataset.Interaction, error) {
+	var pairs []dataset.Interaction
+	train.ForEach(func(u, i int32) {
+		if train.NumPositives(u)+minUnobserved <= train.NumItems() {
+			pairs = append(pairs, dataset.Interaction{User: u, Item: i})
+		}
+	})
+	if len(pairs) == 0 {
+		return nil, fmt.Errorf("no trainable records (no user has %d unobserved item(s) left)", minUnobserved)
+	}
+	return pairs, nil
+}
+
+// OtherObserved draws uniformly from a user's observed items obs one that
+// is not i; a single-positive user only has i.
+func OtherObserved(obs []int32, i int32, rng *mathx.RNG) int32 {
 	if len(obs) == 1 {
 		return obs[0]
 	}
 	for {
-		k := obs[s.rng.Intn(len(obs))]
+		k := obs[rng.Intn(len(obs))]
 		if k != i {
 			return k
 		}
 	}
 }
 
-// uniformJ draws an unobserved item by rejection; the observed set is tiny
-// relative to the catalog, so this terminates almost immediately.
-func (s *TripleSampler) uniformJ(u int32) int32 {
-	m := s.data.NumItems()
+// Unobserved draws uniformly an item u has not observed, by rejection;
+// the observed set is tiny relative to the catalog, so this terminates
+// almost immediately. It is the one uniform negative draw of every
+// sampler and baseline in the repository.
+func Unobserved(data *dataset.Dataset, u int32, rng *mathx.RNG) int32 {
+	m := data.NumItems()
 	for tries := 0; tries < 64; tries++ {
-		j := int32(s.rng.Intn(m))
-		if !s.data.IsPositive(u, j) {
+		j := int32(rng.Intn(m))
+		if !data.IsPositive(u, j) {
 			return j
 		}
 	}
 	// Degenerate user observing nearly everything: scan from a random
 	// offset for the first unobserved item.
-	start := s.rng.Intn(m)
+	start := rng.Intn(m)
 	for off := 0; off < m; off++ {
 		j := int32((start + off) % m)
-		if !s.data.IsPositive(u, j) {
+		if !data.IsPositive(u, j) {
 			return j
 		}
 	}
@@ -413,7 +466,7 @@ func (s *TripleSampler) rankedK(u int32, obs []int32, i int32, q int, descending
 		}
 	}
 	// Unreachable for len(obs) > 1, but keep a safe fallback.
-	return s.uniformK(obs, i)
+	return OtherObserved(obs, i, s.rng)
 }
 
 // geomPForLen rescales the global geometric parameter to a short list so
@@ -459,5 +512,5 @@ func (s *TripleSampler) rankedJ(u int32, q int, descending bool) int32 {
 			return j
 		}
 	}
-	return s.uniformJ(u)
+	return Unobserved(s.data, u, s.rng)
 }

@@ -24,17 +24,29 @@ go test -race -shuffle=on ./...
 go test -race -count=1 -run '^TestChaos' ./internal/fault
 echo "chaos-recovery gate ok"
 
-# Trainer equivalence gate: every SGD objective with a linear risk runs
+# Trainer equivalence gate: every SGD objective with a linear risk —
+# CLAPF-MAP/MRR, BPR (uniform, DNS, AoBPR, ABS negatives), MPR and
+# CLAPF-Multi, the four objectives of internal/core/objective.go — runs
 # one step kernel (internal/core/step.go) under one trainer, so an edit
 # there moves all of them at once. Held here: seeded trajectories pinned
-# to the bits of the pre-kernel loops (and one worker to the serial
-# run), the kernel's Plain and Atomic access policies and its λ = 0
-# reduction to BPR bit for bit, several workers Welch-equivalent to one,
-# the Hogwild surface race-clean, and the golden metrics. -count=1
-# defeats the test cache so the gate always actually runs.
+# to the bits of the pre-kernel, pre-objective loops (and one worker to
+# the serial run), the kernel's Plain and Atomic access policies and its
+# λ = 0 reduction to BPR bit for bit, several workers Welch-equivalent to
+# one and the Hogwild surface race-clean, the golden metrics, and per
+# objective: a mid-run checkpoint trailer resuming bit for bit, the
+# finite-difference gradient of the step loss, a poisoned model tripping
+# the guard instead of spreading, and two workers race-clean (DNS and ABS
+# read live item rows) and Welch-equivalent to one. -count=1 defeats the
+# test cache so the gate always actually runs.
 go test -race -count=1 \
-	-run '^Test(TrajectoryPinned|TrajectoryOneWorkerIsSerial|StepKernel|ParallelStatisticalEquivalence|ParallelConcurrentRace|GoldenMetrics)' \
-	./internal/core ./internal/baselines ./internal/experiments
+	-run '^Test(TrajectoryPinned|TrajectoryOneWorkerIsSerial|StepKernel|ParallelStatisticalEquivalence|ParallelConcurrentRace|GoldenMetrics|Objective(Validation|ResumeBitIdentical|Gradients|GuardTripsOnPoison|TwoWorkers)|ABSScreensAgainstTheGivenPositive)' \
+	./internal/core ./internal/baselines ./internal/experiments ./internal/sampling
+# The kernel has one caller: a second NewKernel( outside internal/core is
+# a second training loop.
+if grep -rn --include='*.go' --exclude='*_test.go' 'NewKernel(' . | grep -v '^\./internal/core/'; then
+	echo "NewKernel( outside internal/core: objectives plug into core.Trainer, they do not loop the kernel" >&2
+	exit 1
+fi
 echo "trainer equivalence gate ok"
 
 # Short fuzz smoke over the model-file loader: a few seconds of random
