@@ -43,7 +43,9 @@
 // -resume restarts from the newest valid generation, skipping truncated
 // or corrupt files, after verifying the checkpoint belongs to the same
 // dataset and hyper-parameters. Checkpoints record every worker's RNG
-// streams, so resuming requires the same -workers value.
+// streams, so resuming requires the same -workers value. Without -resume
+// the directory must hold no checkpoints: a fresh run does not share its
+// generations with another run's.
 //
 // Training guardrails: -clip-norm C bounds the L2 norm of each update's
 // data-term gradient (0 disables; clipped updates are counted in
@@ -136,6 +138,9 @@ type options struct {
 	// stopCh overrides the OS signal channel in tests; nil installs a real
 	// SIGINT/SIGTERM handler.
 	stopCh chan os.Signal
+	// afterBatch is the tests' fault-injection point: it runs after every
+	// batch, while the trainer is quiescent.
+	afterBatch func(trainer *clapf.Trainer, step int)
 }
 
 // intervalRecord is one telemetry snapshot in the -metrics-out dump.
@@ -229,7 +234,8 @@ func run(w io.Writer, o options) error {
 
 	// Guardrails: a guard is installed whenever clipping or the watchdog is
 	// on (clipping alone still wants its counter flushed); the supervisor
-	// only exists when the watchdog can roll back to checkpoints.
+	// only exists when the watchdog can roll back to checkpoints. Without
+	// one the loop below neither scans nor rolls back.
 	var sup *guard.Supervisor
 	if o.watchdog || o.clipNorm > 0 {
 		gm := guard.NewMetrics(registry)
@@ -286,12 +292,24 @@ func run(w io.Writer, o options) error {
 	negDraws := obs.NewHistogram(obs.RankBuckets(train.NumItems()))
 	trainer.InstrumentSampler(posDraws, negDraws)
 
-	if o.resume {
-		if o.checkpointDir == "" {
-			return fmt.Errorf("-resume requires -checkpoint-dir")
-		}
+	switch {
+	case o.resume && o.checkpointDir == "":
+		return fmt.Errorf("-resume requires -checkpoint-dir")
+	case o.resume:
 		if err := resumeFromCheckpoint(w, trainer, train, o); err != nil {
 			return err
+		}
+	case o.checkpointDir != "":
+		// Another run's generations would be this run's rollback targets (a
+		// rollback checks neither fingerprint nor hyper-parameters) and
+		// would outrank its own in the directory's step order.
+		gens, err := store.ListCheckpoints(o.checkpointDir)
+		if err != nil {
+			return err
+		}
+		if len(gens) > 0 {
+			return fmt.Errorf("-checkpoint-dir %s already holds %d checkpoint generation(s): pass -resume or an empty directory",
+				o.checkpointDir, len(gens))
 		}
 	}
 
@@ -304,17 +322,53 @@ func run(w io.Writer, o options) error {
 
 	fmt.Fprintf(w, "training CLAPF-%s λ=%.2f on %s: %d users, %d items, %d pairs, %d steps, %d worker(s)\n",
 		v, o.lambda, train.Name(), train.NumUsers(), train.NumItems(), train.NumPairs(), cfg.Steps, o.workers)
+	ckptEvery := o.checkpointEvery
+	if ckptEvery <= 0 {
+		ckptEvery = train.NumPairs() // one epoch-equivalent
+	}
+	ropts := guard.RunOptions{
+		TotalSteps: cfg.Steps,
+		// Batches bound how long a stop signal waits for the loop;
+		// checkpoint intervals above the cap simply span several batches.
+		BatchSteps:      min(ckptEvery, 16384),
+		CheckpointEvery: ckptEvery,
+		// On a stop signal the current batch finishes, a final checkpoint is
+		// written, and the run reports interrupted.
+		Stop: func() bool {
+			select {
+			case sig := <-stop:
+				fmt.Fprintf(w, "caught %s at step %d\n", sig, trainer.StepsDone())
+				return true
+			default:
+				return false
+			}
+		},
+	}
+	if o.afterBatch != nil {
+		ropts.AfterBatch = func(step int) { o.afterBatch(trainer, step) }
+	}
+	lastCkpt := ""
+	if o.checkpointDir != "" {
+		ropts.Checkpoint = func() (string, error) {
+			ckptStart := time.Now()
+			path, err := writeCheckpoint(trainer, train, o, cfg)
+			tracer.ObserveStage("train.checkpoint", time.Since(ckptStart))
+			lastCkpt = path
+			return path, err
+		}
+	}
 	start := time.Now()
-	interrupted, err := trainLoop(w, trainer, tracer, train, o, cfg, stop, sup)
+	rep, interrupted, err := sup.Run(trainer, ropts)
 	if err != nil {
 		return err
 	}
 	wall := time.Since(start)
-	if sup != nil {
-		if rb := sup.Report().Rollbacks; len(rb) > 0 {
-			fmt.Fprintf(w, "guard: recovered from %d rollback(s); final learning rate %g\n",
-				len(rb), rb[len(rb)-1].LearnRate)
-		}
+	if lastCkpt != "" {
+		fmt.Fprintf(w, "checkpoint written to %s\n", lastCkpt)
+	}
+	if rb := rep.Rollbacks; len(rb) > 0 {
+		fmt.Fprintf(w, "guard: recovered from %d rollback(s); final learning rate %g\n",
+			len(rb), rb[len(rb)-1].LearnRate)
 	}
 
 	sps := 0.0
@@ -415,100 +469,6 @@ func run(w io.Writer, o options) error {
 			o.exportF32, f.ParamBytes())
 	}
 	return nil
-}
-
-// trainLoop runs SGD in signal-responsive batches. With -checkpoint-dir
-// set, a durable checkpoint is written every checkpoint interval and at
-// the end of training. On a stop signal the current batch finishes, a
-// final checkpoint is written, and the loop reports interrupted=true.
-// With a guard supervisor, trips are recovered at batch boundaries and
-// every checkpoint write is gated on a full parameter scan.
-func trainLoop(w io.Writer, trainer *clapf.Trainer, tracer *trace.Tracer, train *clapf.Dataset, o options, cfg clapf.Config, stop <-chan os.Signal, sup *guard.Supervisor) (interrupted bool, err error) {
-	ckptEvery := o.checkpointEvery
-	if ckptEvery <= 0 {
-		ckptEvery = train.NumPairs() // one epoch-equivalent
-	}
-	// Batches bound how long a stop signal waits for the loop; checkpoint
-	// intervals above the cap simply span several batches.
-	batch := ckptEvery
-	const maxBatch = 16384
-	if batch > maxBatch {
-		batch = maxBatch
-	}
-	lastCkpt := trainer.StepsDone()
-	// writeGated persists a generation, refusing (and recovering from) a
-	// poisoned model when supervised. report=true echoes the path.
-	writeGated := func(report bool) error {
-		if sup != nil {
-			ok, gateErr := sup.GateCheckpoint(trainer)
-			if gateErr != nil {
-				return gateErr
-			}
-			if !ok {
-				fmt.Fprintf(w, "guard: poisoned parameters caught at the checkpoint gate; rolled back to step %d\n",
-					trainer.StepsDone())
-				lastCkpt = trainer.StepsDone()
-				return nil
-			}
-		}
-		ckptStart := time.Now()
-		path, ckptErr := writeCheckpoint(trainer, train, o, cfg)
-		tracer.ObserveStage("train.checkpoint", time.Since(ckptStart))
-		if ckptErr != nil {
-			return ckptErr
-		}
-		lastCkpt = trainer.StepsDone()
-		if report {
-			fmt.Fprintf(w, "checkpoint written to %s\n", path)
-		}
-		return nil
-	}
-	// An armed watchdog needs a rollback target before the first trip can
-	// land; resumed runs already have one, fresh runs get one up front.
-	if sup != nil && lastCkpt == 0 {
-		if err := writeGated(false); err != nil {
-			return false, err
-		}
-	}
-	for trainer.StepsDone() < cfg.Steps {
-		n := cfg.Steps - trainer.StepsDone()
-		if n > batch {
-			n = batch
-		}
-		trainer.RunSteps(n)
-		select {
-		case sig := <-stop:
-			interrupted = true
-			fmt.Fprintf(w, "caught %s at step %d\n", sig, trainer.StepsDone())
-		default:
-		}
-		if sup != nil {
-			recovered, err := sup.HandleTrip(trainer)
-			if err != nil {
-				return interrupted, err
-			}
-			if recovered {
-				rb := sup.Report().Rollbacks
-				ev := rb[len(rb)-1]
-				fmt.Fprintf(w, "guard: %s; rolled back to step %d, learning rate now %g\n",
-					ev.Trip.String(), ev.CheckpointStep, ev.LearnRate)
-				lastCkpt = trainer.StepsDone()
-				if !interrupted {
-					continue
-				}
-			}
-		}
-		done := trainer.StepsDone() >= cfg.Steps
-		if o.checkpointDir != "" && (interrupted || done || trainer.StepsDone()-lastCkpt >= ckptEvery) {
-			if err := writeGated(interrupted || done); err != nil {
-				return interrupted, err
-			}
-		}
-		if interrupted || done {
-			return interrupted, nil
-		}
-	}
-	return false, nil
 }
 
 // hyperMap renders the run's hyper-parameters for the checkpoint trailer;

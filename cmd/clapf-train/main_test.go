@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -390,6 +391,12 @@ func TestTrainErrors(t *testing.T) {
 		{"unknown variant", func(o *options) { o.variant = "bogus" }},
 		{"lambda out of range", func(o *options) { o.lambda = 7 }},
 		{"missing training file", func(o *options) { o.trainPath = filepath.Join(dir, "absent.tsv") }},
+		{"fresh run into a used checkpoint dir", func(o *options) {
+			o.checkpointDir = filepath.Join(dir, "used")
+			if err := run(io.Discard, *o); err != nil {
+				t.Fatal(err)
+			}
+		}},
 	}
 	for _, c := range cases {
 		o := baseOptions(trainPath)
@@ -580,6 +587,140 @@ func TestWatchdogCleanRun(t *testing.T) {
 	if _, _, _, _, err := store.LatestCheckpoint(o.checkpointDir); err != nil {
 		t.Errorf("no usable checkpoint after a watchdog run: %v", err)
 	}
+}
+
+// tripFixture is a -watchdog run ready to have a fault injected through
+// options.afterBatch: one checkpoint per epoch, a rollback budget, metrics
+// and the model written out. steps is the run's cfg.Steps.
+func tripFixture(t *testing.T, seed uint64) (o options, steps int) {
+	t.Helper()
+	dir := t.TempDir()
+	trainPath := filepath.Join(dir, "train.tsv")
+	writeDataset(t, trainPath, seed)
+	train, err := loadTSV(trainPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o = baseOptions(trainPath)
+	o.watchdog = true
+	o.maxRollbacks = 3
+	o.checkpointDir = filepath.Join(dir, "ckpt")
+	o.outPath = filepath.Join(dir, "m.clapf")
+	o.promOut = filepath.Join(dir, "m.prom")
+	return o, o.epochs * train.NumPairs()
+}
+
+// checkRecoveredRun asserts what every recovered run owes: it ended at
+// the full step budget, not at the restored step; each recovery was
+// narrated once; the saved model is finite; the rollbacks were counted.
+func checkRecoveredRun(t *testing.T, o options, steps, rollbacks int, text string) {
+	t.Helper()
+	if want := fmt.Sprintf("trained %d steps in", steps); !strings.Contains(text, want) {
+		t.Errorf("output lacks %q:\n%s", want, text)
+	}
+	if n := strings.Count(text, "rolled back"); n != rollbacks {
+		t.Errorf("%d rollback line(s) in the output, want %d:\n%s", n, rollbacks, text)
+	}
+	m, err := clapf.LoadModelFile(o.outPath)
+	if err != nil {
+		t.Fatalf("recovered run saved no model: %v\n%s", err, text)
+	}
+	if u, v, b := m.CountNonFinite(); u+v+b > 0 {
+		t.Errorf("saved model carries %d non-finite parameters", u+v+b)
+	}
+	prom, err := os.ReadFile(o.promOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("clapf_train_rollbacks_total %d\n", rollbacks); !strings.Contains(string(prom), want) {
+		t.Errorf("metrics lack %q:\n%s", want, prom)
+	}
+}
+
+// TestTripRecovers drives a poisoning through the shipped path. Mid-run:
+// NaN lands in V after the second epoch's batch, the run rolls back once
+// and finishes the whole budget on a clean model. After the final batch:
+// the poison is caught by the final checkpoint's gate, which rolls back an
+// epoch; the run must train those steps again rather than report the
+// restored step as the finished run.
+func TestTripRecovers(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		poisonAt func(steps, epochs int) int
+	}{
+		{"mid-run", func(steps, epochs int) int { return 2 * steps / epochs }},
+		{"after the final batch", func(steps, _ int) int { return steps }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o, steps := tripFixture(t, 44)
+			var poison func(int)
+			o.afterBatch = func(tr *clapf.Trainer, step int) {
+				if poison == nil { // the model exists only once run() has built its trainer
+					poison = fault.PoisonAtStep(tr.Model(), c.poisonAt(steps, o.epochs), 45, 3)
+				}
+				poison(step)
+			}
+			var out bytes.Buffer
+			if err := run(&out, o); err != nil {
+				t.Fatalf("%v\noutput:\n%s", err, out.String())
+			}
+			checkRecoveredRun(t, o, steps, 1, out.String())
+			if _, meta, _, _, err := store.LatestCheckpoint(o.checkpointDir); err != nil || meta.Step != steps {
+				t.Errorf("newest generation = %+v (err %v), want step %d", meta, err, steps)
+			}
+		})
+	}
+}
+
+// TestStopInTheBatchThatTrips: a runaway learning rate trips the guard
+// inside a batch and the stop signal arrives before that batch's
+// boundary. The run must still recover before it checkpoints and exits,
+// so what it leaves behind is a clean generation a -resume continues.
+func TestStopInTheBatchThatTrips(t *testing.T) {
+	o, steps := tripFixture(t, 48)
+	o.stopCh = make(chan os.Signal, 1)
+	exploded, stopped := false, false
+	o.afterBatch = func(tr *clapf.Trainer, step int) {
+		switch {
+		case !exploded && step >= 2*steps/o.epochs:
+			exploded = true
+			tr.ScaleLearnRate(1e30)
+		case !stopped && tr.GuardTrip() != nil:
+			stopped = true
+			o.stopCh <- os.Interrupt
+		}
+	}
+	var out bytes.Buffer
+	if err := run(&out, o); err != nil {
+		t.Fatalf("%v\noutput:\n%s", err, out.String())
+	}
+	text := out.String()
+	if !stopped || strings.Count(text, "rolled back") != 1 || !strings.Contains(text, "interrupted at step") {
+		t.Fatalf("want one rollback and an interrupted exit (stop sent: %v):\n%s", stopped, text)
+	}
+	if _, err := os.Stat(o.outPath); err == nil {
+		t.Error("an interrupted run published a model")
+	}
+	m, meta, path, skipped, err := store.LatestCheckpoint(o.checkpointDir)
+	if err != nil || len(skipped) != 0 {
+		t.Fatalf("newest generation unusable: %v (skipped %v)", err, skipped)
+	}
+	if u, v, b := m.CountNonFinite(); u+v+b > 0 {
+		t.Errorf("%s carries %d non-finite parameters", path, u+v+b)
+	}
+	if !strings.Contains(text, fmt.Sprintf("interrupted at step %d;", meta.Step)) {
+		t.Errorf("exit does not name the newest generation's step %d:\n%s", meta.Step, text)
+	}
+
+	o.stopCh, o.afterBatch, o.resume = nil, nil, true
+	out.Reset()
+	if err := run(&out, o); err != nil {
+		t.Fatalf("resume: %v\noutput:\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "resumed from "+path) {
+		t.Errorf("resume did not continue from %s:\n%s", path, out.String())
+	}
+	checkRecoveredRun(t, o, steps, 0, out.String())
 }
 
 func TestResumeRefusesClipNormChange(t *testing.T) {

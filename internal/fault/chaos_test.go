@@ -2,8 +2,8 @@ package fault_test
 
 // Chaos-recovery suite: end-to-end proof that the guard subsystem turns
 // injected training failures (internal/fault) into automatic recoveries.
-// These tests drive real trainers through guard.Supervisor.Run, the same
-// loop clapf-train uses, and are exercised under -race by scripts/check.sh.
+// These tests drive real trainers through guard.Supervisor.Run, the loop
+// clapf-train runs, and are exercised under -race by scripts/check.sh.
 
 import (
 	"testing"
@@ -55,22 +55,19 @@ func TestChaosPoisonRecoversEquivalent(t *testing.T) {
 			t.Fatal(err)
 		}
 		dir := t.TempDir()
-		sup := &guard.Supervisor{
-			Dir:          dir,
-			MaxRollbacks: 4,
-			Checkpoint: func() (string, error) {
-				return store.WriteCheckpoint(dir, tr.Model(), tr.MetaSnapshot(), 0)
-			},
-		}
+		sup := &guard.Supervisor{Dir: dir, MaxRollbacks: 4}
 		var after func(int)
 		if poison {
 			after = fault.PoisonAtStep(tr.Model(), 4*cfg.Steps/10, uint64(4000+r), 3)
 		}
-		rep, err := sup.Run(tr, guard.RunOptions{
+		rep, _, err := sup.Run(tr, guard.RunOptions{
 			TotalSteps:      cfg.Steps,
 			BatchSteps:      1024,
 			CheckpointEvery: 2048,
-			AfterBatch:      after,
+			Checkpoint: func() (string, error) {
+				return store.WriteCheckpoint(dir, tr.Model(), tr.MetaSnapshot(), 0)
+			},
+			AfterBatch: after,
 		})
 		if err != nil {
 			t.Fatalf("rep %d poison=%v: %v\n%s", r, poison, err, rep.String())
@@ -149,19 +146,16 @@ func TestChaosTornCheckpointFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	sup := &guard.Supervisor{
-		Dir:          dir,
-		MaxRollbacks: 3,
-		Checkpoint: func() (string, error) {
-			return store.WriteCheckpoint(dir, tr.Model(), tr.MetaSnapshot(), 0)
-		},
-	}
+	sup := &guard.Supervisor{Dir: dir, MaxRollbacks: 3}
 	injected := false
 	var torn string
-	rep, err := sup.Run(tr, guard.RunOptions{
+	rep, _, err := sup.Run(tr, guard.RunOptions{
 		TotalSteps:      cfg.Steps,
 		BatchSteps:      1024,
 		CheckpointEvery: 1024,
+		Checkpoint: func() (string, error) {
+			return store.WriteCheckpoint(dir, tr.Model(), tr.MetaSnapshot(), 0)
+		},
 		AfterBatch: func(step int) {
 			if injected || step < cfg.Steps/2 {
 				return
@@ -224,19 +218,16 @@ func TestChaosExplodingLRParallelBacksOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	sup := &guard.Supervisor{
-		Dir:          dir,
-		MaxRollbacks: 16,
-		Checkpoint: func() (string, error) {
-			return store.WriteCheckpoint(dir, pt.Model(), pt.MetaSnapshot(), 0)
-		},
-	}
+	sup := &guard.Supervisor{Dir: dir, MaxRollbacks: 16}
 	explode := fault.ExplodingLR(pt, cfg.Steps/2, 100)
-	rep, err := sup.Run(pt, guard.RunOptions{
+	rep, _, err := sup.Run(pt, guard.RunOptions{
 		TotalSteps:      cfg.Steps,
 		BatchSteps:      1024,
 		CheckpointEvery: 2048,
-		AfterBatch:      explode,
+		Checkpoint: func() (string, error) {
+			return store.WriteCheckpoint(dir, pt.Model(), pt.MetaSnapshot(), 0)
+		},
+		AfterBatch: explode,
 	})
 	if err != nil {
 		t.Fatalf("Run = %v\n%s", err, rep.String())

@@ -16,7 +16,9 @@
 // The detection state machine lives here; the trainer in internal/core
 // owns the hot path and calls into it at its natural quiescent points
 // (every step for sentinels, the segment barrier every CheckEvery steps
-// for scans and the watchdog).
+// for scans and the watchdog). Supervisor.Run is the one loop that slices
+// a run into batches, handles a trip, and gates and writes checkpoints;
+// clapf-train runs it, supervised or not.
 package guard
 
 import (

@@ -31,8 +31,9 @@ type Trainee interface {
 
 // Supervisor recovers a tripped trainee from its checkpoint directory:
 // roll back to the newest good generation, multiply the learning rate by
-// Backoff, re-arm the guard, and let the caller resume — at most
-// MaxRollbacks times, after which it fails with a diagnostic report.
+// Backoff, re-arm the guard, and train on — at most MaxRollbacks times,
+// after which it fails with a diagnostic report. Run is the one loop that
+// does this; a nil *Supervisor runs the same loop unsupervised.
 type Supervisor struct {
 	// Dir is the checkpoint directory rollbacks restore from.
 	Dir string
@@ -42,11 +43,6 @@ type Supervisor struct {
 	// Backoff is the learning-rate multiplier applied on each rollback
 	// (0 selects the default 0.5 — halving).
 	Backoff float64
-	// Checkpoint, when set, is called by Run (and by callers driving
-	// their own loop) to persist a good generation. The supervisor gates
-	// every call on a full parameter scan so a poisoned model is never
-	// checkpointed — rollback targets must be clean by construction.
-	Checkpoint func() (string, error)
 	// Metrics, when set, receives rollback/health/scan updates.
 	Metrics *Metrics
 	// Log, when set, records trips and recoveries.
@@ -109,12 +105,12 @@ func (s *Supervisor) backoff() float64 {
 	return s.Backoff
 }
 
-// HandleTrip checks t for a tripped guard and, if one is pending, rolls
+// handleTrip checks t for a tripped guard and, if one is pending, rolls
 // back and backs off. It returns (false, nil) while healthy,
 // (true, nil) after a successful recovery, and a non-nil error when the
 // trip could not be recovered (budget exhausted, no usable checkpoint) —
 // the error wraps the full diagnostic report.
-func (s *Supervisor) HandleTrip(t Trainee) (recovered bool, err error) {
+func (s *Supervisor) handleTrip(t Trainee) (recovered bool, err error) {
 	trip := t.GuardTrip()
 	if trip == nil {
 		return false, nil
@@ -122,13 +118,13 @@ func (s *Supervisor) HandleTrip(t Trainee) (recovered bool, err error) {
 	return s.recover(t, trip)
 }
 
-// GateCheckpoint fully scans t's parameters and reports whether a
+// gateCheckpoint fully scans t's parameters and reports whether a
 // checkpoint may be written. A clean scan returns (true, nil). A poisoned
 // scan never writes: it counts the findings, treats them as a trip, and
 // attempts recovery — returning (false, nil) when recovered, or the
 // recovery error. This is the barrier that keeps every generation in Dir
 // a valid rollback target.
-func (s *Supervisor) GateCheckpoint(t Trainee) (ok bool, err error) {
+func (s *Supervisor) gateCheckpoint(t Trainee) (ok bool, err error) {
 	res := ScanModel(t.Model())
 	if res.Total() == 0 {
 		return true, nil
@@ -190,24 +186,40 @@ func (s *Supervisor) recover(t Trainee, trip *Trip) (bool, error) {
 type RunOptions struct {
 	// TotalSteps is the step count to train to.
 	TotalSteps int
-	// BatchSteps is the RunSteps slice size (0 selects 4096). Trips are
-	// handled at batch boundaries, so smaller batches recover sooner at
-	// the cost of more quiescent points.
+	// BatchSteps is the RunSteps slice size (0 selects 4096). Trips and
+	// Stop are handled at batch boundaries, so smaller batches react sooner
+	// at the cost of more quiescent points.
 	BatchSteps int
-	// CheckpointEvery is the step interval between gated checkpoint
-	// writes (0 selects BatchSteps).
+	// CheckpointEvery is the step interval between checkpoint writes
+	// (0 selects BatchSteps).
 	CheckpointEvery int
+	// Checkpoint, when set, persists the trainee as a new generation. A
+	// supervisor gates every call on a full parameter scan so a poisoned
+	// model is never checkpointed — rollback targets must be clean by
+	// construction.
+	Checkpoint func() (string, error)
 	// AfterBatch, when set, runs after every batch while the trainee is
 	// quiescent — the chaos tests' injection point.
 	AfterBatch func(step int)
+	// Stop, when set, is polled after every batch; once it reports true
+	// the run writes one final checkpoint and returns interrupted.
+	Stop func() bool
 }
 
-// Run drives t to opts.TotalSteps under supervision: train in batches,
-// recover every trip, and write gated checkpoints on the configured
-// cadence (plus one up front, so the very first trip has a rollback
-// target). It returns the diagnostic report, with a non-nil error when a
-// trip could not be recovered.
-func (s *Supervisor) Run(t Trainee, opts RunOptions) (*Report, error) {
+// Run drives t to opts.TotalSteps: train in batches, recover every trip,
+// and write gated checkpoints on the configured cadence, when Stop fires
+// and at the end (plus one up front on a fresh run, so the very first trip
+// has a rollback target). It returns the diagnostic report, whether Stop
+// ended the run before TotalSteps did, and a non-nil error when a trip
+// could not be recovered.
+//
+// With a nil supervisor the same loop runs unsupervised: it batches,
+// checkpoints and stops, but neither scans nor rolls back.
+func (s *Supervisor) Run(t Trainee, opts RunOptions) (rep *Report, interrupted bool, err error) {
+	rep = new(Report)
+	if s != nil {
+		rep = &s.report
+	}
 	batch := opts.BatchSteps
 	if batch <= 0 {
 		batch = 4096
@@ -216,46 +228,54 @@ func (s *Supervisor) Run(t Trainee, opts RunOptions) (*Report, error) {
 	if every <= 0 {
 		every = batch
 	}
-	writeGated := func() error {
-		ok, err := s.GateCheckpoint(t)
-		if err != nil || !ok {
-			return err
+	// lastCkpt is the step of the newest generation this run can fall back
+	// to: the last one written, or the one a rollback restored.
+	lastCkpt := t.StepsDone()
+	write := func() error {
+		if opts.Checkpoint == nil {
+			return nil
 		}
-		if _, err := s.Checkpoint(); err != nil {
+		if s != nil {
+			if ok, err := s.gateCheckpoint(t); err != nil || !ok {
+				return err
+			}
+		}
+		if _, err := opts.Checkpoint(); err != nil {
 			return fmt.Errorf("guard: writing checkpoint: %w", err)
 		}
 		return nil
 	}
-	if s.Checkpoint != nil {
-		if err := writeGated(); err != nil {
-			return &s.report, err
+	if s != nil && lastCkpt == 0 {
+		if err := write(); err != nil {
+			return rep, false, err
 		}
 	}
-	lastCkpt := t.StepsDone()
+	// The loop re-tests StepsDone rather than remembering "done": a gate
+	// that rolls back at the last checkpoint leaves steps to train.
 	for t.StepsDone() < opts.TotalSteps {
-		n := opts.TotalSteps - t.StepsDone()
-		if n > batch {
-			n = batch
-		}
-		t.RunSteps(n)
+		t.RunSteps(min(batch, opts.TotalSteps-t.StepsDone()))
 		if opts.AfterBatch != nil {
 			opts.AfterBatch(t.StepsDone())
 		}
-		recovered, err := s.HandleTrip(t)
-		if err != nil {
-			return &s.report, err
+		stopped := opts.Stop != nil && opts.Stop()
+		if s != nil {
+			recovered, err := s.handleTrip(t)
+			if err != nil {
+				return rep, false, err
+			}
+			if recovered {
+				lastCkpt = t.StepsDone()
+			}
 		}
-		if recovered {
-			lastCkpt = t.StepsDone()
-			continue
-		}
-		done := t.StepsDone() >= opts.TotalSteps
-		if s.Checkpoint != nil && (done || t.StepsDone()-lastCkpt >= every) {
-			if err := writeGated(); err != nil {
-				return &s.report, err
+		if stopped || t.StepsDone() >= opts.TotalSteps || t.StepsDone()-lastCkpt >= every {
+			if err := write(); err != nil {
+				return rep, false, err
 			}
 			lastCkpt = t.StepsDone()
 		}
+		if stopped {
+			return rep, true, nil
+		}
 	}
-	return &s.report, nil
+	return rep, false, nil
 }

@@ -47,10 +47,18 @@ func newFakeTrainee(t *testing.T) *fakeTrainee {
 	return &fakeTrainee{model: m, lr: 0.1}
 }
 
+// checkpointInto returns a RunOptions.Checkpoint that writes f's current
+// state into dir, keeping every generation.
+func (f *fakeTrainee) checkpointInto(dir string) func() (string, error) {
+	return func() (string, error) {
+		return store.WriteCheckpoint(dir, f.model, &store.Meta{Step: f.steps}, 0)
+	}
+}
+
 // seedCheckpoint writes f's current state into dir as a rollback target.
 func seedCheckpoint(t *testing.T, dir string, f *fakeTrainee) {
 	t.Helper()
-	if _, err := store.WriteCheckpoint(dir, f.model, &store.Meta{Step: f.steps}, 0); err != nil {
+	if _, err := f.checkpointInto(dir)(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,9 +66,9 @@ func seedCheckpoint(t *testing.T, dir string, f *fakeTrainee) {
 func TestHandleTripHealthy(t *testing.T) {
 	s := &Supervisor{Dir: t.TempDir(), MaxRollbacks: 3}
 	f := newFakeTrainee(t)
-	recovered, err := s.HandleTrip(f)
+	recovered, err := s.handleTrip(f)
 	if recovered || err != nil {
-		t.Fatalf("HandleTrip on healthy trainee = (%v, %v)", recovered, err)
+		t.Fatalf("handleTrip on healthy trainee = (%v, %v)", recovered, err)
 	}
 	if len(s.Report().Rollbacks) != 0 {
 		t.Errorf("healthy trainee produced rollback events")
@@ -78,9 +86,9 @@ func TestHandleTripRecovers(t *testing.T) {
 
 	f.steps = 500
 	f.trip = &Trip{Step: 500, Reason: ReasonNonFiniteRisk, Detail: "risk R = NaN"}
-	recovered, err := s.HandleTrip(f)
+	recovered, err := s.handleTrip(f)
 	if !recovered || err != nil {
-		t.Fatalf("HandleTrip = (%v, %v), want recovery", recovered, err)
+		t.Fatalf("handleTrip = (%v, %v), want recovery", recovered, err)
 	}
 	if f.steps != 100 || f.restores != 1 {
 		t.Errorf("rewound to step %d with %d restores, want step 100, 1 restore", f.steps, f.restores)
@@ -113,7 +121,7 @@ func TestCustomBackoff(t *testing.T) {
 	seedCheckpoint(t, dir, f)
 	s := &Supervisor{Dir: dir, MaxRollbacks: 1, Backoff: 0.25}
 	f.trip = &Trip{Step: 10, Reason: ReasonLossRise, Detail: "test"}
-	if _, err := s.HandleTrip(f); err != nil {
+	if _, err := s.handleTrip(f); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.lr; math.Abs(got-0.025) > 1e-15 {
@@ -129,11 +137,11 @@ func TestRollbackBudgetExhausted(t *testing.T) {
 	s := &Supervisor{Dir: dir, MaxRollbacks: 1, Metrics: metrics}
 
 	f.trip = &Trip{Step: 10, Reason: ReasonNonFiniteRisk, Detail: "first"}
-	if _, err := s.HandleTrip(f); err != nil {
+	if _, err := s.handleTrip(f); err != nil {
 		t.Fatal(err)
 	}
 	f.trip = &Trip{Step: 20, Reason: ReasonNonFiniteRisk, Detail: "second"}
-	_, err := s.HandleTrip(f)
+	_, err := s.handleTrip(f)
 	if err == nil {
 		t.Fatal("second trip recovered past a budget of 1")
 	}
@@ -153,9 +161,9 @@ func TestNoUsableCheckpointFails(t *testing.T) {
 	f := newFakeTrainee(t)
 	s := &Supervisor{Dir: t.TempDir(), MaxRollbacks: 3}
 	f.trip = &Trip{Step: 10, Reason: ReasonNonFiniteRisk, Detail: "test"}
-	_, err := s.HandleTrip(f)
+	_, err := s.handleTrip(f)
 	if err == nil || !strings.Contains(err.Error(), "no usable checkpoint") {
-		t.Fatalf("HandleTrip without checkpoints = %v", err)
+		t.Fatalf("handleTrip without checkpoints = %v", err)
 	}
 	if !s.Report().Failed {
 		t.Error("report not marked failed")
@@ -169,7 +177,7 @@ func TestRestoreFailureFails(t *testing.T) {
 	f.failRestore = true
 	s := &Supervisor{Dir: dir, MaxRollbacks: 3}
 	f.trip = &Trip{Step: 10, Reason: ReasonNonFiniteRisk, Detail: "test"}
-	if _, err := s.HandleTrip(f); err == nil || !strings.Contains(err.Error(), "fake restore refused") {
+	if _, err := s.handleTrip(f); err == nil || !strings.Contains(err.Error(), "fake restore refused") {
 		t.Fatalf("restore failure not surfaced: %v", err)
 	}
 }
@@ -181,7 +189,7 @@ func TestGateCheckpoint(t *testing.T) {
 	metrics := NewMetrics(obs.NewRegistry())
 	s := &Supervisor{Dir: dir, MaxRollbacks: 2, Metrics: metrics}
 
-	if ok, err := s.GateCheckpoint(f); !ok || err != nil {
+	if ok, err := s.gateCheckpoint(f); !ok || err != nil {
 		t.Fatalf("clean gate = (%v, %v)", ok, err)
 	}
 
@@ -191,7 +199,7 @@ func TestGateCheckpoint(t *testing.T) {
 	_, v, _ := f.model.RawParams()
 	v[0], v[7] = math.NaN(), math.Inf(1)
 	f.steps = 300
-	ok, err := s.GateCheckpoint(f)
+	ok, err := s.gateCheckpoint(f)
 	if ok || err != nil {
 		t.Fatalf("poisoned gate = (%v, %v), want refusal with recovery", ok, err)
 	}
@@ -213,17 +221,12 @@ func TestGateCheckpoint(t *testing.T) {
 func TestRunRecoversMidTraining(t *testing.T) {
 	dir := t.TempDir()
 	f := newFakeTrainee(t)
-	s := &Supervisor{
-		Dir:          dir,
-		MaxRollbacks: 2,
-		Checkpoint: func() (string, error) {
-			return store.WriteCheckpoint(dir, f.model, &store.Meta{Step: f.steps}, 0)
-		},
-	}
+	s := &Supervisor{Dir: dir, MaxRollbacks: 2}
 	tripped := false
-	rep, err := s.Run(f, RunOptions{
+	rep, _, err := s.Run(f, RunOptions{
 		TotalSteps: 1000,
 		BatchSteps: 100,
+		Checkpoint: f.checkpointInto(dir),
 		AfterBatch: func(step int) {
 			if step >= 500 && !tripped {
 				tripped = true
@@ -260,17 +263,12 @@ func TestRunRecoversMidTraining(t *testing.T) {
 func TestRunGateBlocksPoisonedCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	f := newFakeTrainee(t)
-	s := &Supervisor{
-		Dir:          dir,
-		MaxRollbacks: 2,
-		Checkpoint: func() (string, error) {
-			return store.WriteCheckpoint(dir, f.model, &store.Meta{Step: f.steps}, 0)
-		},
-	}
+	s := &Supervisor{Dir: dir, MaxRollbacks: 2}
 	poisoned := false
-	rep, err := s.Run(f, RunOptions{
+	rep, _, err := s.Run(f, RunOptions{
 		TotalSteps: 600,
 		BatchSteps: 100,
+		Checkpoint: f.checkpointInto(dir),
 		AfterBatch: func(step int) {
 			if step >= 300 && !poisoned {
 				poisoned = true
@@ -295,6 +293,98 @@ func TestRunGateBlocksPoisonedCheckpoint(t *testing.T) {
 	}
 	if res := ScanModel(f.model); res.Total() != 0 {
 		t.Errorf("final model carries poison: %v", res)
+	}
+}
+
+// TestRunStopsAfterCurrentBatch: a stop seen after a batch ends the run
+// there, with exactly one more gated checkpoint than the cadence had
+// written so far.
+func TestRunStopsAfterCurrentBatch(t *testing.T) {
+	dir := t.TempDir()
+	f := newFakeTrainee(t)
+	s := &Supervisor{Dir: dir, MaxRollbacks: 1}
+	polls := 0
+	rep, interrupted, err := s.Run(f, RunOptions{
+		TotalSteps:      1000,
+		BatchSteps:      100,
+		CheckpointEvery: 200,
+		Checkpoint:      f.checkpointInto(dir),
+		Stop:            func() bool { polls++; return f.steps >= 300 },
+	})
+	if err != nil {
+		t.Fatalf("Run = %v\n%s", err, rep.String())
+	}
+	if !interrupted || f.steps != 300 || polls != 3 {
+		t.Errorf("interrupted=%v at step %d after %d polls, want true at 300 after 3", interrupted, f.steps, polls)
+	}
+	// Up front at 0, the cadence at 200, and the stop's own at 300.
+	gens, err := store.ListCheckpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gens) != 3 || gens[0] != store.CheckpointPath(dir, 300) {
+		t.Errorf("generations = %v, want 0, 200 and the stop's 300", gens)
+	}
+
+	// The stop's checkpoint is gated like any other: poison seen at the
+	// stop rolls back instead of being persisted, and the run still ends.
+	_, v, _ := f.model.RawParams()
+	v[3] = math.NaN()
+	rep, interrupted, err = s.Run(f, RunOptions{
+		TotalSteps: 1000,
+		BatchSteps: 100,
+		Checkpoint: f.checkpointInto(dir),
+		Stop:       func() bool { return true },
+	})
+	if err != nil || !interrupted {
+		t.Fatalf("poisoned stop: interrupted=%v, err %v", interrupted, err)
+	}
+	if f.steps != 300 || len(rep.Rollbacks) != 1 {
+		t.Errorf("poisoned stop ended at step %d with %d rollbacks, want the restored 300 and 1", f.steps, len(rep.Rollbacks))
+	}
+	if m, _, path, _, err := store.LatestCheckpoint(dir); err != nil || ScanModel(m).Total() != 0 {
+		t.Errorf("newest generation %s after a poisoned stop: err %v, scan %v", path, err, ScanModel(m))
+	}
+}
+
+// TestRunUnsupervised: without a supervisor the loop still batches,
+// checkpoints and stops, but a poisoned model is written as it is — no
+// scan, no rollback — and a pending trip is nobody's business.
+func TestRunUnsupervised(t *testing.T) {
+	dir := t.TempDir()
+	f := newFakeTrainee(t)
+	_, v, _ := f.model.RawParams()
+	v[5] = math.NaN()
+	f.trip = &Trip{Step: 0, Reason: ReasonNonFiniteRisk, Detail: "ignored"}
+
+	var s *Supervisor
+	rep, interrupted, err := s.Run(f, RunOptions{
+		TotalSteps: 500,
+		BatchSteps: 100,
+		Checkpoint: f.checkpointInto(dir),
+		Stop:       func() bool { return f.steps >= 300 },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !interrupted || len(rep.Rollbacks) != 0 || f.restores != 0 || f.trip == nil {
+		t.Errorf("interrupted=%v, report %+v, %d restores, trip %v: want interrupted, untouched", interrupted, rep, f.restores, f.trip)
+	}
+	// No up-front generation; one per batch (the cadence defaults to the
+	// batch), the last of them the stop's.
+	gens, err := store.ListCheckpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gens) != 3 || gens[0] != store.CheckpointPath(dir, 300) {
+		t.Errorf("generations = %v, want 100, 200, 300", gens)
+	}
+	m, _, _, _, err := store.LatestCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := ScanModel(m); res.V != 1 {
+		t.Errorf("unsupervised checkpoint scan = %v, want the poison written through", res)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,9 +73,13 @@ func ListCheckpoints(dir string) ([]string, error) {
 }
 
 // WriteCheckpoint durably writes a version-2 checkpoint for the given step
-// into dir (creating it if needed) and prunes old generations so at most
-// keep remain (keep <= 0 means keep everything). Pruning failures are
-// reported but the checkpoint itself is already safe on disk.
+// into dir (creating it if needed) and prunes the directory so at most
+// keep generations remain (keep <= 0 means keep everything). The file just
+// written is never pruned. Generations with a higher step go first: they
+// are a torn write or a timeline a rollback or a resume abandoned, and
+// left in place they would outrank this one. Of the rest, the newest keep
+// stay. Pruning failures are reported but the checkpoint itself is already
+// safe on disk.
 func WriteCheckpoint(dir string, m *mf.Model, meta *Meta, keep int) (string, error) {
 	if meta == nil {
 		meta = &Meta{}
@@ -91,7 +96,11 @@ func WriteCheckpoint(dir string, m *mf.Model, meta *Meta, keep int) (string, err
 		if err != nil {
 			return path, err
 		}
-		for _, old := range gens[min(keep, len(gens)):] {
+		at := slices.Index(gens, path) // newest first: gens[:at] are the higher steps
+		for i, old := range gens {
+			if i >= at && i < at+keep {
+				continue
+			}
 			if err := os.Remove(old); err != nil {
 				return path, fmt.Errorf("store: prune %s: %w", old, err)
 			}

@@ -41,6 +41,52 @@ func TestWriteCheckpointKeepsLastN(t *testing.T) {
 	}
 }
 
+// TestWriteCheckpointNeverPrunesItself: a generation with a higher step —
+// a torn write, or a timeline a rollback abandoned — must not push the
+// file just written out of the keep window.
+func TestWriteCheckpointNeverPrunesItself(t *testing.T) {
+	dir := t.TempDir()
+	m := sampleModel(22, true)
+	for _, step := range []int{1000, 2000} {
+		if _, err := WriteCheckpoint(dir, m, &Meta{Step: step}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(CheckpointPath(dir, 3000), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	path, err := WriteCheckpoint(dir, m, &Meta{Step: 2500}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens, err := ListCheckpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gens) != 1 || gens[0] != path {
+		t.Errorf("after writing %s with keep=1 the directory holds %v", path, gens)
+	}
+	if _, meta, _, skipped, err := LatestCheckpoint(dir); err != nil || meta.Step != 2500 || len(skipped) != 0 {
+		t.Errorf("LatestCheckpoint = step %v, skipped %v, err %v; want the 2500 just written", meta, skipped, err)
+	}
+
+	// Stepping back below older generations (a rollback's next write)
+	// keeps the window behind the new file, not ahead of it.
+	for _, step := range []int{2600, 2700} {
+		if _, err := WriteCheckpoint(dir, m, &Meta{Step: step}, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := WriteCheckpoint(dir, m, &Meta{Step: 2550}, 2); err != nil {
+		t.Fatal(err)
+	}
+	gens, _ = ListCheckpoints(dir)
+	if len(gens) != 2 || gens[0] != CheckpointPath(dir, 2550) || gens[1] != CheckpointPath(dir, 2500) {
+		t.Errorf("after stepping back to 2550 with keep=2 the directory holds %v", gens)
+	}
+}
+
 func TestLatestCheckpointSkipsCorrupt(t *testing.T) {
 	dir := t.TempDir()
 	m := sampleModel(21, false)

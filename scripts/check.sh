@@ -22,6 +22,18 @@ go test -race -shuffle=on ./...
 # barriers and must stay race-clean). -count=1 defeats the test cache so
 # the gate always actually runs.
 go test -race -count=1 -run '^TestChaos' ./internal/fault
+# The same faults through the shipped path: cmd/clapf-train's run() with
+# the poisoners on its after-batch seam — a mid-run trip, poison caught by
+# the final checkpoint's gate (the run trains on, it does not report the
+# restored step as finished), and a stop signal in the batch that trips.
+go test -race -count=1 -run '^Test(TripRecovers|StopInTheBatchThatTrips)$' ./cmd/clapf-train
+# guard.Supervisor.Run is the one loop that slices a run into batches,
+# handles trips and gates checkpoints; clapf-train calls it.
+if grep -rn --include='*.go' --exclude='*_test.go' -e 'trainLoop' -e 'HandleTrip(' -e 'GateCheckpoint(' . | grep -v '^\./internal/guard/' ||
+	grep -rn --include='*.go' --exclude='*_test.go' 'RunSteps(' cmd; then
+	echo "a second supervised loop: batching, trip handling and checkpoint gating belong to guard.Supervisor.Run" >&2
+	exit 1
+fi
 echo "chaos-recovery gate ok"
 
 # Trainer equivalence gate: every SGD objective with a linear risk —
