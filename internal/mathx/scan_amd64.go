@@ -1,0 +1,27 @@
+package mathx
+
+// useAVX is the one selection: the CPU and the OS both support AVX.
+var useAVX = cpuHasAVX()
+
+// cpuHasAVX reports CPUID.1:ECX.{OSXSAVE,AVX} and XCR0's SSE and AVX
+// state bits.
+func cpuHasAVX() bool
+
+// scanAVX is scanGo over n > 0 rows of d > 0 elements; b may be nil.
+//
+//go:noescape
+func scanAVX(u *float64, v, b *float32, out *float64, n, d int)
+
+func scanF64F32(u []float64, v, b []float32, out []float64) {
+	if !useAVX || len(u) == 0 || len(out) == 0 {
+		scanGo(u, v, b, out)
+		return
+	}
+	// ScanF64F32 checked len(v) and len(b) against n*d and n: the kernel
+	// reads exactly those elements and nothing past them.
+	var bp *float32
+	if b != nil {
+		bp = &b[0]
+	}
+	scanAVX(&u[0], &v[0], bp, &out[0], len(out), len(u))
+}

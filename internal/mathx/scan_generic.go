@@ -1,0 +1,8 @@
+//go:build !amd64
+
+package mathx
+
+// useAVX: the kernel exists only in scan_amd64.s.
+const useAVX = false
+
+func scanF64F32(u []float64, v, b []float32, out []float64) { scanGo(u, v, b, out) }

@@ -1,0 +1,215 @@
+package mathx
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"testing"
+)
+
+// sameScan fails unless ScanF64F32 — the AVX kernel where the host has one
+// — wrote exactly what scanGo, its specification, writes. Non-finite
+// results are compared by kind, not NaN payload: which operand's payload
+// survives is the one thing the instruction set leaves to operand order.
+func sameScan(t *testing.T, label string, u []float64, v, b []float32, n int, outOff int) {
+	t.Helper()
+	// Both outputs start at the same odd-or-even element offset of a
+	// larger buffer, with a canary either side.
+	got, want := make([]float64, outOff+n+1), make([]float64, outOff+n+1)
+	const canary = -12345.5
+	Fill(got, canary)
+	Fill(want, canary)
+	ScanF64F32(u, v, b, got[outOff:outOff+n])
+	scanGo(u, v, b, want[outOff:outOff+n])
+	for j := range want {
+		g, w := got[j], want[j]
+		if math.IsNaN(w) && math.IsNaN(g) {
+			continue
+		}
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("%s: out[%d] = %v (%#x), portable loop %v (%#x)",
+				label, j-outOff, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+}
+
+// scanSpecials are the values a finite random catalog never holds.
+var scanSpecials = []float32{
+	0, float32(math.Copysign(0, -1)),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40,
+	math.MaxFloat32, -math.MaxFloat32,
+	float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+}
+
+// TestScanF64F32MatchesPortable is the kernel's bit-identity table: every
+// d from 1 to 67 (every residue mod 4, and d < 4 where no lane runs), row
+// counts around the engine's 512-item tile, with and without bias, v, b
+// and out starting at odd element offsets (a mapped section is only
+// 4-byte aligned per row), over random rows and rows of ±0, subnormals,
+// ±Inf, NaN and MaxFloat32.
+func TestScanF64F32MatchesPortable(t *testing.T) {
+	t.Logf("AVX kernel in use: %v", useAVX)
+	rng := NewRNG(21)
+	for d := 1; d <= 67; d++ {
+		for _, n := range []int{0, 1, 2, 511, 512, 513} {
+			for _, off := range []int{0, 1, 3} {
+				u := make([]float64, d)
+				for k := range u {
+					u[k] = rng.NormFloat64()
+				}
+				v := randF32(rng, off+n*d)[off:]
+				b := randF32(rng, off+n)[off:]
+				sameScan(t, "random", u, v, b, n, off)
+				sameScan(t, "random, no bias", u, v, nil, n, off)
+				if n == 0 || n > 2 {
+					continue
+				}
+				// Specials: in the catalog, the bias and the query, one
+				// position at a time so each meets every lane and the tail.
+				for k := 0; k < d; k++ {
+					for _, x := range scanSpecials {
+						old := v[k]
+						v[k] = x
+						sameScan(t, "special row element", u, v, b, n, off)
+						v[k] = old
+
+						oldU := u[k]
+						u[k] = float64(x)
+						sameScan(t, "special query element", u, v, b, n, off)
+						u[k] = oldU
+					}
+				}
+				for _, x := range scanSpecials {
+					b[n-1] = x
+					sameScan(t, "special bias", u, v, b, n, off)
+				}
+			}
+		}
+	}
+	// A query beyond float32 range: products overflow in float64 too.
+	u := []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1, math.MaxFloat64}
+	v := []float32{math.MaxFloat32, math.MaxFloat32, 1e-40, 1, -2, 1, 2, 3, 4, 5}
+	sameScan(t, "float64 extremes", u, v, []float32{1, -1}, 2, 1)
+
+	// d == 0 and a nil everything are the portable loop's answers too.
+	sameScan(t, "d=0", nil, nil, []float32{1, 2, 3}, 3, 0)
+	sameScan(t, "n=0", []float64{1}, nil, nil, 0, 0)
+}
+
+// TestScanF64F32IsDotF64F32 ties the scan to the single-row kernels the
+// other float32 paths call, rather than to its own portable body.
+func TestScanF64F32IsDotF64F32(t *testing.T) {
+	rng := NewRNG(22)
+	for _, d := range []int{1, 3, 4, 6, 16, 18, 96} {
+		const n = 37
+		u32 := randF32(rng, d)
+		u := WidenF32(u32, nil)
+		v, b := randF32(rng, n*d), randF32(rng, n)
+		out := make([]float64, n)
+		ScanF64F32(u, v, b, out)
+		for j, got := range out {
+			row := v[j*d : (j+1)*d]
+			if want := DotF64F32(u, row) + float64(b[j]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("d=%d row %d: scan %v, DotF64F32+bias %v", d, j, got, want)
+			}
+			if want := DotF32(u32, row) + float64(b[j]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("d=%d row %d: scan %v, DotF32+bias %v", d, j, got, want)
+			}
+		}
+	}
+}
+
+// TestScanF64F32ShortSlicePanics: a v, b or out one element short (or
+// long) is refused before the kernel is handed a pointer — it must never
+// read past a mapping's end.
+func TestScanF64F32ShortSlicePanics(t *testing.T) {
+	const n, d = 5, 6
+	u, v, b, out := make([]float64, d), make([]float32, n*d), make([]float32, n), make([]float64, n)
+	for name, call := range map[string]func(){
+		"v short":   func() { ScanF64F32(u, v[:n*d-1], b, out) },
+		"v long":    func() { ScanF64F32(u, append(v, 0), b, out) },
+		"b short":   func() { ScanF64F32(u, v, b[:n-1], out) },
+		"b empty":   func() { ScanF64F32(u, v, b[:0], out) },
+		"out short": func() { ScanF64F32(u, v, b, out[:n-1]) },
+		"u short":   func() { ScanF64F32(u[:d-1], v, b, out) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+	ScanF64F32(u, v, b, out) // the exact shapes do not
+	ScanF64F32(u, v, nil, out)
+}
+
+// FuzzScanF64F32 feeds raw bit patterns — so every NaN payload, subnormal
+// and infinity is reachable — through the kernel and the portable loop.
+// The first two bytes pick d and the offset parity; the rest are the
+// query (as float32 bit patterns, widened), then rows, then biases.
+func FuzzScanF64F32(f *testing.F) {
+	seed := func(d, off byte, words ...uint32) {
+		buf := []byte{d, off}
+		for _, w := range words {
+			buf = binary.LittleEndian.AppendUint32(buf, w)
+		}
+		f.Add(buf)
+	}
+	const (
+		one, negZero, inf, negInf = 0x3f800000, 0x80000000, 0x7f800000, 0xff800000
+		nan, sub, maxF            = 0x7fc00001, 0x00000001, 0x7f7fffff
+	)
+	seed(1, 0, one, one, one)
+	seed(3, 1, one, negZero, sub, maxF, maxF, negInf, one, one, one, nan)
+	seed(4, 0, maxF, maxF, maxF, maxF, maxF, maxF, maxF, maxF, inf, negZero, sub, one, one)
+	seed(6, 1, one, one, one, one, one, one, sub, sub, negZero, 0, inf, negInf, 0, 0, 0, 0, 0, 0, 0, nan)
+	seed(18, 0)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		d, off := int(data[0]%68), int(data[1]%2)
+		words := make([]float32, 0, len(data)/4)
+		for data = data[2:]; len(data) >= 4; data = data[4:] {
+			words = append(words, math.Float32frombits(binary.LittleEndian.Uint32(data)))
+		}
+		if d == 0 || len(words) < d+off {
+			return
+		}
+		u := WidenF32(words[:d], nil)
+		words = words[d+off:]
+		n := len(words) / (d + 1) // n rows and n biases
+		v, b := words[:n*d], words[n*d:n*d+n]
+		sameScan(t, "fuzz", u, v, b, n, off)
+		sameScan(t, "fuzz, no bias", u, v, nil, n, off)
+	})
+}
+
+// BenchmarkScanF64F32 is the in-package twin of the ledger's
+// score.scan_f32_us: the benchmark catalog's 26 744 items at d = 16, and
+// a ragged d = 18 where every row ends in a two-element scalar tail.
+func BenchmarkScanF64F32(b *testing.B) {
+	const n = 26744
+	rng := NewRNG(1)
+	for _, d := range []int{16, 18} {
+		u := make([]float64, d)
+		for k := range u {
+			u[k] = rng.NormFloat64()
+		}
+		v, bias, out := randF32(rng, n*d), randF32(rng, n), make([]float64, n)
+		for _, impl := range []struct {
+			name string
+			scan func(u []float64, v, b []float32, out []float64)
+		}{{"kernel", ScanF64F32}, {"portable", scanGo}} {
+			b.Run(fmt.Sprintf("%s/d=%d", impl.name, d), func(b *testing.B) {
+				b.SetBytes(int64(4 * (len(v) + len(bias))))
+				for i := 0; i < b.N; i++ {
+					impl.scan(u, v, bias, out)
+				}
+			})
+		}
+	}
+}

@@ -1,23 +1,34 @@
 package mathx
 
+import "fmt"
+
 // Float32 kernels for the serving-side factor representation. Every kernel
 // widens each float32 operand to float64 before multiplying and accumulates
 // in float64, so quantization error enters only through the stored values,
 // never through the arithmetic.
 //
-// Unlike Dot, these kernels run four independent accumulators. A float32
-// element costs two extra convert uops per multiply, and with Dot's single
-// serial accumulator that overhead makes a float32 scan slower than the
-// float64 one it is meant to beat; splitting the dependency chain lets the
-// converts overlap the adds and pushes the scan back to (beyond, on wide
-// cores) float64 speed at half the memory traffic. The price is a different
-// summation order than Dot — float32 scoring is statistically, not
-// bit-wise, equal to float64 scoring. What IS guaranteed bit-wise:
-// DotF32(a, b) == DotF64F32(widen(a), b) for all inputs, because the two
-// kernels share one accumulator structure and widening is exact. Every
+// Unlike Dot, these kernels run four independent accumulators s0..s3 over
+// elements k mod 4, reduced as (s0+s1)+(s2+s3), then any len mod 4 tail.
+// That is a different summation order than Dot — float32 scoring is
+// statistically, not bit-wise, equal to float64 scoring. What IS guaranteed
+// bit-wise: DotF32(a, b) == DotF64F32(widen(a), b) for all inputs, because
+// the two kernels share one accumulator structure and widening is exact,
+// and ScanF64F32 is DotF64F32 applied to every row of a catalog. Every
 // float32 serving path (dense scan, blocked batch kernel, IVF probe) rides
-// on that pair, so within a float32 model, single, batch, and full-probe
+// on those three, so within a float32 model, single, batch, and full-probe
 // retrieval stay bit-identical to each other.
+//
+// The four accumulators are also exactly one 4-lane float64 vector, which
+// is how the catalog scan runs on amd64 (scan_amd64.s): convert four
+// float32 to float64, multiply by the user chunk, add into the lanes — a
+// separate multiply and add, never a fused one, because DotF64F32 as
+// compiled for amd64 rounds the product before adding and FMA would not.
+// Written in Go the same loop is a scalar convert + multiply + add per
+// element behind a call per row — 12.8 ns an item at d = 16 against the
+// kernel's 4.9 (BenchmarkScanF64F32) — which is why the float32 scan used
+// to lose to the float64 one it halves the memory traffic of. DotF32 and
+// DotF64F32 stay scalar: their callers score one row at a time
+// (Factors32.Score, IVF cells' packed rows).
 
 // DotF32 returns the inner product of two float32 vectors, accumulated in
 // float64. The slices must have equal length.
@@ -58,6 +69,34 @@ func DotF64F32(a []float64, b []float32) float64 {
 		s += a[i] * float64(b[i])
 	}
 	return s
+}
+
+// ScanF64F32 scores a row-major float32 catalog under one float64 query:
+// with d = len(u) and n = len(out),
+//
+//	out[j] = DotF64F32(u, v[j*d:(j+1)*d]) + float64(b[j])
+//
+// bit for bit, the bias term dropped when b is nil. v must hold exactly
+// n*d elements and a non-nil b exactly n; anything else is a caller bug
+// and panics before a single row is read.
+func ScanF64F32(u []float64, v, b []float32, out []float64) {
+	if len(v) != len(out)*len(u) || (b != nil && len(b) != len(out)) {
+		panic(fmt.Sprintf("mathx: ScanF64F32 over %d rows of %d: len(v) = %d, len(b) = %d", len(out), len(u), len(v), len(b)))
+	}
+	scanF64F32(u, v, b, out)
+}
+
+// scanGo is ScanF64F32's specification, and its body wherever the AVX
+// kernel is not available.
+func scanGo(u []float64, v, b []float32, out []float64) {
+	d := len(u)
+	for j := range out {
+		s := DotF64F32(u, v[j*d:(j+1)*d])
+		if b != nil {
+			s += float64(b[j])
+		}
+		out[j] = s
+	}
 }
 
 // WidenF32 copies src into dst (allocating when dst is too short) widening

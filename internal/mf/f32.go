@@ -14,13 +14,13 @@ import (
 //
 // Every scoring method widens elements to float64 and accumulates in
 // float64, so quantization error enters once, at export, not per query.
-// The kernels are mathx.DotF32/DotF64F32, whose four-way accumulation
-// differs from Model's serial mathx.Dot order — float32 scores match
-// float64 scores statistically (internal/eval's
-// TestFloat32ParityWithFloat64), not bit-wise. Within the float32
-// representation everything is exact: the two kernels are bit-identical
-// to each other on widened inputs, so dense scans, blocked batch sweeps,
-// fold-in, and IVF probes all agree to the last bit.
+// The kernels are mathx.DotF32/DotF64F32 for one row and mathx.ScanF64F32
+// for the catalog, whose four-way accumulation differs from Model's serial
+// mathx.Dot order — float32 scores match float64 scores statistically
+// (internal/eval's TestFloat32ParityWithFloat64), not bit-wise. Within the
+// float32 representation everything is exact: the three kernels are
+// bit-identical to each other on widened inputs, so dense scans, blocked
+// batch sweeps, fold-in, and IVF probes all agree to the last bit.
 type Factors32 struct {
 	numUsers int
 	numItems int
@@ -175,24 +175,18 @@ func (f *Factors32) ScoreAll(u int32, out []float64) {
 
 // ScoreRange fills the tile out (len(out) == hi-lo, out[j] is item lo+j)
 // with exactly the values ScoreAll computes — same kernel, same
-// accumulation order — for the blocked engine's tiles.
+// accumulation order — for callers that tile one stored user's scan.
 //
-// The sweep widens the (tiny) user row to float64 up front and scans the
-// item rows with the mixed-precision DotF64F32 kernel: one convert per
-// element instead of DotF32's two, which on scalar cores is the difference
-// between a float32 scan that beats the float64 one and a float32 scan
-// that loses to it. The results are bit-identical to a DotF32 sweep —
-// widening is exact and the two kernels share one accumulator structure —
-// so every float32 path still agrees to the last bit.
+// It widens the (tiny) user row to float64 and runs the representation's
+// one item scan under it. The results are bit-identical to a DotF32 sweep
+// — widening is exact and DotF32, DotF64F32 and the scan kernel share one
+// accumulator structure — so every float32 path agrees to the last bit.
+// Beyond 64 dimensions the widened row is allocated, once per call: a
+// caller with many tiles per user (score.Engine.ScoreUsers) widens once
+// with UserVector and tiles through ScoreRangeFoldIn instead.
 func (f *Factors32) ScoreRange(u int32, lo, hi int, out []float64) {
 	var ufbuf [64]float64
-	var uf []float64
-	if f.dim <= len(ufbuf) {
-		uf = mathx.WidenF32(f.userRow(u), ufbuf[:0:f.dim])
-	} else {
-		uf = mathx.WidenF32(f.userRow(u), nil)
-	}
-	f.ScoreRangeFoldIn(uf, lo, hi, out)
+	f.ScoreRangeFoldIn(mathx.WidenF32(f.userRow(u), ufbuf[:0]), lo, hi, out)
 }
 
 // ScoreAllFoldIn scores every item under a folded-in float64 user vector.
@@ -204,21 +198,20 @@ func (f *Factors32) ScoreAllFoldIn(userFactors []float64, out []float64) {
 }
 
 // ScoreRangeFoldIn fills the tile out (len(out) == hi-lo, out[j] is item
-// lo+j) with exactly the values ScoreAllFoldIn computes — same DotF64F32
-// kernel, same accumulation order — so blocked folded-in sweeps agree with
-// the dense one to the last bit. It is the representation's one item scan;
-// the stored-user methods widen the user row and call it.
+// lo+j) with exactly the values ScoreAllFoldIn computes, so blocked
+// folded-in sweeps agree with the dense one to the last bit. It is the
+// representation's one item scan; the stored-user methods widen the user
+// row and call it. The loop itself is mathx.ScanF64F32 — per row
+// DotF64F32 plus the bias, bit for bit, as one AVX kernel on amd64 whose
+// four lanes are DotF64F32's four accumulators — so this scan, Score's
+// DotF32 and the IVF cell loop's DotF64F32 still produce the same bits.
 func (f *Factors32) ScoreRangeFoldIn(userFactors []float64, lo, hi int, out []float64) {
 	checkTile(len(userFactors), f.dim, lo, hi, f.numItems, len(out))
-	for j := range out {
-		i := lo + j
-		off := i * f.dim
-		s := mathx.DotF64F32(userFactors, f.v[off:off+f.dim])
-		if f.b != nil {
-			s += float64(f.b[i])
-		}
-		out[j] = s
+	var b []float32
+	if f.b != nil {
+		b = f.b[lo:hi]
 	}
+	mathx.ScanF64F32(userFactors, f.v[lo*f.dim:hi*f.dim], b, out)
 }
 
 // UserVector widens U_u into dst and returns it.

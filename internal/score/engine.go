@@ -97,8 +97,10 @@ func (e *Engine) ScoreAll(u int32, out []float64) { e.m.ScoreAll(u, out) }
 
 // ScoreUsers fills out[i] with the full score row for users[i] using the
 // sequential blocked kernel: the item dimension is tiled so each tile of V
-// stays cache-resident across the whole batch. len(out) must be at least
-// len(users) and every row must have length NumItems.
+// stays cache-resident across the whole batch. Like the fused scan it runs
+// each user through the fold-in kernel under UserVector(u), which every
+// representation scores bit-identically to ScoreRange(u). len(out) must be
+// at least len(users) and every row must have length NumItems.
 func (e *Engine) ScoreUsers(users []int32, out [][]float64) {
 	if len(out) < len(users) {
 		panic(fmt.Sprintf("score: %d output rows for %d users", len(out), len(users)))
@@ -109,13 +111,20 @@ func (e *Engine) ScoreUsers(users []int32, out [][]float64) {
 			panic(fmt.Sprintf("score: output row %d has length %d, want %d", ui, len(out[ui]), m))
 		}
 	}
+	// One user vector per user, not per (tile × user): a float32 model
+	// widens its row to produce one, and allocates to do it once dim
+	// outgrows ScoreRange's stack buffer.
+	ufs := make([][]float64, len(users))
+	for ui, u := range users {
+		ufs[ui] = e.m.UserVector(u, nil)
+	}
 	for lo := 0; lo < m; lo += e.block {
 		hi := lo + e.block
 		if hi > m {
 			hi = m
 		}
-		for ui, u := range users {
-			e.m.ScoreRange(u, lo, hi, out[ui][lo:hi])
+		for ui, uf := range ufs {
+			e.m.ScoreRangeFoldIn(uf, lo, hi, out[ui][lo:hi])
 		}
 	}
 }

@@ -61,6 +61,30 @@ func TestScoreUsersMatchesScoreAll(t *testing.T) {
 	}
 }
 
+// A float32 model wider than Factors32.ScoreRange's 64-element stack
+// buffer allocates to widen a user row. The blocked kernel must pay that
+// once per user, not once per (tile × user).
+func TestScoreUsersWidensOncePerUser(t *testing.T) {
+	const items, block = 200, 8 // 25 tiles
+	f := mf.QuantizeF32(testModel(t, 5, items, 96))
+	e := NewEngine(f, WithBlockItems(block))
+	users := []int32{0, 3, 4}
+	out := NewScoreRows(len(users), items)
+	allocs := testing.AllocsPerRun(20, func() { e.ScoreUsers(users, out) })
+	if want := float64(len(users) + 1); allocs > want { // the vectors and the slice holding them
+		t.Fatalf("ScoreUsers at dim 96 over %d tiles: %v allocations, want at most %v", items/block, allocs, want)
+	}
+	want := make([]float64, items)
+	for ui, u := range users {
+		f.ScoreAll(u, want)
+		for i, w := range want {
+			if math.Float64bits(out[ui][i]) != math.Float64bits(w) {
+				t.Fatalf("user %d item %d: batch %v != ScoreAll %v", u, i, out[ui][i], w)
+			}
+		}
+	}
+}
+
 func TestScoreAllDelegates(t *testing.T) {
 	m := testModel(t, 4, 31, 3)
 	e := NewEngine(m)

@@ -3,12 +3,14 @@ package score
 import (
 	"fmt"
 	"math"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
 	"clapf/internal/rank"
+	"clapf/internal/store"
 )
 
 // plantedModel is a random catalog with the rows the fused scan could get
@@ -19,7 +21,11 @@ import (
 // so a k that cuts the tie must keep the smaller ids. Without biases a NaN
 // factor poisons one row.
 func plantedModel(seed uint64, items int, useBias bool) *mf.Model {
-	m := mf.MustNew(mf.Config{NumUsers: 9, NumItems: items, Dim: 6, UseBias: useBias, InitStd: 0.1})
+	return plantedModelDim(seed, items, 6, useBias)
+}
+
+func plantedModelDim(seed uint64, items, dim int, useBias bool) *mf.Model {
+	m := mf.MustNew(mf.Config{NumUsers: 9, NumItems: items, Dim: dim, UseBias: useBias, InitStd: 0.1})
 	m.InitGaussian(mathx.NewRNG(seed), 0.1)
 	if !useBias {
 		m.ItemFactors(int32(items / 2))[3] = math.NaN()
@@ -49,6 +55,52 @@ func twoPass(scores []float64, k int, excludeSorted []int32) ([]rank.Entry, int)
 		ex[i] = true
 	}
 	return rank.TopKDropped(scores, k, func(i int32) bool { return ex[i] })
+}
+
+// openMapped writes f as a v3 store file and opens it the way the server
+// does: the float32 factors it returns are the mapped pages, whose rows
+// are only 4-byte aligned.
+func openMapped(t *testing.T, f *mf.Factors32) *mf.Factors32 {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "model.f32.clapf")
+	if err := store.SaveF32File(path, f, nil); err != nil {
+		t.Fatal(err)
+	}
+	p, _, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped := p.(*mf.Factors32)
+	if !mapped.Mapped() {
+		t.Fatal("store.Open of a v3 file did not map it")
+	}
+	return mapped
+}
+
+// checkScanIsDotF32 closes the float32 contract over the catalog scan:
+// every ScoreRangeFoldIn tile value — whole catalog, engine tiles, and
+// tiles at odd offsets — is DotF32(user row, item row) + bias, bit for
+// bit. Factors32.Score and the IVF cell loop compute exactly that per row.
+func checkScanIsDotF32(t *testing.T, label string, f *mf.Factors32) {
+	t.Helper()
+	uRaw, vRaw, _ := f.RawParams32()
+	d, n := f.Dim(), f.NumItems()
+	for u := int32(0); u < int32(f.NumUsers()); u++ {
+		uf := f.UserVector(u, nil)
+		for _, tile := range [][2]int{{0, n}, {0, min(n, tileItems)}, {1, min(n, 4)}, {n / 3, n - 1}, {n - 1, n}, {7, 7}} {
+			lo, hi := tile[0], tile[1]
+			out := make([]float64, hi-lo)
+			f.ScoreRangeFoldIn(uf, lo, hi, out)
+			for j, got := range out {
+				i := lo + j
+				want := mathx.DotF32(uRaw[int(u)*d:int(u+1)*d], vRaw[i*d:(i+1)*d]) + f.Bias(int32(i))
+				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+					t.Fatalf("%s u=%d tile [%d,%d) item %d: scan %v (%#x), DotF32+bias %v (%#x)",
+						label, u, lo, hi, i, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
 }
 
 func sameTopK(t *testing.T, label string, got []rank.Entry, gotDropped int, want []rank.Entry, wantDropped int) {
@@ -95,6 +147,19 @@ func TestFusedTopKBitIdentical(t *testing.T) {
 			}
 			for name, p := range reps {
 				checkFused(t, fmt.Sprintf("%s items=%d bias=%v", name, items, useBias), p)
+			}
+		}
+	}
+
+	// The float32 scan is a vector kernel whose lanes cover four factors:
+	// a whole number of lanes (16) and a ragged tail (18), over heap and
+	// mapped storage.
+	for _, dim := range []int{16, 18} {
+		for _, useBias := range []bool{true, false} {
+			const items = 2*tileItems + 37
+			f32 := mf.QuantizeF32(plantedModelDim(uint64(dim), items, dim, useBias))
+			for name, f := range map[string]*mf.Factors32{"f32": f32, "f32-mapped": openMapped(t, f32)} {
+				checkFused(t, fmt.Sprintf("%s dim=%d bias=%v", name, dim, useBias), f)
 			}
 		}
 	}
@@ -169,22 +234,32 @@ func checkFused(t *testing.T, label string, p mf.Params) {
 // user through the fold-in kernel: on all three representations
 // ScoreAll(u) and ScoreAllFoldIn(UserVector(u)) are the same bits.
 func TestScoreAllIsFoldInOfUserVector(t *testing.T) {
-	for _, useBias := range []bool{true, false} {
-		m := plantedModel(5, 300, useBias)
-		ov := mf.NewOverlay(m)
-		if err := ov.Set(2, []float64{1, -2, 3, -4, 5, -6}); err != nil {
-			t.Fatal(err)
-		}
-		for name, p := range map[string]mf.Params{"f64": m, "f32": mf.QuantizeF32(m), "overlay": ov} {
-			a, b := make([]float64, p.NumItems()), make([]float64, p.NumItems())
-			for u := int32(0); u < int32(p.NumUsers()); u++ {
-				p.ScoreAll(u, a)
-				p.ScoreAllFoldIn(p.UserVector(u, nil), b)
-				for i := range a {
-					if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-						t.Fatalf("%s bias=%v u=%d item %d: ScoreAll %v, fold-in of the user vector %v",
-							name, useBias, u, i, a[i], b[i])
+	for _, dim := range []int{6, 16, 18} {
+		for _, useBias := range []bool{true, false} {
+			m := plantedModelDim(5, 300, dim, useBias)
+			ov := mf.NewOverlay(m)
+			row := make([]float64, dim) // 1, -2, 3, -4, …
+			for q := range row {
+				row[q] = float64(q+1) * float64(1-2*(q%2))
+			}
+			if err := ov.Set(2, row); err != nil {
+				t.Fatal(err)
+			}
+			f32 := mf.QuantizeF32(m)
+			for name, p := range map[string]mf.Params{"f64": m, "f32": f32, "f32-mapped": openMapped(t, f32), "overlay": ov} {
+				a, b := make([]float64, p.NumItems()), make([]float64, p.NumItems())
+				for u := int32(0); u < int32(p.NumUsers()); u++ {
+					p.ScoreAll(u, a)
+					p.ScoreAllFoldIn(p.UserVector(u, nil), b)
+					for i := range a {
+						if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+							t.Fatalf("%s dim=%d bias=%v u=%d item %d: ScoreAll %v, fold-in of the user vector %v",
+								name, dim, useBias, u, i, a[i], b[i])
+						}
 					}
+				}
+				if f, ok := p.(*mf.Factors32); ok {
+					checkScanIsDotF32(t, fmt.Sprintf("%s dim=%d bias=%v", name, dim, useBias), f)
 				}
 			}
 		}

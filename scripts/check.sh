@@ -122,6 +122,39 @@ go test -race -count=1 -run '^Test(SearchCellsMatchesTwoPass|NearestMatchesDot)$
 go test -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossReinstalls)$' ./internal/serve
 echo "fused exact-scan gate ok"
 
+# Scan kernel gate: the float32 catalog scan (mathx.ScanF64F32) is an AVX
+# kernel on amd64 and a Go loop elsewhere, and the Go loop is the
+# specification. By name: kernel == loop by Float64bits over every d in
+# 1..67, tile-edge row counts, odd offsets and the IEEE specials; scan ==
+# DotF64F32 == DotF32 per row; a short v, b or out panics before a pointer
+# is taken; and a few seconds of raw bit patterns through both. go vet's
+# asmdecl checks the assembly's frame against its Go declaration. The
+# arm64 cross-build keeps the portable body compiling (offline: no cgo, no
+# downloads). The kernel never fuses multiply and add because the compiled
+# DotF64F32 does not; at GOAMD64=v3 the compiler is allowed to, so where
+# the host can run a v3 binary the bit tests run at that level too.
+# There is one .s file and one scan: a second of either is a second
+# kernel to keep bit-identical.
+go test -count=1 -run '^TestScanF64F32(MatchesPortable|IsDotF64F32|ShortSlicePanics)$' ./internal/mathx
+go test -run='^$' -fuzz='^FuzzScanF64F32$' -fuzztime=5s ./internal/mathx
+go vet ./internal/mathx
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/mathx ./internal/mf
+v3=yes
+for flag in avx2 fma bmi2 movbe; do
+	grep -qw "$flag" /proc/cpuinfo 2>/dev/null || v3=no
+done
+if [ "$v3" = yes ]; then
+	GOAMD64=v3 go test -count=1 -run '^TestScanF64F32(MatchesPortable|IsDotF64F32)$' ./internal/mathx
+fi
+if find . -name '*.s' -not -path './.bench_build/*' | grep -v '^\./internal/mathx/scan_amd64\.s$' ||
+	grep -rnE --include='*.go' --exclude='*_test.go' 'func [A-Za-z]*Scan[A-Za-z0-9]*F32' . |
+		grep -v -e '^\./internal/mathx/' -e '^\./\.bench_build/'; then
+	echo "a second assembly file or scan kernel: the float32 catalog scan is mathx.ScanF64F32, in internal/mathx/scan_amd64.s" >&2
+	exit 1
+fi
+echo "scan kernel gate ok"
+
 # Trace smoke: end-to-end tracing under the race detector — a request
 # must land in /debug/traces with parent/child spans and populate the
 # per-stage histogram. -count=1 defeats the test cache so the gate
