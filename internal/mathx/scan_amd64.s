@@ -80,3 +80,91 @@ store:
 	JNZ    row
 	VZEROUPPER
 	RET
+
+// func scanF64AVX(u, v, b, out *float64, n, d int)
+//
+// Four rows per pass: lane q of Y0 is Dot's one accumulator for row q. A
+// chunk of four coordinates is loaded from each row and transposed, so
+// that Y1..Y4 each hold one coordinate of the four rows; each is then
+// multiplied by that coordinate of u and added to Y0, in coordinate
+// order, which is the order Dot adds a row's products in. Multiply and
+// add stay separate, as in scanAVX: the compiled Dot rounds the product,
+// and TestScanF64IsDot is what notices if a compiler ever fuses it.
+TEXT ·scanF64AVX(SB), NOSPLIT, $0-48
+	MOVQ u+0(FP), SI
+	MOVQ v+8(FP), DI
+	MOVQ b+16(FP), BX
+	MOVQ out+24(FP), DX
+	MOVQ n+32(FP), CX
+	MOVQ d+40(FP), R8
+	MOVQ R8, R9
+	ANDQ $-4, R9 // d rounded down to whole chunks
+	MOVQ R8, R10
+	SHLQ $3, R10 // bytes in a row
+
+rows4:
+	LEAQ   (DI)(R10*1), R11 // rows 1, 2, 3 of this pass
+	LEAQ   (R11)(R10*1), R12
+	LEAQ   (R12)(R10*1), R13
+	VXORPD Y0, Y0, Y0
+	XORQ   AX, AX
+	CMPQ   AX, R9
+	JGE    tail4
+
+chunk4:
+	VMOVUPD      (DI)(AX*8), Y1
+	VMOVUPD      (R11)(AX*8), Y2
+	VMOVUPD      (R12)(AX*8), Y3
+	VMOVUPD      (R13)(AX*8), Y4
+	VUNPCKLPD    Y2, Y1, Y5         // r0[0] r1[0] r0[2] r1[2]
+	VUNPCKHPD    Y2, Y1, Y6         // r0[1] r1[1] r0[3] r1[3]
+	VUNPCKLPD    Y4, Y3, Y7         // r2[0] r3[0] r2[2] r3[2]
+	VUNPCKHPD    Y4, Y3, Y8         // r2[1] r3[1] r2[3] r3[3]
+	VPERM2F128   $0x20, Y7, Y5, Y1  // coordinate 0 of rows 0..3
+	VPERM2F128   $0x20, Y8, Y6, Y2  // coordinate 1
+	VPERM2F128   $0x31, Y7, Y5, Y3  // coordinate 2
+	VPERM2F128   $0x31, Y8, Y6, Y4  // coordinate 3
+	VBROADCASTSD (SI)(AX*8), Y5
+	VMULPD       Y5, Y1, Y1
+	VADDPD       Y1, Y0, Y0
+	VBROADCASTSD 8(SI)(AX*8), Y5
+	VMULPD       Y5, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	VBROADCASTSD 16(SI)(AX*8), Y5
+	VMULPD       Y5, Y3, Y3
+	VADDPD       Y3, Y0, Y0
+	VBROADCASTSD 24(SI)(AX*8), Y5
+	VMULPD       Y5, Y4, Y4
+	VADDPD       Y4, Y0, Y0
+	ADDQ         $4, AX
+	CMPQ         AX, R9
+	JLT          chunk4
+
+tail4:
+	CMPQ         AX, R8
+	JGE          bias4
+	VMOVSD       (DI)(AX*8), X1 // gather one coordinate of the four rows
+	VMOVHPD      (R11)(AX*8), X1, X1
+	VMOVSD       (R12)(AX*8), X2
+	VMOVHPD      (R13)(AX*8), X2, X2
+	VINSERTF128  $1, X2, Y1, Y1
+	VBROADCASTSD (SI)(AX*8), Y5
+	VMULPD       Y5, Y1, Y1
+	VADDPD       Y1, Y0, Y0
+	INCQ         AX
+	JMP          tail4
+
+bias4:
+	TESTQ  BX, BX
+	JZ     store4
+	VADDPD (BX), Y0, Y0
+	ADDQ   $32, BX
+
+store4:
+	VMOVUPD Y0, (DX)
+	ADDQ    $32, DX
+	LEAQ    (R13)(R10*1), DI
+	SUBQ    $4, CX
+	JNZ     rows4
+	VZEROUPPER
+	RET

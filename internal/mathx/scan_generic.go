@@ -2,7 +2,9 @@
 
 package mathx
 
-// useAVX: the kernel exists only in scan_amd64.s.
+// useAVX: the kernels exist only in scan_amd64.s.
 const useAVX = false
 
 func scanF64F32(u []float64, v, b []float32, out []float64) { scanGo(u, v, b, out) }
+
+func scanF64(u, v, b, out []float64) { scanF64Go(u, v, b, out) }

@@ -21,6 +21,12 @@ func sameScan(t *testing.T, label string, u []float64, v, b []float32, n int, ou
 	Fill(want, canary)
 	ScanF64F32(u, v, b, got[outOff:outOff+n])
 	scanGo(u, v, b, want[outOff:outOff+n])
+	sameBits(t, label, got, want, outOff)
+}
+
+// sameBits compares two scan outputs, canaries included, by Float64bits.
+func sameBits(t *testing.T, label string, got, want []float64, outOff int) {
+	t.Helper()
 	for j := range want {
 		g, w := got[j], want[j]
 		if math.IsNaN(w) && math.IsNaN(g) {
@@ -188,6 +194,188 @@ func FuzzScanF64F32(f *testing.F) {
 	})
 }
 
+// sameScanF64 is sameScan for ScanF64 against scanF64Go.
+func sameScanF64(t *testing.T, label string, u, v, b []float64, n int, outOff int) {
+	t.Helper()
+	got, want := make([]float64, outOff+n+1), make([]float64, outOff+n+1)
+	const canary = -12345.5
+	Fill(got, canary)
+	Fill(want, canary)
+	ScanF64(u, v, b, got[outOff:outOff+n])
+	scanF64Go(u, v, b, want[outOff:outOff+n])
+	sameBits(t, label, got, want, outOff)
+}
+
+func randF64(rng *RNG, n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
+	}
+	return xs
+}
+
+var scanF64Specials = []float64{
+	0, math.Copysign(0, -1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310,
+	math.MaxFloat64, -math.MaxFloat64,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+}
+
+// TestScanF64MatchesPortable is the float64 kernel's bit-identity table:
+// every d from 1 to 67 (every residue mod 4, and d < 4 where only the
+// gathering tail runs), row counts that leave 0..3 rows to the Go body
+// beside whole passes and around the 512-score tile, with and without
+// bias, v, b and out starting at odd element offsets, over random rows
+// and — for n <= 5, so that each of the four lanes and a handed-off row
+// are hit — ±0, subnormals, ±Inf, NaN and ±MaxFloat64 at every position
+// of the catalog, the query and the bias.
+func TestScanF64MatchesPortable(t *testing.T) {
+	t.Logf("AVX kernel in use: %v", useAVX)
+	rng := NewRNG(31)
+	for d := 1; d <= 67; d++ {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 511, 512, 513} {
+			for _, off := range []int{0, 1, 3} {
+				u := randF64(rng, d)
+				v := randF64(rng, off+n*d)[off:]
+				b := randF64(rng, off+n)[off:]
+				sameScanF64(t, "random", u, v, b, n, off)
+				sameScanF64(t, "random, no bias", u, v, nil, n, off)
+				if n == 0 || n > 5 || (off == 3 && d > 20) {
+					continue
+				}
+				for k := range v {
+					for _, x := range scanF64Specials {
+						old := v[k]
+						v[k] = x
+						sameScanF64(t, "special row element", u, v, b, n, off)
+						v[k] = old
+					}
+				}
+				for k := range u {
+					for _, x := range scanF64Specials {
+						old := u[k]
+						u[k] = x
+						sameScanF64(t, "special query element", u, v, b, n, off)
+						u[k] = old
+					}
+				}
+				for j := range b {
+					for _, x := range scanF64Specials {
+						old := b[j]
+						b[j] = x
+						sameScanF64(t, "special bias", u, v, b, n, off)
+						b[j] = old
+					}
+				}
+			}
+		}
+	}
+	// Products that overflow, cancel and underflow within one row, in
+	// every lane.
+	u := []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1, math.MaxFloat64}
+	v := make([]float64, 0, 25)
+	for j := 0; j < 5; j++ {
+		v = append(v, 2, 2, 0.5, float64(j), -2)
+	}
+	sameScanF64(t, "float64 extremes", u, v, []float64{1, -1, 0, math.MaxFloat64, 1e-320}, 5, 1)
+
+	// d == 0 and a nil everything are the portable loop's answers too.
+	sameScanF64(t, "d=0", nil, nil, []float64{1, 2, 3, 4, 5}, 5, 0)
+	sameScanF64(t, "n=0", []float64{1}, nil, nil, 0, 0)
+}
+
+// TestScanF64IsDot ties the scan to mathx.Dot itself — the function every
+// other float64 score calls — rather than to its own portable body: each
+// row a distinct vector, so a kernel that put a row in the wrong lane
+// would answer with its neighbour's score.
+func TestScanF64IsDot(t *testing.T) {
+	rng := NewRNG(32)
+	for _, d := range []int{1, 3, 4, 6, 16, 18, 96} {
+		const n = 39
+		u, v, b := randF64(rng, d), randF64(rng, n*d), randF64(rng, n)
+		out, plain := make([]float64, n), make([]float64, n)
+		ScanF64(u, v, b, out)
+		ScanF64(u, v, nil, plain)
+		for j := range out {
+			dot := Dot(u, v[j*d:(j+1)*d])
+			if want := dot + b[j]; math.Float64bits(out[j]) != math.Float64bits(want) {
+				t.Fatalf("d=%d row %d: scan %v, Dot+bias %v", d, j, out[j], want)
+			}
+			if math.Float64bits(plain[j]) != math.Float64bits(dot) {
+				t.Fatalf("d=%d row %d: scan without bias %v, Dot %v", d, j, plain[j], dot)
+			}
+		}
+	}
+}
+
+// TestScanF64ShortSlicePanics: a v, b or out one element short (or long)
+// is refused before the kernel is handed a pointer.
+func TestScanF64ShortSlicePanics(t *testing.T) {
+	const n, d = 9, 6
+	u, v, b, out := make([]float64, d), make([]float64, n*d), make([]float64, n), make([]float64, n)
+	for name, call := range map[string]func(){
+		"v short":   func() { ScanF64(u, v[:n*d-1], b, out) },
+		"v long":    func() { ScanF64(u, append(v, 0), b, out) },
+		"b short":   func() { ScanF64(u, v, b[:n-1], out) },
+		"b empty":   func() { ScanF64(u, v, b[:0], out) },
+		"out short": func() { ScanF64(u, v, b, out[:n-1]) },
+		"u short":   func() { ScanF64(u[:d-1], v, b, out) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+	ScanF64(u, v, b, out) // the exact shapes do not
+	ScanF64(u, v, nil, out)
+}
+
+// FuzzScanF64 feeds raw float64 bit patterns through the kernel and the
+// portable loop. The first two bytes pick d and the offset parity; the
+// rest are the query, then rows, then biases.
+func FuzzScanF64(f *testing.F) {
+	seed := func(d, off byte, words ...uint64) {
+		buf := []byte{d, off}
+		for _, w := range words {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
+		f.Add(buf)
+	}
+	const (
+		one, negZero, inf, negInf = 0x3ff0000000000000, 0x8000000000000000, 0x7ff0000000000000, 0xfff0000000000000
+		nan, sub, maxF            = 0x7ff8000000000001, 0x0000000000000001, 0x7fefffffffffffff
+	)
+	seed(1, 0, one, one, one)
+	seed(1, 1, maxF, 0, maxF, inf, negZero, sub, nan, one, one, one, negInf, one) // five rows: a pass and a handed-off row
+	seed(3, 1, one, negZero, sub, 0, maxF, maxF, negInf, one, one, one, nan)
+	seed(2, 0, maxF, maxF, maxF, maxF, maxF, maxF, one, sub, negZero, inf, one, nan, negInf, one) // four rows, four biases
+	seed(6, 1, one, one, one, one, one, one, 0, sub, sub, negZero, 0, inf, negInf, 0, 0, 0, 0, 0, 0, 0, nan)
+	seed(18, 0)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		d, off := int(data[0]%68), int(data[1]%2)
+		words := make([]float64, 0, len(data)/8)
+		for data = data[2:]; len(data) >= 8; data = data[8:] {
+			words = append(words, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+		if d == 0 || len(words) < d+off {
+			return
+		}
+		u := words[:d]
+		words = words[d+off:]
+		n := len(words) / (d + 1) // n rows and n biases
+		v, b := words[:n*d], words[n*d:n*d+n]
+		sameScanF64(t, "fuzz", u, v, b, n, off)
+		sameScanF64(t, "fuzz, no bias", u, v, nil, n, off)
+	})
+}
+
 // BenchmarkScanF64F32 is the in-package twin of the ledger's
 // score.scan_f32_us: the benchmark catalog's 26 744 items at d = 16, and
 // a ragged d = 18 where every row ends in a two-element scalar tail.
@@ -206,6 +394,27 @@ func BenchmarkScanF64F32(b *testing.B) {
 		}{{"kernel", ScanF64F32}, {"portable", scanGo}} {
 			b.Run(fmt.Sprintf("%s/d=%d", impl.name, d), func(b *testing.B) {
 				b.SetBytes(int64(4 * (len(v) + len(bias))))
+				for i := 0; i < b.N; i++ {
+					impl.scan(u, v, bias, out)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkScanF64 is the in-package twin of the ledger's
+// score.scan_f64_us, at BenchmarkScanF64F32's two shapes.
+func BenchmarkScanF64(b *testing.B) {
+	const n = 26744
+	rng := NewRNG(1)
+	for _, d := range []int{16, 18} {
+		u, v, bias, out := randF64(rng, d), randF64(rng, n*d), randF64(rng, n), make([]float64, n)
+		for _, impl := range []struct {
+			name string
+			scan func(u, v, b, out []float64)
+		}{{"kernel", ScanF64}, {"portable", scanF64Go}} {
+			b.Run(fmt.Sprintf("%s/d=%d", impl.name, d), func(b *testing.B) {
+				b.SetBytes(int64(8 * (len(v) + len(bias))))
 				for i := 0; i < b.N; i++ {
 					impl.scan(u, v, bias, out)
 				}

@@ -73,6 +73,39 @@ func ArgMax(xs []float64) int {
 	return best
 }
 
+// KthLargest returns the k-th largest element of xs (1 <= k <= len(xs)),
+// reordering xs: Hoare's selection around the middle element, linear on
+// average where a sort is n log n. xs must hold no NaN.
+func KthLargest(xs []float64, k int) float64 {
+	k--
+	for lo, hi := 0, len(xs)-1; lo < hi; {
+		pivot := xs[lo+(hi-lo)/2]
+		i, j := lo, hi
+		for i <= j {
+			for xs[i] > pivot {
+				i++
+			}
+			for xs[j] < pivot {
+				j--
+			}
+			if i <= j {
+				xs[i], xs[j] = xs[j], xs[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return xs[k]
+		}
+	}
+	return xs[k]
+}
+
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
 // interpolation between order statistics. The input is not modified.
 func Quantile(xs []float64, q float64) float64 {

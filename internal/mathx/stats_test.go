@@ -2,6 +2,7 @@ package mathx
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -148,5 +149,35 @@ func TestDotCauchySchwarz(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestKthLargestMatchesSort: the selection against a full sort, on random
+// inputs, inputs with few distinct values, sorted either way or all equal,
+// and ±Inf, for every k.
+func TestKthLargestMatchesSort(t *testing.T) {
+	rng := NewRNG(58)
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(40)
+		xs := make([]float64, n)
+		for i := range xs {
+			switch trial % 4 {
+			case 0:
+				xs[i] = rng.NormFloat64()
+			case 1:
+				xs[i] = float64(rng.Intn(3))
+			case 2:
+				xs[i] = float64(i) * float64(trial%8-4)
+			case 3:
+				xs[i] = []float64{math.Inf(-1), math.Inf(1), 0, 1}[rng.Intn(4)]
+			}
+		}
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for k := 1; k <= n; k++ {
+			if got := KthLargest(append([]float64(nil), xs...), k); got != sorted[n-k] {
+				t.Fatalf("KthLargest(%v, %d) = %v, want %v", xs, k, got, sorted[n-k])
+			}
+		}
 	}
 }

@@ -1,5 +1,15 @@
 package mathx
 
+import "fmt"
+
+// Float64 kernels. Dot adds its products into one accumulator in
+// coordinate order, and every float64 score in the repository is that sum,
+// so a vector unit cannot split a row across lanes without changing bits
+// (vec32.go's kernels can: their four accumulators over k mod 4 are the
+// lanes). ScanF64 therefore vectorises across rows instead: four rows per
+// pass, each lane one row's Dot, products rounded and added in Dot's order
+// (scan_amd64.s).
+
 // Dot returns the inner product of a and b. The slices must have equal
 // length; this is the hot kernel of every matrix-factorization score in the
 // repository, so it asserts nothing and lets the runtime bounds-check.
@@ -9,6 +19,34 @@ func Dot(a, b []float64) float64 {
 		s += x * b[i]
 	}
 	return s
+}
+
+// ScanF64 scores a row-major float64 catalog under one query: with
+// d = len(u) and n = len(out),
+//
+//	out[j] = Dot(u, v[j*d:(j+1)*d]) + b[j]
+//
+// bit for bit, the bias term dropped when b is nil. v must hold exactly
+// n*d elements and a non-nil b exactly n; anything else is a caller bug
+// and panics before a single row is read.
+func ScanF64(u, v, b, out []float64) {
+	if len(v) != len(out)*len(u) || (b != nil && len(b) != len(out)) {
+		panic(fmt.Sprintf("mathx: ScanF64 over %d rows of %d: len(v) = %d, len(b) = %d", len(out), len(u), len(v), len(b)))
+	}
+	scanF64(u, v, b, out)
+}
+
+// scanF64Go is ScanF64's specification, and its body wherever the AVX
+// kernel is not available.
+func scanF64Go(u, v, b, out []float64) {
+	d := len(u)
+	for j := range out {
+		s := Dot(u, v[j*d:(j+1)*d])
+		if b != nil {
+			s += b[j]
+		}
+		out[j] = s
+	}
 }
 
 // AXPY computes dst[i] += alpha*x[i] in place.

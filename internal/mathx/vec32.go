@@ -27,8 +27,8 @@ import "fmt"
 // element behind a call per row — 12.8 ns an item at d = 16 against the
 // kernel's 4.9 (BenchmarkScanF64F32) — which is why the float32 scan used
 // to lose to the float64 one it halves the memory traffic of. DotF32 and
-// DotF64F32 stay scalar: their callers score one row at a time
-// (Factors32.Score, IVF cells' packed rows).
+// DotF64F32 stay scalar: DotF32's callers score one row at a time
+// (Factors32.Score) and DotF64F32 is the scan's specification.
 
 // DotF32 returns the inner product of two float32 vectors, accumulated in
 // float64. The slices must have equal length.

@@ -76,21 +76,16 @@ func (m *Model) ScoreAllFoldIn(userFactors []float64, out []float64) {
 // ScoreRangeFoldIn fills the tile out (len(out) == hi-lo, out[j] is item
 // lo+j) with the scores of items [lo, hi) under a folded-in user vector —
 // ScoreFoldIn's values. It is the model's one item scan: ScoreAll,
-// ScoreRange and ScoreAllFoldIn are this loop under a stored or a supplied
-// user vector, which is what makes them agree bit for bit.
+// ScoreRange and ScoreAllFoldIn are this call under a stored or a supplied
+// user vector, which is what makes them agree bit for bit. The loop is
+// mathx.ScanF64 — mathx.Dot plus the bias per row.
 func (m *Model) ScoreRangeFoldIn(userFactors []float64, lo, hi int, out []float64) {
-	d := m.dim
-	checkTile(len(userFactors), d, lo, hi, m.numItems, len(out))
-	uf := userFactors[:d] // both Dot operands provably d long: no bounds check per element
-	for j := range out {
-		i := lo + j
-		off := i * d
-		s := mathx.Dot(uf, m.v[off:off+d])
-		if m.b != nil {
-			s += m.b[i]
-		}
-		out[j] = s
+	checkTile(len(userFactors), m.dim, lo, hi, m.numItems, len(out))
+	var b []float64
+	if m.b != nil {
+		b = m.b[lo:hi]
 	}
+	mathx.ScanF64(userFactors, m.v[lo*m.dim:hi*m.dim], b, out)
 }
 
 // SimilarItems returns the k items most similar to item i by cosine over

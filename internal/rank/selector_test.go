@@ -2,6 +2,7 @@ package rank
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -39,10 +40,12 @@ func naiveTopK(scores []float64, k int, excluded map[int32]bool) ([]Entry, int) 
 
 // TestSelectorMatchesNaive drives every way into the selector — the dense
 // closure path, the candidate list in shuffled order, OfferRun over tiles
-// of several sizes, and Seek + Excluded + Offer over ascending runs the
-// way the IVF scan does — against the naive oracle, on score vectors made
-// of few distinct values (so ties sit on the floor) with NaN and ±Inf
-// sprinkled in, including a -Inf after the heap has filled.
+// of several sizes, and OfferIDs over strided ascending runs visited out
+// of order the way the IVF scan does — against the naive oracle, on score
+// vectors made of few distinct values (so ties sit on the floor) with NaN
+// and ±Inf sprinkled in — on excluded ids too, where they must not count
+// as dropped — including a -Inf after the heap has filled, which must.
+// Every tenth trial excludes every id.
 func TestSelectorMatchesNaive(t *testing.T) {
 	rng := mathx.NewRNG(41)
 	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
@@ -59,10 +62,17 @@ func TestSelectorMatchesNaive(t *testing.T) {
 		var ex []int32
 		excluded := map[int32]bool{}
 		for i := 0; i < n; i++ {
-			if rng.Intn(5) == 0 {
+			if rng.Intn(5) == 0 || trial%10 == 9 {
 				ex = append(ex, int32(i))
 				excluded[int32(i)] = true
 			}
+		}
+		if n > 2 && trial%10 != 9 { // the late -Inf is offered; an excluded NaN is not
+			ex, excluded[int32(n-1)] = slices.DeleteFunc(ex, func(i int32) bool { return i == int32(n-1) }), false
+			if !excluded[0] {
+				ex, excluded[0] = slices.Insert(ex, 0, 0), true
+			}
+			scores[0] = special[trial%len(special)]
 		}
 		k := rng.Intn(n + 3)
 		want, wantDropped := naiveTopK(scores, k, excluded)
@@ -94,7 +104,9 @@ func TestSelectorMatchesNaive(t *testing.T) {
 		check("TopKEntriesDropped", got, dropped)
 
 		if k == 0 {
-			continue // the wrappers above return early; a Selector is built for k >= 1
+			// The wrappers above return before looking; a selector built
+			// directly retains nothing but has counted.
+			_, wantDropped = naiveTopK(scores, 1, excluded)
 		}
 		for _, tile := range []int{1, 7, n} {
 			sel := NewSelector(k, ex)
@@ -105,22 +117,20 @@ func TestSelectorMatchesNaive(t *testing.T) {
 			check("OfferRun", got, dropped)
 		}
 
-		// Ascending runs visited out of order, one Seek per run.
+		// Ascending runs of scattered ids, visited out of order: the ids
+		// congruent to r modulo stride, highest residue first.
 		sel := NewSelector(k, ex)
-		cut := rng.Intn(n + 1)
-		for _, run := range [][2]int{{cut, n}, {0, cut}} {
-			if run[0] == run[1] {
-				continue
+		stride := 1 + rng.Intn(4)
+		for r := stride - 1; r >= 0; r-- {
+			var ids []int32
+			var run []float64
+			for i := r; i < n; i += stride {
+				ids, run = append(ids, int32(i)), append(run, scores[i])
 			}
-			sel.Seek(int32(run[0]))
-			for i := run[0]; i < run[1]; i++ {
-				if !sel.Excluded(int32(i)) {
-					sel.Offer(int32(i), scores[i])
-				}
-			}
+			sel.OfferIDs(ids, run)
 		}
 		got, dropped = sel.Finish()
-		check("Seek/Excluded/Offer", got, dropped)
+		check("OfferIDs", got, dropped)
 	}
 }
 

@@ -7,13 +7,15 @@
 // non-finite score, reject a below-floor candidate with a local
 // comparison, push onto the bounded Heap — is what the dense
 // (TopKDropped), candidate-list (TopKEntriesDropped), IVF
-// (retrieval.Index.SearchCells) and fused exact (score.Engine.TopK) paths
-// all call, so identical inputs select identical entries and count
-// identical drops whichever path scored them.
+// (retrieval.Index.SearchCells, through OfferIDs) and fused exact
+// (score.Engine.TopK, through OfferRun) paths all run, so identical inputs
+// select identical entries and count identical drops whichever path
+// scored them.
 package rank
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -97,12 +99,10 @@ func TopKEntriesDropped(es []Entry, k int) ([]Entry, int) {
 // dropped for being non-finite. Because the Heap's order is total, the
 // result depends only on the set of offered (item, score) pairs.
 //
-// A Selector also carries the caller's exclusion list as a merge pointer
-// (Excluded, Seek), so a scan that visits ids in ascending runs filters
-// its positives without a per-item search or closure call. Excluded ids
-// are the caller's to skip — before scoring where that saves the dot
-// product (the IVF scan), after it where scores arrive a tile at a time
-// (OfferRun).
+// A Selector also carries the caller's exclusion list, which it consults
+// after the score, a tile at a time: OfferRun walks it with a merge
+// pointer beside a dense run of ids, OfferIDs searches it only for the
+// scattered ids whose scores survive the floor.
 //
 // The zero Selector is not usable; build one with NewSelector. It is a
 // value so that it can live on the caller's stack.
@@ -118,8 +118,8 @@ type Selector struct {
 }
 
 // NewSelector returns a selector retaining the k best offered entries.
-// excludeSorted is an ascending list of item ids for Excluded to report
-// (nil for none); it is read, never written.
+// excludeSorted is an ascending list of item ids OfferRun and OfferIDs
+// skip (nil for none); it is read, never written.
 func NewSelector(k int, excludeSorted []int32) Selector {
 	if k < 0 {
 		k = 0
@@ -129,21 +129,6 @@ func NewSelector(k int, excludeSorted []int32) Selector {
 		floor: math.Inf(-1),
 		ex:    excludeSorted,
 	}
-}
-
-// Seek positions the exclusion merge pointer for a new ascending run of
-// ids starting at id. Excluded only ever moves the pointer forward, so a
-// scan made of several ascending runs (one per IVF cell) seeks once per
-// run.
-func (s *Selector) Seek(id int32) {
-	s.p = sort.Search(len(s.ex), func(j int) bool { return s.ex[j] >= id })
-}
-
-// Excluded reports whether id is on the exclusion list. Ids must be asked
-// about in ascending order between Seeks.
-func (s *Selector) Excluded(id int32) bool {
-	s.skipTo(id)
-	return s.p < len(s.ex) && s.ex[s.p] == id
 }
 
 // skipTo advances the merge pointer to the first excluded id >= id.
@@ -197,6 +182,24 @@ func (s *Selector) OfferRun(first int32, scores []float64) {
 	}
 }
 
+// OfferIDs offers scores[j] for item ids[j], ids in any order — an IVF
+// cell's members lie hundreds of ids apart, where a merge pointer would
+// step the exclusion list once per candidate. Nearly every candidate of a
+// scan is a finite score below the floor, which Offer would reject
+// without counting, so that test comes first and the exclusion list is
+// searched only for the few that are left: the retained set and the
+// dropped count are those of skipping excluded ids up front.
+func (s *Selector) OfferIDs(ids []int32, scores []float64) {
+	for j, sc := range scores[:len(ids)] {
+		if sc < s.floor && sc-sc == 0 {
+			continue
+		}
+		if _, excluded := slices.BinarySearch(s.ex, ids[j]); !excluded {
+			s.Offer(ids[j], sc)
+		}
+	}
+}
+
 // Finish returns the retained entries best first and the number of
 // offered scores dropped for being non-finite. The selector must not be
 // used afterwards.
@@ -216,14 +219,6 @@ func (s *Selector) Finish() ([]Entry, int) { return s.heap.Finish(), s.dropped }
 type Heap struct {
 	h []Entry
 	k int
-}
-
-// NewHeap returns a heap retaining the k best pushed entries.
-func NewHeap(k int) *Heap {
-	if k < 0 {
-		k = 0
-	}
-	return &Heap{h: make([]Entry, 0, k), k: k}
 }
 
 // less orders the min-heap by score; for equal scores the *larger* item

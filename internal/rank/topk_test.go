@@ -337,7 +337,8 @@ func TestTopKEntriesOrderInvariant(t *testing.T) {
 
 func TestHeapZeroAndNegativeK(t *testing.T) {
 	for _, k := range []int{0, -3} {
-		h := NewHeap(k)
+		sel := NewSelector(k, nil)
+		h := &sel.heap
 		h.Push(Entry{Item: 1, Score: 5})
 		if h.Len() != 0 {
 			t.Errorf("k=%d: Len = %d after push, want 0", k, h.Len())
@@ -349,7 +350,8 @@ func TestHeapZeroAndNegativeK(t *testing.T) {
 }
 
 func TestHeapRootTracksWorstRetained(t *testing.T) {
-	h := NewHeap(3)
+	sel := NewSelector(3, nil)
+	h := &sel.heap
 	for _, e := range []Entry{{0, 5}, {1, 1}, {2, 3}, {3, 4}, {4, 0}} {
 		h.Push(e)
 	}

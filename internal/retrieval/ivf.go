@@ -3,7 +3,7 @@ package retrieval
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
@@ -16,30 +16,37 @@ import (
 // Index never outlives the model generation it was built from.
 //
 // Layout: item parameters are *packed* cell-major — each cell's member
-// rows ([V_i, b_i], dim+1 floats) sit contiguously, ids ascending within
-// the cell. Probing a cell is then a dense streaming scan at the same
-// cache behavior as the exact kernel in internal/score; the speedup over
-// exact is almost exactly the fraction of the catalog pruned away.
+// vectors (dim floats a row) sit contiguously in one array and their
+// biases in another, ids ascending within the cell, which is the shape
+// mathx.ScanF64 and ScanF64F32 take. Scoring a cell is then literally the
+// dense kernel of internal/mf over a different span, at the same cache
+// behavior; the speedup over exact is the fraction of the catalog pruned
+// away.
 type Index struct {
 	dim    int // latent dimensionality d
-	augDim int // d + 2: bias coordinate + norm-augmentation coordinate
 	nlist  int
 	nprobe int // default probe width; Search can override per query
 
-	// centroids holds nlist rows of augDim coordinates, unit-norm (or
-	// zero for a cell that only ever held quarantined items).
-	centroids []float64
+	// probeVecs (nlist rows of dim) and probeBias (nlist) are the first
+	// dim coordinates and the bias coordinate of the k-means centroids —
+	// all of a centroid the query [uf, 1, 0] meets. Centroids are
+	// unit-norm, or zero for a cell that only ever held quarantined items.
+	probeVecs []float64
+	probeBias []float64
 
 	// ids lists every item id exactly once, cell-major, ascending within
-	// each cell; packed holds the matching [V_i..., b_i] rows (stride
-	// dim+1). offsets[c]..offsets[c+1] is cell c's span in both. Exactly
-	// one of packed/packed32 is non-nil: an index built from a float32
-	// parameter set (mf.Factors32) packs float32 rows and scans them with
-	// the mixed-precision kernel, halving the bytes each probe streams.
-	ids      []int32
-	packed   []float64
-	packed32 []float32
-	offsets  []int32
+	// each cell; vecs and bias hold the matching V_i rows and b_i.
+	// offsets[c]..offsets[c+1] is cell c's span in all three. Exactly one
+	// of vecs/vecs32 (with its bias array) is non-nil: an index built from
+	// a float32 parameter set (mf.Factors32) packs float32 rows and scans
+	// them with the mixed-precision kernel, halving the bytes each probe
+	// streams.
+	ids     []int32
+	vecs    []float64
+	bias    []float64
+	vecs32  []float32
+	bias32  []float32
+	offsets []int32
 
 	numItems  int
 	maxNorm   float64 // M: the largest augmented item norm
@@ -81,51 +88,44 @@ func BuildIVF(m mf.Params, cfg Config) (*Index, error) {
 	for c := 0; c < nlist; c++ {
 		offsets[c+1] += offsets[c]
 	}
-	stride := d + 1
-	ids := make([]int32, n)
-	var packed []float64
-	var packed32 []float32
+	ix := &Index{
+		dim: d, nlist: nlist, nprobe: min(cfg.NProbe, nlist),
+		probeVecs: make([]float64, nlist*d), probeBias: make([]float64, nlist),
+		ids: make([]int32, n), offsets: offsets,
+		numItems: n, maxNorm: maxNorm, nonFinite: nonFinite,
+	}
+	for c := 0; c < nlist; c++ {
+		row := centroids[c*(d+2):]
+		copy(ix.probeVecs[c*d:c*d+d], row)
+		ix.probeBias[c] = row[d]
+	}
 	f32src, isF32 := m.(*mf.Factors32)
 	if isF32 {
-		packed32 = make([]float32, n*stride)
+		ix.vecs32, ix.bias32 = make([]float32, n*d), make([]float32, n)
 	} else {
-		packed = make([]float64, n*stride)
+		ix.vecs, ix.bias = make([]float64, n*d), make([]float64, n)
 	}
 	cursor := make([]int32, nlist)
 	copy(cursor, offsets[:nlist])
 	var vbuf []float64
 	for i := 0; i < n; i++ {
 		c := assign[i]
-		slot := cursor[c]
+		slot := int(cursor[c])
 		cursor[c]++
-		ids[slot] = int32(i)
+		ix.ids[slot] = int32(i)
 		if isF32 {
 			_, v32, b32 := f32src.RawParams32()
-			row := packed32[int(slot)*stride : int(slot)*stride+stride]
-			copy(row[:d], v32[i*d:i*d+d])
+			copy(ix.vecs32[slot*d:slot*d+d], v32[i*d:i*d+d])
 			if b32 != nil {
-				row[d] = b32[i]
+				ix.bias32[slot] = b32[i]
 			}
 			continue
 		}
-		row := packed[int(slot)*stride : int(slot)*stride+stride]
-		vf := m.ItemVector(int32(i), vbuf)
-		vbuf = vf
-		copy(row[:d], vf)
-		row[d] = m.Bias(int32(i))
+		vbuf = m.ItemVector(int32(i), vbuf)
+		copy(ix.vecs[slot*d:slot*d+d], vbuf)
+		ix.bias[slot] = m.Bias(int32(i))
 	}
-
-	nprobe := cfg.NProbe
-	if nprobe > nlist {
-		nprobe = nlist
-	}
-	return &Index{
-		dim: d, augDim: d + 2,
-		nlist: nlist, nprobe: nprobe,
-		centroids: centroids,
-		ids:       ids, packed: packed, packed32: packed32, offsets: offsets,
-		numItems: n, maxNorm: maxNorm, nonFinite: nonFinite,
-	}, nil
+	return ix, nil
 }
 
 // NLists returns the number of k-means cells actually built (≤ Config.
@@ -151,35 +151,61 @@ func (ix *Index) NonFinite() int { return ix.nonFinite }
 // match the query (<= 0 means the index default), in ascending cell
 // order. The query is the raw user factor vector (d coordinates); the
 // implicit augmented query is [uf, 1, 0], so only the first d+1 centroid
-// coordinates participate. A NaN affinity (poisoned query) is ranked as
-// -Inf — cells are never dropped, only ordered, so nprobe == nlist always
-// probes everything and degenerates to exact retrieval whatever the query
+// coordinates participate. Cells rank by affinity descending, ties toward
+// the lower cell; a NaN affinity (poisoned query) is ranked as -Inf —
+// cells are never dropped, only ordered, so nprobe == nlist always probes
+// everything and degenerates to exact retrieval whatever the query
 // contains. The serve path calls this separately from SearchCells so the
 // two phases land in distinct trace stages.
 func (ix *Index) ProbeCells(uf []float64, nprobe int) []int32 {
+	ix.checkQuery(uf)
 	if nprobe <= 0 {
 		nprobe = ix.nprobe
 	}
-	if nprobe > ix.nlist {
-		nprobe = ix.nlist
+	nprobe = min(nprobe, ix.nlist)
+	// One affinity per cell and a copy for the selection to reorder: on
+	// the stack up to 512 cells (the default for a 65 536-item catalog).
+	var stack [2 * 512]float64
+	buf := stack[:]
+	if 2*ix.nlist > len(buf) {
+		buf = make([]float64, 2*ix.nlist)
 	}
-	d, D := ix.dim, ix.augDim
-	h := rank.NewHeap(nprobe)
-	for c := 0; c < ix.nlist; c++ {
-		row := ix.centroids[c*D : c*D+D]
-		a := mathx.Dot(uf, row[:d]) + row[d]
+	aff, order := buf[:ix.nlist], buf[ix.nlist:2*ix.nlist]
+	mathx.ScanF64(uf, ix.probeVecs, ix.probeBias, aff)
+	for c, a := range aff {
 		if math.IsNaN(a) {
-			a = math.Inf(-1)
+			aff[c] = math.Inf(-1)
 		}
-		h.Push(rank.Entry{Item: int32(c), Score: a})
 	}
-	top := h.Finish()
-	cells := make([]int32, len(top))
-	for i, e := range top {
-		cells[i] = e.Item
+	copy(order, aff)
+	// The cells above the nprobe-th best affinity are in; those equal to
+	// it fill the remaining places from the lowest cell up.
+	cut := mathx.KthLargest(order, nprobe)
+	ties := nprobe
+	for _, a := range aff {
+		if a > cut {
+			ties--
+		}
 	}
-	sort.Slice(cells, func(a, b int) bool { return cells[a] < cells[b] })
+	cells := make([]int32, 0, nprobe)
+	for c, a := range aff {
+		if a > cut {
+			cells = append(cells, int32(c))
+		} else if a == cut && ties > 0 {
+			cells = append(cells, int32(c))
+			ties--
+		}
+	}
 	return cells
+}
+
+// checkQuery panics unless the query has the index's dimensionality — a
+// caller bug, never input; the kernels would score a prefix or refuse the
+// shape with a less useful message.
+func (ix *Index) checkQuery(uf []float64) {
+	if len(uf) != ix.dim {
+		panic(fmt.Sprintf("retrieval: query has dim %d, want %d", len(uf), ix.dim))
+	}
 }
 
 // Probe returns the candidate item ids the query would re-rank at the
@@ -196,15 +222,15 @@ func (ix *Index) Probe(uf []float64, nprobe int) []int32 {
 	for _, c := range cells {
 		cands = append(cands, ix.ids[ix.offsets[c]:ix.offsets[c+1]]...)
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a] < cands[b] })
+	slices.Sort(cands)
 	return cands
 }
 
 // Search returns the top k items for the query among the members of the
 // nprobe best cells (nprobe <= 0 uses the index default), plus the count
 // of candidates dropped for non-finite scores. Every candidate is scored
-// with the same operations as the dense kernel — mathx.Dot over the item
-// row plus the bias — so scores are bit-identical to exact retrieval;
+// by the function the dense scan calls — mathx.ScanF64, or ScanF64F32
+// over float32 rows — so scores are bit-identical to exact retrieval;
 // the only approximation is which items get scored at all. With
 // nprobe == nlist the result (entries and dropped count) is bit-identical
 // to rank.TopKDropped over engine.ScoreAll output.
@@ -220,42 +246,28 @@ func (ix *Index) Search(uf []float64, k, nprobe int, excludeSorted []int32) ([]r
 // SearchCells is the scoring half of Search: exactly re-rank the members
 // of the given cells (a ProbeCells result) and return the top k. Splitting
 // the phases lets the serve path time candidate selection ("probe") and
-// scan-plus-select ("score") as separate trace stages. Exclusion,
-// non-finite drop-and-count, floor rejection and the heap are the shared
-// rank.Selector's — the same selection the exact scan runs.
+// scan-plus-select ("score") as separate trace stages. Each cell is scored
+// a tile at a time and the tile handed to the shared rank.Selector, whose
+// exclusion, non-finite drop-and-count, floor rejection and heap are the
+// ones the exact scan runs.
 func (ix *Index) SearchCells(uf []float64, cells []int32, k int, excludeSorted []int32) ([]rank.Entry, int) {
+	ix.checkQuery(uf)
 	if k <= 0 {
 		return nil, 0 // mirror rank.TopKDropped: no selection, no counting
 	}
 	sel := rank.NewSelector(k, excludeSorted)
-	d, stride := ix.dim, ix.dim+1
+	var tile [512]float64 // the exact scan's tile (score.Engine)
+	d := ix.dim
 	for _, c := range cells {
-		lo, hi := int(ix.offsets[c]), int(ix.offsets[c+1])
-		if lo == hi {
-			continue
-		}
-		// Ids ascend within a cell, so one seek positions the selector's
-		// exclusion merge pointer for the whole span; an excluded id is
-		// skipped before its dot product is paid for.
-		sel.Seek(ix.ids[lo])
-		for j := lo; j < hi; j++ {
-			id := ix.ids[j]
-			if sel.Excluded(id) {
-				continue
-			}
-			off := j * stride
-			// The branch is taken the same way for every candidate of a
-			// query, so it predicts perfectly; both kernels accumulate in
-			// float64 with the same operation order (see internal/mathx).
-			var s float64
-			if ix.packed32 != nil {
-				row := ix.packed32[off : off+stride]
-				s = mathx.DotF64F32(uf, row[:d]) + float64(row[d])
+		for lo, end := int(ix.offsets[c]), int(ix.offsets[c+1]); lo < end; lo += len(tile) {
+			hi := min(lo+len(tile), end)
+			scores := tile[:hi-lo]
+			if ix.vecs32 != nil {
+				mathx.ScanF64F32(uf, ix.vecs32[lo*d:hi*d], ix.bias32[lo:hi], scores)
 			} else {
-				row := ix.packed[off : off+stride]
-				s = mathx.Dot(uf, row[:d]) + row[d]
+				mathx.ScanF64(uf, ix.vecs[lo*d:hi*d], ix.bias[lo:hi], scores)
 			}
-			sel.Offer(id, s)
+			sel.OfferIDs(ix.ids[lo:hi], scores)
 		}
 	}
 	return sel.Finish()

@@ -36,11 +36,12 @@ func kmeans(x []float64, n, D, k, iters int, rng *mathx.RNG) (centroids []float6
 	affinity := make([]float64, n) // dot with the assigned centroid
 	sums := make([]float64, k*D)
 	counts := make([]int, k)
+	scan := make([]float64, k) // nearest's scratch
 
 	for it := 0; it < iters; it++ {
 		changed := false
 		for i := 0; i < n; i++ {
-			bestC, bestA := nearest(centroids, k, x[i*D:i*D+D])
+			bestC, bestA := nearest(centroids, x[i*D:i*D+D], scan)
 			if it == 0 || assign[i] != bestC {
 				changed = changed || it > 0
 				assign[i] = bestC
@@ -110,37 +111,16 @@ func worstServed(aff []float64) int {
 	return w
 }
 
-// nearest returns the cell among the first k centroids (rows of len(xi)
-// coordinates) with the largest dot product against xi, ties toward the
-// lower index, and that dot product. It is the build's hot loop — n·k·D
-// multiply-adds per sweep — so it takes four centroids at a time: four
-// independent accumulators share each load of xi. Every accumulator still
-// adds its products in coordinate order, so each affinity has the bits
-// mathx.Dot would give it and the clustering is unchanged.
-func nearest(centroids []float64, k int, xi []float64) (int32, float64) {
-	D := len(xi)
+// nearest returns the centroid (rows of len(xi) coordinates, one per
+// element of the scratch aff) with the largest dot product against xi,
+// ties toward the lower index, and that dot product. It is the build's hot
+// loop — n·k·D multiply-adds per sweep — and one mathx.ScanF64 call: every
+// affinity has the bits of mathx.Dot.
+func nearest(centroids, xi, aff []float64) (int32, float64) {
+	mathx.ScanF64(xi, centroids, nil, aff)
 	bestC, bestA := int32(0), math.Inf(-1)
-	c := 0
-	for ; c+4 <= k; c += 4 {
-		c0 := centroids[c*D:][:D]
-		c1 := centroids[(c+1)*D:][:D]
-		c2 := centroids[(c+2)*D:][:D]
-		c3 := centroids[(c+3)*D:][:D]
-		var a0, a1, a2, a3 float64 // scalars, not an array: they must stay in registers
-		for j, v := range xi {
-			a0 += c0[j] * v
-			a1 += c1[j] * v
-			a2 += c2[j] * v
-			a3 += c3[j] * v
-		}
-		for q, a := range [4]float64{a0, a1, a2, a3} {
-			if a > bestA { // strict >: ties keep the lower index
-				bestA, bestC = a, int32(c+q)
-			}
-		}
-	}
-	for ; c < k; c++ {
-		if a := mathx.Dot(centroids[c*D:c*D+D], xi); a > bestA {
+	for c, a := range aff {
+		if a > bestA { // strict >: ties keep the lower index
 			bestA, bestC = a, int32(c)
 		}
 	}

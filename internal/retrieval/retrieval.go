@@ -19,10 +19,11 @@
 //     vectors: a seeded, deterministic spherical k-means partitions the
 //     catalog into nlist cells; a query scans the nlist centroids, keeps
 //     the top nprobe cells, and re-ranks every item in them with the
-//     *exact* score U_u·V_i + b_i — identical operations to the dense
-//     scoring kernel, so the only approximation is which items get
-//     scored at all, never the scores themselves. With nprobe == nlist
-//     the result is bit-identical to exact retrieval.
+//     *exact* score U_u·V_i + b_i — computed by the function the dense
+//     scan calls (mathx.ScanF64, or ScanF64F32 over float32 rows), so
+//     the only approximation is which items get scored at all, never
+//     the scores themselves. With nprobe == nlist the result is
+//     bit-identical to exact retrieval.
 //
 // Construction is NaN-safe (items carrying non-finite parameters are
 // quarantined to the zero vector and — like every candidate — re-ranked

@@ -3,6 +3,9 @@ package retrieval
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"clapf/internal/mathx"
@@ -17,9 +20,12 @@ import (
 // gets wrong: NaN, +Inf and -Inf scores (one -Inf late in id order, when
 // the heap is full and it would merely fail the floor test if it were not
 // counted first), four identical best-scoring rows whose tie a small k
-// cuts (smaller ids stay), every item excluded, k beyond the scoreable
-// items, k = 1 and an empty exclusion list; float64 and float32 rows. The
-// fused exact scan must agree with both.
+// cuts (smaller ids stay), every item excluded, ~150 scattered excluded
+// ids (a user's positives: the list SearchCells searches instead of
+// merging), k beyond the scoreable items, k = 1 and an empty exclusion
+// list; float64 and float32 rows; one cell of all 700 items — two score
+// tiles — and thirteen small ones. The fused exact scan must agree with
+// both.
 func TestSearchCellsMatchesTwoPass(t *testing.T) {
 	const items = 700
 	m := mf.MustNew(mf.Config{NumUsers: 7, NumItems: items, Dim: 6, UseBias: true, InitStd: 0.1})
@@ -39,10 +45,17 @@ func TestSearchCellsMatchesTwoPass(t *testing.T) {
 	for i := range all {
 		all[i] = int32(i)
 	}
+	var scattered []int32 // ~150 ids, among them NaN row 233 but not the -Inf rows
+	for i, rng := int32(1), mathx.NewRNG(29); i < items-2; i++ {
+		if i == 233 || rng.Intn(5) == 0 {
+			scattered = append(scattered, i)
+		}
+	}
 	excludes := map[string][]int32{
 		"none": nil, "empty": {}, "all": all,
-		"planted": {0, 510, 511, items - 1},
-		"sparse":  {3, 97, 98, 99, 211, 512, 640},
+		"planted":   {0, 510, 511, items - 1},
+		"sparse":    {3, 97, 98, 99, 211, 512, 640},
+		"scattered": scattered,
 	}
 
 	for name, p := range map[string]mf.Params{"f64": m, "f32": mf.QuantizeF32(m)} {
@@ -91,20 +104,25 @@ func sameEntries(t *testing.T, label string, got []rank.Entry, gotDropped int, w
 	}
 }
 
-// BenchmarkSearchCells is the IVF re-rank at the benchmark's catalog shape
-// and default pruning (26 744 items × 16 factors, 328 cells, 82 probed),
-// k = 10, ~150 excluded ids — the loop that shares its selector with the
-// exact scan.
-func BenchmarkSearchCells(b *testing.B) {
-	m := mf.MustNew(mf.Config{NumUsers: 256, NumItems: 26744, Dim: 16, UseBias: true, InitStd: 0.1})
+// benchCatalog is the benchmark's catalog shape (26 744 items × 16
+// factors; 328 cells, 82 probed at the default pruning) and ~150 excluded
+// ids scattered over it.
+func benchCatalog() (m *mf.Model, exclude []int32) {
+	m = mf.MustNew(mf.Config{NumUsers: 256, NumItems: 26744, Dim: 16, UseBias: true, InitStd: 0.1})
 	m.InitGaussian(mathx.NewRNG(1), 0.1)
 	rng := mathx.NewRNG(3)
-	var exclude []int32
 	for i := 0; i < m.NumItems(); i++ {
 		if rng.Intn(m.NumItems()/150) == 0 {
 			exclude = append(exclude, int32(i))
 		}
 	}
+	return m, exclude
+}
+
+// BenchmarkSearchCells is the IVF re-rank at the benchmark's shape, k = 10
+// — the loop that shares its kernels and its selector with the exact scan.
+func BenchmarkSearchCells(b *testing.B) {
+	m, exclude := benchCatalog()
 	for name, p := range map[string]mf.Params{"f64": m, "f32": mf.QuantizeF32(m)} {
 		ix, err := BuildIVF(p, Config{})
 		if err != nil {
@@ -127,11 +145,166 @@ func BenchmarkSearchCells(b *testing.B) {
 
 var searchSink []rank.Entry
 
-// TestNearestMatchesDot pins the k-means assignment kernel, which takes
-// four centroids per pass, to the plain loop it replaced: mathx.Dot per
+// BenchmarkProbeCells is the other half of a miss: 328 centroid
+// affinities and the 82 best cells.
+func BenchmarkProbeCells(b *testing.B) {
+	m, _ := benchCatalog()
+	ix, err := BuildIVF(m, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ufs := make([][]float64, m.NumUsers())
+	for u := range ufs {
+		ufs[u] = m.UserVector(int32(u), nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		probeSink = ix.ProbeCells(ufs[i%len(ufs)], 0)
+	}
+}
+
+var probeSink []int32
+
+// TestMissAllocatesOnlyItsResults pins what an IVF miss leaves for the
+// collector at the benchmark's shape: ProbeCells the cell list it returns
+// (its affinity scratch is on the stack), SearchCells the selector's k
+// entries and their final sort — 4 allocations and 248 B before the scan
+// moved to a score tile, and no more after.
+func TestMissAllocatesOnlyItsResults(t *testing.T) {
+	m, exclude := benchCatalog()
+	ix, err := BuildIVF(m, Config{Iters: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uf := m.UserVector(5, nil)
+	cells := ix.ProbeCells(uf, 0)
+	if n := testing.AllocsPerRun(50, func() { probeSink = ix.ProbeCells(uf, 0) }); n > 1 {
+		t.Errorf("ProbeCells: %v allocations a call, want the returned cell list alone", n)
+	}
+	if n := testing.AllocsPerRun(50, func() { searchSink, _ = ix.SearchCells(uf, cells, 10, exclude) }); n > 4 {
+		t.Errorf("SearchCells: %v allocations a call, want at most 4", n)
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		searchSink, _ = ix.SearchCells(uf, ix.ProbeCells(uf, 0), 10, exclude)
+	}
+	runtime.ReadMemStats(&after)
+	if perMiss := float64(after.TotalAlloc-before.TotalAlloc) / runs; perMiss > 1904+248 {
+		t.Errorf("a miss allocates %.0f B, more than the %d B of the heap-and-two-sorts probe and the per-row loop", perMiss, 1904+248)
+	}
+}
+
+// TestProbeCellsMatchesFullSort holds ProbeCells' threshold selection to
+// the obvious definition — sort every cell by (affinity descending, cell
+// ascending), NaN as -Inf, cut at nprobe, return ascending — over an index
+// whose centroids repeat (ties sitting on the threshold, which only the
+// lower cells may pass), a zero centroid, every probe width, and NaN and
+// Inf queries, where nprobe == nlist must still return every cell; with
+// the scratch on the stack and, past 512 cells, on the heap.
+func TestProbeCellsMatchesFullSort(t *testing.T) {
+	for _, nlist := range []int{23, 515} { // scratch on the stack, and beyond it
+		probeCellsMatchFullSort(t, nlist)
+	}
+}
+
+func probeCellsMatchFullSort(t *testing.T, nlist int) {
+	const d = 5
+	rng := mathx.NewRNG(57)
+	ix := &Index{dim: d, nlist: nlist, nprobe: 6, probeVecs: make([]float64, nlist*d), probeBias: make([]float64, nlist)}
+	for c := 0; c < nlist; c++ {
+		src := c % 7 // cells c, c+7, c+14, ... share a centroid
+		if c < 7 {
+			for j := 0; j < d; j++ {
+				ix.probeVecs[c*d+j] = rng.NormFloat64()
+			}
+			ix.probeBias[c] = rng.NormFloat64()
+		}
+		copy(ix.probeVecs[c*d:c*d+d], ix.probeVecs[src*d:src*d+d])
+		ix.probeBias[c] = ix.probeBias[src]
+	}
+	for j := 0; j < d; j++ {
+		ix.probeVecs[3*d+j] = 0 // a quarantine cell: affinity = its bias, or NaN under an Inf query
+	}
+	queries := [][]float64{make([]float64, d)}
+	for q := 0; q < 20; q++ {
+		uf := make([]float64, d)
+		for j := range uf {
+			uf[j] = rng.NormFloat64()
+		}
+		queries = append(queries, uf)
+	}
+	queries = append(queries,
+		[]float64{math.NaN(), 0, 0, 0, 0},
+		[]float64{1, math.Inf(1), 0, 0, 0},
+		[]float64{0, 0, math.Inf(-1), 1, math.NaN()})
+	for qi, uf := range queries {
+		aff := make([]float64, nlist)
+		for c := range aff {
+			aff[c] = mathx.Dot(uf, ix.probeVecs[c*d:c*d+d]) + ix.probeBias[c]
+			if math.IsNaN(aff[c]) {
+				aff[c] = math.Inf(-1)
+			}
+		}
+		order := make([]int32, nlist)
+		for c := range order {
+			order[c] = int32(c)
+		}
+		sort.SliceStable(order, func(a, b int) bool { return aff[order[a]] > aff[order[b]] })
+		for nprobe := -1; nprobe <= nlist+1; nprobe++ {
+			width := nprobe
+			if nprobe <= 0 {
+				width = ix.nprobe
+			}
+			want := slices.Clone(order[:min(width, nlist)])
+			slices.Sort(want)
+			if got := ix.ProbeCells(uf, nprobe); !slices.Equal(got, want) {
+				t.Fatalf("query %d %v, nprobe %d: cells %v, full sort %v (affinities %v)", qi, uf, nprobe, got, want, aff)
+			}
+		}
+	}
+}
+
+// TestWrongLengthQueryPanics: ProbeCells and SearchCells (cold start and
+// batch reach the index through these two) refuse a query that is not dim
+// long by name, where mathx.Dot once scored its prefix.
+func TestWrongLengthQueryPanics(t *testing.T) {
+	m := mf.MustNew(mf.Config{NumUsers: 2, NumItems: 40, Dim: 6, UseBias: true, InitStd: 0.1})
+	m.InitGaussian(mathx.NewRNG(5), 0.1)
+	for name, p := range map[string]mf.Params{"f64": m, "f32": mf.QuantizeF32(m)} {
+		ix, err := BuildIVF(p, Config{NLists: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		uf := p.UserVector(0, nil)
+		cells := ix.ProbeCells(uf, 0)
+		for call, f := range map[string]func(q []float64){
+			"ProbeCells":  func(q []float64) { ix.ProbeCells(q, 0) },
+			"SearchCells": func(q []float64) { ix.SearchCells(q, cells, 3, nil) },
+			"Search":      func(q []float64) { ix.Search(q, 3, 0, nil) },
+		} {
+			for _, q := range [][]float64{uf[:5], append(slices.Clone(uf), 1), nil} {
+				func() {
+					defer func() {
+						msg, _ := recover().(string)
+						if want := fmt.Sprintf("retrieval: query has dim %d, want 6", len(q)); msg != want {
+							t.Errorf("%s %s with a %d-long query: panic %q, want %q", name, call, len(q), msg, want)
+						}
+					}()
+					f(q)
+				}()
+			}
+		}
+	}
+}
+
+// TestNearestMatchesDot pins the k-means assignment step, one
+// mathx.ScanF64 over the centroids, to the plain loop: mathx.Dot per
 // centroid, strict > so ties keep the lower cell — same cell, same
-// affinity bits — for cell counts around the blocking factor, with
-// duplicate centroids (ties), a NaN centroid and an all-zero row.
+// affinity bits — for cell counts around the kernel's four rows a pass,
+// with duplicate centroids (ties), a NaN centroid and an all-zero row.
 func TestNearestMatchesDot(t *testing.T) {
 	rng := mathx.NewRNG(77)
 	for _, k := range []int{1, 3, 4, 5, 8, 11} {
@@ -157,7 +330,7 @@ func TestNearestMatchesDot(t *testing.T) {
 						wantA, wantC = a, int32(c)
 					}
 				}
-				gotC, gotA := nearest(centroids, k, xi)
+				gotC, gotA := nearest(centroids, xi, make([]float64, k))
 				if gotC != wantC || math.Float64bits(gotA) != math.Float64bits(wantA) {
 					t.Fatalf("k=%d D=%d trial %d: nearest = (%d, %v), plain loop (%d, %v)", k, D, trial, gotC, gotA, wantC, wantA)
 				}

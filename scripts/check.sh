@@ -111,46 +111,55 @@ echo "batch-ivf gate ok"
 # SearchCells at full probe width return the entries and the dropped count
 # of rank.TopKDropped over the materialised row, planted NaN/±Inf rows and
 # cross-tile ties included, and the selector itself matches a naive
-# full-sort oracle; the index build's four-at-a-time assignment kernel
-# matches the plain mathx.Dot loop bit for bit. Allocation: an exact-mode miss through the handler
-# allocates nothing proportional to NumItems. Index reuse: SetRetrieval →
+# full-sort oracle; the index build's assignment step matches the plain
+# mathx.Dot loop bit for bit, and ProbeCells' threshold selection a full
+# sort of the affinities. Allocation: an exact-mode miss through the
+# handler allocates nothing proportional to NumItems, and an IVF miss only
+# its cell list and its k entries. Index reuse: SetRetrieval →
 # EnableFeedback → SetCacheSize builds the IVF index once. -count=1
 # defeats the test cache so the gate always actually runs.
 go test -race -count=1 -run '^Test(FusedTopKBitIdentical|ScoreAllIsFoldInOfUserVector)$' ./internal/score
 go test -race -count=1 -run '^TestSelectorMatchesNaive$' ./internal/rank
-go test -race -count=1 -run '^Test(SearchCellsMatchesTwoPass|NearestMatchesDot)$' ./internal/retrieval
+go test -race -count=1 -run '^Test(SearchCellsMatchesTwoPass|NearestMatchesDot|ProbeCellsMatchesFullSort|WrongLengthQueryPanics|MissAllocatesOnlyItsResults)$' ./internal/retrieval
 go test -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossReinstalls)$' ./internal/serve
 echo "fused exact-scan gate ok"
 
-# Scan kernel gate: the float32 catalog scan (mathx.ScanF64F32) is an AVX
-# kernel on amd64 and a Go loop elsewhere, and the Go loop is the
-# specification. By name: kernel == loop by Float64bits over every d in
-# 1..67, tile-edge row counts, odd offsets and the IEEE specials; scan ==
-# DotF64F32 == DotF32 per row; a short v, b or out panics before a pointer
-# is taken; and a few seconds of raw bit patterns through both. go vet's
-# asmdecl checks the assembly's frame against its Go declaration. The
-# arm64 cross-build keeps the portable body compiling (offline: no cgo, no
-# downloads). The kernel never fuses multiply and add because the compiled
-# DotF64F32 does not; at GOAMD64=v3 the compiler is allowed to, so where
-# the host can run a v3 binary the bit tests run at that level too.
-# There is one .s file and one scan: a second of either is a second
-# kernel to keep bit-identical.
+# Scan kernel gate: the catalog scans (mathx.ScanF64 over float64 rows,
+# mathx.ScanF64F32 over float32 rows) are AVX kernels on amd64 and Go
+# loops elsewhere, and the Go loops are the specification. By name, for
+# each: kernel == loop by Float64bits over every d in 1..67, tile-edge row
+# counts (and, for ScanF64, every count of rows left over from its four a
+# pass), odd offsets and the IEEE specials; scan == the single-row kernel
+# the other paths call (mathx.Dot; DotF64F32 == DotF32); a short v, b or
+# out panics before a pointer is taken; and a few seconds of raw bit
+# patterns through both bodies. go vet's asmdecl checks the assembly's
+# frames against their Go declarations. The arm64 cross-build keeps the
+# portable bodies compiling (offline: no cgo, no downloads). The kernels
+# never fuse multiply and add because the compiled Dot and DotF64F32 do
+# not; at GOAMD64=v3 the compiler is allowed to, so where the host can run
+# a v3 binary the bit tests run at that level too — if one ever fails
+# there, the kernel must not be selected in that build.
+# There is one .s file and one scan per element width, both in
+# internal/mathx: another of either is another kernel to keep
+# bit-identical.
 go test -count=1 -run '^TestScanF64F32(MatchesPortable|IsDotF64F32|ShortSlicePanics)$' ./internal/mathx
+go test -count=1 -run '^TestScanF64(MatchesPortable|IsDot|ShortSlicePanics)$' ./internal/mathx
 go test -run='^$' -fuzz='^FuzzScanF64F32$' -fuzztime=5s ./internal/mathx
+go test -run='^$' -fuzz='^FuzzScanF64$' -fuzztime=5s ./internal/mathx
 go vet ./internal/mathx
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/mathx ./internal/mf
+GOARCH=arm64 go vet ./internal/mathx ./internal/mf ./internal/retrieval
 v3=yes
 for flag in avx2 fma bmi2 movbe; do
 	grep -qw "$flag" /proc/cpuinfo 2>/dev/null || v3=no
 done
 if [ "$v3" = yes ]; then
-	GOAMD64=v3 go test -count=1 -run '^TestScanF64F32(MatchesPortable|IsDotF64F32)$' ./internal/mathx
+	GOAMD64=v3 go test -count=1 -run '^TestScanF64(F32)?(MatchesPortable|IsDotF64F32|IsDot)$' ./internal/mathx
 fi
 if find . -name '*.s' -not -path './.bench_build/*' | grep -v '^\./internal/mathx/scan_amd64\.s$' ||
-	grep -rnE --include='*.go' --exclude='*_test.go' 'func [A-Za-z]*Scan[A-Za-z0-9]*F32' . |
+	grep -rnE --include='*.go' --exclude='*_test.go' 'func [A-Za-z]*Scan[A-Za-z0-9]*F(32|64)' . |
 		grep -v -e '^\./internal/mathx/' -e '^\./\.bench_build/'; then
-	echo "a second assembly file or scan kernel: the float32 catalog scan is mathx.ScanF64F32, in internal/mathx/scan_amd64.s" >&2
+	echo "a second assembly file or a scan kernel outside internal/mathx: the catalog scans are mathx.ScanF64 and mathx.ScanF64F32, in internal/mathx/scan_amd64.s" >&2
 	exit 1
 fi
 echo "scan kernel gate ok"
