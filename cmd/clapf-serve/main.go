@@ -48,9 +48,11 @@
 // over the item factors instead of scoring the whole catalog — sublinear
 // per-query cost at a small, tunable recall loss (-nlist/-nprobe; the
 // defaults land around recall@10 0.95+ at several times exact
-// throughput). The index is built at startup and rebuilt atomically on
-// every model reload; a model whose index cannot be built is rejected
-// like any other bad reload.
+// throughput). The index is built at startup and swapped atomically with
+// every model reload — rebuilt when the reload moved an item factor or
+// bias, carried over when it did not (a feedback promotion never does);
+// a model whose index cannot be built is rejected like any other bad
+// reload.
 //
 // The process is hardened for unattended operation: handler panics are
 // recovered into 500s, load beyond -max-inflight is shed with 503 +
@@ -131,7 +133,7 @@ func main() {
 	flag.Float64Var(&o.traceSample, "trace-sample", 0.01, "head-sampling probability for keeping a request trace in /debug/traces (slow and errored requests are always kept)")
 	flag.DurationVar(&o.traceSlow, "trace-slow", 250*time.Millisecond, "duration beyond which a request trace is always kept and logged")
 	flag.BoolVar(&o.adminReload, "admin-reload", false, "mount POST /admin/reload (hot model reload over HTTP, for router-driven rolling reloads; keep off on untrusted networks)")
-	flag.StringVar(&o.retrievalMode, "retrieval", "exact", "top-K retrieval strategy: exact (dense scoring) or ivf (cluster-pruned approximate index, rebuilt on every model reload)")
+	flag.StringVar(&o.retrievalMode, "retrieval", "exact", "top-K retrieval strategy: exact (dense scoring) or ivf (cluster-pruned approximate index, rebuilt on a model reload that changes the item factors)")
 	flag.IntVar(&o.nlist, "nlist", 0, "IVF cells for -retrieval ivf (0 = 2*sqrt(items))")
 	flag.IntVar(&o.nprobe, "nprobe", 0, "IVF cells probed per query for -retrieval ivf (0 = nlist/4)")
 	flag.StringVar(&o.feedbackLog, "feedback-log", "", "directory for the streaming-feedback WAL; enables POST /feedback with durable acks and online fold-in updates (works on float64 and float32 model files alike)")

@@ -3,12 +3,14 @@ package feedback
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +18,7 @@ import (
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
+	"clapf/internal/retrieval"
 	"clapf/internal/serve"
 	"clapf/internal/store"
 )
@@ -678,5 +681,91 @@ func TestFeedbackChaosWatermarkTravelsWithFile(t *testing.T) {
 			defer p2.wal.Close()
 			requireWatermark(p2, "boot")
 		})
+	}
+}
+
+// indexSeries reads the server's two index-install series: how many IVF
+// indexes it has built and how many installs carried the live one over.
+func indexSeries(t testing.TB, srv *serve.Server) (built, reused float64) {
+	t.Helper()
+	var buf strings.Builder
+	if err := srv.Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		fmt.Sscanf(line, "clapf_index_build_seconds_count %g", &built)
+		fmt.Sscanf(line, "clapf_index_reused_total %g", &reused)
+	}
+	return built, reused
+}
+
+// A promotion rewrites user rows only, so on an IVF server it must carry
+// the live index over — no build, counted as a reuse — and still answer
+// every user exactly as an index built from scratch over the promoted
+// file does.
+func TestFeedbackChaosPromotionKeepsIndex(t *testing.T) {
+	for _, base := range chaosBases {
+		t.Run(base.name, func(t *testing.T) { promotionKeepsIndex(t, base) })
+	}
+}
+
+func promotionKeepsIndex(t *testing.T, base chaosBase) {
+	model, train := chaosFixture(t)
+	dir := t.TempDir()
+	modelPath := filepath.Join(dir, "m.clapf")
+	if err := base.save(modelPath, model); err != nil {
+		t.Fatal(err)
+	}
+	p := boot(t, modelPath, filepath.Join(dir, "wal"), train)
+	defer p.wal.Close()
+	cfg := retrieval.Config{NLists: 8, NProbe: 3}
+	if err := p.srv.SetRetrieval(retrieval.ModeIVF, cfg); err != nil {
+		t.Fatal(err)
+	}
+	ingestAll(t, p, chaosEvents(train, 30))
+	prom, err := NewPromoter(p.ing, p.srv, PromoteConfig{ModelPath: modelPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtBefore, reusedBefore := indexSeries(t, p.srv)
+	if builtBefore != 1 {
+		t.Fatalf("%v index builds before the promotion, want SetRetrieval's one", builtBefore)
+	}
+	if outcome, err := prom.PromoteOnce(); err != nil || outcome != PromoteOK {
+		t.Fatalf("promotion = %q, %v", outcome, err)
+	}
+	built, reused := indexSeries(t, p.srv)
+	if built != builtBefore || reused != reusedBefore+1 {
+		t.Fatalf("the promotion built %v indexes and reused %v, want 0 and 1", built-builtBefore, reused-reusedBefore)
+	}
+
+	promoted, _, err := store.Open(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := retrieval.BuildIVF(promoted, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	users := make([]int32, train.NumUsers())
+	for u := range users {
+		users[u] = int32(u)
+	}
+	for i, body := range recommendBodies(t, p.srv, users) {
+		u := users[i]
+		var got serve.RecommendResponse
+		if err := json.Unmarshal([]byte(body), &got); err != nil {
+			t.Fatal(err)
+		}
+		exclude := dataset.MergeSorted(train.Positives(u), p.ing.ExtraPositives(u))
+		want, _ := fresh.Search(promoted.UserVector(u, nil), 10, 0, exclude)
+		if len(got.Items) != len(want) {
+			t.Fatalf("user %d: %d items through the carried index, %d through a fresh build", u, len(got.Items), len(want))
+		}
+		for r, e := range want {
+			if got.Items[r].Item != e.Item || math.Float64bits(got.Items[r].Score) != math.Float64bits(e.Score) {
+				t.Fatalf("user %d rank %d: carried index answers %+v, a fresh build %+v", u, r, got.Items[r], e)
+			}
+		}
 	}
 }

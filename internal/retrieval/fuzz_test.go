@@ -14,7 +14,10 @@ import (
 // zero rows, and duplicates all occur naturally). BuildIVF must never
 // panic; whatever it builds must satisfy the structural invariants — an
 // exhaustive partition, in-range sorted candidates, and a full-width
-// Search that only ever drops the non-finite rows.
+// Search that only ever drops the non-finite rows — and must build the
+// same bits with the assignment sweep fanned over four workers as on one
+// (catalogs run to 600 items, a little over two of kmeans' 256-point
+// chunks, so the fan-out is real).
 func FuzzIVFBuild(f *testing.F) {
 	// Seed corpus: the interesting shapes called out in the issue.
 	f.Add(5, 3, 2, encodeFloats(make([]float64, 5*4)))                                         // all-zero rows
@@ -22,9 +25,10 @@ func FuzzIVFBuild(f *testing.F) {
 	f.Add(3, 2, 1, encodeFloats([]float64{math.NaN(), 1, 2, math.Inf(1), 0.5, -0.5, 1, 1, 1})) // poisoned rows
 	f.Add(1, 1, 1, encodeFloats([]float64{42, 42}))                                            // single item
 	f.Add(8, 4, 3, []byte{})                                                                   // no bytes: zero params
+	f.Add(520, 2, 7, encodeFloats([]float64{1, 2, 3, 1, 2, 3, math.Inf(-1), 4}))               // three chunks, mostly zero rows
 
 	f.Fuzz(func(t *testing.T, numItems, dim, nlist int, raw []byte) {
-		if numItems < 1 || numItems > 64 || dim < 1 || dim > 8 || nlist < -2 || nlist > 128 {
+		if numItems < 1 || numItems > 600 || dim < 1 || dim > 8 || nlist < -2 || nlist > 128 {
 			return
 		}
 		params := decodeFloats(raw, numItems*(dim+1))
@@ -40,12 +44,12 @@ func FuzzIVFBuild(f *testing.F) {
 		// invariants below.
 		copy(m.UserFactors(0), v[:dim])
 
-		ix, err := BuildIVF(m, Config{NLists: nlist, Iters: 4})
-		if err != nil {
-			t.Fatalf("BuildIVF on valid shapes: %v", err)
-		}
+		ix := buildAt(t, 1, m, Config{NLists: nlist, Iters: 4})
 		if ix.NLists() < 1 || ix.NLists() > numItems {
 			t.Fatalf("NLists = %d for %d items", ix.NLists(), numItems)
+		}
+		if d := indexDiff(ix, buildAt(t, 4, m, Config{NLists: nlist, Iters: 4})); d != "" {
+			t.Fatalf("%s differs between a build at GOMAXPROCS 1 and one at 4", d)
 		}
 
 		// Full-width probe must enumerate the catalog exactly once,

@@ -12,8 +12,11 @@ import (
 
 // Index is a cluster-pruned IVF index over one immutable model's item
 // factors. It is read-only after construction and safe for concurrent
-// queries; the serve path builds a fresh Index on every model swap, so an
-// Index never outlives the model generation it was built from.
+// queries. It holds its own packed copy of every item row and bias and no
+// reference to the parameter set it was built from, so it may outlive
+// that set: the serve path carries an Index across model swaps for as
+// long as Indexes says the new item half is the one it packed, and builds
+// a fresh one only when it is not.
 //
 // Layout: item parameters are *packed* cell-major — each cell's member
 // vectors (dim floats a row) sit contiguously in one array and their
@@ -99,8 +102,10 @@ func BuildIVF(m mf.Params, cfg Config) (*Index, error) {
 		copy(ix.probeVecs[c*d:c*d+d], row)
 		ix.probeBias[c] = row[d]
 	}
+	var v32, b32 []float32
 	f32src, isF32 := m.(*mf.Factors32)
 	if isF32 {
+		_, v32, b32 = f32src.RawParams32()
 		ix.vecs32, ix.bias32 = make([]float32, n*d), make([]float32, n)
 	} else {
 		ix.vecs, ix.bias = make([]float64, n*d), make([]float64, n)
@@ -114,7 +119,6 @@ func BuildIVF(m mf.Params, cfg Config) (*Index, error) {
 		cursor[c]++
 		ix.ids[slot] = int32(i)
 		if isF32 {
-			_, v32, b32 := f32src.RawParams32()
 			copy(ix.vecs32[slot*d:slot*d+d], v32[i*d:i*d+d])
 			if b32 != nil {
 				ix.bias32[slot] = b32[i]
@@ -127,6 +131,38 @@ func BuildIVF(m mf.Params, cfg Config) (*Index, error) {
 	}
 	return ix, nil
 }
+
+// Indexes reports whether ix is the index BuildIVF would pack from m's
+// item half: the same representation kind (float32 rows exactly when m is
+// an *mf.Factors32), item count and dimensionality, and every packed row
+// and bias equal to m's bit for bit (a NaN equals the same NaN, 0 is not
+// -0; float32 values are compared exactly widened). The build is a
+// deterministic function of those values and the Config, so under an
+// unchanged Config a true answer means a rebuild would reproduce ix. One
+// O(items·dim) pass over the packed copy — about a millisecond at
+// 26 744 × 16, against half a second to build.
+func (ix *Index) Indexes(m mf.Params) bool {
+	_, isF32 := m.(*mf.Factors32)
+	if m == nil || isF32 != (ix.vecs32 != nil) || m.NumItems() != ix.numItems || m.Dim() != ix.dim {
+		return false
+	}
+	d := ix.dim
+	var vbuf []float64
+	for slot, id := range ix.ids {
+		vbuf = m.ItemVector(id, vbuf)
+		if isF32 {
+			if !sameBits(float64(ix.bias32[slot]), m.Bias(id)) || !slices.EqualFunc(ix.vecs32[slot*d:slot*d+d], vbuf,
+				func(p float32, v float64) bool { return sameBits(float64(p), v) }) {
+				return false
+			}
+		} else if !sameBits(ix.bias[slot], m.Bias(id)) || !slices.EqualFunc(ix.vecs[slot*d:slot*d+d], vbuf, sameBits) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // NLists returns the number of k-means cells actually built (≤ Config.
 // NLists when the catalog is smaller than the requested cell count).

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -89,10 +90,12 @@ func (*overlaySink) RebuildOverlay(base mf.Params, _ uint64) (*mf.Overlay, error
 	return mf.NewOverlay(base), nil
 }
 
-// TestIndexReusedAcrossReinstalls: the IVF index depends on the base's
-// item parameters and the retrieval config alone, so the boot sequence
-// SetRetrieval → EnableFeedback → SetCacheSize must build it once, and
-// only a new base, a new config or a round trip through exact mode may
+// TestIndexReusedAcrossReinstalls: the IVF index depends on the values of
+// the base's item parameters and the retrieval config alone, so the boot
+// sequence SetRetrieval → EnableFeedback → SetCacheSize must build it
+// once, an install of the same item half (what a promotion or a reload of
+// an unmoved file is) must keep it, and only a changed item row or bias,
+// another precision, a new config or a round trip through exact mode may
 // build another.
 func TestIndexReusedAcrossReinstalls(t *testing.T) {
 	s, _ := testServer(t)
@@ -133,11 +136,32 @@ func TestIndexReusedAcrossReinstalls(t *testing.T) {
 	if recfg == built || recfg.NLists() != 4 {
 		t.Errorf("a changed config kept the old index (%d cells)", recfg.NLists())
 	}
-	if err := s.Install(s.Model().Clone(), InstallOpts{Folded: KeepFoldedSeq}); err != nil {
-		t.Fatal(err)
+	install := func(m mf.Params) *retrieval.Index {
+		t.Helper()
+		if err := s.Install(m, InstallOpts{Folded: KeepFoldedSeq}); err != nil {
+			t.Fatal(err)
+		}
+		return index()
 	}
-	if index() == recfg {
-		t.Error("Install of a new base kept the previous base's index")
+	newUsers := s.Model().Clone()
+	newUsers.UserFactors(3)[0] += 0.5
+	if install(newUsers) != recfg {
+		t.Error("Install of a base with the same item half rebuilt the index")
+	}
+	ulp := s.Model().Clone()
+	ulp.ItemFactors(11)[2] = math.Nextafter(ulp.ItemFactors(11)[2], math.Inf(1))
+	moved := install(ulp)
+	if moved == recfg {
+		t.Error("Install of a base with one item coordinate one ulp away kept the index")
+	}
+	rebiased := s.Model().Clone()
+	rebiased.AddBias(11, 0.25)
+	if got := install(rebiased); got == moved {
+		t.Error("Install of a base with one bias changed kept the index")
+	}
+	f64 := index()
+	if got := install(mf.QuantizeF32(s.Model())); got == f64 {
+		t.Error("Install of the float32 quantization kept the float64 index")
 	}
 	if err := s.SetRetrieval(retrieval.ModeExact, retrieval.Config{}); err != nil {
 		t.Fatal(err)

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"clapf/internal/obs"
+	"clapf/internal/retrieval"
 )
 
 // expositionLine matches one sample line: name{labels} value.
@@ -176,5 +177,53 @@ func TestSetLoggerNilRestoresNop(t *testing.T) {
 	s.writeJSON(context.Background(), rec, http.StatusOK, math.NaN()) // must not panic
 	if got := s.encodeErrors.Value(); got != 1 {
 		t.Errorf("encode errors = %d, want 1", got)
+	}
+}
+
+// TestIndexInstallSeries: every install in IVF mode is either a build —
+// one observation in clapf_index_build_seconds — or a reuse, counted in
+// clapf_index_reused_total, and says which in one Info line.
+func TestIndexInstallSeries(t *testing.T) {
+	s, _ := testServer(t)
+	var logBuf bytes.Buffer
+	s.SetLogger(obs.NewTextLogger(&logBuf, slog.LevelInfo))
+	h := s.Handler()
+	expect := func(when string, built, reused float64) {
+		t.Helper()
+		samples := scrape(t, h)
+		if got := samples["clapf_index_build_seconds_count"]; got != built {
+			t.Errorf("%s: clapf_index_build_seconds_count = %v, want %v", when, got, built)
+		}
+		if got := samples[`clapf_index_build_seconds_bucket{le="+Inf"}`]; got != built {
+			t.Errorf("%s: +Inf bucket = %v, want %v", when, got, built)
+		}
+		if got := samples["clapf_index_reused_total"]; got != reused {
+			t.Errorf("%s: clapf_index_reused_total = %v, want %v", when, got, reused)
+		}
+	}
+	expect("exact mode", 0, 0)
+	if err := s.SetRetrieval(retrieval.ModeIVF, retrieval.Config{NLists: 8}); err != nil {
+		t.Fatal(err)
+	}
+	expect("after SetRetrieval(ivf)", 1, 0)
+	if err := s.Install(s.Model().Clone(), InstallOpts{Folded: KeepFoldedSeq}); err != nil {
+		t.Fatal(err)
+	}
+	expect("after installing the same item half", 1, 1)
+	moved := s.Model().Clone()
+	moved.AddBias(0, 1)
+	if err := s.Install(moved, InstallOpts{Folded: KeepFoldedSeq}); err != nil {
+		t.Fatal(err)
+	}
+	expect("after installing a changed item half", 2, 1)
+	if sum := scrape(t, h)["clapf_index_build_seconds_sum"]; sum <= 0 {
+		t.Errorf("clapf_index_build_seconds_sum = %v, want > 0", sum)
+	}
+	logs := logBuf.String()
+	if strings.Count(logs, "ivf index built") != 2 || strings.Count(logs, "ivf index reused") != 1 {
+		t.Errorf("want two built lines and one reused line, got:\n%s", logs)
+	}
+	if !strings.Contains(logs, "cells=8") || !strings.Contains(logs, "items=80") || !strings.Contains(logs, "seconds=") {
+		t.Errorf("built line lacks cells/items/seconds:\n%s", logs)
 	}
 }

@@ -52,11 +52,11 @@ import (
 // retrieval index (IVF mode only) built from it, and the top-K cache of
 // its results. Requests load it once and use only that snapshot, so even
 // mid-swap a request is internally consistent — an index can never be
-// paired with a model it was not built from, and a cache can never serve
-// another generation's answers. An mmap-backed generation needs no
-// explicit teardown on retirement: the Factors32 pins its mapping, and a
-// finalizer releases the pages once the last request-held snapshot is
-// gone (see store.Open).
+// paired with item parameters other than the ones it packed, and a cache
+// can never serve another generation's answers. An mmap-backed generation
+// needs no explicit teardown on retirement: the Factors32 pins its mapping,
+// and a finalizer releases the pages once the last request-held snapshot
+// is gone (see store.Open).
 type liveState struct {
 	params mf.Params
 	// base is the read-only parameter set under params. With streaming
@@ -67,8 +67,8 @@ type liveState struct {
 	eng     *score.Engine
 	mode    retrieval.Mode
 	index   *retrieval.Index // nil in exact mode
-	// indexCfg is the configuration index was built under; with base it
-	// decides whether the next install may carry the index over.
+	// indexCfg is the configuration index was built under; with the rows
+	// index packed it decides whether the next install may carry it over.
 	indexCfg retrieval.Config
 	cache    *resultCache
 }
@@ -141,6 +141,8 @@ type Server struct {
 	cacheMisses    *obs.Counter
 	cacheEvictions *obs.Counter
 	nonfinite      *obs.Counter
+	indexBuild     *obs.Histogram
+	indexReused    *obs.Counter
 	onlineRejected *obs.Counter // registered by EnableFeedback
 	started        time.Time
 }
@@ -183,6 +185,11 @@ func NewFromParams(model mf.Params, train *dataset.Dataset) (*Server, error) {
 	s.jitter = mathx.NewRNG(uint64(s.started.UnixNano()))
 	s.cacheSize.Store(DefaultCacheSize)
 	s.retr.Store(&retrievalSettings{})
+	s.indexBuild = s.reg.NewHistogram("clapf_index_build_seconds",
+		"Wall time of each IVF index build (boot, SetRetrieval, and installs whose item parameters changed).",
+		obs.ExponentialBuckets(0.001, 2, 14))
+	s.indexReused = s.reg.NewCounter("clapf_index_reused_total",
+		"Installs that carried the live IVF index over because the item parameters and retrieval config were unchanged.")
 	if err := s.install(model, KeepFoldedSeq); err != nil {
 		return nil, err
 	}
@@ -386,8 +393,8 @@ func (s *Server) Retrieval() retrieval.Mode { return s.live.Load().mode }
 // constructing the index for the live model right here, so by the time
 // this returns every new request is answered under the new strategy. On
 // build failure nothing changes: the old settings and state keep serving.
-// Subsequent model swaps rebuild the index for each new model
-// automatically.
+// Subsequent model swaps build a new index whenever the item parameters
+// changed, and carry this one over when they did not.
 func (s *Server) SetRetrieval(mode retrieval.Mode, cfg retrieval.Config) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -401,37 +408,45 @@ func (s *Server) SetRetrieval(mode retrieval.Mode, cfg retrieval.Config) error {
 }
 
 // install builds and publishes the liveState for base parameter set m:
-// the online-update overlay when feedback is enabled, the scoring engine,
-// the retrieval index when IVF mode is on, plus an empty result cache. The
-// index is a function of the base's item parameters — which an overlay
-// never changes — and the retrieval config, so a reinstall over the same
-// base under the same config (EnableFeedback after SetRetrieval) carries
-// the previous state's index over instead of rebuilding it.
+// the retrieval index when IVF mode is on, the online-update overlay when
+// feedback is enabled, the scoring engine, plus an empty result cache.
 // Publishing the bundle through one pointer store is what makes cache and
 // index invalidation atomic with the model swap. Callers must hold swapMu
 // (or, in New, be the only goroutine that can see the server).
 //
+// The index is resolved first, before the feedback sink's lock is taken —
+// it depends on m's item parameters and the retrieval config alone, never
+// on the overlay — so a half-second build stalls no /feedback ack and no
+// cache-missing read, and a failed build is decided before RebuildOverlay
+// has moved the sink's watermark.
+//
 // folded is the feedback watermark m incorporates (KeepFoldedSeq when the
 // caller doesn't know — retrieval/cache rebuilds, installs of parameters
 // that came from neither a file nor a promotion).
-// With a feedback sink attached, the whole build-and-publish runs under
-// the sink's lock: the sink rebuilds the overlay from events beyond the
-// watermark, and because ingest applies updates under the same lock, an
-// event is either folded into the overlay being built or applied after
+// With a feedback sink attached, the overlay rebuild and the publish run
+// under the sink's lock: the sink rebuilds the overlay from events beyond
+// the watermark, and because ingest applies updates under the same lock,
+// an event is either folded into the overlay being built or applied after
 // the new state is published — never dropped in between.
 func (s *Server) install(m mf.Params, folded uint64) error {
-	sink := s.feedbackSink()
-	if sink != nil {
-		sink.Lock()
-		defer sink.Unlock()
-	}
+	retr := s.retr.Load()
 	st := &liveState{
 		params: m,
 		base:   m,
-		mode:   s.retr.Load().mode,
+		mode:   retr.mode,
 		cache:  newResultCache(int(s.cacheSize.Load())),
 	}
-	if sink != nil {
+	if st.mode == retrieval.ModeIVF {
+		st.indexCfg = retr.cfg
+		ix, err := s.indexFor(m, st.indexCfg)
+		if err != nil {
+			return err
+		}
+		st.index = ix
+	}
+	if sink := s.feedbackSink(); sink != nil {
+		sink.Lock()
+		defer sink.Unlock()
 		ov, err := sink.RebuildOverlay(m, folded)
 		if err != nil {
 			return fmt.Errorf("serve: rebuilding online-update overlay: %w", err)
@@ -440,20 +455,29 @@ func (s *Server) install(m mf.Params, folded uint64) error {
 		st.params = ov
 	}
 	st.eng = score.NewEngine(st.params)
-	if st.mode == retrieval.ModeIVF {
-		st.indexCfg = s.retr.Load().cfg
-		if prev := s.live.Load(); prev != nil && prev.index != nil && prev.base == m && prev.indexCfg == st.indexCfg {
-			st.index = prev.index
-		} else {
-			ix, err := retrieval.BuildIVF(m, st.indexCfg)
-			if err != nil {
-				return fmt.Errorf("serve: building IVF index: %w", err)
-			}
-			st.index = ix
-		}
-	}
 	s.live.Store(st)
 	return nil
+}
+
+// indexFor returns the IVF index for base parameter set m under cfg: the
+// live one when it was built under cfg and packs m's item half value for
+// value (a promotion, a reload that moved no item row, EnableFeedback after
+// SetRetrieval), else a fresh build. The build is deterministic in exactly
+// those inputs, so a carried index answers as a rebuilt one would.
+func (s *Server) indexFor(m mf.Params, cfg retrieval.Config) (*retrieval.Index, error) {
+	if prev := s.live.Load(); prev != nil && prev.index != nil && prev.indexCfg == cfg && prev.index.Indexes(m) {
+		s.indexReused.Inc()
+		s.log.Info("ivf index reused", "cells", prev.index.NLists(), "items", prev.index.NumItems())
+		return prev.index, nil
+	}
+	sp := obs.StartSpan("index.build")
+	ix, err := retrieval.BuildIVF(m, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("serve: building IVF index: %w", err)
+	}
+	took := sp.EndObserve(s.indexBuild)
+	s.log.Info("ivf index built", "cells", ix.NLists(), "items", ix.NumItems(), "seconds", took.Seconds())
+	return ix, nil
 }
 
 // SetReady flips the /readyz signal; cmd/clapf-serve marks the server
@@ -489,15 +513,16 @@ type InstallOpts struct {
 // Install is the one way a candidate parameter set — any representation,
 // from a file, a promotion or a test — becomes the served model. It is
 // validated against the exclusion dataset, then a fresh liveState — model,
-// engine, retrieval index (rebuilt for the new model when IVF mode is
-// on), feedback overlay, and an empty result cache — is published in one
-// pointer store, so no request can ever serve a previous generation's
-// cached top-K, or probe a previous generation's index, under the new
-// model. A rejected candidate (fence, shape mismatch, non-finite
-// parameters, index build failure) leaves model, index, cache and
-// generation untouched. The outgoing generation needs no teardown: once
-// the last in-flight request drops its liveState snapshot, an mmap-backed
-// parameter set is unmapped by its finalizer — and so is a rejected one.
+// engine, retrieval index (in IVF mode: the live one when it packs the
+// candidate's item parameters, else a new build), feedback overlay, and an
+// empty result cache — is published in one pointer store, so no request can
+// ever serve a previous generation's cached top-K, or probe an index over
+// other item parameters, under the new model. A rejected candidate (fence,
+// shape mismatch, non-finite parameters, index build failure) leaves model,
+// index, cache and generation untouched. The outgoing generation needs no
+// teardown: once the last in-flight request drops its liveState snapshot,
+// an mmap-backed parameter set is unmapped by its finalizer — and so is a
+// rejected one.
 func (s *Server) Install(m mf.Params, o InstallOpts) error {
 	if m == nil {
 		return fmt.Errorf("serve: nil model")

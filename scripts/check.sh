@@ -115,13 +115,20 @@ echo "batch-ivf gate ok"
 # mathx.Dot loop bit for bit, and ProbeCells' threshold selection a full
 # sort of the affinities. Allocation: an exact-mode miss through the
 # handler allocates nothing proportional to NumItems, and an IVF miss only
-# its cell list and its k entries. Index reuse: SetRetrieval →
-# EnableFeedback → SetCacheSize builds the IVF index once. -count=1
-# defeats the test cache so the gate always actually runs.
+# its cell list and its k entries. Index build and reuse: the build is
+# the same bits at GOMAXPROCS 1, 2 and 7 (the retrieval line runs again
+# at -cpu 1,4, so the fan-out is exercised on a one-core runner too);
+# Index.Indexes is true for exactly the item half the index packed;
+# SetRetrieval → EnableFeedback → SetCacheSize builds the IVF index once,
+# an install of an unchanged item half keeps it, and install resolves the
+# index before it takes the feedback sink's lock. -count=1 defeats the
+# test cache so the gate always actually runs.
 go test -race -count=1 -run '^Test(FusedTopKBitIdentical|ScoreAllIsFoldInOfUserVector)$' ./internal/score
 go test -race -count=1 -run '^TestSelectorMatchesNaive$' ./internal/rank
-go test -race -count=1 -run '^Test(SearchCellsMatchesTwoPass|NearestMatchesDot|ProbeCellsMatchesFullSort|WrongLengthQueryPanics|MissAllocatesOnlyItsResults)$' ./internal/retrieval
-go test -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossReinstalls)$' ./internal/serve
+retrieval_gate='^Test(SearchCellsMatchesTwoPass|NearestMatchesDot|ProbeCellsMatchesFullSort|WrongLengthQueryPanics|MissAllocatesOnlyItsResults|BuildIVFSameAcrossWorkers|IndexesMatchesOnlyItsOwnItems)$'
+go test -race -count=1 -run "$retrieval_gate" ./internal/retrieval
+go test -race -count=1 -cpu 1,4 -run "$retrieval_gate" ./internal/retrieval
+go test -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossReinstalls|InstallBuildsIndexOutsideSinkLock(Live)?)$' ./internal/serve
 echo "fused exact-scan gate ok"
 
 # Scan kernel gate: the catalog scans (mathx.ScanF64 over float64 rows,
@@ -200,7 +207,10 @@ echo "cluster chaos gate ok"
 # the consistency lock. The promotion scenarios run over both a float64
 # (v2) and a float32 mapped (v3) base; the last line is the same
 # composition through cmd/clapf-serve's run(): float32 model, feedback
-# log, promotion, SIGHUP, restarts. -count=1 defeats the test cache.
+# log, promotion, SIGHUP, restarts. A promotion on an IVF server carries
+# the index over — no build — and answers as a fresh build of the
+# promoted file does (TestFeedbackChaosPromotionKeepsIndex, matched by
+# the prefix). -count=1 defeats the test cache.
 go test -race -count=1 -run '^TestFeedbackChaos' ./internal/feedback
 go test -race -count=1 -run '^TestRunFeedbackComposes' ./cmd/clapf-serve
 echo "feedback chaos gate ok"
