@@ -7,23 +7,27 @@ var useAVX = cpuHasAVX()
 // state bits.
 func cpuHasAVX() bool
 
-// scanAVX is scanGo over n > 0 rows of d > 0 elements; b may be nil.
+// scanAVX is scanGo over n > 0 rows of d > 0 elements, n a multiple of
+// four; b may be nil.
 //
 //go:noescape
 func scanAVX(u *float64, v, b *float32, out *float64, n, d int)
 
 func scanF64F32(u []float64, v, b []float32, out []float64) {
-	if !useAVX || len(u) == 0 || len(out) == 0 {
+	d, n4 := len(u), len(out)&^3
+	if !useAVX || d == 0 || n4 == 0 {
 		scanGo(u, v, b, out)
 		return
 	}
 	// ScanF64F32 checked len(v) and len(b) against n*d and n: the kernel
-	// reads exactly those elements and nothing past them.
+	// reads exactly the first n4 rows and biases and nothing past them;
+	// the Go body takes the zero to three rows left.
 	var bp *float32
 	if b != nil {
-		bp = &b[0]
+		bp, b = &b[0], b[n4:]
 	}
-	scanAVX(&u[0], &v[0], bp, &out[0], len(out), len(u))
+	scanAVX(&u[0], &v[0], bp, &out[0], n4, d)
+	scanGo(u, v[n4*d:], b, out[n4:])
 }
 
 // scanF64AVX is scanF64Go over n > 0 rows of d > 0 elements, n a multiple
@@ -47,4 +51,21 @@ func scanF64(u, v, b, out []float64) {
 	}
 	scanF64AVX(&u[0], &v[0], bp, &out[0], n4, d)
 	scanF64Go(u, v[n4*d:], b, out[n4:])
+}
+
+// firstNotBelowAVX is firstNotBelowGo over n > 0 scores, n a multiple of
+// four.
+//
+//go:noescape
+func firstNotBelowAVX(x *float64, n int, floor float64) int
+
+func firstNotBelow(x []float64, floor float64) int {
+	n4 := len(x) &^ 3
+	if !useAVX || n4 == 0 {
+		return firstNotBelowGo(x, floor)
+	}
+	if i := firstNotBelowAVX(&x[0], n4, floor); i < n4 {
+		return i
+	}
+	return n4 + firstNotBelowGo(x[n4:], floor)
 }

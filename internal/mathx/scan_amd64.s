@@ -21,12 +21,18 @@ no:
 
 // func scanAVX(u *float64, v, b *float32, out *float64, n, d int)
 //
-// DotF64F32's accumulators s0..s3 are the four lanes of Y0. Multiply and
-// add stay separate instructions: the compiled Go loop rounds the product
-// (MULSD then ADDSD at every GOAMD64 level, go1.24), so must this;
-// TestScanF64F32IsDotF64F32 is what notices if a compiler ever fuses it.
-// Every memory operand is VEX-encoded and so alignment-free; mapped rows
-// are only 4-byte aligned.
+// Four rows per pass, n a multiple of four: DotF64F32's accumulators
+// s0..s3 for row q of the pass are the four lanes of Yq. The user chunk is
+// loaded once per four coordinates and shared by the four rows, whose
+// adds are four independent chains. One reduce serves all four rows: the
+// two VHADDPD leave s0+s1 and s2+s3 of each row in separate 128-bit
+// halves, the VPERM2F128 pair sorts them into one register of s0+s1 and
+// one of s2+s3, lane q row q's, and the add takes s0+s1 as its first
+// source. Multiply and add stay separate instructions: the compiled Go
+// loop rounds the product (MULSD then ADDSD at every GOAMD64 level,
+// go1.24), so must this; TestScanF64F32IsDotF64F32 is what notices if a
+// compiler ever fuses it. Every memory operand is VEX-encoded and so
+// alignment-free; mapped rows are only 4-byte aligned.
 TEXT ·scanAVX(SB), NOSPLIT, $0-48
 	MOVQ u+0(FP), SI
 	MOVQ v+8(FP), DI
@@ -36,48 +42,73 @@ TEXT ·scanAVX(SB), NOSPLIT, $0-48
 	MOVQ d+40(FP), R8
 	MOVQ R8, R9
 	ANDQ $-4, R9 // d rounded down to whole lanes
+	MOVQ R8, R10
+	SHLQ $2, R10 // bytes in a row
 
-row:
+rows:
+	LEAQ   (DI)(R10*1), R11 // rows 1, 2, 3 of this pass
+	LEAQ   (R11)(R10*1), R12
+	LEAQ   (R12)(R10*1), R13
 	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
 	XORQ   AX, AX
 	CMPQ   AX, R9
 	JGE    reduce
 
 lanes:
-	VCVTPS2PD (DI)(AX*4), Y1
-	VMULPD    (SI)(AX*8), Y1, Y1
-	VADDPD    Y1, Y0, Y0
+	VMOVUPD   (SI)(AX*8), Y8
+	VCVTPS2PD (DI)(AX*4), Y4
+	VCVTPS2PD (R11)(AX*4), Y5
+	VCVTPS2PD (R12)(AX*4), Y6
+	VCVTPS2PD (R13)(AX*4), Y7
+	VMULPD    Y8, Y4, Y4
+	VMULPD    Y8, Y5, Y5
+	VMULPD    Y8, Y6, Y6
+	VMULPD    Y8, Y7, Y7
+	VADDPD    Y4, Y0, Y0
+	VADDPD    Y5, Y1, Y1
+	VADDPD    Y6, Y2, Y2
+	VADDPD    Y7, Y3, Y3
 	ADDQ      $4, AX
 	CMPQ      AX, R9
 	JLT       lanes
 
 reduce:
-	VHADDPD      Y0, Y0, Y0 // s0+s1 | s0+s1 | s2+s3 | s2+s3
-	VEXTRACTF128 $1, Y0, X1
-	VADDSD       X1, X0, X0 // (s0+s1) + (s2+s3)
+	VHADDPD    Y1, Y0, Y4        // r0 s0+s1 | r1 s0+s1 | r0 s2+s3 | r1 s2+s3
+	VHADDPD    Y3, Y2, Y5        // r2 s0+s1 | r3 s0+s1 | r2 s2+s3 | r3 s2+s3
+	VPERM2F128 $0x20, Y5, Y4, Y6 // s0+s1 of rows 0..3
+	VPERM2F128 $0x31, Y5, Y4, Y7 // s2+s3 of rows 0..3
+	VADDPD     Y7, Y6, Y0        // (s0+s1) + (s2+s3)
 
 tail:
-	CMPQ      AX, R8
-	JGE       bias
-	VCVTSS2SD (DI)(AX*4), X1, X1
-	VMULSD    (SI)(AX*8), X1, X1
-	VADDSD    X1, X0, X0
-	INCQ      AX
-	JMP       tail
+	CMPQ         AX, R8
+	JGE          bias
+	VMOVSS       (DI)(AX*4), X4 // gather one coordinate of the four rows
+	VINSERTPS    $0x10, (R11)(AX*4), X4, X4
+	VINSERTPS    $0x20, (R12)(AX*4), X4, X4
+	VINSERTPS    $0x30, (R13)(AX*4), X4, X4
+	VCVTPS2PD    X4, Y4
+	VBROADCASTSD (SI)(AX*8), Y5
+	VMULPD       Y5, Y4, Y4
+	VADDPD       Y4, Y0, Y0
+	INCQ         AX
+	JMP          tail
 
 bias:
 	TESTQ     BX, BX
 	JZ        store
-	VCVTSS2SD (BX), X1, X1
-	VADDSD    X1, X0, X0
-	ADDQ      $4, BX
+	VCVTPS2PD (BX), Y4
+	VADDPD    Y4, Y0, Y0
+	ADDQ      $16, BX
 
 store:
-	VMOVSD X0, (DX)
-	ADDQ   $8, DX
-	LEAQ   (DI)(R8*4), DI
-	DECQ   CX
-	JNZ    row
+	VMOVUPD Y0, (DX)
+	ADDQ    $32, DX
+	LEAQ    (R13)(R10*1), DI
+	SUBQ    $4, CX
+	JNZ     rows
 	VZEROUPPER
 	RET
 
@@ -166,5 +197,41 @@ store4:
 	LEAQ    (R13)(R10*1), DI
 	SUBQ    $4, CX
 	JNZ     rows4
+	VZEROUPPER
+	RET
+
+// func firstNotBelowAVX(x *float64, n int, floor float64) int
+//
+// n is a multiple of four. A lane is set when its score is not below the
+// floor (NLT: true for a tie, and for a NaN on either side) or is not
+// finite (x-x is zero for a finite x only, NaN for ±Inf and NaN, and NEQ
+// holds for a NaN): the scores Selector.Offer would push or count.
+TEXT ·firstNotBelowAVX(SB), NOSPLIT, $0-32
+	MOVQ         x+0(FP), SI
+	MOVQ         n+8(FP), CX
+	VBROADCASTSD floor+16(FP), Y0
+	VXORPD       Y1, Y1, Y1
+	XORQ         AX, AX
+
+group:
+	CMPQ      AX, CX
+	JGE       none
+	VMOVUPD   (SI)(AX*8), Y2
+	VCMPPD    $5, Y0, Y2, Y3 // NLT_US: !(x < floor)
+	VSUBPD    Y2, Y2, Y4
+	VCMPPD    $4, Y1, Y4, Y4 // NEQ_UQ: x-x != 0
+	VORPD     Y4, Y3, Y3
+	VMOVMSKPD Y3, BX
+	TESTL     BX, BX
+	JNZ       lane
+	ADDQ      $4, AX
+	JMP       group
+
+lane:
+	BSFL BX, BX
+	ADDQ BX, AX
+
+none:
+	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET

@@ -8,3 +8,5 @@ const useAVX = false
 func scanF64F32(u []float64, v, b []float32, out []float64) { scanGo(u, v, b, out) }
 
 func scanF64(u, v, b, out []float64) { scanF64Go(u, v, b, out) }
+
+func firstNotBelow(x []float64, floor float64) int { return firstNotBelowGo(x, floor) }

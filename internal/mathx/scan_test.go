@@ -48,16 +48,21 @@ var scanSpecials = []float32{
 }
 
 // TestScanF64F32MatchesPortable is the kernel's bit-identity table: every
-// d from 1 to 67 (every residue mod 4, and d < 4 where no lane runs), row
-// counts around the engine's 512-item tile, with and without bias, v, b
-// and out starting at odd element offsets (a mapped section is only
-// 4-byte aligned per row), over random rows and rows of ±0, subnormals,
-// ±Inf, NaN and MaxFloat32.
+// d from 1 to 67 (every residue mod 4, and d < 4 where only the gathering
+// tail runs), every row count from 0 to 9 (so 0..3 rows are left to the Go
+// body beside no pass, one pass and two) and around the engine's 512-item
+// tile, with and without bias, v, b and out starting at odd element
+// offsets (a mapped section is only 4-byte aligned per row), over random
+// rows and — for n <= 5, so that each of the four rows of a pass and a
+// handed-off row are hit — ±0, subnormals, ±Inf, NaN and MaxFloat32 at
+// every position of the catalog, the query and the bias: the four rows of
+// a pass share one reduce, and a special in one must not reach its
+// neighbours' lanes.
 func TestScanF64F32MatchesPortable(t *testing.T) {
 	t.Logf("AVX kernel in use: %v", useAVX)
 	rng := NewRNG(21)
 	for d := 1; d <= 67; d++ {
-		for _, n := range []int{0, 1, 2, 511, 512, 513} {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 511, 512, 513} {
 			for _, off := range []int{0, 1, 3} {
 				u := make([]float64, d)
 				for k := range u {
@@ -67,38 +72,46 @@ func TestScanF64F32MatchesPortable(t *testing.T) {
 				b := randF32(rng, off+n)[off:]
 				sameScan(t, "random", u, v, b, n, off)
 				sameScan(t, "random, no bias", u, v, nil, n, off)
-				if n == 0 || n > 2 {
+				if n == 0 || n > 5 || (off == 3 && d > 20) {
 					continue
 				}
-				// Specials: in the catalog, the bias and the query, one
-				// position at a time so each meets every lane and the tail.
-				for k := 0; k < d; k++ {
+				for k := range v {
 					for _, x := range scanSpecials {
 						old := v[k]
 						v[k] = x
 						sameScan(t, "special row element", u, v, b, n, off)
 						v[k] = old
-
-						oldU := u[k]
-						u[k] = float64(x)
-						sameScan(t, "special query element", u, v, b, n, off)
-						u[k] = oldU
 					}
 				}
-				for _, x := range scanSpecials {
-					b[n-1] = x
-					sameScan(t, "special bias", u, v, b, n, off)
+				for k := range u {
+					for _, x := range scanSpecials {
+						old := u[k]
+						u[k] = float64(x)
+						sameScan(t, "special query element", u, v, b, n, off)
+						u[k] = old
+					}
+				}
+				for j := range b {
+					for _, x := range scanSpecials {
+						old := b[j]
+						b[j] = x
+						sameScan(t, "special bias", u, v, b, n, off)
+						b[j] = old
+					}
 				}
 			}
 		}
 	}
 	// A query beyond float32 range: products overflow in float64 too.
 	u := []float64{math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, 1, math.MaxFloat64}
-	v := []float32{math.MaxFloat32, math.MaxFloat32, 1e-40, 1, -2, 1, 2, 3, 4, 5}
-	sameScan(t, "float64 extremes", u, v, []float32{1, -1}, 2, 1)
+	v := make([]float32, 0, 25)
+	for j := 0; j < 5; j++ {
+		v = append(v, math.MaxFloat32, math.MaxFloat32, 1e-40, float32(j), -2)
+	}
+	sameScan(t, "float64 extremes", u, v, []float32{1, -1, 0, math.MaxFloat32, 1e-40}, 5, 1)
 
 	// d == 0 and a nil everything are the portable loop's answers too.
-	sameScan(t, "d=0", nil, nil, []float32{1, 2, 3}, 3, 0)
+	sameScan(t, "d=0", nil, nil, []float32{1, 2, 3, 4, 5}, 5, 0)
 	sameScan(t, "n=0", []float64{1}, nil, nil, 0, 0)
 }
 
@@ -169,7 +182,9 @@ func FuzzScanF64F32(f *testing.F) {
 		nan, sub, maxF            = 0x7fc00001, 0x00000001, 0x7f7fffff
 	)
 	seed(1, 0, one, one, one)
+	seed(1, 1, maxF, 0, maxF, inf, negZero, sub, nan, one, one, one, negInf, one) // five rows: a pass and a handed-off row
 	seed(3, 1, one, negZero, sub, maxF, maxF, negInf, one, one, one, nan)
+	seed(2, 0, maxF, maxF, maxF, maxF, maxF, maxF, one, sub, negZero, inf, one, nan, negInf, one) // four rows, four biases
 	seed(4, 0, maxF, maxF, maxF, maxF, maxF, maxF, maxF, maxF, inf, negZero, sub, one, one)
 	seed(6, 1, one, one, one, one, one, one, sub, sub, negZero, 0, inf, negInf, 0, 0, 0, 0, 0, 0, 0, nan)
 	seed(18, 0)
@@ -376,11 +391,158 @@ func FuzzScanF64(f *testing.F) {
 	})
 }
 
+// sameFirst fails unless FirstNotBelow — the AVX predicate where the host
+// has one — answers what firstNotBelowGo, its specification, answers, and
+// returns that answer.
+func sameFirst(t *testing.T, label string, x []float64, floor float64) int {
+	t.Helper()
+	got, want := FirstNotBelow(x, floor), firstNotBelowGo(x, floor)
+	if got != want {
+		t.Fatalf("%s: FirstNotBelow(%d scores, floor %v (%#x)) = %d, portable loop %d",
+			label, len(x), floor, math.Float64bits(floor), got, want)
+	}
+	return got
+}
+
+// TestFirstNotBelowMatchesLoop is the predicate's table: every length from
+// 0 to 67 at odd and even slice offsets, a run of finite scores below the
+// floor with one other value planted at every position in turn — so it
+// meets each of the four lanes and the Go tail — and the answer checked
+// against the portable loop and against the position itself. What must be
+// returned: the floor (a tie has to reach the heap, whose order settles
+// it), anything above it, and NaN and ±Inf at any floor (Offer counts
+// them). What must not: the value one ulp below the floor, -MaxFloat64.
+// Then the floors a selector really holds or could be handed: -Inf (the
+// heap not yet full) stops at once, +Inf passes only non-finite scores, a
+// NaN floor stops at once.
+func TestFirstNotBelowMatchesLoop(t *testing.T) {
+	t.Logf("AVX kernel in use: %v", useAVX)
+	rng := NewRNG(41)
+	inf, nan := math.Inf(1), math.NaN()
+	for _, floor := range []float64{1.5, 0, math.Copysign(0, -1), -2.25, math.SmallestNonzeroFloat64, -math.MaxFloat64 / 2, math.MaxFloat64} {
+		below := math.Nextafter(floor, -inf)
+		stops := []float64{floor, math.Nextafter(floor, inf), inf, -inf, nan, math.Float64frombits(0xfff0000000000001), math.MaxFloat64}
+		passes := []float64{below, -math.MaxFloat64}
+		for n := 0; n <= 67; n++ {
+			for _, off := range []int{0, 1, 3} {
+				x := make([]float64, off+n)[off:]
+				for i := range x {
+					x[i] = below - math.Abs(rng.NormFloat64()) // finite: |below| <= MaxFloat64 absorbs it
+				}
+				if got := sameFirst(t, "all below", x, floor); got != n {
+					t.Fatalf("floor %v: %d scores all below it: got %d", floor, n, got)
+				}
+				for p := range x {
+					old := x[p]
+					for _, v := range stops {
+						x[p] = v
+						if got := sameFirst(t, "planted stop", x, floor); got != p {
+							t.Fatalf("floor %v, n=%d off=%d: %v (%#x) at %d: got %d", floor, n, off, v, math.Float64bits(v), p, got)
+						}
+					}
+					for _, v := range passes {
+						x[p] = v
+						if got := sameFirst(t, "planted pass", x, floor); got != n {
+							t.Fatalf("floor %v, n=%d off=%d: %v at %d is below the floor: got %d", floor, n, off, v, p, got)
+						}
+					}
+					x[p] = old
+				}
+				if n == 0 {
+					continue
+				}
+				// Two survivors: the first one wins, whatever lane the
+				// second shares with it.
+				x[n-1], x[n/2] = floor, nan
+				if got := sameFirst(t, "two stops", x, floor); got != n/2 {
+					t.Fatalf("floor %v, n=%d: stops at %d and %d: got %d", floor, n, n/2, n-1, got)
+				}
+			}
+		}
+	}
+	for n := 0; n <= 67; n++ {
+		x := randF64(rng, n)
+		for i := range x {
+			if i%5 == 0 {
+				x[i] = math.Copysign(math.MaxFloat64, x[i])
+			}
+		}
+		if got := sameFirst(t, "floor -Inf", x, -inf); got != 0 {
+			t.Fatalf("floor -Inf over %d finite scores: got %d", n, got)
+		}
+		if got := sameFirst(t, "floor NaN", x, nan); got != 0 {
+			t.Fatalf("floor NaN over %d finite scores: got %d", n, got)
+		}
+		if got := sameFirst(t, "floor +Inf", x, inf); got != n {
+			t.Fatalf("floor +Inf over %d finite scores: got %d", n, got)
+		}
+		for p := range x {
+			old := x[p]
+			for _, v := range []float64{inf, -inf, nan} {
+				x[p] = v
+				if got := sameFirst(t, "floor +Inf, non-finite", x, inf); got != p {
+					t.Fatalf("floor +Inf, n=%d: %v at %d: got %d", n, v, p, got)
+				}
+			}
+			x[p] = old
+		}
+	}
+}
+
+// FuzzFirstNotBelow feeds raw float64 bit patterns through the predicate
+// and the portable loop. The first byte picks the slice's offset parity,
+// the next eight the floor; the rest are the scores.
+func FuzzFirstNotBelow(f *testing.F) {
+	seed := func(off byte, words ...uint64) {
+		buf := []byte{off}
+		for _, w := range words {
+			buf = binary.LittleEndian.AppendUint64(buf, w)
+		}
+		f.Add(buf)
+	}
+	const (
+		one, two, negZero, inf, negInf = 0x3ff0000000000000, 0x4000000000000000, 0x8000000000000000, 0x7ff0000000000000, 0xfff0000000000000
+		nan, sub, belowTwo, negNaN     = 0x7ff8000000000001, 0x0000000000000001, 0x3fffffffffffffff, 0xfff8000000000000
+	)
+	seed(0, two, one, belowTwo, two, one, one, one, one, one, belowTwo, two) // a tie in lane 2, and one in the tail
+	seed(1, two, 0, one, one, one, belowTwo, negInf, one, one, one)          // -Inf in the second group
+	seed(0, two, one, sub, negZero, negNaN, one, one, one, one)              // a NaN in lane 3
+	seed(1, negInf, 0, one, one, one, one)                                   // the heap not yet full
+	seed(0, inf, one, two, one, two, one, two, one, inf)                     // +Inf floor: only the non-finite
+	seed(0, nan, one, one, one, one)                                         // NaN floor
+	seed(0, two, one, one, one, one, one, one, one, one, one, one)           // none
+	seed(1, two)                                                             // empty
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 9 {
+			return
+		}
+		off := int(data[0] % 2)
+		floor := math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))
+		x := make([]float64, 0, len(data)/8)
+		for data = data[9:]; len(data) >= 8; data = data[8:] {
+			x = append(x, math.Float64frombits(binary.LittleEndian.Uint64(data)))
+		}
+		if len(x) < off {
+			return
+		}
+		for x = x[off:]; ; { // every survivor in turn, as the selector walks a tile
+			i := sameFirst(t, "fuzz", x, floor)
+			if i == len(x) {
+				return
+			}
+			x = x[i+1:]
+		}
+	})
+}
+
 // BenchmarkScanF64F32 is the in-package twin of the ledger's
 // score.scan_f32_us: the benchmark catalog's 26 744 items at d = 16, and
-// a ragged d = 18 where every row ends in a two-element scalar tail.
+// a ragged d = 18 where every row ends in a two-element tail. kernel and
+// portable scan the catalog in one call into a 214 KB row; tiles scans it
+// as score.Engine.sweep does, 53 calls of at most 512 rows into one 4 KB
+// buffer that stays in L1 — the shape the exact shard serves.
 func BenchmarkScanF64F32(b *testing.B) {
-	const n = 26744
+	const n, tile = 26744, 512
 	rng := NewRNG(1)
 	for _, d := range []int{16, 18} {
 		u := make([]float64, d)
@@ -391,7 +553,16 @@ func BenchmarkScanF64F32(b *testing.B) {
 		for _, impl := range []struct {
 			name string
 			scan func(u []float64, v, b []float32, out []float64)
-		}{{"kernel", ScanF64F32}, {"portable", scanGo}} {
+		}{
+			{"kernel", ScanF64F32},
+			{"tiles", func(u []float64, v, b []float32, out []float64) {
+				for lo := 0; lo < n; lo += tile {
+					hi := min(lo+tile, n)
+					ScanF64F32(u, v[lo*d:hi*d], b[lo:hi], out[:hi-lo])
+				}
+			}},
+			{"portable", scanGo},
+		} {
 			b.Run(fmt.Sprintf("%s/d=%d", impl.name, d), func(b *testing.B) {
 				b.SetBytes(int64(4 * (len(v) + len(bias))))
 				for i := 0; i < b.N; i++ {
@@ -401,6 +572,36 @@ func BenchmarkScanF64F32(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFirstNotBelow walks one 512-score tile from survivor to
+// survivor, as rank.Selector.OfferRun does, with the floor where a full
+// heap of 10 over a 26 744-item catalog leaves it: about one score in a
+// thousand at or above it.
+func BenchmarkFirstNotBelow(b *testing.B) {
+	const tile = 512
+	x := randF64(NewRNG(2), tile)
+	const floor = 3.09 // the standard normal's 99.9th percentile
+	for _, impl := range []struct {
+		name  string
+		first func(x []float64, floor float64) int
+	}{{"kernel", FirstNotBelow}, {"portable", firstNotBelowGo}} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.SetBytes(8 * tile)
+			survivors := 0
+			for i := 0; i < b.N; i++ {
+				for j := 0; ; j++ {
+					if j += impl.first(x[j:], floor); j == tile {
+						break
+					}
+					survivors++
+				}
+			}
+			benchSurvivors = survivors
+		})
+	}
+}
+
+var benchSurvivors int
 
 // BenchmarkScanF64 is the in-package twin of the ledger's
 // score.scan_f64_us, at BenchmarkScanF64F32's two shapes.

@@ -49,6 +49,24 @@ func scanF64Go(u, v, b, out []float64) {
 	}
 }
 
+// FirstNotBelow returns the index of the first x[i] that is not a finite
+// value below floor — a score at or above it, a tie included, or a NaN or
+// ±Inf whatever the floor — and len(x) when there is none. It is the jump
+// between the survivors of a top-k scan: against rank.Selector's floor,
+// exactly the scores Offer would push or count. A NaN floor stops at 0.
+func FirstNotBelow(x []float64, floor float64) int { return firstNotBelow(x, floor) }
+
+// firstNotBelowGo is FirstNotBelow's specification, and its body wherever
+// the AVX kernel is not available.
+func firstNotBelowGo(x []float64, floor float64) int {
+	for i, v := range x {
+		if !(v < floor) || v-v != 0 {
+			return i
+		}
+	}
+	return len(x)
+}
+
 // AXPY computes dst[i] += alpha*x[i] in place.
 func AXPY(alpha float64, x, dst []float64) {
 	for i, v := range x {

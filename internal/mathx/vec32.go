@@ -22,13 +22,16 @@ import "fmt"
 // is how the catalog scan runs on amd64 (scan_amd64.s): convert four
 // float32 to float64, multiply by the user chunk, add into the lanes — a
 // separate multiply and add, never a fused one, because DotF64F32 as
-// compiled for amd64 rounds the product before adding and FMA would not.
-// Written in Go the same loop is a scalar convert + multiply + add per
-// element behind a call per row — 12.8 ns an item at d = 16 against the
-// kernel's 4.9 (BenchmarkScanF64F32) — which is why the float32 scan used
-// to lose to the float64 one it halves the memory traffic of. DotF32 and
-// DotF64F32 stay scalar: DotF32's callers score one row at a time
-// (Factors32.Score) and DotF64F32 is the scan's specification.
+// compiled for amd64 rounds the product before adding and FMA would not —
+// for four rows at a time, which share the user chunk's load and one
+// reduce and whose adds do not wait on one another. Written in Go the
+// same loop is a scalar convert + multiply + add per element behind a
+// call per row — 12.8 ns an item at d = 16 against the kernel's ~2 in the
+// tile-sized calls the serve path makes (BenchmarkScanF64F32) — which is
+// why the float32 scan used to lose to the float64 one it halves the
+// memory traffic of. DotF32 and DotF64F32 stay scalar: DotF32's callers
+// score one row at a time (Factors32.Score) and DotF64F32 is the scan's
+// specification.
 
 // DotF32 returns the inner product of two float32 vectors, accumulated in
 // float64. The slices must have equal length.
@@ -78,7 +81,8 @@ func DotF64F32(a []float64, b []float32) float64 {
 //
 // bit for bit, the bias term dropped when b is nil. v must hold exactly
 // n*d elements and a non-nil b exactly n; anything else is a caller bug
-// and panics before a single row is read.
+// and panics before a single row is read. On amd64 with AVX the rows are
+// scored four a pass by scan_amd64.s and the n mod 4 left over by scanGo.
 func ScanF64F32(u []float64, v, b []float32, out []float64) {
 	if len(v) != len(out)*len(u) || (b != nil && len(b) != len(out)) {
 		panic(fmt.Sprintf("mathx: ScanF64F32 over %d rows of %d: len(v) = %d, len(b) = %d", len(out), len(u), len(v), len(b)))

@@ -202,9 +202,10 @@ func (f *Factors32) ScoreAllFoldIn(userFactors []float64, out []float64) {
 // folded-in sweeps agree with the dense one to the last bit. It is the
 // representation's one item scan; the stored-user methods widen the user
 // row and call it. The loop itself is mathx.ScanF64F32 — per row
-// DotF64F32 plus the bias, bit for bit, as one AVX kernel on amd64 whose
-// four lanes are DotF64F32's four accumulators — so this scan, Score's
-// DotF32 and the IVF cell loop's DotF64F32 still produce the same bits.
+// DotF64F32 plus the bias, bit for bit, as one AVX kernel on amd64 that
+// takes four rows a pass, the four lanes of a row's register being
+// DotF64F32's four accumulators — so this scan, Score's DotF32 and the
+// IVF cell loop's ScanF64F32 still produce the same bits.
 func (f *Factors32) ScoreRangeFoldIn(userFactors []float64, lo, hi int, out []float64) {
 	checkTile(len(userFactors), f.dim, lo, hi, f.numItems, len(out))
 	var b []float32

@@ -14,9 +14,12 @@
 package rank
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sort"
+
+	"clapf/internal/mathx"
 )
 
 // Entry pairs an item index with its score.
@@ -100,9 +103,12 @@ func TopKEntriesDropped(es []Entry, k int) ([]Entry, int) {
 // result depends only on the set of offered (item, score) pairs.
 //
 // A Selector also carries the caller's exclusion list, which it consults
-// after the score, a tile at a time: OfferRun walks it with a merge
-// pointer beside a dense run of ids, OfferIDs searches it only for the
-// scattered ids whose scores survive the floor.
+// a tile at a time: OfferRun cuts a dense run of ids at each excluded one
+// with a merge pointer, OfferIDs searches it only for the scattered ids
+// whose scores survive the floor. Within a tile both jump from survivor
+// to survivor — mathx.FirstNotBelow against the floor, whose complement
+// is exactly "Offer does nothing" — so a below-floor score costs a
+// quarter of a vector compare, not a call.
 //
 // The zero Selector is not usable; build one with NewSelector. It is a
 // value so that it can live on the caller's stack.
@@ -164,7 +170,10 @@ func (s *Selector) push(item int32, score float64) {
 // OfferRun offers a dense run of scores — scores[j] belongs to item
 // first+j — skipping excluded ids with the merge pointer. The fused exact
 // scan feeds it one cache-resident tile at a time. The run is cut at each
-// excluded id, so between two of them the loop is Offer alone.
+// excluded id; between two of them the loop jumps from survivor to
+// survivor: mathx.FirstNotBelow finds the next score Offer would not
+// ignore (a finite score below the floor is all it ignores), Offer takes
+// it, and the floor is read again because that push may have raised it.
 func (s *Selector) OfferRun(first int32, scores []float64) {
 	for len(scores) > 0 {
 		s.skipTo(first)
@@ -172,8 +181,12 @@ func (s *Selector) OfferRun(first int32, scores []float64) {
 		if s.p < len(s.ex) && int(s.ex[s.p]-first) < n {
 			n = int(s.ex[s.p] - first)
 		}
-		for j, sc := range scores[:n] {
-			s.Offer(first+int32(j), sc)
+		run := scores[:n]
+		for j := 0; ; j++ {
+			if j += mathx.FirstNotBelow(run[j:], s.floor); j == n {
+				break
+			}
+			s.Offer(first+int32(j), run[j])
 		}
 		if n == len(scores) {
 			return
@@ -184,18 +197,18 @@ func (s *Selector) OfferRun(first int32, scores []float64) {
 
 // OfferIDs offers scores[j] for item ids[j], ids in any order — an IVF
 // cell's members lie hundreds of ids apart, where a merge pointer would
-// step the exclusion list once per candidate. Nearly every candidate of a
-// scan is a finite score below the floor, which Offer would reject
-// without counting, so that test comes first and the exclusion list is
-// searched only for the few that are left: the retained set and the
-// dropped count are those of skipping excluded ids up front.
+// step the exclusion list once per candidate. It is OfferRun's survivor
+// jump with the exclusion list searched only for the survivors, which are
+// few: the retained set and the dropped count are those of skipping
+// excluded ids up front.
 func (s *Selector) OfferIDs(ids []int32, scores []float64) {
-	for j, sc := range scores[:len(ids)] {
-		if sc < s.floor && sc-sc == 0 {
-			continue
+	scores = scores[:len(ids)]
+	for j := 0; ; j++ {
+		if j += mathx.FirstNotBelow(scores[j:], s.floor); j == len(scores) {
+			return
 		}
 		if _, excluded := slices.BinarySearch(s.ex, ids[j]); !excluded {
-			s.Offer(ids[j], sc)
+			s.Offer(ids[j], scores[j])
 		}
 	}
 }
@@ -290,14 +303,13 @@ func (t *Heap) Root() Entry { return t.h[0] }
 // toward the smaller item id) and returns them. The heap must not be used
 // afterwards.
 func (t *Heap) Finish() []Entry {
-	h := t.h
-	sort.Slice(h, func(i, j int) bool {
-		if h[i].Score != h[j].Score {
-			return h[i].Score > h[j].Score
+	slices.SortFunc(t.h, func(a, b Entry) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		return h[i].Item < h[j].Item
+		return cmp.Compare(a.Item, b.Item)
 	})
-	return h
+	return t.h
 }
 
 // Ranks returns, for each requested item, its 1-based rank within the score

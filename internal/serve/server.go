@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -722,14 +723,15 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
-	k, err := s.parseK(r)
+	q := r.URL.Query() // parsed once: every Query call parses the string again
+	k, err := s.parseK(q)
 	if err != nil {
 		s.httpError(ctx, w, http.StatusBadRequest, err)
 		return
 	}
 
-	userParam := r.URL.Query().Get("user")
-	itemsParam := r.URL.Query().Get("items")
+	userParam := q.Get("user")
+	itemsParam := q.Get("items")
 	switch {
 	case userParam != "" && itemsParam != "":
 		s.httpError(ctx, w, http.StatusBadRequest, fmt.Errorf("pass either user or items, not both"))
@@ -885,12 +887,13 @@ func (s *Server) topKColdStart(ctx context.Context, st *liveState, history []int
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	m := s.Params()
-	k, err := s.parseK(r)
+	q := r.URL.Query()
+	k, err := s.parseK(q)
 	if err != nil {
 		s.httpError(ctx, w, http.StatusBadRequest, err)
 		return
 	}
-	itemParam := r.URL.Query().Get("item")
+	itemParam := q.Get("item")
 	i64, err := strconv.ParseInt(itemParam, 10, 32)
 	if err != nil || i64 < 0 || int(i64) >= m.NumItems() {
 		s.httpError(ctx, w, http.StatusBadRequest, fmt.Errorf("invalid item %q", itemParam))
@@ -906,8 +909,8 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(ctx, w, http.StatusOK, RecommendResponse{Items: toItems(sims)})
 }
 
-func (s *Server) parseK(r *http.Request) (int, error) {
-	kParam := r.URL.Query().Get("k")
+func (s *Server) parseK(q url.Values) (int, error) {
+	kParam := q.Get("k")
 	if kParam == "" {
 		return 10, nil
 	}

@@ -110,8 +110,9 @@ echo "batch-ivf gate ok"
 # fold-in and batch, over float64, float32 and overlaid parameters — and
 # SearchCells at full probe width return the entries and the dropped count
 # of rank.TopKDropped over the materialised row, planted NaN/±Inf rows and
-# cross-tile ties included, and the selector itself matches a naive
-# full-sort oracle; the index build's assignment step matches the plain
+# cross-tile ties included, the selector itself matches a naive full-sort
+# oracle, and its two tile loops (OfferRun, OfferIDs), which jump between
+# survivors, match Offer called per item; the index build's assignment step matches the plain
 # mathx.Dot loop bit for bit, and ProbeCells' threshold selection a full
 # sort of the affinities. Allocation: an exact-mode miss through the
 # handler allocates nothing proportional to NumItems, and an IVF miss only
@@ -124,7 +125,7 @@ echo "batch-ivf gate ok"
 # index before it takes the feedback sink's lock. -count=1 defeats the
 # test cache so the gate always actually runs.
 go test -race -count=1 -run '^Test(FusedTopKBitIdentical|ScoreAllIsFoldInOfUserVector)$' ./internal/score
-go test -race -count=1 -run '^TestSelectorMatchesNaive$' ./internal/rank
+go test -race -count=1 -run '^Test(SelectorMatchesNaive|OfferRunAndOfferIDsMatchOffer)$' ./internal/rank
 retrieval_gate='^Test(SearchCellsMatchesTwoPass|NearestMatchesDot|ProbeCellsMatchesFullSort|WrongLengthQueryPanics|MissAllocatesOnlyItsResults|BuildIVFSameAcrossWorkers|IndexesMatchesOnlyItsOwnItems)$'
 go test -race -count=1 -run "$retrieval_gate" ./internal/retrieval
 go test -race -count=1 -cpu 1,4 -run "$retrieval_gate" ./internal/retrieval
@@ -132,27 +133,32 @@ go test -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcros
 echo "fused exact-scan gate ok"
 
 # Scan kernel gate: the catalog scans (mathx.ScanF64 over float64 rows,
-# mathx.ScanF64F32 over float32 rows) are AVX kernels on amd64 and Go
-# loops elsewhere, and the Go loops are the specification. By name, for
-# each: kernel == loop by Float64bits over every d in 1..67, tile-edge row
-# counts (and, for ScanF64, every count of rows left over from its four a
-# pass), odd offsets and the IEEE specials; scan == the single-row kernel
-# the other paths call (mathx.Dot; DotF64F32 == DotF32); a short v, b or
-# out panics before a pointer is taken; and a few seconds of raw bit
-# patterns through both bodies. go vet's asmdecl checks the assembly's
-# frames against their Go declarations. The arm64 cross-build keeps the
-# portable bodies compiling (offline: no cgo, no downloads). The kernels
-# never fuse multiply and add because the compiled Dot and DotF64F32 do
-# not; at GOAMD64=v3 the compiler is allowed to, so where the host can run
-# a v3 binary the bit tests run at that level too — if one ever fails
-# there, the kernel must not be selected in that build.
-# There is one .s file and one scan per element width, both in
-# internal/mathx: another of either is another kernel to keep
-# bit-identical.
+# mathx.ScanF64F32 over float32 rows) and the selector's floor predicate
+# (mathx.FirstNotBelow) are AVX kernels on amd64 and Go loops elsewhere,
+# and the Go loops are the specification. By name, for each scan: kernel
+# == loop by Float64bits over every d in 1..67, tile-edge row counts and
+# every count of rows left over from its four a pass, odd offsets and the
+# IEEE specials in every row of a pass; scan == the single-row kernel the
+# other paths call (mathx.Dot; DotF64F32 == DotF32); a short v, b or out
+# panics before a pointer is taken. For the predicate: kernel == loop over
+# every length in 0..67, every lane, odd offsets, a tie with the floor
+# (returned), one ulp below it (not), NaN and ±Inf scores and floors. And
+# a few seconds of raw bit patterns through both bodies of all three.
+# go vet's asmdecl checks the assembly's frames against their Go
+# declarations. The arm64 cross-build keeps the portable bodies compiling
+# (offline: no cgo, no downloads). The kernels never fuse multiply and add
+# because the compiled Dot and DotF64F32 do not; at GOAMD64=v3 the
+# compiler is allowed to, so where the host can run a v3 binary the bit
+# tests run at that level too — if one ever fails there, the kernel must
+# not be selected in that build.
+# There is one .s file: one scan per element width and one floor
+# predicate, all in internal/mathx/scan_amd64.s. Another of either is
+# another kernel to keep bit-identical.
 go test -count=1 -run '^TestScanF64F32(MatchesPortable|IsDotF64F32|ShortSlicePanics)$' ./internal/mathx
-go test -count=1 -run '^TestScanF64(MatchesPortable|IsDot|ShortSlicePanics)$' ./internal/mathx
+go test -count=1 -run '^Test(ScanF64(MatchesPortable|IsDot|ShortSlicePanics)|FirstNotBelowMatchesLoop)$' ./internal/mathx
 go test -run='^$' -fuzz='^FuzzScanF64F32$' -fuzztime=5s ./internal/mathx
 go test -run='^$' -fuzz='^FuzzScanF64$' -fuzztime=5s ./internal/mathx
+go test -run='^$' -fuzz='^FuzzFirstNotBelow$' -fuzztime=5s ./internal/mathx
 go vet ./internal/mathx
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/mathx ./internal/mf ./internal/retrieval
@@ -161,7 +167,7 @@ for flag in avx2 fma bmi2 movbe; do
 	grep -qw "$flag" /proc/cpuinfo 2>/dev/null || v3=no
 done
 if [ "$v3" = yes ]; then
-	GOAMD64=v3 go test -count=1 -run '^TestScanF64(F32)?(MatchesPortable|IsDotF64F32|IsDot)$' ./internal/mathx
+	GOAMD64=v3 go test -count=1 -run '^Test(ScanF64(F32)?(MatchesPortable|IsDotF64F32|IsDot)|FirstNotBelowMatchesLoop)$' ./internal/mathx
 fi
 if find . -name '*.s' -not -path './.bench_build/*' | grep -v '^\./internal/mathx/scan_amd64\.s$' ||
 	grep -rnE --include='*.go' --exclude='*_test.go' 'func [A-Za-z]*Scan[A-Za-z0-9]*F(32|64)' . |
