@@ -2,6 +2,7 @@ package clapf
 
 import (
 	"io"
+	"slices"
 
 	"clapf/internal/core"
 	"clapf/internal/datagen"
@@ -11,6 +12,7 @@ import (
 	"clapf/internal/mf"
 	"clapf/internal/rank"
 	"clapf/internal/sampling"
+	"clapf/internal/score"
 	"clapf/internal/store"
 )
 
@@ -203,22 +205,13 @@ func Evaluate(s Scorer, train, test *Dataset, opts EvalOptions) Result {
 }
 
 // Recommendation is one ranked item with its predicted score.
-type Recommendation struct {
-	Item  int32
-	Score float64
-}
+type Recommendation = rank.Entry
 
 // Recommend returns the top-k unobserved items for user u under the model,
 // best first — the serving-path call of §4.3.
 func Recommend(m *Model, train *Dataset, u int32, k int) []Recommendation {
-	scores := make([]float64, m.NumItems())
-	m.ScoreAll(u, scores)
-	top := rank.TopK(scores, k, func(i int32) bool { return train.IsPositive(u, i) })
-	out := make([]Recommendation, len(top))
-	for idx, e := range top {
-		out[idx] = Recommendation{Item: e.Item, Score: e.Score}
-	}
-	return out
+	top, _ := score.NewEngine(m).TopK(u, k, train.Positives(u))
+	return top
 }
 
 // RatingFormat names a supported on-disk ratings layout for LoadRatings.
@@ -256,31 +249,15 @@ func FoldInUser(m *Model, history []int32, reg float64) ([]float64, error) {
 // RecommendFoldIn returns top-k items for a folded-in user vector,
 // excluding the history itself.
 func RecommendFoldIn(m *Model, userFactors []float64, history []int32, k int) []Recommendation {
-	seen := make(map[int32]bool, len(history))
-	for _, it := range history {
-		seen[it] = true
-	}
-	scores := make([]float64, m.NumItems())
-	m.ScoreAllFoldIn(userFactors, scores)
-	top := rank.TopK(scores, k, func(i int32) bool { return seen[i] })
-	out := make([]Recommendation, len(top))
-	for idx, e := range top {
-		out[idx] = Recommendation{Item: e.Item, Score: e.Score}
-	}
-	return out
+	exclude := slices.Clone(history)
+	slices.Sort(exclude)
+	top, _ := score.NewEngine(m).TopKFoldIn(userFactors, k, exclude)
+	return top
 }
 
 // SimilarItems returns the k nearest items to item i by factor cosine.
 func SimilarItems(m *Model, i int32, k int) ([]Recommendation, error) {
-	es, err := mf.SimilarItems(m, i, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Recommendation, len(es))
-	for idx, e := range es {
-		out[idx] = Recommendation{Item: e.Item, Score: e.Score}
-	}
-	return out, nil
+	return mf.SimilarItems(m, i, k)
 }
 
 // Objective is what a Trainer optimizes: which item rows a step touches

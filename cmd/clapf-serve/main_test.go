@@ -374,13 +374,16 @@ func TestRunFeedbackComposesWithFloat32(t *testing.T) {
 	requireServed(base, 0, 0, 0, 0, 0)
 	post(base, first)
 	deadline := time.Now().Add(10 * time.Second)
-	for health(t, base).Feedback.FoldedSeq != n1 {
+	// The promoter counts an outcome after its install has returned, so
+	// the folded watermark alone can be seen a moment before the count.
+	h := health(t, base)
+	for h.Feedback.FoldedSeq != n1 || h.Feedback.Promotions[feedback.PromoteOK] == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("log never folded: %+v", *health(t, base).Feedback)
+			t.Fatalf("log never folded: %+v", *h.Feedback)
 		}
 		time.Sleep(10 * time.Millisecond)
+		h = health(t, base)
 	}
-	h := health(t, base)
 	if ok := h.Feedback.Promotions[feedback.PromoteOK]; ok == 0 || h.ModelGeneration != ok {
 		t.Fatalf("generation %d after promotions %v", h.ModelGeneration, h.Feedback.Promotions)
 	}

@@ -134,10 +134,5 @@ func (p *popFallback) topK(user *int32, history []int32, k int) ([]serve.Item, b
 	default:
 		return nil, false
 	}
-	top := rank.TopK(p.scores, k, exclude)
-	items := make([]serve.Item, len(top))
-	for i, e := range top {
-		items[i] = serve.Item{Item: e.Item, Score: e.Score}
-	}
-	return items, true
+	return rank.TopK(p.scores, k, exclude), true
 }

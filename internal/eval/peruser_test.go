@@ -8,6 +8,7 @@ import (
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
+	"clapf/internal/score"
 )
 
 // TestFloat32ParityWithFloat64 is the float32 serving representation's
@@ -46,7 +47,7 @@ func TestFloat32ParityWithFloat64(t *testing.T) {
 	train, test := dataset.Split(w.Data, mathx.NewRNG(12), 0.8)
 
 	prec64, ndcg64 := PerUserAtK(m, train, test, 5)
-	prec32, ndcg32 := PerUserAtK(mf.QuantizeF32(m), train, test, 5)
+	prec32, ndcg32 := PerUserAtK(score.NewEngine(mf.QuantizeF32(m)), train, test, 5)
 
 	// PerUserAtK's own contract: one matched sample per evaluated user,
 	// whose means are Evaluate's aggregates.

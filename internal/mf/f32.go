@@ -164,48 +164,14 @@ func (f *Factors32) Score(u, i int32) float64 {
 	return mathx.DotF32(f.userRow(u), f.itemRow(i)) + f.Bias(i)
 }
 
-// ScoreAll fills out[i] with f_ui for every item; out must have length
-// NumItems. Mirrors Model.ScoreAll with half the memory traffic.
-func (f *Factors32) ScoreAll(u int32, out []float64) {
-	if len(out) != f.numItems {
-		panic(fmt.Sprintf("mf: ScoreAll buffer has length %d, want %d", len(out), f.numItems))
-	}
-	f.ScoreRange(u, 0, f.numItems, out)
-}
-
-// ScoreRange fills the tile out (len(out) == hi-lo, out[j] is item lo+j)
-// with exactly the values ScoreAll computes — same kernel, same
-// accumulation order — for callers that tile one stored user's scan.
-//
-// It widens the (tiny) user row to float64 and runs the representation's
-// one item scan under it. The results are bit-identical to a DotF32 sweep
-// — widening is exact and DotF32, DotF64F32 and the scan kernel share one
-// accumulator structure — so every float32 path agrees to the last bit.
-// Beyond 64 dimensions the widened row is allocated, once per call: a
-// caller with many tiles per user (score.Engine.ScoreUsers) widens once
-// with UserVector and tiles through ScoreRangeFoldIn instead.
-func (f *Factors32) ScoreRange(u int32, lo, hi int, out []float64) {
-	var ufbuf [64]float64
-	f.ScoreRangeFoldIn(mathx.WidenF32(f.userRow(u), ufbuf[:0]), lo, hi, out)
-}
-
-// ScoreAllFoldIn scores every item under a folded-in float64 user vector.
-func (f *Factors32) ScoreAllFoldIn(userFactors []float64, out []float64) {
-	if len(out) != f.numItems {
-		panic(fmt.Sprintf("mf: ScoreAllFoldIn buffer has length %d, want %d", len(out), f.numItems))
-	}
-	f.ScoreRangeFoldIn(userFactors, 0, f.numItems, out)
-}
-
 // ScoreRangeFoldIn fills the tile out (len(out) == hi-lo, out[j] is item
-// lo+j) with exactly the values ScoreAllFoldIn computes, so blocked
-// folded-in sweeps agree with the dense one to the last bit. It is the
-// representation's one item scan; the stored-user methods widen the user
-// row and call it. The loop itself is mathx.ScanF64F32 — per row
-// DotF64F32 plus the bias, bit for bit, as one AVX kernel on amd64 that
-// takes four rows a pass, the four lanes of a row's register being
-// DotF64F32's four accumulators — so this scan, Score's DotF32 and the
-// IVF cell loop's ScanF64F32 still produce the same bits.
+// lo+j) with the scores of items [lo, hi) under a float64 user vector. It
+// is the representation's one item scan; a stored user is scored under
+// UserVector(u), which widens the row exactly. The loop is
+// mathx.ScanF64F32 — per row DotF64F32 plus the bias, bit for bit, as one
+// AVX kernel on amd64 that takes four rows a pass, the four lanes of a
+// row's register being DotF64F32's four accumulators — so this scan,
+// Score's DotF32 and the IVF cell loop's ScanF64F32 produce the same bits.
 func (f *Factors32) ScoreRangeFoldIn(userFactors []float64, lo, hi int, out []float64) {
 	checkTile(len(userFactors), f.dim, lo, hi, f.numItems, len(out))
 	var b []float32

@@ -21,8 +21,8 @@ func sampleF32Model(t *testing.T, seed uint64, useBias bool) (*Model, *Factors32
 }
 
 // TestF32ScoringConsistency pins the internal bit-consistency contract:
-// every float32 scoring entry point — Score, ScoreAll, ScoreRange, and
-// fold-in scoring through the widened user row — returns identical bits
+// both float32 scoring entry points — Score, and the item scan under the
+// widened user row, whole or cut into ragged tiles — return identical bits
 // for the same (user, item). This is the invariant that makes single and
 // batch serving, and exact and full-probe IVF retrieval, byte-comparable
 // over float32 factors.
@@ -31,22 +31,21 @@ func TestF32ScoringConsistency(t *testing.T) {
 		_, f := sampleF32Model(t, 21, useBias)
 		n := f.NumItems()
 		all := make([]float64, n)
-		rng := make([]float64, n)
-		fold := make([]float64, n)
+		tiled := make([]float64, n)
 		for u := int32(0); u < int32(f.NumUsers()); u++ {
-			f.ScoreAll(u, all)
-			f.ScoreRange(u, 0, n, rng)
-			f.ScoreAllFoldIn(f.UserVector(u, nil), fold)
+			uf := f.UserVector(u, nil)
+			f.ScoreRangeFoldIn(uf, 0, n, all)
+			for lo := 0; lo < n; lo += 5 {
+				hi := min(lo+5, n)
+				f.ScoreRangeFoldIn(uf, lo, hi, tiled[lo:hi])
+			}
 			for i := 0; i < n; i++ {
 				s := f.Score(u, int32(i))
 				if math.Float64bits(all[i]) != math.Float64bits(s) {
-					t.Fatalf("bias=%v u=%d i=%d: ScoreAll %v != Score %v", useBias, u, i, all[i], s)
+					t.Fatalf("bias=%v u=%d i=%d: whole scan %v != Score %v", useBias, u, i, all[i], s)
 				}
-				if math.Float64bits(rng[i]) != math.Float64bits(s) {
-					t.Fatalf("bias=%v u=%d i=%d: ScoreRange %v != Score %v", useBias, u, i, rng[i], s)
-				}
-				if math.Float64bits(fold[i]) != math.Float64bits(s) {
-					t.Fatalf("bias=%v u=%d i=%d: fold-in %v != Score %v", useBias, u, i, fold[i], s)
+				if math.Float64bits(tiled[i]) != math.Float64bits(s) {
+					t.Fatalf("bias=%v u=%d i=%d: tiled scan %v != Score %v", useBias, u, i, tiled[i], s)
 				}
 			}
 		}
@@ -58,13 +57,14 @@ func TestF32ScoringConsistency(t *testing.T) {
 func TestF32ScoreRangeWindow(t *testing.T) {
 	_, f := sampleF32Model(t, 22, true)
 	n := f.NumItems()
+	uf := f.UserVector(3, nil)
 	full := make([]float64, n)
-	f.ScoreAll(3, full)
+	f.ScoreRangeFoldIn(uf, 0, n, full)
 	part := make([]float64, n)
 	for i := range part {
 		part[i] = math.Inf(-1)
 	}
-	f.ScoreRange(3, 4, 9, part[4:9])
+	f.ScoreRangeFoldIn(uf, 4, 9, part[4:9])
 	for i := 0; i < n; i++ {
 		if i >= 4 && i < 9 {
 			if part[i] != full[i] {

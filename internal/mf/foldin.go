@@ -64,20 +64,11 @@ func (m *Model) ScoreFoldIn(userFactors []float64, i int32) float64 {
 	return mathx.Dot(userFactors, m.ItemFactors(i)) + m.Bias(i)
 }
 
-// ScoreAllFoldIn fills out with scores for every item under a folded-in
-// user vector; out must have length NumItems.
-func (m *Model) ScoreAllFoldIn(userFactors []float64, out []float64) {
-	if len(out) != m.numItems {
-		panic(fmt.Sprintf("mf: ScoreAllFoldIn buffer has length %d, want %d", len(out), m.numItems))
-	}
-	m.ScoreRangeFoldIn(userFactors, 0, m.numItems, out)
-}
-
 // ScoreRangeFoldIn fills the tile out (len(out) == hi-lo, out[j] is item
-// lo+j) with the scores of items [lo, hi) under a folded-in user vector —
-// ScoreFoldIn's values. It is the model's one item scan: ScoreAll,
-// ScoreRange and ScoreAllFoldIn are this call under a stored or a supplied
-// user vector, which is what makes them agree bit for bit. The loop is
+// lo+j) with the scores of items [lo, hi) under a user vector —
+// ScoreFoldIn's values. It is the model's one item scan: a stored user is
+// scored by passing its row (ScoreAll does), a cold-start or overlaid user
+// by passing the folded-in one, so the two cannot disagree. The loop is
 // mathx.ScanF64 — mathx.Dot plus the bias per row.
 func (m *Model) ScoreRangeFoldIn(userFactors []float64, lo, hi int, out []float64) {
 	checkTile(len(userFactors), m.dim, lo, hi, m.numItems, len(out))

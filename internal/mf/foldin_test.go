@@ -133,10 +133,10 @@ func TestScoreAllFoldInMatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := make([]float64, m.NumItems())
-	m.ScoreAllFoldIn(uf, out)
+	m.ScoreRangeFoldIn(uf, 0, m.NumItems(), out)
 	for i := int32(0); int(i) < m.NumItems(); i++ {
 		if out[i] != m.ScoreFoldIn(uf, i) {
-			t.Fatalf("ScoreAllFoldIn[%d] mismatch", i)
+			t.Fatalf("ScoreRangeFoldIn[%d] mismatch", i)
 		}
 	}
 }

@@ -140,22 +140,13 @@ func (m *Model) Score(u, i int32) float64 {
 
 // ScoreAll fills out[i] with f_ui for every item. out must have length
 // NumItems. This is the evaluation hot path (the protocol ranks all
-// unobserved items), so it streams through V once.
+// unobserved items, and eval.Scorer is this method), so it streams through
+// V once: the model's one item scan under the stored row U_u.
 func (m *Model) ScoreAll(u int32, out []float64) {
 	if len(out) != m.numItems {
 		panic(fmt.Sprintf("mf: ScoreAll buffer has length %d, want %d", len(out), m.numItems))
 	}
 	m.ScoreRangeFoldIn(m.UserFactors(u), 0, m.numItems, out)
-}
-
-// ScoreRange fills out — one tile, len(out) == hi-lo — with f_ui for items
-// in [lo, hi): out[j] is item lo+j. It computes exactly the values ScoreAll
-// would — same dot-product order, bit for bit — so blocked callers
-// (internal/score) can tile the item scan for cache locality, into a row's
-// window or a small reused buffer, without perturbing any ranking
-// downstream.
-func (m *Model) ScoreRange(u int32, lo, hi int, out []float64) {
-	m.ScoreRangeFoldIn(m.UserFactors(u), lo, hi, out)
 }
 
 // checkTile panics unless the user vector has the model's dimensionality,

@@ -9,27 +9,29 @@ import (
 
 // Overlay is an updatable per-user layer over a read-only Params: the
 // online-learning surface. The base representation (a trained Model or a
-// mapped Factors32 store) stays frozen; users touched by streaming
-// feedback get a replacement factor row — the output of a FoldInUser solve
-// over their extended history — and every scoring method routes those
-// users through the fold-in kernels while everyone else hits the base's
-// stored-user path untouched.
+// mapped Factors32 store) stays frozen and is embedded, so everything about
+// items — the scan, ItemVector, Bias, the shape — is the base's own method.
+// Users touched by streaming feedback get a replacement factor row — the
+// output of a FoldInUser solve over their extended history — which
+// UserVector returns in place of the base's; every scan runs under
+// UserVector(u), so that one method is the whole routing.
 //
 // Rows live at the base's precision: on a float32 base Set rounds the
 // float64 solve to float32 (and keeps it widened) before it stores it.
 // Because FoldInUser is a pure function of (item factors, deduped sorted
 // history, reg), an overlaid row is then exactly what Bake writes into the
-// user matrix of a promotion export — ScoreAllFoldIn(row) before the
-// promotion and ScoreAll(u) after it see the same bits — and exactly what
-// a post-crash replay recomputes: the property the feedback pipeline's
-// consistency proofs rest on. On a float64 base nothing is rounded.
+// user matrix of a promotion export — the scan under UserVector(u) sees the
+// same bits before the promotion (the overlaid row) and after it (the
+// stored one) — and exactly what a post-crash replay recomputes: the
+// property the feedback pipeline's consistency proofs rest on. On a
+// float64 base nothing is rounded.
 //
 // Rows are immutable once set: Set stores a private copy and replaces the
 // map entry, so a reader that picked up a row before a concurrent Set
 // keeps scoring a consistent vector. Reads take an RLock only for the map
 // lookup; the scan itself runs lock-free on the immutable row.
 type Overlay struct {
-	base Params
+	Params // the base
 
 	mu   sync.RWMutex
 	rows map[int32][]float64
@@ -37,7 +39,7 @@ type Overlay struct {
 
 // NewOverlay returns an empty overlay on base.
 func NewOverlay(base Params) *Overlay {
-	return &Overlay{base: base, rows: make(map[int32][]float64)}
+	return &Overlay{Params: base, rows: make(map[int32][]float64)}
 }
 
 // ErrNonFiniteRow marks an overlay row refused for a NaN or ±Inf entry.
@@ -49,15 +51,15 @@ var ErrNonFiniteRow = errors.New("mf: non-finite overlay row")
 // scoring path. Rounding comes first, the scan second: a float64 solve
 // that overflows float32 is refused here, never baked as ±Inf.
 func (o *Overlay) Set(u int32, vec []float64) error {
-	if u < 0 || int(u) >= o.base.NumUsers() {
-		return fmt.Errorf("mf: overlay user %d out of range [0,%d)", u, o.base.NumUsers())
+	if u < 0 || int(u) >= o.NumUsers() {
+		return fmt.Errorf("mf: overlay user %d out of range [0,%d)", u, o.NumUsers())
 	}
-	if len(vec) != o.base.Dim() {
-		return fmt.Errorf("mf: overlay row has dim %d, want %d", len(vec), o.base.Dim())
+	if len(vec) != o.Dim() {
+		return fmt.Errorf("mf: overlay row has dim %d, want %d", len(vec), o.Dim())
 	}
 	row := make([]float64, len(vec))
 	copy(row, vec)
-	if o.base.ElemBytes() == 4 {
+	if o.ElemBytes() == 4 {
 		for i, x := range row {
 			row[i] = float64(float32(x))
 		}
@@ -65,7 +67,7 @@ func (o *Overlay) Set(u int32, vec []float64) error {
 	for _, x := range row {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return fmt.Errorf("%w: user %d has entry %v at the base's %d-byte precision",
-				ErrNonFiniteRow, u, x, o.base.ElemBytes())
+				ErrNonFiniteRow, u, x, o.ElemBytes())
 		}
 	}
 	o.mu.Lock()
@@ -78,7 +80,7 @@ func (o *Overlay) Set(u int32, vec []float64) error {
 // factors and installs the result — the one way a feedback event, an
 // overlay rebuild and a promotion export turn a history into a row.
 func (o *Overlay) FoldIn(u int32, history []int32, reg float64) error {
-	vec, err := FoldInUser(o.base, history, reg)
+	vec, err := FoldInUser(o.Params, history, reg)
 	if err != nil {
 		return err
 	}
@@ -93,7 +95,7 @@ func (o *Overlay) FoldIn(u int32, history []int32, reg float64) error {
 func (o *Overlay) Bake() (Params, error) {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	switch base := o.base.(type) {
+	switch base := o.Params.(type) {
 	case *Model:
 		out := base.Clone()
 		for u, row := range o.rows {
@@ -111,7 +113,7 @@ func (o *Overlay) Bake() (Params, error) {
 		}
 		return &out, nil
 	}
-	return nil, fmt.Errorf("mf: cannot bake an overlay over a %T", o.base)
+	return nil, fmt.Errorf("mf: cannot bake an overlay over a %T", o.Params)
 }
 
 // Len reports how many users currently have overlaid rows.
@@ -130,69 +132,19 @@ func (o *Overlay) Row(u int32) []float64 {
 	return row
 }
 
-// NumUsers returns the base's user count.
-func (o *Overlay) NumUsers() int { return o.base.NumUsers() }
-
-// NumItems returns the base's item count.
-func (o *Overlay) NumItems() int { return o.base.NumItems() }
-
-// Dim returns the base's latent dimensionality.
-func (o *Overlay) Dim() int { return o.base.Dim() }
-
-// HasBias reports whether the base has per-item biases.
-func (o *Overlay) HasBias() bool { return o.base.HasBias() }
-
-// Bias returns the base's b_i; item parameters are never overlaid.
-func (o *Overlay) Bias(i int32) float64 { return o.base.Bias(i) }
-
-// ScoreAll scores every item for u: overlaid users through the base's
-// fold-in kernel, everyone else through the stored-user kernel.
-func (o *Overlay) ScoreAll(u int32, out []float64) {
-	if row := o.Row(u); row != nil {
-		o.base.ScoreAllFoldIn(row, out)
-		return
-	}
-	o.base.ScoreAll(u, out)
-}
-
-// ScoreRange fills the tile out with the same values ScoreAll computes.
-func (o *Overlay) ScoreRange(u int32, lo, hi int, out []float64) {
-	if row := o.Row(u); row != nil {
-		o.base.ScoreRangeFoldIn(row, lo, hi, out)
-		return
-	}
-	o.base.ScoreRange(u, lo, hi, out)
-}
-
-// ScoreAllFoldIn delegates to the base: a fold-in caller already carries
-// its own user vector, so the overlay has nothing to add.
-func (o *Overlay) ScoreAllFoldIn(userFactors []float64, out []float64) {
-	o.base.ScoreAllFoldIn(userFactors, out)
-}
-
-// ScoreRangeFoldIn delegates to the base.
-func (o *Overlay) ScoreRangeFoldIn(userFactors []float64, lo, hi int, out []float64) {
-	o.base.ScoreRangeFoldIn(userFactors, lo, hi, out)
-}
-
 // UserVector returns the overlaid row when present, else the base's.
 func (o *Overlay) UserVector(u int32, dst []float64) []float64 {
 	if row := o.Row(u); row != nil {
 		return row
 	}
-	return o.base.UserVector(u, dst)
-}
-
-// ItemVector returns the base's V_i; item parameters are never overlaid.
-func (o *Overlay) ItemVector(i int32, dst []float64) []float64 {
-	return o.base.ItemVector(i, dst)
+	return o.Params.UserVector(u, dst)
 }
 
 // CountNonFinite scans the base plus every overlaid row. Set rejects
 // non-finite rows, so overlay contributions should always be zero; the
 // scan keeps the swap-time validation gate honest anyway.
 func (o *Overlay) CountNonFinite() (u, v, b int) {
-	u, v, b = o.base.CountNonFinite()
+	u, v, b = o.Params.CountNonFinite()
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	for _, row := range o.rows {
@@ -205,14 +157,10 @@ func (o *Overlay) CountNonFinite() (u, v, b int) {
 	return
 }
 
-// ElemBytes reports the base's storage width; overlaid rows are held
-// widened to float64 but are a vanishing fraction of the footprint.
-func (o *Overlay) ElemBytes() int { return o.base.ElemBytes() }
-
 // ParamBytes returns the base footprint plus the overlaid rows'.
 func (o *Overlay) ParamBytes() int64 {
 	o.mu.RLock()
 	n := len(o.rows)
 	o.mu.RUnlock()
-	return o.base.ParamBytes() + 8*int64(n)*int64(o.base.Dim())
+	return o.Params.ParamBytes() + 8*int64(n)*int64(o.Dim())
 }

@@ -1,12 +1,14 @@
 package mf
 
-// Params is the read-only scoring surface the serving stack works against.
-// Two implementations exist: *Model (the float64 training representation)
-// and *Factors32 (the half-width serving representation produced at export
-// time). Everything downstream of training — the blocked scoring engine,
-// the IVF index builder, fold-in, similar-items, and the HTTP server's
-// liveState — is generic over this interface, so a server can page in a
-// float32 store without the rest of the stack knowing.
+// Params is the read-only scoring surface the serving stack works against:
+// rows (UserVector, ItemVector, Bias) and one item scan (ScoreRangeFoldIn).
+// Three types implement it: *Model (the float64 training representation),
+// *Factors32 (the half-width serving representation produced at export
+// time) and *Overlay (either of them with some user rows replaced by
+// streaming feedback). Everything downstream of training — the blocked
+// scoring engine, the IVF index builder, fold-in, similar-items, and the
+// HTTP server's liveState — is generic over this interface, so a server
+// can page in a float32 store without the rest of the stack knowing.
 //
 // All scores are float64: float32 implementations widen each element and
 // accumulate in float64 (see internal/mathx), which keeps rankings
@@ -20,25 +22,12 @@ type Params interface {
 	// Bias returns b_i, or 0 when the model has no bias term.
 	Bias(i int32) float64
 
-	// ScoreAll fills out[i] with f_ui for every item; out must have
-	// length NumItems.
-	ScoreAll(u int32, out []float64)
-
-	// ScoreRange fills one tile — len(out) == hi-lo, out[j] is item
-	// lo+j — with the same values ScoreAll would, bit for bit, so blocked
-	// callers can tile the item scan into a window of a full row or into
-	// a small buffer they reuse.
-	ScoreRange(u int32, lo, hi int, out []float64)
-
-	// ScoreAllFoldIn scores every item under a folded-in float64 user
-	// vector; out must have length NumItems.
-	ScoreAllFoldIn(userFactors []float64, out []float64)
-
-	// ScoreRangeFoldIn fills one tile (len(out) == hi-lo) with the same
-	// values ScoreAllFoldIn would, bit for bit, so blocked callers can
-	// tile a folded-in scan the way ScoreRange tiles a stored-user scan.
-	// The online-update overlay routes updated users through it, and the
-	// fused exact top-K (score.Engine.TopK) scans every user through it.
+	// ScoreRangeFoldIn is the representation's one item scan: it fills
+	// one tile — len(out) == hi-lo, out[j] is item lo+j — with
+	// f_i = userFactors · V_i + b_i, the same bits whatever the tiling.
+	// A stored user is scored under UserVector(u); a cold-start or
+	// overlaid user under its folded-in vector. score.Engine tiles every
+	// scan — full rows, blocked batches, the fused top-K — through it.
 	ScoreRangeFoldIn(userFactors []float64, lo, hi int, out []float64)
 
 	// UserVector returns U_u as float64, reusing dst when it has

@@ -22,10 +22,12 @@ import (
 	"clapf/internal/mathx"
 )
 
-// Entry pairs an item index with its score.
+// Entry pairs an item index with its score. It is the one (item, score)
+// type from the selector to the wire: serve.Item and clapf.Recommendation
+// are aliases, so the tags are the /recommend body's field names.
 type Entry struct {
-	Item  int32
-	Score float64
+	Item  int32   `json:"item"`
+	Score float64 `json:"score"`
 }
 
 // TopK returns the k highest-scoring item indices, best first, skipping

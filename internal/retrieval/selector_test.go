@@ -67,7 +67,7 @@ func TestSearchCellsMatchesTwoPass(t *testing.T) {
 				t.Fatal(err)
 			}
 			for u := int32(0); u < int32(p.NumUsers()); u++ {
-				p.ScoreAll(u, scores)
+				eng.ScoreAll(u, scores)
 				uf := p.UserVector(u, nil)
 				cells := ix.ProbeCells(uf, ix.NLists())
 				for exName, ex := range excludes {

@@ -16,12 +16,13 @@
 // straight to a rank.Selector, so a request that keeps ten items never
 // allocates, writes or re-reads a NumItems-sized row.
 //
-// Both forms tile through mf.Params.ScoreRange/ScoreRangeFoldIn, which are
-// tile-relative (the output has length hi-lo): ScoreUsers hands them a
-// window of each row, the fused scan one small reused buffer. Every method
-// computes bit-identical values to mf.Model.ScoreAll — the per-item dot
-// products are the same operations in the same order — so swapping the
-// engine into a ranking path can never change a result, only its cost.
+// Both forms tile through mf.Params.ScoreRangeFoldIn — a parameter set's
+// one item scan, tile-relative (the output has length hi-lo) — under
+// UserVector(u): ScoreUsers hands it a window of each row, the fused scan
+// one small reused buffer. Every method computes bit-identical values to
+// mf.Model.ScoreAll — the per-item dot products are the same operations in
+// the same order — so swapping the engine into a ranking path can never
+// change a result, only its cost.
 package score
 
 import (
@@ -91,16 +92,17 @@ func NewEngine(m mf.Params, opts ...Option) *Engine {
 // Params returns the wrapped parameter set.
 func (e *Engine) Params() mf.Params { return e.m }
 
-// ScoreAll fills out with every item's score for user u — the single-user
-// path, satisfying eval.Scorer. Identical to the parameter set's ScoreAll.
-func (e *Engine) ScoreAll(u int32, out []float64) { e.m.ScoreAll(u, out) }
+// ScoreAll fills out, which must have length NumItems, with every item's
+// score for user u — the single-user path, satisfying eval.Scorer: one
+// untiled scan under UserVector(u).
+func (e *Engine) ScoreAll(u int32, out []float64) {
+	e.m.ScoreRangeFoldIn(e.m.UserVector(u, nil), 0, e.m.NumItems(), out)
+}
 
 // ScoreUsers fills out[i] with the full score row for users[i] using the
 // sequential blocked kernel: the item dimension is tiled so each tile of V
-// stays cache-resident across the whole batch. Like the fused scan it runs
-// each user through the fold-in kernel under UserVector(u), which every
-// representation scores bit-identically to ScoreRange(u). len(out) must be
-// at least len(users) and every row must have length NumItems.
+// stays cache-resident across the whole batch. len(out) must be at least
+// len(users) and every row must have length NumItems.
 func (e *Engine) ScoreUsers(users []int32, out [][]float64) {
 	if len(out) < len(users) {
 		panic(fmt.Sprintf("score: %d output rows for %d users", len(out), len(users)))
@@ -112,8 +114,7 @@ func (e *Engine) ScoreUsers(users []int32, out [][]float64) {
 		}
 	}
 	// One user vector per user, not per (tile × user): a float32 model
-	// widens its row to produce one, and allocates to do it once dim
-	// outgrows ScoreRange's stack buffer.
+	// allocates to widen its row.
 	ufs := make([][]float64, len(users))
 	for ui, u := range users {
 		ufs[ui] = e.m.UserVector(u, nil)
@@ -132,10 +133,7 @@ func (e *Engine) ScoreUsers(users []int32, out [][]float64) {
 // TopK returns user u's k best items outside excludeSorted (an ascending
 // id list, nil for none), best first, and how many scores were dropped for
 // being non-finite: entries and count are bit-identical to
-// rank.TopKDropped over ScoreAll(u), without the score row. The scan runs
-// under u's factor vector through the fold-in kernel — on every parameter
-// representation ScoreAll(u) and ScoreAllFoldIn(UserVector(u)) are the
-// same operations in the same order.
+// rank.TopKDropped over ScoreAll(u), without the score row.
 func (e *Engine) TopK(u int32, k int, excludeSorted []int32) ([]rank.Entry, int) {
 	return e.TopKFoldIn(e.m.UserVector(u, nil), k, excludeSorted)
 }

@@ -61,9 +61,8 @@ func TestScoreUsersMatchesScoreAll(t *testing.T) {
 	}
 }
 
-// A float32 model wider than Factors32.ScoreRange's 64-element stack
-// buffer allocates to widen a user row. The blocked kernel must pay that
-// once per user, not once per (tile × user).
+// A float32 model allocates to widen a user row. The blocked kernel must
+// pay that once per user, not once per (tile × user).
 func TestScoreUsersWidensOncePerUser(t *testing.T) {
 	const items, block = 200, 8 // 25 tiles
 	f := mf.QuantizeF32(testModel(t, 5, items, 96))
@@ -74,12 +73,10 @@ func TestScoreUsersWidensOncePerUser(t *testing.T) {
 	if want := float64(len(users) + 1); allocs > want { // the vectors and the slice holding them
 		t.Fatalf("ScoreUsers at dim 96 over %d tiles: %v allocations, want at most %v", items/block, allocs, want)
 	}
-	want := make([]float64, items)
 	for ui, u := range users {
-		f.ScoreAll(u, want)
-		for i, w := range want {
-			if math.Float64bits(out[ui][i]) != math.Float64bits(w) {
-				t.Fatalf("user %d item %d: batch %v != ScoreAll %v", u, i, out[ui][i], w)
+		for i, got := range out[ui] {
+			if w := f.Score(u, int32(i)); math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("user %d item %d: batch %v != Score %v", u, i, got, w)
 			}
 		}
 	}

@@ -94,13 +94,18 @@ func checkScanIsDotF32(t *testing.T, label string, f *mf.Factors32) {
 			for j, got := range out {
 				i := lo + j
 				want := mathx.DotF32(uRaw[int(u)*d:int(u+1)*d], vRaw[i*d:(i+1)*d]) + f.Bias(int32(i))
-				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+				if !sameBits(got, want) {
 					t.Fatalf("%s u=%d tile [%d,%d) item %d: scan %v (%#x), DotF32+bias %v (%#x)",
 						label, u, lo, hi, i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 			}
 		}
 	}
+}
+
+// sameBits is bit equality of two scores, any two NaNs counting as equal.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
 func sameTopK(t *testing.T, label string, got []rank.Entry, gotDropped int, want []rank.Entry, wantDropped int) {
@@ -176,7 +181,7 @@ func checkFused(t *testing.T, label string, p mf.Params) {
 	}
 	scoreable := 0
 	probe := make([]float64, n)
-	p.ScoreAll(0, probe)
+	e.ScoreAll(0, probe)
 	for _, s := range probe {
 		if !math.IsNaN(s) && !math.IsInf(s, 0) {
 			scoreable++
@@ -202,7 +207,7 @@ func checkFused(t *testing.T, label string, p mf.Params) {
 	var batch []TopKQuery
 	var batchWant []TopKResult
 	for u := int32(0); u < int32(p.NumUsers()); u++ {
-		p.ScoreAll(u, scores)
+		e.ScoreAll(u, scores)
 		for exName, ex := range excludes {
 			for _, k := range []int{0, 1, 2, 3, 10, scoreable + 5} {
 				want, wantDropped := twoPass(scores, k, ex)
@@ -230,10 +235,13 @@ func checkFused(t *testing.T, label string, p mf.Params) {
 	}
 }
 
-// TestScoreAllIsFoldInOfUserVector pins what lets the fused scan run every
-// user through the fold-in kernel: on all three representations
-// ScoreAll(u) and ScoreAllFoldIn(UserVector(u)) are the same bits.
-func TestScoreAllIsFoldInOfUserVector(t *testing.T) {
+// TestScanUnderUserVectorIsScore pins a parameter set's one item scan to
+// its one-pair scorer: on a *Model, a *Factors32, a mapped *Factors32 and
+// an *Overlay with a planted row, ScoreRangeFoldIn(UserVector(u)) is
+// Score(u, i) item by item, bit for bit — for the overlaid user, the
+// base's ScoreFoldIn of the planted row. Every serve and eval path scores
+// a stored user this way, so this is what they all agree with.
+func TestScanUnderUserVectorIsScore(t *testing.T) {
 	for _, dim := range []int{6, 16, 18} {
 		for _, useBias := range []bool{true, false} {
 			m := plantedModelDim(5, 300, dim, useBias)
@@ -246,15 +254,30 @@ func TestScoreAllIsFoldInOfUserVector(t *testing.T) {
 				t.Fatal(err)
 			}
 			f32 := mf.QuantizeF32(m)
-			for name, p := range map[string]mf.Params{"f64": m, "f32": f32, "f32-mapped": openMapped(t, f32), "overlay": ov} {
-				a, b := make([]float64, p.NumItems()), make([]float64, p.NumItems())
+			mapped := openMapped(t, f32)
+			for name, c := range map[string]struct {
+				p     mf.Params
+				score func(u, i int32) float64
+			}{
+				"f64":        {m, m.Score},
+				"f32":        {f32, f32.Score},
+				"f32-mapped": {mapped, mapped.Score},
+				"overlay": {ov, func(u, i int32) float64 {
+					if r := ov.Row(u); r != nil {
+						return m.ScoreFoldIn(r, i)
+					}
+					return m.Score(u, i)
+				}},
+			} {
+				p := c.p
+				scan := make([]float64, p.NumItems())
 				for u := int32(0); u < int32(p.NumUsers()); u++ {
-					p.ScoreAll(u, a)
-					p.ScoreAllFoldIn(p.UserVector(u, nil), b)
-					for i := range a {
-						if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-							t.Fatalf("%s dim=%d bias=%v u=%d item %d: ScoreAll %v, fold-in of the user vector %v",
-								name, dim, useBias, u, i, a[i], b[i])
+					p.ScoreRangeFoldIn(p.UserVector(u, nil), 0, p.NumItems(), scan)
+					for i, got := range scan {
+						want := c.score(u, int32(i))
+						if !sameBits(got, want) {
+							t.Fatalf("%s dim=%d bias=%v u=%d item %d: scan under the user vector %v (%#x), Score %v (%#x)",
+								name, dim, useBias, u, i, got, math.Float64bits(got), want, math.Float64bits(want))
 						}
 					}
 				}

@@ -50,16 +50,17 @@ type BatchResponse struct {
 
 // handleRecommendBatch serves many recommendations from one request. The
 // whole batch runs against a single liveState snapshot, so every entry
-// sees the same model generation — and the same retrieval mode: known-user
-// entries go through exactly the dispatch the single path uses
-// (topKForUser), so under IVF a batch probes the index per entry instead
-// of silently falling back to dense scoring, and every cache key carries
-// the mode. In exact mode the cache misses are additionally collected and
-// answered together by the engine's fused batch sweep, which reads each
-// tile of the item-factor matrix once for the whole batch instead of once
-// per user and keeps one top-K selector per entry instead of one score row
-// per user (the IVF path already reads only the probed cells, so there is
-// no shared sweep to batch).
+// sees the same model generation — and the same retrieval mode, through
+// the single path's own lookup, miss and fill, so under IVF a batch probes
+// the index per entry instead of silently falling back to dense scoring,
+// and every cache key carries the mode. The one thing a batch adds is in
+// exact mode: the cache misses are collected and answered together by the
+// engine's blocked sweep, which reads each tile of the item-factor matrix
+// once for the whole batch instead of once per user (at 32 users over
+// 26 744 items, half the time of a loop of single misses on float64 rows
+// and two thirds on float32) and keeps one top-K selector per entry. The
+// IVF path reads only the probed cells, so there is no shared sweep to
+// batch.
 func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	r.Body = http.MaxBytesReader(w, r.Body, maxBatchBody)
@@ -96,8 +97,7 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	// which member dragged it down; cold-start stages nest inside.
 	type pendingKnown struct {
 		idx int
-		u   int32
-		k   int
+		key cacheKey
 	}
 	var pending []pendingKnown
 	for idx := range req.Requests {
@@ -125,26 +125,18 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 				}
 				res.User = e.User
 				if st.mode == retrieval.ModeIVF {
-					// The single path's mode dispatch: cache (mode-keyed),
-					// probe, pruned score, cache fill — with the stage spans
-					// nested under this entry. Repeated users in one batch
-					// coalesce through the cache fill rather than a shared
-					// score row.
+					// No sweep to share: the entry is a single request, its
+					// stage spans nested under this entry. Repeated users in
+					// one batch coalesce through the cache fill.
 					res.Items = s.topKForUser(ectx, st, u, k)
 					return
 				}
-				sp := trace.StartSpanNoCtx(ectx, "cache")
-				items, ok := st.cache.get(cacheKey{user: u, k: k, mode: st.mode})
-				sp.End()
-				if ok {
-					s.cacheHits.Inc()
+				key := cacheKey{user: u, k: k, mode: st.mode}
+				if items, ok := s.lookup(ectx, st, key); ok {
 					res.Items = items
 					return
 				}
-				if st.cache != nil {
-					s.cacheMisses.Inc()
-				}
-				pending = append(pending, pendingKnown{idx: idx, u: u, k: k})
+				pending = append(pending, pendingKnown{idx: idx, key: key})
 			case len(e.Items) > 0:
 				history, err := dedupeIDs(e.Items, st.params.NumItems(), s.MaxHistory)
 				if err != nil {
@@ -170,10 +162,10 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	// stages attach to the request root, not to any single entry span.
 	if len(pending) > 0 {
 		sp := trace.StartSpanNoCtx(ctx, "merge")
-		slices.SortStableFunc(pending, func(a, b pendingKnown) int { return cmp.Compare(a.u, b.u) })
+		slices.SortStableFunc(pending, func(a, b pendingKnown) int { return cmp.Compare(a.key.user, b.key.user) })
 		queries := make([]score.TopKQuery, len(pending))
 		for i, p := range pending {
-			queries[i] = score.TopKQuery{User: p.u, K: p.k, ExcludeSorted: s.positivesFor(p.u)}
+			queries[i] = score.TopKQuery{User: p.key.user, K: p.key.k, ExcludeSorted: s.positivesFor(p.key.user)}
 		}
 		sp.End()
 		sp = trace.StartSpanNoCtx(ctx, "score")
@@ -182,7 +174,7 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 		sp = trace.StartSpanNoCtx(ctx, "cache")
 		for i, p := range pending {
 			items := s.countDropped(ranked[i].Entries, ranked[i].Dropped)
-			s.cacheEvictions.Add(uint64(st.cache.put(cacheKey{user: p.u, k: p.k, mode: st.mode}, items)))
+			s.fill(st, p.key, items)
 			results[p.idx].Items = items
 		}
 		sp.End()

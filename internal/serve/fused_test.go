@@ -79,6 +79,31 @@ func TestExactMissAllocatesNoScoreRow(t *testing.T) {
 	}
 }
 
+// TestMissHandsOverTheSelectorsSlice: a known-user exact miss allocates
+// the selector's k entries and the engine's score tile (it escapes through
+// the mf.Params call) and nothing else — the entries' backing array is what
+// the cache keeps and the encoder reads. A copy into a second (item,
+// score) type was one more allocation per miss. Over float64 rows the user
+// vector is the stored row; a float32 base adds the widened one.
+func TestMissHandsOverTheSelectorsSlice(t *testing.T) {
+	s, _ := testServer(t)
+	s.SetCacheSize(0)
+	ctx := context.Background()
+	miss := func() float64 {
+		st := s.live.Load()
+		return testing.AllocsPerRun(100, func() { s.topKForUser(ctx, st, 3, 10) })
+	}
+	if got := miss(); got != 2 {
+		t.Errorf("f64: a known-user miss makes %v allocations, want 2", got)
+	}
+	if err := s.Install(mf.QuantizeF32(s.Model()), InstallOpts{Folded: KeepFoldedSeq}); err != nil {
+		t.Fatal(err)
+	}
+	if got := miss(); got != 3 {
+		t.Errorf("f32: a known-user miss makes %v allocations, want 3", got)
+	}
+}
+
 // overlaySink is the least FeedbackSink an install needs: an empty overlay
 // over whatever base it is handed.
 type overlaySink struct{ sync.Mutex }

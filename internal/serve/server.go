@@ -644,11 +644,9 @@ func (s *Server) Handler() http.Handler {
 	return s.httpm.Middleware(normalizeMetricPath, h)
 }
 
-// Item is one scored item in a JSON response.
-type Item struct {
-	Item  int32   `json:"item"`
-	Score float64 `json:"score"`
-}
+// Item is one scored item in a JSON response: the selector's own entry,
+// so a ranking reaches the cache and the encoder without a copy.
+type Item = rank.Entry
 
 // RecommendResponse is the /recommend payload.
 type RecommendResponse struct {
@@ -757,51 +755,67 @@ func (s *Server) recommendKnown(ctx context.Context, w http.ResponseWriter, user
 }
 
 // topKForUser answers a known-user top-K from st's cache when possible,
-// scoring and filling the cache otherwise. All counters (hits, misses,
-// evictions, non-finite drops) are maintained here so the single and batch
-// paths report identically. Each phase is a trace stage, the same
-// vocabulary in both modes: "cache" (lookup, and the fill put on a miss),
-// then in exact mode "merge" (the user's exclusion list) and "score" — the
-// engine's fused scan: a tile of items is scored and offered straight to
-// the top-K selector, so exclusion and selection are part of the scan and
-// no score row exists; in IVF mode "probe" (centroid scan and cell
-// selection) and "score" (the pruned exact re-rank, exclusion and
-// selection fused into it the same way).
+// ranking and filling the cache otherwise. Each phase is a trace stage, the
+// same vocabulary in both retrieval modes and for a cold start: "cache"
+// (lookup, and the fill on a miss), "merge" (the exclusion list: the
+// user's positives with any ingested feedback, or a sorted history), then
+// miss's stages — "probe" in IVF mode, and "score".
 func (s *Server) topKForUser(ctx context.Context, st *liveState, u int32, k int) []Item {
 	key := cacheKey{user: u, k: k, mode: st.mode}
+	if items, ok := s.lookup(ctx, st, key); ok {
+		return items
+	}
+	sp := trace.StartSpanNoCtx(ctx, "merge")
+	pos := s.positivesFor(u)
+	sp.End()
+	items := s.miss(ctx, st, st.params.UserVector(u, nil), k, pos)
+	sp = trace.StartSpanNoCtx(ctx, "cache")
+	s.fill(st, key, items)
+	sp.End()
+	return items
+}
+
+// lookup is the one cache read, under a "cache" stage, and the one place
+// the hit and miss counters move, so the single and batch paths report
+// identically. A disabled cache counts nothing.
+func (s *Server) lookup(ctx context.Context, st *liveState, key cacheKey) ([]Item, bool) {
 	sp := trace.StartSpanNoCtx(ctx, "cache")
 	items, ok := st.cache.get(key)
 	sp.End()
 	if ok {
 		s.cacheHits.Inc()
-		return items
-	}
-	if st.cache != nil {
+	} else if st.cache != nil {
 		s.cacheMisses.Inc()
 	}
-	var top []rank.Entry
-	var dropped int
+	return items, ok
+}
+
+// fill is the one cache write and the one place evictions are counted.
+func (s *Server) fill(st *liveState, key cacheKey, items []Item) {
+	s.cacheEvictions.Add(uint64(st.cache.put(key, items)))
+}
+
+// miss ranks the catalog under one user vector — a stored user's, an
+// overlaid row or a cold-start solve, which all have the same shape —
+// outside excludeSorted, and is the one place the retrieval mode picks
+// the scan: in IVF mode "probe" (centroid scan and cell selection) then
+// "score" (the pruned exact re-rank); in exact mode "score" alone, the
+// engine's fused scan. Either way a tile of items is scored and offered
+// straight to the top-K selector, so exclusion and selection are part of
+// "score", no score row exists, and the entries returned are the
+// selector's own slice.
+func (s *Server) miss(ctx context.Context, st *liveState, uf []float64, k int, excludeSorted []int32) []Item {
 	if st.mode == retrieval.ModeIVF {
-		uf := st.params.UserVector(u, nil)
-		sp = trace.StartSpanNoCtx(ctx, "probe")
+		sp := trace.StartSpanNoCtx(ctx, "probe")
 		cells := st.index.ProbeCells(uf, 0)
 		sp.End()
 		sp = trace.StartSpanNoCtx(ctx, "score")
-		top, dropped = st.index.SearchCells(uf, cells, k, s.positivesFor(u))
-		sp.End()
-	} else {
-		sp = trace.StartSpanNoCtx(ctx, "merge")
-		pos := s.positivesFor(u)
-		sp.End()
-		sp = trace.StartSpanNoCtx(ctx, "score")
-		top, dropped = st.eng.TopK(u, k, pos)
-		sp.End()
+		defer sp.End()
+		return s.countDropped(st.index.SearchCells(uf, cells, k, excludeSorted))
 	}
-	items = s.countDropped(top, dropped)
-	sp = trace.StartSpanNoCtx(ctx, "cache")
-	s.cacheEvictions.Add(uint64(st.cache.put(key, items)))
-	sp.End()
-	return items
+	sp := trace.StartSpanNoCtx(ctx, "score")
+	defer sp.End()
+	return s.countDropped(st.eng.TopKFoldIn(uf, k, excludeSorted))
 }
 
 // positivesFor returns user u's exclusion set: the training positives,
@@ -828,13 +842,13 @@ func (s *Server) positivesFor(u int32) []int32 {
 // clapf_nonfinite_scores_total means the live model carries NaN/Inf
 // parameters (diverged run, bit-flipped file) — worth an alert, not a
 // silent mis-ranking.
-func (s *Server) countDropped(top []rank.Entry, dropped int) []Item {
+func (s *Server) countDropped(top []Item, dropped int) []Item {
 	if dropped > 0 {
 		s.nonfinite.Add(uint64(dropped))
 		s.log.Warn("dropped non-finite scores from ranking",
 			"dropped", dropped, "generation", s.generation.Load())
 	}
-	return toItems(top)
+	return top
 }
 
 func (s *Server) recommendColdStart(ctx context.Context, w http.ResponseWriter, itemsParam string, k int) {
@@ -855,11 +869,7 @@ func (s *Server) recommendColdStart(ctx context.Context, w http.ResponseWriter, 
 // topKColdStart folds a (deduped) history into user factors and ranks all
 // items outside it. Cold-start results are never cached: the history is
 // the key and its space is unbounded. Stages: "foldin" (ridge solve),
-// "merge" (the history sorted into the scan's exclusion list), then
-// "score" — the engine's fused scan in exact mode; in IVF mode "probe"
-// comes first and "score" is the pruned re-rank. The folded-in vector has
-// the same shape as a trained user's factors, so the engine scans and the
-// index probes it unchanged.
+// "merge" (the history sorted into the scan's exclusion list), then miss's.
 func (s *Server) topKColdStart(ctx context.Context, st *liveState, history []int32, k int) ([]Item, error) {
 	sp := trace.StartSpanNoCtx(ctx, "foldin")
 	uf, err := mf.FoldInUser(st.params, history, s.FoldInReg)
@@ -871,17 +881,7 @@ func (s *Server) topKColdStart(ctx context.Context, st *liveState, history []int
 	exclude := slices.Clone(history)
 	slices.Sort(exclude)
 	sp.End()
-	if st.mode == retrieval.ModeIVF {
-		sp = trace.StartSpanNoCtx(ctx, "probe")
-		cells := st.index.ProbeCells(uf, 0)
-		sp.End()
-		sp = trace.StartSpanNoCtx(ctx, "score")
-		defer sp.End()
-		return s.countDropped(st.index.SearchCells(uf, cells, k, exclude)), nil
-	}
-	sp = trace.StartSpanNoCtx(ctx, "score")
-	defer sp.End()
-	return s.countDropped(st.eng.TopKFoldIn(uf, k, exclude)), nil
+	return s.miss(ctx, st, uf, k, exclude), nil
 }
 
 func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
@@ -906,7 +906,7 @@ func (s *Server) handleSimilar(w http.ResponseWriter, r *http.Request) {
 		s.httpError(ctx, w, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeJSON(ctx, w, http.StatusOK, RecommendResponse{Items: toItems(sims)})
+	s.writeJSON(ctx, w, http.StatusOK, RecommendResponse{Items: sims})
 }
 
 func (s *Server) parseK(q url.Values) (int, error) {
@@ -924,52 +924,30 @@ func (s *Server) parseK(q url.Values) (int, error) {
 	return k, nil
 }
 
-// parseItemList parses a comma-separated history into a deduped item list,
-// then applies the length cap to the *unique* count. Capping before dedupe
-// would reject legitimate histories padded with repeats (client-side logs
-// often carry re-views) while the solve only ever sees each item once; the
-// raw parse is linear in the input, which the HTTP layer already bounds.
+// parseItemList parses a comma-separated history and hands the ids to
+// dedupeIDs, so the length cap applies to the *unique* count. Capping before
+// dedupe would reject legitimate histories padded with repeats (client-side
+// logs often carry re-views) while the solve only ever sees each item once;
+// the raw parse is linear in the input, which the HTTP layer already bounds.
 func parseItemList(param string, numItems, maxItems int) ([]int32, error) {
 	parts := strings.Split(param, ",")
-	items, err := dedupeHistory(parts, numItems, maxItems)
-	if err != nil {
-		return nil, err
-	}
-	if len(items) == 0 {
-		return nil, fmt.Errorf("empty item list")
-	}
-	return items, nil
-}
-
-// dedupeHistory validates string-encoded item ids, drops duplicates, and
-// enforces the unique-count cap (cap after dedupe; <= 0 disables it).
-func dedupeHistory(parts []string, numItems, maxItems int) ([]int32, error) {
-	items := make([]int32, 0, len(parts))
-	seen := make(map[int32]bool, len(parts))
-	for _, p := range parts {
+	ids := make([]int32, len(parts))
+	for i, p := range parts {
 		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 32)
 		if err != nil {
 			return nil, fmt.Errorf("invalid item %q", p)
 		}
-		if v < 0 || int(v) >= numItems {
-			return nil, fmt.Errorf("item %d out of range [0,%d)", v, numItems)
-		}
-		if seen[int32(v)] {
-			continue
-		}
-		seen[int32(v)] = true
-		items = append(items, int32(v))
-		if maxItems > 0 && len(items) > maxItems {
-			return nil, fmt.Errorf("history has over %d distinct items, limit %d", maxItems, maxItems)
-		}
+		ids[i] = int32(v)
 	}
-	return items, nil
+	return dedupeIDs(ids, numItems, maxItems)
 }
 
-// dedupeIDs is dedupeHistory for already-decoded ids (the batch endpoint's
-// JSON histories): validate range, drop duplicates, cap after dedupe.
+// dedupeIDs is the one history check, behind the GET path's token parse
+// and the batch endpoint's JSON decode: validate range, drop duplicates,
+// and enforce the unique-count cap (cap after dedupe; <= 0 disables it).
+// It filters ids in place — both callers decoded the slice themselves.
 func dedupeIDs(ids []int32, numItems, maxItems int) ([]int32, error) {
-	items := make([]int32, 0, len(ids))
+	items := ids[:0]
 	seen := make(map[int32]bool, len(ids))
 	for _, v := range ids {
 		if v < 0 || int(v) >= numItems {
@@ -985,14 +963,6 @@ func dedupeIDs(ids []int32, numItems, maxItems int) ([]int32, error) {
 		}
 	}
 	return items, nil
-}
-
-func toItems(es []rank.Entry) []Item {
-	out := make([]Item, len(es))
-	for i, e := range es {
-		out[i] = Item{Item: e.Item, Score: e.Score}
-	}
-	return out
 }
 
 type errorResponse struct {

@@ -11,6 +11,7 @@ import (
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
+	"clapf/internal/rank"
 	"clapf/internal/sampling"
 )
 
@@ -185,5 +186,32 @@ func TestMethodNotAllowed(t *testing.T) {
 	s.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("POST status = %d, want 405", rec.Code)
+	}
+}
+
+// TestWireFormatPinned: Item is rank.Entry, so the selector's entries are
+// encoded as they are. The bodies are the literal bytes that serve.Item produced
+// when it was a tagged struct of its own: field names, order, number formatting,
+// [] for an empty list and no items key on a failed batch entry.
+func TestWireFormatPinned(t *testing.T) {
+	u := int32(7)
+	top := []rank.Entry{{Item: 3, Score: 0.5}, {Item: 41, Score: -1.25e-7}}
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{RecommendResponse{User: &u, Items: top},
+			`{"user":7,"items":[{"item":3,"score":0.5},{"item":41,"score":-1.25e-7}]}`},
+		{RecommendResponse{Items: []rank.Entry{}}, `{"items":[]}`},
+		{BatchResponse{Results: []BatchResult{{User: &u, Items: top[:1]}, {Items: top[1:]}, {Error: "invalid k -1"}}},
+			`{"results":[{"user":7,"items":[{"item":3,"score":0.5}]},{"items":[{"item":41,"score":-1.25e-7}]},{"error":"invalid k -1"}]}`},
+	} {
+		got, err := json.Marshal(c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%T encodes as\n%s\nwant\n%s", c.v, got, c.want)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"clapf/internal/obs"
 	"clapf/internal/obs/trace"
+	"clapf/internal/retrieval"
 )
 
 func debugTraces(t *testing.T, h http.Handler, query string) trace.DebugResponse {
@@ -71,8 +72,49 @@ func TestTraceSmoke(t *testing.T) {
 	if stages["topk"] {
 		t.Errorf("exact mode still emits a topk stage; selection belongs to score: %v", stages)
 	}
+	if stages["probe"] {
+		t.Errorf("exact mode emits a probe stage: %v", stages)
+	}
 	if reqTrace.Spans[0].Parent != -1 {
 		t.Errorf("root span parent = %d, want -1", reqTrace.Spans[0].Parent)
+	}
+
+	// The same request under IVF: the one stage vocabulary, with the
+	// exclusion merge billed to "merge" (not folded into "score") and
+	// "probe" between it and "score".
+	if err := s.SetRetrieval(retrieval.ModeIVF, retrieval.Config{NLists: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if rec, _ := get(t, h, "/recommend?user=2&k=5"); rec.Code != http.StatusOK {
+		t.Fatalf("ivf recommend returned %d", rec.Code)
+	}
+	var ivfStages []string
+	for _, tr := range debugTraces(t, h, "").Traces {
+		if tr.Name != "/recommend" {
+			continue
+		}
+		var got []string
+		probed := false
+		for _, sp := range tr.Spans {
+			got = append(got, sp.Stage)
+			probed = probed || sp.Stage == "probe"
+		}
+		if probed {
+			ivfStages = got
+		}
+	}
+	if ivfStages == nil {
+		t.Fatal("no /recommend trace with a probe span after SetRetrieval(ivf)")
+	}
+	next := 0
+	order := []string{"cache", "merge", "probe", "score", "cache", "encode"}
+	for _, st := range ivfStages {
+		if next < len(order) && st == order[next] {
+			next++
+		}
+	}
+	if next != len(order) {
+		t.Errorf("ivf trace stages %v do not contain %v in order", ivfStages, order)
 	}
 
 	// The stage histogram must be visible in the Prometheus exposition.

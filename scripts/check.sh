@@ -110,7 +110,9 @@ echo "batch-ivf gate ok"
 # fold-in and batch, over float64, float32 and overlaid parameters — and
 # SearchCells at full probe width return the entries and the dropped count
 # of rank.TopKDropped over the materialised row, planted NaN/±Inf rows and
-# cross-tile ties included, the selector itself matches a naive full-sort
+# cross-tile ties included, that row — the one item scan under
+# UserVector(u) — is Score(u, i) bit for bit on a model, float32 factors
+# (heap and mapped) and an overlay, the selector itself matches a naive full-sort
 # oracle, and its two tile loops (OfferRun, OfferIDs), which jump between
 # survivors, match Offer called per item; the index build's assignment step matches the plain
 # mathx.Dot loop bit for bit, and ProbeCells' threshold selection a full
@@ -124,12 +126,23 @@ echo "batch-ivf gate ok"
 # an install of an unchanged item half keeps it, and install resolves the
 # index before it takes the feedback sink's lock. -count=1 defeats the
 # test cache so the gate always actually runs.
-go test -race -count=1 -run '^Test(FusedTopKBitIdentical|ScoreAllIsFoldInOfUserVector)$' ./internal/score
+go test -race -count=1 -run '^Test(FusedTopKBitIdentical|ScanUnderUserVectorIsScore)$' ./internal/score
 go test -race -count=1 -run '^Test(SelectorMatchesNaive|OfferRunAndOfferIDsMatchOffer)$' ./internal/rank
 retrieval_gate='^Test(SearchCellsMatchesTwoPass|NearestMatchesDot|ProbeCellsMatchesFullSort|WrongLengthQueryPanics|MissAllocatesOnlyItsResults|BuildIVFSameAcrossWorkers|IndexesMatchesOnlyItsOwnItems)$'
 go test -race -count=1 -run "$retrieval_gate" ./internal/retrieval
 go test -race -count=1 -cpu 1,4 -run "$retrieval_gate" ./internal/retrieval
 go test -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossReinstalls|InstallBuildsIndexOutsideSinkLock(Live)?)$' ./internal/serve
+# A parameter set has one item scan and the serve path one miss: the
+# stored-user scan methods stay off *Factors32 and *Overlay (a stored user
+# is scored under UserVector(u)), and internal/serve ranks in exactly three
+# calls — miss's ProbeCells, SearchCells and TopKFoldIn — plus batch's
+# TopKUsers sweep.
+if grep -nE '^func \([a-z]+ \*(Factors32|Overlay)\) Score(All|Range|AllFoldIn)\(' internal/mf/*.go ||
+	[ "$(grep -hE '\.(ProbeCells|SearchCells|TopKFoldIn|TopK|TopKUsers)\(' $(ls internal/serve/*.go | grep -v _test.go) |
+		grep -vcE '^[[:space:]]*//')" != 4 ]; then
+	echo "a parameter set has one item scan (ScoreRangeFoldIn) and the serve path one miss" >&2
+	exit 1
+fi
 echo "fused exact-scan gate ok"
 
 # Scan kernel gate: the catalog scans (mathx.ScanF64 over float64 rows,
