@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"clapf/internal/mathx"
+	"clapf/internal/serve"
 )
 
 // BenchmarkHedgeDelay is what one routed read pays for its hedge delay on
@@ -30,10 +31,28 @@ func BenchmarkHedgeDelay(b *testing.B) {
 	}
 }
 
+// BenchmarkScanRecommend is what the router pays to accept a top-10 for
+// relaying, at the 16–17 significant digits real scores carry.
+func BenchmarkScanRecommend(b *testing.B) {
+	items := make([]serve.Item, 10)
+	rng := mathx.NewRNG(3)
+	for i := range items {
+		items[i] = serve.Item{Item: int32(1000 * (i + 1)), Score: rng.NormFloat64()}
+	}
+	body := shardBody(b, ptr(12345), items)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !scanRecommend(body) {
+			b.Fatalf("declined %q", body)
+		}
+	}
+}
+
 // BenchmarkRoutedRecommend is the router's share of a healthy read: the
-// handler (parse, ring, hedged attempt, decode, label, re-encode) over
-// three loopback shards that answer a canned top-10 at once, so what is
-// left is the hop itself.
+// handler (parse, ring, hedged attempt, scan, label splice) over three
+// loopback shards that answer a canned top-10 at once, so what is left is
+// the hop itself.
 func BenchmarkRoutedRecommend(b *testing.B) {
 	const payload = `{"user":7,"items":[{"item":11,"score":1.5},{"item":12,"score":1.4},{"item":13,"score":1.3},` +
 		`{"item":14,"score":1.2},{"item":15,"score":1.1},{"item":16,"score":1},{"item":17,"score":0.9},` +

@@ -16,7 +16,10 @@ import (
 // ladder: when every shard is gone, yesterday's personalized ranking
 // beats today's popularity list. Unlike the shard-side result cache it
 // is deliberately NOT invalidated on model reload — staleness is its
-// entire point, and every hit is labeled degraded="stale_cache".
+// entire point, and every hit is labeled degraded="stale_cache". An entry
+// is the answer's body as the shard encoded it, not its decoded items: the
+// rung splices its label onto those bytes (relay.go) as the healthy path
+// does, so keeping an answer costs a pointer and serving one no encoder.
 type staleCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -30,9 +33,12 @@ type staleKey struct {
 }
 
 type staleEntry struct {
-	key   staleKey
-	items []serve.Item
+	key  staleKey
+	body []byte // {"user":U,"items":[…]}\n, shared and immutable
 }
+
+// staleSuffix labels a stale body; see splice.
+var staleSuffix = labelSuffix(DegradedStaleCache, "")
 
 func newStaleCache(capacity int) *staleCache {
 	if capacity <= 0 {
@@ -45,7 +51,7 @@ func newStaleCache(capacity int) *staleCache {
 	}
 }
 
-func (c *staleCache) get(key staleKey) ([]serve.Item, bool) {
+func (c *staleCache) get(key staleKey) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -56,21 +62,21 @@ func (c *staleCache) get(key staleKey) ([]serve.Item, bool) {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*staleEntry).items, true
+	return el.Value.(*staleEntry).body, true
 }
 
-func (c *staleCache) put(key staleKey, items []serve.Item) {
+func (c *staleCache) put(key staleKey, body []byte) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*staleEntry).items = items
+		el.Value.(*staleEntry).body = body
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&staleEntry{key: key, items: items})
+	c.byKey[key] = c.ll.PushFront(&staleEntry{key: key, body: body})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)

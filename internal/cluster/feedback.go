@@ -124,23 +124,23 @@ func (r *Router) handleFeedback(w http.ResponseWriter, req *http.Request) {
 	req.Body = http.MaxBytesReader(w, req.Body, maxFeedbackBody)
 	raw, err := io.ReadAll(req.Body)
 	if err != nil {
-		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: "feedback body too large"})
+		r.writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{Error: "feedback body too large"})
 		return
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var fr feedbackRequest
 	if err := dec.Decode(&fr); err != nil {
-		writeJSON(w, http.StatusBadRequest,
+		r.writeJSON(w, http.StatusBadRequest,
 			errorResponse{Error: fmt.Sprintf("malformed feedback request (the router accepts single {user,item} events only): %v", err)})
 		return
 	}
 	if fr.User == nil || fr.Item == nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "feedback needs both user and item"})
+		r.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "feedback needs both user and item"})
 		return
 	}
 	if *fr.User < 0 || *fr.Item < 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "user and item must be non-negative"})
+		r.writeJSON(w, http.StatusBadRequest, errorResponse{Error: "user and item must be non-negative"})
 		return
 	}
 	key := UserKey(*fr.User)
@@ -227,12 +227,12 @@ func (r *Router) bufferFeedback(w http.ResponseWriter, key uint64, body []byte) 
 	if r.fbuf == nil || !r.fbuf.push(feedbackEvent{key: key, body: body}) {
 		r.unavailable.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(1+r.rng.Intn(3)))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "owning shard unavailable and feedback buffer full"})
+		r.writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "owning shard unavailable and feedback buffer full"})
 		return
 	}
 	r.degraded.With(DegradedBuffered).Inc()
 	r.feedbackBuffered.Inc()
-	writeJSON(w, http.StatusAccepted, struct {
+	r.writeJSON(w, http.StatusAccepted, struct {
 		Status   string `json:"status"`
 		Degraded string `json:"degraded"`
 	}{Status: "buffered", Degraded: DegradedBuffered})

@@ -146,6 +146,10 @@ type shardState struct {
 	name string
 	url  string
 	span string // "shard:"+name, the attempt span's name
+	// What splice puts in place of a relayed body's closing "}\n" when this
+	// shard answered: its name, and off the key's home shard the degraded
+	// label in front of it.
+	homeSuffix, replicaSuffix []byte
 
 	breaker *Breaker
 	// available is the prober's verdict: false means ejected from
@@ -224,6 +228,9 @@ type Router struct {
 	tracer *trace.Tracer
 
 	degraded     *obs.CounterVec // {mode}
+	relaySpliced *obs.Counter    // clapf_router_relay_total{path="spliced"}
+	relayDecoded *obs.Counter    // … {path="decoded"}
+	encodeErrors *obs.Counter
 	retries      *obs.Counter
 	hedges       *obs.Counter
 	hedgeWins    *obs.Counter
@@ -292,6 +299,8 @@ func NewRouter(cfg Config) (*Router, error) {
 		sh := &shardState{
 			name:            sc.Name,
 			span:            "shard:" + sc.Name,
+			homeSuffix:      labelSuffix("", sc.Name),
+			replicaSuffix:   labelSuffix(DegradedReplica, sc.Name),
 			url:             strings.TrimRight(sc.URL, "/"),
 			breaker:         NewBreaker(cfg.Breaker),
 			expectRetrieval: sc.Retrieval,
@@ -313,6 +322,12 @@ func NewRouter(cfg Config) (*Router, error) {
 	r.tracer = trace.New(r.reg, "clapf_router_", trace.Config{SampleRate: 0.01})
 	r.degraded = r.reg.NewCounterVec("clapf_router_degraded_total",
 		"Responses served below full freshness, by degradation mode (replica, stale_cache, poprank).", "mode")
+	relay := r.reg.NewCounterVec("clapf_router_relay_total",
+		"Shard /recommend answers relayed, by path: spliced (serve's own encoding, sent on as bytes with the labels appended) or decoded (anything else: unmarshal, label, re-encode, at several times the cost).", "path")
+	r.relaySpliced = relay.With("spliced")
+	r.relayDecoded = relay.With("decoded")
+	r.encodeErrors = r.reg.NewCounter("clapf_encode_errors_total",
+		"JSON response bodies that failed to encode after the header was written.")
 	r.retries = r.reg.NewCounter("clapf_router_retries_total",
 		"Shard attempts beyond the first per request (backoff-spaced).")
 	r.hedges = r.reg.NewCounter("clapf_router_hedges_total",
@@ -477,7 +492,7 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 		resp.Status = "degraded"
 	}
 	resp.FeedbackBuffered = r.FeedbackBuffered()
-	writeJSON(w, http.StatusOK, resp)
+	r.writeJSON(w, http.StatusOK, resp)
 }
 
 // handleReady: the router is ready while at least one shard is routable
@@ -485,12 +500,12 @@ func (r *Router) handleHealth(w http.ResponseWriter, req *http.Request) {
 // degraded, not down.
 func (r *Router) handleReady(w http.ResponseWriter, req *http.Request) {
 	if r.eligibleCount(time.Now()) > 0 || r.pop != nil {
-		writeJSON(w, http.StatusOK, struct {
+		r.writeJSON(w, http.StatusOK, struct {
 			Status string `json:"status"`
 		}{Status: "ready"})
 		return
 	}
-	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no shard available"})
+	r.writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no shard available"})
 }
 
 func (r *Router) eligibleCount(now time.Time) int {
@@ -507,10 +522,16 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// writeJSON writes v with the given status. As on the shard, an encoding
+// error after the header cannot reach the client but must not vanish: it is
+// logged and counted in clapf_encode_errors_total.
+func (r *Router) writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		r.encodeErrors.Inc()
+		r.log.Error("response encode failed", "err", err, "status", code, "type", fmt.Sprintf("%T", v))
+	}
 }
 
 // requestKey is what the router extracted from the query string: enough
@@ -568,22 +589,42 @@ func (r *Router) parseRecommendKey(req *http.Request) (requestKey, error) {
 func (r *Router) handleRecommend(w http.ResponseWriter, req *http.Request) {
 	rk, err := r.parseRecommendKey(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
+		r.writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
 	res := r.forward(req.Context(), rk.key, "/recommend?"+req.URL.RawQuery, true)
 	switch {
 	case res.err == nil && res.status == http.StatusOK:
+		if !res.home {
+			r.degraded.With(DegradedReplica).Inc()
+		}
+		if res.rec == nil {
+			// The scanner took the body: it goes out as the bytes it came in.
+			r.relaySpliced.Inc()
+			if rk.user != nil && answersUser(res.body, *rk.user) {
+				r.stale.put(staleKey{user: *rk.user, k: rk.k}, res.body)
+			}
+			suffix := res.shard.homeSuffix
+			if !res.home {
+				suffix = res.shard.replicaSuffix
+			}
+			splice(w, res.body, suffix)
+			return
+		}
+		r.relayDecoded.Inc()
 		body := res.rec
 		body.Shard = res.shard.name
 		if !res.home {
 			body.Degraded = DegradedReplica
-			r.degraded.With(DegradedReplica).Inc()
 		}
 		if rk.user != nil {
-			r.stale.put(staleKey{user: *rk.user, k: rk.k}, body.Items)
+			// The stale rung splices too; it is handed what the scanner
+			// would have accepted.
+			if b, err := json.Marshal(Response{User: rk.user, Items: body.Items}); err == nil {
+				r.stale.put(staleKey{user: *rk.user, k: rk.k}, append(b, '\n'))
+			}
 		}
-		writeJSON(w, http.StatusOK, body)
+		r.writeJSON(w, http.StatusOK, body)
 	case res.err == nil:
 		// Shard answered with a client error (4xx): relay verbatim.
 		w.Header().Set("Content-Type", "application/json")
@@ -601,14 +642,14 @@ func (r *Router) handleSimilar(w http.ResponseWriter, req *http.Request) {
 	itemParam := req.URL.Query().Get("item")
 	i, err := strconv.ParseInt(itemParam, 10, 32)
 	if err != nil || i < 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("invalid item %q", itemParam)})
+		r.writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("invalid item %q", itemParam)})
 		return
 	}
 	res := r.forward(req.Context(), UserKey(int32(i))^0x5bd1e995, "/similar?"+req.URL.RawQuery, false)
 	if res.err != nil {
 		r.unavailable.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(1+r.rng.Intn(3)))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no shard available"})
+		r.writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no shard available"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -622,22 +663,22 @@ func (r *Router) handleSimilar(w http.ResponseWriter, req *http.Request) {
 // response — a degraded answer is fine, a silently degraded one is not.
 func (r *Router) serveFallback(w http.ResponseWriter, rk requestKey) {
 	if rk.user != nil {
-		if items, ok := r.stale.get(staleKey{user: *rk.user, k: rk.k}); ok {
+		if body, ok := r.stale.get(staleKey{user: *rk.user, k: rk.k}); ok {
 			r.degraded.With(DegradedStaleCache).Inc()
-			writeJSON(w, http.StatusOK, Response{User: rk.user, Items: items, Degraded: DegradedStaleCache})
+			splice(w, body, staleSuffix)
 			return
 		}
 	}
 	if r.pop != nil {
 		if items, ok := r.pop.topK(rk.user, rk.history, rk.k); ok {
 			r.degraded.With(DegradedPopRank).Inc()
-			writeJSON(w, http.StatusOK, Response{User: rk.user, Items: items, Degraded: DegradedPopRank})
+			r.writeJSON(w, http.StatusOK, Response{User: rk.user, Items: items, Degraded: DegradedPopRank})
 			return
 		}
 	}
 	r.unavailable.Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(1+r.rng.Intn(3)))
-	writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no shard available"})
+	r.writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "no shard available"})
 }
 
 // attemptResult is one shard attempt's outcome. err != nil means the
@@ -645,10 +686,13 @@ func (r *Router) serveFallback(w http.ResponseWriter, rk requestKey) {
 // or undecodable body, 5xx, 429 shed, timeout); err == nil carries status
 // and body, where any 2xx or non-429 4xx is a healthy-shard outcome.
 type attemptResult struct {
-	shard     *shardState
-	status    int
-	body      []byte
-	rec       *Response // the decoded body of a 200, when forward was asked to decode
+	shard  *shardState
+	status int
+	body   []byte
+	// rec is the decoded body of a 200 when forward was asked to decode and
+	// the body was not serve's own encoding; nil for one scanRecommend took,
+	// which is relayed from body.
+	rec       *Response
 	err       error
 	fromHedge bool
 	home      bool // shard is the key's first preference (set by forward)
@@ -659,7 +703,8 @@ type attemptResult struct {
 // full-jitter backoff, and a p95-delayed hedge per attempt. It returns
 // the first usable response or, after the budget is spent, the last
 // error (err != nil) for the caller to degrade on. With decode set, a
-// 200 must also parse as a Response to be usable.
+// 200 must also parse as a Response to be usable: scanRecommend accepts it,
+// or failing that json.Unmarshal does.
 func (r *Router) forward(ctx context.Context, key uint64, pathQuery string, decode bool) attemptResult {
 	pref := r.ring.Lookup(key)
 	pos := 0
@@ -852,7 +897,7 @@ func (r *Router) doAttempt(ctx context.Context, sh *shardState, pathQuery string
 	}
 	took := time.Since(t0) // the shard's answer, not the router's decode of it
 	var rec *Response
-	if decode && resp.StatusCode == http.StatusOK {
+	if decode && resp.StatusCode == http.StatusOK && !scanRecommend(body) {
 		rec = new(Response)
 		if err := json.Unmarshal(body, rec); err != nil {
 			// The transfer completed but the payload is garbage: the shard

@@ -96,8 +96,9 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	// its own "entry" span (note = entry index) so a slow batch shows
 	// which member dragged it down; cold-start stages nest inside.
 	type pendingKnown struct {
-		idx int
-		key cacheKey
+		idx  int
+		key  cacheKey
+		seen uint64 // the cache's invalidation count at the entry's lookup
 	}
 	var pending []pendingKnown
 	for idx := range req.Requests {
@@ -128,15 +129,17 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 					// No sweep to share: the entry is a single request, its
 					// stage spans nested under this entry. Repeated users in
 					// one batch coalesce through the cache fill.
-					res.Items = s.topKForUser(ectx, st, u, k)
+					hit, _ := s.topKForUser(ectx, st, u, k)
+					res.Items = hit.items
 					return
 				}
 				key := cacheKey{user: u, k: k, mode: st.mode}
-				if items, ok := s.lookup(ectx, st, key); ok {
-					res.Items = items
+				hit, seen, ok := s.lookup(ectx, st, key)
+				if ok {
+					res.Items = hit.items
 					return
 				}
-				pending = append(pending, pendingKnown{idx: idx, key: key})
+				pending = append(pending, pendingKnown{idx: idx, key: key, seen: seen})
 			case len(e.Items) > 0:
 				history, err := dedupeIDs(e.Items, st.params.NumItems(), s.MaxHistory)
 				if err != nil {
@@ -174,7 +177,7 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 		sp = trace.StartSpanNoCtx(ctx, "cache")
 		for i, p := range pending {
 			items := s.countDropped(ranked[i].Entries, ranked[i].Dropped)
-			s.fill(st, p.key, items)
+			s.fill(st, cacheEntry{key: p.key, items: items}, p.seen)
 			results[p.idx].Items = items
 		}
 		sp.End()

@@ -17,11 +17,19 @@ import (
 //
 // Only known-user requests are cached: cold-start histories are free-form
 // and would make the key space unbounded.
+//
+// What is not structural is one user's feedback event: invalidateUser drops
+// that user's entries from a cache that stays live, and a request that
+// missed before the drop may still be ranking under the exclusion list it
+// read then. invalidations counts the drops; get reports the count it saw
+// and put refuses an entry computed under an older one, so a late fill can
+// never park an item whose ingest has since been acknowledged.
 type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	byKey map[cacheKey]*list.Element
+	mu            sync.Mutex
+	cap           int
+	ll            *list.List // front = most recently used
+	byKey         map[cacheKey]*list.Element
+	invalidations uint64
 }
 
 // cacheKey carries the retrieval mode alongside (user, k): exact and IVF
@@ -35,9 +43,14 @@ type cacheKey struct {
 	mode retrieval.Mode
 }
 
+// cacheEntry is one finished answer. body is the encoded /recommend
+// response for items — what a hit writes, with no encoder in the way — and
+// is nil until a single GET has encoded it (a batch fills items alone).
+// Both are shared between requests and immutable.
 type cacheEntry struct {
 	key   cacheKey
 	items []Item
+	body  []byte
 }
 
 // newResultCache returns a cache bounded to capacity entries, or nil when
@@ -53,36 +66,45 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// get returns the cached items for key, marking it most-recently used.
-// The returned slice is shared and must be treated as immutable.
-func (c *resultCache) get(key cacheKey) ([]Item, bool) {
+// get returns the entry cached under key, marking it most-recently used,
+// or on a miss an empty entry carrying the key. seen is the invalidation
+// count at the time of the read: what put must be handed for anything
+// derived from it.
+func (c *resultCache) get(key cacheKey) (e cacheEntry, seen uint64, ok bool) {
 	if c == nil {
-		return nil, false
+		return cacheEntry{key: key}, 0, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		return nil, false
+		return cacheEntry{key: key}, c.invalidations, false
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).items, true
+	return *el.Value.(*cacheEntry), c.invalidations, true
 }
 
-// put stores items under key and reports how many entries were evicted to
-// stay within capacity (0 or 1). Re-putting an existing key refreshes it.
-func (c *resultCache) put(key cacheKey, items []Item) (evicted int) {
+// put stores e under its key and reports how many entries were evicted to
+// stay within capacity (0 or 1). Re-putting an existing key replaces items
+// and body together and refreshes it. An entry whose get saw an older
+// invalidation count is dropped: a user's entries were invalidated while it
+// was being computed, and it may be that user's.
+func (c *resultCache) put(e cacheEntry, seen uint64) (evicted int) {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).items = items
+	if seen != c.invalidations {
+		return 0
+	}
+	if el, ok := c.byKey[e.key]; ok {
+		*el.Value.(*cacheEntry) = e
 		c.ll.MoveToFront(el)
 		return 0
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, items: items})
+	stored := e // declared here so that only an insertion allocates
+	c.byKey[e.key] = c.ll.PushFront(&stored)
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -97,13 +119,15 @@ func (c *resultCache) put(key cacheKey, items []Item) (evicted int) {
 // so only that user's cached top-K answers (across all k and modes) are
 // stale; everyone else's stay warm. The scan is over the key map, bounded
 // by the cache capacity (microseconds at the default 4096), and runs
-// under the same mutex as get/put.
+// under the same mutex as get/put. The count moves even when nothing was
+// cached: the request to refuse is the one that has not filled yet.
 func (c *resultCache) invalidateUser(u int32) (removed int) {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.invalidations++
 	for key, el := range c.byKey {
 		if key.user == u {
 			c.ll.Remove(el)

@@ -13,25 +13,25 @@ func TestResultCacheLRU(t *testing.T) {
 	b := []Item{{Item: 2, Score: 0.4}}
 	cc := []Item{{Item: 3, Score: 0.3}}
 
-	if _, ok := c.get(cacheKey{user: 1, k: 5}); ok {
+	if _, _, ok := c.get(cacheKey{user: 1, k: 5}); ok {
 		t.Fatal("empty cache returned a hit")
 	}
-	if ev := c.put(cacheKey{user: 1, k: 5}, a); ev != 0 {
+	if ev := c.put(cacheEntry{key: cacheKey{user: 1, k: 5}, items: a}, 0); ev != 0 {
 		t.Fatalf("first put evicted %d", ev)
 	}
-	c.put(cacheKey{user: 2, k: 5}, b)
+	c.put(cacheEntry{key: cacheKey{user: 2, k: 5}, items: b}, 0)
 
 	// Touch user 1 so user 2 is the LRU victim.
-	if got, ok := c.get(cacheKey{user: 1, k: 5}); !ok || got[0].Item != 1 {
+	if got, _, ok := c.get(cacheKey{user: 1, k: 5}); !ok || got.items[0].Item != 1 {
 		t.Fatalf("get(1) = %v, %v", got, ok)
 	}
-	if ev := c.put(cacheKey{user: 3, k: 5}, cc); ev != 1 {
+	if ev := c.put(cacheEntry{key: cacheKey{user: 3, k: 5}, items: cc}, 0); ev != 1 {
 		t.Fatalf("over-capacity put evicted %d, want 1", ev)
 	}
-	if _, ok := c.get(cacheKey{user: 2, k: 5}); ok {
+	if _, _, ok := c.get(cacheKey{user: 2, k: 5}); ok {
 		t.Error("LRU entry survived eviction")
 	}
-	if _, ok := c.get(cacheKey{user: 1, k: 5}); !ok {
+	if _, _, ok := c.get(cacheKey{user: 1, k: 5}); !ok {
 		t.Error("recently used entry was evicted")
 	}
 	if c.size() != 2 {
@@ -39,12 +39,12 @@ func TestResultCacheLRU(t *testing.T) {
 	}
 
 	// Same user, different k is a distinct key.
-	if _, ok := c.get(cacheKey{user: 1, k: 7}); ok {
+	if _, _, ok := c.get(cacheKey{user: 1, k: 7}); ok {
 		t.Error("k is not part of the cache key")
 	}
 
 	// Re-putting an existing key refreshes without eviction.
-	if ev := c.put(cacheKey{user: 1, k: 5}, b); ev != 0 || c.size() != 2 {
+	if ev := c.put(cacheEntry{key: cacheKey{user: 1, k: 5}, items: b}, 0); ev != 0 || c.size() != 2 {
 		t.Errorf("refresh put: evicted %d, size %d", ev, c.size())
 	}
 }
@@ -54,10 +54,10 @@ func TestResultCacheNilDisabled(t *testing.T) {
 	if newResultCache(0) != nil {
 		t.Fatal("capacity 0 should disable the cache")
 	}
-	if _, ok := c.get(cacheKey{user: 1, k: 5}); ok {
+	if _, _, ok := c.get(cacheKey{user: 1, k: 5}); ok {
 		t.Error("nil cache hit")
 	}
-	if ev := c.put(cacheKey{user: 1, k: 5}, nil); ev != 0 {
+	if ev := c.put(cacheEntry{key: cacheKey{user: 1, k: 5}}, 0); ev != 0 {
 		t.Errorf("nil cache evicted %d", ev)
 	}
 	if c.size() != 0 {
@@ -199,27 +199,27 @@ func TestCacheInvalidateUserIsTargeted(t *testing.T) {
 	c := newResultCache(8)
 	a := []Item{{Item: 1, Score: 0.5}}
 	// User 7 under two ks and two modes; users 8 and 9 once each.
-	c.put(cacheKey{user: 7, k: 5}, a)
-	c.put(cacheKey{user: 7, k: 10}, a)
-	c.put(cacheKey{user: 7, k: 5, mode: 1}, a)
-	c.put(cacheKey{user: 8, k: 5}, a)
-	c.put(cacheKey{user: 9, k: 10}, a)
+	c.put(cacheEntry{key: cacheKey{user: 7, k: 5}, items: a}, 0)
+	c.put(cacheEntry{key: cacheKey{user: 7, k: 10}, items: a}, 0)
+	c.put(cacheEntry{key: cacheKey{user: 7, k: 5, mode: 1}, items: a}, 0)
+	c.put(cacheEntry{key: cacheKey{user: 8, k: 5}, items: a}, 0)
+	c.put(cacheEntry{key: cacheKey{user: 9, k: 10}, items: a}, 0)
 
 	if removed := c.invalidateUser(7); removed != 3 {
 		t.Fatalf("invalidateUser(7) removed %d entries, want 3", removed)
 	}
-	if _, ok := c.get(cacheKey{user: 7, k: 5}); ok {
+	if _, _, ok := c.get(cacheKey{user: 7, k: 5}); ok {
 		t.Error("user 7 entry survived invalidation")
 	}
-	if _, ok := c.get(cacheKey{user: 7, k: 5, mode: 1}); ok {
+	if _, _, ok := c.get(cacheKey{user: 7, k: 5, mode: 1}); ok {
 		t.Error("user 7 IVF-mode entry survived invalidation")
 	}
 	// Everyone else's entries stay warm — the whole point of targeted
 	// invalidation.
-	if _, ok := c.get(cacheKey{user: 8, k: 5}); !ok {
+	if _, _, ok := c.get(cacheKey{user: 8, k: 5}); !ok {
 		t.Error("user 8 entry was collaterally invalidated")
 	}
-	if _, ok := c.get(cacheKey{user: 9, k: 10}); !ok {
+	if _, _, ok := c.get(cacheKey{user: 9, k: 10}); !ok {
 		t.Error("user 9 entry was collaterally invalidated")
 	}
 	if c.size() != 2 {

@@ -153,12 +153,12 @@ func TestCacheModeKeying(t *testing.T) {
 	}
 	st := s.live.Load()
 	exactKey := cacheKey{user: 2, k: 5, mode: retrieval.ModeExact}
-	if _, ok := st.cache.get(exactKey); !ok {
+	if _, _, ok := st.cache.get(exactKey); !ok {
 		t.Fatal("exact request did not populate the cache")
 	}
 	// Simulate the race the mode-keyed cache exists for: an entry written
 	// under one mode into a cache later read under the other.
-	if _, ok := st.cache.get(cacheKey{user: 2, k: 5, mode: retrieval.ModeIVF}); ok {
+	if _, _, ok := st.cache.get(cacheKey{user: 2, k: 5, mode: retrieval.ModeIVF}); ok {
 		t.Fatal("IVF-keyed lookup hit an exact-mode entry")
 	}
 	if err := s.SetRetrieval(retrieval.ModeIVF, retrieval.Config{NLists: 8, NProbe: 2, Seed: 1}); err != nil {
@@ -168,10 +168,10 @@ func TestCacheModeKeying(t *testing.T) {
 		t.Fatalf("status %d", rec.Code)
 	}
 	st = s.live.Load()
-	if _, ok := st.cache.get(cacheKey{user: 2, k: 5, mode: retrieval.ModeIVF}); !ok {
+	if _, _, ok := st.cache.get(cacheKey{user: 2, k: 5, mode: retrieval.ModeIVF}); !ok {
 		t.Fatal("IVF request did not populate the new cache")
 	}
-	if _, ok := st.cache.get(exactKey); ok {
+	if _, _, ok := st.cache.get(exactKey); ok {
 		t.Fatal("exact-mode entry survived into the IVF generation's cache")
 	}
 }

@@ -23,6 +23,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -750,49 +751,87 @@ func (s *Server) recommendKnown(ctx context.Context, w http.ResponseWriter, user
 		return
 	}
 	u := int32(u64)
-	items := s.topKForUser(ctx, st, u, k)
-	s.writeJSON(ctx, w, http.StatusOK, RecommendResponse{User: &u, Items: items})
+	e, seen := s.topKForUser(ctx, st, u, k)
+	if e.body == nil {
+		// A miss, or an entry a batch filled: this request is the one that
+		// encodes, and every later hit writes its bytes.
+		if e.body, err = s.encodeBody(ctx, RecommendResponse{User: &u, Items: e.items}); err != nil {
+			s.httpError(ctx, w, http.StatusInternalServerError, err)
+			return
+		}
+		sp := trace.StartSpanNoCtx(ctx, "cache")
+		s.fill(st, e, seen)
+		sp.End()
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(e.body) // a failed write is the client hanging up
+}
+
+// encodeBody encodes a /recommend response into a buffer of its own, under
+// the "encode" stage — recorded by the request that encodes, so a cache hit,
+// which only writes the bytes, records none. The bytes are what writeJSON
+// would have written. The scan drops non-finite scores, so a failure means
+// a broken payload type; it is counted and logged as writeJSON's is, and
+// since nothing has been written yet the client can be told.
+func (s *Server) encodeBody(ctx context.Context, resp RecommendResponse) ([]byte, error) {
+	sp := trace.StartSpanNoCtx(ctx, "encode")
+	defer sp.End()
+	// {"item":12345,"score":-1.2345678901234567}, at most 43 bytes and a comma.
+	buf := bytes.NewBuffer(make([]byte, 0, 40+44*len(resp.Items)))
+	if err := json.NewEncoder(buf).Encode(resp); err != nil {
+		s.encodeFailed(err, http.StatusOK, resp)
+		return nil, fmt.Errorf("encoding response: %w", err)
+	}
+	return buf.Bytes(), nil
 }
 
 // topKForUser answers a known-user top-K from st's cache when possible,
-// ranking and filling the cache otherwise. Each phase is a trace stage, the
-// same vocabulary in both retrieval modes and for a cold start: "cache"
-// (lookup, and the fill on a miss), "merge" (the exclusion list: the
-// user's positives with any ingested feedback, or a sorted history), then
-// miss's stages — "probe" in IVF mode, and "score".
-func (s *Server) topKForUser(ctx context.Context, st *liveState, u int32, k int) []Item {
-	key := cacheKey{user: u, k: k, mode: st.mode}
-	if items, ok := s.lookup(ctx, st, key); ok {
-		return items
+// ranking and filling the cache otherwise; seen is the cache's invalidation
+// count the answer was read or computed under, for a caller that fills the
+// entry's body in. Each phase is a trace stage, the same vocabulary in both
+// retrieval modes and for a cold start: "cache" (lookup, and the fill on a
+// miss), "merge" (the exclusion list: the user's positives with any
+// ingested feedback, or a sorted history), then miss's stages — "probe" in
+// IVF mode, and "score".
+func (s *Server) topKForUser(ctx context.Context, st *liveState, u int32, k int) (e cacheEntry, seen uint64) {
+	e, seen, ok := s.lookup(ctx, st, cacheKey{user: u, k: k, mode: st.mode})
+	if ok {
+		return e, seen
 	}
 	sp := trace.StartSpanNoCtx(ctx, "merge")
 	pos := s.positivesFor(u)
 	sp.End()
-	items := s.miss(ctx, st, st.params.UserVector(u, nil), k, pos)
+	e.items = s.miss(ctx, st, st.params.UserVector(u, nil), k, pos)
 	sp = trace.StartSpanNoCtx(ctx, "cache")
-	s.fill(st, key, items)
+	s.fill(st, e, seen)
 	sp.End()
-	return items
+	return e, seen
 }
 
 // lookup is the one cache read, under a "cache" stage, and the one place
 // the hit and miss counters move, so the single and batch paths report
-// identically. A disabled cache counts nothing.
-func (s *Server) lookup(ctx context.Context, st *liveState, key cacheKey) ([]Item, bool) {
+// identically. A disabled cache counts nothing. seen goes to fill with
+// whatever is computed after a miss.
+func (s *Server) lookup(ctx context.Context, st *liveState, key cacheKey) (e cacheEntry, seen uint64, ok bool) {
 	sp := trace.StartSpanNoCtx(ctx, "cache")
-	items, ok := st.cache.get(key)
+	e, seen, ok = st.cache.get(key)
 	sp.End()
 	if ok {
 		s.cacheHits.Inc()
 	} else if st.cache != nil {
 		s.cacheMisses.Inc()
 	}
-	return items, ok
+	return e, seen, ok
 }
 
-// fill is the one cache write and the one place evictions are counted.
-func (s *Server) fill(st *liveState, key cacheKey, items []Item) {
-	s.cacheEvictions.Add(uint64(st.cache.put(key, items)))
+// fill is the one cache write and the one place evictions are counted. The
+// cache refuses it when a user's entries were invalidated after the lookup
+// that saw seen: the exclusion list e was ranked under may predate the
+// event, and storing it would serve an acknowledged item back on every hit
+// (see positivesFor).
+func (s *Server) fill(st *liveState, e cacheEntry, seen uint64) {
+	s.cacheEvictions.Add(uint64(st.cache.put(e, seen)))
 }
 
 // miss ranks the catalog under one user vector — a stored user's, an
@@ -984,7 +1023,11 @@ func (s *Server) writeJSON(ctx context.Context, w http.ResponseWriter, code int,
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.encodeErrors.Inc()
-		s.log.Error("response encode failed", "err", err, "status", code, "type", fmt.Sprintf("%T", v))
+		s.encodeFailed(err, code, v)
 	}
+}
+
+func (s *Server) encodeFailed(err error, code int, v any) {
+	s.encodeErrors.Inc()
+	s.log.Error("response encode failed", "err", err, "status", code, "type", fmt.Sprintf("%T", v))
 }

@@ -217,6 +217,16 @@ go test -race -count=1 \
 	./internal/cluster
 echo "cluster chaos gate ok"
 
+# Relay gate: a /recommend answer is encoded once, on the shard, and goes
+# out of the router as those bytes with its labels spliced on. A few
+# seconds of arbitrary bodies: whatever the scanner accepts, the splice is
+# byte for byte what decode, label, re-encode gives. And the shard's cached
+# body with hits, invalidations and fills (single and batch) racing for one
+# user; ten runs, because the interleaving decides who fills.
+go test -run='^$' -fuzz='^FuzzRelayRecommend$' -fuzztime=5s ./internal/cluster
+go test -race -count=10 -run '^TestCachedBodyConcurrentHitInvalidateFill$' ./internal/serve
+echo "relay gate ok"
+
 # Feedback chaos gate: the crash-safe ingest guarantee — zero
 # acknowledged-but-lost events across torn-tail and group-commit
 # crashes, post-replay factors byte-identical to an uninterrupted run
