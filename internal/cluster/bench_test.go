@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -49,11 +50,11 @@ func BenchmarkScanRecommend(b *testing.B) {
 	}
 }
 
-// BenchmarkRoutedRecommend is the router's share of a healthy read: the
-// handler (parse, ring, hedged attempt, scan, label splice) over three
-// loopback shards that answer a canned top-10 at once, so what is left is
-// the hop itself.
-func BenchmarkRoutedRecommend(b *testing.B) {
+// routedReadFixture is a default router's handler over three loopback
+// shards that answer a canned top-10 at once, with connections up and the
+// latency window full, and requests for it whose contexts can be canceled,
+// as a server's are.
+func routedReadFixture(tb testing.TB) (http.Handler, []*http.Request) {
 	const payload = `{"user":7,"items":[{"item":11,"score":1.5},{"item":12,"score":1.4},{"item":13,"score":1.3},` +
 		`{"item":14,"score":1.2},{"item":15,"score":1.1},{"item":16,"score":1},{"item":17,"score":0.9},` +
 		`{"item":18,"score":0.8},{"item":19,"score":0.7},{"item":20,"score":0.6}]}` + "\n"
@@ -64,31 +65,60 @@ func BenchmarkRoutedRecommend(b *testing.B) {
 	var cfg Config
 	for i := 0; i < 3; i++ {
 		ts := httptest.NewServer(stub)
-		b.Cleanup(ts.Close)
+		tb.Cleanup(ts.Close)
 		cfg.Shards = append(cfg.Shards, ShardConfig{Name: fmt.Sprintf("shard-%d", i), URL: ts.URL})
 	}
 	r, err := NewRouter(cfg)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	h := r.Handler()
+	ctx, cancel := context.WithCancel(context.Background())
+	tb.Cleanup(cancel)
 	reqs := make([]*http.Request, 256)
 	for u := range reqs {
-		reqs[u] = httptest.NewRequest(http.MethodGet, fmt.Sprintf("/recommend?user=%d&k=10", u), nil)
+		reqs[u] = httptest.NewRequest(http.MethodGet, fmt.Sprintf("/recommend?user=%d&k=10", u), nil).WithContext(ctx)
 	}
-	get := func(i int) {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, reqs[i%len(reqs)])
-		if rec.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-		}
+	for i := 0; i < 600; i++ {
+		routedRead(tb, h, reqs[i%len(reqs)])
 	}
-	for i := 0; i < 600; i++ { // connections up, latency window full
-		get(i)
+	return h, reqs
+}
+
+func routedRead(tb testing.TB, h http.Handler, req *http.Request) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		tb.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
+}
+
+// BenchmarkRoutedRecommend is the router's share of a healthy read: the
+// handler (parse, ring, hedged attempt, scan, label splice) over three
+// loopback shards, so what is left is the hop itself. Read it at -cpu 1 for
+// CPU per read: with a second core idle, the wake-ups of the stub shards'
+// threads are most of the wall clock and hide it.
+func BenchmarkRoutedRecommend(b *testing.B) {
+	h, reqs := routedReadFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		get(i)
+		routedRead(b, h, reqs[i%len(reqs)])
+	}
+}
+
+// TestRoutedReadAllocations holds the healthy read where the hop budget put
+// it. The count is the process's, as the benchmark's allocs/op is: router,
+// recorder and the stub shard's own HTTP server together, 129 while the
+// router went through http.Client. A goroutine, channel, derived context or
+// header map back on the per-read path shows here.
+func TestRoutedReadAllocations(t *testing.T) {
+	h, reqs := routedReadFixture(t)
+	i := 0
+	if n := testing.AllocsPerRun(500, func() {
+		routedRead(t, h, reqs[i%len(reqs)])
+		i++
+	}); n > 95 {
+		t.Errorf("a healthy routed read allocates %v times, want at most 95", n)
 	}
 }

@@ -62,9 +62,9 @@ type feedbackEvent struct {
 }
 
 // feedbackBuffer is the bounded FIFO behind buffered acks, plus the
-// flusher's lifecycle. Guarded by mu; the flusher drains head-first so
-// event order per user is preserved (one user's events share a ring key
-// and therefore an owner).
+// flusher's lifecycle. Guarded by mu; the flusher drains head-first and
+// keeps each owner's events in order, so event order per user is preserved
+// (one user's events share a ring key and therefore an owner).
 type feedbackBuffer struct {
 	mu     sync.Mutex
 	events []feedbackEvent
@@ -169,56 +169,14 @@ func (r *Router) tryFeedbackOwner(ctx context.Context, key uint64, body []byte) 
 	if !sh.breaker.Allow() {
 		return attemptResult{shard: sh, err: fmt.Errorf("cluster: owner %s breaker open", sh.name)}
 	}
-	actx, cancel := context.WithTimeout(ctx, fc.AttemptTimeout)
-	defer cancel()
 	sp := trace.StartSpanNoCtx(ctx, sh.span)
 	defer sp.End()
-	hreq, err := http.NewRequestWithContext(actx, http.MethodPost, sh.url+"/feedback", bytes.NewReader(body))
-	if err != nil {
-		sh.breaker.Cancel()
-		return attemptResult{shard: sh, err: err}
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	trace.Inject(ctx, hreq.Header)
-	resp, err := r.client.Do(hreq)
-	if err != nil {
-		if ctx.Err() != nil {
-			sh.breaker.Cancel()
-			r.shardReqs.With(sh.name, "canceled").Inc()
-			return attemptResult{shard: sh, err: err}
-		}
-		r.shardFailure(sh)
-		return attemptResult{shard: sh, err: err}
-	}
-	rbody, readErr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if readErr != nil {
-		// A torn response to a write is the ambiguous case: the shard may
-		// or may not have appended. Buffering would risk a duplicate, so
-		// treat it like any owner failure — the flusher redelivers and the
-		// shard's ingest dedupe (same user+item never grows history twice)
-		// absorbs the repeat.
-		if ctx.Err() != nil {
-			sh.breaker.Cancel()
-			r.shardReqs.With(sh.name, "canceled").Inc()
-			return attemptResult{shard: sh, err: readErr}
-		}
-		r.shardFailure(sh)
-		return attemptResult{shard: sh, err: fmt.Errorf("cluster: torn response from %s: %w", sh.name, readErr)}
-	}
-	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
-		if resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests {
-			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-				sh.notBefore.Store(time.Now().Add(time.Duration(secs) * time.Second).UnixNano())
-			}
-		}
-		r.shardFailure(sh)
-		return attemptResult{shard: sh, status: resp.StatusCode, body: rbody,
-			err: fmt.Errorf("cluster: shard %s returned %d", sh.name, resp.StatusCode)}
-	}
-	sh.breaker.Success()
-	r.shardReqs.With(sh.name, "ok").Inc()
-	return attemptResult{shard: sh, status: resp.StatusCode, body: rbody}
+	// A torn response to a write is the ambiguous case: the shard may or may
+	// not have appended. It settles like any owner failure — the flusher
+	// redelivers and the shard's ingest dedupe (same user+item never grows
+	// history twice) absorbs the repeat.
+	ans, err := sh.conns.exchange(ctx, fc.AttemptTimeout, http.MethodPost, "/feedback", "application/json", body)
+	return r.settle(ctx, sh, ans, err)
 }
 
 // bufferFeedback is the write path's single degradation rung: enqueue
@@ -277,11 +235,14 @@ func (r *Router) StartFeedbackFlusher() (stop func()) {
 }
 
 // FlushFeedbackNow synchronously attempts every buffered event against
-// its owner, in arrival order, and reports how many were delivered.
-// Events whose owner is still down go back to the buffer in order;
-// events the owner rejects with a 4xx are dropped (they will never
-// succeed) with a log line. Exported so tests and drains can force a
-// flush without waiting for the ticker.
+// its owner, in arrival order, and reports how many were delivered. Once
+// an owner refuses an event, that event and every later one for the same
+// owner go back to the buffer in order (one user's events share an owner,
+// so per-user sequencing survives a partial flush) while other owners'
+// events are still attempted: a shard that stays down does not hold up
+// one that came back. Events the owner rejects with a 4xx are dropped
+// (they will never succeed) with a log line. Exported so tests and drains
+// can force a flush without waiting for the ticker.
 func (r *Router) FlushFeedbackNow(ctx context.Context) (delivered int) {
 	if r.fbuf == nil {
 		return 0
@@ -294,23 +255,25 @@ func (r *Router) FlushFeedbackNow(ctx context.Context) (delivered int) {
 		return 0
 	}
 	var requeue []feedbackEvent
-	for i, ev := range pending {
-		res := r.tryFeedbackOwner(ctx, ev.key, ev.body)
-		if res.err == nil && res.status < 400 {
-			delivered++
-			r.feedbackFlushed.Inc()
-			continue
+	refused := make([]bool, len(r.shards)) // by owner, this flush
+	for _, ev := range pending {
+		owner := r.ring.Lookup(ev.key)[0]
+		if !refused[owner] {
+			res := r.tryFeedbackOwner(ctx, ev.key, ev.body)
+			if res.err == nil {
+				if res.status < 400 {
+					delivered++
+					r.feedbackFlushed.Inc()
+				} else {
+					// Owner answered 4xx: permanent, drop rather than loop.
+					r.log.Warn("dropping buffered feedback rejected by owner",
+						"shard", res.shard.name, "status", res.status)
+				}
+				continue
+			}
+			refused[owner] = true
 		}
-		if res.err == nil {
-			// Owner answered 4xx: permanent, drop rather than loop.
-			r.log.Warn("dropping buffered feedback rejected by owner",
-				"shard", res.shard.name, "status", res.status)
-			continue
-		}
-		// Owner still down: keep this and everything after it, in order,
-		// so per-user sequencing survives partial flushes.
-		requeue = append(requeue, pending[i:]...)
-		break
+		requeue = append(requeue, ev)
 	}
 	if len(requeue) > 0 {
 		r.fbuf.mu.Lock()

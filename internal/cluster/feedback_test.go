@@ -4,9 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,5 +168,71 @@ func TestRouterFeedbackRelaysOwnerRejection(t *testing.T) {
 	}
 	if got := r.FeedbackBuffered(); got != 0 {
 		t.Fatalf("buffered = %d, want 0 (4xx is permanent)", got)
+	}
+}
+
+// One owner that stays down must not hold up another that came back: the
+// flusher keeps order per owner, not across them.
+func TestFlushFeedbackDeadOwnerDoesNotBlockLiveOne(t *testing.T) {
+	type owner struct {
+		down atomic.Bool
+		mu   sync.Mutex
+		got  []string
+	}
+	owners := make([]*owner, 2)
+	var cfg Config
+	for i := range owners {
+		o := new(owner)
+		owners[i] = o
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if o.down.Load() {
+				panic(http.ErrAbortHandler)
+			}
+			body, _ := io.ReadAll(req.Body)
+			o.mu.Lock()
+			o.got = append(o.got, string(body))
+			o.mu.Unlock()
+			fmt.Fprint(w, `{"status":"ok"}`)
+		}))
+		t.Cleanup(ts.Close)
+		o.down.Store(true)
+		cfg.Shards = append(cfg.Shards, ShardConfig{Name: fmt.Sprintf("shard-%d", i), URL: ts.URL})
+	}
+	cfg.Breaker = BreakerConfig{FailureThreshold: 100} // the breakers stay out of it
+	r, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := r.Handler()
+	dead, live := userHomedOn(t, r, 0), userHomedOn(t, r, 1)
+	var sent [2][]string
+	for item := 3; item < 7; item++ { // dead, live, dead, live
+		u, o := dead, 0
+		if item%2 == 0 {
+			u, o = live, 1
+		}
+		body := fmt.Sprintf(`{"user":%d,"item":%d}`, u, item)
+		sent[o] = append(sent[o], body)
+		if rec := postFeedback(h, body); rec.Code != http.StatusAccepted {
+			t.Fatalf("post %s: status %d, want 202", body, rec.Code)
+		}
+	}
+	owners[1].down.Store(false)
+	if n := r.FlushFeedbackNow(context.Background()); n != 2 {
+		t.Errorf("flush delivered %d events, want the live owner's 2", n)
+	}
+	owners[1].mu.Lock()
+	if got := owners[1].got; !reflect.DeepEqual(got, sent[1]) {
+		t.Errorf("live owner received %q, want %q", got, sent[1])
+	}
+	owners[1].mu.Unlock()
+	var kept []string
+	r.fbuf.mu.Lock()
+	for _, ev := range r.fbuf.events {
+		kept = append(kept, string(ev.body))
+	}
+	r.fbuf.mu.Unlock()
+	if !reflect.DeepEqual(kept, sent[0]) {
+		t.Errorf("buffer holds %q, want the dead owner's %q in order", kept, sent[0])
 	}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"time"
 )
@@ -111,25 +110,14 @@ func (r *Router) ProbeNow() {
 // on which shard failover lands on. Best-effort — an unreachable or
 // pre-retrieval-era shard simply leaves the last observation standing.
 func (r *Router) observeRetrieval(sh *shardState, timeout time.Duration) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.url+"/healthz", nil)
-	if err != nil {
-		return
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
+	ans, err := sh.conns.exchange(context.Background(), timeout, http.MethodGet, "/healthz", "", nil)
+	if err != nil || ans.status != http.StatusOK {
 		return
 	}
 	var body struct {
 		Retrieval string `json:"retrieval"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&body); err != nil || body.Retrieval == "" {
+	if err := json.Unmarshal(ans.body, &body); err != nil || body.Retrieval == "" {
 		return
 	}
 	sh.retrieval.Store(body.Retrieval)
@@ -147,17 +135,6 @@ func (r *Router) observeRetrieval(sh *shardState, timeout time.Duration) {
 // counts as healthy — a draining shard (readyz 503) is correctly treated
 // as leaving the ring even though its process is alive.
 func (r *Router) probeShard(sh *shardState, timeout time.Duration) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.url+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return false
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	ans, err := sh.conns.exchange(context.Background(), timeout, http.MethodGet, "/readyz", "", nil)
+	return err == nil && ans.status == http.StatusOK
 }

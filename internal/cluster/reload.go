@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 )
@@ -70,20 +69,12 @@ func (r *Router) othersAvailable(sh *shardState) int {
 // reloadShard POSTs the shard's reload endpoint (serve's opt-in
 // /admin/reload) and treats any non-200 as a failed reload.
 func (r *Router) reloadShard(ctx context.Context, sh *shardState) error {
-	rctx, cancel := context.WithTimeout(ctx, 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(rctx, http.MethodPost, sh.url+r.cfg.ReloadPath, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := r.client.Do(req)
+	ans, err := sh.conns.exchange(ctx, 30*time.Second, http.MethodPost, r.cfg.ReloadPath, "", nil)
 	if err != nil {
 		return fmt.Errorf("cluster: reload %s: %w", sh.name, err)
 	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: reload %s: status %d: %s", sh.name, resp.StatusCode, body)
+	if ans.status != http.StatusOK {
+		return fmt.Errorf("cluster: reload %s: status %d: %s", sh.name, ans.status, ans.body[:min(len(ans.body), 4096)])
 	}
 	return nil
 }

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -143,9 +143,10 @@ func (c Config) withDefaults() Config {
 // health-driven membership flag, and the Retry-After hold the shard
 // itself asked for.
 type shardState struct {
-	name string
-	url  string
-	span string // "shard:"+name, the attempt span's name
+	name  string
+	url   string
+	conns *shardConns
+	span  string // "shard:"+name, the attempt span's name
 	// What splice puts in place of a relayed body's closing "}\n" when this
 	// shard answered: its name, and off the key's home shard the degraded
 	// label in front of it.
@@ -215,7 +216,6 @@ type Router struct {
 	cfg    Config
 	shards []*shardState
 	ring   *Ring
-	client *http.Client
 	rng    *lockedRNG
 	lat    *latencyTracker
 	stale  *staleCache
@@ -279,14 +279,8 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r := &Router{
-		cfg:  cfg,
-		ring: ring,
-		// Keep-alive connections, pooled per shard.
-		client: &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     90 * time.Second,
-		}},
+		cfg:      cfg,
+		ring:     ring,
 		rng:      newLockedRNG(cfg.Seed),
 		lat:      newLatencyTracker(cfg.LatencyWindow),
 		stale:    newStaleCache(cfg.StaleCacheSize),
@@ -296,8 +290,13 @@ func NewRouter(cfg Config) (*Router, error) {
 		stopProb: make(chan struct{}),
 	}
 	for _, sc := range cfg.Shards {
+		conns, err := newShardConns(sc.URL)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: shard %s: %w", sc.Name, err)
+		}
 		sh := &shardState{
 			name:            sc.Name,
+			conns:           conns,
 			span:            "shard:" + sc.Name,
 			homeSuffix:      labelSuffix("", sc.Name),
 			replicaSuffix:   labelSuffix(DegradedReplica, sc.Name),
@@ -692,10 +691,9 @@ type attemptResult struct {
 	// rec is the decoded body of a 200 when forward was asked to decode and
 	// the body was not serve's own encoding; nil for one scanRecommend took,
 	// which is relayed from body.
-	rec       *Response
-	err       error
-	fromHedge bool
-	home      bool // shard is the key's first preference (set by forward)
+	rec  *Response
+	err  error
+	home bool // shard is the key's first preference (set by forward)
 }
 
 // forward pushes one GET through the shard tier: preference-ordered
@@ -786,130 +784,129 @@ func (r *Router) hedgeDelay() time.Duration {
 	return d
 }
 
-// attemptHedged runs one attempt against sh, and — if sh has not
-// answered within the hedge delay — fires the identical request at the
-// next eligible shard, letting the first usable answer win. The loser is
-// canceled; its breaker reservation is released without recording an
-// outcome, so hedging never trips a breaker on a shard that was merely
-// slower than its twin. Primary has already passed breaker.Allow.
+// attemptHedged runs one attempt against sh on the caller's goroutine, and
+// — if sh has not answered within the hedge delay — a timer fires the
+// identical request at the next eligible shard, letting the first usable
+// answer win. The loser is canceled; its breaker reservation is released
+// without recording an outcome, so hedging never trips a breaker on a shard
+// that was merely slower than its twin. Primary has already passed
+// breaker.Allow.
 func (r *Router) attemptHedged(ctx context.Context, sh *shardState, pref []int, pos *int, pathQuery string, decode bool) attemptResult {
+	if r.cfg.NoHedge {
+		return r.doAttempt(ctx, sh, pathQuery, decode)
+	}
 	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	ch := make(chan attemptResult, 2)
-	go func() { ch <- r.doAttempt(hctx, sh, pathQuery, decode, false) }()
-	inFlight := 1
-	hedgeFired := r.cfg.NoHedge // true blocks the timer arm
-	var timer <-chan time.Time
-	if !hedgeFired {
-		t := time.NewTimer(r.hedgeDelay())
-		defer t.Stop()
-		timer = t.C
+	defer cancel() // the hedge, if it is still out, is now moot
+	// mu orders the timer against the primary's return: the hedge starts, and
+	// moves *pos, only while the primary is out.
+	var h struct {
+		mu          sync.Mutex
+		primaryDone bool
+		done        chan struct{} // made when the hedge starts, closed once res is set
+		res         attemptResult
 	}
-	var last attemptResult
-	for inFlight > 0 {
-		select {
-		case res := <-ch:
-			inFlight--
-			if res.err == nil {
-				cancel() // the other attempt, if any, is now moot
-				if res.fromHedge {
-					r.hedgeWins.Inc()
-				}
-				return res
-			}
-			last = res
-		case <-timer:
-			timer = nil
-			hedgeFired = true
-			if hs := r.nextEligible(pref, pos); hs != nil {
-				r.hedges.Inc()
-				inFlight++
-				go func() { ch <- r.doAttempt(hctx, hs, pathQuery, decode, true) }()
-			}
+	t := time.AfterFunc(r.hedgeDelay(), func() {
+		h.mu.Lock()
+		var hs *shardState
+		if !h.primaryDone {
+			hs = r.nextEligible(pref, pos)
 		}
+		if hs != nil {
+			h.done = make(chan struct{})
+		}
+		h.mu.Unlock()
+		if hs == nil {
+			return
+		}
+		r.hedges.Inc()
+		res := r.doAttempt(hctx, hs, pathQuery, decode)
+		h.mu.Lock()
+		h.res = res
+		if res.err == nil && !h.primaryDone {
+			cancel() // the primary returns at once, canceled
+		}
+		h.mu.Unlock()
+		close(h.done)
+	})
+	res := r.doAttempt(hctx, sh, pathQuery, decode)
+	t.Stop()
+	h.mu.Lock()
+	h.primaryDone = true
+	hedged := h.done
+	h.mu.Unlock()
+	if res.err == nil || hedged == nil {
+		return res
 	}
-	return last
+	<-hedged // bounded by the hedge's own attempt timeout
+	if h.res.err == nil {
+		r.hedgeWins.Inc()
+	}
+	return h.res
 }
 
-// doAttempt issues one HTTP GET against sh and settles its breaker:
-// Success on any 2xx/4xx except 429 (the shard is healthy; a 4xx is
-// the client's problem), Failure on transport errors, torn bodies, a
-// 200 that does not decode (when decode asks for a Response),
-// per-attempt timeouts, 5xx, and 429 (the shard is shedding — back
-// off and fail over), and Cancel — no outcome — when the parent
-// context ended first (hedge race lost, caller gone, or the client's
-// deadline expired), since none of those are the shard's fault. A
-// 429/503 Retry-After is honored by holding the shard out of the
-// candidate set until it expires. The outbound request carries the
-// current trace context (traceparent), so a shard's stage spans join
-// the router's trace.
-func (r *Router) doAttempt(ctx context.Context, sh *shardState, pathQuery string, decode, fromHedge bool) attemptResult {
-	actx, cancel := context.WithTimeout(ctx, r.cfg.AttemptTimeout)
-	defer cancel()
+// doAttempt issues one HTTP GET against sh and settles its breaker (see
+// settle); a 200 that does not decode, when decode asks for a Response, is
+// a failure too. The outbound request carries the current trace context
+// (traceparent), so a shard's stage spans join the router's trace.
+func (r *Router) doAttempt(ctx context.Context, sh *shardState, pathQuery string, decode bool) attemptResult {
 	sp := trace.StartSpanNoCtx(ctx, sh.span)
 	defer sp.End()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, sh.url+pathQuery, nil)
-	if err != nil {
-		sh.breaker.Cancel()
-		return attemptResult{shard: sh, err: err, fromHedge: fromHedge}
-	}
-	trace.Inject(ctx, req.Header)
 	t0 := time.Now()
-	resp, err := r.client.Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			// The parent (hedge/request) context ended — hedge race
-			// lost, caller gone, or the client's own deadline expired.
-			// Not the shard's fault; only the per-attempt timeout
-			// (actx alone expiring) charges the breaker.
-			sh.breaker.Cancel()
-			r.shardReqs.With(sh.name, "canceled").Inc()
-			return attemptResult{shard: sh, err: err, fromHedge: fromHedge}
+	ans, err := sh.conns.exchange(ctx, r.cfg.AttemptTimeout, http.MethodGet, pathQuery, "", nil)
+	took := time.Since(t0) // the shard's answer, not the router's decode of it
+	var rec *Response
+	if err == nil && decode && ans.status == http.StatusOK && !scanRecommend(ans.body) {
+		rec = new(Response)
+		if uerr := json.Unmarshal(ans.body, rec); uerr != nil {
+			// The transfer completed but the payload is garbage: the shard
+			// is lying, and a replica may not be.
+			err = fmt.Errorf("undecodable 200: %w", uerr)
 		}
-		r.shardFailure(sh)
-		return attemptResult{shard: sh, err: err, fromHedge: fromHedge}
 	}
-	body, readErr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if readErr != nil {
-		if ctx.Err() != nil {
-			sh.breaker.Cancel()
-			r.shardReqs.With(sh.name, "canceled").Inc()
-			return attemptResult{shard: sh, err: readErr, fromHedge: fromHedge}
-		}
-		// Torn response: the shard died (or lied about Content-Length)
-		// mid-body. The bytes that did arrive are not trustworthy.
-		r.shardFailure(sh)
-		return attemptResult{shard: sh, err: fmt.Errorf("cluster: torn response from %s: %w", sh.name, readErr), fromHedge: fromHedge}
+	res := r.settle(ctx, sh, ans, err)
+	if res.err == nil {
+		res.rec = rec
+		r.lat.Observe(took)
 	}
-	if resp.StatusCode >= 500 || resp.StatusCode == http.StatusTooManyRequests {
+	return res
+}
+
+// settle charges sh's breaker for one exchange and shapes the attempt's
+// result: Success on any 2xx/4xx except 429 (the shard is healthy; a 4xx is
+// the client's problem), Failure on transport errors, torn bodies,
+// per-attempt timeouts, 5xx, and 429 (the shard is shedding — back off and
+// fail over), and Cancel — no outcome — when the caller's context ended
+// first (hedge race lost, caller gone, or the client's deadline expired),
+// since none of those are the shard's fault. A 429/503 Retry-After is
+// honored by holding the shard out of the candidate set until it expires.
+func (r *Router) settle(ctx context.Context, sh *shardState, ans shardAnswer, err error) attemptResult {
+	switch {
+	case err != nil && ctx.Err() != nil:
+		sh.breaker.Cancel()
+		r.shardReqs.With(sh.name, "canceled").Inc()
+		return attemptResult{shard: sh, err: err}
+	case err != nil:
+		// Includes the torn response: the shard died (or lied about
+		// Content-Length) mid-body, and the bytes that did arrive are not
+		// trustworthy.
+		r.shardFailure(sh)
+		return attemptResult{shard: sh, err: fmt.Errorf("cluster: shard %s: %w", sh.name, err)}
+	case ans.status >= 500 || ans.status == http.StatusTooManyRequests:
 		// 503 and 429 are both shed signals (DESIGN.md back-pressure):
 		// honor Retry-After with a notBefore hold so the preference
 		// walk routes around the shedding shard instead of queueing.
-		if resp.StatusCode == http.StatusServiceUnavailable || resp.StatusCode == http.StatusTooManyRequests {
-			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
+		if ans.status == http.StatusServiceUnavailable || ans.status == http.StatusTooManyRequests {
+			if secs, err := strconv.Atoi(ans.retryAfter); err == nil && secs > 0 {
 				sh.notBefore.Store(time.Now().Add(time.Duration(secs) * time.Second).UnixNano())
 			}
 		}
 		r.shardFailure(sh)
-		return attemptResult{shard: sh, status: resp.StatusCode, body: body,
-			err: fmt.Errorf("cluster: shard %s returned %d", sh.name, resp.StatusCode), fromHedge: fromHedge}
-	}
-	took := time.Since(t0) // the shard's answer, not the router's decode of it
-	var rec *Response
-	if decode && resp.StatusCode == http.StatusOK && !scanRecommend(body) {
-		rec = new(Response)
-		if err := json.Unmarshal(body, rec); err != nil {
-			// The transfer completed but the payload is garbage: the shard
-			// is lying, and a replica may not be.
-			r.shardFailure(sh)
-			return attemptResult{shard: sh, err: fmt.Errorf("cluster: undecodable 200 from %s: %w", sh.name, err), fromHedge: fromHedge}
-		}
+		return attemptResult{shard: sh, status: ans.status, body: ans.body,
+			err: fmt.Errorf("cluster: shard %s returned %d", sh.name, ans.status)}
 	}
 	sh.breaker.Success()
 	r.shardReqs.With(sh.name, "ok").Inc()
-	r.lat.Observe(took)
-	return attemptResult{shard: sh, status: resp.StatusCode, body: body, rec: rec, fromHedge: fromHedge}
+	return attemptResult{shard: sh, status: ans.status, body: ans.body}
 }
 
 // shardFailure settles a failed attempt: breaker bookkeeping plus the

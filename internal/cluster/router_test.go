@@ -751,3 +751,61 @@ func TestNewRouterValidation(t *testing.T) {
 		t.Error("shard without name accepted")
 	}
 }
+
+// TestHedgeRace runs attemptHedged with the primary slow enough for the
+// hedge timer to fire. Whichever side answers first is the result, the
+// other is canceled without a charge, the preference walk moved on by
+// exactly the hedge's shard, and a hedge that wins counts as one.
+func TestHedgeRace(t *testing.T) {
+	for _, c := range []struct {
+		name                  string
+		primaryLag, hedgeLag  time.Duration
+		hedgeWins             uint64
+		winner, loser, within int // indexes into the preference order; ms
+	}{
+		{"hedge wins", 400 * time.Millisecond, 0, 1, 1, 0, 400},
+		{"primary wins", 60 * time.Millisecond, 500 * time.Millisecond, 0, 0, 1, 500},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r, shards, _ := newTestCluster(t, 3, func(cfg *Config) {
+				cfg.NoHedge = false
+				cfg.HedgeDefault = 10 * time.Millisecond
+				cfg.HedgeFloor = time.Millisecond
+			})
+			pref := r.ring.Lookup(UserKey(3))
+			shards[pref[0]].chaos.SetLatency(c.primaryLag)
+			shards[pref[1]].chaos.SetLatency(c.hedgeLag)
+			pos := 0
+			primary := r.nextEligible(pref, &pos)
+			start := time.Now()
+			res := r.attemptHedged(context.Background(), primary, pref, &pos, "/recommend?user=3&k=5", true)
+			if took := time.Since(start); took >= time.Duration(c.within)*time.Millisecond {
+				t.Errorf("took %v: the caller waited for the loser", took)
+			}
+			winner, loser := r.shards[pref[c.winner]], r.shards[pref[c.loser]]
+			if res.err != nil || res.shard != winner {
+				t.Fatalf("err %v from %s, want an answer from %s", res.err, res.shard.name, winner.name)
+			}
+			if pos != 2 {
+				t.Errorf("pos = %d, want 2: the primary's step and the hedge's", pos)
+			}
+			if h, w := r.hedges.Value(), r.hedgeWins.Value(); h != 1 || w != c.hedgeWins {
+				t.Errorf("hedges=%d hedgeWins=%d, want 1 and %d", h, w, c.hedgeWins)
+			}
+			// Nobody waits for a losing hedge: its settlement trails the answer.
+			deadline := time.Now().Add(5 * time.Second)
+			for r.shardReqs.With(loser.name, "canceled").Value() == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := r.shardReqs.With(loser.name, "canceled").Value(); n != 1 {
+				t.Errorf("loser settled canceled %d times, want 1", n)
+			}
+			if r.shardReqs.With(loser.name, "error").Value() != 0 || loser.breaker.State() != BreakerClosed {
+				t.Error("losing the race was charged to the loser's breaker")
+			}
+			if r.shardReqs.With(winner.name, "ok").Value() != 1 {
+				t.Error("the winner's answer was not recorded ok")
+			}
+		})
+	}
+}

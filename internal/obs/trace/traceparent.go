@@ -3,7 +3,6 @@ package trace
 import (
 	"context"
 	"encoding/hex"
-	"fmt"
 	"net/http"
 	"strings"
 )
@@ -15,7 +14,7 @@ type TraceID struct{ hi, lo uint64 }
 func (id TraceID) IsZero() bool { return id.hi == 0 && id.lo == 0 }
 
 // String renders 32 lowercase hex digits.
-func (id TraceID) String() string { return fmt.Sprintf("%016x%016x", id.hi, id.lo) }
+func (id TraceID) String() string { return string(appendHex64(appendHex64(nil, id.hi), id.lo)) }
 
 // SpanID is a 64-bit W3C span (parent) identifier.
 type SpanID uint64
@@ -24,7 +23,16 @@ type SpanID uint64
 func (id SpanID) IsZero() bool { return id == 0 }
 
 // String renders 16 lowercase hex digits.
-func (id SpanID) String() string { return fmt.Sprintf("%016x", uint64(id)) }
+func (id SpanID) String() string { return string(appendHex64(nil, uint64(id))) }
+
+// appendHex64 appends v as 16 lowercase hex digits.
+func appendHex64(dst []byte, v uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		dst = append(dst, digits[v>>uint(shift)&0xf])
+	}
+	return dst
+}
 
 // Traceparent is a parsed W3C traceparent header:
 //
@@ -37,12 +45,18 @@ type Traceparent struct {
 }
 
 // String renders the header value at version 00.
-func (tp Traceparent) String() string {
-	flags := "00"
+func (tp Traceparent) String() string { return string(tp.AppendTo(nil)) }
+
+// AppendTo appends the header value at version 00 (55 bytes) to dst.
+func (tp Traceparent) AppendTo(dst []byte) []byte {
+	dst = append(dst, "00-"...)
+	dst = appendHex64(appendHex64(dst, tp.TraceID.hi), tp.TraceID.lo)
+	dst = append(dst, '-')
+	dst = appendHex64(dst, uint64(tp.SpanID))
 	if tp.Sampled {
-		flags = "01"
+		return append(dst, "-01"...)
 	}
-	return "00-" + tp.TraceID.String() + "-" + tp.SpanID.String() + "-" + flags
+	return append(dst, "-00"...)
 }
 
 // Header is the canonical header name.
@@ -106,24 +120,33 @@ func isLowerHex(s string) bool {
 	return true
 }
 
-// Inject writes a traceparent header identifying the context's current
-// span, so an outbound hop (router→shard) continues this trace. No-op when
-// the context carries no trace — or a trace that has since finished and
-// been recycled for another request: a hedge attempt that loses its race
-// can outlive its request, and must not stamp the next request's ID on its
-// own outbound call. The trace's fields are read under its lock, where
-// StartTrace writes them.
-func Inject(ctx context.Context, h http.Header) {
+// AppendTraceparent appends the traceparent value identifying the
+// context's current span, so an outbound hop (router→shard) continues this
+// trace. It appends nothing when the context carries no trace — or a trace
+// that has since finished and been recycled for another request: a hedge
+// attempt that loses its race can outlive its request, and must not stamp
+// the next request's ID on its own outbound call. The trace's fields are
+// read under its lock, where StartTrace writes them.
+func AppendTraceparent(ctx context.Context, dst []byte) []byte {
 	v, ok := ctx.Value(ctxKey{}).(ctxVal)
 	if !ok || v.tr == nil {
-		return
+		return dst
 	}
 	v.tr.mu.Lock()
 	if v.gen != v.tr.gen {
 		v.tr.mu.Unlock()
-		return
+		return dst
 	}
 	tp := Traceparent{TraceID: v.tr.id, SpanID: v.tr.spans[v.span].id, Sampled: v.tr.sampled}
 	v.tr.mu.Unlock()
-	h.Set(Header, tp.String())
+	return tp.AppendTo(dst)
+}
+
+// Inject sets AppendTraceparent's value, when there is one, as h's
+// traceparent header.
+func Inject(ctx context.Context, h http.Header) {
+	var buf [55]byte
+	if v := AppendTraceparent(ctx, buf[:0]); len(v) > 0 {
+		h.Set(Header, string(v))
+	}
 }

@@ -200,6 +200,9 @@ go test -race -count=1 -run '^TestTraceSmoke' ./internal/serve
 # under the trace's lock and write nothing for a stale handle. Ten runs,
 # because the pool decides how soon the Trace is reused.
 go test -race -count=10 -run '^TestInjectFromHedgeOutlivingRequest$' ./internal/obs/trace
+# The hedge itself: the timer's goroutine and the caller, who runs the
+# primary inline, share the preference walk and the result under one lock.
+go test -race -count=10 -run '^TestHedgeRace$' ./internal/cluster
 echo "trace smoke ok"
 
 # Cluster chaos gate: the sharded-serving guarantee — with one of three
@@ -211,9 +214,11 @@ echo "trace smoke ok"
 # window answers exactly what a full sort of the window would (and stays
 # clean with observers and readers racing), and a home shard answering
 # 200 with garbage is retried onto a replica and charged, not relayed or
-# dropped to poprank. -count=1 defeats the test cache.
+# dropped to poprank; and the connection layer under all of it (stale
+# keep-alive, cancel, timeout, torn and oddly framed bodies, TLS, pool
+# bounds). -count=1 defeats the test cache.
 go test -race -count=1 \
-	-run '^Test(ClusterChaos|LatencyTrackerMatchesNaive|LatencyTrackerConcurrent|RouterRetriesUndecodable200OntoReplica)' \
+	-run '^Test(ClusterChaos|LatencyTrackerMatchesNaive|LatencyTrackerConcurrent|RouterRetriesUndecodable200OntoReplica|ShardConn)' \
 	./internal/cluster
 echo "cluster chaos gate ok"
 
