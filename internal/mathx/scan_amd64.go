@@ -53,6 +53,29 @@ func scanF64(u, v, b, out []float64) {
 	scanF64Go(u, v[n4*d:], b, out[n4:])
 }
 
+// boundAVX is boundGo over n > 0 rows of d > 0 elements, n a multiple of
+// eight; b may be nil.
+//
+//go:noescape
+func boundAVX(u, v, b *float32, out *float64, n, d int)
+
+func boundF32(u, v, b []float32, out []float64) {
+	d, n8 := len(u), len(out)&^7
+	if !useAVX || d == 0 || n8 == 0 {
+		boundGo(u, v, b, out)
+		return
+	}
+	// BoundF32 checked len(v) and len(b) against n*d and n: the kernel
+	// reads exactly the first n8 rows and biases; the Go body takes the
+	// zero to seven rows left.
+	var bp *float32
+	if b != nil {
+		bp, b = &b[0], b[n8:]
+	}
+	boundAVX(&u[0], &v[0], bp, &out[0], n8, d)
+	boundGo(u, v[n8*d:], b, out[n8:])
+}
+
 // firstNotBelowAVX is firstNotBelowGo over n > 0 scores, n a multiple of
 // four.
 //

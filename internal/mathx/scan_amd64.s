@@ -200,6 +200,140 @@ store4:
 	VZEROUPPER
 	RET
 
+// func boundAVX(u, v, b *float32, out *float64, n, d int)
+//
+// Eight rows per pass, n a multiple of eight: boundGo's accumulators
+// s0..s7 for row r of the pass are the eight lanes of Yr. Each chunk of
+// eight query elements is loaded once and multiplied into the eight rows,
+// whose adds are eight independent chains; the first chunk's products are
+// the accumulators, as in boundGo. Row r is r row-lengths past the pass's
+// cursor AX, so one cursor walks all eight. One reduce serves the eight
+// rows: a VPERM2F128 and a VBLENDPS pair rows r and r+4 so that one add
+// leaves s_l+s_(l+4) of row r in lanes 0..3 and of row r+4 in lanes 4..7;
+// three VHADDPS then finish every row's tree in its own lane, r. The d mod
+// 8 tail gathers one element of each row and adds in order, as boundGo
+// does. Multiply and add stay separate: boundGo rounds every product to
+// float32 on its own. The scores are widened to float64 on the way out.
+// Every memory operand is VEX-encoded and so alignment-free; mapped rows
+// are only 4-byte aligned.
+TEXT ·boundAVX(SB), NOSPLIT, $0-48
+	MOVQ u+0(FP), SI
+	MOVQ v+8(FP), DI
+	MOVQ b+16(FP), BX
+	MOVQ out+24(FP), DX
+	MOVQ n+32(FP), CX
+	MOVQ d+40(FP), R10
+	SHLQ $2, R10           // bytes in a row
+	LEAQ (R10)(R10*2), R11 // three rows
+	LEAQ (R10)(R10*4), R12 // five rows
+	LEAQ (R11)(R10*4), R13 // seven rows
+
+pass8:
+	MOVQ   DI, AX // row 0's cursor
+	MOVQ   SI, R8 // the query's
+	MOVQ   d+40(FP), R9
+	SHRQ   $3, R9 // whole chunks
+	JNZ    first8
+	VXORPS Y0, Y0, Y0 // no chunk: the tail adds onto +0
+	JMP    tail8start
+
+first8:
+	VMOVUPS (R8), Y8
+	VMULPS  (AX), Y8, Y0
+	VMULPS  (AX)(R10*1), Y8, Y1
+	VMULPS  (AX)(R10*2), Y8, Y2
+	VMULPS  (AX)(R11*1), Y8, Y3
+	VMULPS  (AX)(R10*4), Y8, Y4
+	VMULPS  (AX)(R12*1), Y8, Y5
+	VMULPS  (AX)(R11*2), Y8, Y6
+	VMULPS  (AX)(R13*1), Y8, Y7
+	ADDQ    $32, AX
+	ADDQ    $32, R8
+	DECQ    R9
+	JZ      reduce8
+
+chunk8:
+	VMOVUPS (R8), Y8
+	VMULPS  (AX), Y8, Y9
+	VADDPS  Y9, Y0, Y0
+	VMULPS  (AX)(R10*1), Y8, Y10
+	VADDPS  Y10, Y1, Y1
+	VMULPS  (AX)(R10*2), Y8, Y11
+	VADDPS  Y11, Y2, Y2
+	VMULPS  (AX)(R11*1), Y8, Y12
+	VADDPS  Y12, Y3, Y3
+	VMULPS  (AX)(R10*4), Y8, Y9
+	VADDPS  Y9, Y4, Y4
+	VMULPS  (AX)(R12*1), Y8, Y10
+	VADDPS  Y10, Y5, Y5
+	VMULPS  (AX)(R11*2), Y8, Y11
+	VADDPS  Y11, Y6, Y6
+	VMULPS  (AX)(R13*1), Y8, Y12
+	VADDPS  Y12, Y7, Y7
+	ADDQ    $32, AX
+	ADDQ    $32, R8
+	DECQ    R9
+	JNZ     chunk8
+
+reduce8:
+	VPERM2F128 $0x21, Y4, Y0, Y8 // r0 s4..s7 | r4 s0..s3
+	VBLENDPS   $0xf0, Y4, Y0, Y9 // r0 s0..s3 | r4 s4..s7
+	VADDPS     Y9, Y8, Y0        // r0 s_l+s_(l+4) | r4 s_l+s_(l+4)
+	VPERM2F128 $0x21, Y5, Y1, Y8
+	VBLENDPS   $0xf0, Y5, Y1, Y9
+	VADDPS     Y9, Y8, Y1        // rows 1 | 5
+	VPERM2F128 $0x21, Y6, Y2, Y8
+	VBLENDPS   $0xf0, Y6, Y2, Y9
+	VADDPS     Y9, Y8, Y2        // rows 2 | 6
+	VPERM2F128 $0x21, Y7, Y3, Y8
+	VBLENDPS   $0xf0, Y7, Y3, Y9
+	VADDPS     Y9, Y8, Y3        // rows 3 | 7
+	VHADDPS    Y1, Y0, Y0        // rows 0, 0, 1, 1 | 4, 4, 5, 5: (s0+s4)+(s1+s5), (s2+s6)+(s3+s7)
+	VHADDPS    Y3, Y2, Y2        // rows 2, 2, 3, 3 | 6, 6, 7, 7
+	VHADDPS    Y2, Y0, Y0        // rows 0..7, each tree whole
+
+tail8start:
+	MOVQ d+40(FP), R9
+	ANDQ $7, R9
+	JZ   bias8
+
+tail8:
+	VMOVSS       (AX), X9 // gather one element of the eight rows
+	VINSERTPS    $0x10, (AX)(R10*1), X9, X9
+	VINSERTPS    $0x20, (AX)(R10*2), X9, X9
+	VINSERTPS    $0x30, (AX)(R11*1), X9, X9
+	VMOVSS       (AX)(R10*4), X10
+	VINSERTPS    $0x10, (AX)(R12*1), X10, X10
+	VINSERTPS    $0x20, (AX)(R11*2), X10, X10
+	VINSERTPS    $0x30, (AX)(R13*1), X10, X10
+	VINSERTF128  $1, X10, Y9, Y9
+	VBROADCASTSS (R8), Y10
+	VMULPS       Y10, Y9, Y9
+	VADDPS       Y9, Y0, Y0
+	ADDQ         $4, AX
+	ADDQ         $4, R8
+	DECQ         R9
+	JNZ          tail8
+
+bias8:
+	TESTQ  BX, BX
+	JZ     store8
+	VADDPS (BX), Y0, Y0
+	ADDQ   $32, BX
+
+store8:
+	VCVTPS2PD    X0, Y1
+	VEXTRACTF128 $1, Y0, X2
+	VCVTPS2PD    X2, Y2
+	VMOVUPD      Y1, (DX)
+	VMOVUPD      Y2, 32(DX)
+	ADDQ         $64, DX
+	LEAQ         (DI)(R10*8), DI
+	SUBQ         $8, CX
+	JNZ          pass8
+	VZEROUPPER
+	RET
+
 // func firstNotBelowAVX(x *float64, n int, floor float64) int
 //
 // n is a multiple of four. A lane is set when its score is not below the

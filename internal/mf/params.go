@@ -1,5 +1,7 @@
 package mf
 
+import "fmt"
+
 // Params is the read-only scoring surface the serving stack works against:
 // rows (UserVector, ItemVector, Bias) and one item scan (ScoreRangeFoldIn).
 // Three types implement it: *Model (the float64 training representation),
@@ -26,8 +28,9 @@ type Params interface {
 	// one tile — len(out) == hi-lo, out[j] is item lo+j — with
 	// f_i = userFactors · V_i + b_i, the same bits whatever the tiling.
 	// A stored user is scored under UserVector(u); a cold-start or
-	// overlaid user under its folded-in vector. score.Engine tiles every
-	// scan — full rows, blocked batches, the fused top-K — through it.
+	// overlaid user under its folded-in vector. score.Engine tiles full
+	// rows and blocked batches through it; its fused top-K reads the rows
+	// (Items) and runs the same kernel over the one row that can place.
 	ScoreRangeFoldIn(userFactors []float64, lo, hi int, out []float64)
 
 	// UserVector returns U_u as float64, reusing dst when it has
@@ -58,6 +61,34 @@ var (
 	_ Params = (*Factors32)(nil)
 	_ Params = (*Overlay)(nil)
 )
+
+// ItemRows is a parameter set's item half as the flat row-major slices the
+// internal/mathx kernels take: exactly one of V64 and V32 is non-nil, and
+// the bias slice beside it is nil on a bias-free model.
+type ItemRows struct {
+	V64, B64 []float64
+	V32, B32 []float32
+}
+
+// Items returns p's item rows: a *Model's or a *Factors32's own storage
+// (or that of the one a type embeds), and an *Overlay's base's, since an
+// overlay replaces user rows only. The slices are read-only to the caller.
+// It is how a scan that takes rows rather than the Params interface — the
+// fused top-K's bound filter and its one-row rescoring — reaches them
+// without a copy.
+func Items(p Params) ItemRows {
+	switch p := p.(type) {
+	case *Overlay:
+		return Items(p.Params)
+	case interface{ RawParams() (u, v, b []float64) }:
+		_, v, b := p.RawParams()
+		return ItemRows{V64: v, B64: b}
+	case interface{ RawParams32() (u, v, b []float32) }:
+		_, v, b := p.RawParams32()
+		return ItemRows{V32: v, B32: b}
+	}
+	panic(fmt.Sprintf("mf: no item rows for a %T", p))
+}
 
 // UserVector returns U_u. The model stores float64 natively, so this is the
 // live row; dst is ignored.

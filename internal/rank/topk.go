@@ -139,6 +139,12 @@ func NewSelector(k int, excludeSorted []int32) Selector {
 	}
 }
 
+// Floor is the score an offered candidate must reach to be pushed: the
+// k-th best so far once k are held, -Inf before that. A scan that can
+// bound a candidate's score from above offers it only when the bound is
+// not below Floor; Offer would ignore the rest.
+func (s *Selector) Floor() float64 { return s.floor }
+
 // skipTo advances the merge pointer to the first excluded id >= id.
 func (s *Selector) skipTo(id int32) {
 	for s.p < len(s.ex) && s.ex[s.p] < id {

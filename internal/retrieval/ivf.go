@@ -16,15 +16,18 @@ import (
 // reference to the parameter set it was built from, so it may outlive
 // that set: the serve path carries an Index across model swaps for as
 // long as Indexes says the new item half is the one it packed, and builds
-// a fresh one only when it is not.
+// a fresh one only when it is not. Beside the pack it holds the bound
+// filter SearchCells scans first (mathx.Bound): over a float32 pack the
+// pack itself, over a float64 one a float32 shadow of it, 4·(d+1) bytes
+// an item.
 //
 // Layout: item parameters are *packed* cell-major — each cell's member
 // vectors (dim floats a row) sit contiguously in one array and their
 // biases in another, ids ascending within the cell, which is the shape
-// mathx.ScanF64 and ScanF64F32 take. Scoring a cell is then literally the
-// dense kernel of internal/mf over a different span, at the same cache
-// behavior; the speedup over exact is the fraction of the catalog pruned
-// away.
+// mathx.BoundF32, ScanF64 and ScanF64F32 take. Scoring a cell is then
+// literally the exact scan's tile loop (score.Engine) over a different
+// span, at the same cache behavior; the speedup over exact is the fraction
+// of the catalog pruned away.
 type Index struct {
 	dim    int // latent dimensionality d
 	nlist  int
@@ -50,6 +53,8 @@ type Index struct {
 	vecs32  []float32
 	bias32  []float32
 	offsets []int32
+
+	bound *mathx.Bound // over the packed rows, in slot order
 
 	numItems  int
 	maxNorm   float64 // M: the largest augmented item norm
@@ -128,6 +133,11 @@ func BuildIVF(m mf.Params, cfg Config) (*Index, error) {
 		vbuf = m.ItemVector(int32(i), vbuf)
 		copy(ix.vecs[slot*d:slot*d+d], vbuf)
 		ix.bias[slot] = m.Bias(int32(i))
+	}
+	if isF32 {
+		ix.bound = mathx.BoundOverF32(ix.vecs32, ix.bias32, d)
+	} else {
+		ix.bound = mathx.BoundOverF64(ix.vecs, ix.bias, d)
 	}
 	return ix, nil
 }
@@ -264,10 +274,10 @@ func (ix *Index) Probe(uf []float64, nprobe int) []int32 {
 
 // Search returns the top k items for the query among the members of the
 // nprobe best cells (nprobe <= 0 uses the index default), plus the count
-// of candidates dropped for non-finite scores. Every candidate is scored
-// by the function the dense scan calls — mathx.ScanF64, or ScanF64F32
-// over float32 rows — so scores are bit-identical to exact retrieval;
-// the only approximation is which items get scored at all. With
+// of candidates dropped for non-finite scores. Every candidate that can
+// place is scored by the function the dense scan calls — mathx.ScanF64,
+// or ScanF64F32 over float32 rows — so scores are bit-identical to exact
+// retrieval; the only approximation is which items get scored at all. With
 // nprobe == nlist the result (entries and dropped count) is bit-identical
 // to rank.TopKDropped over engine.ScoreAll output.
 //
@@ -282,28 +292,47 @@ func (ix *Index) Search(uf []float64, k, nprobe int, excludeSorted []int32) ([]r
 // SearchCells is the scoring half of Search: exactly re-rank the members
 // of the given cells (a ProbeCells result) and return the top k. Splitting
 // the phases lets the serve path time candidate selection ("probe") and
-// scan-plus-select ("score") as separate trace stages. Each cell is scored
-// a tile at a time and the tile handed to the shared rank.Selector, whose
-// exclusion, non-finite drop-and-count, floor rejection and heap are the
-// ones the exact scan runs.
+// scan-plus-select ("score") as separate trace stages. Each cell is scanned
+// a tile at a time as the exact scan does (score.Engine): the bound scan
+// over the tile, then the survivors — the members whose bound score is not
+// a finite value below the selector's floor minus E — each rescored
+// exactly and handed to the shared rank.Selector, whose exclusion,
+// non-finite drop-and-count, floor rejection and heap are the ones the
+// exact scan runs. A member the walk skips scores below the floor, so the
+// answer is that of rescoring every member.
 func (ix *Index) SearchCells(uf []float64, cells []int32, k int, excludeSorted []int32) ([]rank.Entry, int) {
 	ix.checkQuery(uf)
 	if k <= 0 {
 		return nil, 0 // mirror rank.TopKDropped: no selection, no counting
 	}
 	sel := rank.NewSelector(k, excludeSorted)
-	var tile [512]float64 // the exact scan's tile (score.Engine)
 	d := ix.dim
+	var ubuf [128]float32 // the query's float32 image
+	u32 := ubuf[:]
+	if d > len(u32) {
+		u32 = make([]float32, d)
+	}
+	u32 = u32[:d]
+	tol := ix.bound.Query(uf, u32)
+	var tile [512]float64 // the exact scan's tile (score.Engine)
+	var one [1]float64
 	for _, c := range cells {
 		for lo, end := int(ix.offsets[c]), int(ix.offsets[c+1]); lo < end; lo += len(tile) {
 			hi := min(lo+len(tile), end)
-			scores := tile[:hi-lo]
-			if ix.vecs32 != nil {
-				mathx.ScanF64F32(uf, ix.vecs32[lo*d:hi*d], ix.bias32[lo:hi], scores)
-			} else {
-				mathx.ScanF64(uf, ix.vecs[lo*d:hi*d], ix.bias[lo:hi], scores)
+			t := tile[:hi-lo]
+			ix.bound.Scan(u32, lo, hi, t)
+			for j := 0; ; j++ {
+				if j += mathx.FirstNotBelow(t[j:], sel.Floor()-tol); j == len(t) {
+					break
+				}
+				s := lo + j
+				if ix.vecs32 != nil {
+					mathx.ScanF64F32(uf, ix.vecs32[s*d:s*d+d], ix.bias32[s:s+1], one[:])
+				} else {
+					mathx.ScanF64(uf, ix.vecs[s*d:s*d+d], ix.bias[s:s+1], one[:])
+				}
+				sel.OfferIDs(ix.ids[s:s+1], one[:])
 			}
-			sel.OfferIDs(ix.ids[lo:hi], scores)
 		}
 	}
 	return sel.Finish()

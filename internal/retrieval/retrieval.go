@@ -18,10 +18,11 @@
 //  2. A cluster-pruned IVF (inverted-file) index over those unit
 //     vectors: a seeded, deterministic spherical k-means partitions the
 //     catalog into nlist cells; a query scans the nlist centroids, keeps
-//     the top nprobe cells, and re-ranks every item in them with the
-//     *exact* score U_u·V_i + b_i — computed by the function the dense
-//     scan calls (mathx.ScanF64, or ScanF64F32 over float32 rows), so
-//     the only approximation is which items get scored at all, never
+//     the top nprobe cells, and re-ranks every item in them that can
+//     place (a float32 bound scan skips the rest) with the *exact* score
+//     U_u·V_i + b_i — computed by the function the dense scan calls
+//     (mathx.ScanF64, or ScanF64F32 over float32 rows), so the only
+//     approximation is which items get scored at all, never
 //     the scores themselves. With nprobe == nlist the result is
 //     bit-identical to exact retrieval.
 //

@@ -16,13 +16,17 @@
 // straight to a rank.Selector, so a request that keeps ten items never
 // allocates, writes or re-reads a NumItems-sized row.
 //
-// Both forms tile through mf.Params.ScoreRangeFoldIn — a parameter set's
+// ScoreUsers tiles through mf.Params.ScoreRangeFoldIn — a parameter set's
 // one item scan, tile-relative (the output has length hi-lo) — under
-// UserVector(u): ScoreUsers hands it a window of each row, the fused scan
-// one small reused buffer. Every method computes bit-identical values to
-// mf.Model.ScoreAll — the per-item dot products are the same operations in
-// the same order — so swapping the engine into a ranking path can never
-// change a result, only its cost.
+// UserVector(u), handing it a window of each row. The fused scan reads the
+// item rows themselves (mf.Items) and runs in two kernels: a float32 bound
+// scan of the tile (mathx.BoundF32) and, for the few rows whose bound can
+// reach the selector's floor, the representation's exact kernel over that
+// one row (mathx.ScanF64 or ScanF64F32, what ScoreRangeFoldIn runs). Every
+// score any method returns is bit-identical to mf.Model.ScoreAll's — the
+// per-item dot products are the same operations in the same order, and a
+// row the bound skips provably scores below the floor — so swapping the
+// engine into a ranking path can never change a result, only its cost.
 package score
 
 import (
@@ -30,6 +34,7 @@ import (
 	"runtime"
 	"sync"
 
+	"clapf/internal/mathx"
 	"clapf/internal/mf"
 	"clapf/internal/rank"
 )
@@ -48,13 +53,19 @@ const minBlockItems = 16
 const tileItems = 512
 
 // Engine scores users against one immutable parameter set — a float64
-// mf.Model or a float32 mf.Factors32; the blocked kernel is generic over
-// mf.Params. It is stateless beyond its configuration, safe for concurrent
-// use, and cheap to construct — the serve path builds a fresh Engine on
-// every model swap.
+// mf.Model, a float32 mf.Factors32 or an overlay of either; the blocked
+// kernel is generic over mf.Params. It is safe for concurrent use and
+// cheap to construct — the serve path builds a fresh Engine on every model
+// swap. Its one piece of state is the fused scan's bound, built on the
+// first top-K: over a float32 catalog its own rows, over a float64 one a
+// float32 shadow of them (4·(d+1) bytes an item).
 type Engine struct {
 	m     mf.Params
-	block int // items per ScoreUsers tile
+	block int         // items per ScoreUsers tile
+	rows  mf.ItemRows // m's item half, for the fused scan's kernels
+
+	boundOnce sync.Once
+	bound     *mathx.Bound
 }
 
 // Option configures an Engine.
@@ -79,6 +90,7 @@ func NewEngine(m mf.Params, opts ...Option) *Engine {
 	e := &Engine{
 		m:     m,
 		block: blockBytes / (m.ElemBytes() * m.Dim()),
+		rows:  mf.Items(m),
 	}
 	if e.block < minBlockItems {
 		e.block = minBlockItems
@@ -204,25 +216,79 @@ func (e *Engine) TopKUsers(qs []TopKQuery) []TopKResult {
 type query struct {
 	uf     []float64
 	sel    rank.Selector
-	shared bool // same vector as the previous query: reuse its tile scores
+	shared bool    // same vector as the previous query: reuse its bound tile
+	tol    float64 // E(uf): how far a bound score may be from the exact one
+}
+
+// filter returns the bound over the catalog's rows, built on first use.
+func (e *Engine) filter() *mathx.Bound {
+	e.boundOnce.Do(func() {
+		if r := e.rows; r.V32 != nil {
+			e.bound = mathx.BoundOverF32(r.V32, r.B32, e.m.Dim())
+		} else {
+			e.bound = mathx.BoundOverF64(r.V64, r.B64, e.m.Dim())
+		}
+	})
+	return e.bound
 }
 
 // sweep is the fused exact scan: stream the catalog once, a tile at a
-// time, scoring the tile under each query's vector with the parameter
-// set's own per-item kernel and offering the scores to that query's
-// selector while they are still in L1.
+// time; score the tile under each query's vector with the bound scan, and
+// walk it from survivor to survivor — a row whose bound score is not a
+// finite value below the selector's floor minus E — rescoring each exactly
+// and offering it to that query's selector while the tile is in L1. A row
+// the walk skips scores below the floor, where Offer would ignore it, so
+// the selector ends as an exact scan of every row would leave it.
 func (e *Engine) sweep(qs []query) {
+	bd := e.filter()
+	d, m := e.m.Dim(), e.m.NumItems()
+	var ubuf [128]float32 // the queries' float32 images
+	u32 := ubuf[:]
+	if len(qs)*d > len(u32) {
+		u32 = make([]float32, len(qs)*d)
+	}
+	for i := range qs {
+		if len(qs[i].uf) != d {
+			panic(fmt.Sprintf("score: user vector has dim %d, want %d", len(qs[i].uf), d))
+		}
+		qs[i].tol = bd.Query(qs[i].uf, u32[i*d:(i+1)*d])
+	}
 	var tile [tileItems]float64
-	m := e.m.NumItems()
+	var one [1]float64
 	for lo := 0; lo < m; lo += tileItems {
 		t := tile[:min(tileItems, m-lo)]
 		for i := range qs {
 			q := &qs[i]
 			if !q.shared {
-				e.m.ScoreRangeFoldIn(q.uf, lo, lo+len(t), t)
+				bd.Scan(u32[i*d:(i+1)*d], lo, lo+len(t), t)
 			}
-			q.sel.OfferRun(int32(lo), t)
+			for j := 0; ; j++ {
+				if j += mathx.FirstNotBelow(t[j:], q.sel.Floor()-q.tol); j == len(t) {
+					break
+				}
+				e.exact(q.uf, lo+j, one[:])
+				q.sel.OfferRun(int32(lo+j), one[:])
+			}
 		}
+	}
+}
+
+// exact writes item i's score under uf into out[0] with the kernel the
+// representation's ScoreRangeFoldIn runs, over that one row.
+func (e *Engine) exact(uf []float64, i int, out []float64) {
+	d := len(uf)
+	if r := e.rows; r.V32 != nil {
+		var b []float32
+		if r.B32 != nil {
+			b = r.B32[i : i+1]
+		}
+		mathx.ScanF64F32(uf, r.V32[i*d:(i+1)*d], b, out)
+	} else {
+		var b []float64
+		if r.B64 != nil {
+			b = r.B64[i : i+1]
+		}
+		mathx.ScanF64(uf, r.V64[i*d:(i+1)*d], b, out)
 	}
 }
 

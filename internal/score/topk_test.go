@@ -289,6 +289,29 @@ func TestScanUnderUserVectorIsScore(t *testing.T) {
 	}
 }
 
+// TestWrongLengthUserVectorPanics: the fused scan reads rows at the query's
+// stride, so a user vector that is not Dim long is refused by name — where
+// the parameter set's scan used to refuse it — rather than scoring the
+// wrong rows.
+func TestWrongLengthUserVectorPanics(t *testing.T) {
+	m := plantedModel(3, 40, true)
+	for name, p := range map[string]mf.Params{"f64": m, "f32": mf.QuantizeF32(m)} {
+		e := NewEngine(p)
+		uf := p.UserVector(0, nil)
+		for _, q := range [][]float64{uf[:5], append(append([]float64(nil), uf...), 1), nil} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if want := fmt.Sprintf("score: user vector has dim %d, want 6", len(q)); msg != want {
+						t.Errorf("%s: TopKFoldIn with a %d-long vector: panic %q, want %q", name, len(q), msg, want)
+					}
+				}()
+				e.TopKFoldIn(q, 3, nil)
+			}()
+		}
+	}
+}
+
 // The exact-retrieval kernel at the benchmark's catalog shape: 26 744
 // items × 16 factors, k = 10, ~150 excluded ids. "two-pass" is what the
 // serve path did before the fused scan — allocate the row, ScoreAll, then

@@ -126,12 +126,18 @@ echo "batch-ivf gate ok"
 # an install of an unchanged item half keeps it, and install resolves the
 # index before it takes the feedback sink's lock. -count=1 defeats the
 # test cache so the gate always actually runs.
-go test -race -count=1 -run '^Test(FusedTopKBitIdentical|ScanUnderUserVectorIsScore)$' ./internal/score
+go test -race -count=1 -run '^Test(FusedTopKBitIdentical|ScanUnderUserVectorIsScore|WrongLengthUserVectorPanics)$' ./internal/score
 go test -race -count=1 -run '^Test(SelectorMatchesNaive|OfferRunAndOfferIDsMatchOffer)$' ./internal/rank
 retrieval_gate='^Test(SearchCellsMatchesTwoPass|NearestMatchesDot|ProbeCellsMatchesFullSort|WrongLengthQueryPanics|MissAllocatesOnlyItsResults|BuildIVFSameAcrossWorkers|IndexesMatchesOnlyItsOwnItems)$'
 go test -race -count=1 -run "$retrieval_gate" ./internal/retrieval
 go test -race -count=1 -cpu 1,4 -run "$retrieval_gate" ./internal/retrieval
 go test -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossReinstalls|InstallBuildsIndexOutsideSinkLock(Live)?)$' ./internal/serve
+# The bound filter in front of both scans (below) skips rows; the answer
+# must not move: TopKFoldIn, TopKUsers and SearchCells, full and pruned,
+# against rescoring every row, by Float64bits and dropped count. Without
+# the race detector: nothing in it is concurrent, and it is the longest
+# table in the gate.
+go test -count=1 -run '^TestBoundFilterKeepsTheExactAnswer$' ./internal/retrieval
 # A parameter set has one item scan and the serve path one miss: the
 # stored-user scan methods stay off *Factors32 and *Overlay (a stored user
 # is scored under UserVector(u)), and internal/serve ranks in exactly three
@@ -146,17 +152,22 @@ fi
 echo "fused exact-scan gate ok"
 
 # Scan kernel gate: the catalog scans (mathx.ScanF64 over float64 rows,
-# mathx.ScanF64F32 over float32 rows) and the selector's floor predicate
-# (mathx.FirstNotBelow) are AVX kernels on amd64 and Go loops elsewhere,
-# and the Go loops are the specification. By name, for each scan: kernel
+# mathx.ScanF64F32 over float32 rows), the bound filter's float32 scan
+# (mathx.BoundF32) and the selector's floor predicate (mathx.FirstNotBelow)
+# are AVX kernels on amd64 and Go loops elsewhere, and the Go loops are the
+# specification. By name, for each scan: kernel
 # == loop by Float64bits over every d in 1..67, tile-edge row counts and
 # every count of rows left over from its four a pass, odd offsets and the
 # IEEE specials in every row of a pass; scan == the single-row kernel the
 # other paths call (mathx.Dot; DotF64F32 == DotF32); a short v, b or out
 # panics before a pointer is taken. For the predicate: kernel == loop over
 # every length in 0..67, every lane, odd offsets, a tie with the floor
-# (returned), one ulp below it (not), NaN and ±Inf scores and floors. And
-# a few seconds of raw bit patterns through both bodies of all three.
+# (returned), one ulp below it (not), NaN and ±Inf scores and floors. For
+# the bound scan: kernel == loop over every d in 1..67, row counts around
+# its eight a pass, specials in every row; and its error bound E, which
+# lets the top-K skip a row, holds (|s̃ − s| ≤ E, exactly) on cancelling,
+# subnormal and out-of-range catalogs. And a few seconds of raw bit
+# patterns through both bodies of all four — FuzzBoundF32 checks E too.
 # go vet's asmdecl checks the assembly's frames against their Go
 # declarations. The arm64 cross-build keeps the portable bodies compiling
 # (offline: no cgo, no downloads). The kernels never fuse multiply and add
@@ -164,28 +175,30 @@ echo "fused exact-scan gate ok"
 # compiler is allowed to, so where the host can run a v3 binary the bit
 # tests run at that level too — if one ever fails there, the kernel must
 # not be selected in that build.
-# There is one .s file: one scan per element width and one floor
-# predicate, all in internal/mathx/scan_amd64.s. Another of either is
-# another kernel to keep bit-identical.
+# There is one .s file: one exact scan per element width, one float32
+# bound scan and one floor predicate, all in internal/mathx/scan_amd64.s.
+# Another of any is another kernel to keep bit-identical.
 go test -count=1 -run '^TestScanF64F32(MatchesPortable|IsDotF64F32|ShortSlicePanics)$' ./internal/mathx
 go test -count=1 -run '^Test(ScanF64(MatchesPortable|IsDot|ShortSlicePanics)|FirstNotBelowMatchesLoop)$' ./internal/mathx
+go test -count=1 -run '^TestBound(F32MatchesPortable|F32ShortSlicePanics|CoversTheExactScore|NonFinite)$' ./internal/mathx
 go test -run='^$' -fuzz='^FuzzScanF64F32$' -fuzztime=5s ./internal/mathx
 go test -run='^$' -fuzz='^FuzzScanF64$' -fuzztime=5s ./internal/mathx
 go test -run='^$' -fuzz='^FuzzFirstNotBelow$' -fuzztime=5s ./internal/mathx
+go test -run='^$' -fuzz='^FuzzBoundF32$' -fuzztime=5s ./internal/mathx
 go vet ./internal/mathx
 GOARCH=arm64 go build ./...
-GOARCH=arm64 go vet ./internal/mathx ./internal/mf ./internal/retrieval
+GOARCH=arm64 go vet ./internal/mathx ./internal/mf ./internal/retrieval ./internal/score
 v3=yes
 for flag in avx2 fma bmi2 movbe; do
 	grep -qw "$flag" /proc/cpuinfo 2>/dev/null || v3=no
 done
 if [ "$v3" = yes ]; then
-	GOAMD64=v3 go test -count=1 -run '^Test(ScanF64(F32)?(MatchesPortable|IsDotF64F32|IsDot)|FirstNotBelowMatchesLoop)$' ./internal/mathx
+	GOAMD64=v3 go test -count=1 -run '^Test(ScanF64(F32)?(MatchesPortable|IsDotF64F32|IsDot)|FirstNotBelowMatchesLoop|BoundF32MatchesPortable|BoundCoversTheExactScore)$' ./internal/mathx
 fi
 if find . -name '*.s' -not -path './.bench_build/*' | grep -v '^\./internal/mathx/scan_amd64\.s$' ||
-	grep -rnE --include='*.go' --exclude='*_test.go' 'func [A-Za-z]*Scan[A-Za-z0-9]*F(32|64)' . |
+	grep -rnE --include='*.go' --exclude='*_test.go' 'func [A-Za-z]*(Scan[A-Za-z0-9]*F(32|64)|Bound[A-Za-z0-9]*F(32|64))' . |
 		grep -v -e '^\./internal/mathx/' -e '^\./\.bench_build/'; then
-	echo "a second assembly file or a scan kernel outside internal/mathx: the catalog scans are mathx.ScanF64 and mathx.ScanF64F32, in internal/mathx/scan_amd64.s" >&2
+	echo "a second assembly file or a scan kernel outside internal/mathx: the catalog scans are mathx.ScanF64, mathx.ScanF64F32 and mathx.BoundF32, in internal/mathx/scan_amd64.s" >&2
 	exit 1
 fi
 echo "scan kernel gate ok"
