@@ -12,13 +12,6 @@ import (
 	"clapf/internal/dataset"
 )
 
-// Recommender is what every baseline produces: a scorer with a display
-// name. The ScoreAll contract matches eval.Scorer.
-type Recommender interface {
-	ScoreAll(u int32, out []float64)
-	Name() string
-}
-
 // Fitter is a model that learns from a training split in one call.
 type Fitter interface {
 	Fit(train *dataset.Dataset) error

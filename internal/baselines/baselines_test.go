@@ -344,9 +344,6 @@ func TestGBPRLearns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Name() != "GBPR" {
-		t.Errorf("Name = %q", g.Name())
-	}
 	if err := g.Fit(train); err != nil {
 		t.Fatal(err)
 	}

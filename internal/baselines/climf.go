@@ -55,13 +55,10 @@ func NewCLiMF(cfg CLiMFConfig) (*CLiMF, error) {
 	return &CLiMF{cfg: cfg}, nil
 }
 
-// Name implements Recommender.
-func (c *CLiMF) Name() string { return "CLiMF" }
-
 // Model exposes the learned factors (nil before Fit).
 func (c *CLiMF) Model() *mf.Model { return c.model }
 
-// ScoreAll implements Recommender.
+// ScoreAll implements eval.Scorer.
 func (c *CLiMF) ScoreAll(u int32, out []float64) { c.model.ScoreAll(u, out) }
 
 // Fit runs full-gradient ascent. CLiMF's objective touches only the

@@ -73,13 +73,10 @@ func NewGBPR(cfg GBPRConfig) (*GBPR, error) {
 	return &GBPR{cfg: cfg}, nil
 }
 
-// Name implements Recommender.
-func (g *GBPR) Name() string { return "GBPR" }
-
 // Model exposes the learned factors (nil before Fit).
 func (g *GBPR) Model() *mf.Model { return g.model }
 
-// ScoreAll implements Recommender.
+// ScoreAll implements eval.Scorer.
 func (g *GBPR) ScoreAll(u int32, out []float64) { g.model.ScoreAll(u, out) }
 
 // Fit runs pair-uniform SGD with group-coupled updates.

@@ -11,9 +11,6 @@ type PopRank struct {
 // NewPopRank returns an unfitted PopRank.
 func NewPopRank() *PopRank { return &PopRank{} }
 
-// Name implements Recommender.
-func (p *PopRank) Name() string { return "PopRank" }
-
 // Fit counts item occurrences in the training data.
 func (p *PopRank) Fit(train *dataset.Dataset) error {
 	counts := train.ItemPopularity()
@@ -24,7 +21,7 @@ func (p *PopRank) Fit(train *dataset.Dataset) error {
 	return nil
 }
 
-// ScoreAll implements Recommender; scores are identical across users.
+// ScoreAll implements eval.Scorer; scores are identical across users.
 func (p *PopRank) ScoreAll(_ int32, out []float64) {
 	copy(out, p.pop)
 }

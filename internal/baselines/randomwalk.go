@@ -53,9 +53,6 @@ func NewRandomWalk(cfg RandomWalkConfig) (*RandomWalk, error) {
 	return &RandomWalk{cfg: cfg}, nil
 }
 
-// Name implements Recommender.
-func (r *RandomWalk) Name() string { return "RandomWalk" }
-
 // Fit indexes the bipartite graph's item→users adjacency.
 func (r *RandomWalk) Fit(train *dataset.Dataset) error {
 	r.data = train

@@ -49,13 +49,10 @@ func NewWMF(cfg WMFConfig) (*WMF, error) {
 	return &WMF{cfg: cfg}, nil
 }
 
-// Name implements Recommender.
-func (w *WMF) Name() string { return "WMF" }
-
 // Model exposes the learned factors (nil before Fit).
 func (w *WMF) Model() *mf.Model { return w.model }
 
-// ScoreAll implements Recommender.
+// ScoreAll implements eval.Scorer.
 func (w *WMF) ScoreAll(u int32, out []float64) { w.model.ScoreAll(u, out) }
 
 // Fit runs ALS. With preference p_ui = 1 for observed cells and confidence

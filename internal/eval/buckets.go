@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"clapf/internal/dataset"
-	"clapf/internal/rank"
 )
 
 // Popularity-stratified evaluation: long-tail corpora hide *where* a
@@ -105,7 +104,8 @@ func ItemBuckets(train *dataset.Dataset, headFrac, midFrac float64) ([]Bucket, e
 }
 
 // BucketEvaluate runs the full-ranking protocol and attributes each
-// recovered test positive to its popularity band.
+// recovered test positive — one placed within the top k — to its
+// popularity band. Options.Workers fans the users out as in Evaluate.
 func BucketEvaluate(s Scorer, train, test *dataset.Dataset, k int, headFrac, midFrac float64, opts Options) (BucketResult, error) {
 	if k <= 0 {
 		return BucketResult{}, fmt.Errorf("eval: k = %d, want > 0", k)
@@ -114,38 +114,24 @@ func BucketEvaluate(s Scorer, train, test *dataset.Dataset, k int, headFrac, mid
 	if err != nil {
 		return BucketResult{}, err
 	}
-	res := BucketResult{K: k}
-	numItems := train.NumItems()
-	scores := make([]float64, numItems)
-
-	for _, u := range testUsers(test, opts) {
-		rel := test.Positives(u)
-		if len(rel) == 0 {
-			continue
-		}
-		s.ScoreAll(u, scores)
-		top := topKExcludingTrain(scores, k, train, u)
-		inTop := make(map[int32]bool, len(top))
-		for _, it := range top {
-			inTop[it] = true
-		}
-		for _, it := range rel {
-			b := buckets[it]
-			res.Positives[b]++
-			if inTop[it] {
-				res.Recovered[b]++
+	users := testUsers(test, opts)
+	recovered := make([][numBuckets]int, len(users))
+	eachRanking(s, train, test, users, opts.Workers, func(idx int, r *ranker) {
+		for j, it := range r.items {
+			if r.pos[j] >= k {
+				break
 			}
+			recovered[idx][buckets[it]]++
+		}
+	})
+	res := BucketResult{K: k}
+	for idx, u := range users {
+		for _, it := range test.Positives(u) {
+			res.Positives[buckets[it]]++
+		}
+		for b, n := range recovered[idx] {
+			res.Recovered[b] += n
 		}
 	}
 	return res, nil
-}
-
-// topKExcludingTrain returns the top-k unobserved item ids for u.
-func topKExcludingTrain(scores []float64, k int, train *dataset.Dataset, u int32) []int32 {
-	top := rank.TopK(scores, k, func(i int32) bool { return train.IsPositive(u, i) })
-	out := make([]int32, len(top))
-	for i, e := range top {
-		out[i] = e.Item
-	}
-	return out
 }

@@ -2,6 +2,8 @@ package eval
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,22 +16,9 @@ import (
 
 // Scorer is the interface every recommender in the repository satisfies:
 // fill out[i] with the predicted relevance of item i for user u. len(out)
-// equals the item count.
+// equals the item count. It is the repository's one ScoreAll interface.
 type Scorer interface {
 	ScoreAll(u int32, out []float64)
-}
-
-// BatchScorer is optionally implemented by scorers that can fill score
-// rows for many users in one call — score.Engine's blocked kernel
-// satisfies it. Evaluate detects the interface with a type assertion and
-// scores users in chunks, which streams each tile of the item-factor
-// matrix through cache once per chunk instead of once per user. The
-// metrics are bit-identical to the ScoreAll path because the batch
-// kernel performs the same per-(user, item) dot products; only Timing
-// differs.
-type BatchScorer interface {
-	Scorer
-	ScoreUsers(users []int32, out [][]float64)
 }
 
 // Options tunes the evaluation run.
@@ -65,8 +54,8 @@ type Result struct {
 }
 
 // Timing breaks the evaluation wall-clock into its phases, accumulated
-// across users: model scoring (ScoreAll), candidate ranking (building
-// and sorting the unobserved-item list), and metric computation. Total
+// across users: model scoring (ScoreAll), ranking (placing the test
+// positives among the unobserved items), and metric computation. Total
 // covers the whole Evaluate call, including user selection. With
 // Workers > 1 the phase fields are summed across goroutines and exceed
 // Total when the speedup is real.
@@ -106,30 +95,18 @@ func (r Result) MustAt(k int) KMetrics {
 // userRow is one user's finished contribution, computed independently
 // (possibly concurrently) and folded into the Result sequentially.
 type userRow struct {
-	evaluated bool
-	atK       []KMetrics // parallel to ks
-	ap, rr    float64
-	auc       float64
-	timing    Timing
-}
-
-// evalScratch is one goroutine's reusable buffers.
-type evalScratch struct {
-	scores []float64
-	cands  []int32
-}
-
-func newEvalScratch(numItems int) *evalScratch {
-	return &evalScratch{
-		scores: make([]float64, numItems),
-		cands:  make([]int32, 0, numItems),
-	}
+	atK    []KMetrics // parallel to ks
+	ap, rr float64
+	auc    float64
+	timing Timing
 }
 
 // Evaluate runs the full-ranking protocol: each user with test positives
 // has every training-unobserved item ranked by s, and per-user metrics are
 // averaged. Training positives are excluded from the candidate set (they
-// are not recommendable); test positives are the relevance labels.
+// are not recommendable); test positives are the relevance labels. Every
+// metric reads only where the test positives land, so that is all the
+// ranking computes (ranker.place).
 //
 // Per-user work is embarrassingly parallel, so Options.Workers fans it
 // out; the reduction always walks users in id order, making the returned
@@ -140,46 +117,7 @@ func Evaluate(s Scorer, train, test *dataset.Dataset, opts Options) Result {
 	if len(ks) == 0 {
 		ks = DefaultKs
 	}
-	numItems := train.NumItems()
-	users := testUsers(test, opts)
-
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(users) {
-		workers = len(users)
-	}
-
-	rows := make([]userRow, len(users))
-	bs, batched := s.(BatchScorer)
-	switch {
-	case batched:
-		evalBatched(bs, train, test, users, ks, rows, workers, numItems)
-	case workers <= 1:
-		scratch := newEvalScratch(numItems)
-		for idx, u := range users {
-			rows[idx] = evalUser(s, train, test, u, ks, scratch)
-		}
-	default:
-		var next int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				scratch := newEvalScratch(numItems)
-				for {
-					idx := int(atomic.AddInt64(&next, 1)) - 1
-					if idx >= len(users) {
-						return
-					}
-					rows[idx] = evalUser(s, train, test, users[idx], ks, scratch)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	rows := userRows(s, train, test, testUsers(test, opts), ks, opts.Workers)
 
 	// Sequential reduce in user order: the float additions happen in the
 	// same sequence as a serial pass, for any worker count.
@@ -189,15 +127,11 @@ func Evaluate(s Scorer, train, test *dataset.Dataset, opts Options) Result {
 	}
 	var timing Timing
 	var mapSum, mrrSum, aucSum float64
-	evaluated := 0
 	for i := range rows {
 		r := &rows[i]
 		timing.Score += r.timing.Score
 		timing.Rank += r.timing.Rank
 		timing.Metrics += r.timing.Metrics
-		if !r.evaluated {
-			continue
-		}
 		for j := range ks {
 			sums[j].Prec += r.atK[j].Prec
 			sums[j].Recall += r.atK[j].Recall
@@ -208,16 +142,15 @@ func Evaluate(s Scorer, train, test *dataset.Dataset, opts Options) Result {
 		mapSum += r.ap
 		mrrSum += r.rr
 		aucSum += r.auc
-		evaluated++
 	}
 
-	res := Result{AtK: sums, Users: evaluated}
+	res := Result{AtK: sums, Users: len(rows)}
 	timing.Total = total.End()
 	res.Timing = timing
-	if evaluated == 0 {
+	if len(rows) == 0 {
 		return res
 	}
-	n := float64(evaluated)
+	n := float64(len(rows))
 	for i := range res.AtK {
 		res.AtK[i].Prec /= n
 		res.AtK[i].Recall /= n
@@ -231,131 +164,151 @@ func Evaluate(s Scorer, train, test *dataset.Dataset, opts Options) Result {
 	return res
 }
 
-// evalChunk is the number of users scored per BatchScorer call. Each row
-// is numItems float64s, so a chunk costs evalChunk*numItems*8 bytes of
-// scratch per worker — well under a megabyte at MovieLens scale.
-const evalChunk = 32
+// userRows computes every user's metric row, in users order.
+func userRows(s Scorer, train, test *dataset.Dataset, users []int32, ks []int, workers int) []userRow {
+	rows := make([]userRow, len(users))
+	eachRanking(s, train, test, users, workers, func(idx int, r *ranker) {
+		sp := obs.StartSpan("eval.metrics")
+		le := NewListEval(r.pos, r.numRel, r.numCand)
+		row := userRow{atK: make([]KMetrics, len(ks)), ap: le.AP(), rr: le.RR(), auc: le.AUC(), timing: r.timing}
+		for i, k := range ks {
+			row.atK[i] = le.AtK(k)
+		}
+		row.timing.Metrics = sp.End()
+		rows[idx] = row
+	})
+	return rows
+}
 
-// evalBatched fills rows via chunked batch scoring: workers claim whole
-// chunks of users, score them in one BatchScorer call, then compute each
-// user's metric row from the shared score block. Work claiming is by
-// chunk index, so for a fixed user list every chunk has the same
-// membership regardless of worker count — another ingredient of the
-// bit-identical guarantee.
-func evalBatched(bs BatchScorer, train, test *dataset.Dataset, users []int32, ks []int, rows []userRow, workers, numItems int) {
-	numChunks := (len(users) + evalChunk - 1) / evalChunk
-	if workers > numChunks {
-		workers = numChunks
-	}
-	newRowBuf := func() [][]float64 {
-		backing := make([]float64, evalChunk*numItems)
-		buf := make([][]float64, evalChunk)
-		for i := range buf {
-			buf[i] = backing[i*numItems : (i+1)*numItems : (i+1)*numItems]
-		}
-		return buf
-	}
-	runChunk := func(c int, rowBuf [][]float64, sc *evalScratch) {
-		lo := c * evalChunk
-		hi := lo + evalChunk
-		if hi > len(users) {
-			hi = len(users)
-		}
-		chunk := users[lo:hi]
-		sp := obs.StartSpan("eval.score")
-		bs.ScoreUsers(chunk, rowBuf[:len(chunk)])
-		per := sp.End() / time.Duration(len(chunk))
-		for j, u := range chunk {
-			sc.scores = rowBuf[j]
-			rows[lo+j] = evalScored(train, test, u, ks, sc, per)
-		}
-	}
-	if workers <= 1 {
-		rowBuf, sc := newRowBuf(), newEvalScratch(numItems)
-		for c := 0; c < numChunks; c++ {
-			runChunk(c, rowBuf, sc)
-		}
-		return
-	}
-	var next int64
+// eachRanking scores and ranks every user in users on max(workers, 1)
+// goroutines — one is the serial case — and calls visit(idx, r) with
+// users[idx]'s ranking. Users are claimed through an atomic counter, so
+// visit runs concurrently: it must write only to slot idx, and r is its
+// goroutine's reusable state, overwritten by that goroutine's next user.
+// Scorer.ScoreAll is called concurrently when workers > 1.
+func eachRanking(s Scorer, train, test *dataset.Dataset, users []int32, workers int, visit func(idx int, r *ranker)) {
+	workers = max(1, min(workers, len(users)))
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rowBuf, sc := newRowBuf(), newEvalScratch(numItems)
-			for {
-				c := int(atomic.AddInt64(&next, 1)) - 1
-				if c >= numChunks {
-					return
-				}
-				runChunk(c, rowBuf, sc)
+			r := &ranker{scores: make([]float64, train.NumItems())}
+			for idx := int(next.Add(1)) - 1; idx < len(users); idx = int(next.Add(1)) - 1 {
+				u := users[idx]
+				sp := obs.StartSpan("eval.score")
+				s.ScoreAll(u, r.scores)
+				r.timing.Score = sp.End()
+				sp = obs.StartSpan("eval.rank")
+				r.place(r.scores, train.Positives(u), test.Positives(u))
+				r.timing.Rank = sp.End()
+				visit(idx, r)
 			}
 		}()
 	}
 	wg.Wait()
 }
 
-// evalUser scores one user with ScoreAll and computes their metric row.
-func evalUser(s Scorer, train, test *dataset.Dataset, u int32, ks []int, sc *evalScratch) userRow {
-	if len(test.Positives(u)) == 0 {
-		return userRow{}
-	}
-	sp := obs.StartSpan("eval.score")
-	s.ScoreAll(u, sc.scores)
-	return evalScored(train, test, u, ks, sc, sp.End())
+// ranker places one user's test positives among their candidates — every
+// item that is not one of the user's training positives — where a full
+// ranking of the candidates would put them. It is one goroutine's
+// reusable state.
+type ranker struct {
+	scores  []float64
+	items   []int32  // the test positives that are candidates, best first
+	keys    []uint64 // rankKey of each of items
+	pos     []int    // pos[j] is items[j]'s 0-based position; ascending
+	numRel  int      // every test positive, training positives included
+	numCand int
+	timing  Timing // Score and Rank of the last user
 }
 
-// evalScored ranks one user's candidates from the already-filled
-// sc.scores and computes their metric row. scoreTime is the (possibly
-// amortized) cost of producing those scores, carried into the row's
-// timing breakdown.
-func evalScored(train, test *dataset.Dataset, u int32, ks []int, sc *evalScratch, scoreTime time.Duration) userRow {
-	var row userRow
-	rel := test.Positives(u)
-	if len(rel) == 0 {
-		return row
-	}
-	row.timing.Score = scoreTime
-
-	// Candidate set: all items unobserved in training.
-	sp := obs.StartSpan("eval.rank")
-	numItems := len(sc.scores)
-	cands := sc.cands[:0]
-	trainPos := train.Positives(u)
+// place fills items, pos, numRel and numCand from a user's score row,
+// training positives and test positives (both ascending). Candidates rank
+// by rankKey descending, then id ascending. A positive's position is the
+// number of candidates ranked above it, so nothing is sorted but the
+// positives: every candidate is compared with the lowest-ranked positive,
+// and one that beats it pays a binary search for the best positive it
+// beats — O(m + k·log r) for m items, r positives and k candidates above
+// the lowest of them.
+func (r *ranker) place(scores []float64, trainPos, rel []int32) {
+	r.numRel, r.numCand = len(rel), len(scores)-len(trainPos)
+	items := r.items[:0]
 	tp := 0
-	for i := int32(0); i < int32(numItems); i++ {
-		for tp < len(trainPos) && trainPos[tp] < i {
+	for _, it := range rel {
+		for tp < len(trainPos) && trainPos[tp] < it {
 			tp++
 		}
-		if tp < len(trainPos) && trainPos[tp] == i {
-			continue
+		if tp == len(trainPos) || trainPos[tp] != it {
+			items = append(items, it)
 		}
-		cands = append(cands, i)
 	}
-	scores := sc.scores
-	sort.SliceStable(cands, func(a, b int) bool {
-		ia, ib := cands[a], cands[b]
-		if scores[ia] != scores[ib] {
-			return scores[ia] > scores[ib]
-		}
-		return ia < ib
+	sort.Slice(items, func(a, b int) bool {
+		return ranksAbove(rankKey(scores[items[a]]), items[a], rankKey(scores[items[b]]), items[b]) == 1
 	})
-	sc.cands = cands
-	row.timing.Rank = sp.End()
-
-	sp = obs.StartSpan("eval.metrics")
-	le := NewListEval(cands, func(i int32) bool { return test.IsPositive(u, i) }, len(rel))
-	row.atK = make([]KMetrics, len(ks))
-	for i, k := range ks {
-		row.atK[i] = le.AtK(k)
+	keys, above := r.keys[:0], r.pos[:0]
+	for _, it := range items {
+		keys = append(keys, rankKey(scores[it]))
+		above = append(above, 0)
 	}
-	row.ap = le.AP()
-	row.rr = le.RR()
-	row.auc = le.AUC()
-	row.timing.Metrics = sp.End()
-	row.evaluated = true
-	return row
+	r.items, r.keys, r.pos = items, keys, above
+	if len(items) == 0 {
+		return
+	}
+
+	// above[j] counts the candidates whose best beaten positive is
+	// items[j]; its prefix sums are the positions.
+	lowKey, lowID := keys[len(keys)-1], items[len(items)-1]
+	lo := int32(0)
+	for t := 0; t <= len(trainPos); t++ {
+		hi := int32(len(scores))
+		if t < len(trainPos) {
+			hi = trainPos[t]
+		}
+		for i := lo; i < hi; i++ {
+			k := rankKey(scores[i])
+			if ranksAbove(k, i, lowKey, lowID) == 0 {
+				continue
+			}
+			// The first positive it beats, by a binary search whose steps
+			// take no data-dependent branch: a random candidate would
+			// mispredict half of them.
+			j, n := 0, len(keys)
+			for n > 1 {
+				half := n >> 1
+				j += half & int(ranksAbove(k, i, keys[j+half-1], items[j+half-1])-1)
+				n -= half
+			}
+			above[j]++
+		}
+		lo = hi + 1
+	}
+	for j := 1; j < len(above); j++ {
+		above[j] += above[j-1]
+	}
+}
+
+// ranksAbove is 1 when an item with rankKey k and id i ranks above one
+// with key kp and id ip — the larger key, or on a tie the smaller id —
+// and 0 otherwise, computed without a branch.
+func ranksAbove(k uint64, i int32, kp uint64, ip int32) uint64 {
+	_, lower := bits.Sub64(uint64(i), uint64(ip), 0) // 1 when i < ip
+	_, above := bits.Sub64(kp-lower, k, 0)           // 1 when k > kp − lower
+	return above
+}
+
+// rankKey maps a score to an integer in ranking order: the numbers,
+// ±Inf included, in numeric order (−0 equal to +0), and NaN below every
+// number — the one rule for non-finite scores in Evaluate, PerUserAtK and
+// BucketEvaluate. Every key is at least 1, so ranksAbove's kp − 1 holds.
+func rankKey(x float64) uint64 {
+	if x != x {
+		return 1
+	}
+	b := math.Float64bits(x + 0) // x + 0 is +0 for −0
+	// Negative: flip every bit. Otherwise: set the sign bit.
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
 // testUsers returns the users to evaluate, applying the optional sampling

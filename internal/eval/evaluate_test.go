@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -204,12 +206,16 @@ func TestEvaluateTiming(t *testing.T) {
 // Options.Workers: per-user rows are reduced sequentially in user order,
 // so every worker count must produce the exact same Result — not merely
 // close, but identical down to the last float bit (Timing excluded; it
-// genuinely differs).
+// genuinely differs) — and the same BucketResult.
 func TestEvaluateParallelBitIdentical(t *testing.T) {
 	train, test := buildSplit(t)
 	for _, scorer := range []Scorer{oracleScorer{test}, randomScorer{seed: 31}} {
 		base := Evaluate(scorer, train, test, Options{})
 		base.Timing = Timing{}
+		baseBuckets, err := BucketEvaluate(scorer, train, test, 5, 0.3, 0.4, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{1, 2, 3, 4, 7, 64} {
 			got := Evaluate(scorer, train, test, Options{Workers: workers})
 			got.Timing = Timing{}
@@ -217,32 +223,14 @@ func TestEvaluateParallelBitIdentical(t *testing.T) {
 				t.Fatalf("workers=%d diverges from serial:\n got  %+v\n want %+v",
 					workers, got, base)
 			}
-		}
-	}
-}
-
-// TestEvaluateBatchScorerBitIdentical pins down the chunked fast path:
-// evaluating through score.Engine (which implements BatchScorer) must
-// produce the exact same Result as evaluating the model directly through
-// ScoreAll — for the serial path and every worker count. If the blocked
-// kernel or the chunked claiming reordered a single float operation,
-// this would catch it.
-func TestEvaluateBatchScorerBitIdentical(t *testing.T) {
-	train, test := buildSplit(t)
-	m := mf.MustNew(mf.Config{
-		NumUsers: train.NumUsers(), NumItems: train.NumItems(),
-		Dim: 6, UseBias: true, InitStd: 0.1,
-	})
-	m.InitGaussian(mathx.NewRNG(9), 0.1)
-
-	base := Evaluate(m, train, test, Options{})
-	base.Timing = Timing{}
-	for _, workers := range []int{1, 2, 4, 64} {
-		got := Evaluate(score.NewEngine(m), train, test, Options{Workers: workers})
-		got.Timing = Timing{}
-		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("engine eval (workers=%d) diverges from direct model eval:\n got  %+v\n want %+v",
-				workers, got, base)
+			buckets, err := BucketEvaluate(scorer, train, test, 5, 0.3, 0.4, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if buckets != baseBuckets {
+				t.Fatalf("BucketEvaluate workers=%d diverges from serial:\n got  %+v\n want %+v",
+					workers, buckets, baseBuckets)
+			}
 		}
 	}
 }
@@ -260,5 +248,106 @@ func TestEvaluateParallelWithSampling(t *testing.T) {
 	}
 	if a, b := mk(1), mk(5); !reflect.DeepEqual(a, b) {
 		t.Errorf("sampled eval differs across worker counts:\n %+v\n %+v", a, b)
+	}
+}
+
+// TestNonFiniteScoresRankOneWay pins the one rule for non-finite scores:
+// ±Inf order as numbers and NaN ranks below every number, NaNs by id, in
+// Evaluate, PerUserAtK and BucketEvaluate alike; −0 ties +0.
+func TestNonFiniteScoresRankOneWay(t *testing.T) {
+	train, err := dataset.FromInteractions("t", 1, 8, []dataset.Interaction{{User: 0, Item: 6}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	test, err := dataset.FromInteractions("t", 1, 8, []dataset.Interaction{
+		{User: 0, Item: 0}, {User: 0, Item: 1}, {User: 0, Item: 2}, {User: 0, Item: 5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	s := scorerFunc(func(u int32, out []float64) {
+		copy(out, []float64{nan, inf, -inf, 1, nan, negZero, 5, 0})
+	})
+	// Candidates (all but 6) rank 1 (+Inf), 3, 5 (−0), 7 (+0), 2 (−Inf),
+	// 0 (NaN), 4 (NaN): the positives sit at positions 0, 2, 4 and 5 of 7.
+	want := NewListEval([]int{0, 2, 4, 5}, 4, 7)
+	res := Evaluate(s, train, test, Options{Ks: []int{1, 4, 5}})
+	for _, k := range []int{1, 4, 5} {
+		if got := res.MustAt(k); got != want.AtK(k) {
+			t.Errorf("@%d = %+v, want %+v", k, got, want.AtK(k))
+		}
+	}
+	if res.MAP != want.AP() || res.MRR != 1 || res.AUC != 7.0/12 {
+		t.Errorf("MAP %v MRR %v AUC %v, want %v 1 7/12", res.MAP, res.MRR, res.AUC, want.AP())
+	}
+	if prec, _ := PerUserAtK(s, train, test, 4); len(prec) != 1 || prec[0] != 0.5 {
+		t.Errorf("PerUserAtK Prec@4 = %v, want [0.5]", prec)
+	}
+	for k, wantRecovered := range map[int]int{1: 1, 4: 2, 5: 3} {
+		br, err := BucketEvaluate(s, train, test, k, 0.3, 0.4, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := br.Recovered[Head] + br.Recovered[Mid] + br.Recovered[Tail]; got != wantRecovered {
+			t.Errorf("BucketEvaluate k=%d recovered %d positives, want %d", k, got, wantRecovered)
+		}
+	}
+}
+
+// BenchmarkEvaluate times one Evaluate over 500 users on one worker, at
+// ML-1M's and ML-20M's item counts, for a random dim-20 model scored
+// through its own ScoreAll and through its score.Engine. Each user has 80
+// training and 20 test positives. ns/user is the whole call per user;
+// score, rank and metrics are Timing's phase shares of Total.
+func BenchmarkEvaluate(b *testing.B) {
+	const users, dim = 500, 20
+	for _, items := range []int{3952, 26744} {
+		rng := mathx.NewRNG(uint64(items))
+		var trainPairs, testPairs []dataset.Interaction
+		for u := int32(0); u < users; u++ {
+			seen := make(map[int32]bool, 100)
+			for len(seen) < 100 {
+				it := int32(rng.Intn(items))
+				if seen[it] {
+					continue
+				}
+				seen[it] = true
+				if len(seen) <= 80 {
+					trainPairs = append(trainPairs, dataset.Interaction{User: u, Item: it})
+				} else {
+					testPairs = append(testPairs, dataset.Interaction{User: u, Item: it})
+				}
+			}
+		}
+		train, err := dataset.FromInteractions("tr", users, items, trainPairs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		test, err := dataset.FromInteractions("te", users, items, testPairs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := mf.MustNew(mf.Config{NumUsers: users, NumItems: items, Dim: dim, UseBias: true, InitStd: 0.1})
+		m.InitGaussian(mathx.NewRNG(9), 0.1)
+		for _, c := range []struct {
+			name string
+			s    Scorer
+		}{{"model", m}, {"engine", score.NewEngine(m)}} {
+			b.Run(fmt.Sprintf("items=%d/%s", items, c.name), func(b *testing.B) {
+				var tm Timing
+				for i := 0; i < b.N; i++ {
+					t := Evaluate(c.s, train, test, Options{Workers: 1}).Timing
+					tm.Score += t.Score
+					tm.Rank += t.Rank
+					tm.Metrics += t.Metrics
+					tm.Total += t.Total
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*users), "ns/user")
+				b.ReportMetric(tm.Score.Seconds()/tm.Total.Seconds(), "score")
+				b.ReportMetric(tm.Rank.Seconds()/tm.Total.Seconds(), "rank")
+				b.ReportMetric(tm.Metrics.Seconds()/tm.Total.Seconds(), "metrics")
+			})
+		}
 	}
 }

@@ -19,44 +19,37 @@ type KMetrics struct {
 	NDCG    float64
 }
 
-// ListEval measures one user's ranked recommendation list against the
-// relevance oracle. ranked must be in descending predicted-score order and
-// must already exclude training positives; isRel marks test positives;
-// numRel is the total number of test positives for the user (which may
-// exceed the number present in ranked when the list is truncated — pass the
-// full list for exact MAP/AUC).
+// ListEval measures one user's ranking from where the test positives
+// landed in it. pos holds the 0-based positions of the positives that are
+// candidates, ascending; numCand is the number of candidates ranked (every
+// item that is not a training positive); numRel counts every test
+// positive — one that is not a candidate never places but still counts
+// toward recall and AP. Each method walks pos in rank order, the order a
+// walk down the full ranked list meets the positives in.
 type ListEval struct {
-	ranked  []bool // relevance flag per position
+	pos     []int
 	numRel  int
 	numCand int
 }
 
-// NewListEval precomputes per-position relevance for the ranked candidate
-// list.
-func NewListEval(ranked []int32, isRel func(int32) bool, numRel int) *ListEval {
-	flags := make([]bool, len(ranked))
-	for p, it := range ranked {
-		flags[p] = isRel(it)
-	}
-	return &ListEval{ranked: flags, numRel: numRel, numCand: len(ranked)}
+// NewListEval wraps one user's positive positions.
+func NewListEval(pos []int, numRel, numCand int) ListEval {
+	return ListEval{pos: pos, numRel: numRel, numCand: numCand}
 }
 
 // AtK returns the cutoff measures at k.
-func (l *ListEval) AtK(k int) KMetrics {
+func (l ListEval) AtK(k int) KMetrics {
 	if k <= 0 {
 		return KMetrics{K: k}
 	}
-	lim := k
-	if lim > len(l.ranked) {
-		lim = len(l.ranked)
-	}
 	hits := 0
 	dcg := 0.0
-	for p := 0; p < lim; p++ {
-		if l.ranked[p] {
-			hits++
-			dcg += 1 / math.Log2(float64(p)+2)
+	for _, p := range l.pos {
+		if p >= k {
+			break
 		}
+		hits++
+		dcg += 1 / math.Log2(float64(p)+2)
 	}
 	m := KMetrics{K: k}
 	m.Prec = float64(hits) / float64(k)
@@ -88,56 +81,41 @@ func (l *ListEval) AtK(k int) KMetrics {
 // relevant items, of precision at each relevant item's position (Eq. 8's
 // exact, unsmoothed form). Relevant items missing from the candidate list
 // contribute zero.
-func (l *ListEval) AP() float64 {
+func (l ListEval) AP() float64 {
 	if l.numRel == 0 {
 		return 0
 	}
-	hits := 0
 	var sum float64
-	for p, rel := range l.ranked {
-		if rel {
-			hits++
-			sum += float64(hits) / float64(p+1)
-		}
+	for h, p := range l.pos {
+		sum += float64(h+1) / float64(p+1)
 	}
 	return sum / float64(l.numRel)
 }
 
 // RR returns the reciprocal rank of the first relevant item (Eq. 5's exact
 // form), or 0 when none is present.
-func (l *ListEval) RR() float64 {
-	for p, rel := range l.ranked {
-		if rel {
-			return 1 / float64(p+1)
-		}
+func (l ListEval) RR() float64 {
+	if len(l.pos) == 0 {
+		return 0
 	}
-	return 0
+	return 1 / float64(l.pos[0]+1)
 }
 
 // AUC returns the exact pairwise AUC of Eq. 1: the fraction of
 // (relevant, irrelevant) candidate pairs the ranking orders correctly.
 // Users with no relevant or no irrelevant candidates yield 0.
-func (l *ListEval) AUC() float64 {
-	numPos := 0
-	for _, rel := range l.ranked {
-		if rel {
-			numPos++
-		}
-	}
+func (l ListEval) AUC() float64 {
+	numPos := len(l.pos)
 	numNeg := l.numCand - numPos
 	if numPos == 0 || numNeg == 0 {
 		return 0
 	}
-	// Walking in rank order: a relevant item at position p with r relevant
-	// items above it has (p − r) irrelevant items above it, i.e. it beats
-	// numNeg − (p − r) of the irrelevant items.
+	// A relevant item at position p with `seen` relevant items above it has
+	// (p − seen) irrelevant items above it, i.e. it beats numNeg − (p − seen)
+	// of the irrelevant items.
 	var correct float64
-	seen := 0
-	for p, rel := range l.ranked {
-		if rel {
-			correct += float64(numNeg - (p - seen))
-			seen++
-		}
+	for seen, p := range l.pos {
+		correct += float64(numNeg - (p - seen))
 	}
 	return correct / (float64(numPos) * float64(numNeg))
 }

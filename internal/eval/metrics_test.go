@@ -7,14 +7,20 @@ import (
 	"clapf/internal/mathx"
 )
 
-// listFrom builds a ListEval for a ranked list where relevant items are the
-// given set.
-func listFrom(ranked []int32, relevant []int32) *ListEval {
+// listFrom builds a ListEval for a ranked candidate list where relevant
+// items are the given set: the positions of the relevant items in ranked.
+func listFrom(ranked []int32, relevant []int32) ListEval {
 	rel := make(map[int32]bool, len(relevant))
 	for _, r := range relevant {
 		rel[r] = true
 	}
-	return NewListEval(ranked, func(i int32) bool { return rel[i] }, len(relevant))
+	var pos []int
+	for p, it := range ranked {
+		if rel[it] {
+			pos = append(pos, p)
+		}
+	}
+	return NewListEval(pos, len(relevant), len(ranked))
 }
 
 func TestAtKHandExample(t *testing.T) {

@@ -11,14 +11,7 @@ import "clapf/internal/dataset"
 // rather than comparing two already-averaged scalars. Users without test
 // positives contribute no sample, exactly as Evaluate skips them.
 func PerUserAtK(s Scorer, train, test *dataset.Dataset, k int) (prec, ndcg []float64) {
-	users := test.UsersWithAtLeast(1)
-	scratch := newEvalScratch(train.NumItems())
-	ks := []int{k}
-	for _, u := range users {
-		row := evalUser(s, train, test, u, ks, scratch)
-		if !row.evaluated {
-			continue
-		}
+	for _, row := range userRows(s, train, test, test.UsersWithAtLeast(1), []int{k}, 1) {
 		prec = append(prec, row.atK[0].Prec)
 		ndcg = append(ndcg, row.atK[0].NDCG)
 	}

@@ -115,10 +115,10 @@ func clapfMethod(name string, variant sampling.Objective, strategy sampling.Stra
 // every baseline in this repository.
 type fitScorer interface {
 	baselines.Fitter
-	ScoreAll(u int32, out []float64)
+	eval.Scorer
 }
 
-// fitterMethod adapts any baseline Fitter+Recommender.
+// fitterMethod adapts any baseline that is a Fitter and an eval.Scorer.
 func fitterMethod(name string, mk func(train *dataset.Dataset, seed uint64) (fitScorer, error)) Method {
 	return Method{
 		Name: name,

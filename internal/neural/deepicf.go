@@ -84,9 +84,6 @@ func NewDeepICF(cfg DeepICFConfig) (*DeepICF, error) {
 	return &DeepICF{cfg: cfg}, nil
 }
 
-// Name implements the Recommender convention.
-func (d *DeepICF) Name() string { return "DeepICF" }
-
 // history returns the items pooled for (u, target): the user's observed
 // items excluding the target, capped at MaxHist by deterministic stride.
 func (d *DeepICF) history(u, target int32) []int32 {

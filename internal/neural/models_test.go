@@ -61,9 +61,6 @@ func TestNeuMFLearns(t *testing.T) {
 	if res.AUC < 0.7 {
 		t.Errorf("NeuMF AUC = %.3f, want >= 0.7", res.AUC)
 	}
-	if m.Name() != "NeuMF" {
-		t.Errorf("Name = %q", m.Name())
-	}
 }
 
 func TestNeuPRConfigValidation(t *testing.T) {

@@ -89,9 +89,6 @@ func NewNeuMF(cfg NeuMFConfig) (*NeuMF, error) {
 	return &NeuMF{cfg: cfg}, nil
 }
 
-// Name implements the Recommender convention.
-func (n *NeuMF) Name() string { return "NeuMF" }
-
 func (n *NeuMF) build(numUsers, numItems int, rng *mathx.RNG) error {
 	c := n.cfg
 	n.gmfUser = NewEmbedding(numUsers, c.GMFDim)

@@ -75,9 +75,6 @@ func NewNeuPR(cfg NeuPRConfig) (*NeuPR, error) {
 	return &NeuPR{cfg: cfg}, nil
 }
 
-// Name implements the Recommender convention.
-func (n *NeuPR) Name() string { return "NeuPR" }
-
 func (n *NeuPR) build(numUsers, numItems int, rng *mathx.RNG) error {
 	n.user = NewEmbedding(numUsers, n.cfg.Dim)
 	n.item = NewEmbedding(numItems, n.cfg.Dim)

@@ -9,8 +9,8 @@
 // batch with the item loop *outside* the user loop keeps each block of V
 // hot across the entire batch, so V is effectively read once per batch
 // block instead of once per user. Engine packages that blocked kernel in
-// two forms. ScoreUsers materialises full score rows — what the evaluation
-// protocol and clapf-bench need, since they read every score. TopK,
+// two forms. ScoreUsers materialises full score rows, for callers that
+// read every score (the benchmark harness's batch timings). TopK,
 // TopKFoldIn and TopKUsers are the serve path's exact retrieval: one
 // streaming pass that scores a small tile of items and offers each score
 // straight to a rank.Selector, so a request that keeps ten items never

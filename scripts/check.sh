@@ -99,9 +99,15 @@ echo "ivf retrieval smoke ok"
 # Beside serving float32 bit-for-bit (ServeFloat32), the representation
 # must be statistically invisible next to float64: matched per-user
 # Prec@5/NDCG@5, Welch p > 0.05 and at most 1 % of users' samples moved.
+# Beside it, the evaluator itself: Evaluate, PerUserAtK and BucketEvaluate
+# read each user's row off the positions of the test positives, and must
+# equal the full candidate sort they replaced exactly (ties, test
+# positives that are training positives, k past the candidate count, a
+# model and its score.Engine); NaN and ±Inf rank one way in all three;
+# and every worker count of the one goroutine fan-out gives the same bits.
 # -count=1 defeats the test cache so the gate always actually runs.
 go test -race -count=1 -run '^Test(BatchIVF|ModeFlip|ServeFloat32)' ./internal/serve
-go test -race -count=1 -run '^TestFloat32ParityWithFloat64$' ./internal/eval
+go test -race -count=1 -run '^Test(Float32ParityWithFloat64|EvaluateMatchesFullSort|NonFiniteScoresRankOneWay|EvaluateParallelBitIdentical)$' ./internal/eval
 echo "batch-ivf gate ok"
 
 # Fused exact-scan gate: exact retrieval is one streaming pass (score a
