@@ -34,8 +34,8 @@
 //
 // -feedback-log DIR enables streaming ingest: POST /feedback appends
 // each {user,item} event to a crash-safe segmented WAL and acknowledges
-// only after the covering fsync (-feedback-sync batches group commits),
-// then applies a bounded online fold-in update to the user's serving
+// only after the covering fsync (concurrent appends share one), and
+// applies a bounded online fold-in update to the user's serving
 // factors and invalidates just that user's cached answers. On restart
 // the WAL is replayed — torn tails are truncated, acknowledged events
 // are never lost — and -promote-every folds the accumulated log into
@@ -106,8 +106,6 @@ type options struct {
 	retrievalMode        string
 	nlist, nprobe        int
 	feedbackLog          string
-	feedbackSync         int
-	feedbackFlush        time.Duration
 	promoteEvery         time.Duration
 	promotePrune         bool
 
@@ -137,8 +135,6 @@ func main() {
 	flag.IntVar(&o.nlist, "nlist", 0, "IVF cells for -retrieval ivf (0 = 2*sqrt(items))")
 	flag.IntVar(&o.nprobe, "nprobe", 0, "IVF cells probed per query for -retrieval ivf (0 = nlist/4)")
 	flag.StringVar(&o.feedbackLog, "feedback-log", "", "directory for the streaming-feedback WAL; enables POST /feedback with durable acks and online fold-in updates (works on float64 and float32 model files alike)")
-	flag.IntVar(&o.feedbackSync, "feedback-sync", 1, "fsync the feedback WAL every N appends (1 = every event before its ack; higher batches group commits)")
-	flag.DurationVar(&o.feedbackFlush, "feedback-flush-interval", 5*time.Millisecond, "max time an unsynced feedback append waits for its group-commit fsync (only with -feedback-sync > 1)")
 	flag.DurationVar(&o.promoteEvery, "promote-every", 0, "interval for folding the feedback log into -model and hot-promoting it (0 disables the promotion loop)")
 	flag.BoolVar(&o.promotePrune, "promote-prune", false, "drop feedback WAL segments already folded into the promoted model (trades disk for forgetting pre-promotion exclusion history on restart)")
 	flag.Parse()
@@ -239,8 +235,6 @@ func run(o options) error {
 			"Feedback WAL fsync latency (group commits).",
 			obs.ExponentialBuckets(1e-5, 4, 10))
 		wal, rec, err := feedback.OpenWAL(o.feedbackLog, feedback.WALConfig{
-			SyncEvery:    o.feedbackSync,
-			SyncInterval: o.feedbackFlush,
 			FsyncSeconds: fsync,
 			Logger:       logger,
 		})
@@ -266,7 +260,7 @@ func run(o options) error {
 		}
 		logger.Info("feedback ingest enabled", "dir", o.feedbackLog,
 			"replayed", replayed, "watermark", folded, "last_seq", wal.LastSeq(),
-			"recovered_truncated_bytes", rec.TruncatedBytes, "sync_every", o.feedbackSync)
+			"recovered_truncated_bytes", rec.TruncatedBytes)
 		if o.promoteEvery > 0 {
 			prom, err := feedback.NewPromoter(ing, server, feedback.PromoteConfig{
 				Interval:  o.promoteEvery,

@@ -364,7 +364,7 @@ func TestRunFeedbackComposesWithFloat32(t *testing.T) {
 		}
 	}
 	o := options{modelPath: modelPath, trainPath: trainPath,
-		feedbackLog: filepath.Join(t.TempDir(), "wal"), feedbackSync: 1}
+		feedbackLog: filepath.Join(t.TempDir(), "wal")}
 	n1, n2 := uint64(len(first)), uint64(len(second))
 
 	// Boot with the promotion loop on: ingest, then wait for the log to be

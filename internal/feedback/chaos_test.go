@@ -250,7 +250,7 @@ func TestFeedbackChaosTornTailLosesNoAckedEvents(t *testing.T) {
 
 // Group commit under concurrency, then crash: durability acks are only
 // sent after the covering fsync, so every acked event must be in the
-// recovered log even at SyncEvery 16.
+// recovered log even when 8 writers share fsyncs.
 func TestFeedbackChaosGroupCommitCrash(t *testing.T) {
 	model, train := chaosFixture(t)
 	dir := t.TempDir()
@@ -267,7 +267,7 @@ func TestFeedbackChaosGroupCommitCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal, _, err := OpenWAL(walDir, WALConfig{SyncEvery: 16})
+	wal, _, err := OpenWAL(walDir, WALConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,6 +320,80 @@ func TestFeedbackChaosGroupCommitCrash(t *testing.T) {
 			t.Fatalf("acked seq %d missing or wrong after crash: %v ok=%v", a.seq, g, ok)
 		}
 	}
+}
+
+// A promotion's watermark covers only events it baked. Event A takes
+// seq 1 and is parked right after its append; event B (seq 2) and a
+// promotion then get their chance before A is recorded. Had B been
+// recorded and a promotion exported FeedbackSeq = 2 without A, a restart
+// would count A's user as folded and serve the export's row, which lacks
+// A. Appending under the ingest lock makes both wait for A instead.
+func TestFeedbackChaosWatermarkCoversOnlyRecordedEvents(t *testing.T) {
+	model, train := chaosFixture(t)
+	dir := t.TempDir()
+	modelPath := filepath.Join(dir, "m.clapf")
+	if err := store.SaveFile(modelPath, model); err != nil {
+		t.Fatal(err)
+	}
+	walDir := filepath.Join(dir, "wal")
+	p := boot(t, modelPath, walDir, train)
+	// Two users, each with an item outside their training history, so
+	// both events are applied.
+	var evs [][2]int32
+	for u := int32(0); len(evs) < 2; u++ {
+		for i := int32(0); i < int32(train.NumItems()); i++ {
+			if !train.IsPositive(u, i) {
+				evs = append(evs, [2]int32{u, i})
+				break
+			}
+		}
+	}
+	prom, err := NewPromoter(p.ing, p.srv, PromoteConfig{ModelPath: modelPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	p.ing.afterAppend = func(seq uint64) {
+		if seq == 1 {
+			close(parked)
+			<-release
+		}
+	}
+	ingest := func(ev [2]int32) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := p.ing.Ingest(context.Background(), ev[0], ev[1])
+			done <- err
+		}()
+		return done
+	}
+	aDone := ingest(evs[0])
+	<-parked
+	// B, then the promotion, get about 100 ms each to run past A.
+	bDone := ingest(evs[1])
+	time.Sleep(100 * time.Millisecond)
+	promDone := make(chan error, 1)
+	go func() {
+		outcome, err := prom.PromoteOnce()
+		if err == nil && outcome != PromoteOK {
+			err = fmt.Errorf("promotion outcome %q", outcome)
+		}
+		promDone <- err
+	}()
+	time.Sleep(100 * time.Millisecond)
+	close(release)
+	for _, done := range []<-chan error{aDone, bDone, promDone} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := servingFactors(p.srv)
+	if err := p.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p2 := boot(t, modelPath, walDir, train)
+	defer p2.wal.Close()
+	requireSameFactors(t, live, servingFactors(p2.srv))
 }
 
 // Crash the instant the watermarked export lands on disk — the promoted

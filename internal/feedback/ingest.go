@@ -48,9 +48,10 @@ type Ingestor struct {
 	wal   *WAL
 	train *dataset.Dataset
 
-	// mu is the lock serve.FeedbackSink exposes: Ingest's record+apply
-	// step and the server's RebuildOverlay+publish both run under it, so
-	// a model swap can never lose an event's online update.
+	// mu is the lock serve.FeedbackSink exposes: Ingest's
+	// append+record+apply step and the server's RebuildOverlay+publish
+	// both run under it, so a model swap can never lose an event's online
+	// update.
 	mu      sync.Mutex
 	extras  map[int32][]int32 // per-user ingested items, sorted, deduped
 	lastSeq map[int32]uint64  // per-user highest applied event seq
@@ -58,6 +59,10 @@ type Ingestor struct {
 	folded  uint64            // promotion watermark: events <= folded are in the base
 
 	srv *serve.Server // bound applier; nil until Bind
+
+	// afterAppend, when set, runs right after an event's WAL append — the
+	// chaos suite parks an ingest in exactly that spot.
+	afterAppend func(seq uint64)
 
 	appends    *obs.Counter
 	replayed   *obs.Counter
@@ -184,29 +189,31 @@ func (ing *Ingestor) recordLocked(u, item int32, seq uint64) bool {
 	return true
 }
 
-// Ingest implements serve.FeedbackSink: append durably, then record the
-// event and apply its online update under the consistency lock. The
-// acknowledgement (the return) happens only after the WAL fsync covering
-// the event has completed — a crash after Ingest returns can never lose
-// the event. The overlay update itself is applied before the durability
-// wait resolves; on a crash in that window the event simply vanishes with
-// the process, unacknowledged.
+// Ingest implements serve.FeedbackSink: append the event, record it and
+// apply its online update under the consistency lock, then wait for the
+// WAL fsync covering it. The acknowledgement (the return) happens only
+// after that fsync — a crash after Ingest returns can never lose the
+// event. The overlay update is visible before the ack; on a crash in that
+// window the event simply vanishes with the process, unacknowledged.
 //
-// The WAL append runs outside ing.mu: with SyncEvery <= 1 the fsync
-// happens inside Begin, and holding the sink lock across it would gate
-// every read-path ExtraPositives call — and model swaps — behind
-// multi-millisecond disk flushes. Sequence assignment has the WAL's own
-// lock, and recordLocked is order-independent, so concurrent ingests
-// recording out of sequence order is harmless.
+// The append runs inside ing.mu, so events are recorded in the order
+// their sequence numbers were assigned: every seq <= maxSeq is in the
+// extras whenever a promotion snapshot reads maxSeq as its watermark.
+// Begin does not fsync (bar sealing a full segment), so the sink lock is
+// not held across a disk flush; the wait runs after the unlock.
 func (ing *Ingestor) Ingest(ctx context.Context, user, item int32) (uint64, bool, error) {
 	if ing.srv == nil {
 		return 0, false, fmt.Errorf("feedback: ingestor not bound to a server")
 	}
+	ing.mu.Lock()
 	p, err := ing.wal.Begin(user, item, time.Now())
 	if err != nil {
+		ing.mu.Unlock()
 		return 0, false, err
 	}
-	ing.mu.Lock()
+	if ing.afterAppend != nil {
+		ing.afterAppend(p.Seq)
+	}
 	applied := ing.recordLocked(user, item, p.Seq)
 	if applied {
 		merged := dataset.MergeSorted(ing.train.Positives(user), ing.extras[user])

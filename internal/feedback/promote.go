@@ -61,8 +61,8 @@ type PromoteConfig struct {
 // of what it has absorbed):
 //
 //	snapshot  — capture (S, merged histories) under the ingest lock.
-//	sync      — force the WAL durable through S (normally a no-op: acks
-//	            already waited).
+//	sync      — force the WAL durable through S: an event is recorded
+//	            before the fsync its ack waits for.
 //	export    — re-solve each touched user's factors into a copy of the
 //	            base, in the base's own representation (float64 → v2,
 //	            float32 → v3), and write it to a temp file beside

@@ -49,7 +49,7 @@ type Event struct {
 //
 // All integers little-endian. The frame CRC covers only the payload; a
 // corrupted length either lands on a CRC mismatch (garbage payload) or is
-// rejected outright (> maxPayload), so both fields are effectively
+// rejected outright (!= payloadSize), so both fields are effectively
 // covered. Segment files are named wal-<firstSeq, 20 decimal digits>.seg
 // so a directory listing sorts them into log order.
 const (
@@ -58,7 +58,6 @@ const (
 	headerSize    = 8 + 4 + 8 + 4
 	frameOverhead = 4 + 4
 	payloadSize   = 8 + 4 + 4 + 8
-	maxPayload    = 1 << 16
 )
 
 // WALConfig parameterizes a log. The zero value of every field selects
@@ -67,15 +66,8 @@ type WALConfig struct {
 	// SegmentBytes is the rotation threshold: a segment that reaches this
 	// size is sealed and a new one started. Default 64 MiB.
 	SegmentBytes int64
-	// SyncEvery batches fsyncs: the log syncs after this many appended
-	// frames. <= 1 syncs on every append (lowest latency, lowest
-	// throughput); larger values group-commit, and appenders block until
-	// the covering sync lands. Default 1.
-	SyncEvery int
-	// SyncInterval bounds how long a batched append waits for its group
-	// fsync when the batch does not fill: a background flusher syncs any
-	// pending frames at this cadence. Default 5ms. Only used when
-	// SyncEvery > 1.
+	// Ignored: the log group-commits by itself; the frozen benchmark/ sets these.
+	SyncEvery    int
 	SyncInterval time.Duration
 	// FsyncSeconds, when set, observes the duration of every fsync —
 	// wired to clapf_feedback_fsync_seconds.
@@ -90,12 +82,6 @@ func (c WALConfig) withDefaults() WALConfig {
 	}
 	if c.SegmentBytes < headerSize+frameOverhead+payloadSize {
 		c.SegmentBytes = headerSize + frameOverhead + payloadSize
-	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = 1
-	}
-	if c.SyncInterval <= 0 {
-		c.SyncInterval = 5 * time.Millisecond
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NopLogger()
@@ -119,26 +105,24 @@ type RecoveryInfo struct {
 	DroppedSegment string
 }
 
-// WAL is a segmented append-only log. Append assigns sequence numbers
-// under an internal lock and group-commits fsyncs; an append is durable —
-// and its Pending.Wait returns — only after a covering fsync.
+// WAL is a segmented append-only log. Begin assigns sequence numbers and
+// writes frames under an internal lock; an append is durable — and its
+// Pending.Wait returns — only after a covering fsync, which the first
+// waiter to find none running performs for every frame written so far.
 type WAL struct {
 	dir string
 	cfg WALConfig
 
 	mu       sync.Mutex
+	synced   sync.Cond // on mu; broadcast whenever an fsync finishes
 	f        *os.File
 	size     int64 // bytes written to the active segment
 	segFirst uint64
 	seq      uint64 // last assigned sequence number
 	durable  uint64 // last fsync-covered sequence number
-	pending  int    // frames appended since the last sync
-	batch    chan struct{}
-	err      error // sticky: a failed fsync poisons the log
+	syncing  bool   // an fsync of f is running with mu released
+	err      error  // sticky: a failed fsync poisons the log
 	closed   bool
-
-	stopFlusher chan struct{}
-	flusherDone chan struct{}
 }
 
 // OpenWAL opens (creating if needed) the log in dir, runs recovery, and
@@ -152,18 +136,14 @@ func OpenWAL(dir string, cfg WALConfig) (*WAL, RecoveryInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, RecoveryInfo{}, fmt.Errorf("feedback: %w", err)
 	}
-	w := &WAL{dir: dir, cfg: cfg, batch: make(chan struct{})}
+	w := &WAL{dir: dir, cfg: cfg}
+	w.synced.L = &w.mu
 	info, err := w.recover()
 	if err != nil {
 		return nil, info, err
 	}
 	w.seq = info.LastSeq
 	w.durable = info.LastSeq
-	if cfg.SyncEvery > 1 {
-		w.stopFlusher = make(chan struct{})
-		w.flusherDone = make(chan struct{})
-		go w.flushLoop()
-	}
 	return w, info, nil
 }
 
@@ -249,7 +229,7 @@ func decodeFrames(body []byte) (events []Event, consumed int) {
 			return events, off
 		}
 		plen := int(binary.LittleEndian.Uint32(body[off:]))
-		if plen != payloadSize || plen > maxPayload {
+		if plen != payloadSize {
 			// Future versions may vary payload size; v1 rejects anything
 			// else, which also catches corrupted lengths early.
 			return events, off
@@ -416,7 +396,7 @@ func (w *WAL) openSegment(firstSeq uint64) error {
 	return nil
 }
 
-// Pending is an in-flight append: the frame is buffered (and sequence
+// Pending is an in-flight append: the frame is written (and sequence
 // number assigned) but possibly not yet durable.
 type Pending struct {
 	Seq uint64
@@ -433,25 +413,39 @@ func (w *WAL) Append(user, item int32, t time.Time) (uint64, error) {
 	return p.Seq, p.Wait()
 }
 
-// Begin assigns the next sequence number and buffers the frame, rotating
-// the segment first if the active one is full. The event is NOT durable
-// until Wait returns; callers that ack externally must Wait first.
+// Begin assigns the next sequence number and writes the frame, sealing
+// the active segment first if it is full. It never fsyncs the frame: the
+// event is NOT durable until Wait returns, and callers that ack
+// externally must Wait first.
 func (w *WAL) Begin(user, item int32, t time.Time) (Pending, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.closed {
-		return Pending{}, fmt.Errorf("feedback: log is closed")
-	}
-	if w.err != nil {
-		return Pending{}, w.err
-	}
-	next := w.seq + 1
-	if w.size+frameOverhead+payloadSize > w.cfg.SegmentBytes && w.size > headerSize {
-		if err := w.rotateLocked(next); err != nil {
+	// Sealing a full segment waits for fsyncs with w.mu released, during
+	// which another appender may rotate or Close may run, so every pass
+	// re-checks from the top. The old file is closed only when no fsync is
+	// running on it and every frame in it is durable.
+	for {
+		if w.closed {
+			return Pending{}, fmt.Errorf("feedback: log is closed")
+		}
+		if w.err != nil {
+			return Pending{}, w.err
+		}
+		if w.size+frameOverhead+payloadSize <= w.cfg.SegmentBytes || w.size <= headerSize {
+			break
+		}
+		if w.syncing {
+			w.synced.Wait()
+		} else if w.durable < w.seq {
+			w.syncLocked(w.seq) // a failure is sticky: the next pass returns it
+		} else if err := w.rotateLocked(w.seq + 1); err != nil {
 			w.err = err
 			return Pending{}, err
 		}
 	}
+	// w.mu is held from here to the write, so the seq chosen is the frame
+	// written next.
+	next := w.seq + 1
 	ev := Event{Seq: next, User: user, Item: item, UnixNano: t.UnixNano()}
 	frame := encodeFrame(make([]byte, 0, frameOverhead+payloadSize), ev)
 	if _, err := w.f.Write(frame); err != nil {
@@ -460,79 +454,65 @@ func (w *WAL) Begin(user, item int32, t time.Time) (Pending, error) {
 	}
 	w.seq = next
 	w.size += int64(len(frame))
-	w.pending++
-	if w.cfg.SyncEvery <= 1 || w.pending >= w.cfg.SyncEvery {
-		if err := w.syncLocked(); err != nil {
-			return Pending{}, err
-		}
-	}
 	return Pending{Seq: next, w: w}, nil
 }
 
 // Wait blocks until the append is fsync-covered (or the log fails).
 func (p Pending) Wait() error {
-	w := p.w
-	for {
-		w.mu.Lock()
-		if w.err != nil {
-			err := w.err
-			w.mu.Unlock()
-			return err
+	p.w.mu.Lock()
+	defer p.w.mu.Unlock()
+	return p.w.syncLocked(p.Seq)
+}
+
+// syncLocked is the log's one commit path: it returns once every frame
+// through seq is durable, or the log has failed. If no fsync is running
+// the caller runs one itself, covering everything written so far, with
+// w.mu released so appends keep landing; otherwise it sleeps until that
+// fsync finishes and checks again. One fsync therefore covers every
+// append that landed while the previous one ran. Caller holds w.mu.
+func (w *WAL) syncLocked(seq uint64) error {
+	for w.err == nil && w.durable < seq {
+		if w.syncing {
+			w.synced.Wait()
+			continue
 		}
-		if w.durable >= p.Seq {
-			w.mu.Unlock()
-			return nil
-		}
-		ch := w.batch
+		upTo, f := w.seq, w.f
+		w.syncing = true
 		w.mu.Unlock()
-		<-ch
+		start := time.Now()
+		err := f.Sync()
+		took := time.Since(start)
+		w.mu.Lock()
+		w.syncing = false
+		if err != nil {
+			w.err = fmt.Errorf("feedback: fsync: %w", err)
+		} else {
+			w.durable = upTo
+			if w.cfg.FsyncSeconds != nil {
+				w.cfg.FsyncSeconds.Observe(took.Seconds())
+			}
+		}
+		w.synced.Broadcast()
 	}
+	return w.err
 }
 
-// syncLocked flushes the OS buffer to stable storage and wakes every
-// waiter of the covered batch. Caller holds w.mu.
-func (w *WAL) syncLocked() error {
-	if w.pending == 0 && w.durable == w.seq {
-		return nil
-	}
-	start := time.Now()
-	if err := w.f.Sync(); err != nil {
-		w.err = fmt.Errorf("feedback: fsync: %w", err)
-		close(w.batch)
-		w.batch = make(chan struct{})
-		return w.err
-	}
-	if w.cfg.FsyncSeconds != nil {
-		w.cfg.FsyncSeconds.Observe(time.Since(start).Seconds())
-	}
-	w.durable = w.seq
-	w.pending = 0
-	close(w.batch)
-	w.batch = make(chan struct{})
-	return nil
-}
-
-// Sync forces any buffered frames to stable storage.
+// Sync makes every written frame durable.
 func (w *WAL) Sync() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return fmt.Errorf("feedback: log is closed")
 	}
-	if w.err != nil {
-		return w.err
-	}
-	return w.syncLocked()
+	return w.syncLocked(w.seq)
 }
 
-// rotateLocked seals the active segment and starts the next one at
-// firstSeq. The old segment is fully synced before the new file's header
-// and directory entry are made durable, so recovery sees either the
-// sealed old segment alone or both — never a gap.
+// rotateLocked closes the active segment and starts the next one at
+// firstSeq. The caller holds w.mu with no fsync running and every frame
+// durable, so the old segment is sealed before the new file's header and
+// directory entry are made durable: recovery sees either the sealed old
+// segment alone or both — never a gap.
 func (w *WAL) rotateLocked(firstSeq uint64) error {
-	if err := w.syncLocked(); err != nil {
-		return err
-	}
 	if err := w.f.Close(); err != nil {
 		return fmt.Errorf("feedback: %w", err)
 	}
@@ -543,24 +523,6 @@ func (w *WAL) rotateLocked(firstSeq uint64) error {
 	w.cfg.Logger.Info("feedback: rotated WAL segment",
 		"sealed", segmentName(old), "active", segmentName(firstSeq))
 	return nil
-}
-
-func (w *WAL) flushLoop() {
-	defer close(w.flusherDone)
-	t := time.NewTicker(w.cfg.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stopFlusher:
-			return
-		case <-t.C:
-			w.mu.Lock()
-			if !w.closed && w.err == nil && w.pending > 0 {
-				w.syncLocked() // sticky error surfaces to waiters
-			}
-			w.mu.Unlock()
-		}
-	}
 }
 
 // LastSeq returns the last assigned sequence number.
@@ -580,17 +542,18 @@ func (w *WAL) Segments() int {
 }
 
 // Replay streams every durable event in log order. Call before concurrent
-// appends start (startup) — buffered-but-unsynced frames are flushed
+// appends start (startup) — written-but-unsynced frames are made durable
 // first so the scan is complete.
 func (w *WAL) Replay(fn func(Event) error) error {
 	w.mu.Lock()
+	var err error
 	if !w.closed && w.err == nil {
-		if err := w.syncLocked(); err != nil {
-			w.mu.Unlock()
-			return err
-		}
+		err = w.syncLocked(w.seq)
 	}
 	w.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	segs, err := w.segmentFiles()
 	if err != nil {
 		return err
@@ -648,25 +611,24 @@ func (w *WAL) PruneTo(seq uint64) (removed int, err error) {
 	return removed, nil
 }
 
-// Close syncs any pending frames and closes the active segment.
+// Close makes every written frame durable and closes the active segment
+// once no fsync is running on it.
 func (w *WAL) Close() error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
 	var err error
 	if w.err == nil {
-		err = w.syncLocked()
+		err = w.syncLocked(w.seq)
+	}
+	for w.syncing {
+		w.synced.Wait()
 	}
 	if cerr := w.f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("feedback: %w", cerr)
-	}
-	w.mu.Unlock()
-	if w.stopFlusher != nil {
-		close(w.stopFlusher)
-		<-w.flusherDone
 	}
 	return err
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"clapf/internal/fault"
+	"clapf/internal/obs"
 )
 
 func openTestWAL(t *testing.T, dir string, cfg WALConfig) (*WAL, RecoveryInfo) {
@@ -72,30 +73,101 @@ func TestWALAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// Appenders share fsyncs: whoever waits for an append syncs everything
+// written so far, so 64 concurrent writers at the default config pay far
+// fewer fsyncs than appends, and every seq still replays exactly once.
 func TestWALGroupCommitConcurrentAppends(t *testing.T) {
-	w, _ := openTestWAL(t, t.TempDir(), WALConfig{SyncEvery: 16, SyncInterval: time.Millisecond})
-	const n = 200
+	h := obs.NewHistogram(obs.ExponentialBuckets(1e-5, 4, 10))
+	w, _ := openTestWAL(t, t.TempDir(), WALConfig{FsyncSeconds: h})
+	const writers, per = 64, 100
 	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for g := 0; g < n; g++ {
+	errs := make([]error, writers)
+	for g := 0; g < writers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			_, errs[g] = w.Append(int32(g), int32(g), time.Unix(0, int64(g)))
+			for i := 0; i < per && errs[g] == nil; i++ {
+				_, errs[g] = w.Append(int32(g), int32(i), time.Unix(0, int64(g)))
+			}
 		}(g)
 	}
 	wg.Wait()
 	for g, err := range errs {
 		if err != nil {
-			t.Fatalf("Append %d: %v", g, err)
+			t.Fatalf("writer %d: %v", g, err)
 		}
 	}
-	if got := w.LastSeq(); got != n {
-		t.Fatalf("LastSeq = %d, want %d", got, n)
+	const n = writers * per
+	if got := h.Count(); got >= n {
+		t.Fatalf("%d fsyncs for %d concurrent appends: no fsync was shared", got, n)
 	}
-	if evs := collectEvents(t, w); len(evs) != n {
+	evs := collectEvents(t, w)
+	if len(evs) != n {
 		t.Fatalf("replayed %d events, want %d", len(evs), n)
 	}
+	for i, ev := range evs {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, i+1)
+		}
+	}
+}
+
+// Rotation under concurrent appends: every pass of the sealing loop waits
+// with the log lock released, so appenders must never pick the same next
+// seq or rotate under one another. Two frames a segment make every other
+// append a rotation.
+func TestWALRotationConcurrentAppends(t *testing.T) {
+	dir := t.TempDir()
+	cfg := WALConfig{SegmentBytes: 88}
+	w, _ := openTestWAL(t, dir, cfg)
+	const writers, per = 32, 10
+	const n = writers * per
+	var mu sync.Mutex
+	acked := make(map[uint64][2]int32, n)
+	var wg sync.WaitGroup
+	errs := make([]error, writers)
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				seq, err := w.Append(int32(g), int32(i), time.Unix(0, 0))
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				mu.Lock()
+				acked[seq] = [2]int32{int32(g), int32(i)}
+				mu.Unlock()
+			}
+		}(g)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("writer %d: %v", g, err)
+		}
+	}
+	requireAll := func(evs []Event, when string) {
+		t.Helper()
+		if len(evs) != n {
+			t.Fatalf("%s: %d events, want %d", when, len(evs), n)
+		}
+		for i, ev := range evs {
+			if ev.Seq != uint64(i+1) || acked[ev.Seq] != [2]int32{ev.User, ev.Item} {
+				t.Fatalf("%s: event %d = %+v, acked as %v", when, i, ev, acked[ev.Seq])
+			}
+		}
+	}
+	requireAll(collectEvents(t, w), "replay")
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	w2, info := openTestWAL(t, dir, cfg)
+	if info.Events != n || info.LastSeq != n || info.TruncatedBytes != 0 || info.DroppedSegment != "" {
+		t.Fatalf("recovery reports %+v, want %d events and no repair", info, n)
+	}
+	requireAll(collectEvents(t, w2), "reopen")
 }
 
 func TestWALRotationAndPrune(t *testing.T) {
@@ -253,30 +325,5 @@ func TestWALRecoveryDropsTornHeaderSegment(t *testing.T) {
 	}
 	if seq, err := w2.Append(5, 9, time.Unix(0, 0)); err != nil || seq != 5 {
 		t.Fatalf("Append after dropped segment: seq %d err %v", seq, err)
-	}
-}
-
-func TestWALSyncEveryBatchesFsync(t *testing.T) {
-	// With SyncEvery=8 and 24 appends from one goroutine... each Append
-	// waits for durability, so the flusher covers each one; just verify
-	// durability and ordering hold with batching enabled.
-	w, _ := openTestWAL(t, t.TempDir(), WALConfig{SyncEvery: 8, SyncInterval: time.Millisecond})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 24; i++ {
-			if _, err := w.Append(6, int32(i), time.Unix(0, 0)); err != nil {
-				t.Errorf("Append %d: %v", i, err)
-				return
-			}
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("batched appends stalled: flusher not covering waiters")
-	}
-	if evs := collectEvents(t, w); len(evs) != 24 {
-		t.Fatalf("replayed %d events, want 24", len(evs))
 	}
 }

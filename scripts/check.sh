@@ -263,8 +263,11 @@ echo "relay gate ok"
 # log, promotion, SIGHUP, restarts. A promotion on an IVF server carries
 # the index over — no build — and answers as a fresh build of the
 # promoted file does (TestFeedbackChaosPromotionKeepsIndex, matched by
-# the prefix). -count=1 defeats the test cache.
+# the prefix). -count=1 defeats the test cache. The WAL's group commit
+# and rotation under concurrent appends run three times: which goroutine
+# fsyncs depends on the interleaving.
 go test -race -count=1 -run '^TestFeedbackChaos' ./internal/feedback
+go test -race -count=3 -run '^TestWAL(GroupCommit|Rotation)ConcurrentAppends$' ./internal/feedback
 go test -race -count=1 -run '^TestRunFeedbackComposes' ./cmd/clapf-serve
 echo "feedback chaos gate ok"
 
