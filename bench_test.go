@@ -413,3 +413,40 @@ func BenchmarkEvaluate(b *testing.B) {
 		eval.Evaluate(model, train, test, eval.Options{Ks: []int{5}, MaxUsers: 100, RNG: mathx.NewRNG(uint64(i))})
 	}
 }
+
+// BenchmarkRecommendFoldIn is the public cold-start call at the benchmark's
+// catalog shape, 26 744 × 16 float64 rows and 20 history items, beside
+// what it must cost: one exact scan of the catalog and a selection from
+// it. The facade builds an engine a call, so it is one engine's first
+// sweep every time.
+func BenchmarkRecommendFoldIn(b *testing.B) {
+	const items, k = 26744, 10
+	m := mf.MustNew(mf.Config{NumUsers: 1, NumItems: items, Dim: 16, UseBias: true})
+	rng := mathx.NewRNG(13)
+	m.InitGaussian(rng, 0.1)
+	uf := make([]float64, 16)
+	for q := range uf {
+		uf[q] = rng.NormFloat64()
+	}
+	history := make([]int32, 20)
+	for j := range history {
+		history[j] = int32(j * (items / 20))
+	}
+	b.Run("facade", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			RecommendFoldIn(m, uf, history, k)
+		}
+	})
+	b.Run("scan+select", func(b *testing.B) {
+		b.ReportAllocs()
+		row, seen := make([]float64, items), make([]bool, items)
+		for _, it := range history {
+			seen[it] = true
+		}
+		for i := 0; i < b.N; i++ {
+			m.ScoreRangeFoldIn(uf, 0, items, row)
+			rank.TopKDropped(row, k, func(it int32) bool { return seen[it] })
+		}
+	})
+}

@@ -7,218 +7,257 @@ import (
 
 // The bound filter. A top-k scan keeps k rows of a catalog and ignores the
 // rest, and the exact kernels (ScanF64, ScanF64F32) pay for float64 bits on
-// every row they ignore: per 16-wide float32 row, four converts, four
-// multiplies and four adds, which is where the scan's time goes — the
-// catalog is in L2, the execution ports are the limit. BoundF32 scores the
-// same rows in float32, eight lanes an instruction, as s̃; a row can then
+// every row they ignore: per 16-wide row, four converts, four multiplies
+// and four adds, which is where the scan's time goes — the catalog is in
+// L2, the execution ports are the limit. BoundI8 scores the same rows from
+// an int8 image as s̃, 32 byte products an instruction; a row can then
 // only place if s̃ is within E of the selector's floor, and only those rows
 // are rescored by the exact kernel. The answer is the exact scan's, bit for
 // bit, because a row that is skipped provably scores below the floor.
 //
-// The bound. Write n = d+1 (the d products and the bias), u32 = 2⁻²⁴ and
-// u64 = 2⁻⁵³ (unit roundoffs), ũ, Ṽ_i and b̃_i for the float32 images of
-// the query and of row i, and for a row whose image is finite
+// The image. Over the rows whose values and bias are all finite (below:
+// the finite rows; a float64 bias float32 cannot hold is not finite here),
+// M_k = max_i |v_ik| and c_k = M_k/127 per dimension; row i stores
+// q_ik = round(v_ik/c_k), clamped to [−127, 127] and 0 where c_k = 0, as
+// the byte q_ik + 128, in rows of 16·⌈d/16⌉ bytes padded with 128; its bias
+// is stored as a float32. The residual ρ_k = max_i |v_ik − c_k·q_ik| and
+// Lmax = max_i Σ_k |q_ik| are measured, so nothing depends on how q was
+// rounded. A query u becomes w_k = u_k·c_k, Δ = float32(max_k |w_k|/63) and
+// p_k = round(w_k/Δ) clamped to [−63, 63] (0 where Δ = 0), and
+// e_q = max_k |w_k − Δ·p_k| is measured too. With 7-bit p and 8-bit
+// unsigned bytes, VPMADDUBSW's 16-bit pair sums, at most 2·255·63, cannot
+// saturate. The kernel's score is
 //
-//	B_i = Σ_k |u_k·v_ik| + |b_i|  ≤  ‖u‖·‖V_i‖ + |b_i|
+//	s̃_i = float32(float32(I_i · Δ) + b̃_i),  I_i = Σ_k p_k·q_ik,
 //
-// (Cauchy–Schwarz; u is the float64 query, V_i and b_i the catalog's own
-// values, float64 or float32). maxNorm and maxBias are measured on the
-// images, which a float64 row exceeds by at most a factor 1 + u32 and an
-// absolute 2⁻¹⁵⁰ an element, so B_i ≤ (1 + u32)·B with
-// B = ‖u‖·maxNorm + maxBias, up to 2⁻¹⁵⁰·n·(1 + ‖u‖) that the underflow
-// term below takes. Three errors separate s̃ from s, the exact kernel's
-// score, and each is a multiple of B_i:
+// I_i an exact integer, |I_i| ≤ 63·127·d ≤ 2²⁴ while d ≤ maxBoundDim, so
+// converting it to float32 is exact too.
 //
-//   - the exact kernel against the real sum: each of its n terms goes
-//     through one product rounding and at most d additions in float64, so
-//     |s − S| ≤ γ64(n)·B_i with γ(n) = n·u/(1 − n·u);
-//   - quantisation: ũ_k = u_k(1+α), ṽ_ik = v_ik(1+β), b̃_i = b_i(1+η), each
-//     |·| ≤ u32 (β = 0 on float32 rows), moves the real sum by at most
-//     (2·u32 + u32²)·B_i;
-//   - float32 arithmetic: the kernel's association is a tree over the n
-//     terms of depth at most d, after one product rounding, so it adds at
-//     most γ32(n)·Σ(|ũ·ṽ| + |b̃|) ≤ γ32(n)·(1+u32)²·B_i.
+// The bound. Write u32 = 2⁻²⁴, u64 = 2⁻⁵³, and for the finite rows
+// R = Σ_k |u_k|·(M_k + ρ_k) + maxBias, maxBias = max_i |b_i| (b_i the
+// catalog's own bias). Since v_ik = c_k·q_ik + r_ik with |r_ik| ≤ ρ_k,
 //
-// With n·u32 ≤ 2⁻¹⁰ (d < 16 383; beyond it E is +Inf and nothing is
-// skipped) the sum of the three, times 1 + u32, is below
-// u32·(1.01·n + 2.01)·B, and
+//	Σ_k u_k·v_ik − Δ·I_i = Σ_k (w_k − Δ·p_k)·q_ik + Σ_k u_k·r_ik,
 //
-//	c = 2⁻²³·(n + 3) = u32·(2n + 6)
+// so the real sum and Δ·I_i differ by at most e_q·Lmax + Σ_k |u_k|·ρ_k — the
+// two terms E is made of. Everything else is rounding, each a multiple of R
+// or of e_q·Lmax:
 //
-// covers it with u32·(0.99·n + 3.99) to spare. The spare absorbs what the
-// inequality chain does not see: E, ‖u‖ and maxNorm are themselves
-// computed in float64 (relative error below (d+8)·u64), and the survivor
-// test compares s̃ against floor − E rounded to float64 — an error of at
-// most (|floor| + E)·u64, which matters only when |floor| ≤ 2·B (a floor
-// further below −2·B is below every s̃ of a finite row as it is, and one
-// above 2·B is above every s). Gradual underflow adds an absolute error the
-// relative terms do not cover: a product or a conversion that lands in
-// float32's subnormal range is off by up to 2⁻¹⁵⁰, a quantised u_k or
-// v_ik carries that into its d products, so with the maxima's own share
-// all of it is below 2⁻¹⁴⁷·n·(1 + ‖u‖ + maxNorm), and E adds twice that:
+//   - the exact kernel against the real sum S_i: n = d+1 terms, one product
+//     rounding and at most d additions in float64, |s − S| ≤ γ64(n)·R with
+//     γ(n) = n·u/(1 − n·u) (Σ|u_k·v_ik| ≤ Σ|u_k|·M_k);
+//   - the two float32 roundings of s̃, and b̃_i = float32(b_i) on a float64
+//     catalog: at most 2·u32·|Δ·I_i| + u32·(|b̃_i| + |b_i|), where
+//     |Δ·I_i| ≤ (1 + u64)·Σ|u_k|·(M_k + ρ_k) + e_q·Lmax;
+//   - w_k, ρ_k and e_q are float64 values: w_k is off by u64·|w_k|, which
+//     moves Σ w_k·q_ik by u64·Σ|u_k|·(M_k + ρ_k); c_k·q_ik and the residual
+//     subtraction are exact or relative (a subnormal product of a float64
+//     and a small integer is exact), so the true residual exceeds the
+//     measured ρ_k by at most 2·u64·(M_k + ρ_k); e_q by at most u64·e_q.
 //
-//	E(u) = 2⁻²³·(d+4)·(‖u‖·maxNorm + maxBias) + 2⁻¹⁴⁶·(d+1)·(1 + ‖u‖ + maxNorm)
+// With d ≤ maxBoundDim, γ64(n) < 2⁻⁴¹, and the sum of the three is below
+// 2⁻²³·(1 + 2⁻¹⁷)·(R + e_q·Lmax). E takes 2⁻²¹·R and 2⁻²⁰ of the two
+// main terms, four and eight times that; the spare absorbs E's own float64
+// rounding (relative, below 2⁻⁴⁰) and that of the survivor test's
+// floor − E, at most (|floor| + E)·u64, which matters only while
+// |floor| ≤ 2·R (a lower floor is below every s̃ of a finite row, a higher
+// one above every s). Gradual underflow adds absolute errors the relative
+// terms do not cover: float32(I·Δ) and b̃_i are off by up to 2⁻¹⁵⁰ each in
+// float32's subnormal range (a sum that lands there is exact), and the
+// float64 products by 2⁻¹⁰⁷⁵·(d + Lmax) all told; 2⁻¹⁴⁶ covers them:
 //
-// FuzzBoundF32 and TestBoundCoversTheExactScore hold |s̃ − s| ≤ E, the
-// difference computed exactly, over raw bit patterns and over cancelling,
-// subnormal and out-of-range catalogs.
+//	E(u) = (Σ_k |u_k|·ρ_k + e_q·Lmax)·(1 + 2⁻²⁰) + 2⁻²¹·R + 2⁻¹⁴⁶
 //
-// Non-finite values need no bound. A row whose float32 image has a NaN or
-// ±Inf (a float64 value beyond float32's range included) makes s̃ a NaN or
-// ±Inf whatever the finite query, so it always survives, and it is left out
-// of maxNorm and maxBias. A query with a NaN or ±Inf, or one whose norm
-// overflows, makes E a NaN or +Inf, the threshold floor − E a NaN or −Inf,
-// and every row survives: the scan degrades to the exact one.
+// E is +Inf when R exceeds 2¹⁰⁰⁰, so that where s̃ and E are finite the
+// exact kernel cannot overflow either, and past maxBoundDim.
+// TestBoundCoversTheExactScore and FuzzBoundI8 hold |s̃ − s| ≤ E, the
+// difference computed exactly, over gaussian, cancelling, exactly
+// quantised, subnormal and out-of-range catalogs and raw bit patterns.
+//
+// Non-finite values need no bound. A row that is not finite gets a NaN
+// bias, so its s̃ is NaN and it always survives, and it is left out of every
+// maximum above. A query with a NaN or ±Inf, or whose w_k or Δ overflows,
+// has E = +Inf, the threshold floor − E is −Inf or NaN, and every row
+// survives: the scan degrades to the exact one.
 
-// Bound is the filter's view of one catalog: its rows' float32 image and
-// the two maxima E needs. It is read-only after construction and safe for
-// concurrent use.
+// maxBoundDim is the largest d for which |Σ_k p_k·q_ik| ≤ 63·127·d stays
+// within 2²⁴, where float32 holds every integer exactly.
+const maxBoundDim = (1 << 24) / (63 * 127)
+
+// Bound is the filter's view of one catalog: its int8 image and what E
+// needs. It is read-only after construction and safe for concurrent use.
 type Bound struct {
-	d       int
-	v, b    []float32 // row-major image, d a row; b nil without biases
-	maxNorm float64   // largest ‖Ṽ_i‖ over the rows whose image is finite
-	maxBias float64   // largest |b̃_i| over those rows
+	d, stride int
+	q         []uint8   // q_ik + 128, stride bytes a row, padded with 128
+	b         []float32 // one bias a row; NaN for a row that is not finite
+	scale     []float64 // c_k
+	mag       []float64 // M_k
+	rho       []float64 // ρ_k
+	lmax      float64   // Lmax
+	maxBias   float64   // largest |b_i| over the finite rows
 }
 
-// BoundOverF32 is the bound over float32 rows: the image is v and b
-// themselves, not a copy.
-func BoundOverF32(v, b []float32, d int) *Bound {
-	bd := &Bound{d: d, v: v, b: b}
-	bd.measure()
-	return bd
-}
+// BoundOverF32 is the bound over float32 rows, d a row; b may be nil.
+func BoundOverF32(v, b []float32, d int) *Bound { return newBound(v, b, d) }
 
-// BoundOverF64 is the bound over float64 rows: the image is a float32 copy,
-// a shadow of 4·(d+1) bytes a row built here.
-func BoundOverF64(v, b []float64, d int) *Bound {
-	bd := &Bound{d: d, v: narrow(v)}
-	if b != nil {
-		bd.b = narrow(b)
+// BoundOverF64 is the bound over float64 rows, d a row; b may be nil.
+func BoundOverF64(v, b []float64, d int) *Bound { return newBound(v, b, d) }
+
+// newBound builds the image in two passes over the rows: the maxima, then
+// the bytes and residuals.
+func newBound[T float32 | float64](v, b []T, d int) *Bound {
+	n := 0
+	if d > 0 {
+		n = len(v) / d
 	}
-	bd.measure()
-	return bd
-}
-
-// measure sets maxNorm and maxBias over the rows whose image is finite,
-// on the image (see the derivation above). A row's squared norm, summed in
-// float64, is finite exactly when every element of its image is: a float32
-// squared is below 2²⁵⁶.
-func (bd *Bound) measure() {
-	var max2, maxBias float64
-	for i := range bd.rows() {
-		row := bd.v[i*bd.d : (i+1)*bd.d]
-		norm2 := DotF32(row, row)
+	stride := 16 * ((d + 15) / 16)
+	bd := &Bound{
+		d: d, stride: stride,
+		q: make([]uint8, n*stride), b: make([]float32, n),
+		scale: make([]float64, d), mag: make([]float64, d), rho: make([]float64, d),
+	}
+	nan := float32(math.NaN())
+	for i := 0; i < n; i++ {
+		row := v[i*d : (i+1)*d]
 		var bias float64
-		if bd.b != nil {
-			bias = math.Abs(float64(bd.b[i]))
+		if b != nil {
+			bias = float64(b[i])
 		}
-		if norm2-norm2 != 0 || bias-bias != 0 {
+		bd.b[i] = float32(bias)
+		finite := bd.b[i]-bd.b[i] == 0
+		for _, x := range row {
+			finite = finite && x-x == 0
+		}
+		if !finite {
+			bd.b[i] = nan
 			continue
 		}
-		if norm2 > max2 {
-			max2 = norm2
-		}
-		if bias > maxBias {
-			maxBias = bias
-		}
-	}
-	bd.maxNorm, bd.maxBias = math.Sqrt(max2), maxBias
-}
-
-func narrow(xs []float64) []float32 {
-	out := make([]float32, len(xs))
-	for i, x := range xs {
-		out[i] = float32(x)
-	}
-	return out
-}
-
-func (bd *Bound) rows() int {
-	if bd.d <= 0 {
-		return 0
-	}
-	return len(bd.v) / bd.d
-}
-
-// Query writes u's float32 image into dst, which must hold len(u)
-// elements, and returns E(u): for every row whose image is finite, the
-// exact score and the bound scan's differ by at most E.
-func (bd *Bound) Query(u []float64, dst []float32) float64 {
-	for k, x := range u {
-		dst[k] = float32(x)
-	}
-	n := float64(len(u) + 1)
-	if n > 1<<14 {
-		return math.Inf(1)
-	}
-	norm := math.Sqrt(Norm2Sq(u))
-	return 0x1p-23*(n+3)*(norm*bd.maxNorm+bd.maxBias) + 0x1p-146*n*(1+norm+bd.maxNorm)
-}
-
-// Scan writes the bound scan of rows [lo, hi) under the float32 query u
-// (a Query image) into out, which must hold hi-lo scores.
-func (bd *Bound) Scan(u []float32, lo, hi int, out []float64) {
-	var b []float32
-	if bd.b != nil {
-		b = bd.b[lo:hi]
-	}
-	BoundF32(u, bd.v[lo*bd.d:hi*bd.d], b, out)
-}
-
-// BoundF32 scores a row-major float32 catalog under a float32 query in
-// float32: with d = len(u) and n = len(out), out[j] is s̃ of row j, the
-// float32 sum
-//
-//	((s0+s4)+(s1+s5)) + ((s2+s6)+(s3+s7))  +  u[k]·v[k] for k ≥ d&^7, in order  +  b[j]
-//
-// where s_l is the sum, in k order, of the products u[k]·v[k] of
-// k ≡ l mod 8 below d&^7 (the tree is +0 when d < 8), every product and
-// every sum rounded to float32, widened to float64 at the end; the bias
-// term is dropped when b is nil. v must hold exactly n*d elements and a
-// non-nil b exactly n; anything else is a caller bug and panics before a
-// single row is read. On amd64 with AVX the rows are scored eight a pass
-// by scan_amd64.s — lane l of row r's register is s_l — and the n mod 8
-// left over by boundGo.
-func BoundF32(u, v, b []float32, out []float64) {
-	if len(v) != len(out)*len(u) || (b != nil && len(b) != len(out)) {
-		panic(fmt.Sprintf("mathx: BoundF32 over %d rows of %d: len(v) = %d, len(b) = %d", len(out), len(u), len(v), len(b)))
-	}
-	boundF32(u, v, b, out)
-}
-
-// boundGo is BoundF32's specification, and its body wherever the AVX
-// kernel is not available. Every product is converted to float32 on its
-// own, which the Go specification says rounds it: the compiler may not
-// fuse it into the add (at GOAMD64=v3 it could otherwise), and the kernel
-// does not either.
-func boundGo(u, v, b []float32, out []float64) {
-	d := len(u)
-	d8 := d &^ 7
-	for j := range out {
-		row := v[j*d : (j+1)*d]
-		var s float32
-		k := 0
-		if d8 > 0 {
-			s0, s1, s2, s3 := float32(u[0]*row[0]), float32(u[1]*row[1]), float32(u[2]*row[2]), float32(u[3]*row[3])
-			s4, s5, s6, s7 := float32(u[4]*row[4]), float32(u[5]*row[5]), float32(u[6]*row[6]), float32(u[7]*row[7])
-			for k = 8; k < d8; k += 8 {
-				s0 += float32(u[k] * row[k])
-				s1 += float32(u[k+1] * row[k+1])
-				s2 += float32(u[k+2] * row[k+2])
-				s3 += float32(u[k+3] * row[k+3])
-				s4 += float32(u[k+4] * row[k+4])
-				s5 += float32(u[k+5] * row[k+5])
-				s6 += float32(u[k+6] * row[k+6])
-				s7 += float32(u[k+7] * row[k+7])
+		bd.maxBias = max(bd.maxBias, math.Abs(bias))
+		for k, x := range row {
+			if a := math.Abs(float64(x)); a > bd.mag[k] {
+				bd.mag[k] = a
 			}
-			s = ((s0 + s4) + (s1 + s5)) + ((s2 + s6) + (s3 + s7))
 		}
-		for ; k < d; k++ {
-			s += float32(u[k] * row[k])
+	}
+	for k, m := range bd.mag {
+		bd.scale[k] = m / 127
+	}
+	for j := range bd.q {
+		bd.q[j] = 128
+	}
+	for i := 0; i < n; i++ {
+		if bd.b[i] != bd.b[i] {
+			continue // not finite: q = 0
 		}
-		if b != nil {
-			s += b[j]
+		row, img := v[i*d:(i+1)*d], bd.q[i*stride:i*stride+d]
+		var l float64
+		for k, x := range row {
+			c, xf, q := bd.scale[k], float64(x), 0.0
+			if c > 0 {
+				q = math.RoundToEven(xf / c)
+			}
+			if q > 127 || q < -127 {
+				q = math.Copysign(127, q)
+			}
+			img[k] = uint8(int(q) + 128)
+			if r := math.Abs(xf - c*q); r > bd.rho[k] {
+				bd.rho[k] = r
+			}
+			l += math.Abs(q)
 		}
-		out[j] = float64(s)
+		bd.lmax = max(bd.lmax, l)
+	}
+	return bd
+}
+
+// Stride is the length of a query image: 16·⌈d/16⌉.
+func (bd *Bound) Stride() int { return bd.stride }
+
+// Query writes u's image p_k into p, which must hold Stride() elements
+// (zero past d), and returns its scale Δ and E(u): for every finite row,
+// the exact score and the bound scan's differ by at most E.
+func (bd *Bound) Query(u []float64, p []int8) (delta float32, tol float64) {
+	clear(p)
+	inf := math.Inf(1)
+	if bd.d > maxBoundDim {
+		return 0, inf
+	}
+	var maxW float64
+	for k, x := range u {
+		if x-x != 0 {
+			return 0, inf
+		}
+		maxW = max(maxW, math.Abs(x*bd.scale[k]))
+	}
+	delta = float32(maxW / 63)
+	if delta-delta != 0 {
+		return 0, inf // a w_k or Δ beyond range
+	}
+	var quant, eq, r float64
+	for k, x := range u {
+		w, pk := x*bd.scale[k], 0.0
+		if delta > 0 {
+			pk = max(-63, min(63, math.RoundToEven(w/float64(delta))))
+		}
+		p[k] = int8(pk)
+		eq = max(eq, math.Abs(w-float64(delta)*pk))
+		ax := math.Abs(x)
+		quant += ax * bd.rho[k]
+		r += ax * (bd.mag[k] + bd.rho[k])
+	}
+	if r += bd.maxBias; !(r <= 0x1p1000) {
+		return delta, inf
+	}
+	return delta, (quant+eq*bd.lmax)*(1+0x1p-20) + 0x1p-21*r + 0x1p-146
+}
+
+// Scan writes the bound scan of rows [lo, hi) under the query image p and
+// its scale delta (a Query result) into out, which must hold hi-lo scores.
+func (bd *Bound) Scan(p []int8, delta float32, lo, hi int, out []float64) {
+	BoundI8(p, delta, bd.q[lo*bd.stride:hi*bd.stride], bd.b[lo:hi], out)
+}
+
+// BoundI8 scores an int8 catalog image under an int8 query: with
+// dp = len(p), a multiple of 16, and n = len(out), out[j] is
+//
+//	float64(float32(float32(float32(I_j) · delta) + b[j])),
+//	I_j = Σ_k p[k]·q[j·dp+k] − 128·Σ_k p[k]
+//
+// in int32 arithmetic: row j's bytes are q_jk + 128, so I_j is Σ p_k·q_jk.
+// The product and the sum are rounded to float32 one at a time, never
+// fused. q must hold exactly n·dp bytes, b exactly n biases, and every p[k]
+// must lie in [−63, 63], where the kernel's 16-bit pair sums cannot
+// saturate; anything else is a caller bug and panics before a row is read.
+// On amd64 with AVX2 the rows are scored eight a pass by scan_amd64.s and
+// the n mod 8 left over by boundI8Go.
+func BoundI8(p []int8, delta float32, q []uint8, b []float32, out []float64) {
+	if len(p)%16 != 0 || len(q) != len(out)*len(p) || len(b) != len(out) {
+		panic(fmt.Sprintf("mathx: BoundI8 over %d rows of %d: len(q) = %d, len(b) = %d", len(out), len(p), len(q), len(b)))
+	}
+	var sum int32
+	for _, x := range p {
+		if x < -63 || x > 63 {
+			panic(fmt.Sprintf("mathx: BoundI8 query element %d outside [-63, 63]", x))
+		}
+		sum += int32(x)
+	}
+	boundI8(p, delta, sum, q, b, out)
+}
+
+// boundI8Go is BoundI8's specification, and its body wherever the AVX2
+// kernel is not available; sum is Σ p[k]. The product is converted to
+// float32 on its own, which the Go specification says rounds it: the
+// compiler may not fuse it into the add (at GOAMD64=v3 it could
+// otherwise), and the kernel does not either.
+func boundI8Go(p []int8, delta float32, sum int32, q []uint8, b []float32, out []float64) {
+	dp := len(p)
+	for j := range out {
+		row := q[j*dp:][:dp]
+		var dot int32
+		for k, x := range p {
+			dot += int32(x) * int32(row[k])
+		}
+		s := float32(float32(dot-128*sum) * delta)
+		out[j] = float64(s + b[j])
 	}
 }

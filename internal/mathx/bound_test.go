@@ -8,81 +8,125 @@ import (
 	"testing"
 )
 
-// sameBound fails unless BoundF32 — the AVX kernel where the host has one
-// — wrote exactly what boundGo, its specification, writes; non-finite
+// sameBound fails unless BoundI8 — the AVX2 kernel where the host has one
+// — wrote exactly what boundI8Go, its specification, writes; non-finite
 // results compared by kind, as sameScan does.
-func sameBound(t *testing.T, label string, u, v, b []float32, n int, outOff int) {
+func sameBound(t *testing.T, label string, p []int8, delta float32, q []uint8, b []float32, n int, outOff int) {
 	t.Helper()
 	got, want := make([]float64, outOff+n+1), make([]float64, outOff+n+1)
 	const canary = -12345.5
 	Fill(got, canary)
 	Fill(want, canary)
-	BoundF32(u, v, b, got[outOff:outOff+n])
-	boundGo(u, v, b, want[outOff:outOff+n])
+	BoundI8(p, delta, q, b, got[outOff:outOff+n])
+	var sum int32
+	for _, x := range p {
+		sum += int32(x)
+	}
+	boundI8Go(p, delta, sum, q, b, want[outOff:outOff+n])
 	sameBits(t, label, got, want, outOff)
 }
 
-// TestBoundF32MatchesPortable is the bound kernel's bit-identity table,
-// TestScanF64F32MatchesPortable's shape at eight rows a pass: every d from
-// 1 to 67 (every residue mod 8, and d < 8 where only the gathering tail
-// runs), every row count from 0 to 17 (0..7 rows left to the Go body
-// beside no pass, one and two) and around the 512-row tile, with and
-// without bias, at odd element offsets, over random rows and — for n <= 9,
-// so that each of the eight rows of a pass and a handed-off row are hit —
-// the IEEE specials at every position of the catalog, the query and the
-// bias: eight rows share one reduce, and a special in one must not reach
-// its neighbours' lanes.
-func TestBoundF32MatchesPortable(t *testing.T) {
-	t.Logf("AVX kernel in use: %v", useAVX)
+// randImage returns a query image of d elements padded to dp = 16·⌈d/16⌉
+// with zeros, and n rows of dp random bytes (padding 128) starting off
+// bytes into their buffer.
+func randImage(rng *RNG, d, n, off int) ([]int8, []uint8) {
+	dp := 16 * ((d + 15) / 16)
+	p := make([]int8, dp)
+	for k := 0; k < d; k++ {
+		p[k] = int8(rng.Intn(127) - 63)
+	}
+	q := make([]uint8, off+n*dp)[off:]
+	for j := range q {
+		q[j] = 128
+		if j%dp < d {
+			q[j] = uint8(rng.Intn(256))
+		}
+	}
+	return p, q
+}
+
+// boundDeltas are the scales a query can have: ordinary, zero, float32's
+// smallest subnormal, and one whose products overflow float32.
+var boundDeltas = []float32{0.013, 0, math.SmallestNonzeroFloat32, 1e36}
+
+// TestBoundI8MatchesPortable is the bound kernel's bit-identity table, at
+// eight rows a pass: every d from 1 to 67 (one to five 16-byte chunks, and
+// every amount of padding), every row count from 0 to 17 (0..7 rows left to
+// the Go body beside no pass, one and two) and around the 512-row tile, q, b
+// and out at odd offsets, under every scale of boundDeltas; a NaN, ±Inf,
+// subnormal and MaxFloat32 bias in every row of a pass (eight rows share
+// one reduce, and a special in one must not reach its neighbours' lanes);
+// and the saturation rows — every byte 255 or 1 (q = ±127) under every
+// p = ±63, the largest pair sums VPMADDUBSW can be handed.
+func TestBoundI8MatchesPortable(t *testing.T) {
+	t.Logf("AVX2 kernel in use: %v", useAVX2)
 	rng := NewRNG(51)
 	for d := 1; d <= 67; d++ {
 		for _, n := range []int{0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 511, 512, 513} {
 			for _, off := range []int{0, 1, 3} {
-				u := randF32(rng, d)
-				v := randF32(rng, off+n*d)[off:]
+				p, q := randImage(rng, d, n, off)
 				b := randF32(rng, off+n)[off:]
-				sameBound(t, "random", u, v, b, n, off)
-				sameBound(t, "random, no bias", u, v, nil, n, off)
-				if n == 0 || n > 9 || (off == 3 && d > 20) || (d > 12 && d%8 != 1 && d%8 != 7) {
+				for _, delta := range boundDeltas {
+					sameBound(t, fmt.Sprintf("random d=%d n=%d Δ=%g", d, n, delta), p, delta, q, b, n, off)
+				}
+				if n == 0 || n > 9 || d%16 != 1 {
 					continue
 				}
-				for _, xs := range [][]float32{v, u, b} {
-					for k := range xs {
-						for _, x := range scanSpecials {
-							old := xs[k]
-							xs[k] = x
-							sameBound(t, "special", u, v, b, n, off)
-							xs[k] = old
-						}
+				for j := range b {
+					for _, x := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e-40, math.MaxFloat32} {
+						old := b[j]
+						b[j] = x
+						sameBound(t, fmt.Sprintf("special bias %v in row %d of %d", x, j, n), p, 0.013, q, b, n, off)
+						b[j] = old
 					}
 				}
 			}
 		}
 	}
-	// Products and sums that overflow, cancel and underflow within a row,
-	// in every lane.
-	u := []float32{math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32, 1, 2, 3, 4, 5, math.MaxFloat32}
-	v := make([]float32, 0, 9*9)
-	for j := 0; j < 9; j++ {
-		v = append(v, 2, 2, 0.5, float32(j), -2, 1e-40, 1e30, -1e30, float32(j))
+	for _, dp := range []int{16, 32, 64} {
+		const n = 17
+		q := make([]uint8, n*dp)
+		for j := range q {
+			if (j/dp)%2 == 0 {
+				q[j] = 255
+			} else {
+				q[j] = 1
+			}
+		}
+		b := make([]float32, n)
+		for _, x := range []int8{63, -63} {
+			p := make([]int8, dp)
+			for k := range p {
+				p[k] = x
+			}
+			sameBound(t, fmt.Sprintf("saturation dp=%d p=%d", dp, x), p, 1, q, b, n, 0)
+			out := make([]float64, n)
+			BoundI8(p, 1, q, b, out)
+			if want := float64(int(x) * 127 * dp); out[0] != want || out[1] != -want {
+				t.Errorf("saturation dp=%d p=%d: rows score %v, %v; want ±%v", dp, x, out[0], out[1], want)
+			}
+		}
 	}
-	sameBound(t, "float32 extremes", u, v, []float32{1, -1, 0, math.MaxFloat32, 1e-40, 0, 0, 0, 7}, 9, 1)
-	sameBound(t, "d=0", nil, nil, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 9, 0)
-	sameBound(t, "n=0", []float32{1}, nil, nil, 0, 0)
+	sameBound(t, "dp=0", nil, 1, nil, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 9, 0)
+	sameBound(t, "n=0", make([]int8, 16), 1, nil, nil, 0, 0)
 }
 
-// TestBoundF32ShortSlicePanics: a v, b or out one element short (or long)
-// is refused before the kernel is handed a pointer.
-func TestBoundF32ShortSlicePanics(t *testing.T) {
-	const n, d = 9, 6
-	u, v, b, out := make([]float32, d), make([]float32, n*d), make([]float32, n), make([]float64, n)
+// TestBoundI8ShortSlicePanics: a q, b or out one element short (or long), a
+// query that is not whole 16-byte chunks, or one with an element outside
+// [−63, 63], is refused before the kernel is handed a pointer.
+func TestBoundI8ShortSlicePanics(t *testing.T) {
+	const n, dp = 9, 16
+	p, q, b, out := make([]int8, dp), make([]uint8, n*dp), make([]float32, n), make([]float64, n)
+	wide := make([]int8, dp)
+	wide[3] = 64
 	for name, call := range map[string]func(){
-		"v short":   func() { BoundF32(u, v[:n*d-1], b, out) },
-		"v long":    func() { BoundF32(u, append(v, 0), b, out) },
-		"b short":   func() { BoundF32(u, v, b[:n-1], out) },
-		"b empty":   func() { BoundF32(u, v, b[:0], out) },
-		"out short": func() { BoundF32(u, v, b, out[:n-1]) },
-		"u short":   func() { BoundF32(u[:d-1], v, b, out) },
+		"q short":   func() { BoundI8(p, 1, q[:n*dp-1], b, out) },
+		"q long":    func() { BoundI8(p, 1, append(q, 0), b, out) },
+		"b short":   func() { BoundI8(p, 1, q, b[:n-1], out) },
+		"b nil":     func() { BoundI8(p, 1, q, nil, out) },
+		"out short": func() { BoundI8(p, 1, q, b, out[:n-1]) },
+		"p ragged":  func() { BoundI8(p[:dp-1], 1, q[:n*(dp-1)], b, out) },
+		"p wide":    func() { BoundI8(wide, 1, q, b, out) },
 	} {
 		func() {
 			defer func() {
@@ -93,8 +137,7 @@ func TestBoundF32ShortSlicePanics(t *testing.T) {
 			call()
 		}()
 	}
-	BoundF32(u, v, b, out)
-	BoundF32(u, v, nil, out)
+	BoundI8(p, 1, q, b, out)
 }
 
 // within reports |approx − exact| ≤ tol, decided exactly: the difference
@@ -111,11 +154,11 @@ func within(approx, exact, tol float64) bool {
 // promises nothing.
 func checkBound(t *testing.T, label string, bd *Bound, u []float64, exact func(i int) float64) {
 	t.Helper()
-	u32 := make([]float32, len(u))
-	tol := bd.Query(u, u32)
-	n := bd.rows()
+	p := make([]int8, bd.Stride())
+	delta, tol := bd.Query(u, p)
+	n := len(bd.b)
 	approx := make([]float64, n)
-	bd.Scan(u32, 0, n, approx)
+	bd.Scan(p, delta, 0, n, approx)
 	for i, st := range approx {
 		if st-st != 0 || tol-tol != 0 {
 			continue
@@ -128,8 +171,8 @@ func checkBound(t *testing.T, label string, bd *Bound, u []float64, exact func(i
 }
 
 // checkBoundF32 and checkBoundF64 build the bound the way score.Engine and
-// retrieval.Index do — over float32 rows directly, or over a float32
-// shadow of float64 rows — and rescore exactly with ScanF64F32 or ScanF64.
+// retrieval.Index do, over float32 or float64 rows, and rescore exactly
+// with ScanF64F32 or ScanF64.
 func checkBoundF32(t *testing.T, label string, u []float64, v, b []float32) {
 	t.Helper()
 	d := len(u)
@@ -158,13 +201,46 @@ func checkBoundF64(t *testing.T, label string, u, v, b []float64) {
 	})
 }
 
+// checkBoundBoth runs a float64 catalog and its float32 rounding.
+func checkBoundBoth(t *testing.T, label string, u, v, b []float64) {
+	t.Helper()
+	checkBoundF64(t, label, u, v, b)
+	checkBoundF32(t, label, u, narrow(v), narrow(b))
+}
+
+func narrow(xs []float64) []float32 {
+	if xs == nil {
+		return nil
+	}
+	out := make([]float32, len(xs))
+	for i, x := range xs {
+		out[i] = float32(x)
+	}
+	return out
+}
+
+// axisQueries are the one-hot queries along a few dimensions: they leave
+// e_q at float32's rounding of one w_k, so a row's distance from the exact
+// score is its residual in that dimension, which only the ρ term covers.
+func axisQueries(d int) [][]float64 {
+	var qs [][]float64
+	for _, k := range []int{0, d / 2, d - 1} {
+		u := make([]float64, d)
+		u[k] = 1.5
+		qs = append(qs, u)
+	}
+	return qs
+}
+
 // TestBoundCoversTheExactScore is E's table: gaussian catalogs at every d
-// in 1..67 under queries scaled from 1e-30 to 1e30; rows built so that
-// their products cancel to almost nothing (the float32 sum's error is then
-// all of s̃); rows, queries and biases in float32's subnormal range, and
-// below it, where quantisation is absolute rather than relative; float64
-// rows that float32 rounds to ±Inf or to zero; and queries float32 cannot
-// hold.
+// in 1..67 under queries scaled from 1e-30 to 1e30 and along the axes;
+// catalogs whose every value is an integer in [−127, 127] (ρ = 0, so the
+// query's rounding, the e_q·Lmax term, is all of the distance); rows built so
+// that their products cancel to almost nothing; rows, queries and biases in
+// float32's subnormal range and below it; float64 rows near ±1e300 and
+// biases beyond float32's range; and queries whose scale Δ is float32's
+// smallest subnormal, where w_k/Δ can pass 63 and only the clamp keeps the
+// kernel's pair sums from saturating.
 func TestBoundCoversTheExactScore(t *testing.T) {
 	rng := NewRNG(52)
 	for d := 1; d <= 67; d++ {
@@ -180,6 +256,18 @@ func TestBoundCoversTheExactScore(t *testing.T) {
 			checkBoundF64(t, label, u, v64, b64)
 			checkBoundF64(t, label+" no bias", u, v64, nil)
 		}
+		for i, u := range axisQueries(d) {
+			checkBoundF32(t, fmt.Sprintf("gaussian d=%d axis %d", d, i), u, v32, b32)
+			checkBoundF64(t, fmt.Sprintf("gaussian d=%d axis %d", d, i), u, v64, b64)
+		}
+		ints := make([]float64, n*d)
+		for i := range ints {
+			ints[i] = float64(rng.Intn(255) - 127)
+		}
+		for k := 0; k < d; k++ {
+			ints[k] = 127
+		}
+		checkBoundBoth(t, fmt.Sprintf("integers d=%d", d), randF64(rng, d), ints, nil)
 	}
 	for _, d := range []int{2, 3, 8, 9, 16, 18, 33} {
 		const n = 19
@@ -188,7 +276,7 @@ func TestBoundCoversTheExactScore(t *testing.T) {
 			u[k] = 1 + 1e-3*float64(k)
 		}
 		// Cancellation: each row is +M, -M and a small remainder, so the
-		// exact score is tiny beside ‖u‖·‖V_i‖.
+		// exact score is tiny beside Σ|u_k·v_ik|.
 		v64, b64 := make([]float64, n*d), make([]float64, n)
 		for i := 0; i < n; i++ {
 			row := v64[i*d : (i+1)*d]
@@ -199,19 +287,16 @@ func TestBoundCoversTheExactScore(t *testing.T) {
 			row[0], row[d-1] = m, -m*u[0]/u[d-1]
 			b64[i] = -1e-3 * float64(i)
 		}
-		v32, b32 := make([]float32, n*d), make([]float32, n)
-		for i := range v64 {
-			v32[i] = float32(v64[i])
-		}
-		for i := range b64 {
-			b32[i] = float32(b64[i])
-		}
-		checkBoundF32(t, fmt.Sprintf("cancellation d=%d", d), u, v32, b32)
-		checkBoundF64(t, fmt.Sprintf("cancellation d=%d", d), u, v64, b64)
+		checkBoundBoth(t, fmt.Sprintf("cancellation d=%d", d), u, v64, b64)
 
-		// Subnormal and underflowing values, and values beyond float32.
-		for _, pair := range [][2]float64{{1e-40, 1}, {1e-45, 1e-40}, {1e-50, 1e-38}, {1e-300, 1}, {1, 1e-42}, {1e39, 1}, {1, 1e39}, {3e38, 1}} {
-			uq, vq := pair[0], pair[1]
+		// Subnormal and underflowing values, values beyond float32, rows
+		// near ±1e300, and biases beyond float32.
+		for _, pair := range [][3]float64{
+			{1e-40, 1, 1e-3}, {1e-45, 1e-40, 1e-3}, {1e-50, 1e-38, 1e-3}, {1e-300, 1, 1e-3}, {1, 1e-42, 1e-3},
+			{1e39, 1, 1e-3}, {1, 1e39, 1e-3}, {3e38, 1, 1e-3}, {1e-300, 1e300, 1}, {1e-290, -1e300, 1e-300},
+			{1, 1, 1e39}, {1e-9, 1e-9, 1e40},
+		} {
+			uq, vq, bq := pair[0], pair[1], pair[2]
 			uu := make([]float64, d)
 			for k := range uu {
 				uu[k] = uq * rng.NormFloat64()
@@ -221,70 +306,86 @@ func TestBoundCoversTheExactScore(t *testing.T) {
 				vv[i] = vq * rng.NormFloat64()
 			}
 			for i := range bb {
-				bb[i] = vq * 1e-3 * rng.NormFloat64()
+				bb[i] = bq * rng.NormFloat64()
 			}
-			label := fmt.Sprintf("extremes d=%d u~%g v~%g", d, uq, vq)
-			checkBoundF64(t, label, uu, vv, bb)
-			vv32, bb32 := make([]float32, n*d), make([]float32, n)
-			for i := range vv {
-				vv32[i] = float32(vv[i])
-			}
-			for i := range bb {
-				bb32[i] = float32(bb[i])
-			}
-			checkBoundF32(t, label, uu, vv32, bb32)
+			bb[0] = 1e-3
+			checkBoundBoth(t, fmt.Sprintf("extremes d=%d u~%g v~%g b~%g", d, uq, vq, bq), uu, vv, bb)
 		}
+
+		// Δ on float32's smallest subnormal: every row is (M, M, …) and
+		// every u_k equal, so every w_k/Δ is 1.4·63 ≈ 88 before the clamp.
+		rows := make([]float64, n*d)
+		for i := range rows {
+			rows[i] = 1.27 * float64(1+i/d)
+		}
+		c := 1.27 * n / 127
+		uu := make([]float64, d)
+		for k := range uu {
+			uu[k] = 1.4 * 63 * math.SmallestNonzeroFloat32 / c
+		}
+		checkBoundBoth(t, fmt.Sprintf("subnormal Δ d=%d", d), uu, rows, nil)
 	}
 }
 
-// TestBoundNonFinite: a row whose float32 image holds a NaN or ±Inf — a
-// float64 value beyond float32's range included — scores a non-finite s̃
-// under any finite query, and so always survives; it is left out of the
-// maxima, which stay those of the finite rows. A query with a NaN, an
-// ±Inf or an overflowing norm has a NaN or +Inf E: nothing is skipped.
+// TestBoundNonFinite: a row with a NaN or ±Inf value or bias, or a float64
+// bias beyond float32's range, gets a NaN bias and so a NaN s̃ under any
+// query, and always survives; it is left out of the maxima, which stay
+// those of the finite rows. A float64 value beyond float32's range is
+// finite to the image (its s̃ may overflow, and survive as ±Inf). A query with a NaN, an ±Inf or an overflowing w_k,
+// or a catalog wider than maxBoundDim, has E = +Inf: nothing is skipped.
 func TestBoundNonFinite(t *testing.T) {
 	const d = 9
 	rng := NewRNG(53)
-	v, b := randF64(rng, 4*d), randF64(rng, 4)
-	Scale(1e3, v[d:]) // rows 1..3 would set both maxima
-	Scale(1e3, b[1:])
-	v[d+3] = 1e39         // row 1: beyond float32
+	v, b := randF64(rng, 5*d), randF64(rng, 5)
+	Scale(1e3, v[d:4*d]) // rows 1..3 would set both maxima
+	Scale(1e3, b[1:4])
+	b[1] = 1e39           // row 1: a bias beyond float32
 	v[2*d+8] = math.NaN() // row 2
 	b[3] = math.Inf(-1)   // row 3
+	v[4*d+2] = 1e39       // row 4: finite, beyond float32
 	bd := BoundOverF64(v, b, d)
 	u := randF64(rng, d)
-	u32 := make([]float32, d)
-	tol := bd.Query(u, u32)
-	out := make([]float64, 4)
-	bd.Scan(u32, 0, 4, out)
+	p := make([]int8, bd.Stride())
+	delta, tol := bd.Query(u, p)
+	out := make([]float64, 5)
+	bd.Scan(p, delta, 0, 5, out)
 	for i, s := range out {
-		if finite := s-s == 0; finite != (i == 0) {
-			t.Errorf("row %d: bound scan %v", i, s)
+		if notFinite := i >= 1 && i <= 3; notFinite != math.IsNaN(s) || notFinite != math.IsNaN(float64(bd.b[i])) {
+			t.Errorf("row %d: bound scan %v, bias %v", i, s, bd.b[i])
 		}
 	}
-	img := WidenF32(bd.v[:d], nil)
-	if want, wantBias := math.Sqrt(Norm2Sq(img)), math.Abs(float64(float32(b[0]))); bd.maxNorm != want || bd.maxBias != wantBias {
-		t.Errorf("maxima %v, %v: want row 0's image alone, %v, %v", bd.maxNorm, bd.maxBias, want, wantBias)
+	for k := 0; k < d; k++ {
+		if want := max(math.Abs(v[k]), math.Abs(v[4*d+k])); bd.mag[k] != want {
+			t.Errorf("M_%d = %v: want rows 0 and 4's, %v", k, bd.mag[k], want)
+		}
+	}
+	if want := max(math.Abs(b[0]), math.Abs(b[4])); bd.maxBias != want {
+		t.Errorf("maxBias %v: want rows 0 and 4's, %v", bd.maxBias, want)
 	}
 	if tol-tol != 0 {
 		t.Errorf("E = %v for a finite query", tol)
 	}
-	for _, q := range [][]float64{{math.NaN()}, {math.Inf(1)}, {math.Inf(-1)}, {1e200, 1e200}} {
+	for _, q := range [][]float64{{math.NaN()}, {math.Inf(1)}, {math.Inf(-1)}, {1e300, 1e300}} {
 		uq := append(append([]float64(nil), q...), make([]float64, d-len(q))...)
-		if tol := bd.Query(uq, u32); tol-tol == 0 {
+		if _, tol := bd.Query(uq, p); tol-tol == 0 {
 			t.Errorf("query %v: E = %v, want NaN or +Inf", q, tol)
 		}
 	}
+	wide := BoundOverF32(make([]float32, maxBoundDim+1), nil, maxBoundDim+1)
+	if _, tol := wide.Query(make([]float64, maxBoundDim+1), make([]int8, wide.Stride())); !math.IsInf(tol, 1) {
+		t.Errorf("d = %d: E = %v, want +Inf", maxBoundDim+1, tol)
+	}
 }
 
-// FuzzBoundF32 feeds raw bit patterns through the bound kernel and its
-// portable loop, and holds E over the same bits read as a float32 catalog
-// and as a float64 one. The first byte picks d, the second the offset
-// parity; then the query as float64 words (so values float32 cannot hold
-// are reachable), then the rows and biases as float32 words. The float64
-// catalog widens the same words and scales every other one by 2⁻¹⁴⁰ or
-// 2⁺¹⁴⁰, so subnormal-bound and beyond-float32 rows are reachable too.
-func FuzzBoundF32(f *testing.F) {
+// FuzzBoundI8 feeds raw bit patterns through the bound's build, query and
+// kernel: the kernel against its portable loop over the image the bound
+// built, and E over the same bits read as a float32 catalog and as a
+// float64 one. The first byte picks d, the second the offset parity; then
+// the query as float64 words (so values float32 cannot hold are reachable),
+// then the rows and biases as float32 words. The float64 catalog widens
+// the same words and scales every other one by 2⁻¹⁴⁰ or 2⁺¹⁴⁰, so
+// subnormal-bound and beyond-float32 rows are reachable too.
+func FuzzBoundI8(f *testing.F) {
 	seed := func(d, off byte, query []uint64, words ...uint32) {
 		buf := []byte{d, off}
 		for _, w := range query {
@@ -307,6 +408,9 @@ func FuzzBoundF32(f *testing.F) {
 		big, one, one, one, one, one, one, one, 0x80000000|big, one,
 		sub, sub, sub, sub, sub, sub, sub, sub, sub, sub)
 	seed(16, 0, make([]uint64, 16))
+	seed(2, 0, []uint64{one64, 0}, one, one, 0x3e99999a, 0x3e99999a, 0, 0) // an axis query: ρ is all of E
+	// Integer rows (ρ = 0) under a query the int8 image rounds: e_q·Lmax is all of E.
+	seed(2, 0, []uint64{one64, 0x3fd7ae147ae147ae}, 0x42fe0000, 0x42fe0000, 0x42c80000, 0xc2480000, 0, 0)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -330,49 +434,55 @@ func FuzzBoundF32(f *testing.F) {
 		words = words[off:]
 		n := len(words) / (d + 1)
 		v, b := words[:n*d], words[n*d:n*d+n]
-		u32 := make([]float32, d)
-		for k, x := range u {
-			u32[k] = float32(x)
-		}
-		sameBound(t, "fuzz", u32, v, b, n, off)
-		sameBound(t, "fuzz, no bias", u32, v, nil, n, off)
-		checkBoundF32(t, "fuzz", u, v, b)
 		v64, b64 := WidenF32(v, nil), WidenF32(b, nil)
 		for i := range v64 {
 			if i%2 == 1 {
 				v64[i] = math.Ldexp(v64[i], 140*(1-2*(i/2%2)))
 			}
 		}
+		for _, bd := range []*Bound{BoundOverF32(v, b, d), BoundOverF64(v64, b64, d)} {
+			p := make([]int8, bd.Stride())
+			delta, _ := bd.Query(u, p)
+			sameBound(t, "fuzz", p, delta, bd.q, bd.b, n, 0)
+		}
+		checkBoundF32(t, "fuzz", u, v, b)
+		checkBoundF32(t, "fuzz, no bias", u, v, nil)
 		checkBoundF64(t, "fuzz", u, v64, b64)
 		checkBoundF64(t, "fuzz, no bias", u, v64, nil)
 	})
 }
 
-// BenchmarkBoundF32 is the filter's scan at the benchmark's catalog shape,
+// BenchmarkBoundI8 is the filter's scan at the benchmark's catalog shape,
 // beside BenchmarkScanF64F32: tiles scans it as score.Engine.sweep does,
 // 53 calls of at most 512 rows into one 4 KB buffer; portable is the Go
 // loop over the whole catalog.
-func BenchmarkBoundF32(b *testing.B) {
+func BenchmarkBoundI8(b *testing.B) {
 	const n, tile = 26744, 512
 	rng := NewRNG(1)
 	for _, d := range []int{16, 18} {
-		u, v, bias, out := randF32(rng, d), randF32(rng, n*d), randF32(rng, n), make([]float64, n)
+		bd := BoundOverF32(randF32(rng, n*d), randF32(rng, n), d)
+		p, out := make([]int8, bd.Stride()), make([]float64, n)
+		delta, _ := bd.Query(randF64(rng, d), p)
+		var sum int32
+		for _, x := range p {
+			sum += int32(x)
+		}
 		for _, impl := range []struct {
 			name string
-			scan func(u, v, b []float32, out []float64)
+			scan func()
 		}{
-			{"tiles", func(u, v, b []float32, out []float64) {
+			{"tiles", func() {
 				for lo := 0; lo < n; lo += tile {
 					hi := min(lo+tile, n)
-					BoundF32(u, v[lo*d:hi*d], b[lo:hi], out[:hi-lo])
+					bd.Scan(p, delta, lo, hi, out[:hi-lo])
 				}
 			}},
-			{"portable", boundGo},
+			{"portable", func() { boundI8Go(p, delta, sum, bd.q, bd.b, out) }},
 		} {
 			b.Run(fmt.Sprintf("%s/d=%d", impl.name, d), func(b *testing.B) {
-				b.SetBytes(int64(4 * (len(v) + len(bias))))
+				b.SetBytes(int64(len(bd.q) + 4*len(bd.b)))
 				for i := 0; i < b.N; i++ {
-					impl.scan(u, v, bias, out)
+					impl.scan()
 				}
 			})
 		}

@@ -53,27 +53,29 @@ func scanF64(u, v, b, out []float64) {
 	scanF64Go(u, v[n4*d:], b, out[n4:])
 }
 
-// boundAVX is boundGo over n > 0 rows of d > 0 elements, n a multiple of
-// eight; b may be nil.
+// useAVX2 adds CPUID leaf 7's AVX2 bit, behind a max leaf of at least 7,
+// to useAVX's checks: the bound kernel's integer instructions are AVX2's.
+var useAVX2 = useAVX && cpuHasAVX2()
+
+func cpuHasAVX2() bool
+
+// boundI8AVX2 is boundI8Go over n > 0 rows of dp > 0 bytes, n a multiple
+// of eight and dp of sixteen.
 //
 //go:noescape
-func boundAVX(u, v, b *float32, out *float64, n, d int)
+func boundI8AVX2(p *int8, q *uint8, b *float32, out *float64, n, dp int, delta float32, sum int32)
 
-func boundF32(u, v, b []float32, out []float64) {
-	d, n8 := len(u), len(out)&^7
-	if !useAVX || d == 0 || n8 == 0 {
-		boundGo(u, v, b, out)
+func boundI8(p []int8, delta float32, sum int32, q []uint8, b []float32, out []float64) {
+	dp, n8 := len(p), len(out)&^7
+	if !useAVX2 || dp == 0 || n8 == 0 {
+		boundI8Go(p, delta, sum, q, b, out)
 		return
 	}
-	// BoundF32 checked len(v) and len(b) against n*d and n: the kernel
+	// BoundI8 checked len(q) and len(b) against n*dp and n: the kernel
 	// reads exactly the first n8 rows and biases; the Go body takes the
 	// zero to seven rows left.
-	var bp *float32
-	if b != nil {
-		bp, b = &b[0], b[n8:]
-	}
-	boundAVX(&u[0], &v[0], bp, &out[0], n8, d)
-	boundGo(u, v[n8*d:], b, out[n8:])
+	boundI8AVX2(&p[0], &q[0], &b[0], &out[0], n8, dp, delta, sum)
+	boundI8Go(p, delta, sum, q[n8*dp:], b[n8:], out[n8:])
 }
 
 // firstNotBelowAVX is firstNotBelowGo over n > 0 scores, n a multiple of

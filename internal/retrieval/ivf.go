@@ -17,14 +17,14 @@ import (
 // that set: the serve path carries an Index across model swaps for as
 // long as Indexes says the new item half is the one it packed, and builds
 // a fresh one only when it is not. Beside the pack it holds the bound
-// filter SearchCells scans first (mathx.Bound): over a float32 pack the
-// pack itself, over a float64 one a float32 shadow of it, 4·(d+1) bytes
-// an item.
+// filter SearchCells scans first (mathx.Bound): an int8 image of the packed
+// rows in slot order, 16·⌈d/16⌉ + 4 bytes an item, whatever the pack's
+// precision.
 //
 // Layout: item parameters are *packed* cell-major — each cell's member
 // vectors (dim floats a row) sit contiguously in one array and their
 // biases in another, ids ascending within the cell, which is the shape
-// mathx.BoundF32, ScanF64 and ScanF64F32 take. Scoring a cell is then
+// mathx.Bound, ScanF64 and ScanF64F32 take. Scoring a cell is then
 // literally the exact scan's tile loop (score.Engine) over a different
 // span, at the same cache behavior; the speedup over exact is the fraction
 // of the catalog pruned away.
@@ -307,20 +307,23 @@ func (ix *Index) SearchCells(uf []float64, cells []int32, k int, excludeSorted [
 	}
 	sel := rank.NewSelector(k, excludeSorted)
 	d := ix.dim
-	var ubuf [128]float32 // the query's float32 image
-	u32 := ubuf[:]
-	if d > len(u32) {
-		u32 = make([]float32, d)
+	var pbuf [128]int8 // the query's bound image
+	p := pbuf[:min(ix.bound.Stride(), len(pbuf))]
+	if len(p) < ix.bound.Stride() {
+		p = make([]int8, ix.bound.Stride())
 	}
-	u32 = u32[:d]
-	tol := ix.bound.Query(uf, u32)
+	delta, tol := ix.bound.Query(uf, p)
 	var tile [512]float64 // the exact scan's tile (score.Engine)
 	var one [1]float64
 	for _, c := range cells {
 		for lo, end := int(ix.offsets[c]), int(ix.offsets[c+1]); lo < end; lo += len(tile) {
 			hi := min(lo+len(tile), end)
-			t := tile[:hi-lo]
-			ix.bound.Scan(u32, lo, hi, t)
+			// The bound kernel scores eight rows a pass and leaves the rest
+			// to a far slower loop, so the scan runs on into the next
+			// cell's rows to a whole pass; their scores are never walked.
+			t := tile[:min((hi-lo+7)&^7, ix.numItems-lo)]
+			ix.bound.Scan(p, delta, lo, lo+len(t), t)
+			t = t[:hi-lo]
 			for j := 0; ; j++ {
 				if j += mathx.FirstNotBelow(t[j:], sel.Floor()-tol); j == len(t) {
 					break

@@ -19,10 +19,12 @@
 // ScoreUsers tiles through mf.Params.ScoreRangeFoldIn — a parameter set's
 // one item scan, tile-relative (the output has length hi-lo) — under
 // UserVector(u), handing it a window of each row. The fused scan reads the
-// item rows themselves (mf.Items) and runs in two kernels: a float32 bound
-// scan of the tile (mathx.BoundF32) and, for the few rows whose bound can
-// reach the selector's floor, the representation's exact kernel over that
-// one row (mathx.ScanF64 or ScanF64F32, what ScoreRangeFoldIn runs). Every
+// item rows themselves (mf.Items) and runs in two kernels: a bound scan of
+// the tile over an int8 image of the rows (mathx.BoundI8) and, for the few
+// rows whose bound can reach the selector's floor, the representation's
+// exact kernel over that one row (mathx.ScanF64 or ScanF64F32, what
+// ScoreRangeFoldIn runs). An engine's first sweep has no image yet and
+// runs the exact kernel over every row of the tile. Every
 // score any method returns is bit-identical to mf.Model.ScoreAll's — the
 // per-item dot products are the same operations in the same order, and a
 // row the bound skips provably scores below the floor — so swapping the
@@ -33,6 +35,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
@@ -56,14 +59,16 @@ const tileItems = 512
 // mf.Model, a float32 mf.Factors32 or an overlay of either; the blocked
 // kernel is generic over mf.Params. It is safe for concurrent use and
 // cheap to construct — the serve path builds a fresh Engine on every model
-// swap. Its one piece of state is the fused scan's bound, built on the
-// first top-K: over a float32 catalog its own rows, over a float64 one a
-// float32 shadow of them (4·(d+1) bytes an item).
+// swap, and clapf.Recommend one a call. Its one piece of state is the fused
+// scan's bound, an int8 image of the item rows (16·⌈d/16⌉ + 4 bytes an
+// item), built on its second top-K sweep: the first scores every row
+// exactly, so an engine that answers once never pays for the image.
 type Engine struct {
 	m     mf.Params
 	block int         // items per ScoreUsers tile
 	rows  mf.ItemRows // m's item half, for the fused scan's kernels
 
+	swept     atomic.Bool // a sweep has started: the next one builds the bound
 	boundOnce sync.Once
 	bound     *mathx.Bound
 }
@@ -216,12 +221,17 @@ func (e *Engine) TopKUsers(qs []TopKQuery) []TopKResult {
 type query struct {
 	uf     []float64
 	sel    rank.Selector
-	shared bool    // same vector as the previous query: reuse its bound tile
+	shared bool    // same vector as the previous query: reuse its tile
+	delta  float32 // the scale of uf's bound image
 	tol    float64 // E(uf): how far a bound score may be from the exact one
 }
 
-// filter returns the bound over the catalog's rows, built on first use.
+// filter returns the bound over the catalog's rows, or nil to the engine's
+// first sweep; the second builds it.
 func (e *Engine) filter() *mathx.Bound {
+	if !e.swept.Load() && !e.swept.Swap(true) {
+		return nil
+	}
 	e.boundOnce.Do(func() {
 		if r := e.rows; r.V32 != nil {
 			e.bound = mathx.BoundOverF32(r.V32, r.B32, e.m.Dim())
@@ -238,57 +248,71 @@ func (e *Engine) filter() *mathx.Bound {
 // finite value below the selector's floor minus E — rescoring each exactly
 // and offering it to that query's selector while the tile is in L1. A row
 // the walk skips scores below the floor, where Offer would ignore it, so
-// the selector ends as an exact scan of every row would leave it.
+// the selector ends as an exact scan of every row would leave it — which is
+// what the engine's first sweep, with no bound yet, runs.
 func (e *Engine) sweep(qs []query) {
-	bd := e.filter()
 	d, m := e.m.Dim(), e.m.NumItems()
-	var ubuf [128]float32 // the queries' float32 images
-	u32 := ubuf[:]
-	if len(qs)*d > len(u32) {
-		u32 = make([]float32, len(qs)*d)
-	}
 	for i := range qs {
 		if len(qs[i].uf) != d {
 			panic(fmt.Sprintf("score: user vector has dim %d, want %d", len(qs[i].uf), d))
 		}
-		qs[i].tol = bd.Query(qs[i].uf, u32[i*d:(i+1)*d])
+	}
+	bd := e.filter()
+	var pbuf [512]int8 // the queries' bound images
+	p, stride := pbuf[:], 0
+	if bd != nil {
+		stride = bd.Stride()
+		if len(qs)*stride > len(p) {
+			p = make([]int8, len(qs)*stride)
+		}
+		for i := range qs {
+			qs[i].delta, qs[i].tol = bd.Query(qs[i].uf, p[i*stride:(i+1)*stride])
+		}
 	}
 	var tile [tileItems]float64
 	var one [1]float64
 	for lo := 0; lo < m; lo += tileItems {
-		t := tile[:min(tileItems, m-lo)]
+		hi := min(lo+tileItems, m)
+		t := tile[:hi-lo]
 		for i := range qs {
 			q := &qs[i]
+			if bd == nil {
+				if !q.shared {
+					e.exact(q.uf, lo, hi, t)
+				}
+				q.sel.OfferRun(int32(lo), t)
+				continue
+			}
 			if !q.shared {
-				bd.Scan(u32[i*d:(i+1)*d], lo, lo+len(t), t)
+				bd.Scan(p[i*stride:(i+1)*stride], q.delta, lo, hi, t)
 			}
 			for j := 0; ; j++ {
 				if j += mathx.FirstNotBelow(t[j:], q.sel.Floor()-q.tol); j == len(t) {
 					break
 				}
-				e.exact(q.uf, lo+j, one[:])
+				e.exact(q.uf, lo+j, lo+j+1, one[:])
 				q.sel.OfferRun(int32(lo+j), one[:])
 			}
 		}
 	}
 }
 
-// exact writes item i's score under uf into out[0] with the kernel the
-// representation's ScoreRangeFoldIn runs, over that one row.
-func (e *Engine) exact(uf []float64, i int, out []float64) {
+// exact writes the scores of items [lo, hi) under uf into out with the
+// kernel the representation's ScoreRangeFoldIn runs.
+func (e *Engine) exact(uf []float64, lo, hi int, out []float64) {
 	d := len(uf)
 	if r := e.rows; r.V32 != nil {
 		var b []float32
 		if r.B32 != nil {
-			b = r.B32[i : i+1]
+			b = r.B32[lo:hi]
 		}
-		mathx.ScanF64F32(uf, r.V32[i*d:(i+1)*d], b, out)
+		mathx.ScanF64F32(uf, r.V32[lo*d:hi*d], b, out)
 	} else {
 		var b []float64
 		if r.B64 != nil {
-			b = r.B64[i : i+1]
+			b = r.B64[lo:hi]
 		}
-		mathx.ScanF64(uf, r.V64[i*d:(i+1)*d], b, out)
+		mathx.ScanF64(uf, r.V64[lo*d:hi*d], b, out)
 	}
 }
 

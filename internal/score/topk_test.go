@@ -235,6 +235,31 @@ func checkFused(t *testing.T, label string, p mf.Params) {
 	}
 }
 
+// TestEngineBuildsItsBoundOnTheSecondSweep: an engine's first top-K scores
+// every row exactly and leaves the bound unbuilt — clapf.Recommend builds an
+// engine a call, and paid for the whole catalog's image on every call when
+// the first sweep built it — and the second builds it. Both answers are
+// the materialised row's, bit for bit.
+func TestEngineBuildsItsBoundOnTheSecondSweep(t *testing.T) {
+	for _, items := range []int{100, 2*tileItems + 37} {
+		m := plantedModel(uint64(items), items, true)
+		for name, p := range map[string]mf.Params{"f64": m, "f32": mf.QuantizeF32(m)} {
+			e := NewEngine(p)
+			scores := make([]float64, items)
+			e.ScoreAll(2, scores)
+			want, wantDropped := twoPass(scores, 10, nil)
+			for sweep := 1; sweep <= 2; sweep++ {
+				got, dropped := e.TopK(2, 10, nil)
+				at := fmt.Sprintf("%s items=%d sweep %d", name, items, sweep)
+				sameTopK(t, at, got, dropped, want, wantDropped)
+				if built := e.bound != nil; built != (sweep == 2) {
+					t.Errorf("%s: bound built = %v", at, built)
+				}
+			}
+		}
+	}
+}
+
 // TestScanUnderUserVectorIsScore pins a parameter set's one item scan to
 // its one-pair scorer: on a *Model, a *Factors32, a mapped *Factors32 and
 // an *Overlay with a planted row, ScoreRangeFoldIn(UserVector(u)) is

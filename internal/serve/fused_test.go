@@ -53,7 +53,10 @@ func missBytes(t *testing.T, items int) float64 {
 			t.Fatalf("%d items: status %d", items, rec.Code)
 		}
 	}
-	serve() // lazy set-up (stage histograms, pools) is not a per-request cost
+	// Lazy set-up is not a per-request cost: stage histograms and pools on
+	// the first miss, the engine's bound image on the second.
+	serve()
+	serve()
 	const runs = 64
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -86,15 +89,15 @@ func TestExactMissAllocatesNoScoreRow(t *testing.T) {
 // engine's score tile while it escaped through the mf.Params call; the
 // sweep's bound and exact tiles now go to mathx kernels and stay on the
 // stack. Over float64 rows the user vector is the stored row; a float32
-// base adds the widened one. The bound's float32 shadow of a float64
-// catalog is built once per engine, on the first miss, which AllocsPerRun's
-// warm-up call takes.
+// base adds the widened one. The bound's image is built once per engine, on
+// its second miss, which the call ahead of AllocsPerRun's warm-up takes.
 func TestMissHandsOverTheSelectorsSlice(t *testing.T) {
 	s, _ := testServer(t)
 	s.SetCacheSize(0)
 	ctx := context.Background()
 	miss := func() float64 {
 		st := s.live.Load()
+		s.topKForUser(ctx, st, 3, 10)
 		return testing.AllocsPerRun(100, func() { s.topKForUser(ctx, st, 3, 10) })
 	}
 	if got := miss(); got != 1 {
