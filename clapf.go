@@ -175,7 +175,8 @@ func NewParallelTrainer(cfg Config, train *Dataset, numWorkers int) (*Trainer, e
 // factor accessors.
 type Model = mf.Model
 
-// SaveModel persists a model to w in the versioned binary format.
+// SaveModel persists a model to w as a float64 model file (see
+// internal/store for the format), with an empty metadata block.
 func SaveModel(w io.Writer, m *Model) error { return store.Save(w, m) }
 
 // LoadModel reads a model written by SaveModel, verifying its checksum.

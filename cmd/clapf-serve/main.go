@@ -7,9 +7,9 @@
 //	            [-feedback-log DIR [-promote-every D]]
 //
 // The model file decides how it is served; no flag does. A float32 file
-// (version 3, from clapf-train -export-f32) is mapped and scored from the
-// page cache by the float32 kernels; a float64 file (version 1 or 2) is
-// parsed onto the heap. /healthz reports which ("precision", "mapped"),
+// (from clapf-train -export-f32) is mapped and scored from the page cache
+// by the float32 kernels; a float64 file (clapf-train -out, a checkpoint)
+// is parsed onto the heap. /healthz reports which ("precision", "mapped"),
 // and a SIGHUP reload follows whatever file is at -model then.
 //
 // Endpoints (JSON): GET /healthz (liveness, model dims, uptime, request

@@ -55,21 +55,21 @@ func fixtureFiles(t *testing.T) (modelPath, trainPath string) {
 	return
 }
 
-// The model file decides how it is served: a float64 file (v1 from
-// clapf-train -out, v2 from a checkpoint or promotion) and a float32 v3
-// file (clapf-train -export-f32) all boot through the same call, no flag,
-// and carry their feedback watermark with them.
+// The model file decides how it is served: a float64 file (from
+// clapf-train -out, a checkpoint or a promotion) and a float32 file
+// (clapf-train -export-f32) all boot through the same call, no flag, and
+// carry their feedback watermark with them.
 func TestBuildServerAndServe(t *testing.T) {
 	modelPath, trainPath := fixtureFiles(t)
 	model, err := clapf.LoadModelFile(modelPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, v3 := modelPath+".v2", modelPath+".v3"
-	if err := store.SaveFileWithMeta(v2, model, &store.Meta{FeedbackSeq: 7}); err != nil {
+	f64, f32 := modelPath+".f64", modelPath+".f32"
+	if err := store.Export(f64, model, &store.Meta{FeedbackSeq: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.SaveF32File(v3, mf.QuantizeF32(model), &store.Meta{FeedbackSeq: 9}); err != nil {
+	if err := store.SaveF32File(f32, mf.QuantizeF32(model), &store.Meta{FeedbackSeq: 9}); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -79,8 +79,8 @@ func TestBuildServerAndServe(t *testing.T) {
 		folded    uint64
 	}{
 		{modelPath, "f64", false, 0},
-		{v2, "f64", false, 7},
-		{v3, "f32", true, 9},
+		{f64, "f64", false, 7},
+		{f32, "f32", true, 9},
 	} {
 		s, meta, _, err := buildServer(c.path, trainPath)
 		if err != nil {

@@ -36,7 +36,7 @@
 // clapf.WriteDatasetTSV).
 //
 // Crash safety: with -checkpoint-dir set, training writes durable
-// version-2 checkpoints (model + step + RNG state + hyper-parameters +
+// checkpoints (model + step + RNG state + hyper-parameters +
 // train-data fingerprint) every -checkpoint-every steps, keeping the last
 // -checkpoint-keep generations. On SIGINT/SIGTERM the current step batch
 // finishes, a final checkpoint is written, and the process exits cleanly.
@@ -92,7 +92,7 @@ func main() {
 	flag.Float64Var(&o.reg, "reg", 0.01, "L2 regularization")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed")
 	flag.StringVar(&o.outPath, "out", "", "path to save the trained model (optional)")
-	flag.StringVar(&o.exportF32, "export-f32", "", "additionally export a float32 serving model in mmap-able v3 format (optional)")
+	flag.StringVar(&o.exportF32, "export-f32", "", "additionally export a float32 serving model, mmap-able, to this path (optional)")
 	flag.IntVar(&o.logEvery, "log-every", 0, "steps between telemetry lines (0 = one epoch-equivalent)")
 	flag.StringVar(&o.metricsOut, "metrics-out", "", "write a JSON telemetry dump here after training (optional)")
 	flag.StringVar(&o.checkpointDir, "checkpoint-dir", "", "directory for training checkpoints (optional)")
@@ -488,8 +488,8 @@ func hyperMap(o options) map[string]string {
 	}
 }
 
-// writeCheckpoint snapshots the trainer into a durable v2 checkpoint
-// generation, pruning old generations beyond -checkpoint-keep. The
+// writeCheckpoint snapshots the trainer into a durable float64 checkpoint
+// generation (the model file plus the resume metadata), pruning old generations beyond -checkpoint-keep. The
 // trainer is quiescent between RunSteps calls, so snapshotting here is
 // always safe — for any worker count.
 func writeCheckpoint(trainer *clapf.Trainer, train *clapf.Dataset, o options, cfg clapf.Config) (string, error) {

@@ -295,11 +295,9 @@ func TestChaosResumeAfterTornCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tornMeta := *meta
-	tornMeta.Step = meta.Step + 123
-	tornPath := store.CheckpointPath(ckptDir, tornMeta.Step)
+	tornPath := store.CheckpointPath(ckptDir, meta.Step+123)
 	if err := fault.CrashFile(tornPath, 512, func(w io.Writer) error {
-		return store.SaveWithMeta(w, model, &tornMeta)
+		return store.Save(w, model)
 	}); err != nil {
 		t.Fatal(err)
 	}

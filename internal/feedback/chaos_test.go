@@ -52,8 +52,8 @@ func chaosFixture(t testing.TB) (*mf.Model, *dataset.Dataset) {
 }
 
 // chaosBases are the two things a model file can ask for: float64 factors
-// parsed onto the heap (v2) and float32 factors served from a mapping
-// (v3). The promotion scenarios run over both.
+// parsed onto the heap and float32 factors served from a mapping. The
+// promotion scenarios run over both.
 type chaosBase struct {
 	name      string
 	save      func(path string, m *mf.Model) error
@@ -695,8 +695,8 @@ func failedPromotion(t *testing.T, base chaosBase) {
 
 // The watermark travels with the file on every path: a model file
 // carrying Meta.FeedbackSeq = S leaves the ingestor folded at S — on boot
-// and on a hot reload, whichever version the file is — and the overlay
-// holds only users with events beyond S. The mapped v3 path used to drop
+// and on a hot reload, whichever width the file holds — and the overlay
+// holds only users with events beyond S. The mapped float32 path used to drop
 // the file's metadata on boot and reload with "keep the current
 // watermark".
 func TestFeedbackChaosWatermarkTravelsWithFile(t *testing.T) {

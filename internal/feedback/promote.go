@@ -64,8 +64,8 @@ type PromoteConfig struct {
 //	sync      — force the WAL durable through S: an event is recorded
 //	            before the fsync its ack waits for.
 //	export    — re-solve each touched user's factors into a copy of the
-//	            base, in the base's own representation (float64 → v2,
-//	            float32 → v3), and write it to a temp file beside
+//	            base, in the base's own representation (a float64 or a
+//	            float32 file), and write it to a temp file beside
 //	            ModelPath with Meta.FeedbackSeq = S. The shared model
 //	            path is NOT touched yet: an operator may be deploying a
 //	            new trained model to it right now, and an export folded

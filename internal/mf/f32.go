@@ -10,7 +10,7 @@ import (
 // Factors32 is the read-only float32 serving representation of a factor
 // model: same layout as Model (flat row-major U and V, per-item bias), half
 // the bytes. It is produced at export time by QuantizeF32 or paged in from
-// a v3 store file (internal/store.LoadMapped), never trained against.
+// a float32 model file (internal/store.Open), never trained against.
 //
 // Every scoring method widens elements to float64 and accumulates in
 // float64, so quantization error enters once, at export, not per query.

@@ -161,7 +161,7 @@ func TestIndexesMatchesOnlyItsOwnItems(t *testing.T) {
 		t.Fatal(err)
 	}
 	if f, ok := opened.(*mf.Factors32); !ok || !f.Mapped() {
-		t.Fatalf("store.Open of a v3 file returned %T, want a mapped *mf.Factors32", opened)
+		t.Fatalf("store.Open of a float32 file returned %T, want a mapped *mf.Factors32", opened)
 	}
 
 	edit := func(f func(c *mf.Model)) *mf.Model {

@@ -57,7 +57,7 @@ func twoPass(scores []float64, k int, excludeSorted []int32) ([]rank.Entry, int)
 	return rank.TopKDropped(scores, k, func(i int32) bool { return ex[i] })
 }
 
-// openMapped writes f as a v3 store file and opens it the way the server
+// openMapped writes f as a float32 model file and opens it the way the server
 // does: the float32 factors it returns are the mapped pages, whose rows
 // are only 4-byte aligned.
 func openMapped(t *testing.T, f *mf.Factors32) *mf.Factors32 {
@@ -72,7 +72,7 @@ func openMapped(t *testing.T, f *mf.Factors32) *mf.Factors32 {
 	}
 	mapped := p.(*mf.Factors32)
 	if !mapped.Mapped() {
-		t.Fatal("store.Open of a v3 file did not map it")
+		t.Fatal("store.Open of a float32 file did not map it")
 	}
 	return mapped
 }

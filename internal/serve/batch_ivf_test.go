@@ -244,7 +244,7 @@ func TestModeFlipUnderInFlightBatch(t *testing.T) {
 }
 
 // TestServeFloat32Params stands the server up over quantized float32
-// factors (what store.Open makes of a v3 file, minus the file) and checks the
+// factors (what store.Open makes of a float32 file, minus the file) and checks the
 // public surface end to end: recommendations, cold-start fold-in,
 // similar-items, health dims, batch/single agreement, and that Model()
 // correctly reports the absence of a float64 model.

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -154,13 +152,13 @@ func TestReadyz(t *testing.T) {
 func TestReloadFromFile(t *testing.T) {
 	for _, rep := range []struct {
 		name      string
-		write     func(io.Writer, *mf.Model) error
+		write     func(string, *mf.Model) error
 		precision string
 		mapped    bool
 	}{
-		{"f64", store.Save, "f64", false},
-		{"f32", func(w io.Writer, m *mf.Model) error {
-			return store.SaveF32(w, mf.QuantizeF32(m), nil)
+		{"f64", store.SaveFile, "f64", false},
+		{"f32", func(path string, m *mf.Model) error {
+			return store.SaveF32File(path, mf.QuantizeF32(m), nil)
 		}, "f32", true},
 	} {
 		t.Run(rep.name, func(t *testing.T) {
@@ -169,12 +167,8 @@ func TestReloadFromFile(t *testing.T) {
 			before := s.Model()
 			save := func(name string, m *mf.Model) string {
 				t.Helper()
-				var buf bytes.Buffer
-				if err := rep.write(&buf, m); err != nil {
-					t.Fatal(err)
-				}
 				path := filepath.Join(dir, name)
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				if err := rep.write(path, m); err != nil {
 					t.Fatal(err)
 				}
 				return path
@@ -198,10 +192,12 @@ func TestReloadFromFile(t *testing.T) {
 			current := s.live.Load()
 
 			// A torn file is rejected and the current model keeps serving.
+			raw, err := os.ReadFile(good)
+			if err != nil {
+				t.Fatal(err)
+			}
 			torn := filepath.Join(dir, "torn.clapf")
-			if err := fault.CrashFile(torn, 64, func(w io.Writer) error {
-				return rep.write(w, next)
-			}); err != nil {
+			if err := os.WriteFile(torn, raw[:64], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.ReloadFromFile(torn); err == nil {
@@ -209,11 +205,8 @@ func TestReloadFromFile(t *testing.T) {
 			}
 
 			// So is a complete file with one flipped payload byte: the
-			// checksum (v3: of the mapped section) is verified before the swap.
-			raw, err := os.ReadFile(good)
-			if err != nil {
-				t.Fatal(err)
-			}
+			// section checksum (of the mapped section, for a float32
+			// file) is verified before the swap.
 			raw[len(raw)-5] ^= 0x01
 			flipped := filepath.Join(dir, "flipped.clapf")
 			if err := os.WriteFile(flipped, raw, 0o644); err != nil {

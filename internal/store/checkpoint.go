@@ -72,7 +72,7 @@ func ListCheckpoints(dir string) ([]string, error) {
 	return paths, nil
 }
 
-// WriteCheckpoint durably writes a version-2 checkpoint for the given step
+// WriteCheckpoint durably writes a float64 checkpoint for the given step
 // into dir (creating it if needed) and prunes the directory so at most
 // keep generations remain (keep <= 0 means keep everything). The file just
 // written is never pruned. Generations with a higher step go first: they
@@ -88,7 +88,7 @@ func WriteCheckpoint(dir string, m *mf.Model, meta *Meta, keep int) (string, err
 		return "", fmt.Errorf("store: %w", err)
 	}
 	path := CheckpointPath(dir, meta.Step)
-	if err := SaveFileWithMeta(path, m, meta); err != nil {
+	if err := writeFile(path, m, meta); err != nil {
 		return "", err
 	}
 	if keep > 0 {

@@ -3,53 +3,39 @@ package store
 import (
 	"bytes"
 	"testing"
-
-	"clapf/internal/mf"
 )
 
-// FuzzLoad throws arbitrary bytes at both readers: the streaming loader
-// and, through a temp file, Open. Neither may panic or over-allocate. The
-// loader either returns a model whose re-serialization is consistent, or
-// an error; whatever Open accepts the loader accepts too (Open is the
-// stricter: it also refuses trailing bytes on a v3 file), as the same
-// model. The seed corpus covers the interesting
-// shapes: valid v1, v2, and v3 files, truncated files, and files whose
-// checksums were flipped.
+// FuzzLoad throws arbitrary bytes at every reader: the streaming loader
+// and, through a temp file, Open and LoadMapped. None may panic or
+// over-allocate. The loader either returns a model whose re-serialization
+// is consistent, or an error; whatever Open or LoadMapped accepts the
+// loader accepts too (the file readers are the stricter: they also refuse
+// trailing bytes), as the same model. The seed corpus covers the
+// interesting shapes at both widths: valid files, truncated files, files
+// whose checksums were flipped, a header that promises a 1 GiB section
+// over 4 KB, and files of the retired versions 1 and 2.
 func FuzzLoad(f *testing.F) {
 	m := sampleModel(1, true)
-	var v1 bytes.Buffer
-	if err := Save(&v1, m); err != nil {
-		f.Fatal(err)
+	for _, width := range widths {
+		full := saveBytes(f, asWidth(m, width), sampleMeta())
+		flipped := append([]byte(nil), full...)
+		flipped[len(flipped)-1] ^= 0xFF // section byte: section CRC must catch it
+		f.Add(full)
+		f.Add(full[:headerFixed/2])
+		f.Add(full[:len(full)-7])
+		f.Add(flipped)
+		f.Add(forgedHeader(f, width))
 	}
-	var v2 bytes.Buffer
-	if err := SaveWithMeta(&v2, m, sampleMeta()); err != nil {
-		f.Fatal(err)
-	}
-	flipped := append([]byte(nil), v1.Bytes()...)
-	flipped[len(flipped)-1] ^= 0xFF
-
-	var v3 bytes.Buffer
-	if err := SaveF32(&v3, mf.QuantizeF32(m), sampleMeta()); err != nil {
-		f.Fatal(err)
-	}
-	v3flip := append([]byte(nil), v3.Bytes()...)
-	v3flip[len(v3flip)-1] ^= 0xFF // section byte: section CRC must catch it
-	v3hdr := append([]byte(nil), v3.Bytes()...)
-	v3hdr[9] ^= 0x01 // version word: dispatch must reject cleanly
-
-	f.Add(v1.Bytes())
-	f.Add(v2.Bytes())
-	f.Add(v1.Bytes()[:v1.Len()/2])
-	f.Add(flipped)
+	hdrflip := saveBytes(f, m, nil)
+	hdrflip[9] ^= 0x01 // version word: must be refused cleanly
+	f.Add(hdrflip)
 	f.Add([]byte{})
-	f.Add(v3.Bytes())
-	f.Add(v3.Bytes()[:v3HeaderFixed/2])
-	f.Add(v3.Bytes()[:v3.Len()-7])
-	f.Add(v3flip)
-	f.Add(v3hdr)
+	f.Add(oldFormat(1, m))
+	f.Add(oldFormat(2, m))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		opened, openedMeta, openErr := openBytes(t, data)
+		path := writeTemp(t, data)
+		opened, openedMeta, openErr := Open(path)
 		got, meta, err := LoadWithMeta(bytes.NewReader(data))
 		if openErr == nil {
 			if err != nil {
@@ -59,24 +45,25 @@ func FuzzLoad(f *testing.F) {
 				t.Fatal("Open and LoadWithMeta disagree on an accepted file")
 			}
 		}
+		if mm, mapErr := LoadMapped(path); mapErr == nil {
+			if mm.Verify() == nil && (err != nil || !sameParams(got, mm.Factors())) {
+				t.Fatal("LoadMapped and LoadWithMeta disagree on an accepted file")
+			}
+			mm.Close()
+		}
 		if err != nil {
 			return
 		}
 		// Whatever parsed must survive a round trip bit-for-bit.
 		var buf bytes.Buffer
-		if meta == nil {
-			err = Save(&buf, got)
-		} else {
-			err = SaveWithMeta(&buf, got, meta)
-		}
-		if err != nil {
+		if err := save(&buf, got, meta); err != nil {
 			t.Fatalf("re-save of fuzz-accepted model failed: %v", err)
 		}
 		again, _, err := LoadWithMeta(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("reload of re-saved model failed: %v", err)
 		}
-		if !modelsEqual(got, again) {
+		if !sameParams(got, again) {
 			t.Fatal("fuzz round trip changed the model")
 		}
 	})

@@ -14,7 +14,7 @@ import (
 // hostLittleEndian reports whether the running machine stores integers
 // little-endian — the file's byte order. On such hosts (every platform
 // this repository targets) the mapped section casts directly to []float32;
-// otherwise mapV3 falls back to a decode copy.
+// otherwise mapFile falls back to a decode copy.
 var hostLittleEndian = func() bool {
 	var x uint16 = 0x0102
 	return *(*byte)(unsafe.Pointer(&x)) == 0x02
@@ -40,11 +40,12 @@ func (mp *mapping) close() error {
 	return mp.unmap()
 }
 
-// MappedModel is a v3 store file paged in by Open or LoadMapped: a float32
-// parameter set whose backing storage is the kernel's page cache, not the
-// Go heap. Loading costs O(header) — the factor section is mapped, not
-// read — so serve start-up and hot reload of a multi-gigabyte model are
-// near-instant and its clean pages are evictable under memory pressure.
+// MappedModel is a float32 model file paged in by Open or LoadMapped: a
+// float32 parameter set whose backing storage is the kernel's page cache,
+// not the Go heap. Loading costs O(header) — the factor section is
+// mapped, not read — so serve start-up and hot reload of a multi-gigabyte
+// model are near-instant and its clean pages are evictable under memory
+// pressure.
 //
 // Lifecycle: the Factors32 returned by Factors pins the mapping for as
 // long as any live liveState generation (or any other reader) references
@@ -60,48 +61,36 @@ type MappedModel struct {
 	sectionCRC uint32
 }
 
-// LoadMapped opens a version-3 store file and maps its factor section.
+// LoadMapped opens a float32 model file and maps its factor section.
 // The header (geometry, meta, header CRC) is read and verified eagerly;
 // the factor payload is not touched. Call Verify to checksum the section
 // before trusting the factors. Serving goes through Open, which does both
 // and hands back the factors; LoadMapped is for callers that want the
-// handle — header-only inspection, or an eager Close.
-//
-// Only v3 files can be mapped; v1/v2 files need the parsing loaders.
+// handle — header-only inspection, or an eager Close. A float64 file is
+// refused: it has no float32 section to map.
 func LoadMapped(path string) (*MappedModel, error) {
-	file, cr, h, err := openHeader(path)
+	file, _, h, err := openHeader(path)
 	if err != nil {
 		return nil, err
 	}
 	defer file.Close()
-	if h.version != VersionF32 {
-		return nil, fmt.Errorf("store: cannot map version-%d file (only v%d is mmap-able; use Load)", h.version, VersionF32)
+	if h.width != 4 {
+		return nil, fmt.Errorf("store: cannot map the float64 file %s (only float32 sections are mapped; use Load)", path)
 	}
-	return mapV3(file, cr, h)
+	return mapFile(file, h)
 }
 
-// mapV3 finishes the v3 header parse and maps the file.
-func mapV3(file *os.File, cr *crcReader, hd header) (*MappedModel, error) {
-	h, err := readV3Rest(cr, hd)
-	if err != nil {
-		return nil, err
-	}
-	st, err := file.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	if want := int64(h.sectionOff + h.sectionLen); st.Size() != want {
-		return nil, fmt.Errorf("store: file is %d bytes, header promises %d (truncated or trailing garbage)", st.Size(), want)
-	}
-
-	data, unmap, err := mmapFile(file, st.Size())
+// mapFile maps the float32 file whose header openHeader parsed and checked.
+func mapFile(file *os.File, h *header) (*MappedModel, error) {
+	size := int64(h.sectionOff + h.sectionLen)
+	data, unmap, err := mmapFile(file, size)
 	if err != nil {
 		return nil, fmt.Errorf("store: mmap %s: %w", file.Name(), err)
 	}
 	mp := &mapping{data: data, unmap: unmap}
 	runtime.SetFinalizer(mp, func(mp *mapping) { _ = mp.close() })
 
-	section := data[h.sectionOff : h.sectionOff+h.sectionLen]
+	section := data[h.sectionOff:size]
 	floats, ok := castF32(section)
 	if !ok {
 		// Big-endian host or an allocator that broke 4-byte alignment on
@@ -112,11 +101,12 @@ func mapV3(file *os.File, cr *crcReader, hd header) (*MappedModel, error) {
 			floats[i] = f32FromLE(section[4*i:])
 		}
 	}
-	u := floats[:h.nu:h.nu]
-	v := floats[h.nu : h.nu+h.nv : h.nu+h.nv]
+	nu, nv, _ := h.sizes()
+	u := floats[:nu:nu]
+	v := floats[nu : nu+nv : nu+nv]
 	var b []float32
-	if h.nb > 0 {
-		b = floats[h.nu+h.nv:]
+	if h.cfg.UseBias {
+		b = floats[nu+nv:]
 	}
 	f, err := mf.FromRaw32(h.cfg, u, v, b)
 	if err != nil {
@@ -124,12 +114,7 @@ func mapV3(file *os.File, cr *crcReader, hd header) (*MappedModel, error) {
 		return nil, err
 	}
 	f.Retain(mp)
-	meta, err := decodeMeta(h.metaRaw)
-	if err != nil {
-		mp.close()
-		return nil, err
-	}
-	return &MappedModel{f: f, meta: meta, mp: mp, sectionOff: h.sectionOff, sectionCRC: h.sectionCRC}, nil
+	return &MappedModel{f: f, meta: h.meta, mp: mp, sectionOff: h.sectionOff, sectionCRC: h.sectionCRC}, nil
 }
 
 // Factors returns the float32 parameter set backed by the mapping. The
@@ -161,8 +146,8 @@ func (mm *MappedModel) Close() error { return mm.mp.close() }
 
 // castF32 reinterprets little-endian float32 bytes as a []float32 without
 // copying. Fails (ok == false) on big-endian hosts or when the base
-// address is not 4-byte aligned; v3's page-aligned section offset makes
-// the mmap path always aligned.
+// address is not 4-byte aligned; the page-aligned section offset makes the
+// mmap path always aligned.
 func castF32(b []byte) (xs []float32, ok bool) {
 	if len(b) == 0 {
 		return nil, true

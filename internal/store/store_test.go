@@ -3,8 +3,12 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -38,19 +42,83 @@ func modelsEqual(a, b *mf.Model) bool {
 	return true
 }
 
+// widths are the element widths the format holds, in bytes.
+var widths = []int{8, 4}
+
+// asWidth is m in the representation that writes width-byte elements.
+func asWidth(m *mf.Model, width int) mf.Params {
+	if width == 4 {
+		return mf.QuantizeF32(m)
+	}
+	return m
+}
+
+// saveBytes serializes p through save into memory.
+func saveBytes(t testing.TB, p mf.Params, meta *Meta) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := save(&buf, p, meta); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// writeTemp writes raw to a fresh file and returns its path.
+func writeTemp(t testing.TB, raw []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "m.clapf")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// readAll runs raw, also written at path, through every reader: the
+// streaming loader, Open and LoadMapped followed by Verify (closing what
+// it maps). It returns each reader's error, keyed by reader.
+func readAll(path string, raw []byte) map[string]error {
+	_, _, loadErr := LoadWithMeta(bytes.NewReader(raw))
+	_, _, openErr := Open(path)
+	mm, mapErr := LoadMapped(path)
+	if mapErr == nil {
+		mapErr = mm.Verify()
+		mm.Close()
+	}
+	return map[string]error{"LoadWithMeta": loadErr, "Open": openErr, "LoadMapped": mapErr}
+}
+
+// TestRoundTrip writes both widths, with and without bias, and reads each
+// file back bit for bit through every reader: the streaming loader widens,
+// Open hands back the representation that was written (a float32 file
+// mapped), LoadMapped maps a float32 file.
 func TestRoundTrip(t *testing.T) {
-	for _, useBias := range []bool{true, false} {
-		m := sampleModel(1, useBias)
-		var buf bytes.Buffer
-		if err := Save(&buf, m); err != nil {
-			t.Fatalf("Save(bias=%v): %v", useBias, err)
-		}
-		got, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("Load(bias=%v): %v", useBias, err)
-		}
-		if !modelsEqual(m, got) {
-			t.Errorf("round trip (bias=%v) changed the model", useBias)
+	for _, width := range widths {
+		for _, useBias := range []bool{true, false} {
+			p := asWidth(sampleModel(1, useBias), width)
+			raw := saveBytes(t, p, sampleMeta())
+			got, meta, err := LoadWithMeta(bytes.NewReader(raw))
+			if err != nil || !sameParams(p, got) || !metasEqual(sampleMeta(), meta) {
+				t.Fatalf("width %d bias %v: LoadWithMeta changed the model or meta (%v)", width, useBias, err)
+			}
+			path := writeTemp(t, raw)
+			opened, meta, err := Open(path)
+			if err != nil || !sameParams(p, opened) || !metasEqual(sampleMeta(), meta) {
+				t.Fatalf("width %d bias %v: Open changed the model or meta (%v)", width, useBias, err)
+			}
+			if opened.ElemBytes() != width {
+				t.Errorf("width %d: Open made a %T", width, opened)
+			}
+			if width != 4 {
+				continue
+			}
+			mm, err := LoadMapped(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !f32Equal(p.(*mf.Factors32), mm.Factors()) || !metasEqual(sampleMeta(), mm.meta) {
+				t.Errorf("bias %v: LoadMapped changed the model or meta", useBias)
+			}
+			mm.Close()
 		}
 	}
 }
@@ -70,51 +138,102 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// openBytes runs Open, the serving front door, over raw as a file.
-func openBytes(t testing.TB, raw []byte) (mf.Params, *Meta, error) {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "m.clapf")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+func TestLoadRejectsCorruption(t *testing.T) {
+	for _, width := range widths {
+		clean := saveBytes(t, asWidth(sampleModel(2, true), width), nil)
+		// Every reader must refuse.
+		reject := func(what string, raw []byte) {
+			t.Helper()
+			for reader, err := range readAll(writeTemp(t, raw), raw) {
+				if err == nil {
+					t.Errorf("width %d: %s: %s accepted", width, reader, what)
+				}
+			}
+		}
+
+		// Flip one byte in the middle of the section: its checksum must
+		// catch it.
+		corrupt := append([]byte(nil), clean...)
+		sectionOff := le.Uint64(clean[40:])
+		corrupt[(int(sectionOff)+len(clean))/2] ^= 0xFF
+		reject("corrupted payload", corrupt)
+
+		// Truncation must fail cleanly.
+		reject("truncated payload", clean[:len(clean)-10])
+
+		// Wrong magic.
+		bad := append([]byte(nil), clean...)
+		bad[0] = 'X'
+		reject("bad magic", bad)
+
+		// Wrong version.
+		badv := append([]byte(nil), clean...)
+		badv[8] = 0xFE
+		reject("bad version", badv)
+
+		// An unknown flag bit, under a recomputed header checksum.
+		badf := append([]byte(nil), clean...)
+		badf[12] |= 0x80
+		rehash(badf)
+		reject("unknown flag", badf)
 	}
-	return Open(path)
 }
 
-func TestLoadRejectsCorruption(t *testing.T) {
-	m := sampleModel(2, true)
-	var buf bytes.Buffer
-	if err := Save(&buf, m); err != nil {
+// rehash recomputes raw's header checksum after a test edited the header.
+func rehash(raw []byte) {
+	end := headerFixed + int(le.Uint32(raw[60:]))
+	le.PutUint32(raw[end-4:], crc32.ChecksumIEEE(raw[:end-4]))
+}
+
+// oldFormat writes m (which must have biases) the way the retired
+// float64 formats did: version 1 is the header words and the U, V, B
+// blocks under one trailing CRC; version 2 adds a length-prefixed
+// metadata block before that CRC.
+func oldFormat(version uint32, m *mf.Model) []byte {
+	raw := le.AppendUint32(append([]byte(nil), magic[:]...), version)
+	raw = le.AppendUint32(raw, flagBias)
+	for _, x := range []int{m.NumUsers(), m.NumItems(), m.Dim()} {
+		raw = le.AppendUint64(raw, uint64(x))
+	}
+	u, v, b := m.RawParams()
+	for _, xs := range [][]float64{u, v, b} {
+		for _, x := range xs {
+			raw = le.AppendUint64(raw, math.Float64bits(x))
+		}
+	}
+	if version == 2 {
+		raw = append(le.AppendUint32(raw, 2), "{}"...)
+	}
+	return le.AppendUint32(raw, crc32.ChecksumIEEE(raw))
+}
+
+// TestLoadRejectsOldVersions: a file in a retired format is refused by
+// every reader with its version named, and a checkpoint directory whose
+// newest generation is one falls back to an older good generation.
+func TestLoadRejectsOldVersions(t *testing.T) {
+	m := sampleModel(17, true)
+	for _, version := range []uint32{1, 2} {
+		raw := oldFormat(version, m)
+		for reader, err := range readAll(writeTemp(t, raw), raw) {
+			if want := fmt.Sprintf("version %d", version); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s of a version-%d file: err = %v, want one naming %q", reader, version, err, want)
+			}
+		}
+	}
+
+	dir := t.TempDir()
+	good, err := WriteCheckpoint(dir, m, &Meta{Step: 100}, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	clean := buf.Bytes()
-	// Both readers — the streaming loader and Open — must refuse.
-	reject := func(what string, raw []byte) {
-		t.Helper()
-		if _, err := Load(bytes.NewReader(raw)); err == nil {
-			t.Errorf("Load: %s accepted", what)
-		}
-		if _, _, err := openBytes(t, raw); err == nil {
-			t.Errorf("Open: %s accepted", what)
-		}
+	old := CheckpointPath(dir, 200)
+	if err := os.WriteFile(old, oldFormat(2, m), 0o644); err != nil {
+		t.Fatal(err)
 	}
-
-	// Flip one byte in the parameter region: checksum must catch it.
-	corrupt := append([]byte(nil), clean...)
-	corrupt[len(corrupt)/2] ^= 0xFF
-	reject("corrupted payload", corrupt)
-
-	// Truncation must fail cleanly.
-	reject("truncated payload", clean[:len(clean)-10])
-
-	// Wrong magic.
-	bad := append([]byte(nil), clean...)
-	bad[0] = 'X'
-	reject("bad magic", bad)
-
-	// Wrong version.
-	badv := append([]byte(nil), clean...)
-	badv[8] = 0xFE
-	reject("bad version", badv)
+	if _, meta, path, skipped, err := LatestCheckpoint(dir); err != nil || path != good || meta.Step != 100 ||
+		len(skipped) != 1 || skipped[0] != old {
+		t.Errorf("LatestCheckpoint = %s (skipped %v, err %v), want %s skipping %s", path, skipped, err, good, old)
+	}
 }
 
 func TestLoadRejectsHugeDimensions(t *testing.T) {
@@ -124,12 +243,14 @@ func TestLoadRejectsHugeDimensions(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	// The users field lives at offset 16; blow it up to provoke the
-	// allocation guard before any huge read happens.
+	// The users field lives at offset 16; blow it up, under a recomputed
+	// header checksum, to provoke the allocation guard before any huge
+	// read happens.
 	for i := 16; i < 24; i++ {
 		data[i] = 0xFF
 	}
-	if _, err := Load(bytes.NewReader(data)); err == nil {
+	rehash(data)
+	if _, err := Load(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "implausible") {
 		t.Error("implausible dimensions accepted")
 	}
 }
@@ -188,9 +309,9 @@ var errFail = os.ErrClosed
 
 func TestSaveWriteErrors(t *testing.T) {
 	m := sampleModel(6, true)
-	// Probe failure at several offsets covering magic, header, params, and
-	// the trailing checksum.
-	for _, n := range []int{0, 4, 10, 20, 40, 200, 800, 849} {
+	// Probe failure at several offsets covering the header, the padding,
+	// the first section chunk and the section's last byte.
+	for _, n := range []int{0, 4, 10, 20, 40, 200, 800, 4096, 4100, 4096 + 8*101 - 1} {
 		w := &failAfter{n: n}
 		if err := Save(w, m); err == nil {
 			t.Errorf("Save with writer failing at byte %d succeeded", n)
@@ -226,68 +347,43 @@ func metasEqual(a, b *Meta) bool {
 	return bytes.Equal(aj, bj)
 }
 
+// TestMetaRoundTrip: the metadata comes back through the streaming
+// loader, and a file saved without any comes back with the empty block,
+// never nil.
 func TestMetaRoundTrip(t *testing.T) {
 	m := sampleModel(9, true)
-	meta := sampleMeta()
-	var buf bytes.Buffer
-	if err := SaveWithMeta(&buf, m, meta); err != nil {
-		t.Fatal(err)
-	}
-	got, gotMeta, err := LoadWithMeta(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !modelsEqual(m, got) {
-		t.Error("v2 round trip changed the model")
-	}
-	if gotMeta == nil || !metasEqual(meta, gotMeta) {
-		t.Errorf("meta round trip: got %+v, want %+v", gotMeta, meta)
-	}
-}
-
-func TestV1FilesStillLoad(t *testing.T) {
-	// Save emits version 1; Load and LoadWithMeta must both accept it,
-	// the latter reporting no metadata.
-	m := sampleModel(10, true)
-	var buf bytes.Buffer
-	if err := Save(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	v1 := buf.Bytes()
-	if v1[8] != 1 {
-		t.Fatalf("Save wrote version %d, want 1", v1[8])
-	}
-	got, meta, err := LoadWithMeta(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta != nil {
-		t.Errorf("v1 file produced metadata %+v", meta)
-	}
-	if !modelsEqual(m, got) {
-		t.Error("v1 load changed the model")
+	for _, meta := range []*Meta{sampleMeta(), nil} {
+		got, gotMeta, err := LoadWithMeta(bytes.NewReader(saveBytes(t, m, meta)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !modelsEqual(m, got) {
+			t.Error("round trip changed the model")
+		}
+		if meta == nil {
+			meta = &Meta{}
+		}
+		if gotMeta == nil || !metasEqual(meta, gotMeta) {
+			t.Errorf("meta round trip: got %+v, want %+v", gotMeta, meta)
+		}
 	}
 }
 
 func TestLoadDiscardsMetaButVerifies(t *testing.T) {
 	m := sampleModel(11, false)
-	var buf bytes.Buffer
-	if err := SaveWithMeta(&buf, m, sampleMeta()); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := saveBytes(t, m, sampleMeta())
 	got, err := Load(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !modelsEqual(m, got) {
-		t.Error("Load of v2 file changed the model")
+		t.Error("Load changed the model")
 	}
-	// Corrupting a byte inside the meta trailer must still fail Load:
-	// the checksum covers the trailer.
-	data[len(data)-10] ^= 0x01
+	// Corrupting a byte inside the metadata must still fail Load: the
+	// header checksum covers it.
+	data[headerFixed+5] ^= 0x01
 	if _, err := Load(bytes.NewReader(data)); err == nil {
-		t.Error("corrupt meta trailer accepted")
+		t.Error("corrupt metadata accepted")
 	}
 }
 
@@ -296,7 +392,7 @@ func TestMetaFileRoundTrip(t *testing.T) {
 	path := filepath.Join(dir, "ckpt.clapf")
 	m := sampleModel(12, true)
 	meta := sampleMeta()
-	if err := SaveFileWithMeta(path, m, meta); err != nil {
+	if err := writeFile(path, m, meta); err != nil {
 		t.Fatal(err)
 	}
 	got, gotMeta, err := LoadFileWithMeta(path)
@@ -309,17 +405,9 @@ func TestMetaFileRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsHugeMetaLength(t *testing.T) {
-	m := sampleModel(13, false)
-	var buf bytes.Buffer
-	if err := SaveWithMeta(&buf, m, &Meta{}); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	// The meta length field sits right before the trailer JSON + CRC.
-	metaLenOff := len(data) - 4 /*crc*/ - 2 /*"{}"*/ - 4 /*len*/
-	for i := 0; i < 4; i++ {
-		data[metaLenOff+i] = 0xFF
-	}
+	data := saveBytes(t, sampleModel(13, false), nil)
+	// The meta length word sits right before the metadata JSON.
+	le.PutUint32(data[headerFixed-8:], 0xFFFFFFFF)
 	if _, _, err := LoadWithMeta(bytes.NewReader(data)); err == nil {
 		t.Error("huge meta length accepted")
 	}
@@ -327,25 +415,19 @@ func TestLoadRejectsHugeMetaLength(t *testing.T) {
 
 func TestLoadTruncatedEverywhere(t *testing.T) {
 	m := sampleModel(8, true)
-	var v1, v2, v3 bytes.Buffer
-	if err := Save(&v1, m); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveWithMeta(&v2, m, sampleMeta()); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveF32(&v3, mf.QuantizeF32(m), sampleMeta()); err != nil {
-		t.Fatal(err)
-	}
-	// Truncating at every prefix length must fail, never panic — in every
-	// version, through the streaming loader and through Open.
-	for name, full := range map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes(), "v3": v3.Bytes()} {
-		for n := 0; n < len(full)-1; n += 37 {
-			if _, err := Load(bytes.NewReader(full[:n])); err == nil {
-				t.Fatalf("%s: Load accepted a truncation at %d bytes", name, n)
+	path := filepath.Join(t.TempDir(), "m.clapf")
+	// Truncating at every byte offset must fail, never panic — at both
+	// widths, through every reader.
+	for _, width := range widths {
+		full := saveBytes(t, asWidth(m, width), sampleMeta())
+		for n := 0; n < len(full); n++ {
+			if err := os.WriteFile(path, full[:n], 0o644); err != nil {
+				t.Fatal(err)
 			}
-			if _, _, err := openBytes(t, full[:n]); err == nil {
-				t.Fatalf("%s: Open accepted a truncation at %d bytes", name, n)
+			for reader, err := range readAll(path, full[:n]) {
+				if err == nil {
+					t.Fatalf("width %d: %s accepted a truncation at %d bytes", width, reader, n)
+				}
 			}
 		}
 	}

@@ -5,6 +5,58 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# alternatives prints the alternatives of a test pattern's first group,
+# each completed with the pattern's prefix and suffix — '^Test(A|B(C)?)$'
+# gives '^TestA$' and '^TestB(C)?$' — or the pattern itself when it has
+# no group.
+alternatives() {
+	printf '%s\n' "$1" | awk '{
+		open = index($0, "(")
+		if (open == 0) { print; next }
+		depth = 0; start = open + 1; n = 0
+		for (i = start; i <= length($0); i++) {
+			c = substr($0, i, 1)
+			if (c == "(") depth++
+			else if (c == ")" && depth > 0) depth--
+			else if (depth == 0 && (c == "|" || c == ")")) {
+				alt[n++] = substr($0, start, i - start)
+				start = i + 1
+				if (c == ")") break
+			}
+		}
+		for (j = 0; j < n; j++) print substr($0, 1, open - 1) alt[j] substr($0, i + 1)
+	}'
+}
+
+# gate runs one named test gate: `gate ARGS...` is `go test ARGS...`, but
+# first every alternative of its -run pattern (of its -fuzz pattern, for a
+# fuzz smoke) must name a test in its packages. A gate whose pattern
+# matches nothing would otherwise pass on nothing after a rename.
+gate() {
+	run= fuzz= pkgs= prev=
+	for arg in "$@"; do
+		case $prev in
+		-run) run=$arg ;;
+		-fuzz) fuzz=$arg ;;
+		esac
+		case $arg in
+		-run=*) run=${arg#-run=} ;;
+		-fuzz=*) fuzz=${arg#-fuzz=} ;;
+		./*) pkgs="$pkgs $arg" ;;
+		esac
+		prev=$arg
+	done
+	pattern=${fuzz:-$run}
+	listed=$(go test -list "$pattern" $pkgs)
+	alternatives "$pattern" | while IFS= read -r alt; do
+		if ! printf '%s\n' "$listed" | grep -v '^ok ' | grep -qE -- "$alt"; then
+			echo "gate $pattern: $alt matches no test in$pkgs" >&2
+			exit 1
+		fi
+	done || exit 1
+	go test "$@"
+}
+
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
 	echo "gofmt: the following files need formatting:" >&2
@@ -21,12 +73,12 @@ go test -race -shuffle=on ./...
 # the race detector (with several workers the guard checks run at segment
 # barriers and must stay race-clean). -count=1 defeats the test cache so
 # the gate always actually runs.
-go test -race -count=1 -run '^TestChaos' ./internal/fault
+gate -race -count=1 -run '^TestChaos' ./internal/fault
 # The same faults through the shipped path: cmd/clapf-train's run() with
 # the poisoners on its after-batch seam — a mid-run trip, poison caught by
 # the final checkpoint's gate (the run trains on, it does not report the
 # restored step as finished), and a stop signal in the batch that trips.
-go test -race -count=1 -run '^Test(TripRecovers|StopInTheBatchThatTrips)$' ./cmd/clapf-train
+gate -race -count=1 -run '^Test(TripRecovers|StopInTheBatchThatTrips)$' ./cmd/clapf-train
 # guard.Supervisor.Run is the one loop that slices a run into batches,
 # handles trips and gates checkpoints; clapf-train calls it.
 if grep -rn --include='*.go' --exclude='*_test.go' -e 'trainLoop' -e 'HandleTrip(' -e 'GateCheckpoint(' . | grep -v '^\./internal/guard/' ||
@@ -50,7 +102,7 @@ echo "chaos-recovery gate ok"
 # the guard instead of spreading, and two workers race-clean (DNS and ABS
 # read live item rows) and Welch-equivalent to one. -count=1 defeats the
 # test cache so the gate always actually runs.
-go test -race -count=1 \
+gate -race -count=1 \
 	-run '^Test(TrajectoryPinned|TrajectoryOneWorkerIsSerial|StepKernel|ParallelStatisticalEquivalence|ParallelConcurrentRace|GoldenMetrics|Objective(Validation|ResumeBitIdentical|Gradients|GuardTripsOnPoison|TwoWorkers)|ABSScreensAgainstTheGivenPositive)' \
 	./internal/core ./internal/baselines ./internal/experiments ./internal/sampling
 # The kernel has one caller: a second NewKernel( outside internal/core is
@@ -63,24 +115,30 @@ echo "trainer equivalence gate ok"
 
 # Short fuzz smoke over the model-file loader: a few seconds of random
 # inputs against the corrupt-file handling, on top of the seed corpus the
-# regular tests already replay. The corpus seeds all three format
-# versions, including v3 float32 files with flipped section/header bytes;
-# each input goes through the streaming loader and, as a file, store.Open.
-go test -run='^$' -fuzz='^FuzzLoad$' -fuzztime=5s ./internal/store
+# regular tests already replay. The corpus seeds files of both widths,
+# with flipped section and header bytes, a header that promises a 1 GiB
+# section over 4 KB, and files of the retired versions 1 and 2; each input
+# goes through the streaming loader and, as a file, store.Open and
+# store.LoadMapped.
+gate -run='^$' -fuzz='^FuzzLoad$' -fuzztime=5s ./internal/store
 
-# Store gate: round-trip, mmap load/Verify/Close, store.Open picking the
-# representation from the file's version and Export/Publish writing it
-# back, and the corruption matrices (truncation at every boundary, CRC
-# flips, non-canonical section offsets) through every reader including
-# Open — all clean errors, never panics. -count=1 defeats the test cache
-# so the gate always actually runs.
-go test -race -count=1 -run '^Test(SaveF32|V3|LoadMapped|V1V2|Open|LoadRejects|LoadTruncated)' ./internal/store
+# Store gate: one file format at two widths. The layout, round trips bit
+# for bit through every reader, mmap load/Verify/Close, store.Open picking
+# the representation from the file's width and Export/Publish writing it
+# back, a float32 file of the earlier writer still reading (and written)
+# byte for byte, the corruption matrices (truncation at every byte, CRC
+# flips, non-canonical section offsets and lengths, unknown flags, the
+# retired versions 1 and 2) through every reader — all clean errors, never
+# panics — and a header promising more than the stream holds refused
+# within a bounded allocation. -count=1 defeats the test cache so the gate
+# always actually runs.
+gate -race -count=1 -run '^Test(Layout|V3StreamingLoad|RoundTrip|LoadMapped|Open|OldF32|LoadRejects|LoadTruncated|LoadBounds)' ./internal/store
 echo "store gate ok"
 
 # IVF fuzz smoke: adversarial factor matrices (NaN/Inf rows, zero norms,
 # duplicates, nlist > items) against index construction and full-width
 # search invariants.
-go test -run='^$' -fuzz='^FuzzIVFBuild$' -fuzztime=5s ./internal/retrieval
+gate -run='^$' -fuzz='^FuzzIVFBuild$' -fuzztime=5s ./internal/retrieval
 
 # IVF retrieval smoke: build the index on a seeded world, query every
 # user, and hold the recall@10 floor against exact retrieval — for the
@@ -88,7 +146,7 @@ go test -run='^$' -fuzz='^FuzzIVFBuild$' -fuzztime=5s ./internal/retrieval
 # factors, where any loss is quantization's — under the race detector
 # because the index is queried concurrently in serving.
 # -count=1 defeats the test cache so the gate always actually runs.
-go test -race -count=1 -run '^TestIVFSmoke$' ./internal/retrieval
+gate -race -count=1 -run '^TestIVFSmoke$' ./internal/retrieval
 echo "ivf retrieval smoke ok"
 
 # Batch-IVF gate: the /recommend/batch endpoint must answer through the
@@ -106,8 +164,8 @@ echo "ivf retrieval smoke ok"
 # model and its score.Engine); NaN and ±Inf rank one way in all three;
 # and every worker count of the one goroutine fan-out gives the same bits.
 # -count=1 defeats the test cache so the gate always actually runs.
-go test -race -count=1 -run '^Test(BatchIVF|ModeFlip|ServeFloat32)' ./internal/serve
-go test -race -count=1 -run '^Test(Float32ParityWithFloat64|EvaluateMatchesFullSort|NonFiniteScoresRankOneWay|EvaluateParallelBitIdentical)$' ./internal/eval
+gate -race -count=1 -run '^Test(BatchIVF|ModeFlip|ServeFloat32)' ./internal/serve
+gate -race -count=1 -run '^Test(Float32ParityWithFloat64|EvaluateMatchesFullSort|NonFiniteScoresRankOneWay|EvaluateParallelBitIdentical)$' ./internal/eval
 echo "batch-ivf gate ok"
 
 # Fused exact-scan gate: exact retrieval is one streaming pass (score a
@@ -132,18 +190,18 @@ echo "batch-ivf gate ok"
 # an install of an unchanged item half keeps it, and install resolves the
 # index before it takes the feedback sink's lock. -count=1 defeats the
 # test cache so the gate always actually runs.
-go test -race -count=1 -run '^Test(FusedTopKBitIdentical|ScanUnderUserVectorIsScore|WrongLengthUserVectorPanics)$' ./internal/score
-go test -race -count=1 -run '^Test(SelectorMatchesNaive|OfferRunAndOfferIDsMatchOffer)$' ./internal/rank
+gate -race -count=1 -run '^Test(FusedTopKBitIdentical|ScanUnderUserVectorIsScore|WrongLengthUserVectorPanics)$' ./internal/score
+gate -race -count=1 -run '^Test(SelectorMatchesNaive|OfferRunAndOfferIDsMatchOffer)$' ./internal/rank
 retrieval_gate='^Test(SearchCellsMatchesTwoPass|NearestMatchesDot|ProbeCellsMatchesFullSort|WrongLengthQueryPanics|MissAllocatesOnlyItsResults|BuildIVFSameAcrossWorkers|IndexesMatchesOnlyItsOwnItems)$'
-go test -race -count=1 -run "$retrieval_gate" ./internal/retrieval
-go test -race -count=1 -cpu 1,4 -run "$retrieval_gate" ./internal/retrieval
-go test -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossReinstalls|InstallBuildsIndexOutsideSinkLock(Live)?)$' ./internal/serve
+gate -race -count=1 -run "$retrieval_gate" ./internal/retrieval
+gate -race -count=1 -cpu 1,4 -run "$retrieval_gate" ./internal/retrieval
+gate -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossReinstalls|InstallBuildsIndexOutsideSinkLock(Live)?)$' ./internal/serve
 # The bound filter in front of both scans (below) skips rows; the answer
 # must not move: TopKFoldIn, TopKUsers and SearchCells, full and pruned,
 # against rescoring every row, by Float64bits and dropped count. Without
 # the race detector: nothing in it is concurrent, and it is the longest
 # table in the gate.
-go test -count=1 -run '^TestBoundFilterKeepsTheExactAnswer$' ./internal/retrieval
+gate -count=1 -run '^TestBoundFilterKeepsTheExactAnswer$' ./internal/retrieval
 # A parameter set has one item scan and the serve path one miss: the
 # stored-user scan methods stay off *Factors32 and *Overlay (a stored user
 # is scored under UserVector(u)), and internal/serve ranks in exactly three
@@ -188,13 +246,13 @@ echo "fused exact-scan gate ok"
 # There is one .s file: one exact scan per element width, one int8 bound
 # scan and one floor predicate, all in internal/mathx/scan_amd64.s.
 # Another of any is another kernel to keep bit-identical.
-go test -count=1 -run '^TestScanF64F32(MatchesPortable|IsDotF64F32|ShortSlicePanics)$' ./internal/mathx
-go test -count=1 -run '^Test(ScanF64(MatchesPortable|IsDot|ShortSlicePanics)|FirstNotBelowMatchesLoop)$' ./internal/mathx
-go test -count=1 -run '^TestBound(I8MatchesPortable|I8ShortSlicePanics|CoversTheExactScore|NonFinite)$' ./internal/mathx
-go test -run='^$' -fuzz='^FuzzScanF64F32$' -fuzztime=5s ./internal/mathx
-go test -run='^$' -fuzz='^FuzzScanF64$' -fuzztime=5s ./internal/mathx
-go test -run='^$' -fuzz='^FuzzFirstNotBelow$' -fuzztime=5s ./internal/mathx
-go test -run='^$' -fuzz='^FuzzBoundI8$' -fuzztime=5s ./internal/mathx
+gate -count=1 -run '^TestScanF64F32(MatchesPortable|IsDotF64F32|ShortSlicePanics)$' ./internal/mathx
+gate -count=1 -run '^Test(ScanF64(MatchesPortable|IsDot|ShortSlicePanics)|FirstNotBelowMatchesLoop)$' ./internal/mathx
+gate -count=1 -run '^TestBound(I8MatchesPortable|I8ShortSlicePanics|CoversTheExactScore|NonFinite)$' ./internal/mathx
+gate -run='^$' -fuzz='^FuzzScanF64F32$' -fuzztime=5s ./internal/mathx
+gate -run='^$' -fuzz='^FuzzScanF64$' -fuzztime=5s ./internal/mathx
+gate -run='^$' -fuzz='^FuzzFirstNotBelow$' -fuzztime=5s ./internal/mathx
+gate -run='^$' -fuzz='^FuzzBoundI8$' -fuzztime=5s ./internal/mathx
 go vet ./internal/mathx
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/mathx ./internal/mf ./internal/retrieval ./internal/score
@@ -203,7 +261,7 @@ for flag in avx2 fma bmi2 movbe; do
 	grep -qw "$flag" /proc/cpuinfo 2>/dev/null || v3=no
 done
 if [ "$v3" = yes ]; then
-	GOAMD64=v3 go test -count=1 -run '^Test(ScanF64(F32)?(MatchesPortable|IsDotF64F32|IsDot)|FirstNotBelowMatchesLoop|BoundI8MatchesPortable|BoundCoversTheExactScore)$' ./internal/mathx
+	(export GOAMD64=v3; gate -count=1 -run '^Test(ScanF64(F32)?(MatchesPortable|IsDotF64F32|IsDot)|FirstNotBelowMatchesLoop|BoundI8MatchesPortable|BoundCoversTheExactScore)$' ./internal/mathx)
 fi
 if find . -name '*.s' -not -path './.bench_build/*' | grep -v '^\./internal/mathx/scan_amd64\.s$' ||
 	grep -rnE --include='*.go' --exclude='*_test.go' 'func [A-Za-z]*(Scan[A-Za-z0-9]*F(32|64)|Bound[A-Za-z0-9]*(F(32|64)|I8))' . |
@@ -217,15 +275,15 @@ echo "scan kernel gate ok"
 # must land in /debug/traces with parent/child spans and populate the
 # per-stage histogram. -count=1 defeats the test cache so the gate
 # always actually runs.
-go test -race -count=1 -run '^TestTraceSmoke' ./internal/serve
+gate -race -count=1 -run '^TestTraceSmoke' ./internal/serve
 # A hedge attempt that loses its race can outlive its request and inject
 # a traceparent after the pooled Trace was recycled: Inject must read
 # under the trace's lock and write nothing for a stale handle. Ten runs,
 # because the pool decides how soon the Trace is reused.
-go test -race -count=10 -run '^TestInjectFromHedgeOutlivingRequest$' ./internal/obs/trace
+gate -race -count=10 -run '^TestInjectFromHedgeOutlivingRequest$' ./internal/obs/trace
 # The hedge itself: the timer's goroutine and the caller, who runs the
 # primary inline, share the preference walk and the result under one lock.
-go test -race -count=10 -run '^TestHedgeRace$' ./internal/cluster
+gate -race -count=10 -run '^TestHedgeRace$' ./internal/cluster
 echo "trace smoke ok"
 
 # Cluster chaos gate: the sharded-serving guarantee — with one of three
@@ -240,7 +298,7 @@ echo "trace smoke ok"
 # dropped to poprank; and the connection layer under all of it (stale
 # keep-alive, cancel, timeout, torn and oddly framed bodies, TLS, pool
 # bounds). -count=1 defeats the test cache.
-go test -race -count=1 \
+gate -race -count=1 \
 	-run '^Test(ClusterChaos|LatencyTrackerMatchesNaive|LatencyTrackerConcurrent|RouterRetriesUndecodable200OntoReplica|ShardConn)' \
 	./internal/cluster
 echo "cluster chaos gate ok"
@@ -251,8 +309,8 @@ echo "cluster chaos gate ok"
 # byte for byte what decode, label, re-encode gives. And the shard's cached
 # body with hits, invalidations and fills (single and batch) racing for one
 # user; ten runs, because the interleaving decides who fills.
-go test -run='^$' -fuzz='^FuzzRelayRecommend$' -fuzztime=5s ./internal/cluster
-go test -race -count=10 -run '^TestCachedBodyConcurrentHitInvalidateFill$' ./internal/serve
+gate -run='^$' -fuzz='^FuzzRelayRecommend$' -fuzztime=5s ./internal/cluster
+gate -race -count=10 -run '^TestCachedBodyConcurrentHitInvalidateFill$' ./internal/serve
 echo "relay gate ok"
 
 # Feedback chaos gate: the crash-safe ingest guarantee — zero
@@ -262,7 +320,7 @@ echo "relay gate ok"
 # swap, and a failed promotion leaves the old generation serving. Under
 # the race detector: ingest, overlay rebuilds, and promotion all share
 # the consistency lock. The promotion scenarios run over both a float64
-# (v2) and a float32 mapped (v3) base; the last line is the same
+# base and a float32 mapped one; the last line is the same
 # composition through cmd/clapf-serve's run(): float32 model, feedback
 # log, promotion, SIGHUP, restarts. A promotion on an IVF server carries
 # the index over — no build — and answers as a fresh build of the
@@ -270,14 +328,14 @@ echo "relay gate ok"
 # the prefix). -count=1 defeats the test cache. The WAL's group commit
 # and rotation under concurrent appends run three times: which goroutine
 # fsyncs depends on the interleaving.
-go test -race -count=1 -run '^TestFeedbackChaos' ./internal/feedback
-go test -race -count=3 -run '^TestWAL(GroupCommit|Rotation)ConcurrentAppends$' ./internal/feedback
-go test -race -count=1 -run '^TestRunFeedbackComposes' ./cmd/clapf-serve
+gate -race -count=1 -run '^TestFeedbackChaos' ./internal/feedback
+gate -race -count=3 -run '^TestWAL(GroupCommit|Rotation)ConcurrentAppends$' ./internal/feedback
+gate -race -count=1 -run '^TestRunFeedbackComposes' ./cmd/clapf-serve
 echo "feedback chaos gate ok"
 
 # WAL decoder fuzz smoke: random and mutated segment bodies against the
 # frame decoder (torn tails, bit flips, length lies) plus whole-file
 # recovery — decode must be a clean prefix parse, never a panic, and
 # recovery must leave an appendable log or fail outright.
-go test -run='^$' -fuzz='^FuzzReplay$' -fuzztime=5s ./internal/feedback
+gate -run='^$' -fuzz='^FuzzReplay$' -fuzztime=5s ./internal/feedback
 echo "feedback fuzz smoke ok"
