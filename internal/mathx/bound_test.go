@@ -5,128 +5,251 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"testing"
 )
 
-// sameBound fails unless BoundI8 — the AVX2 kernel where the host has one
-// — wrote exactly what boundI8Go, its specification, writes; non-finite
-// results compared by kind, as sameScan does.
-func sameBound(t *testing.T, label string, p []int8, delta float32, q []uint8, b []float32, n int, outOff int) {
-	t.Helper()
-	got, want := make([]float64, outOff+n+1), make([]float64, outOff+n+1)
-	const canary = -12345.5
-	Fill(got, canary)
-	Fill(want, canary)
-	BoundI8(p, delta, q, b, got[outOff:outOff+n])
+// boundScores is the specification's s̃ of every row of bd's image, padding
+// included, under the query image p and its scale.
+func boundScores(bd *Bound, p []int8, delta float32) []float64 {
+	out := make([]float64, len(bd.b))
+	boundI8Go(p, delta, querySum(p), bd.q, bd.b, out)
+	return out
+}
+
+func querySum(p []int8) int32 {
 	var sum int32
 	for _, x := range p {
 		sum += int32(x)
 	}
-	boundI8Go(p, delta, sum, q, b, want[outOff:outOff+n])
-	sameBits(t, label, got, want, outOff)
+	return sum
 }
 
-// randImage returns a query image of d elements padded to dp = 16·⌈d/16⌉
-// with zeros, and n rows of dp random bytes (padding 128) starting off
-// bytes into their buffer.
-func randImage(rng *RNG, d, n, off int) ([]int8, []uint8) {
-	dp := 16 * ((d + 15) / 16)
-	p := make([]int8, dp)
+// specBit is the survivor test's specification for one score: FirstNotBelow's
+// predicate, s not a finite value below thr.
+func specBit(s, thr float64) bool { return firstNotBelowGo([]float64{s}, thr) == 0 }
+
+// sameMask fails unless the first ⌈n/64⌉ words of got set bit j exactly
+// where specBit(scores[j], thr) holds, for j < n, and nothing past n.
+func sameMask(t *testing.T, label string, got []uint64, scores []float64, n int, thr float64) {
+	t.Helper()
+	for w := 0; w < (n+63)/64; w++ {
+		var want uint64
+		for j := w * 64; j < min(n, w*64+64); j++ {
+			if specBit(scores[j], thr) {
+				want |= 1 << (j % 64)
+			}
+		}
+		if got[w] != want {
+			diff := got[w] ^ want
+			j := w*64 + bits.TrailingZeros64(diff)
+			t.Fatalf("%s: thr %v (%#x): mask word %d = %#x, specification %#x; row %d, s̃ = %v (%#x)",
+				label, thr, math.Float64bits(thr), w, got[w], want, j, scores[j], math.Float64bits(scores[j]))
+		}
+	}
+}
+
+// boundThresholds are the thresholds a mask is checked at: NaN, ±Inf,
+// ±1e300 and zero, and for each of the given rows its own score (a tie,
+// kept), the next float64 above it (dropped, where rounding the threshold
+// to float32 to nearest or down would keep it) and the next below.
+func boundThresholds(scores []float64, rows []int) []float64 {
+	thr := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e300, -1e300, 0}
+	for _, j := range rows {
+		s := scores[j]
+		thr = append(thr, s, math.Nextafter(s, math.Inf(1)), math.Nextafter(s, math.Inf(-1)))
+	}
+	return thr
+}
+
+// sampleRows is every row of a small image and eight random ones of a
+// large one.
+func sampleRows(rng *RNG, n int) []int {
+	if n <= 48 {
+		rows := make([]int, n)
+		for j := range rows {
+			rows[j] = j
+		}
+		return rows
+	}
+	rows := make([]int, 8)
+	for j := range rows {
+		rows[j] = rng.Intn(n)
+	}
+	return rows
+}
+
+// sameBound fails unless BoundI8 — the AVX2 kernel where the host has one —
+// sets the mask bits the specification sets, over the image of bd at
+// every threshold of boundThresholds for the rows of sampleRows, the mask
+// filled with a canary beforehand and one canary word past it; twice a
+// call, boundMaskGo, the portable body, is held to the specification too.
+func sameBound(t *testing.T, label string, rng *RNG, bd *Bound, p []int8, delta float32) {
+	t.Helper()
+	n := len(bd.b)
+	scores := boundScores(bd, p, delta)
+	words := (n + 63) / 64
+	mask := make([]uint64, words+1)
+	const canary = 0xdeadbeefcafef00d
+	for i, thr := range boundThresholds(scores, sampleRows(rng, n)) {
+		for w := range mask {
+			mask[w] = canary // every bit of the mask must be written
+		}
+		BoundI8(p, delta, thr, bd.q, bd.b, mask[:words])
+		sameMask(t, label, mask, scores, n, thr)
+		if mask[words] != canary {
+			t.Fatalf("%s: BoundI8 wrote past its mask: %#x", label, mask[words])
+		}
+		if i == 0 || i == 6 {
+			boundMaskGo(p, delta, querySum(p), thr, bd.q, bd.b, mask[:words])
+			sameMask(t, label+" portable", mask, scores, n, thr)
+		}
+	}
+}
+
+// randImage is a Bound over n random rows of d bytes in the image — biases
+// random float32 values — with q and b moved to start off elements into
+// their buffers, and a random query image of its stride.
+func randImage(rng *RNG, d, n, off int) (*Bound, []int8) {
+	stride := 4 * ((d + 3) / 4)
+	padded := (n + blockRows - 1) / blockRows * blockRows
+	bd := &Bound{d: d, stride: stride}
+	bd.q = make([]uint8, off+padded*stride)[off:]
+	for j := range bd.q {
+		bd.q[j] = 128
+	}
+	for i := 0; i < n; i++ {
+		for k := 0; k < d; k++ {
+			bd.q[imageByte(stride, i, k)] = uint8(rng.Intn(256))
+		}
+	}
+	bd.b = append(make([]float32, off), randF32(rng, padded)...)[off:]
+	p := make([]int8, stride)
 	for k := 0; k < d; k++ {
 		p[k] = int8(rng.Intn(127) - 63)
 	}
-	q := make([]uint8, off+n*dp)[off:]
-	for j := range q {
-		q[j] = 128
-		if j%dp < d {
-			q[j] = uint8(rng.Intn(256))
-		}
-	}
-	return p, q
+	return bd, p
 }
 
 // boundDeltas are the scales a query can have: ordinary, zero, float32's
 // smallest subnormal, and one whose products overflow float32.
 var boundDeltas = []float32{0.013, 0, math.SmallestNonzeroFloat32, 1e36}
 
-// TestBoundI8MatchesPortable is the bound kernel's bit-identity table, at
-// eight rows a pass: every d from 1 to 67 (one to five 16-byte chunks, and
-// every amount of padding), every row count from 0 to 17 (0..7 rows left to
-// the Go body beside no pass, one and two) and around the 512-row tile, q, b
-// and out at odd offsets, under every scale of boundDeltas; a NaN, ±Inf,
-// subnormal and MaxFloat32 bias in every row of a pass (eight rows share
-// one reduce, and a special in one must not reach its neighbours' lanes);
-// and the saturation rows — every byte 255 or 1 (q = ±127) under every
-// p = ±63, the largest pair sums VPMADDUBSW can be handed.
+// TestBoundI8MatchesPortable is the bound kernel's table: its mask against
+// the specification's — boundI8Go's s̃ under FirstNotBelow's predicate — at
+// NaN, ±Inf, ±1e300 and 0 and at sampled rows' own scores (a tie, kept),
+// the next float64 above (dropped) and below. Every d from 1 to 67 (every
+// number of four-byte groups, and every amount of padding in the last),
+// 1 to 5 blocks and around the 512-row tile, q and b at odd offsets, under
+// every scale of boundDeltas; a NaN, ±Inf, subnormal and MaxFloat32 bias
+// in every row of two blocks (16 rows share a pass, and a special in one
+// must not reach its neighbours' lanes); the saturation rows — every byte
+// 255 or 1 (q = ±127) under every p = ±63, the largest pair sums
+// VPMADDUBSW can be handed; an empty query over a block and an image of
+// no rows, which never reach the kernel. Then Bound.Scan over row counts around the
+// block and the tile and unaligned spans [lo, hi): the bits of exactly the
+// span's rows, shifted to start at bit 0, the rest of the words clear.
 func TestBoundI8MatchesPortable(t *testing.T) {
 	t.Logf("AVX2 kernel in use: %v", useAVX2)
 	rng := NewRNG(51)
 	for d := 1; d <= 67; d++ {
-		for _, n := range []int{0, 1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 511, 512, 513} {
+		for _, blocks := range []int{1, 2, 3, 5, 32, 33} {
 			for _, off := range []int{0, 1, 3} {
-				p, q := randImage(rng, d, n, off)
-				b := randF32(rng, off+n)[off:]
+				bd, p := randImage(rng, d, blocks*blockRows, off)
 				for _, delta := range boundDeltas {
-					sameBound(t, fmt.Sprintf("random d=%d n=%d Δ=%g", d, n, delta), p, delta, q, b, n, off)
+					sameBound(t, fmt.Sprintf("random d=%d blocks=%d off=%d Δ=%g", d, blocks, off, delta), rng, bd, p, delta)
 				}
-				if n == 0 || n > 9 || d%16 != 1 {
+				if blocks != 2 || off != 1 || d%4 != 1 {
 					continue
 				}
-				for j := range b {
+				for j := range bd.b {
 					for _, x := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 1e-40, math.MaxFloat32} {
-						old := b[j]
-						b[j] = x
-						sameBound(t, fmt.Sprintf("special bias %v in row %d of %d", x, j, n), p, 0.013, q, b, n, off)
-						b[j] = old
+						old := bd.b[j]
+						bd.b[j] = x
+						sameBound(t, fmt.Sprintf("special bias %v in row %d, d=%d", x, j, d), rng, bd, p, 0.013)
+						bd.b[j] = old
 					}
 				}
 			}
 		}
 	}
-	for _, dp := range []int{16, 32, 64} {
-		const n = 17
-		q := make([]uint8, n*dp)
-		for j := range q {
-			if (j/dp)%2 == 0 {
-				q[j] = 255
-			} else {
-				q[j] = 1
+	for _, dp := range []int{4, 16, 32, 64} {
+		const n = 2 * blockRows
+		bd := &Bound{d: dp, stride: dp, q: make([]uint8, n*dp), b: make([]float32, n)}
+		for j := 0; j < n; j++ {
+			for k := 0; k < dp; k++ {
+				bd.q[imageByte(dp, j, k)] = uint8(255 - 254*(j%2))
 			}
 		}
-		b := make([]float32, n)
 		for _, x := range []int8{63, -63} {
 			p := make([]int8, dp)
 			for k := range p {
 				p[k] = x
 			}
-			sameBound(t, fmt.Sprintf("saturation dp=%d p=%d", dp, x), p, 1, q, b, n, 0)
-			out := make([]float64, n)
-			BoundI8(p, 1, q, b, out)
-			if want := float64(int(x) * 127 * dp); out[0] != want || out[1] != -want {
-				t.Errorf("saturation dp=%d p=%d: rows score %v, %v; want ±%v", dp, x, out[0], out[1], want)
+			label := fmt.Sprintf("saturation dp=%d p=%d", dp, x)
+			sameBound(t, label, rng, bd, p, 1)
+			if s, want := boundScores(bd, p, 1), float64(int(x)*127*dp); s[0] != want || s[1] != -want {
+				t.Errorf("%s: rows score %v, %v; want ±%v", label, s[0], s[1], want)
 			}
 		}
 	}
-	sameBound(t, "dp=0", nil, 1, nil, []float32{1, 2, 3, 4, 5, 6, 7, 8, 9}, 9, 0)
-	sameBound(t, "n=0", make([]int8, 16), 1, nil, nil, 0, 0)
+	empty := &Bound{b: make([]float32, blockRows)}
+	for j := range empty.b {
+		empty.b[j] = float32(j + 1)
+	}
+	sameBound(t, "dp=0", rng, empty, nil, 1)
+	sameBound(t, "n=0", rng, &Bound{d: 16, stride: 16}, make([]int8, 16), 1)
+
+	for _, n := range []int{1, 2, 15, 16, 17, 31, 33, 100, 511, 512, 513, 530} {
+		d := 1 + rng.Intn(20)
+		bd := BoundOverF32(randF32(rng, n*d), randF32(rng, n), d)
+		p := make([]int8, bd.Stride())
+		delta, _ := bd.Query(randF64(rng, d), p)
+		scores := boundScores(bd, p, delta)
+		spans := [][2]int{{0, n}, {1, n}, {min(3, n), max(min(3, n), n-2)}, {n / 3, n / 2}, {min(15, n), min(17, n)}, {n, n}}
+		for range 6 {
+			lo := rng.Intn(n)
+			spans = append(spans, [2]int{lo, lo + rng.Intn(n-lo+1)})
+		}
+		for _, span := range spans {
+			lo, hi := span[0], span[1]
+			label := fmt.Sprintf("Scan n=%d d=%d [%d, %d)", n, d, lo, hi)
+			words := (hi-lo)/64 + 2
+			mask := make([]uint64, words+1)
+			for _, thr := range boundThresholds(scores[lo:hi], sampleRows(rng, hi-lo)) {
+				for w := range mask {
+					mask[w] = 0xdeadbeefcafef00d
+				}
+				got := bd.Scan(p, delta, thr, lo, hi, mask[:words])
+				if len(got) != (hi-lo+63)/64 {
+					t.Fatalf("%s: %d mask words, want %d", label, len(got), (hi-lo+63)/64)
+				}
+				sameMask(t, label, got, scores[lo:hi], hi-lo, thr)
+				if mask[words] != 0xdeadbeefcafef00d {
+					t.Fatalf("%s: Scan wrote past its mask", label)
+				}
+			}
+		}
+	}
 }
 
-// TestBoundI8ShortSlicePanics: a q, b or out one element short (or long), a
-// query that is not whole 16-byte chunks, or one with an element outside
-// [−63, 63], is refused before the kernel is handed a pointer.
+// TestBoundI8ShortSlicePanics: a q one element short (or long), a b that
+// is not whole blocks, a mask short of a word, a query that is not whole
+// four-byte groups, or one with an element outside [−63, 63], is refused
+// before the kernel is handed a pointer.
 func TestBoundI8ShortSlicePanics(t *testing.T) {
-	const n, dp = 9, 16
-	p, q, b, out := make([]int8, dp), make([]uint8, n*dp), make([]float32, n), make([]float64, n)
+	const n, dp = 2 * blockRows, 8
+	p, q, b, mask := make([]int8, dp), make([]uint8, n*dp), make([]float32, n), make([]uint64, 1)
 	wide := make([]int8, dp)
 	wide[3] = 64
 	for name, call := range map[string]func(){
-		"q short":   func() { BoundI8(p, 1, q[:n*dp-1], b, out) },
-		"q long":    func() { BoundI8(p, 1, append(q, 0), b, out) },
-		"b short":   func() { BoundI8(p, 1, q, b[:n-1], out) },
-		"b nil":     func() { BoundI8(p, 1, q, nil, out) },
-		"out short": func() { BoundI8(p, 1, q, b, out[:n-1]) },
-		"p ragged":  func() { BoundI8(p[:dp-1], 1, q[:n*(dp-1)], b, out) },
-		"p wide":    func() { BoundI8(wide, 1, q, b, out) },
+		"q short":    func() { BoundI8(p, 1, 0, q[:n*dp-1], b, mask) },
+		"q long":     func() { BoundI8(p, 1, 0, append(q, 0), b, mask) },
+		"b ragged":   func() { BoundI8(p, 1, 0, q[:(n-1)*dp], b[:n-1], mask) },
+		"b nil":      func() { BoundI8(p, 1, 0, q, nil, mask) },
+		"mask short": func() { BoundI8(p, 1, 0, q, b, nil) },
+		"p ragged":   func() { BoundI8(p[:dp-1], 1, 0, q[:n*(dp-1)], b, mask) },
+		"p wide":     func() { BoundI8(wide, 1, 0, q, b, mask) },
 	} {
 		func() {
 			defer func() {
@@ -137,7 +260,7 @@ func TestBoundI8ShortSlicePanics(t *testing.T) {
 			call()
 		}()
 	}
-	BoundI8(p, 1, q, b, out)
+	BoundI8(p, 1, 0, q, b, mask)
 }
 
 // within reports |approx − exact| ≤ tol, decided exactly: the difference
@@ -148,24 +271,26 @@ func within(approx, exact, tol float64) bool {
 }
 
 // checkBound holds the filter's contract over every row of bd under the
-// query u: where the bound scan and E are both finite, the exact score —
+// query u: where the bound score s̃ and E are both finite, the exact score —
 // exact(i), the representation's own one-row kernel — is finite too and
-// within E of the bound scan's. A non-finite s̃ or E skips nothing, so it
+// within E of s̃; and Scan keeps the row against the threshold s − E, the
+// lowest floor it must place at. A non-finite s̃ or E skips nothing, so it
 // promises nothing.
-func checkBound(t *testing.T, label string, bd *Bound, u []float64, exact func(i int) float64) {
+func checkBound(t *testing.T, label string, bd *Bound, u []float64, n int, exact func(i int) float64) {
 	t.Helper()
 	p := make([]int8, bd.Stride())
 	delta, tol := bd.Query(u, p)
-	n := len(bd.b)
-	approx := make([]float64, n)
-	bd.Scan(p, delta, 0, n, approx)
-	for i, st := range approx {
+	var mask [2]uint64
+	for i, st := range boundScores(bd, p, delta)[:n] {
 		if st-st != 0 || tol-tol != 0 {
 			continue
 		}
 		s := exact(i)
 		if s-s != 0 || !within(st, s, tol) {
 			t.Fatalf("%s: row %d: bound scan %v (%#x), exact %v (%#x), E = %v", label, i, st, math.Float64bits(st), s, math.Float64bits(s), tol)
+		}
+		if bd.Scan(p, delta, s-tol, i, i+1, mask[:])[0] != 1 {
+			t.Fatalf("%s: row %d: exact %v, E = %v: Scan drops it at the threshold s − E", label, i, s, tol)
 		}
 	}
 }
@@ -177,7 +302,7 @@ func checkBoundF32(t *testing.T, label string, u []float64, v, b []float32) {
 	t.Helper()
 	d := len(u)
 	one := make([]float64, 1)
-	checkBound(t, label+" f32", BoundOverF32(v, b, d), u, func(i int) float64 {
+	checkBound(t, label+" f32", BoundOverF32(v, b, d), u, len(v)/d, func(i int) float64 {
 		var bi []float32
 		if b != nil {
 			bi = b[i : i+1]
@@ -191,7 +316,7 @@ func checkBoundF64(t *testing.T, label string, u, v, b []float64) {
 	t.Helper()
 	d := len(u)
 	one := make([]float64, 1)
-	checkBound(t, label+" f64", BoundOverF64(v, b, d), u, func(i int) float64 {
+	checkBound(t, label+" f64", BoundOverF64(v, b, d), u, len(v)/d, func(i int) float64 {
 		var bi []float64
 		if b != nil {
 			bi = b[i : i+1]
@@ -347,9 +472,7 @@ func TestBoundNonFinite(t *testing.T) {
 	u := randF64(rng, d)
 	p := make([]int8, bd.Stride())
 	delta, tol := bd.Query(u, p)
-	out := make([]float64, 5)
-	bd.Scan(p, delta, 0, 5, out)
-	for i, s := range out {
+	for i, s := range boundScores(bd, p, delta)[:5] {
 		if notFinite := i >= 1 && i <= 3; notFinite != math.IsNaN(s) || notFinite != math.IsNaN(float64(bd.b[i])) {
 			t.Errorf("row %d: bound scan %v, bias %v", i, s, bd.b[i])
 		}
@@ -378,9 +501,9 @@ func TestBoundNonFinite(t *testing.T) {
 }
 
 // FuzzBoundI8 feeds raw bit patterns through the bound's build, query and
-// kernel: the kernel against its portable loop over the image the bound
-// built, and E over the same bits read as a float32 catalog and as a
-// float64 one. The first byte picks d, the second the offset parity; then
+// kernel: the kernel's mask against the specification's over the image
+// the bound built, at every threshold sameBound tries, and E over the same
+// bits read as a float32 catalog and as a float64 one. The first byte picks d, the second the offset parity; then
 // the query as float64 words (so values float32 cannot hold are reachable),
 // then the rows and biases as float32 words. The float64 catalog widens
 // the same words and scales every other one by 2⁻¹⁴⁰ or 2⁺¹⁴⁰, so
@@ -440,51 +563,15 @@ func FuzzBoundI8(f *testing.F) {
 				v64[i] = math.Ldexp(v64[i], 140*(1-2*(i/2%2)))
 			}
 		}
+		rng := NewRNG(uint64(n))
 		for _, bd := range []*Bound{BoundOverF32(v, b, d), BoundOverF64(v64, b64, d)} {
 			p := make([]int8, bd.Stride())
 			delta, _ := bd.Query(u, p)
-			sameBound(t, "fuzz", p, delta, bd.q, bd.b, n, 0)
+			sameBound(t, "fuzz", rng, bd, p, delta)
 		}
 		checkBoundF32(t, "fuzz", u, v, b)
 		checkBoundF32(t, "fuzz, no bias", u, v, nil)
 		checkBoundF64(t, "fuzz", u, v64, b64)
 		checkBoundF64(t, "fuzz, no bias", u, v64, nil)
 	})
-}
-
-// BenchmarkBoundI8 is the filter's scan at the benchmark's catalog shape,
-// beside BenchmarkScanF64F32: tiles scans it as score.Engine.sweep does,
-// 53 calls of at most 512 rows into one 4 KB buffer; portable is the Go
-// loop over the whole catalog.
-func BenchmarkBoundI8(b *testing.B) {
-	const n, tile = 26744, 512
-	rng := NewRNG(1)
-	for _, d := range []int{16, 18} {
-		bd := BoundOverF32(randF32(rng, n*d), randF32(rng, n), d)
-		p, out := make([]int8, bd.Stride()), make([]float64, n)
-		delta, _ := bd.Query(randF64(rng, d), p)
-		var sum int32
-		for _, x := range p {
-			sum += int32(x)
-		}
-		for _, impl := range []struct {
-			name string
-			scan func()
-		}{
-			{"tiles", func() {
-				for lo := 0; lo < n; lo += tile {
-					hi := min(lo+tile, n)
-					bd.Scan(p, delta, lo, hi, out[:hi-lo])
-				}
-			}},
-			{"portable", func() { boundI8Go(p, delta, sum, bd.q, bd.b, out) }},
-		} {
-			b.Run(fmt.Sprintf("%s/d=%d", impl.name, d), func(b *testing.B) {
-				b.SetBytes(int64(len(bd.q) + 4*len(bd.b)))
-				for i := 0; i < b.N; i++ {
-					impl.scan()
-				}
-			})
-		}
-	}
 }

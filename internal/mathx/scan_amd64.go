@@ -1,5 +1,7 @@
 package mathx
 
+import "math"
+
 // useAVX is the one selection: the CPU and the OS both support AVX.
 var useAVX = cpuHasAVX()
 
@@ -59,23 +61,27 @@ var useAVX2 = useAVX && cpuHasAVX2()
 
 func cpuHasAVX2() bool
 
-// boundI8AVX2 is boundI8Go over n > 0 rows of dp > 0 bytes, n a multiple
-// of eight and dp of sixteen.
+// boundI8AVX2 is boundMaskGo over blocks > 0 blocks of 16 rows, groups > 0
+// groups of four dimensions each, against thr, the smallest float32 not
+// below boundMaskGo's threshold; it writes 16 bits a block into mask.
 //
 //go:noescape
-func boundI8AVX2(p *int8, q *uint8, b *float32, out *float64, n, dp int, delta float32, sum int32)
+func boundI8AVX2(p *int8, q *uint8, b *float32, mask *uint64, blocks, groups int, delta float32, sum int32, thr float32)
 
-func boundI8(p []int8, delta float32, sum int32, q []uint8, b []float32, out []float64) {
-	dp, n8 := len(p), len(out)&^7
-	if !useAVX2 || dp == 0 || n8 == 0 {
-		boundI8Go(p, delta, sum, q, b, out)
+func boundI8(p []int8, delta float32, sum int32, thr float64, q []uint8, b []float32, mask []uint64) {
+	if !useAVX2 || len(p) == 0 || len(b) == 0 {
+		boundMaskGo(p, delta, sum, thr, q, b, mask)
 		return
 	}
-	// BoundI8 checked len(q) and len(b) against n*dp and n: the kernel
-	// reads exactly the first n8 rows and biases; the Go body takes the
-	// zero to seven rows left.
-	boundI8AVX2(&p[0], &q[0], &b[0], &out[0], n8, dp, delta, sum)
-	boundI8Go(p, delta, sum, q[n8*dp:], b[n8:], out[n8:])
+	// BoundI8 checked len(q), len(b) and len(mask): the kernel reads
+	// exactly the len(b)/16 blocks and writes their 16 bits each, and
+	// nothing else; the last word's bits past them are cleared here.
+	mask[len(mask)-1] = 0
+	t := float32(thr)
+	if float64(t) < thr {
+		t = math.Nextafter32(t, float32(math.Inf(1)))
+	}
+	boundI8AVX2(&p[0], &q[0], &b[0], &mask[0], len(b)/blockRows, len(p)/4, delta, sum, t)
 }
 
 // firstNotBelowAVX is firstNotBelowGo over n > 0 scores, n a multiple of

@@ -221,112 +221,112 @@ no2:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func boundI8AVX2(p *int8, q *uint8, b *float32, out *float64, n, dp int, delta float32, sum int32)
+// func boundI8AVX2(p *int8, q *uint8, b *float32, mask *uint64, blocks, groups int, delta float32, sum int32, thr float32)
 //
-// Eight rows per pass, n a multiple of eight, dp of sixteen. Each 16-byte
-// chunk of the query is broadcast to both halves of Y8, and each of Y4..Y7
-// takes the same chunk of two rows, r in the low half and r+4 in the high
-// one. VPMADDUBSW multiplies the rows' unsigned bytes by the query's
-// signed ones and adds neighbours into 16-bit sums (|p| ≤ 63, so at most
-// 2·255·63: never saturated); VPMADDWD by ones adds neighbouring sums into
-// 32-bit lanes, four a row, which the first chunk writes to Y0..Y3 and
-// later chunks VPADDD onto them. Integer adds are exact and associative
-// (mod 2³², as boundI8Go's int32 adds are), so the order is free: three
-// VPHADDD finish every row's sum in lane r, VPSUBD takes 128·Σp off, and
-// the float part is boundI8Go's: VCVTDQ2PS, VMULPS by Δ, VADDPS of the
-// bias, never fused. The scores are widened to float64 on the way out.
-// Row r is r row-lengths past the pass's cursor AX, so one cursor walks
-// all eight. Every memory operand is VEX-encoded and so alignment-free.
-TEXT ·boundI8AVX2(SB), NOSPLIT, $0-56
+// One block of 16 rows a pass, the image in imageByte's layout: each group
+// of four dimensions is 64 bytes, rows 0..7 of the block four bytes each,
+// then rows 8..15. Groups go two a loop pass, after one on its own when
+// their count is odd. The query's four bytes of a group are broadcast to
+// every lane of Y8 (Y10); VPMADDUBSW multiplies the rows' unsigned bytes by them
+// and adds neighbours into 16-bit sums (|p| ≤ 63, so at most 2·255·63:
+// never saturated), VPMADDWD by ones adds the two sums of a row into its
+// 32-bit lane, and VPADDD adds that onto the row's running sum, lane r row
+// r's in Y0 (rows 0..7) and Y1 (rows 8..15). Integer adds are exact and
+// associative (mod 2³², as boundI8Go's int32 adds are), so no horizontal
+// add is needed and the order is free. VPSUBD takes 128·Σp off, and the
+// float part is boundI8Go's: VCVTDQ2PS, VMULPS by Δ, VADDPS of the bias,
+// never fused. Then the survivor test instead of a store: a lane is set
+// when its score is not below thr (NLT_US: true for a tie, and for a NaN
+// on either side) or is not finite (s̃ − s̃ NEQ_UQ 0), and the two
+// VMOVMSKPS masks are the block's 16 bits, row r bit r. Every memory
+// operand is VEX-encoded and so alignment-free.
+TEXT ·boundI8AVX2(SB), NOSPLIT, $0-60
 	MOVQ         p+0(FP), SI
 	MOVQ         q+8(FP), DI
 	MOVQ         b+16(FP), BX
-	MOVQ         out+24(FP), DX
-	MOVQ         n+32(FP), CX
-	MOVQ         dp+40(FP), R10    // bytes in a row
-	LEAQ         (R10)(R10*2), R11 // three rows
-	LEAQ         (R10)(R10*4), R12 // five rows
-	LEAQ         (R11)(R10*4), R13 // seven rows
+	MOVQ         mask+24(FP), DX
+	MOVQ         blocks+32(FP), CX
+	MOVQ         groups+40(FP), R10
 	VPCMPEQW     Y9, Y9, Y9
 	VPSRLW       $15, Y9, Y9 // sixteen 16-bit ones
 	MOVL         sum+52(FP), AX
 	SHLL         $7, AX // 128·Σp
 	VMOVD        AX, X11
 	VPBROADCASTD X11, Y11
-	MOVL         delta+48(FP), AX
-	VMOVD        AX, X12
-	VBROADCASTSS X12, Y12
+	VBROADCASTSS delta+48(FP), Y12
+	VBROADCASTSS thr+56(FP), Y13
+	VXORPS       Y14, Y14, Y14
 
-passI8:
-	MOVQ           DI, AX // row 0's cursor
-	MOVQ           SI, R8 // the query's
-	MOVQ           R10, R9
-	SHRQ           $4, R9 // chunks
-	VBROADCASTI128 (R8), Y8
-	VMOVDQU        (AX), X4
-	VINSERTI128    $1, (AX)(R10*4), Y4, Y4 // rows 0 | 4
-	VMOVDQU        (AX)(R10*1), X5
-	VINSERTI128    $1, (AX)(R12*1), Y5, Y5 // rows 1 | 5
-	VMOVDQU        (AX)(R10*2), X6
-	VINSERTI128    $1, (AX)(R11*2), Y6, Y6 // rows 2 | 6
-	VMOVDQU        (AX)(R11*1), X7
-	VINSERTI128    $1, (AX)(R13*1), Y7, Y7 // rows 3 | 7
-	VPMADDUBSW     Y8, Y4, Y4
-	VPMADDUBSW     Y8, Y5, Y5
-	VPMADDUBSW     Y8, Y6, Y6
-	VPMADDUBSW     Y8, Y7, Y7
-	VPMADDWD       Y9, Y4, Y0
-	VPMADDWD       Y9, Y5, Y1
-	VPMADDWD       Y9, Y6, Y2
-	VPMADDWD       Y9, Y7, Y3
-	DECQ           R9
-	JZ             reduceI8
+blockI8:
+	MOVQ   SI, R8  // the query's cursor
+	MOVQ   R10, R9 // groups left
+	VPXOR  Y0, Y0, Y0
+	VPXOR  Y1, Y1, Y1
+	TESTQ  $1, R9
+	JZ     pairI8
 
-chunkI8:
-	ADDQ           $16, AX
-	ADDQ           $16, R8
-	VBROADCASTI128 (R8), Y8
-	VMOVDQU        (AX), X4
-	VINSERTI128    $1, (AX)(R10*4), Y4, Y4 // rows 0 | 4
-	VMOVDQU        (AX)(R10*1), X5
-	VINSERTI128    $1, (AX)(R12*1), Y5, Y5 // rows 1 | 5
-	VMOVDQU        (AX)(R10*2), X6
-	VINSERTI128    $1, (AX)(R11*2), Y6, Y6 // rows 2 | 6
-	VMOVDQU        (AX)(R11*1), X7
-	VINSERTI128    $1, (AX)(R13*1), Y7, Y7 // rows 3 | 7
-	VPMADDUBSW     Y8, Y4, Y4
-	VPMADDUBSW     Y8, Y5, Y5
-	VPMADDUBSW     Y8, Y6, Y6
-	VPMADDUBSW     Y8, Y7, Y7
-	VPMADDWD       Y9, Y4, Y4
-	VPMADDWD       Y9, Y5, Y5
-	VPMADDWD       Y9, Y6, Y6
-	VPMADDWD       Y9, Y7, Y7
-	VPADDD         Y4, Y0, Y0
-	VPADDD         Y5, Y1, Y1
-	VPADDD         Y6, Y2, Y2
-	VPADDD         Y7, Y3, Y3
-	DECQ           R9
-	JNZ            chunkI8
+	VPBROADCASTD (R8), Y8
+	VMOVDQU      (DI), Y4   // rows 0..7
+	VMOVDQU      32(DI), Y5 // rows 8..15
+	VPMADDUBSW   Y8, Y4, Y4
+	VPMADDUBSW   Y8, Y5, Y5
+	VPMADDWD     Y9, Y4, Y0
+	VPMADDWD     Y9, Y5, Y1
+	ADDQ         $4, R8
+	ADDQ         $64, DI
+	DECQ         R9
+	JZ           sumI8
 
-reduceI8:
-	VPHADDD      Y1, Y0, Y0 // rows 0, 0, 1, 1 | 4, 4, 5, 5
-	VPHADDD      Y3, Y2, Y2 // rows 2, 2, 3, 3 | 6, 6, 7, 7
-	VPHADDD      Y2, Y0, Y0 // rows 0..3 | 4..7
-	VPSUBD       Y11, Y0, Y0
-	VCVTDQ2PS    Y0, Y0
-	VMULPS       Y12, Y0, Y0
-	VADDPS       (BX), Y0, Y0
-	ADDQ         $32, BX
-	VCVTPS2PD    X0, Y1
-	VEXTRACTF128 $1, Y0, X2
-	VCVTPS2PD    X2, Y2
-	VMOVUPD      Y1, (DX)
-	VMOVUPD      Y2, 32(DX)
-	ADDQ         $64, DX
-	LEAQ         (DI)(R10*8), DI
-	SUBQ         $8, CX
-	JNZ          passI8
+pairI8:
+	VPBROADCASTD (R8), Y8
+	VPBROADCASTD 4(R8), Y10
+	VMOVDQU      (DI), Y4
+	VMOVDQU      32(DI), Y5
+	VMOVDQU      64(DI), Y6
+	VMOVDQU      96(DI), Y7
+	VPMADDUBSW   Y8, Y4, Y4
+	VPMADDUBSW   Y8, Y5, Y5
+	VPMADDUBSW   Y10, Y6, Y6
+	VPMADDUBSW   Y10, Y7, Y7
+	VPMADDWD     Y9, Y4, Y4
+	VPMADDWD     Y9, Y5, Y5
+	VPMADDWD     Y9, Y6, Y6
+	VPMADDWD     Y9, Y7, Y7
+	VPADDD       Y4, Y0, Y0
+	VPADDD       Y5, Y1, Y1
+	VPADDD       Y6, Y0, Y0
+	VPADDD       Y7, Y1, Y1
+	ADDQ         $8, R8
+	ADDQ         $128, DI
+	SUBQ         $2, R9
+	JNZ          pairI8
+
+sumI8:
+	VPSUBD    Y11, Y0, Y0
+	VPSUBD    Y11, Y1, Y1
+	VCVTDQ2PS Y0, Y0
+	VCVTDQ2PS Y1, Y1
+	VMULPS    Y12, Y0, Y0
+	VMULPS    Y12, Y1, Y1
+	VADDPS    (BX), Y0, Y0
+	VADDPS    32(BX), Y1, Y1
+	VCMPPS    $5, Y13, Y0, Y2 // NLT_US: !(s̃ < thr)
+	VCMPPS    $5, Y13, Y1, Y3
+	VSUBPS    Y0, Y0, Y0
+	VSUBPS    Y1, Y1, Y1
+	VCMPPS    $4, Y14, Y0, Y0 // NEQ_UQ: s̃ − s̃ != 0
+	VCMPPS    $4, Y14, Y1, Y1
+	VORPS     Y0, Y2, Y2
+	VORPS     Y1, Y3, Y3
+	VMOVMSKPS Y2, AX
+	VMOVMSKPS Y3, R11
+	SHLL      $8, R11
+	ORL       R11, AX
+	MOVW      AX, (DX)
+	ADDQ      $64, BX
+	ADDQ      $2, DX
+	DECQ      CX
+	JNZ       blockI8
 	VZEROUPPER
 	RET
 

@@ -151,3 +151,61 @@ func TestF32CountNonFinite(t *testing.T) {
 		t.Errorf("CountNonFinite = (%d, %d, %d), want (1, 1, 0)", cu, cv, cb)
 	}
 }
+
+// TestScanMaskedMatchesScan: ItemRows.ScanMasked, called until it returns
+// no rows, returns exactly the rows its mask sets, ascending, each with the
+// bits Scan gives it, and clears the mask — over float64 and float32 rows,
+// with and without a bias, for an empty mask, a lone row (scanned in
+// place), a full one and random ones longer than one call takes, at an
+// offset lo.
+func TestScanMaskedMatchesScan(t *testing.T) {
+	const n, d, lo = 150, 6, 7
+	rng := mathx.NewRNG(5)
+	for _, useBias := range []bool{true, false} {
+		m := MustNew(Config{NumUsers: 2, NumItems: n, Dim: d, UseBias: useBias})
+		m.InitGaussian(rng, 0.3)
+		if useBias {
+			for i := int32(0); i < n; i++ {
+				m.AddBias(i, rng.NormFloat64())
+			}
+		}
+		for name, p := range map[string]Params{"f64": m, "f32": QuantizeF32(m)} {
+			r := Items(p)
+			uf := p.UserVector(1, nil)
+			want := make([]float64, n-lo)
+			r.Scan(uf, lo, n, want)
+			const last = 1<<(n-lo-128) - 1
+			masks := [][3]uint64{{}, {1 << 40}, {0, 0, last}, {^uint64(0), ^uint64(0), last}}
+			for range 20 {
+				masks = append(masks, [3]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64() & last})
+			}
+			var g Gather
+			out := make([]float64, n)
+			for _, mask := range masks {
+				bits := mask
+				var rows []int32
+				var scores []float64
+				for {
+					r1, s1 := r.ScanMasked(uf, lo, bits[:], &g, out)
+					if len(r1) == 0 {
+						break
+					}
+					rows, scores = append(rows, r1...), append(scores, s1...)
+				}
+				j := 0
+				for b := 0; b < n-lo; b++ {
+					if mask[b/64]&(1<<(b%64)) == 0 {
+						continue
+					}
+					if j >= len(rows) || rows[j] != int32(lo+b) || math.Float64bits(scores[j]) != math.Float64bits(want[b]) {
+						t.Fatalf("%s bias=%v mask %x: rows %v scores %v; row %d should be entry %d, score %v", name, useBias, mask, rows, scores, lo+b, j, want[b])
+					}
+					j++
+				}
+				if j != len(rows) || len(scores) != len(rows) || bits != [3]uint64{} {
+					t.Fatalf("%s bias=%v mask %x: %d rows, %d scores, want %d; mask left %x", name, useBias, mask, len(rows), len(scores), j, bits)
+				}
+			}
+		}
+	}
+}

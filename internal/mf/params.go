@@ -1,6 +1,11 @@
 package mf
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+
+	"clapf/internal/mathx"
+)
 
 // Params is the read-only scoring surface the serving stack works against:
 // rows (UserVector, ItemVector, Bias) and one item scan (ScoreRangeFoldIn).
@@ -30,7 +35,7 @@ type Params interface {
 	// A stored user is scored under UserVector(u); a cold-start or
 	// overlaid user under its folded-in vector. score.Engine tiles full
 	// rows and blocked batches through it; its fused top-K reads the rows
-	// (Items) and runs the same kernel over the one row that can place.
+	// (Items) and runs the same kernel over the rows that can place.
 	ScoreRangeFoldIn(userFactors []float64, lo, hi int, out []float64)
 
 	// UserVector returns U_u as float64, reusing dst when it has
@@ -74,8 +79,8 @@ type ItemRows struct {
 // (or that of the one a type embeds), and an *Overlay's base's, since an
 // overlay replaces user rows only. The slices are read-only to the caller.
 // It is how a scan that takes rows rather than the Params interface — the
-// fused top-K's bound filter and its one-row rescoring — reaches them
-// without a copy.
+// fused top-K's bound filter and its rescoring of the rows that pass it —
+// reaches them without a copy.
 func Items(p Params) ItemRows {
 	switch p := p.(type) {
 	case *Overlay:
@@ -88,6 +93,96 @@ func Items(p Params) ItemRows {
 		return ItemRows{V32: v, B32: b}
 	}
 	panic(fmt.Sprintf("mf: no item rows for a %T", p))
+}
+
+// Scan writes the scores of rows [lo, hi) under uf into out with the kernel
+// the parameter set's ScoreRangeFoldIn runs: mathx.ScanF64 over float64
+// rows, mathx.ScanF64F32 over float32 ones.
+func (r ItemRows) Scan(uf []float64, lo, hi int, out []float64) {
+	d := len(uf)
+	if r.V32 != nil {
+		var b []float32
+		if r.B32 != nil {
+			b = r.B32[lo:hi]
+		}
+		mathx.ScanF64F32(uf, r.V32[lo*d:hi*d], b, out)
+		return
+	}
+	var b []float64
+	if r.B64 != nil {
+		b = r.B64[lo:hi]
+	}
+	mathx.ScanF64(uf, r.V64[lo*d:hi*d], b, out)
+}
+
+// Gather is ItemRows.ScanMasked's scratch: room for the rows a call copies
+// together, at either width — 3.5 KB, meant to live in the caller's frame,
+// zeroed once a scan, so that a scan allocates nothing.
+type Gather struct {
+	rows [gatherRows]int32
+	v64  [gatherElems]float64
+	b64  [gatherRows]float64
+	v32  [gatherElems]float32
+	b32  [gatherRows]float32
+}
+
+// gatherRows and gatherElems bound one ScanMasked call: at most 32 rows and
+// 256 elements, 16 rows of 16. A tile of the served catalog lets one or two
+// rows through; a longer mask takes more calls.
+const gatherRows, gatherElems = 32, 256
+
+// ScanMasked scores under uf the rows lo+j for the set bits j of mask — bit
+// j%64 of mask[j/64] — and returns their row numbers, ascending, and their
+// scores in out, the bits Scan gives each row. It takes as many rows as g
+// holds, clears their bits and leaves the rest for the next call: a caller
+// loops until it returns no rows. The rows are copied together into g
+// first (a lone row is scanned where it is), so one kernel call scores
+// them all; the row numbers are g's, valid until its next use.
+func (r ItemRows) ScanMasked(uf []float64, lo int, mask []uint64, g *Gather, out []float64) ([]int32, []float64) {
+	d := len(uf)
+	most := max(1, min(gatherRows, gatherElems/max(d, 1)))
+	rows := g.rows[:0]
+	for w := range mask {
+		for ; mask[w] != 0 && len(rows) < most; mask[w] &= mask[w] - 1 {
+			rows = append(rows, int32(lo+w*64+bits.TrailingZeros64(mask[w])))
+		}
+	}
+	scores := out[:len(rows)]
+	if len(rows) == 0 {
+		return rows, scores
+	}
+	if r.V32 != nil {
+		v, b := gather(r.V32, r.B32, rows, d, g.v32[:], g.b32[:])
+		mathx.ScanF64F32(uf, v, b, scores)
+	} else {
+		v, b := gather(r.V64, r.B64, rows, d, g.v64[:], g.b64[:])
+		mathx.ScanF64(uf, v, b, scores)
+	}
+	return rows, scores
+}
+
+// gather returns the given rows of v, d wide, and their biases (nil when b
+// is nil) as one block: a lone row where it lies, more copied into gv and
+// gb.
+func gather[T float32 | float64](v, b []T, rows []int32, d int, gv, gb []T) ([]T, []T) {
+	if len(rows) == 1 {
+		i := int(rows[0])
+		if b != nil {
+			b = b[i : i+1]
+		}
+		return v[i*d : (i+1)*d], b
+	}
+	gv, gb = gv[:len(rows)*d], gb[:len(rows)]
+	for j, i := range rows {
+		copy(gv[j*d:(j+1)*d], v[int(i)*d:])
+		if b != nil {
+			gb[j] = b[i]
+		}
+	}
+	if b == nil {
+		gb = nil
+	}
+	return gv, gb
 }
 
 // UserVector returns U_u. The model stores float64 natively, so this is the

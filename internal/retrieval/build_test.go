@@ -39,9 +39,9 @@ func indexDiff(a, b *Index) string {
 		return "offsets"
 	case !slices.Equal(a.ids, b.ids):
 		return "ids"
-	case !slices.EqualFunc(a.vecs, b.vecs, sameBits) || !slices.EqualFunc(a.vecs32, b.vecs32, sameBits32):
+	case !slices.EqualFunc(a.rows.V64, b.rows.V64, sameBits) || !slices.EqualFunc(a.rows.V32, b.rows.V32, sameBits32):
 		return "vecs"
-	case !slices.EqualFunc(a.bias, b.bias, sameBits) || !slices.EqualFunc(a.bias32, b.bias32, sameBits32):
+	case !slices.EqualFunc(a.rows.B64, b.rows.B64, sameBits) || !slices.EqualFunc(a.rows.B32, b.rows.B32, sameBits32):
 		return "bias"
 	}
 	return ""

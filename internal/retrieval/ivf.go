@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -18,13 +19,13 @@ import (
 // long as Indexes says the new item half is the one it packed, and builds
 // a fresh one only when it is not. Beside the pack it holds the bound
 // filter SearchCells scans first (mathx.Bound): an int8 image of the packed
-// rows in slot order, 16·⌈d/16⌉ + 4 bytes an item, whatever the pack's
+// rows in slot order, 4·⌈d/4⌉ + 4 bytes an item, whatever the pack's
 // precision.
 //
 // Layout: item parameters are *packed* cell-major — each cell's member
 // vectors (dim floats a row) sit contiguously in one array and their
 // biases in another, ids ascending within the cell, which is the shape
-// mathx.Bound, ScanF64 and ScanF64F32 take. Scoring a cell is then
+// mathx.Bound and mf.ItemRows take. Scoring a cell is then
 // literally the exact scan's tile loop (score.Engine) over a different
 // span, at the same cache behavior; the speedup over exact is the fraction
 // of the catalog pruned away.
@@ -41,17 +42,13 @@ type Index struct {
 	probeBias []float64
 
 	// ids lists every item id exactly once, cell-major, ascending within
-	// each cell; vecs and bias hold the matching V_i rows and b_i.
-	// offsets[c]..offsets[c+1] is cell c's span in all three. Exactly one
-	// of vecs/vecs32 (with its bias array) is non-nil: an index built from
-	// a float32 parameter set (mf.Factors32) packs float32 rows and scans
-	// them with the mixed-precision kernel, halving the bytes each probe
-	// streams.
+	// each cell; rows holds the matching V_i rows and b_i, slot for slot.
+	// offsets[c]..offsets[c+1] is cell c's span in both. An index built
+	// from a float32 parameter set (mf.Factors32) packs float32 rows
+	// (rows.V32, B32) and scans them with the mixed-precision kernel,
+	// halving the bytes each probe streams; any other packs float64 rows.
 	ids     []int32
-	vecs    []float64
-	bias    []float64
-	vecs32  []float32
-	bias32  []float32
+	rows    mf.ItemRows
 	offsets []int32
 
 	bound *mathx.Bound // over the packed rows, in slot order
@@ -111,9 +108,9 @@ func BuildIVF(m mf.Params, cfg Config) (*Index, error) {
 	f32src, isF32 := m.(*mf.Factors32)
 	if isF32 {
 		_, v32, b32 = f32src.RawParams32()
-		ix.vecs32, ix.bias32 = make([]float32, n*d), make([]float32, n)
+		ix.rows = mf.ItemRows{V32: make([]float32, n*d), B32: make([]float32, n)}
 	} else {
-		ix.vecs, ix.bias = make([]float64, n*d), make([]float64, n)
+		ix.rows = mf.ItemRows{V64: make([]float64, n*d), B64: make([]float64, n)}
 	}
 	cursor := make([]int32, nlist)
 	copy(cursor, offsets[:nlist])
@@ -124,20 +121,20 @@ func BuildIVF(m mf.Params, cfg Config) (*Index, error) {
 		cursor[c]++
 		ix.ids[slot] = int32(i)
 		if isF32 {
-			copy(ix.vecs32[slot*d:slot*d+d], v32[i*d:i*d+d])
+			copy(ix.rows.V32[slot*d:slot*d+d], v32[i*d:i*d+d])
 			if b32 != nil {
-				ix.bias32[slot] = b32[i]
+				ix.rows.B32[slot] = b32[i]
 			}
 			continue
 		}
 		vbuf = m.ItemVector(int32(i), vbuf)
-		copy(ix.vecs[slot*d:slot*d+d], vbuf)
-		ix.bias[slot] = m.Bias(int32(i))
+		copy(ix.rows.V64[slot*d:slot*d+d], vbuf)
+		ix.rows.B64[slot] = m.Bias(int32(i))
 	}
 	if isF32 {
-		ix.bound = mathx.BoundOverF32(ix.vecs32, ix.bias32, d)
+		ix.bound = mathx.BoundOverF32(ix.rows.V32, ix.rows.B32, d)
 	} else {
-		ix.bound = mathx.BoundOverF64(ix.vecs, ix.bias, d)
+		ix.bound = mathx.BoundOverF64(ix.rows.V64, ix.rows.B64, d)
 	}
 	return ix, nil
 }
@@ -153,7 +150,7 @@ func BuildIVF(m mf.Params, cfg Config) (*Index, error) {
 // 26 744 × 16, against half a second to build.
 func (ix *Index) Indexes(m mf.Params) bool {
 	_, isF32 := m.(*mf.Factors32)
-	if m == nil || isF32 != (ix.vecs32 != nil) || m.NumItems() != ix.numItems || m.Dim() != ix.dim {
+	if m == nil || isF32 != (ix.rows.V32 != nil) || m.NumItems() != ix.numItems || m.Dim() != ix.dim {
 		return false
 	}
 	d := ix.dim
@@ -161,11 +158,11 @@ func (ix *Index) Indexes(m mf.Params) bool {
 	for slot, id := range ix.ids {
 		vbuf = m.ItemVector(id, vbuf)
 		if isF32 {
-			if !sameBits(float64(ix.bias32[slot]), m.Bias(id)) || !slices.EqualFunc(ix.vecs32[slot*d:slot*d+d], vbuf,
+			if !sameBits(float64(ix.rows.B32[slot]), m.Bias(id)) || !slices.EqualFunc(ix.rows.V32[slot*d:slot*d+d], vbuf,
 				func(p float32, v float64) bool { return sameBits(float64(p), v) }) {
 				return false
 			}
-		} else if !sameBits(ix.bias[slot], m.Bias(id)) || !slices.EqualFunc(ix.vecs[slot*d:slot*d+d], vbuf, sameBits) {
+		} else if !sameBits(ix.rows.B64[slot], m.Bias(id)) || !slices.EqualFunc(ix.rows.V64[slot*d:slot*d+d], vbuf, sameBits) {
 			return false
 		}
 	}
@@ -194,15 +191,17 @@ func (ix *Index) Dim() int { return ix.dim }
 func (ix *Index) NonFinite() int { return ix.nonFinite }
 
 // ProbeCells returns the indices of the nprobe cells whose centroids best
-// match the query (<= 0 means the index default), in ascending cell
-// order. The query is the raw user factor vector (d coordinates); the
-// implicit augmented query is [uf, 1, 0], so only the first d+1 centroid
-// coordinates participate. Cells rank by affinity descending, ties toward
-// the lower cell; a NaN affinity (poisoned query) is ranked as -Inf —
-// cells are never dropped, only ordered, so nprobe == nlist always probes
-// everything and degenerates to exact retrieval whatever the query
-// contains. The serve path calls this separately from SearchCells so the
-// two phases land in distinct trace stages.
+// match the query (<= 0 means the index default), best first. The query is
+// the raw user factor vector (d coordinates); the implicit augmented query
+// is [uf, 1, 0], so only the first d+1 centroid coordinates participate.
+// Cells rank by affinity descending, ties toward the lower cell; a NaN
+// affinity (poisoned query) is ranked as -Inf — cells are never dropped,
+// only ordered, so nprobe == nlist always probes everything and
+// degenerates to exact retrieval whatever the query contains. The order is
+// SearchCells' walk: the best cells fill the selector first, so the floor
+// the later cells are filtered against is high early. The serve path calls
+// this separately from SearchCells so the two phases land in distinct
+// trace stages.
 func (ix *Index) ProbeCells(uf []float64, nprobe int) []int32 {
 	ix.checkQuery(uf)
 	if nprobe <= 0 {
@@ -242,6 +241,12 @@ func (ix *Index) ProbeCells(uf []float64, nprobe int) []int32 {
 			ties--
 		}
 	}
+	slices.SortFunc(cells, func(a, b int32) int {
+		if aff[a] != aff[b] {
+			return cmp.Compare(aff[b], aff[a])
+		}
+		return cmp.Compare(a, b)
+	})
 	return cells
 }
 
@@ -293,53 +298,59 @@ func (ix *Index) Search(uf []float64, k, nprobe int, excludeSorted []int32) ([]r
 // of the given cells (a ProbeCells result) and return the top k. Splitting
 // the phases lets the serve path time candidate selection ("probe") and
 // scan-plus-select ("score") as separate trace stages. Each cell is scanned
-// a tile at a time as the exact scan does (score.Engine): the bound scan
-// over the tile, then the survivors — the members whose bound score is not
-// a finite value below the selector's floor minus E — each rescored
-// exactly and handed to the shared rank.Selector, whose exclusion,
+// as the exact scan scans a tile (score.Engine), in one call for a cell of
+// up to 512 members: while the selector is not full, every member is
+// scored exactly; after that the bound scan sets one mask bit a member —
+// its bound score not a finite value below the selector's floor minus E as
+// the cell starts — and the members it sets are rescored exactly together,
+// up to 16 rows of 16 a kernel call, and handed to the shared rank.Selector, whose exclusion,
 // non-finite drop-and-count, floor rejection and heap are the ones the
-// exact scan runs. A member the walk skips scores below the floor, so the
-// answer is that of rescoring every member.
+// exact scan runs. A member the mask leaves out scores below the floor, so
+// the answer is that of rescoring every member; the order of the cells only
+// decides how many survive.
 func (ix *Index) SearchCells(uf []float64, cells []int32, k int, excludeSorted []int32) ([]rank.Entry, int) {
 	ix.checkQuery(uf)
 	if k <= 0 {
 		return nil, 0 // mirror rank.TopKDropped: no selection, no counting
 	}
 	sel := rank.NewSelector(k, excludeSorted)
-	d := ix.dim
 	var pbuf [128]int8 // the query's bound image
 	p := pbuf[:min(ix.bound.Stride(), len(pbuf))]
 	if len(p) < ix.bound.Stride() {
 		p = make([]int8, ix.bound.Stride())
 	}
 	delta, tol := ix.bound.Query(uf, p)
-	var tile [512]float64 // the exact scan's tile (score.Engine)
-	var one [1]float64
+	var tile [tileItems]float64
+	var mask [tileItems/64 + 2]uint64
+	var g mf.Gather
 	for _, c := range cells {
-		for lo, end := int(ix.offsets[c]), int(ix.offsets[c+1]); lo < end; lo += len(tile) {
-			hi := min(lo+len(tile), end)
-			// The bound kernel scores eight rows a pass and leaves the rest
-			// to a far slower loop, so the scan runs on into the next
-			// cell's rows to a whole pass; their scores are never walked.
-			t := tile[:min((hi-lo+7)&^7, ix.numItems-lo)]
-			ix.bound.Scan(p, delta, lo, lo+len(t), t)
-			t = t[:hi-lo]
-			for j := 0; ; j++ {
-				if j += mathx.FirstNotBelow(t[j:], sel.Floor()-tol); j == len(t) {
+		for lo, end := int(ix.offsets[c]), int(ix.offsets[c+1]); lo < end; lo += tileItems {
+			hi := min(lo+tileItems, end)
+			floor := sel.Floor()
+			if math.IsInf(floor, -1) {
+				ix.rows.Scan(uf, lo, hi, tile[:hi-lo])
+				sel.OfferIDs(ix.ids[lo:hi], tile[:hi-lo])
+				continue
+			}
+			bits := ix.bound.Scan(p, delta, floor-tol, lo, hi, mask[:])
+			for {
+				slots, scores := ix.rows.ScanMasked(uf, lo, bits, &g, tile[:])
+				if len(slots) == 0 {
 					break
 				}
-				s := lo + j
-				if ix.vecs32 != nil {
-					mathx.ScanF64F32(uf, ix.vecs32[s*d:s*d+d], ix.bias32[s:s+1], one[:])
-				} else {
-					mathx.ScanF64(uf, ix.vecs[s*d:s*d+d], ix.bias[s:s+1], one[:])
+				for j, s := range slots {
+					slots[j] = ix.ids[s]
 				}
-				sel.OfferIDs(ix.ids[s:s+1], one[:])
+				sel.OfferIDs(slots, scores)
 			}
 		}
 	}
 	return sel.Finish()
 }
+
+// tileItems is the longest span of a cell one bound scan covers: the exact
+// scan's tile.
+const tileItems = 512
 
 // augmentItems maps every item onto the common-norm sphere: row i is
 // [V_i, b_i, √(M² − ‖V_i‖² − b_i²)] / M where M is the largest augmented

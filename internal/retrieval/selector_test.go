@@ -3,6 +3,7 @@ package retrieval
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -12,6 +13,7 @@ import (
 	"clapf/internal/mf"
 	"clapf/internal/rank"
 	"clapf/internal/score"
+	"clapf/internal/served"
 )
 
 // TestSearchCellsMatchesTwoPass pins SearchCells, now on the shared
@@ -121,9 +123,17 @@ func benchCatalog() (m *mf.Model, exclude []int32) {
 
 // BenchmarkSearchCells is the IVF re-rank at the benchmark's shape, k = 10
 // — the loop that shares its kernels and its selector with the exact scan.
+// served is the float64 re-rank the benchmark's IVF shard runs, over the
+// catalog it serves, every user in turn with their own exclusions at the
+// default probe width, and reports the members the bound filter let
+// through a query (survivors/query).
 func BenchmarkSearchCells(b *testing.B) {
 	m, exclude := benchCatalog()
-	for name, p := range map[string]mf.Params{"f64": m, "f32": mf.QuantizeF32(m)} {
+	for _, name := range []string{"f64", "f32"} {
+		p := mf.Params(m)
+		if name == "f32" {
+			p = mf.QuantizeF32(m)
+		}
 		ix, err := BuildIVF(p, Config{})
 		if err != nil {
 			b.Fatal(err)
@@ -141,6 +151,55 @@ func BenchmarkSearchCells(b *testing.B) {
 			}
 		})
 	}
+	b.Run("served", func(b *testing.B) {
+		m, positives := served.Catalog()
+		ix, err := BuildIVF(m, Config{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells := make([][]int32, m.NumUsers())
+		for u := range cells {
+			cells[u] = ix.ProbeCells(m.UserVector(int32(u), nil), 0)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			u := i % len(cells)
+			searchSink, _ = ix.SearchCells(m.UserVector(int32(u), nil), cells[u], 10, positives[u])
+		}
+		b.StopTimer()
+		survivors := 0
+		for u := range cells {
+			survivors += cellSurvivors(ix, m.UserVector(int32(u), nil), cells[u], 10, positives[u])
+		}
+		b.ReportMetric(float64(survivors)/float64(len(cells)), "survivors/query")
+	})
+}
+
+// cellSurvivors is how many members SearchCells rescores for one query:
+// once the selector is full, the mask bits Bound.Scan sets for a span of a
+// cell against the floor as the span starts. Offering every member leaves
+// the selector as SearchCells leaves it, since the members the mask clears
+// score below that floor.
+func cellSurvivors(ix *Index, uf []float64, cells []int32, k int, exclude []int32) (n int) {
+	p := make([]int8, ix.bound.Stride())
+	delta, tol := ix.bound.Query(uf, p)
+	sel := rank.NewSelector(k, exclude)
+	var tile [tileItems]float64
+	var mask [tileItems/64 + 2]uint64
+	for _, c := range cells {
+		for lo, end := int(ix.offsets[c]), int(ix.offsets[c+1]); lo < end; lo += tileItems {
+			hi := min(lo+tileItems, end)
+			if floor := sel.Floor(); !math.IsInf(floor, -1) {
+				for _, w := range ix.bound.Scan(p, delta, floor-tol, lo, hi, mask[:]) {
+					n += bits.OnesCount64(w)
+				}
+			}
+			ix.rows.Scan(uf, lo, hi, tile[:hi-lo])
+			sel.OfferIDs(ix.ids[lo:hi], tile[:hi-lo])
+		}
+	}
+	return n
 }
 
 var searchSink []rank.Entry
@@ -200,7 +259,7 @@ func TestMissAllocatesOnlyItsResults(t *testing.T) {
 
 // TestProbeCellsMatchesFullSort holds ProbeCells' threshold selection to
 // the obvious definition — sort every cell by (affinity descending, cell
-// ascending), NaN as -Inf, cut at nprobe, return ascending — over an index
+// ascending), NaN as -Inf, cut at nprobe, return in that order — over an index
 // whose centroids repeat (ties sitting on the threshold, which only the
 // lower cells may pass), a zero centroid, every probe width, and NaN and
 // Inf queries, where nprobe == nlist must still return every cell; with
@@ -259,8 +318,7 @@ func probeCellsMatchFullSort(t *testing.T, nlist int) {
 			if nprobe <= 0 {
 				width = ix.nprobe
 			}
-			want := slices.Clone(order[:min(width, nlist)])
-			slices.Sort(want)
+			want := order[:min(width, nlist)]
 			if got := ix.ProbeCells(uf, nprobe); !slices.Equal(got, want) {
 				t.Fatalf("query %d %v, nprobe %d: cells %v, full sort %v (affinities %v)", qi, uf, nprobe, got, want, aff)
 			}

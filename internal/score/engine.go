@@ -20,11 +20,13 @@
 // one item scan, tile-relative (the output has length hi-lo) — under
 // UserVector(u), handing it a window of each row. The fused scan reads the
 // item rows themselves (mf.Items) and runs in two kernels: a bound scan of
-// the tile over an int8 image of the rows (mathx.BoundI8) and, for the few
-// rows whose bound can reach the selector's floor, the representation's
-// exact kernel over that one row (mathx.ScanF64 or ScanF64F32, what
-// ScoreRangeFoldIn runs). An engine's first sweep has no image yet and
-// runs the exact kernel over every row of the tile. Every
+// the tile over an int8 image of the rows (mathx.BoundI8), which answers
+// the floor test itself with one mask bit a row, and, for the few rows
+// whose bound can reach the selector's floor, the representation's exact
+// kernel over those rows gathered together (mathx.ScanF64 or ScanF64F32,
+// what ScoreRangeFoldIn runs). An engine's first sweep has no image yet
+// and, like every sweep while the selector is not full, runs the exact
+// kernel over every row of the tile. Every
 // score any method returns is bit-identical to mf.Model.ScoreAll's — the
 // per-item dot products are the same operations in the same order, and a
 // row the bound skips provably scores below the floor — so swapping the
@@ -33,6 +35,7 @@ package score
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -60,7 +63,7 @@ const tileItems = 512
 // kernel is generic over mf.Params. It is safe for concurrent use and
 // cheap to construct — the serve path builds a fresh Engine on every model
 // swap, and clapf.Recommend one a call. Its one piece of state is the fused
-// scan's bound, an int8 image of the item rows (16·⌈d/16⌉ + 4 bytes an
+// scan's bound, an int8 image of the item rows (4·⌈d/4⌉ + 4 bytes an
 // item), built on its second top-K sweep: the first scores every row
 // exactly, so an engine that answers once never pays for the image.
 type Engine struct {
@@ -181,15 +184,14 @@ type TopKResult struct {
 // TopKUsers answers a batch of queries with the blocked sweep: the item
 // tile is the outer loop and the queries the inner one, so each tile of V
 // is read once for the whole batch, and every query owns one selector.
-// Adjacent queries for the same user share that user's tile scores. The
-// batch is split into contiguous shares across up to GOMAXPROCS
-// goroutines; result i always answers qs[i], identical to TopK for any
-// worker count.
+// Adjacent queries for the same user share that user's vector. The batch
+// is split into contiguous shares across up to GOMAXPROCS goroutines;
+// result i always answers qs[i], identical to TopK for any worker count.
 func (e *Engine) TopKUsers(qs []TopKQuery) []TopKResult {
 	work := make([]query, len(qs))
 	for i, q := range qs {
 		if i > 0 && q.User == qs[i-1].User {
-			work[i].uf, work[i].shared = work[i-1].uf, true
+			work[i].uf = work[i-1].uf
 		} else {
 			work[i].uf = e.m.UserVector(q.User, nil)
 		}
@@ -200,7 +202,6 @@ func (e *Engine) TopKUsers(qs []TopKQuery) []TopKResult {
 	var wg sync.WaitGroup
 	for start := 0; start < len(work); start += chunk {
 		share := work[start:min(start+chunk, len(work))]
-		share[0].shared = false // the previous query's tile lives in another goroutine
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -219,11 +220,10 @@ func (e *Engine) TopKUsers(qs []TopKQuery) []TopKResult {
 
 // query is one selector riding the fused sweep under one user vector.
 type query struct {
-	uf     []float64
-	sel    rank.Selector
-	shared bool    // same vector as the previous query: reuse its tile
-	delta  float32 // the scale of uf's bound image
-	tol    float64 // E(uf): how far a bound score may be from the exact one
+	uf    []float64
+	sel   rank.Selector
+	delta float32 // the scale of uf's bound image
+	tol   float64 // E(uf): how far a bound score may be from the exact one
 }
 
 // filter returns the bound over the catalog's rows, or nil to the engine's
@@ -243,13 +243,15 @@ func (e *Engine) filter() *mathx.Bound {
 }
 
 // sweep is the fused exact scan: stream the catalog once, a tile at a
-// time; score the tile under each query's vector with the bound scan, and
-// walk it from survivor to survivor — a row whose bound score is not a
-// finite value below the selector's floor minus E — rescoring each exactly
-// and offering it to that query's selector while the tile is in L1. A row
-// the walk skips scores below the floor, where Offer would ignore it, so
-// the selector ends as an exact scan of every row would leave it — which is
-// what the engine's first sweep, with no bound yet, runs.
+// time. While a query's selector is not full (its floor is −Inf) or the
+// engine has no bound yet (its first sweep), the tile is scored exactly and
+// offered whole. After that the bound scan answers the floor test for the
+// tile against the floor minus E as the tile starts, one mask bit a row —
+// set when the row's bound score is not a finite value below it — and the
+// rows it sets are rescored exactly together, up to 16 rows of 16 a kernel
+// call, and offered to the selector, which rejects those the risen floor has passed. A row the mask
+// leaves out scores below the floor, where Offer would ignore it, so the
+// selector ends as an exact scan of every row would leave it.
 func (e *Engine) sweep(qs []query) {
 	d, m := e.m.Dim(), e.m.NumItems()
 	for i := range qs {
@@ -270,49 +272,27 @@ func (e *Engine) sweep(qs []query) {
 		}
 	}
 	var tile [tileItems]float64
-	var one [1]float64
+	var mask [tileItems/64 + 2]uint64
+	var g mf.Gather
 	for lo := 0; lo < m; lo += tileItems {
 		hi := min(lo+tileItems, m)
-		t := tile[:hi-lo]
 		for i := range qs {
 			q := &qs[i]
-			if bd == nil {
-				if !q.shared {
-					e.exact(q.uf, lo, hi, t)
-				}
-				q.sel.OfferRun(int32(lo), t)
+			floor := q.sel.Floor()
+			if bd == nil || math.IsInf(floor, -1) {
+				e.rows.Scan(q.uf, lo, hi, tile[:hi-lo])
+				q.sel.OfferRun(int32(lo), tile[:hi-lo])
 				continue
 			}
-			if !q.shared {
-				bd.Scan(p[i*stride:(i+1)*stride], q.delta, lo, hi, t)
-			}
-			for j := 0; ; j++ {
-				if j += mathx.FirstNotBelow(t[j:], q.sel.Floor()-q.tol); j == len(t) {
+			bits := bd.Scan(p[i*stride:(i+1)*stride], q.delta, floor-q.tol, lo, hi, mask[:])
+			for {
+				rows, scores := e.rows.ScanMasked(q.uf, lo, bits, &g, tile[:])
+				if len(rows) == 0 {
 					break
 				}
-				e.exact(q.uf, lo+j, lo+j+1, one[:])
-				q.sel.OfferRun(int32(lo+j), one[:])
+				q.sel.OfferIDs(rows, scores)
 			}
 		}
-	}
-}
-
-// exact writes the scores of items [lo, hi) under uf into out with the
-// kernel the representation's ScoreRangeFoldIn runs.
-func (e *Engine) exact(uf []float64, lo, hi int, out []float64) {
-	d := len(uf)
-	if r := e.rows; r.V32 != nil {
-		var b []float32
-		if r.B32 != nil {
-			b = r.B32[lo:hi]
-		}
-		mathx.ScanF64F32(uf, r.V32[lo*d:hi*d], b, out)
-	} else {
-		var b []float64
-		if r.B64 != nil {
-			b = r.B64[lo:hi]
-		}
-		mathx.ScanF64(uf, r.V64[lo*d:hi*d], b, out)
 	}
 }
 

@@ -3,6 +3,7 @@ package score
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
 	"clapf/internal/rank"
+	"clapf/internal/served"
 	"clapf/internal/store"
 )
 
@@ -225,7 +227,7 @@ func checkFused(t *testing.T, label string, p mf.Params) {
 		}
 	}
 	// One batch of every query above: same-user queries are adjacent, so
-	// the shared-tile path runs, across share boundaries too.
+	// they share one user vector, across share boundaries too.
 	for i, res := range e.TopKUsers(batch) {
 		at := fmt.Sprintf("TopKUsers %s query %d (u=%d k=%d)", label, i, batch[i].User, batch[i].K)
 		sameTopK(t, at, res.Entries, res.Dropped, batchWant[i].Entries, batchWant[i].Dropped)
@@ -340,9 +342,14 @@ func TestWrongLengthUserVectorPanics(t *testing.T) {
 // The exact-retrieval kernel at the benchmark's catalog shape: 26 744
 // items × 16 factors, k = 10, ~150 excluded ids. "two-pass" is what the
 // serve path did before the fused scan — allocate the row, ScoreAll, then
-// rank.TopKDropped with a merge-pointer closure.
-func benchExactTopK(b *testing.B, p mf.Params) {
+// rank.TopKDropped with a merge-pointer closure. "served" is the fused
+// scan over the catalog the benchmark serves, every user in turn with
+// their own exclusions, and reports the rows the bound filter let through
+// a query (survivors/query): on a gaussian catalog the filter passes a
+// different number of rows.
+func benchExactTopK(b *testing.B, rep func(*mf.Model) mf.Params) {
 	const k = 10
+	p := rep(benchCatalog())
 	rng := mathx.NewRNG(3)
 	var exclude []int32
 	for i := 0; i < p.NumItems(); i++ {
@@ -371,6 +378,24 @@ func benchExactTopK(b *testing.B, p mf.Params) {
 			benchSink, _ = e.TopK(int32(i%p.NumUsers()), k, exclude)
 		}
 	})
+	b.Run("served", func(b *testing.B) {
+		m, positives := served.Catalog()
+		p := rep(m)
+		e := NewEngine(p)
+		e.TopK(0, k, positives[0]) // the first sweep builds no bound
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			u := i % p.NumUsers()
+			benchSink, _ = e.TopK(int32(u), k, positives[u])
+		}
+		b.StopTimer()
+		survivors := 0
+		for u := 0; u < p.NumUsers(); u++ {
+			survivors += sweepSurvivors(e, p.UserVector(int32(u), nil), k, positives[u])
+		}
+		b.ReportMetric(float64(survivors)/float64(p.NumUsers()), "survivors/query")
+	})
 }
 
 var benchSink []rank.Entry
@@ -381,6 +406,35 @@ func benchCatalog() *mf.Model {
 	return m
 }
 
-func BenchmarkExactTopKF64(b *testing.B) { benchExactTopK(b, benchCatalog()) }
+// sweepSurvivors is how many rows e's fused sweep rescores for one query:
+// once the selector is full, the mask bits Bound.Scan sets for a tile
+// against the floor as the tile starts. Offering every row of the tile
+// leaves the selector as the sweep leaves it, since the rows the mask
+// clears score below that floor.
+func sweepSurvivors(e *Engine, uf []float64, k int, exclude []int32) (n int) {
+	bd := e.filter()
+	p := make([]int8, bd.Stride())
+	delta, tol := bd.Query(uf, p)
+	sel := rank.NewSelector(k, exclude)
+	var tile [tileItems]float64
+	var mask [tileItems/64 + 2]uint64
+	for lo := 0; lo < e.m.NumItems(); lo += tileItems {
+		hi := min(lo+tileItems, e.m.NumItems())
+		if floor := sel.Floor(); !math.IsInf(floor, -1) {
+			for _, w := range bd.Scan(p, delta, floor-tol, lo, hi, mask[:]) {
+				n += bits.OnesCount64(w)
+			}
+		}
+		e.rows.Scan(uf, lo, hi, tile[:hi-lo])
+		sel.OfferRun(int32(lo), tile[:hi-lo])
+	}
+	return n
+}
 
-func BenchmarkExactTopKF32(b *testing.B) { benchExactTopK(b, mf.QuantizeF32(benchCatalog())) }
+func BenchmarkExactTopKF64(b *testing.B) {
+	benchExactTopK(b, func(m *mf.Model) mf.Params { return m })
+}
+
+func BenchmarkExactTopKF32(b *testing.B) {
+	benchExactTopK(b, func(m *mf.Model) mf.Params { return mf.QuantizeF32(m) })
+}

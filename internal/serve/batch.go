@@ -161,7 +161,7 @@ func (s *Server) handleRecommendBatch(w http.ResponseWriter, r *http.Request) {
 	// Pass 2 (exact mode only — IVF entries were fully answered in pass 1):
 	// one blocked, parallel fused sweep over the cache misses, a selector
 	// per entry. Entries for the same user are made adjacent so they share
-	// one scan of each tile. The sweep serves many entries at once, so its
+	// one user vector. The sweep serves many entries at once, so its
 	// stages attach to the request root, not to any single entry span.
 	if len(pending) > 0 {
 		sp := trace.StartSpanNoCtx(ctx, "merge")

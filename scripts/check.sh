@@ -65,6 +65,37 @@ if [ -n "$unformatted" ]; then
 fi
 
 go vet ./...
+
+# Citation gate: every test, fuzz target and benchmark DESIGN.md and
+# README.md cite by name must exist, or a rename leaves the documents
+# pointing at nothing. A trailing * cites a prefix, and {A,B} cites both
+# spellings. One `go test -list` over every package names what exists.
+listed=$(go test -list '.*' ./... | grep -E '^(Test|Fuzz|Benchmark|Example)')
+grep -noE '\b(Test|Fuzz|Benchmark)([A-Z0-9_]|\{[A-Za-z0-9_,]*\})([A-Za-z0-9_]|\{[A-Za-z0-9_,]*\})*\*?' DESIGN.md README.md |
+	LISTED=$listed awk '
+	function expand(s,    i, j, n, parts, k) {
+		i = index(s, "{")
+		if (i == 0) { alts[++nalts] = s; return }
+		j = i + index(substr(s, i), "}") - 1
+		n = split(substr(s, i + 1, j - i - 1), parts, ",")
+		for (k = 1; k <= n; k++) expand(substr(s, 1, i - 1) parts[k] substr(s, j + 1))
+	}
+	function exists(name,    prefix, i) {
+		if (name !~ /\*$/) return name in have
+		prefix = substr(name, 1, length(name) - 1)
+		for (i = 1; i <= nlisted; i++) if (index(names[i], prefix) == 1) return 1
+		return 0
+	}
+	BEGIN { nlisted = split(ENVIRON["LISTED"], names, "\n"); for (i = 1; i <= nlisted; i++) have[names[i]] = 1 }
+	{
+		split($0, f, ":")
+		nalts = 0
+		expand(f[3])
+		for (a = 1; a <= nalts; a++) if (!exists(alts[a])) { print f[1] ":" f[2] ": " alts[a] " names no test, fuzz target or benchmark" > "/dev/stderr"; bad = 1 }
+	}
+	END { exit bad }'
+echo "citation gate ok"
+
 go test -race -shuffle=on ./...
 
 # Chaos-recovery gate: the guardrail subsystem's end-to-end guarantee —
@@ -179,8 +210,8 @@ echo "batch-ivf gate ok"
 # (heap and mapped) and an overlay, the selector itself matches a naive full-sort
 # oracle, and its two tile loops (OfferRun, OfferIDs), which jump between
 # survivors, match Offer called per item; the index build's assignment step matches the plain
-# mathx.Dot loop bit for bit, and ProbeCells' threshold selection a full
-# sort of the affinities. Allocation: an exact-mode miss through the
+# mathx.Dot loop bit for bit, and ProbeCells' threshold selection and its
+# best-first order a full sort of the affinities. Allocation: an exact-mode miss through the
 # handler allocates nothing proportional to NumItems, and an IVF miss only
 # its cell list and its k entries. Index build and reuse: the build is
 # the same bits at GOMAXPROCS 1, 2 and 7 (the retrieval line runs again
@@ -202,6 +233,10 @@ gate -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossRe
 # the race detector: nothing in it is concurrent, and it is the longest
 # table in the gate.
 gate -count=1 -run '^TestBoundFilterKeepsTheExactAnswer$' ./internal/retrieval
+# The rows the filter lets through are copied together and rescored in one
+# kernel call: exactly the rows the mask sets, each with the bits the
+# unmasked scan gives it, at both widths.
+gate -count=1 -run '^TestScanMaskedMatchesScan$' ./internal/mf
 # A parameter set has one item scan and the serve path one miss: the
 # stored-user scan methods stay off *Factors32 and *Overlay (a stored user
 # is scored under UserVector(u)), and internal/serve ranks in exactly three
@@ -217,9 +252,10 @@ echo "fused exact-scan gate ok"
 
 # Scan kernel gate: the catalog scans (mathx.ScanF64 over float64 rows,
 # mathx.ScanF64F32 over float32 rows), the bound filter's scan of the
-# catalog's int8 image (mathx.BoundI8, AVX2) and the selector's floor
-# predicate (mathx.FirstNotBelow) are AVX kernels on amd64 and Go loops
-# elsewhere, and the Go loops are the specification. By name, for each
+# catalog's int8 image, which answers the floor test itself with one mask
+# bit a row (mathx.BoundI8, AVX2), and the selector's floor predicate
+# (mathx.FirstNotBelow) are AVX kernels on amd64 and Go loops elsewhere,
+# and the Go loops are the specification. By name, for each
 # exact scan: kernel
 # == loop by Float64bits over every d in 1..67, tile-edge row counts and
 # every count of rows left over from its four a pass, odd offsets and the
@@ -228,14 +264,18 @@ echo "fused exact-scan gate ok"
 # panics before a pointer is taken. For the predicate: kernel == loop over
 # every length in 0..67, every lane, odd offsets, a tie with the floor
 # (returned), one ulp below it (not), NaN and ±Inf scores and floors. For
-# the bound scan: kernel == loop over every d in 1..67, row counts around
-# its eight a pass, special biases in every row, the saturating extremes
-# (every q = ±127 under every p = ±63), and a query outside [−63, 63]
-# refused; its error bound E, which lets the top-K skip a row, holds
-# (|s̃ − s| ≤ E, exactly) on cancelling, exactly quantised, subnormal and
-# out-of-range catalogs; and the image marks non-finite rows and leaves
-# them out of E's maxima. And a few seconds of raw bit patterns through both
-# bodies of all four — FuzzBoundI8 builds the image and checks E too.
+# the bound scan: kernel mask == the specification's (boundI8Go's s̃ under
+# FirstNotBelow's predicate) over every d in 1..67, block counts around the
+# 16-row block and the 512-row tile, odd offsets, special biases in every
+# lane, the saturating extremes (every q = ±127 under every p = ±63), at
+# thresholds NaN, ±Inf, ±1e300, a tie with s̃ (kept) and the next float64
+# above it (dropped); Bound.Scan over unaligned spans; a query outside
+# [−63, 63] refused; its error bound E, which lets the top-K skip a row,
+# holds (|s̃ − s| ≤ E, exactly, and Scan keeps a row at the threshold
+# s − E) on cancelling, exactly quantised, subnormal and out-of-range
+# catalogs; and the image marks non-finite rows and leaves them out of E's
+# maxima. And a few seconds of raw bit patterns through both bodies of all
+# four — FuzzBoundI8 builds the image and checks E too.
 # go vet's asmdecl checks the assembly's frames against their Go
 # declarations. The arm64 cross-build keeps the portable bodies compiling
 # (offline: no cgo, no downloads). The kernels never fuse multiply and add
@@ -261,12 +301,12 @@ for flag in avx2 fma bmi2 movbe; do
 	grep -qw "$flag" /proc/cpuinfo 2>/dev/null || v3=no
 done
 if [ "$v3" = yes ]; then
-	(export GOAMD64=v3; gate -count=1 -run '^Test(ScanF64(F32)?(MatchesPortable|IsDotF64F32|IsDot)|FirstNotBelowMatchesLoop|BoundI8MatchesPortable|BoundCoversTheExactScore)$' ./internal/mathx)
+	(export GOAMD64=v3; gate -count=1 -run '^Test(ScanF64(F32)?(MatchesPortable|IsDotF64F32|IsDot)|FirstNotBelowMatchesLoop|Bound(I8MatchesPortable|CoversTheExactScore|NonFinite))$' ./internal/mathx)
 fi
 if find . -name '*.s' -not -path './.bench_build/*' | grep -v '^\./internal/mathx/scan_amd64\.s$' ||
 	grep -rnE --include='*.go' --exclude='*_test.go' 'func [A-Za-z]*(Scan[A-Za-z0-9]*F(32|64)|Bound[A-Za-z0-9]*(F(32|64)|I8))' . |
 		grep -v -e '^\./internal/mathx/' -e '^\./\.bench_build/'; then
-	echo "a second assembly file or a scan kernel outside internal/mathx: the catalog scans are mathx.ScanF64, mathx.ScanF64F32 and mathx.BoundI8, in internal/mathx/scan_amd64.s" >&2
+	echo "a second assembly file or a scan kernel outside internal/mathx: the catalog scans are mathx.ScanF64, mathx.ScanF64F32 and mathx.BoundI8, the bound scan that answers the floor test, in internal/mathx/scan_amd64.s" >&2
 	exit 1
 fi
 echo "scan kernel gate ok"
