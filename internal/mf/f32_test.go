@@ -152,7 +152,7 @@ func TestF32CountNonFinite(t *testing.T) {
 	}
 }
 
-// TestScanMaskedMatchesScan: ItemRows.ScanMasked, called until it returns
+// TestScanMaskedMatchesScan: ItemRows.scanMasked, called until it returns
 // no rows, returns exactly the rows its mask sets, ascending, each with the
 // bits Scan gives it, and clears the mask — over float64 and float32 rows,
 // with and without a bias, for an empty mask, a lone row (scanned in
@@ -179,14 +179,14 @@ func TestScanMaskedMatchesScan(t *testing.T) {
 			for range 20 {
 				masks = append(masks, [3]uint64{rng.Uint64(), rng.Uint64(), rng.Uint64() & last})
 			}
-			var g Gather
+			var g gatherBuf
 			out := make([]float64, n)
 			for _, mask := range masks {
 				bits := mask
 				var rows []int32
 				var scores []float64
 				for {
-					r1, s1 := r.ScanMasked(uf, lo, bits[:], &g, out)
+					r1, s1 := r.scanMasked(uf, lo, bits[:], &g, out)
 					if len(r1) == 0 {
 						break
 					}

@@ -2,9 +2,11 @@ package mf
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"clapf/internal/mathx"
+	"clapf/internal/rank"
 )
 
 // Params is the read-only scoring surface the serving stack works against:
@@ -115,10 +117,107 @@ func (r ItemRows) Scan(uf []float64, lo, hi int, out []float64) {
 	mathx.ScanF64(uf, r.V64[lo*d:hi*d], b, out)
 }
 
-// Gather is ItemRows.ScanMasked's scratch: room for the rows a call copies
-// together, at either width — 3.5 KB, meant to live in the caller's frame,
-// zeroed once a scan, so that a scan allocates nothing.
-type Gather struct {
+// Bound is the bound filter over r's rows, d a row (mathx.Bound): the one
+// place the filter picks the image's source width.
+func (r ItemRows) Bound(d int) *mathx.Bound {
+	if r.V32 != nil {
+		return mathx.BoundOverF32(r.V32, r.B32, d)
+	}
+	return mathx.BoundOverF64(r.V64, r.B64, d)
+}
+
+// sweepTile is the longest span one bound scan covers: 512 scores are 4 KB,
+// which stays in L1 between the kernel writing them and the selector
+// reading them.
+const sweepTile = 512
+
+// Sweep is the fused top-K's one filter-and-rescore loop: one query's
+// scratch over the rows of an ItemRows — its bound image, a tile of scores,
+// the tile's survivor mask and the gathered rows, about 8 KB. It is meant
+// to live in the caller's frame and holds no pointer into itself, so a
+// query allocates nothing here while d ≤ 512. The exact scan
+// (score.Engine) offers it the whole catalog, the IVF re-rank
+// (retrieval.Index) each probed cell.
+type Sweep struct {
+	rows  ItemRows
+	bound *mathx.Bound
+	uf    []float64
+	delta float32 // the scale of uf's bound image
+	tol   float64 // E(uf): how far a bound score may be from the exact one
+	pbuf  [512]int8
+	pheap []int8 // the image, when it outgrows pbuf
+	tile  [sweepTile]float64
+	mask  [sweepTile/64 + 2]uint64
+	g     gatherBuf
+}
+
+// Start readies s for the query uf over rows, filtered by bound, rows' own
+// Bound; a nil bound filters nothing, and every row is scored exactly.
+func (s *Sweep) Start(rows ItemRows, bound *mathx.Bound, uf []float64) {
+	s.rows, s.bound, s.uf = rows, bound, uf
+	if bound != nil {
+		s.delta, s.tol = bound.Query(uf, s.image())
+	}
+}
+
+// image is uf's bound image: pbuf's first Stride() bytes, or past those a
+// slice of its own.
+func (s *Sweep) image() []int8 {
+	n := s.bound.Stride()
+	if n <= len(s.pbuf) {
+		return s.pbuf[:n]
+	}
+	if len(s.pheap) != n {
+		s.pheap = make([]int8, n)
+	}
+	return s.pheap
+}
+
+// Offer offers rows [lo, hi) to sel, a tile of up to 512 rows at a time,
+// row j as the item ids[j] (ids == nil: row j is item j). While sel is not
+// full (its floor is −Inf), or s has no bound, a tile is scored exactly
+// and offered whole. After that the bound scan answers the floor test for
+// the tile against the floor minus E as the tile starts, one mask bit a
+// row — set when the row's bound score is not a finite value below it —
+// and the rows it sets are rescored exactly together, up to 16 rows of 16
+// a kernel call, and offered to sel, which rejects those the risen floor
+// has passed. A row the mask leaves out scores below the floor, where
+// sel.Offer would ignore it, so sel ends as an exact scan of every row
+// would leave it.
+func (s *Sweep) Offer(sel *rank.Selector, lo, hi int, ids []int32) {
+	for ; lo < hi; lo += sweepTile {
+		end := min(lo+sweepTile, hi)
+		floor := sel.Floor()
+		if s.bound == nil || math.IsInf(floor, -1) {
+			tile := s.tile[:end-lo]
+			s.rows.Scan(s.uf, lo, end, tile)
+			if ids == nil {
+				sel.OfferRun(int32(lo), tile)
+			} else {
+				sel.OfferIDs(ids[lo:end], tile)
+			}
+			continue
+		}
+		mask := s.bound.Scan(s.image(), s.delta, floor-s.tol, lo, end, s.mask[:])
+		for {
+			rows, scores := s.rows.scanMasked(s.uf, lo, mask, &s.g, s.tile[:])
+			if len(rows) == 0 {
+				break
+			}
+			if ids != nil {
+				for j, r := range rows {
+					rows[j] = ids[r]
+				}
+			}
+			sel.OfferIDs(rows, scores)
+		}
+	}
+}
+
+// gatherBuf is scanMasked's scratch: room for the rows a call copies
+// together, at either width — 3.5 KB, zeroed once a query with the Sweep
+// that holds it.
+type gatherBuf struct {
 	rows [gatherRows]int32
 	v64  [gatherElems]float64
 	b64  [gatherRows]float64
@@ -126,19 +225,19 @@ type Gather struct {
 	b32  [gatherRows]float32
 }
 
-// gatherRows and gatherElems bound one ScanMasked call: at most 32 rows and
+// gatherRows and gatherElems bound one scanMasked call: at most 32 rows and
 // 256 elements, 16 rows of 16. A tile of the served catalog lets one or two
 // rows through; a longer mask takes more calls.
 const gatherRows, gatherElems = 32, 256
 
-// ScanMasked scores under uf the rows lo+j for the set bits j of mask — bit
+// scanMasked scores under uf the rows lo+j for the set bits j of mask — bit
 // j%64 of mask[j/64] — and returns their row numbers, ascending, and their
 // scores in out, the bits Scan gives each row. It takes as many rows as g
 // holds, clears their bits and leaves the rest for the next call: a caller
 // loops until it returns no rows. The rows are copied together into g
 // first (a lone row is scanned where it is), so one kernel call scores
 // them all; the row numbers are g's, valid until its next use.
-func (r ItemRows) ScanMasked(uf []float64, lo int, mask []uint64, g *Gather, out []float64) ([]int32, []float64) {
+func (r ItemRows) scanMasked(uf []float64, lo int, mask []uint64, g *gatherBuf, out []float64) ([]int32, []float64) {
 	d := len(uf)
 	most := max(1, min(gatherRows, gatherElems/max(d, 1)))
 	rows := g.rows[:0]

@@ -150,12 +150,12 @@ func filterExcludes(n int) map[string][]int32 {
 // TestBoundFilterKeepsTheExactAnswer: the fused exact scan and the IVF
 // re-rank skip every row whose float32 bound score cannot reach the floor,
 // and must still return what scoring every row exactly returns — entries
-// by Float64bits and the dropped count — for TopKFoldIn, TopKUsers, and
-// SearchCells at full and at pruned probe width; over float64, float32,
-// mapped float32 (d ≡ 5 mod 11) and overlaid (d ≡ 0 mod 3) bases, with
-// and without biases, for every d in 1..67, under the cancelling,
-// out-of-range and non-finite queries of filterQueries and every stored
-// user, at k = 1, 3, 10 and a k that puts an exact tie on the floor.
+// by Float64bits and the dropped count — for TopKFoldIn and SearchCells
+// at full and at pruned probe width; over float64, float32, mapped
+// float32 (d ≡ 5 mod 11) and overlaid (d ≡ 0 mod 3) bases, with and
+// without biases, for every d in 1..67, under the cancelling, out-of-range
+// and non-finite queries of filterQueries and every stored user, at
+// k = 1, 3, 10 and a k that puts an exact tie on the floor.
 func TestBoundFilterKeepsTheExactAnswer(t *testing.T) {
 	dir := t.TempDir()
 	for d := 1; d <= 67; d++ {
@@ -229,25 +229,6 @@ func checkFilter(t *testing.T, label string, p mf.Params) {
 			}
 		}
 		checks[qName] = c
-	}
-	// One TopKUsers batch over the stored users, a user's queries adjacent
-	// so that they share a bound tile.
-	var batch []score.TopKQuery
-	var want []score.TopKResult
-	for u := int32(0); int(u) < p.NumUsers(); u++ {
-		c := checks[fmt.Sprintf("user %d", u)]
-		for exName, ex := range excludes {
-			for _, k := range c.ks[exName] {
-				batch = append(batch, score.TopKQuery{User: u, K: k, ExcludeSorted: ex})
-				var r score.TopKResult
-				r.Entries, r.Dropped = referenceTopK(c.scores, nil, ex, k)
-				want = append(want, r)
-			}
-		}
-	}
-	for i, res := range eng.TopKUsers(batch) {
-		at := fmt.Sprintf("TopKUsers %s query %d (u=%d k=%d)", label, i, batch[i].User, batch[i].K)
-		sameEntries(t, at, res.Entries, res.Dropped, want[i].Entries, want[i].Dropped)
 	}
 
 	// The IVF re-rank, over the cells a probe picks and over all of them.

@@ -25,10 +25,10 @@ import (
 // Layout: item parameters are *packed* cell-major — each cell's member
 // vectors (dim floats a row) sit contiguously in one array and their
 // biases in another, ids ascending within the cell, which is the shape
-// mathx.Bound and mf.ItemRows take. Scoring a cell is then
-// literally the exact scan's tile loop (score.Engine) over a different
-// span, at the same cache behavior; the speedup over exact is the fraction
-// of the catalog pruned away.
+// mathx.Bound and mf.ItemRows take. Scoring a cell is then literally the
+// exact scan's loop (mf.Sweep) over a different span, at the same cache
+// behavior; the speedup over exact is the fraction of the catalog pruned
+// away.
 type Index struct {
 	dim    int // latent dimensionality d
 	nlist  int
@@ -131,11 +131,7 @@ func BuildIVF(m mf.Params, cfg Config) (*Index, error) {
 		copy(ix.rows.V64[slot*d:slot*d+d], vbuf)
 		ix.rows.B64[slot] = m.Bias(int32(i))
 	}
-	if isF32 {
-		ix.bound = mathx.BoundOverF32(ix.rows.V32, ix.rows.B32, d)
-	} else {
-		ix.bound = mathx.BoundOverF64(ix.rows.V64, ix.rows.B64, d)
-	}
+	ix.bound = ix.rows.Bound(d)
 	return ix, nil
 }
 
@@ -297,60 +293,26 @@ func (ix *Index) Search(uf []float64, k, nprobe int, excludeSorted []int32) ([]r
 // SearchCells is the scoring half of Search: exactly re-rank the members
 // of the given cells (a ProbeCells result) and return the top k. Splitting
 // the phases lets the serve path time candidate selection ("probe") and
-// scan-plus-select ("score") as separate trace stages. Each cell is scanned
-// as the exact scan scans a tile (score.Engine), in one call for a cell of
-// up to 512 members: while the selector is not full, every member is
-// scored exactly; after that the bound scan sets one mask bit a member —
-// its bound score not a finite value below the selector's floor minus E as
-// the cell starts — and the members it sets are rescored exactly together,
-// up to 16 rows of 16 a kernel call, and handed to the shared rank.Selector, whose exclusion,
-// non-finite drop-and-count, floor rejection and heap are the ones the
-// exact scan runs. A member the mask leaves out scores below the floor, so
-// the answer is that of rescoring every member; the order of the cells only
-// decides how many survive.
+// scan-plus-select ("score") as separate trace stages. Each cell is one
+// mf.Sweep offer, the exact scan's filter-and-rescore loop over the cell's
+// span of the pack, handing the members' ids to the shared rank.Selector,
+// whose exclusion, non-finite drop-and-count, floor rejection and heap are
+// the ones the exact scan runs. A member the bound filter leaves out
+// scores below the floor, so the answer is that of rescoring every
+// member; the order of the cells only decides how many survive.
 func (ix *Index) SearchCells(uf []float64, cells []int32, k int, excludeSorted []int32) ([]rank.Entry, int) {
 	ix.checkQuery(uf)
 	if k <= 0 {
 		return nil, 0 // mirror rank.TopKDropped: no selection, no counting
 	}
 	sel := rank.NewSelector(k, excludeSorted)
-	var pbuf [128]int8 // the query's bound image
-	p := pbuf[:min(ix.bound.Stride(), len(pbuf))]
-	if len(p) < ix.bound.Stride() {
-		p = make([]int8, ix.bound.Stride())
-	}
-	delta, tol := ix.bound.Query(uf, p)
-	var tile [tileItems]float64
-	var mask [tileItems/64 + 2]uint64
-	var g mf.Gather
+	var sw mf.Sweep
+	sw.Start(ix.rows, ix.bound, uf)
 	for _, c := range cells {
-		for lo, end := int(ix.offsets[c]), int(ix.offsets[c+1]); lo < end; lo += tileItems {
-			hi := min(lo+tileItems, end)
-			floor := sel.Floor()
-			if math.IsInf(floor, -1) {
-				ix.rows.Scan(uf, lo, hi, tile[:hi-lo])
-				sel.OfferIDs(ix.ids[lo:hi], tile[:hi-lo])
-				continue
-			}
-			bits := ix.bound.Scan(p, delta, floor-tol, lo, hi, mask[:])
-			for {
-				slots, scores := ix.rows.ScanMasked(uf, lo, bits, &g, tile[:])
-				if len(slots) == 0 {
-					break
-				}
-				for j, s := range slots {
-					slots[j] = ix.ids[s]
-				}
-				sel.OfferIDs(slots, scores)
-			}
-		}
+		sw.Offer(&sel, int(ix.offsets[c]), int(ix.offsets[c+1]), ix.ids)
 	}
 	return sel.Finish()
 }
-
-// tileItems is the longest span of a cell one bound scan covers: the exact
-// scan's tile.
-const tileItems = 512
 
 // augmentItems maps every item onto the common-norm sphere: row i is
 // [V_i, b_i, √(M² − ‖V_i‖² − b_i²)] / M where M is the largest augmented

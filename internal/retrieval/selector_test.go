@@ -176,6 +176,10 @@ func BenchmarkSearchCells(b *testing.B) {
 	})
 }
 
+// tileItems is mf.Sweep's tile: the longest span of a cell one bound scan
+// covers.
+const tileItems = 512
+
 // cellSurvivors is how many members SearchCells rescores for one query:
 // once the selector is full, the mask bits Bound.Scan sets for a span of a
 // cell against the floor as the span starts. Offering every member leaves

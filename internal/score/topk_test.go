@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"clapf/internal/mathx"
@@ -14,6 +13,10 @@ import (
 	"clapf/internal/served"
 	"clapf/internal/store"
 )
+
+// tileItems is mf.Sweep's tile, the span whose edges the planted rows and
+// the catalog sizes below straddle.
+const tileItems = 512
 
 // plantedModel is a random catalog with the rows the fused scan could get
 // wrong planted in it. With biases: NaN, +Inf and -Inf scores for every
@@ -127,13 +130,10 @@ func sameTopK(t *testing.T, label string, got []rank.Entry, gotDropped int, want
 
 // TestFusedTopKBitIdentical is the contract of the fused exact scan: for
 // every parameter representation, over catalogs whose size is not a tile
-// multiple, TopK, TopKFoldIn and TopKUsers return the same entries — ids
-// and score bits — and the same dropped count as rank.TopKDropped over the
+// multiple, TopK and TopKFoldIn return the same entries — ids and score
+// bits — and the same dropped count as rank.TopKDropped over the
 // materialised ScoreAll row.
 func TestFusedTopKBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(3) // make TopKUsers fan out
-	defer runtime.GOMAXPROCS(prev)
-
 	for _, items := range []int{100, tileItems, tileItems + 1, 2*tileItems + 37} {
 		for _, useBias := range []bool{true, false} {
 			m := plantedModel(uint64(items), items, useBias)
@@ -206,8 +206,6 @@ func checkFused(t *testing.T, label string, p mf.Params) {
 	excludes["sparse"] = sparse
 
 	scores := make([]float64, n)
-	var batch []TopKQuery
-	var batchWant []TopKResult
 	for u := int32(0); u < int32(p.NumUsers()); u++ {
 		e.ScoreAll(u, scores)
 		for exName, ex := range excludes {
@@ -220,20 +218,8 @@ func checkFused(t *testing.T, label string, p mf.Params) {
 
 				got, dropped = e.TopKFoldIn(p.UserVector(u, nil), k, ex)
 				sameTopK(t, "TopKFoldIn "+at, got, dropped, want, wantDropped)
-
-				batch = append(batch, TopKQuery{User: u, K: k, ExcludeSorted: ex})
-				batchWant = append(batchWant, TopKResult{Entries: want, Dropped: wantDropped})
 			}
 		}
-	}
-	// One batch of every query above: same-user queries are adjacent, so
-	// they share one user vector, across share boundaries too.
-	for i, res := range e.TopKUsers(batch) {
-		at := fmt.Sprintf("TopKUsers %s query %d (u=%d k=%d)", label, i, batch[i].User, batch[i].K)
-		sameTopK(t, at, res.Entries, res.Dropped, batchWant[i].Entries, batchWant[i].Dropped)
-	}
-	if got := e.TopKUsers(nil); len(got) != 0 {
-		t.Fatalf("%s: empty batch returned %d results", label, len(got))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -174,6 +175,22 @@ func TestBatchUsesCache(t *testing.T) {
 	}
 	if len(resp.Results[0].Items) != 4 || len(resp.Results[1].Items) != 4 {
 		t.Error("cached/missed batch entries returned wrong item counts")
+	}
+
+	// A user twice in one batch: the first entry misses and fills, and the
+	// second is a hit on what the first filled.
+	hits, misses := s.cacheHits.Value(), s.cacheMisses.Value()
+	_, resp = postBatch(t, h, BatchRequest{Requests: []BatchEntry{
+		{User: i32(7), K: 4}, // miss, fills cache
+		{User: i32(7), K: 4}, // hit
+	}})
+	if s.cacheHits.Value() != hits+1 || s.cacheMisses.Value() != misses+1 {
+		t.Errorf("a repeated uncached user moved hits %d -> %d and misses %d -> %d, want one of each",
+			hits, s.cacheHits.Value(), misses, s.cacheMisses.Value())
+	}
+	first, second := resp.Results[0].Items, resp.Results[1].Items
+	if len(first) != 4 || !slices.Equal(first, second) {
+		t.Errorf("repeated user's entries differ: %v and %v", first, second)
 	}
 }
 

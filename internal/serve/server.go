@@ -861,9 +861,9 @@ func (s *Server) miss(ctx context.Context, st *liveState, uf []float64, k int, e
 // extended with any items ingested through /feedback. Without a feedback
 // sink — or for users with no ingested events — this is the dataset's own
 // slice, shared and allocation-free; with extras it is a fresh sorted
-// merge. Every known-user ranking path (exact, IVF, batch sweep) excludes
-// through it, so an ingested item stops being recommended back to its
-// user the moment its append is acknowledged.
+// merge. Every known-user ranking path (exact or IVF, single or batch)
+// excludes through it, so an ingested item stops being recommended back to
+// its user the moment its append is acknowledged.
 func (s *Server) positivesFor(u int32) []int32 {
 	pos := s.train.Positives(u)
 	if sink := s.feedbackSink(); sink != nil {

@@ -96,6 +96,22 @@ grep -noE '\b(Test|Fuzz|Benchmark)([A-Z0-9_]|\{[A-Za-z0-9_,]*\})([A-Za-z0-9_]|\{
 	END { exit bad }'
 echo "citation gate ok"
 
+# Path gate: every repo path DESIGN.md and README.md cite in backticks —
+# one with a / under internal/, cmd/, benchmark/, scripts/ or examples/ —
+# must exist, or a move or a deletion leaves the documents pointing at
+# nothing. A bare file name (DESIGN.md's "Former file" column) is not a
+# path.
+missing=$(grep -noE '`(internal|cmd|benchmark|scripts|examples)/[^` ]*`' DESIGN.md README.md |
+	while IFS= read -r hit; do
+		path=${hit#*\`}
+		[ -e "${path%\`}" ] || echo "$hit names no file or directory"
+	done)
+if [ -n "$missing" ]; then
+	echo "$missing" >&2
+	exit 1
+fi
+echo "path gate ok"
+
 go test -race -shuffle=on ./...
 
 # Chaos-recovery gate: the guardrail subsystem's end-to-end guarantee —
@@ -201,8 +217,8 @@ echo "batch-ivf gate ok"
 
 # Fused exact-scan gate: exact retrieval is one streaming pass (score a
 # tile, offer it to the shared rank.Selector), so the three things that
-# keep it honest run by name. Bit-identity: the fused top-K — single,
-# fold-in and batch, over float64, float32 and overlaid parameters — and
+# keep it honest run by name. Bit-identity: the fused top-K — single and
+# fold-in, over float64, float32 and overlaid parameters — and
 # SearchCells at full probe width return the entries and the dropped count
 # of rank.TopKDropped over the materialised row, planted NaN/±Inf rows and
 # cross-tile ties included, that row — the one item scan under
@@ -228,23 +244,24 @@ gate -race -count=1 -run "$retrieval_gate" ./internal/retrieval
 gate -race -count=1 -cpu 1,4 -run "$retrieval_gate" ./internal/retrieval
 gate -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossReinstalls|InstallBuildsIndexOutsideSinkLock(Live)?)$' ./internal/serve
 # The bound filter in front of both scans (below) skips rows; the answer
-# must not move: TopKFoldIn, TopKUsers and SearchCells, full and pruned,
-# against rescoring every row, by Float64bits and dropped count. Without
+# must not move: TopKFoldIn and SearchCells, full and pruned, against
+# rescoring every row, by Float64bits and dropped count. Without
 # the race detector: nothing in it is concurrent, and it is the longest
 # table in the gate.
 gate -count=1 -run '^TestBoundFilterKeepsTheExactAnswer$' ./internal/retrieval
 # The rows the filter lets through are copied together and rescored in one
-# kernel call: exactly the rows the mask sets, each with the bits the
-# unmasked scan gives it, at both widths.
+# kernel call (mf's unexported scanMasked, which only mf.Sweep, the one
+# filter-and-rescore loop, calls): exactly the rows the mask sets, each
+# with the bits the unmasked scan gives it, at both widths.
 gate -count=1 -run '^TestScanMaskedMatchesScan$' ./internal/mf
 # A parameter set has one item scan and the serve path one miss: the
 # stored-user scan methods stay off *Factors32 and *Overlay (a stored user
 # is scored under UserVector(u)), and internal/serve ranks in exactly three
-# calls — miss's ProbeCells, SearchCells and TopKFoldIn — plus batch's
-# TopKUsers sweep.
+# calls — miss's ProbeCells, SearchCells and TopKFoldIn — which a batch
+# entry reaches as a GET does.
 if grep -nE '^func \([a-z]+ \*(Factors32|Overlay)\) Score(All|Range|AllFoldIn)\(' internal/mf/*.go ||
-	[ "$(grep -hE '\.(ProbeCells|SearchCells|TopKFoldIn|TopK|TopKUsers)\(' $(ls internal/serve/*.go | grep -v _test.go) |
-		grep -vcE '^[[:space:]]*//')" != 4 ]; then
+	[ "$(grep -hE '\.(ProbeCells|SearchCells|TopKFoldIn|TopK)\(' $(ls internal/serve/*.go | grep -v _test.go) |
+		grep -vcE '^[[:space:]]*//')" != 3 ]; then
 	echo "a parameter set has one item scan (ScoreRangeFoldIn) and the serve path one miss" >&2
 	exit 1
 fi
