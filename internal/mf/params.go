@@ -126,10 +126,10 @@ func (r ItemRows) Bound(d int) *mathx.Bound {
 	return mathx.BoundOverF64(r.V64, r.B64, d)
 }
 
-// sweepTile is the longest span one bound scan covers: 512 scores are 4 KB,
+// SweepTile is the longest span one bound scan covers: 512 scores are 4 KB,
 // which stays in L1 between the kernel writing them and the selector
-// reading them.
-const sweepTile = 512
+// reading them. Tests that plant rows across a tile edge read it.
+const SweepTile = 512
 
 // Sweep is the fused top-K's one filter-and-rescore loop: one query's
 // scratch over the rows of an ItemRows — its bound image, a tile of scores,
@@ -146,8 +146,8 @@ type Sweep struct {
 	tol   float64 // E(uf): how far a bound score may be from the exact one
 	pbuf  [512]int8
 	pheap []int8 // the image, when it outgrows pbuf
-	tile  [sweepTile]float64
-	mask  [sweepTile/64 + 2]uint64
+	tile  [SweepTile]float64
+	mask  [SweepTile/64 + 2]uint64
 	g     gatherBuf
 }
 
@@ -185,8 +185,8 @@ func (s *Sweep) image() []int8 {
 // sel.Offer would ignore it, so sel ends as an exact scan of every row
 // would leave it.
 func (s *Sweep) Offer(sel *rank.Selector, lo, hi int, ids []int32) {
-	for ; lo < hi; lo += sweepTile {
-		end := min(lo+sweepTile, hi)
+	for ; lo < hi; lo += SweepTile {
+		end := min(lo+SweepTile, hi)
 		floor := sel.Floor()
 		if s.bound == nil || math.IsInf(floor, -1) {
 			tile := s.tile[:end-lo]

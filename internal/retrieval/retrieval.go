@@ -43,8 +43,8 @@ import (
 type Mode int
 
 const (
-	// ModeExact scores every item per query — the dense blocked kernel
-	// in internal/score. Always correct, O(items·dim) per query.
+	// ModeExact ranks every item per query — the fused exact scan in
+	// internal/score. Always correct, O(items·dim) per query.
 	ModeExact Mode = iota
 	// ModeIVF prunes to the nprobe most promising k-means cells and
 	// re-ranks their members exactly — sublinear per query, recall

@@ -178,7 +178,7 @@ func BenchmarkSearchCells(b *testing.B) {
 
 // tileItems is mf.Sweep's tile: the longest span of a cell one bound scan
 // covers.
-const tileItems = 512
+const tileItems = mf.SweepTile
 
 // cellSurvivors is how many members SearchCells rescores for one query:
 // once the selector is full, the mask bits Bound.Scan sets for a span of a

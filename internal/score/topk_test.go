@@ -16,7 +16,7 @@ import (
 
 // tileItems is mf.Sweep's tile, the span whose edges the planted rows and
 // the catalog sizes below straddle.
-const tileItems = 512
+const tileItems = mf.SweepTile
 
 // plantedModel is a random catalog with the rows the fused scan could get
 // wrong planted in it. With biases: NaN, +Inf and -Inf scores for every
