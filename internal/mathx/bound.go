@@ -202,6 +202,11 @@ func (bd *Bound) Stride() int { return bd.stride }
 // Query writes u's image p_k into p, which must hold Stride() elements
 // (zero past d), and returns its scale Δ and E(u): for every finite row,
 // the exact score and the bound scan's differ by at most E.
+//
+// The clamps and maxima are plain comparisons, not the builtin max and
+// min, whose NaN and signed-zero cases cost more than the rest of the
+// query: past the finiteness test nothing compared here is NaN, and
+// every maximum is over absolute values, so the results are the same bits.
 func (bd *Bound) Query(u []float64, p []int8) (delta float32, tol float64) {
 	clear(p)
 	inf := math.Inf(1)
@@ -213,7 +218,9 @@ func (bd *Bound) Query(u []float64, p []int8) (delta float32, tol float64) {
 		if x-x != 0 {
 			return 0, inf
 		}
-		maxW = max(maxW, math.Abs(x*bd.scale[k]))
+		if a := math.Abs(x * bd.scale[k]); a > maxW {
+			maxW = a
+		}
 	}
 	delta = float32(maxW / 63)
 	if delta-delta != 0 {
@@ -223,10 +230,17 @@ func (bd *Bound) Query(u []float64, p []int8) (delta float32, tol float64) {
 	for k, x := range u {
 		w, pk := x*bd.scale[k], 0.0
 		if delta > 0 {
-			pk = max(-63, min(63, math.RoundToEven(w/float64(delta))))
+			pk = math.RoundToEven(w / float64(delta))
+			if pk > 63 {
+				pk = 63
+			} else if pk < -63 {
+				pk = -63
+			}
 		}
 		p[k] = int8(pk)
-		eq = max(eq, math.Abs(w-float64(delta)*pk))
+		if e := math.Abs(w - float64(delta)*pk); e > eq {
+			eq = e
+		}
 		ax := math.Abs(x)
 		quant += ax * bd.rho[k]
 		r += ax * (bd.mag[k] + bd.rho[k])

@@ -104,3 +104,28 @@ var servedCatalog = sync.OnceValue(func() servedBound {
 	}
 	return c
 })
+
+// BenchmarkBoundQuery is one query's image and E, which every bound scan
+// pays once: a serving miss per request, the IVF build per point and sweep.
+func BenchmarkBoundQuery(b *testing.B) {
+	const n = 4096
+	rng := mathx.NewRNG(2)
+	for _, d := range []int{16, 18} {
+		v, u := make([]float64, n*d), make([]float64, d)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		for k := range u {
+			u[k] = rng.NormFloat64()
+		}
+		bd := mathx.BoundOverF64(v, nil, d)
+		p := make([]int8, bd.Stride())
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_, tolSink = bd.Query(u, p)
+			}
+		})
+	}
+}
+
+var tolSink float64

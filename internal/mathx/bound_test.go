@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -574,4 +575,123 @@ func FuzzBoundI8(f *testing.F) {
 		checkBoundF64(t, "fuzz", u, v64, b64)
 		checkBoundF64(t, "fuzz, no bias", u, v64, nil)
 	})
+}
+
+// queryBuiltin is Bound.Query as it was written with the builtin max and
+// min, the specification TestBoundQueryMatchesSpec holds the plain
+// comparisons to.
+func queryBuiltin(bd *Bound, u []float64, p []int8) (delta float32, tol float64) {
+	clear(p)
+	inf := math.Inf(1)
+	if bd.d > maxBoundDim {
+		return 0, inf
+	}
+	var maxW float64
+	for k, x := range u {
+		if x-x != 0 {
+			return 0, inf
+		}
+		maxW = max(maxW, math.Abs(x*bd.scale[k]))
+	}
+	delta = float32(maxW / 63)
+	if delta-delta != 0 {
+		return 0, inf
+	}
+	var quant, eq, r float64
+	for k, x := range u {
+		w, pk := x*bd.scale[k], 0.0
+		if delta > 0 {
+			pk = max(-63, min(63, math.RoundToEven(w/float64(delta))))
+		}
+		p[k] = int8(pk)
+		eq = max(eq, math.Abs(w-float64(delta)*pk))
+		ax := math.Abs(x)
+		quant += ax * bd.rho[k]
+		r += ax * (bd.mag[k] + bd.rho[k])
+	}
+	if r += bd.maxBias; !(r <= 0x1p1000) {
+		return delta, inf
+	}
+	return delta, (quant+eq*bd.lmax)*(1+0x1p-20) + 0x1p-21*r + 0x1p-146
+}
+
+// TestBoundQueryMatchesSpec: Query's image p, its scale Δ and E have the
+// bits of queryBuiltin's, at d = 1, 16, 18 and 33, over gaussian catalogs
+// at unit scale, near float64's smallest and largest values and with a
+// zero column, under gaussian queries from 1e-300 to 1e300 and at the
+// scales where Δ is a float32 subnormal and the clamps bite, queries with
+// ±0, subnormal and near-overflow elements, a NaN or ±Inf in one place,
+// and raw bit patterns.
+func TestBoundQueryMatchesSpec(t *testing.T) {
+	rng := NewRNG(39)
+	specials := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1060, 1.7e308, -1.7e308,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	for _, d := range []int{1, 16, 18, 33} {
+		for _, scale := range []float64{1, 1e-300, 1e300, 0} {
+			const n = 40
+			v, b := make([]float64, n*d), make([]float64, n)
+			for i := range v {
+				v[i] = scale * rng.NormFloat64()
+			}
+			for i := range b {
+				b[i] = rng.NormFloat64()
+			}
+			if scale == 0 { // unit rows with a zero column: c_0 = 0
+				for i := range v {
+					v[i] = rng.NormFloat64()
+					if i%d == 0 {
+						v[i] = 0
+					}
+				}
+			}
+			bd := BoundOverF64(v, b, d)
+			var queries [][]float64
+			for _, qs := range []float64{1e-300, 1e-20, 1, 1e20, 1e300} {
+				u := make([]float64, d)
+				for k := range u {
+					u[k] = qs * rng.NormFloat64()
+				}
+				queries = append(queries, u)
+			}
+			for _, s := range specials {
+				for _, at := range []int{0, d - 1} {
+					u := make([]float64, d)
+					for k := range u {
+						u[k] = rng.NormFloat64()
+					}
+					u[at] = s
+					queries = append(queries, u)
+				}
+				all := make([]float64, d)
+				for k := range all {
+					all[k] = s
+				}
+				queries = append(queries, all)
+			}
+			for range 20 {
+				u := make([]float64, d)
+				for k := range u {
+					u[k] = math.Float64frombits(rng.Uint64())
+				}
+				queries = append(queries, u)
+			}
+			for range 40 { // Δ a float32 subnormal, rounded far enough down that a w_k/Δ passes ±63
+				u, qs := make([]float64, d), math.Pow(10, -44+4*rng.Float64())/math.Max(scale, 1e-300)
+				for k := range u {
+					u[k] = qs * rng.NormFloat64()
+				}
+				queries = append(queries, u)
+			}
+			got, want := make([]int8, bd.Stride()), make([]int8, bd.Stride())
+			for qi, u := range queries {
+				gd, ge := bd.Query(u, got)
+				wd, we := queryBuiltin(bd, u, want)
+				if math.Float32bits(gd) != math.Float32bits(wd) || math.Float64bits(ge) != math.Float64bits(we) ||
+					!slices.Equal(got, want) {
+					t.Fatalf("d=%d scale %g query %d %v: Query = (%v, %v, %v), builtin (%v, %v, %v)",
+						d, scale, qi, u, gd, ge, got, wd, we, want)
+				}
+			}
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"clapf/internal/mathx"
 	"clapf/internal/mf"
+	"clapf/internal/served"
 	"clapf/internal/store"
 )
 
@@ -233,13 +234,19 @@ func widen(f *mf.Factors32, n, d int) []float64 {
 }
 
 // BenchmarkBuildIVF is the whole index build at the benchmark's catalog
-// shape; run with -cpu 1,2 to read the assignment fan-out.
+// shape, float64 and float32, and over the float64 catalog the benchmark's
+// IVF shard serves (package served); run with -cpu 1,2 to read the
+// assignment fan-out. The cases are a slice, so they run in this order.
 func BenchmarkBuildIVF(b *testing.B) {
 	m, _ := benchCatalog()
-	for name, p := range map[string]mf.Params{"f64": m, "f32": mf.QuantizeF32(m)} {
-		b.Run(name, func(b *testing.B) {
+	sm, _ := served.Catalog()
+	for _, c := range []struct {
+		name string
+		p    mf.Params
+	}{{"f64", m}, {"f32", mf.QuantizeF32(m)}, {"served", sm}} {
+		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := BuildIVF(p, Config{}); err != nil {
+				if _, err := BuildIVF(c.p, Config{}); err != nil {
 					b.Fatal(err)
 				}
 			}

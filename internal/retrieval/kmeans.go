@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,7 +15,9 @@ import (
 // members, assignments break ties toward the lower cell index, and empty
 // cells are reseeded deterministically from the worst-served point. It
 // returns the flat centroid matrix (k'×D, k' = min(k, n)) and each row's
-// cell assignment.
+// cell assignment. The first sweep scores every centroid; each later one
+// rescores only the centroids the bound filter over that sweep's
+// centroids lets through (assignAll), with the same result.
 //
 // Determinism is a contract, not a nicety: the serve path rebuilds the
 // index whenever the item half changes, and hot-reload tests pin exact
@@ -42,11 +45,13 @@ func kmeans(x []float64, n, D, k, iters int, rng *mathx.RNG) (centroids []float6
 	affinity := make([]float64, n) // dot with the assigned centroid
 	sums := make([]float64, k*D)
 	counts := make([]int, k)
-	workers := max(1, min(runtime.GOMAXPROCS(0), (n+assignChunk-1)/assignChunk))
-	scans := make([]float64, workers*k) // nearest's scratch, k a worker
 
+	var bound *mathx.Bound // nil in sweep 0: no point has a cell to beat yet
 	for it := 0; it < iters; it++ {
-		changed := assignAll(centroids, x, n, D, scans, assign, affinity)
+		if it > 0 {
+			bound = mathx.BoundOverF64(centroids, nil, D)
+		}
+		changed := assignAll(centroids, x, n, D, bound, assign, affinity)
 		if it > 0 && !changed {
 			break
 		}
@@ -102,18 +107,40 @@ func kmeans(x []float64, n, D, k, iters int, rng *mathx.RNG) (centroids []float6
 // of scanning per touch of the shared cursor, under 1 % of a sweep.
 const assignChunk = 256
 
-// assignAll is one assignment sweep — ≈ 97 % of the build: assign[i] and
-// affinity[i] become point i's nearest centroid and its dot product, and
-// the result reports whether any assignment moved. len(scans)/k workers
-// (the caller is one: a single worker starts no goroutine) claim
-// assignChunk-point runs from one cursor, each with its own k-wide scratch;
-// they write disjoint elements and only read the centroids, so the outcome
-// is the serial loop's under any interleaving.
-func assignAll(centroids, x []float64, n, D int, scans []float64, assign []int32, affinity []float64) bool {
+// assignAll is one assignment sweep, nearly all of the build: assign[i]
+// and affinity[i] become point i's nearest centroid and its dot product,
+// ties toward the lower index, and the result reports whether any
+// assignment moved. Up to GOMAXPROCS workers (the caller is one: a single
+// worker starts no goroutine) claim assignChunk-point runs from one
+// cursor, each with its own scratch; they write disjoint elements and only
+// read the centroids, so the outcome is the serial loop's under any
+// interleaving.
+//
+// A nil bound scores every centroid (nearest). Otherwise bound is the
+// filter over these centroids (mathx.BoundOverF64), and assign holds each
+// point's cell from the last sweep, whose dot product is the floor: the
+// filter lets through every centroid whose exact dot is not below it,
+// and only those are rescored with mathx.Dot, in ascending order under a
+// strict >. The argmax and every centroid tied with it are among them, so
+// the cell and its affinity are nearest's, bit for bit; after the first
+// sweep a point's cell is rarely beaten, and a few dozen of several
+// hundred centroids pass.
+func assignAll(centroids, x []float64, n, D int, bound *mathx.Bound, assign []int32, affinity []float64) bool {
 	k := len(centroids) / D
+	workers := max(1, min(runtime.GOMAXPROCS(0), (n+assignChunk-1)/assignChunk))
 	var cursor atomic.Int64
 	var changed atomic.Bool
-	sweep := func(scan []float64) {
+	sweep := func() {
+		var (
+			scan []float64 // nearest's k affinities
+			p    []int8    // the bound's query image
+			mask []uint64  // its survivors
+		)
+		if bound == nil {
+			scan = make([]float64, k)
+		} else {
+			p, mask = make([]int8, bound.Stride()), make([]uint64, k/64+2)
+		}
 		moved := false
 		for {
 			lo := int(cursor.Add(assignChunk)) - assignChunk
@@ -121,7 +148,23 @@ func assignAll(centroids, x []float64, n, D int, scans []float64, assign []int32
 				break
 			}
 			for i := lo; i < min(lo+assignChunk, n); i++ {
-				bestC, bestA := nearest(centroids, x[i*D:i*D+D], scan)
+				xi := x[i*D : i*D+D]
+				bestC, bestA := int32(0), math.Inf(-1)
+				if bound == nil {
+					bestC, bestA = nearest(centroids, xi, scan)
+				} else {
+					cell := int(assign[i])
+					floor := mathx.Dot(centroids[cell*D:cell*D+D], xi)
+					delta, tol := bound.Query(xi, p)
+					for w, word := range bound.Scan(p, delta, floor-tol, 0, k, mask) {
+						for ; word != 0; word &= word - 1 {
+							c := w*64 + bits.TrailingZeros64(word)
+							if a := mathx.Dot(centroids[c*D:c*D+D], xi); a > bestA { // strict >: ties keep the lower index
+								bestA, bestC = a, int32(c)
+							}
+						}
+					}
+				}
 				if assign[i] != bestC {
 					assign[i], moved = bestC, true
 				}
@@ -133,14 +176,14 @@ func assignAll(centroids, x []float64, n, D int, scans []float64, assign []int32
 		}
 	}
 	var wg sync.WaitGroup
-	for w := k; w < len(scans); w += k {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sweep(scans[w : w+k])
+			sweep()
 		}()
 	}
-	sweep(scans[:k])
+	sweep()
 	wg.Wait()
 	return changed.Load()
 }
@@ -159,9 +202,10 @@ func worstServed(aff []float64) int {
 
 // nearest returns the centroid (rows of len(xi) coordinates, one per
 // element of the scratch aff) with the largest dot product against xi,
-// ties toward the lower index, and that dot product. It is the build's hot
-// loop — n·k·D multiply-adds per sweep — and one mathx.ScanF64 call: every
-// affinity has the bits of mathx.Dot.
+// ties toward the lower index, and that dot product: the first sweep's
+// scan, n·k·D multiply-adds, before any point has a cell for the bound
+// filter to beat. It is one mathx.ScanF64 call: every affinity has the
+// bits of mathx.Dot.
 func nearest(centroids, xi, aff []float64) (int32, float64) {
 	mathx.ScanF64(xi, centroids, nil, aff)
 	bestC, bestA := int32(0), math.Inf(-1)

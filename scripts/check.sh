@@ -226,12 +226,15 @@ echo "batch-ivf gate ok"
 # (heap and mapped) and an overlay, the selector itself matches a naive full-sort
 # oracle, and its two tile loops (OfferRun, OfferIDs), which jump between
 # survivors, match Offer called per item; the index build's assignment step matches the plain
-# mathx.Dot loop bit for bit, and ProbeCells' threshold selection and its
+# mathx.Dot loop bit for bit, and so does its sweep through the bound
+# filter (cells, affinities and "moved", ties and zero rows included),
+# and ProbeCells' threshold selection and its
 # best-first order a full sort of the affinities. Allocation: an exact-mode miss through the
 # handler allocates nothing proportional to NumItems, and an IVF miss only
 # its cell list and its k entries. Index build and reuse: the build is
 # the same bits at GOMAXPROCS 1, 2 and 7 (the retrieval line runs again
-# at -cpu 1,4, so the fan-out is exercised on a one-core runner too);
+# at -cpu 1,4, so the fan-out is exercised on a one-core runner too) and
+# the bits recorded from the full-scan k-means (TestBuildIVFPinned);
 # Index.Indexes is true for exactly the item half the index packed;
 # SetRetrieval → EnableFeedback → SetCacheSize builds the IVF index once,
 # an install of an unchanged item half keeps it, and install resolves the
@@ -239,7 +242,7 @@ echo "batch-ivf gate ok"
 # test cache so the gate always actually runs.
 gate -race -count=1 -run '^Test(FusedTopKBitIdentical|ScanUnderUserVectorIsScore|WrongLengthUserVectorPanics)$' ./internal/score
 gate -race -count=1 -run '^Test(SelectorMatchesNaive|OfferRunAndOfferIDsMatchOffer)$' ./internal/rank
-retrieval_gate='^Test(SearchCellsMatchesTwoPass|NearestMatchesDot|ProbeCellsMatchesFullSort|WrongLengthQueryPanics|MissAllocatesOnlyItsResults|BuildIVFSameAcrossWorkers|IndexesMatchesOnlyItsOwnItems)$'
+retrieval_gate='^Test(SearchCellsMatchesTwoPass|NearestMatchesDot|BoundedAssignMatchesFullScan|ProbeCellsMatchesFullSort|WrongLengthQueryPanics|MissAllocatesOnlyItsResults|BuildIVFSameAcrossWorkers|BuildIVFPinned|IndexesMatchesOnlyItsOwnItems)$'
 gate -race -count=1 -run "$retrieval_gate" ./internal/retrieval
 gate -race -count=1 -cpu 1,4 -run "$retrieval_gate" ./internal/retrieval
 gate -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossReinstalls|InstallBuildsIndexOutsideSinkLock(Live)?)$' ./internal/serve
@@ -287,7 +290,9 @@ echo "fused exact-scan gate ok"
 # lane, the saturating extremes (every q = ±127 under every p = ±63), at
 # thresholds NaN, ±Inf, ±1e300, a tie with s̃ (kept) and the next float64
 # above it (dropped); Bound.Scan over unaligned spans; a query outside
-# [−63, 63] refused; its error bound E, which lets the top-K skip a row,
+# [−63, 63] refused; Query's image, scale and E the bits of its
+# builtin-max/min specification, NaN, ±Inf, ±0, subnormal and
+# near-overflow queries included; its error bound E, which lets the top-K skip a row,
 # holds (|s̃ − s| ≤ E, exactly, and Scan keeps a row at the threshold
 # s − E) on cancelling, exactly quantised, subnormal and out-of-range
 # catalogs; and the image marks non-finite rows and leaves them out of E's
@@ -305,7 +310,7 @@ echo "fused exact-scan gate ok"
 # Another of any is another kernel to keep bit-identical.
 gate -count=1 -run '^TestScanF64F32(MatchesPortable|IsDotF64F32|ShortSlicePanics)$' ./internal/mathx
 gate -count=1 -run '^Test(ScanF64(MatchesPortable|IsDot|ShortSlicePanics)|FirstNotBelowMatchesLoop)$' ./internal/mathx
-gate -count=1 -run '^TestBound(I8MatchesPortable|I8ShortSlicePanics|CoversTheExactScore|NonFinite)$' ./internal/mathx
+gate -count=1 -run '^TestBound(I8MatchesPortable|I8ShortSlicePanics|QueryMatchesSpec|CoversTheExactScore|NonFinite)$' ./internal/mathx
 gate -run='^$' -fuzz='^FuzzScanF64F32$' -fuzztime=5s ./internal/mathx
 gate -run='^$' -fuzz='^FuzzScanF64$' -fuzztime=5s ./internal/mathx
 gate -run='^$' -fuzz='^FuzzFirstNotBelow$' -fuzztime=5s ./internal/mathx
