@@ -100,14 +100,14 @@ const maxBoundDim = (1 << 24) / (63 * 127)
 // Bound is the filter's view of one catalog: its int8 image and what E
 // needs. It is read-only after construction and safe for concurrent use.
 type Bound struct {
-	d, stride int
-	q         []uint8   // q_ik + 128 in imageByte's layout, padded with 128
-	b         []float32 // one bias a row, 16 a block; NaN for a row that is not finite
-	scale     []float64 // c_k
-	mag       []float64 // M_k
-	rho       []float64 // ρ_k
-	lmax      float64   // Lmax
-	maxBias   float64   // largest |b_i| over the finite rows
+	n, d, stride int
+	q            []uint8   // q_ik + 128 in imageByte's layout, padded with 128
+	b            []float32 // one bias a row, 16 a block; NaN for a row that is not finite
+	scale        []float64 // c_k
+	mag          []float64 // M_k
+	rho          []float64 // ρ_k
+	lmax         float64   // Lmax
+	maxBias      float64   // largest |b_i| over the finite rows
 }
 
 // blockRows is the image's block: the kernel scores 16 rows together and
@@ -138,7 +138,7 @@ func newBound[T float32 | float64](v, b []T, d int) *Bound {
 	padded := (n + blockRows - 1) / blockRows * blockRows
 	stride := 4 * ((d + 3) / 4)
 	bd := &Bound{
-		d: d, stride: stride,
+		n: n, d: d, stride: stride,
 		q: make([]uint8, padded*stride), b: make([]float32, padded),
 		scale: make([]float64, d), mag: make([]float64, d), rho: make([]float64, d),
 	}
@@ -194,6 +194,33 @@ func newBound[T float32 | float64](v, b []T, d int) *Bound {
 		bd.lmax = max(bd.lmax, l)
 	}
 	return bd
+}
+
+// WithBias is bd over the same rows under the biases b, one a row: it
+// shares bd's image and rebuilds only what depends on the biases, the
+// float32 biases and maxBias. Under biases that float32 holds it is, field
+// for field, the bound BoundOverF64 would build over bd's rows and b. A row
+// bd left out of the image stays out, and a row whose new bias is not
+// finite (in float32) gets a NaN bias, so it always survives; its bytes
+// stay in the image and in the maxima, where they only cover more than the
+// finite rows need.
+func (bd *Bound) WithBias(b []float64) *Bound {
+	if len(b) != bd.n {
+		panic(fmt.Sprintf("mathx: WithBias: %d biases for %d rows", len(b), bd.n))
+	}
+	nb := *bd
+	nb.b, nb.maxBias = make([]float32, len(bd.b)), 0
+	nan := float32(math.NaN())
+	for i, x := range b {
+		f := float32(x)
+		if f-f != 0 || bd.b[i] != bd.b[i] {
+			nb.b[i] = nan
+			continue
+		}
+		nb.b[i] = f
+		nb.maxBias = max(nb.maxBias, math.Abs(x))
+	}
+	return &nb
 }
 
 // Stride is the length of a query image: 4·⌈d/4⌉.

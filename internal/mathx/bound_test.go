@@ -453,6 +453,122 @@ func TestBoundCoversTheExactScore(t *testing.T) {
 	}
 }
 
+// sameBoundFields fails unless got and want are the same bound field for
+// field, every float by its bits.
+func sameBoundFields(t *testing.T, label string, got, want *Bound) {
+	t.Helper()
+	same64 := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	same32 := func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }
+	for _, f := range []struct {
+		name string
+		ok   bool
+	}{
+		{"shape", got.n == want.n && got.d == want.d && got.stride == want.stride},
+		{"image", slices.Equal(got.q, want.q)},
+		{"biases", slices.EqualFunc(got.b, want.b, same32)},
+		{"scale", slices.EqualFunc(got.scale, want.scale, same64)},
+		{"mag", slices.EqualFunc(got.mag, want.mag, same64)},
+		{"rho", slices.EqualFunc(got.rho, want.rho, same64)},
+		{"lmax", same64(got.lmax, want.lmax)},
+		{"maxBias", same64(got.maxBias, want.maxBias)},
+	} {
+		if !f.ok {
+			t.Fatalf("%s: %s differs", label, f.name)
+		}
+	}
+}
+
+// TestBoundWithBiasMatchesBuild: rebiasing an image built without biases
+// gives, field for field and bit for bit, the bound built with them —
+// image, biases (the NaN of a row that is not finite included), scale,
+// mag, rho, lmax and maxBias — over gaussian catalogs around the 16-row
+// block, cancelling rows and rows with a NaN or ±Inf value, under
+// gaussian biases and biases at float32's extremes (±0, subnormal, near
+// its largest). The receiver is left as it was. A bias float32 cannot
+// hold as a finite value (NaN, ±Inf, 1e39) gives its row a NaN bias, so
+// Scan keeps it at any threshold, and leaves it out of maxBias; a wrong
+// number of biases panics.
+func TestBoundWithBiasMatchesBuild(t *testing.T) {
+	rng := NewRNG(54)
+	type catalog struct {
+		name string
+		d    int
+		v    []float64
+	}
+	var catalogs []catalog
+	for _, d := range []int{1, 3, 16, 18, 33} {
+		for _, n := range []int{1, 15, 16, 17, 37} {
+			catalogs = append(catalogs, catalog{fmt.Sprintf("gaussian d=%d n=%d", d, n), d, randF64(rng, n*d)})
+		}
+		const n = 19
+		cancel := make([]float64, n*d)
+		for i := 0; i < n; i++ {
+			row := cancel[i*d : (i+1)*d]
+			for k := range row {
+				row[k] = 1e-7 * rng.NormFloat64()
+			}
+			m := math.Ldexp(1+rng.Float64(), i)
+			row[0], row[d-1] = m, -m
+		}
+		poisoned := randF64(rng, n*d)
+		poisoned[2*d] = math.NaN()
+		poisoned[5*d+d-1] = math.Inf(1)
+		poisoned[18*d] = math.Inf(-1)
+		catalogs = append(catalogs, catalog{fmt.Sprintf("cancelling d=%d", d), d, cancel},
+			catalog{fmt.Sprintf("non-finite rows d=%d", d), d, poisoned})
+	}
+	for _, c := range catalogs {
+		name, d, v := c.name, c.d, c.v
+		n := len(v) / d
+		extremes := []float64{0, math.Copysign(0, -1), 1e-45, -1e-40, 3e38, -3.4e38}
+		biases := [][]float64{randF64(rng, n), make([]float64, n)}
+		for j := range biases[1] {
+			biases[1][j] = extremes[j%len(extremes)]
+		}
+		bare := BoundOverF64(v, nil, d)
+		for bi, b := range biases {
+			label := fmt.Sprintf("%s biases %d", name, bi)
+			sameBoundFields(t, label, bare.WithBias(b), BoundOverF64(v, b, d))
+			sameBoundFields(t, label+": receiver", bare, BoundOverF64(v, nil, d))
+		}
+
+		b := slices.Clone(biases[0])
+		bad := []int{0, n / 2, n - 1}
+		for j, x := range []float64{math.NaN(), math.Inf(-1), 1e39} {
+			b[bad[j]] = x
+		}
+		rb := bare.WithBias(b)
+		want := 0.0
+		for i, x := range b {
+			if !slices.Contains(bad, i) && !math.IsNaN(float64(bare.b[i])) {
+				want = max(want, math.Abs(x))
+			}
+		}
+		if math.Float64bits(rb.maxBias) != math.Float64bits(want) {
+			t.Fatalf("%s: maxBias %v, want %v, the rows still finite", name, rb.maxBias, want)
+		}
+		p := make([]int8, rb.Stride())
+		delta, _ := rb.Query(randF64(rng, d), p)
+		mask := make([]uint64, n/64+2)
+		for _, thr := range []float64{math.Inf(1), 1e300, math.MaxFloat32} {
+			rb.Scan(p, delta, thr, 0, n, mask)
+			for _, i := range bad {
+				if mask[i/64]>>(i%64)&1 == 0 || !math.IsNaN(float64(rb.b[i])) {
+					t.Fatalf("%s: row %d with bias %v: bias %v, dropped at threshold %v", name, i, b[i], rb.b[i], thr)
+				}
+			}
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("WithBias with one bias too few: no panic")
+			}
+		}()
+		BoundOverF64(make([]float64, 6), nil, 3).WithBias([]float64{1})
+	}()
+}
+
 // TestBoundNonFinite: a row with a NaN or ±Inf value or bias, or a float64
 // bias beyond float32's range, gets a NaN bias and so a NaN s̃ under any
 // query, and always survives; it is left out of the maxima, which stay

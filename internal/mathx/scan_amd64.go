@@ -33,26 +33,32 @@ func scanF64F32(u []float64, v, b []float32, out []float64) {
 }
 
 // scanF64AVX is scanF64Go over n > 0 rows of d > 0 elements, n a multiple
-// of four; b may be nil.
+// of four: pass row j is v's row rows[j], or row j when rows is nil; b may
+// be nil.
 //
 //go:noescape
-func scanF64AVX(u, v, b, out *float64, n, d int)
+func scanF64AVX(u, v, b, out *float64, rows *int32, n, d int)
 
-func scanF64(u, v, b, out []float64) {
+func scanF64(u, v, b []float64, rows []int32, out []float64) {
 	d, n4 := len(u), len(out)&^3
 	if !useAVX || d == 0 || n4 == 0 {
-		scanF64Go(u, v, b, out)
+		scanF64Go(u, v, b, rows, out)
 		return
 	}
-	// ScanF64 checked len(v) and len(b) against n*d and n: the kernel
-	// reads exactly the first n4 rows and biases; the Go body takes the
-	// zero to three rows left.
+	// ScanF64 checked len(v) and len(b) against n*d and n, ScanF64Rows
+	// every id against len(v): the kernel reads exactly the first n4 rows
+	// and biases; the Go body takes the zero to three rows left.
+	if rows != nil {
+		scanF64AVX(&u[0], &v[0], nil, &out[0], &rows[0], n4, d)
+		scanF64Go(u, v, nil, rows[n4:], out[n4:])
+		return
+	}
 	var bp *float64
 	if b != nil {
 		bp, b = &b[0], b[n4:]
 	}
-	scanF64AVX(&u[0], &v[0], bp, &out[0], n4, d)
-	scanF64Go(u, v[n4*d:], b, out[n4:])
+	scanF64AVX(&u[0], &v[0], bp, &out[0], nil, n4, d)
+	scanF64Go(u, v[n4*d:], b, nil, out[n4:])
 }
 
 // useAVX2 adds CPUID leaf 7's AVX2 bit, behind a max leaf of at least 7,

@@ -112,7 +112,7 @@ store:
 	VZEROUPPER
 	RET
 
-// func scanF64AVX(u, v, b, out *float64, n, d int)
+// func scanF64AVX(u, v, b, out *float64, rows *int32, n, d int)
 //
 // Four rows per pass: lane q of Y0 is Dot's one accumulator for row q. A
 // chunk of four coordinates is loaded from each row and transposed, so
@@ -120,23 +120,48 @@ store:
 // multiplied by that coordinate of u and added to Y0, in coordinate
 // order, which is the order Dot adds a row's products in. Multiply and
 // add stay separate, as in scanAVX: the compiled Dot rounds the product,
-// and TestScanF64IsDot is what notices if a compiler ever fuses it.
-TEXT ·scanF64AVX(SB), NOSPLIT, $0-48
+// and TestScanF64IsDot is what notices if a compiler ever fuses it. The
+// pass's four rows are consecutive when rows is nil; otherwise they are
+// the next four ids of the list, each id times the row's bytes from R15,
+// row 0 of v, and the pass body is the same.
+TEXT ·scanF64AVX(SB), NOSPLIT, $0-56
 	MOVQ u+0(FP), SI
 	MOVQ v+8(FP), DI
 	MOVQ b+16(FP), BX
 	MOVQ out+24(FP), DX
-	MOVQ n+32(FP), CX
-	MOVQ d+40(FP), R8
+	MOVQ rows+32(FP), R14
+	MOVQ n+40(FP), CX
+	MOVQ d+48(FP), R8
+	MOVQ DI, R15
 	MOVQ R8, R9
 	ANDQ $-4, R9 // d rounded down to whole chunks
 	MOVQ R8, R10
 	SHLQ $3, R10 // bytes in a row
 
 rows4:
-	LEAQ   (DI)(R10*1), R11 // rows 1, 2, 3 of this pass
-	LEAQ   (R11)(R10*1), R12
-	LEAQ   (R12)(R10*1), R13
+	TESTQ R14, R14
+	JNZ   list4
+	LEAQ  (DI)(R10*1), R11 // rows 1, 2, 3 of this pass
+	LEAQ  (R11)(R10*1), R12
+	LEAQ  (R12)(R10*1), R13
+	JMP   pass4
+
+list4:
+	MOVLQSX (R14), AX // the next four ids of the list
+	IMULQ   R10, AX
+	LEAQ    (R15)(AX*1), DI
+	MOVLQSX 4(R14), AX
+	IMULQ   R10, AX
+	LEAQ    (R15)(AX*1), R11
+	MOVLQSX 8(R14), AX
+	IMULQ   R10, AX
+	LEAQ    (R15)(AX*1), R12
+	MOVLQSX 12(R14), AX
+	IMULQ   R10, AX
+	LEAQ    (R15)(AX*1), R13
+	ADDQ    $16, R14
+
+pass4:
 	VXORPD Y0, Y0, Y0
 	XORQ   AX, AX
 	CMPQ   AX, R9

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -217,7 +218,7 @@ func sameScanF64(t *testing.T, label string, u, v, b []float64, n int, outOff in
 	Fill(got, canary)
 	Fill(want, canary)
 	ScanF64(u, v, b, got[outOff:outOff+n])
-	scanF64Go(u, v, b, want[outOff:outOff+n])
+	scanF64Go(u, v, b, nil, want[outOff:outOff+n])
 	sameBits(t, label, got, want, outOff)
 }
 
@@ -349,9 +350,108 @@ func TestScanF64ShortSlicePanics(t *testing.T) {
 	ScanF64(u, v, nil, out)
 }
 
+// sameRows fails unless ScanF64Rows — the AVX kernel where the host has
+// one — and scanF64Go, its portable body, both score every listed row of
+// v with mathx.Dot's bits and write nothing past len(rows) of out.
+func sameRows(t *testing.T, label string, u, v []float64, rows []int32) {
+	t.Helper()
+	d, n := len(u), len(rows)
+	got, port, want := make([]float64, n+1), make([]float64, n+1), make([]float64, n+1)
+	const canary = -12345.5
+	Fill(got, canary)
+	Fill(port, canary)
+	Fill(want, canary)
+	ScanF64Rows(u, v, rows, got[:n])
+	scanF64Go(u, v, nil, rows, port[:n])
+	for j, r := range rows {
+		want[j] = Dot(u, v[int(r)*d:int(r)*d+d])
+	}
+	sameBits(t, label, got, want, 0)
+	sameBits(t, label+" portable", port, want, 0)
+}
+
+// TestScanF64RowsIsDot ties the row-list scan to mathx.Dot: lists of every
+// length from 0 to 9 (none, part of one pass of four, whole passes, and
+// every count of rows left to the Go body), ids adjacent, descending from
+// the last row, one id repeated and random ones, over rows that each hold
+// a distinct vector and, every seventh, an IEEE special — so a pass that
+// read consecutive rows instead of the list's, or put a row in the wrong
+// lane, answers with another row's score.
+func TestScanF64RowsIsDot(t *testing.T) {
+	rng := NewRNG(34)
+	const nrows = 40
+	for _, d := range []int{1, 3, 4, 5, 16, 18} {
+		u, v := randF64(rng, d), randF64(rng, nrows*d)
+		for r := 0; r < nrows; r += 7 {
+			v[r*d+rng.Intn(d)] = scanF64Specials[rng.Intn(len(scanF64Specials))]
+		}
+		sameRows(t, fmt.Sprintf("d=%d nil list", d), u, v, nil)
+		for n := 0; n <= 9; n++ {
+			adjacent, descending, repeated, random := make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
+			start, same := int32(rng.Intn(nrows-n)), int32(rng.Intn(nrows))
+			for j := range n {
+				adjacent[j] = start + int32(j)
+				descending[j] = nrows - 1 - 3*int32(j)
+				repeated[j] = same
+				random[j] = int32(rng.Intn(nrows))
+			}
+			for _, c := range []struct {
+				name string
+				rows []int32
+			}{{"adjacent", adjacent}, {"descending", descending}, {"repeated", repeated}, {"random", random}} {
+				sameRows(t, fmt.Sprintf("d=%d %d %s ids", d, n, c.name), u, v, c.rows)
+			}
+		}
+	}
+}
+
+// TestScanF64RowsPanics: an id outside the matrix — negative, one past the
+// last row, or on the partial row of a v one element short — and an out
+// one short or long are refused before a row is read: the panic is
+// ScanF64Rows' own, not the runtime's, and out is untouched.
+func TestScanF64RowsPanics(t *testing.T) {
+	const n, d = 9, 6
+	rng := NewRNG(35)
+	u, v := randF64(rng, d), randF64(rng, n*d)
+	rows := []int32{0, 3, 8, 2, 5}
+	for _, c := range []struct {
+		name string
+		v    []float64
+		rows []int32
+		out  int
+	}{
+		{"negative id", v, []int32{0, 3, -1, 2, 5}, 5},
+		{"id past the last row", v, []int32{0, 3, 2, 5, n}, 5},
+		{"id on a partial row", v[:n*d-1], rows, 5},
+		{"out short", v, rows, 4},
+		{"out long", v, rows, 6},
+	} {
+		const canary = -12345.5
+		out := make([]float64, c.out)
+		Fill(out, canary)
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "mathx: ScanF64Rows") {
+					t.Errorf("%s: panic %q, want ScanF64Rows' own", c.name, msg)
+				}
+			}()
+			ScanF64Rows(u, c.v, c.rows, out)
+		}()
+		for _, x := range out {
+			if x != canary {
+				t.Errorf("%s: out written before the panic", c.name)
+				break
+			}
+		}
+	}
+	ScanF64Rows(u, v, rows, make([]float64, len(rows))) // the exact shapes do not
+}
+
 // FuzzScanF64 feeds raw float64 bit patterns through the kernel and the
 // portable loop. The first two bytes pick d and the offset parity; the
-// rest are the query, then rows, then biases.
+// rest are the query, then rows, then biases. The row-list scan reads the
+// same rows through a list of as many ids, each a bias word's bits modulo
+// the row count.
 func FuzzScanF64(f *testing.F) {
 	seed := func(d, off byte, words ...uint64) {
 		buf := []byte{d, off}
@@ -388,6 +488,13 @@ func FuzzScanF64(f *testing.F) {
 		v, b := words[:n*d], words[n*d:n*d+n]
 		sameScanF64(t, "fuzz", u, v, b, n, off)
 		sameScanF64(t, "fuzz, no bias", u, v, nil, n, off)
+		if n > 0 {
+			rows := make([]int32, n)
+			for j, w := range b {
+				rows[j] = int32(math.Float64bits(w) % uint64(n))
+			}
+			sameRows(t, "fuzz, row list", u, v, rows)
+		}
 	})
 }
 
@@ -604,7 +711,9 @@ func BenchmarkFirstNotBelow(b *testing.B) {
 var benchSurvivors int
 
 // BenchmarkScanF64 is the in-package twin of the ledger's
-// score.scan_f64_us, at BenchmarkScanF64F32's two shapes.
+// score.scan_f64_us, at BenchmarkScanF64F32's two shapes, and ScanF64Rows
+// at a bounded k-means sweep's: one centroid's 23 surviving points of a
+// 328-point run, d = 18.
 func BenchmarkScanF64(b *testing.B) {
 	const n = 26744
 	rng := NewRNG(1)
@@ -613,7 +722,7 @@ func BenchmarkScanF64(b *testing.B) {
 		for _, impl := range []struct {
 			name string
 			scan func(u, v, b, out []float64)
-		}{{"kernel", ScanF64}, {"portable", scanF64Go}} {
+		}{{"kernel", ScanF64}, {"portable", func(u, v, b, out []float64) { scanF64Go(u, v, b, nil, out) }}} {
 			b.Run(fmt.Sprintf("%s/d=%d", impl.name, d), func(b *testing.B) {
 				b.SetBytes(int64(8 * (len(v) + len(bias))))
 				for i := 0; i < b.N; i++ {
@@ -622,4 +731,15 @@ func BenchmarkScanF64(b *testing.B) {
 			})
 		}
 	}
+	const k, d, m = 328, 18, 23
+	u, v, out, rows := randF64(rng, d), randF64(rng, k*d), make([]float64, m), make([]int32, m)
+	for j := range rows {
+		rows[j] = int32(j * k / m) // ascending, as a sweep's survivors are
+	}
+	b.Run(fmt.Sprintf("rows/d=%d", d), func(b *testing.B) {
+		b.SetBytes(int64(8 * m * d))
+		for i := 0; i < b.N; i++ {
+			ScanF64Rows(u, v, rows, out)
+		}
+	})
 }

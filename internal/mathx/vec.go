@@ -8,7 +8,8 @@ import "fmt"
 // (vec32.go's kernels can: their four accumulators over k mod 4 are the
 // lanes). ScanF64 therefore vectorises across rows instead: four rows per
 // pass, each lane one row's Dot, products rounded and added in Dot's order
-// (scan_amd64.s).
+// (scan_amd64.s). ScanF64Rows is the same pass over rows a list names, four
+// ids at a time, through the same kernel body.
 
 // Dot returns the inner product of a and b. The slices must have equal
 // length; this is the hot kernel of every matrix-factorization score in the
@@ -33,15 +34,41 @@ func ScanF64(u, v, b, out []float64) {
 	if len(v) != len(out)*len(u) || (b != nil && len(b) != len(out)) {
 		panic(fmt.Sprintf("mathx: ScanF64 over %d rows of %d: len(v) = %d, len(b) = %d", len(out), len(u), len(v), len(b)))
 	}
-	scanF64(u, v, b, out)
+	scanF64(u, v, b, nil, out)
 }
 
-// scanF64Go is ScanF64's specification, and its body wherever the AVX
-// kernel is not available.
-func scanF64Go(u, v, b, out []float64) {
+// ScanF64Rows scores the rows of a row-major float64 matrix that a list
+// names: with d = len(u),
+//
+//	out[j] = Dot(u, v[rows[j]*d:(rows[j]+1)*d])
+//
+// bit for bit, ids in any order and repeated or not. out must hold exactly
+// len(rows) elements and every id must name a whole row of v; anything
+// else is a caller bug and panics before a single row is read.
+func ScanF64Rows(u, v []float64, rows []int32, out []float64) {
+	d := len(u)
+	if len(out) != len(rows) {
+		panic(fmt.Sprintf("mathx: ScanF64Rows over %d rows: len(out) = %d", len(rows), len(out)))
+	}
+	for _, r := range rows {
+		if r < 0 || (int(r)+1)*d > len(v) {
+			panic(fmt.Sprintf("mathx: ScanF64Rows row %d of a matrix of %d elements, %d a row", r, len(v), d))
+		}
+	}
+	scanF64(u, v, nil, rows, out)
+}
+
+// scanF64Go is ScanF64's and ScanF64Rows' specification, and their body
+// wherever the AVX kernel is not available: scan row j is v's row rows[j],
+// or row j when rows is nil.
+func scanF64Go(u, v, b []float64, rows []int32, out []float64) {
 	d := len(u)
 	for j := range out {
-		s := Dot(u, v[j*d:(j+1)*d])
+		r := j
+		if rows != nil {
+			r = int(rows[j])
+		}
+		s := Dot(u, v[r*d:(r+1)*d])
 		if b != nil {
 			s += b[j]
 		}

@@ -15,9 +15,10 @@ import (
 // members, assignments break ties toward the lower cell index, and empty
 // cells are reseeded deterministically from the worst-served point. It
 // returns the flat centroid matrix (k'×D, k' = min(k, n)) and each row's
-// cell assignment. The first sweep scores every centroid; each later one
-// rescores only the centroids the bound filter over that sweep's
-// centroids lets through (assignAll), with the same result.
+// cell assignment. The first sweep scores every centroid against every
+// point; each later one rescores, for each centroid, only the points the
+// bound filter over the points (one image a build, rebiased by each
+// sweep) lets through (assignAll), with the same result.
 //
 // Determinism is a contract, not a nicety: the serve path rebuilds the
 // index whenever the item half changes, and hot-reload tests pin exact
@@ -46,10 +47,11 @@ func kmeans(x []float64, n, D, k, iters int, rng *mathx.RNG) (centroids []float6
 	sums := make([]float64, k*D)
 	counts := make([]int, k)
 
-	var bound *mathx.Bound // nil in sweep 0: no point has a cell to beat yet
+	points := mathx.BoundOverF64(x, nil, D) // the image every bounded sweep rebiases
 	for it := 0; it < iters; it++ {
-		if it > 0 {
-			bound = mathx.BoundOverF64(centroids, nil, D)
+		bound := points
+		if it == 0 {
+			bound = nil // no point has a cell to beat yet
 		}
 		changed := assignAll(centroids, x, n, D, bound, assign, affinity)
 		if it > 0 && !changed {
@@ -103,8 +105,11 @@ func kmeans(x []float64, n, D, k, iters int, rng *mathx.RNG) (centroids []float6
 	return centroids, assign
 }
 
-// assignChunk is how many points a sweep worker claims at a time: ~100 µs
-// of scanning per touch of the shared cursor, under 1 % of a sweep.
+// assignChunk is how many points a sweep worker claims at a time, a
+// multiple of the bound's 16-row block so that every chunk's scans start
+// on one: each centroid is scanned over the chunk in one call, and the
+// chunk's points, their image and their running bests stay in cache
+// across all k of them.
 const assignChunk = 256
 
 // assignAll is one assignment sweep, nearly all of the build: assign[i]
@@ -116,59 +121,95 @@ const assignChunk = 256
 // read the centroids, so the outcome is the serial loop's under any
 // interleaving.
 //
-// A nil bound scores every centroid (nearest). Otherwise bound is the
-// filter over these centroids (mathx.BoundOverF64), and assign holds each
-// point's cell from the last sweep, whose dot product is the floor: the
-// filter lets through every centroid whose exact dot is not below it,
-// and only those are rescored with mathx.Dot, in ascending order under a
-// strict >. The argmax and every centroid tied with it are among them, so
-// the cell and its affinity are nearest's, bit for bit; after the first
-// sweep a point's cell is rarely beaten, and a few dozen of several
-// hundred centroids pass.
-func assignAll(centroids, x []float64, n, D int, bound *mathx.Bound, assign []int32, affinity []float64) bool {
+// The sweep is transposed: a worker takes the centroids in ascending
+// order, scores each against the points of its run and keeps each point's
+// best under a strict >, so ties keep the lower index. With points nil
+// every centroid is scored against every point, one mathx.ScanF64 per
+// centroid and run. Otherwise points is the bound filter over x
+// (mathx.BoundOverF64(x, nil, D)), and assign holds each point's cell from
+// the last sweep, whose dot product is the point's floor. The sweep rebiases the image by minus
+// the floors (Bound.WithBias) and makes each centroid one query: a point
+// whose dot with the centroid is not below its floor scores at least 0
+// exactly, so at least −E in the image, and survives the scan against −E.
+// Only the survivors are rescored, one mathx.ScanF64Rows call per centroid
+// and run. The argmax and every centroid tied with it are among them, so
+// the cell and its affinity are the full scan's, bit for bit; after the
+// first sweep a point's cell is rarely beaten, and 14–18 of 328 centroids
+// reach a point of the served catalog.
+func assignAll(centroids, x []float64, n, D int, points *mathx.Bound, assign []int32, affinity []float64) bool {
 	k := len(centroids) / D
+	var (
+		bound  *mathx.Bound
+		stride int
+		images []int8    // centroid c's query image at c·stride
+		deltas []float32 // its scale Δ_c
+		thrs   []float64 // −E_c
+	)
+	if points != nil {
+		negFloor := make([]float64, n)
+		for i := range negFloor {
+			c := int(assign[i])
+			negFloor[i] = -mathx.Dot(centroids[c*D:c*D+D], x[i*D:i*D+D])
+		}
+		bound, stride = points.WithBias(negFloor), points.Stride()
+		images, deltas, thrs = make([]int8, k*stride), make([]float32, k), make([]float64, k)
+		for c := 0; c < k; c++ {
+			delta, tol := bound.Query(centroids[c*D:c*D+D], images[c*stride:c*stride+stride])
+			deltas[c], thrs[c] = delta, -tol
+		}
+	}
 	workers := max(1, min(runtime.GOMAXPROCS(0), (n+assignChunk-1)/assignChunk))
 	var cursor atomic.Int64
 	var changed atomic.Bool
 	sweep := func() {
 		var (
-			scan []float64 // nearest's k affinities
-			p    []int8    // the bound's query image
-			mask []uint64  // its survivors
+			bestC [assignChunk]int32
+			bestA [assignChunk]float64
+			out   [assignChunk]float64
+			rows  = make([]int32, 0, assignChunk) // a centroid's survivors in the run
+			mask  = make([]uint64, assignChunk/64+2)
 		)
-		if bound == nil {
-			scan = make([]float64, k)
-		} else {
-			p, mask = make([]int8, bound.Stride()), make([]uint64, k/64+2)
-		}
 		moved := false
 		for {
 			lo := int(cursor.Add(assignChunk)) - assignChunk
 			if lo >= n {
 				break
 			}
-			for i := lo; i < min(lo+assignChunk, n); i++ {
-				xi := x[i*D : i*D+D]
-				bestC, bestA := int32(0), math.Inf(-1)
+			hi := min(lo+assignChunk, n)
+			run := x[lo*D : hi*D]
+			for j := range hi - lo {
+				bestC[j], bestA[j] = 0, math.Inf(-1)
+			}
+			for c := 0; c < k; c++ {
+				cv := centroids[c*D : c*D+D]
 				if bound == nil {
-					bestC, bestA = nearest(centroids, xi, scan)
-				} else {
-					cell := int(assign[i])
-					floor := mathx.Dot(centroids[cell*D:cell*D+D], xi)
-					delta, tol := bound.Query(xi, p)
-					for w, word := range bound.Scan(p, delta, floor-tol, 0, k, mask) {
-						for ; word != 0; word &= word - 1 {
-							c := w*64 + bits.TrailingZeros64(word)
-							if a := mathx.Dot(centroids[c*D:c*D+D], xi); a > bestA { // strict >: ties keep the lower index
-								bestA, bestC = a, int32(c)
-							}
+					mathx.ScanF64(cv, run, nil, out[:hi-lo])
+					for j, a := range out[:hi-lo] {
+						if a > bestA[j] { // strict >: ties keep the lower index
+							bestA[j], bestC[j] = a, int32(c)
 						}
 					}
+					continue
 				}
-				if assign[i] != bestC {
-					assign[i], moved = bestC, true
+				rows = rows[:0]
+				for w, word := range bound.Scan(images[c*stride:c*stride+stride], deltas[c], thrs[c], lo, hi, mask) {
+					for ; word != 0; word &= word - 1 {
+						rows = append(rows, int32(w*64+bits.TrailingZeros64(word)))
+					}
 				}
-				affinity[i] = bestA
+				mathx.ScanF64Rows(cv, run, rows, out[:len(rows)])
+				for j, r := range rows {
+					if a := out[j]; a > bestA[r] {
+						bestA[r], bestC[r] = a, int32(c)
+					}
+				}
+			}
+			for j := range hi - lo {
+				i := lo + j
+				if assign[i] != bestC[j] {
+					assign[i], moved = bestC[j], true
+				}
+				affinity[i] = bestA[j]
 			}
 		}
 		if moved {
@@ -198,21 +239,4 @@ func worstServed(aff []float64) int {
 		}
 	}
 	return w
-}
-
-// nearest returns the centroid (rows of len(xi) coordinates, one per
-// element of the scratch aff) with the largest dot product against xi,
-// ties toward the lower index, and that dot product: the first sweep's
-// scan, n·k·D multiply-adds, before any point has a cell for the bound
-// filter to beat. It is one mathx.ScanF64 call: every affinity has the
-// bits of mathx.Dot.
-func nearest(centroids, xi, aff []float64) (int32, float64) {
-	mathx.ScanF64(xi, centroids, nil, aff)
-	bestC, bestA := int32(0), math.Inf(-1)
-	for c, a := range aff {
-		if a > bestA { // strict >: ties keep the lower index
-			bestA, bestC = a, int32(c)
-		}
-	}
-	return bestC, bestA
 }

@@ -88,17 +88,68 @@ func TestBuildIVFPinned(t *testing.T) {
 	}
 }
 
-// TestBoundedAssignMatchesFullScan: a sweep through the bound filter
-// assigns every point the cell and affinity the full scan does, bit for
-// bit, and reports the same change, whatever cells the points start in (random ones, and
-// their own, where nothing moves) —
+// TestFullSweepMatchesDot pins the first sweep, assignAll with a nil
+// bound — one mathx.ScanF64 per centroid over a run of points — to the
+// plain loop: mathx.Dot per centroid, strict > so ties keep the lower
+// cell. Every point gets the same cell and affinity bits, and the sweep
+// reports a move exactly when a cell changed, for cell counts around the
+// kernel's four rows a pass and points on both sides of a run boundary,
+// with duplicate centroids (ties), a NaN centroid and an all-zero point.
+func TestFullSweepMatchesDot(t *testing.T) {
+	rng := mathx.NewRNG(77)
+	const n = assignChunk + 50
+	for _, k := range []int{1, 3, 4, 5, 8, 11} {
+		for _, D := range []int{1, 6, 18} {
+			centroids := make([]float64, k*D)
+			for i := range centroids {
+				centroids[i] = rng.NormFloat64()
+			}
+			if k > 2 {
+				copy(centroids[(k-1)*D:], centroids[:D]) // last ties with first
+				centroids[D] = math.NaN()
+			}
+			x := make([]float64, n*D)
+			for i := D; i < len(x); i++ { // point 0 stays all zero
+				x[i] = rng.NormFloat64()
+			}
+			wantC, wantA := make([]int32, n), make([]float64, n)
+			for i := range n {
+				wantA[i] = math.Inf(-1)
+				for c := 0; c < k; c++ {
+					if a := mathx.Dot(centroids[c*D:c*D+D], x[i*D:i*D+D]); a > wantA[i] {
+						wantA[i], wantC[i] = a, int32(c)
+					}
+				}
+			}
+			for _, start := range [][]int32{make([]int32, n), slices.Clone(wantC)} {
+				gotC, gotA := slices.Clone(start), make([]float64, n)
+				moved := assignAll(centroids, x, n, D, nil, gotC, gotA)
+				for i := range n {
+					if gotC[i] != wantC[i] || !sameBits(gotA[i], wantA[i]) {
+						t.Fatalf("k=%d D=%d point %d: sweep (%d, %v), plain loop (%d, %v)", k, D, i, gotC[i], gotA[i], wantC[i], wantA[i])
+					}
+				}
+				if want := !slices.Equal(start, wantC); moved != want {
+					t.Fatalf("k=%d D=%d: sweep reports moved = %v, want %v", k, D, moved, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBoundedAssignMatchesFullScan: a sweep through the bound filter over
+// the points assigns every point the cell and affinity the full scan
+// does, bit for bit, and reports the same change, whatever cells the
+// points start in (random ones, and their own, where nothing moves) —
 // over random centroids around the filter's 16-row block and 64-bit mask
 // word, with duplicates of centroid 0 (ties, which must go to the lower
-// index), a zero centroid, a zero point and points that equal a centroid,
-// on one worker and on several.
+// index), a zero centroid, a NaN centroid (whose query skips nothing, and
+// whose cell's floor is NaN), a zero point, a NaN point and points that
+// equal a centroid, over three runs of points, on one worker and on
+// several.
 func TestBoundedAssignMatchesFullScan(t *testing.T) {
 	rng := mathx.NewRNG(39)
-	const n = 700 // three assignChunk runs
+	const n = 2*assignChunk + 188
 	for _, k := range []int{1, 2, 15, 17, 64, 65, 200} {
 		for _, D := range []int{1, 6, 18} {
 			centroids := make([]float64, k*D)
@@ -110,6 +161,9 @@ func TestBoundedAssignMatchesFullScan(t *testing.T) {
 				copy(centroids[(k/2)*D:(k/2+1)*D], centroids[:D])
 				clear(centroids[D : 2*D])
 			}
+			if k > 4 {
+				centroids[(k/3)*D] = math.NaN()
+			}
 			x := make([]float64, n*D)
 			for i := range x {
 				x[i] = rng.NormFloat64()
@@ -118,20 +172,21 @@ func TestBoundedAssignMatchesFullScan(t *testing.T) {
 			for i := 1; i < n; i += 97 {
 				copy(x[i*D:i*D+D], centroids[rng.Intn(k)*D:][:D])
 			}
+			x[5*D] = math.NaN()
 			random := make([]int32, n)
 			for i := range random {
 				random[i] = int32(rng.Intn(k))
 			}
 			settled := slices.Clone(random) // where a full sweep puts every point: nothing moves
 			assignAll(centroids, x, n, D, nil, settled, make([]float64, n))
-			bound := mathx.BoundOverF64(centroids, nil, D)
+			points := mathx.BoundOverF64(x, nil, D)
 			for _, start := range [][]int32{random, settled} {
 				for _, procs := range []int{1, 3} {
 					old := runtime.GOMAXPROCS(procs)
 					fullA, fullF := slices.Clone(start), make([]float64, n)
 					fullMoved := assignAll(centroids, x, n, D, nil, fullA, fullF)
 					boundA, boundF := slices.Clone(start), make([]float64, n)
-					boundMoved := assignAll(centroids, x, n, D, bound, boundA, boundF)
+					boundMoved := assignAll(centroids, x, n, D, points, boundA, boundF)
 					runtime.GOMAXPROCS(old)
 					for i := range fullA {
 						if fullA[i] != boundA[i] || !sameBits(fullF[i], boundF[i]) {

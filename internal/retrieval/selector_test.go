@@ -362,42 +362,3 @@ func TestWrongLengthQueryPanics(t *testing.T) {
 		}
 	}
 }
-
-// TestNearestMatchesDot pins the k-means assignment step, one
-// mathx.ScanF64 over the centroids, to the plain loop: mathx.Dot per
-// centroid, strict > so ties keep the lower cell — same cell, same
-// affinity bits — for cell counts around the kernel's four rows a pass,
-// with duplicate centroids (ties), a NaN centroid and an all-zero row.
-func TestNearestMatchesDot(t *testing.T) {
-	rng := mathx.NewRNG(77)
-	for _, k := range []int{1, 3, 4, 5, 8, 11} {
-		for _, D := range []int{1, 6, 18} {
-			centroids := make([]float64, k*D)
-			for i := range centroids {
-				centroids[i] = rng.NormFloat64()
-			}
-			if k > 2 {
-				copy(centroids[(k-1)*D:], centroids[:D]) // last ties with first
-				centroids[D] = math.NaN()
-			}
-			for trial := 0; trial < 50; trial++ {
-				xi := make([]float64, D)
-				if trial > 0 {
-					for j := range xi {
-						xi[j] = rng.NormFloat64()
-					}
-				}
-				wantC, wantA := int32(0), math.Inf(-1)
-				for c := 0; c < k; c++ {
-					if a := mathx.Dot(centroids[c*D:c*D+D], xi); a > wantA {
-						wantA, wantC = a, int32(c)
-					}
-				}
-				gotC, gotA := nearest(centroids, xi, make([]float64, k))
-				if gotC != wantC || math.Float64bits(gotA) != math.Float64bits(wantA) {
-					t.Fatalf("k=%d D=%d trial %d: nearest = (%d, %v), plain loop (%d, %v)", k, D, trial, gotC, gotA, wantC, wantA)
-				}
-			}
-		}
-	}
-}

@@ -418,9 +418,9 @@ func (s *Server) SetRetrieval(mode retrieval.Mode, cfg retrieval.Config) error {
 //
 // The index is resolved first, before the feedback sink's lock is taken —
 // it depends on m's item parameters and the retrieval config alone, never
-// on the overlay — so a half-second build stalls no /feedback ack and no
-// cache-missing read, and a failed build is decided before RebuildOverlay
-// has moved the sink's watermark.
+// on the overlay — so a build, a fifth of a second at 26 744 items on two
+// cores, stalls no /feedback ack and no cache-missing read, and a failed
+// build is decided before RebuildOverlay has moved the sink's watermark.
 //
 // folded is the feedback watermark m incorporates (KeepFoldedSeq when the
 // caller doesn't know — retrieval/cache rebuilds, installs of parameters

@@ -242,7 +242,7 @@ echo "batch-ivf gate ok"
 # test cache so the gate always actually runs.
 gate -race -count=1 -run '^Test(FusedTopKBitIdentical|ScanUnderUserVectorIsScore|WrongLengthUserVectorPanics)$' ./internal/score
 gate -race -count=1 -run '^Test(SelectorMatchesNaive|OfferRunAndOfferIDsMatchOffer)$' ./internal/rank
-retrieval_gate='^Test(SearchCellsMatchesTwoPass|NearestMatchesDot|BoundedAssignMatchesFullScan|ProbeCellsMatchesFullSort|WrongLengthQueryPanics|MissAllocatesOnlyItsResults|BuildIVFSameAcrossWorkers|BuildIVFPinned|IndexesMatchesOnlyItsOwnItems)$'
+retrieval_gate='^Test(SearchCellsMatchesTwoPass|FullSweepMatchesDot|BoundedAssignMatchesFullScan|ProbeCellsMatchesFullSort|WrongLengthQueryPanics|MissAllocatesOnlyItsResults|BuildIVFSameAcrossWorkers|BuildIVFPinned|IndexesMatchesOnlyItsOwnItems)$'
 gate -race -count=1 -run "$retrieval_gate" ./internal/retrieval
 gate -race -count=1 -cpu 1,4 -run "$retrieval_gate" ./internal/retrieval
 gate -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossReinstalls|InstallBuildsIndexOutsideSinkLock(Live)?)$' ./internal/serve
@@ -281,23 +281,29 @@ echo "fused exact-scan gate ok"
 # every count of rows left over from its four a pass, odd offsets and the
 # IEEE specials in every row of a pass; scan == the single-row kernel the
 # other paths call (mathx.Dot; DotF64F32 == DotF32); a short v, b or out
-# panics before a pointer is taken. For the predicate: kernel == loop over
-# every length in 0..67, every lane, odd offsets, a tie with the floor
-# (returned), one ulp below it (not), NaN and ±Inf scores and floors. For
+# panics before a pointer is taken. The float64 scan over a row list
+# (mathx.ScanF64Rows, the k-means sweep's rescoring) == mathx.Dot over
+# lists of 0..9 ids, adjacent, descending, repeated and random; an id
+# outside the matrix or a short out panics before a row is read. For the
+# predicate: kernel == loop over every length in 0..67, every lane, odd
+# offsets, a tie with the floor (returned), one ulp below it (not), NaN
+# and ±Inf scores and floors. For
 # the bound scan: kernel mask == the specification's (boundI8Go's s̃ under
 # FirstNotBelow's predicate) over every d in 1..67, block counts around the
 # 16-row block and the 512-row tile, odd offsets, special biases in every
 # lane, the saturating extremes (every q = ±127 under every p = ±63), at
 # thresholds NaN, ±Inf, ±1e300, a tie with s̃ (kept) and the next float64
 # above it (dropped); Bound.Scan over unaligned spans; a query outside
-# [−63, 63] refused; Query's image, scale and E the bits of its
-# builtin-max/min specification, NaN, ±Inf, ±0, subnormal and
+# [−63, 63] refused; an image rebiased (Bound.WithBias) the bound built
+# under those biases, field for field; Query's image, scale and E the
+# bits of its builtin-max/min specification, NaN, ±Inf, ±0, subnormal and
 # near-overflow queries included; its error bound E, which lets the top-K skip a row,
 # holds (|s̃ − s| ≤ E, exactly, and Scan keeps a row at the threshold
 # s − E) on cancelling, exactly quantised, subnormal and out-of-range
 # catalogs; and the image marks non-finite rows and leaves them out of E's
 # maxima. And a few seconds of raw bit patterns through both bodies of all
-# four — FuzzBoundI8 builds the image and checks E too.
+# four — FuzzBoundI8 builds the image and checks E too, and FuzzScanF64
+# reads its rows through a list as well.
 # go vet's asmdecl checks the assembly's frames against their Go
 # declarations. The arm64 cross-build keeps the portable bodies compiling
 # (offline: no cgo, no downloads). The kernels never fuse multiply and add
@@ -306,11 +312,13 @@ echo "fused exact-scan gate ok"
 # tests run at that level too — if one ever fails there, the kernel must
 # not be selected in that build.
 # There is one .s file: one exact scan per element width, one int8 bound
-# scan and one floor predicate, all in internal/mathx/scan_amd64.s.
+# scan and one floor predicate, all in internal/mathx/scan_amd64.s, and
+# in it one TEXT symbol each (the row-list scan is the float64 scan's
+# pass reading its rows from the list, not a second body).
 # Another of any is another kernel to keep bit-identical.
 gate -count=1 -run '^TestScanF64F32(MatchesPortable|IsDotF64F32|ShortSlicePanics)$' ./internal/mathx
-gate -count=1 -run '^Test(ScanF64(MatchesPortable|IsDot|ShortSlicePanics)|FirstNotBelowMatchesLoop)$' ./internal/mathx
-gate -count=1 -run '^TestBound(I8MatchesPortable|I8ShortSlicePanics|QueryMatchesSpec|CoversTheExactScore|NonFinite)$' ./internal/mathx
+gate -count=1 -run '^Test(ScanF64(MatchesPortable|IsDot|ShortSlicePanics|Rows(IsDot|Panics))|FirstNotBelowMatchesLoop)$' ./internal/mathx
+gate -count=1 -run '^TestBound(I8MatchesPortable|I8ShortSlicePanics|QueryMatchesSpec|CoversTheExactScore|NonFinite|WithBiasMatchesBuild)$' ./internal/mathx
 gate -run='^$' -fuzz='^FuzzScanF64F32$' -fuzztime=5s ./internal/mathx
 gate -run='^$' -fuzz='^FuzzScanF64$' -fuzztime=5s ./internal/mathx
 gate -run='^$' -fuzz='^FuzzFirstNotBelow$' -fuzztime=5s ./internal/mathx
@@ -323,12 +331,17 @@ for flag in avx2 fma bmi2 movbe; do
 	grep -qw "$flag" /proc/cpuinfo 2>/dev/null || v3=no
 done
 if [ "$v3" = yes ]; then
-	(export GOAMD64=v3; gate -count=1 -run '^Test(ScanF64(F32)?(MatchesPortable|IsDotF64F32|IsDot)|FirstNotBelowMatchesLoop|Bound(I8MatchesPortable|CoversTheExactScore|NonFinite))$' ./internal/mathx)
+	(export GOAMD64=v3; gate -count=1 -run '^Test(ScanF64(F32)?(MatchesPortable|IsDotF64F32|IsDot)|ScanF64RowsIsDot|FirstNotBelowMatchesLoop|Bound(I8MatchesPortable|CoversTheExactScore|NonFinite))$' ./internal/mathx)
 fi
 if find . -name '*.s' -not -path './.bench_build/*' | grep -v '^\./internal/mathx/scan_amd64\.s$' ||
 	grep -rnE --include='*.go' --exclude='*_test.go' 'func [A-Za-z]*(Scan[A-Za-z0-9]*F(32|64)|Bound[A-Za-z0-9]*(F(32|64)|I8))' . |
 		grep -v -e '^\./internal/mathx/' -e '^\./\.bench_build/'; then
 	echo "a second assembly file or a scan kernel outside internal/mathx: the catalog scans are mathx.ScanF64, mathx.ScanF64F32 and mathx.BoundI8, the bound scan that answers the floor test, in internal/mathx/scan_amd64.s" >&2
+	exit 1
+fi
+texts=$(sed -nE 's/^TEXT ·([A-Za-z0-9]+)\(SB\).*/\1/p' internal/mathx/scan_amd64.s | LC_ALL=C sort | tr '\n' ' ')
+if [ "$texts" != "boundI8AVX2 cpuHasAVX cpuHasAVX2 firstNotBelowAVX scanAVX scanF64AVX " ]; then
+	echo "scan_amd64.s defines $texts: one body per kernel (a second float64 scan body is a second kernel to keep bit-identical)" >&2
 	exit 1
 fi
 echo "scan kernel gate ok"
