@@ -129,10 +129,8 @@ func DefaultConfig(v Variant, trainPairs int) Config {
 }
 
 // Trainer learns a model for Config.Objective (CLAPF unless set
-// otherwise) by stochastic gradient descent, on one
-// worker (serial, bit-reproducible; NewTrainer) or on several lock-free
-// Hogwild workers (NewParallelTrainer). It is one type with one API
-// either way.
+// otherwise) by sequential stochastic gradient descent; identically
+// seeded runs are bit-identical.
 type Trainer = core.Trainer
 
 // TrainStats is one training-telemetry snapshot (smoothed loss, gradient
@@ -149,27 +147,13 @@ func NewTrainer(cfg Config, train *Dataset) (*Trainer, error) {
 
 // TrainerState is a trainer's resumable non-parameter state — what
 // Trainer.Snapshot captures and Trainer.Restore replays: the schedule
-// position and one WorkerState per worker. Together with the model
-// parameters it makes training crash-safe.
+// position and the RNG streams. Together with the model parameters it
+// makes training crash-safe.
 type TrainerState = core.TrainerState
 
-// WorkerState is one worker's RNG streams inside a TrainerState.
-type WorkerState = core.WorkerState
-
 // SamplerState is the resumable state of an objective's sampler inside a
-// WorkerState: every stream it owns and its refresh position.
+// TrainerState: every stream it owns and its refresh position.
 type SamplerState = sampling.SamplerState
-
-// WorkerStat reports one training worker's lifetime throughput.
-type WorkerStat = core.WorkerStat
-
-// NewParallelTrainer validates cfg and prepares a trainer that shards
-// users across numWorkers workers; NewTrainer is the numWorkers = 1 case.
-// Multi-worker runs are statistically equivalent to serial training but
-// not bit-reproducible; see the internal/core package documentation.
-func NewParallelTrainer(cfg Config, train *Dataset, numWorkers int) (*Trainer, error) {
-	return core.NewParallelTrainer(cfg, train, numWorkers)
-}
 
 // Model is a learned matrix-factorization model: Score, ScoreAll, and the
 // factor accessors.

@@ -198,14 +198,14 @@ func TestFacadeMultiTrainer(t *testing.T) {
 	if tr.StepsDone() != 5000 {
 		t.Errorf("StepsDone = %d", tr.StepsDone())
 	}
-	// BPR is an objective of the same Trainer, workers included.
+	// BPR is an objective of the same Trainer.
 	cfg.Objective = BPR{Negatives: NegativesDNS, Candidates: 5}
-	bpr, err := NewParallelTrainer(cfg, data, 2)
+	bpr, err := NewTrainer(cfg, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bpr.Run()
-	if bpr.StepsDone() != 5000 || bpr.Workers() != 2 {
-		t.Errorf("BPR: StepsDone = %d on %d workers", bpr.StepsDone(), bpr.Workers())
+	if bpr.StepsDone() != 5000 {
+		t.Errorf("BPR: StepsDone = %d", bpr.StepsDone())
 	}
 }

@@ -7,19 +7,14 @@
 //	            [-lambda 0.4] [-dss] [-epochs 30] [-out model.clapf]
 //	            [-export-f32 model.f32.clapf]
 //	            [-log-every N] [-metrics-out telemetry.json]
-//	            [-workers N] [-prom-out metrics.prom]
+//	            [-prom-out metrics.prom]
 //	            [-clip-norm C] [-watchdog] [-max-rollbacks N]
 //
-// -workers N selects how many workers the one trainer runs. 1 (the
-// default) steps the model in place on the calling goroutine and is
-// bit-reproducible. N > 1 is lock-free Hogwild SGD: users are sharded
-// across N goroutines, item factors are updated with element-wise atomic
-// stores, and DSS refreshes, telemetry, and checkpoints run at
-// epoch-style barriers. Multi-worker training is statistically
-// equivalent to serial but not bit-reproducible; evaluation (also
-// parallelized across workers) stays bit-identical for any N. -prom-out
-// writes the final training metrics (including per-worker throughput) in
-// Prometheus text format.
+// Training is sequential SGD on the calling goroutine, so a seeded run is
+// bit-reproducible; evaluation fans out over GOMAXPROCS goroutines and is
+// bit-identical for any count. -prom-out writes the final training
+// metrics (steps, throughput, guard and stage counters) in Prometheus
+// text format.
 //
 // While training, one structured telemetry line is emitted per reporting
 // interval (default: one epoch-equivalent):
@@ -42,10 +37,9 @@
 // finishes, a final checkpoint is written, and the process exits cleanly.
 // -resume restarts from the newest valid generation, skipping truncated
 // or corrupt files, after verifying the checkpoint belongs to the same
-// dataset and hyper-parameters. Checkpoints record every worker's RNG
-// streams, so resuming requires the same -workers value. Without -resume
-// the directory must hold no checkpoints: a fresh run does not share its
-// generations with another run's.
+// dataset and hyper-parameters. Without -resume the directory must hold
+// no checkpoints: a fresh run does not share its generations with another
+// run's.
 //
 // Training guardrails: -clip-norm C bounds the L2 norm of each update's
 // data-term gradient (0 disables; clipped updates are counted in
@@ -67,6 +61,7 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -99,7 +94,6 @@ func main() {
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 0, "steps between checkpoints (0 = one epoch-equivalent)")
 	flag.IntVar(&o.checkpointKeep, "checkpoint-keep", 3, "checkpoint generations to keep (0 = all)")
 	flag.BoolVar(&o.resume, "resume", false, "resume from the newest valid checkpoint in -checkpoint-dir")
-	flag.IntVar(&o.workers, "workers", 1, "parallel training workers (1 = serial and bit-deterministic; >1 = lock-free Hogwild, statistically equivalent)")
 	flag.StringVar(&o.promOut, "prom-out", "", "write Prometheus-format training metrics here after training (optional)")
 	flag.Float64Var(&o.clipNorm, "clip-norm", 0, "L2 bound on each update's data-term gradient (0 = no clipping)")
 	flag.BoolVar(&o.watchdog, "watchdog", false, "arm divergence detection with automatic checkpoint rollback (requires -checkpoint-dir)")
@@ -129,7 +123,6 @@ type options struct {
 	checkpointEvery     int
 	checkpointKeep      int
 	resume              bool
-	workers             int
 	promOut             string
 	clipNorm            float64
 	watchdog            bool
@@ -152,25 +145,16 @@ type intervalRecord struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }
 
-// workerRecord is one Hogwild worker's throughput in the -metrics-out dump.
-type workerRecord struct {
-	ID          int     `json:"id"`
-	Steps       int     `json:"steps"`
-	StepsPerSec float64 `json:"steps_per_sec"`
-}
-
 // telemetryDump is the -metrics-out payload.
 type telemetryDump struct {
 	Variant           string                `json:"variant"`
 	Lambda            float64               `json:"lambda"`
 	DSS               bool                  `json:"dss"`
-	Workers           int                   `json:"workers"`
 	Steps             int                   `json:"steps"`
 	WallSeconds       float64               `json:"wall_seconds"`
 	StepsPerSec       float64               `json:"steps_per_sec"`
 	FinalSmoothedLoss float64               `json:"final_smoothed_loss"`
 	Intervals         []intervalRecord      `json:"intervals"`
-	WorkerStats       []workerRecord        `json:"worker_stats,omitempty"`
 	PosDraws          obs.HistogramSnapshot `json:"pos_draws"`
 	NegDraws          obs.HistogramSnapshot `json:"neg_draws"`
 }
@@ -206,22 +190,19 @@ func run(w io.Writer, o options) error {
 		cfg.Sampler.Strategy = clapf.SamplerDSS
 	}
 
-	if o.workers < 1 {
-		return fmt.Errorf("-workers %d: want >= 1", o.workers)
-	}
 	if o.watchdog && o.checkpointDir == "" {
 		return fmt.Errorf("-watchdog needs a rollback target: pass -checkpoint-dir")
 	}
 	if o.maxRollbacks < 0 {
 		return fmt.Errorf("-max-rollbacks %d: want >= 0", o.maxRollbacks)
 	}
-	trainer, err := clapf.NewParallelTrainer(cfg, train, o.workers)
+	trainer, err := clapf.NewTrainer(cfg, train)
 	if err != nil {
 		return err
 	}
 
-	// Prometheus export: register before training so the per-worker
-	// counters accumulate at every barrier.
+	// Prometheus export: register before training so the step counters
+	// accumulate from the first segment.
 	registry := obs.NewRegistry()
 	trainer.RegisterMetrics(registry)
 	// Per-stage latency attribution: train.* stage durations land in
@@ -320,8 +301,8 @@ func run(w io.Writer, o options) error {
 		defer signal.Stop(stop)
 	}
 
-	fmt.Fprintf(w, "training CLAPF-%s λ=%.2f on %s: %d users, %d items, %d pairs, %d steps, %d worker(s)\n",
-		v, o.lambda, train.Name(), train.NumUsers(), train.NumItems(), train.NumPairs(), cfg.Steps, o.workers)
+	fmt.Fprintf(w, "training CLAPF-%s λ=%.2f on %s: %d users, %d items, %d pairs, %d steps\n",
+		v, o.lambda, train.Name(), train.NumUsers(), train.NumItems(), train.NumPairs(), cfg.Steps)
 	ckptEvery := o.checkpointEvery
 	if ckptEvery <= 0 {
 		ckptEvery = train.NumPairs() // one epoch-equivalent
@@ -382,10 +363,6 @@ func run(w io.Writer, o options) error {
 			posDraws.Mean(), negDraws.Mean(), train.NumItems())
 	}
 
-	for _, ws := range trainer.WorkerStats() {
-		fmt.Fprintf(w, "  worker %d: %d steps, %.0f steps/s\n", ws.ID, ws.Steps, ws.StepsPerSec)
-	}
-
 	if o.promOut != "" {
 		var sb strings.Builder
 		if err := registry.WritePrometheus(&sb); err != nil {
@@ -398,16 +375,10 @@ func run(w io.Writer, o options) error {
 	}
 
 	if o.metricsOut != "" {
-		var workerStats []workerRecord
-		for _, ws := range trainer.WorkerStats() {
-			workerStats = append(workerStats, workerRecord{ID: ws.ID, Steps: ws.Steps, StepsPerSec: ws.StepsPerSec})
-		}
 		dump := telemetryDump{
 			Variant:           v.String(),
 			Lambda:            o.lambda,
 			DSS:               o.dss,
-			Workers:           o.workers,
-			WorkerStats:       workerStats,
 			Steps:             trainer.StepsDone(),
 			WallSeconds:       wall.Seconds(),
 			StepsPerSec:       sps,
@@ -445,7 +416,7 @@ func run(w io.Writer, o options) error {
 		if err != nil {
 			return err
 		}
-		res := clapf.Evaluate(trainer.Model(), train, test, clapf.EvalOptions{Workers: o.workers})
+		res := clapf.Evaluate(trainer.Model(), train, test, clapf.EvalOptions{Workers: runtime.GOMAXPROCS(0)})
 		fmt.Fprintf(w, "evaluated %d users in %s:\n", res.Users, res.Timing)
 		for _, m := range res.AtK {
 			fmt.Fprintf(w, "  k=%-3d Prec %.4f  Recall %.4f  F1 %.4f  1-call %.4f  NDCG %.4f\n",
@@ -489,9 +460,8 @@ func hyperMap(o options) map[string]string {
 }
 
 // writeCheckpoint snapshots the trainer into a durable float64 checkpoint
-// generation (the model file plus the resume metadata), pruning old generations beyond -checkpoint-keep. The
-// trainer is quiescent between RunSteps calls, so snapshotting here is
-// always safe — for any worker count.
+// generation (the model file plus the resume metadata), pruning old
+// generations beyond -checkpoint-keep. It runs between RunSteps calls.
 func writeCheckpoint(trainer *clapf.Trainer, train *clapf.Dataset, o options, cfg clapf.Config) (string, error) {
 	meta := trainer.MetaSnapshot()
 	meta.Epoch = meta.Step / train.NumPairs()
@@ -519,8 +489,8 @@ func resumeFromCheckpoint(w io.Writer, trainer *clapf.Trainer, train *clapf.Data
 	if err := hyperCompatible(meta.Hyper, hyperMap(o)); err != nil {
 		return fmt.Errorf("resume: checkpoint %s: %w", path, err)
 	}
-	// RestoreFromMeta is where a -workers value other than the
-	// checkpoint's is refused.
+	// RestoreFromMeta is where a trailer of the wrong shape — one a
+	// multi-worker run wrote, say — is refused.
 	if err := trainer.RestoreFromMeta(model, meta); err != nil {
 		return fmt.Errorf("resume: checkpoint %s: %w", path, err)
 	}

@@ -47,7 +47,6 @@ func baseOptions(trainPath string) options {
 		rate:      0.05,
 		reg:       0.01,
 		seed:      3,
-		workers:   1,
 	}
 }
 
@@ -151,6 +150,7 @@ func TestMetricsOutDump(t *testing.T) {
 	o := baseOptions(trainPath)
 	o.dss = true
 	o.metricsOut = dumpPath
+	o.promOut = filepath.Join(dir, "metrics.prom")
 	if err := run(&out, o); err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +177,17 @@ func TestMetricsOutDump(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "DSS draws: mean positive rank") {
 		t.Errorf("DSS draw summary missing in:\n%s", out.String())
+	}
+
+	prom, err := os.ReadFile(o.promOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("clapf_train_steps_total %d\n", dump.Steps); !strings.Contains(string(prom), want) {
+		t.Errorf("prom output missing %q:\n%s", want, prom)
+	}
+	if !regexp.MustCompile(`(?m)^clapf_train_steps_per_sec [1-9]`).Match(prom) {
+		t.Errorf("prom output has no positive clapf_train_steps_per_sec:\n%s", prom)
 	}
 }
 
@@ -406,104 +417,41 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
-func TestParallelWorkersFlag(t *testing.T) {
-	dir := t.TempDir()
-	trainPath := filepath.Join(dir, "train.tsv")
-	testPath := filepath.Join(dir, "test.tsv")
-	dumpPath := filepath.Join(dir, "telemetry.json")
-	promPath := filepath.Join(dir, "metrics.prom")
-	writeDataset(t, trainPath, 21)
-	writeDataset(t, testPath, 22)
-
-	o := baseOptions(trainPath)
-	o.testPath = testPath
-	o.workers = 4
-	o.metricsOut = dumpPath
-	o.promOut = promPath
-	var out strings.Builder
-	if err := run(&out, o); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "4 worker(s)") {
-		t.Errorf("banner does not mention worker count:\n%s", out.String())
-	}
-
-	buf, err := os.ReadFile(dumpPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dump telemetryDump
-	if err := json.Unmarshal(buf, &dump); err != nil {
-		t.Fatal(err)
-	}
-	if dump.Workers != 4 || len(dump.WorkerStats) != 4 {
-		t.Fatalf("dump has %d workers / %d worker stats, want 4/4", dump.Workers, len(dump.WorkerStats))
-	}
-	sum := 0
-	for _, ws := range dump.WorkerStats {
-		sum += ws.Steps
-	}
-	if sum != dump.Steps {
-		t.Errorf("worker steps sum to %d, total is %d", sum, dump.Steps)
-	}
-
-	prom, err := os.ReadFile(promPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"clapf_train_workers 4", `clapf_train_worker_steps_total{worker="0"}`, `clapf_train_worker_steps_per_sec{worker="3"}`} {
-		if !strings.Contains(string(prom), want) {
-			t.Errorf("prom output missing %q:\n%s", want, prom)
-		}
-	}
-}
-
-func TestParallelCheckpointResume(t *testing.T) {
+// TestResumeRefusesMultiWorkerCheckpoint: a checkpoint whose trailer a
+// multi-worker run wrote (per-worker streams, no top-level ones) makes
+// -resume fail with the trainer's refusal, named, rather than a missing
+// stream count.
+func TestResumeRefusesMultiWorkerCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	trainPath := filepath.Join(dir, "train.tsv")
 	ckptDir := filepath.Join(dir, "ckpt")
 	writeDataset(t, trainPath, 23)
 
 	o := baseOptions(trainPath)
-	o.workers = 2
 	o.epochs = 1
 	o.checkpointDir = ckptDir
 	if err := run(io.Discard, o); err != nil {
 		t.Fatal(err)
 	}
+	model, meta, _, _, err := store.LatestCheckpoint(ckptDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := json.RawMessage(`{"rng":[1,2,3,4],"sampler_rng":[5,6,7,8],"sampler_steps":0}`)
+	meta.RNG, meta.SamplerRNG, meta.SamplerSteps = nil, nil, 0
+	meta.Workers = []json.RawMessage{stream, stream}
+	meta.Step++ // the newest generation
+	if _, err := store.WriteCheckpoint(ckptDir, model, meta, 0); err != nil {
+		t.Fatal(err)
+	}
 
-	// Continue the run with more epochs and the same worker count.
 	res := baseOptions(trainPath)
-	res.workers = 2
 	res.epochs = 2
 	res.checkpointDir = ckptDir
 	res.resume = true
-	var out strings.Builder
-	if err := run(&out, res); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "resumed from") {
-		t.Errorf("no resume line in output:\n%s", out.String())
-	}
-
-	// A parallel checkpoint must not resume into a serial trainer (the
-	// worker-count hyper check fires first, which is fine — both refuse).
-	serial := baseOptions(trainPath)
-	serial.epochs = 2
-	serial.checkpointDir = ckptDir
-	serial.resume = true
-	if err := run(io.Discard, serial); err == nil {
-		t.Error("serial resume of a parallel checkpoint succeeded")
-	}
-
-	// Nor into a different worker count.
-	three := baseOptions(trainPath)
-	three.workers = 3
-	three.epochs = 2
-	three.checkpointDir = ckptDir
-	three.resume = true
-	if err := run(io.Discard, three); err == nil {
-		t.Error("resume with a different worker count succeeded")
+	err = run(io.Discard, res)
+	if err == nil || !strings.Contains(err.Error(), "2 workers") || !strings.Contains(err.Error(), "no longer supported") {
+		t.Fatalf("-resume of a multi-worker checkpoint: %v, want the refusal naming 2 workers", err)
 	}
 }
 

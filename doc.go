@@ -14,13 +14,11 @@
 //	recs := clapf.Recommend(trainer.Model(), train, user, 10)
 //	result := clapf.Evaluate(trainer.Model(), train, test, clapf.EvalOptions{})
 //
-// NewTrainer is the one-worker, bit-reproducible case of the one trainer;
-// NewParallelTrainer(cfg, train, n) returns the same *Trainer stepping on
-// n lock-free Hogwild workers. Both loop one SGD step, the Eq. 22 update
-// in internal/core/step.go, which the CLAPF variants, CLAPF-Multi, BPR
-// and MPR share: they are objectives of that one Trainer
-// (Config.Objective; nil is CLAPF) and differ from each other only by
-// which items a step samples and a coefficient vector.
+// NewTrainer returns the one trainer: a sequential, bit-reproducible
+// loop of one SGD step, the Eq. 22 update in internal/core/step.go, which
+// the CLAPF variants, CLAPF-Multi, BPR and MPR share. They are objectives
+// of that one Trainer (Config.Objective; nil is CLAPF) and differ from
+// each other only by which items a step samples and a coefficient vector.
 //
 // Everything below it — matrix factorization, samplers, metrics, the
 // baseline zoo (BPR, MPR, CLiMF, WMF, PopRank, RandomWalk, NeuMF, NeuPR,

@@ -21,8 +21,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"sync"
 	"time"
 
 	"clapf/internal/dataset"
@@ -138,131 +136,55 @@ func (c Config) Validate() error {
 }
 
 // Trainer learns a model by looping the Eq. 22 step (step.go) over the
-// steps its objective draws (objective.go), on one worker or on N
-// lock-free Hogwild workers.
-//
-// Users are sharded across workers, so each user row U_u has exactly one
-// writer; item factors and biases are shared. One worker owns the whole
-// model and steps it in place (Plain access) on the caller's goroutine:
-// identically seeded runs are bit-identical. With more workers each one
-// reaches item rows through element-wise atomic loads and stores (Atomic
-// access), which keeps the rare colliding update well-defined — last
-// writer wins per element — without any locking on the hot path. The
-// structural argument is the one BPR-style Hogwild trainers rely on: a
-// step touches one user row and three of m item rows, and on sparse
-// implicit-feedback data two concurrent steps almost never pick the same
-// items, so lost updates are vanishingly rare and SGD's noise tolerance
-// absorbs them. The exact trajectory then depends on the OS schedule:
-// identically seeded multi-worker runs are statistically equivalent, not
-// bit-identical (parallel_test.go enforces the equivalence by t-test).
-// Workers draw from deterministic per-worker RNG streams split from the
-// seed, so everything *except* the write interleaving is reproducible.
-//
-// Work proceeds in segments separated by barriers, cut wherever the stats
-// hook, the guard check or (with several workers) the DSS refresh falls
-// due. Between barriers the workers run free; at a barrier the
-// coordinator merges telemetry, promotes worker-local guard trips,
-// rebuilds the DSS rank lists and fires the hook. Every method other than
-// RunSteps, Run and Step may only be called between those calls, when
-// every worker is quiescent by construction.
+// steps its objective draws (objective.go). It steps the model in place
+// on the caller's goroutine, so identically seeded runs are
+// bit-identical. A RunSteps budget is cut into segments wherever the
+// stats hook or the guard check falls due; both run between segments.
+// The sampler rebuilds its own rank lists as it draws.
 type Trainer struct {
 	cfg     Config
 	model   *mf.Model
-	sampler Sampler // the bound objective; owns whatever is rebuilt at Refresh
-	workers []*worker
+	sampler Sampler               // the bound objective
+	rng     *mathx.RNG            // record selection
+	pairs   []dataset.Interaction // trainable (u, i) records
+	kern    *Kernel
+	items   [maxStepItems]int32 // the step in flight, filled by sampler.Draw
 
-	stepsDone    int
-	sinceRefresh int // aggregate steps since the last barrier refresh (several workers only)
+	stepsDone int
+	busy      time.Duration // lifetime time spent inside segments
 
 	// Guardrails (see guarded.go); nil until SetGuard installs them.
-	// Workers never touch gd's mutable state — they record trips and clip
-	// counts locally and the coordinator merges them at barriers.
 	gd    *guardState
 	clips uint64 // lifetime norm-clipped updates (counted whenever ClipNorm > 0)
 
-	// Telemetry (see stats.go), written only at barriers — or, for the
-	// smoothed loss of a one-worker run, by that worker between them.
+	// Telemetry (see stats.go).
 	gradSum      float64 // Σ of Eq. 23's scalar 1−σ(R) since the last read
 	gradN        int
 	lossEWMA     float64
 	lossN        int
+	lossTick     uint64 // 1-in-8 loss sampling under a hook-less watchdog
 	hook         StatsHook
 	hookEvery    int
 	trainStart   time.Time
 	lastHookTime time.Time
 	lastHookStep int
 
-	// Optional obs export (RegisterMetrics), updated at barriers.
-	stepsVec *obs.CounterVec
-	spsVec   *obs.GaugeVec
+	// Optional obs export (RegisterMetrics), updated after each segment.
+	stepsTotal *obs.Counter
+	stepsRate  *obs.Gauge
 
 	// Tracing (see trace.go); nil until SetTracer attaches a tracer, so
 	// the bare loop pays one nil check per step.
-	tracer *trace.Tracer
-	stages *stageTimers
+	tracer    *trace.Tracer
+	stages    *stageTimers
+	stageTick uint64 // sampled step-phase timing
 }
 
-// worker is one training goroutine's state: a user shard, private RNG
-// and sampler, a step kernel, and accumulators the coordinator merges at
-// each barrier.
-type worker struct {
-	id      int
-	label   string // obs label, strconv.Itoa(id)
-	rng     *mathx.RNG
-	sampler Sampler
-	pairs   []dataset.Interaction // this shard's (u, i) records
-	kern    *Kernel
-	items   [maxStepItems]int32 // the step in flight, filled by sampler.Draw
-
-	steps int           // lifetime SGD updates
-	busy  time.Duration // lifetime time spent inside segments
-
-	seg segment // merged and reset by the coordinator at each barrier
-
-	lossTick  uint64 // 1-in-8 loss sampling under a hook-less watchdog
-	stageTick uint64 // sampled step-phase timing (see trace.go)
-
-	// With several workers, each one's two generators live here and the
-	// pad keeps whatever the allocator places next a cache line away. As
-	// separate 32-byte allocations, one worker's sampler stream and the
-	// next worker's record stream could land on one line, and every draw
-	// on one core then invalidated it under the other: two-worker steps/s
-	// moved by 16 % with the luck of the layout.
-	streams [2]mathx.RNG
-	_       [64]byte
-}
-
-// segment is what one worker accumulates between two barriers.
-type segment struct {
-	steps   int
-	gradSum float64 // Σ of Eq. 23's scalar 1−σ(R)
-	gradN   int
-	lossSum float64 // unused by a lone worker, which folds per step
-	lossN   int
-	clips   int
-	// trip ends the worker's segment early; the coordinator promotes the
-	// first one to the trainer's guard.
-	trip *guard.Trip
-}
-
-// NewTrainer validates the configuration and prepares a one-worker
-// trainer over the training split: the serial, bit-reproducible case.
+// NewTrainer validates the configuration and prepares a trainer over the
+// training split. Model initialization takes the seed's first split, the
+// objective's sampler the next ones, and the records are drawn from what
+// is left of the root stream.
 func NewTrainer(cfg Config, train *dataset.Dataset) (*Trainer, error) {
-	return NewParallelTrainer(cfg, train, 1)
-}
-
-// NewParallelTrainer validates the configuration and prepares a trainer
-// that shards users across numWorkers workers. Model initialization and
-// the objective's sampler consume the seed the same way for every worker
-// count, so all of them start from the same parameters. One worker draws
-// records from the seed's root stream and steps from that sampler, which
-// rebuilds its own rank lists as it goes; several workers each get a
-// pair of streams split off in worker order and a read-only view of the
-// sampler, which the coordinator rebuilds at barriers.
-func NewParallelTrainer(cfg Config, train *dataset.Dataset, numWorkers int) (*Trainer, error) {
-	if numWorkers < 1 {
-		return nil, fmt.Errorf("core: %d workers, want >= 1", numWorkers)
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -274,10 +196,6 @@ func NewParallelTrainer(cfg Config, train *dataset.Dataset, numWorkers int) (*Tr
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if numWorkers > len(pairs) {
-		numWorkers = len(pairs) // more workers than records would idle anyway
-	}
-
 	rng := mathx.NewRNG(cfg.Seed)
 	model, err := NewModel(train, cfg.Dim, cfg.UseBias, cfg.InitStd, rng.Split())
 	if err != nil {
@@ -287,56 +205,21 @@ func NewParallelTrainer(cfg Config, train *dataset.Dataset, numWorkers int) (*Tr
 	if err != nil {
 		return nil, err
 	}
+	return &Trainer{cfg: cfg, model: model, sampler: sampler, rng: rng, pairs: pairs, kern: NewKernel(model)}, nil
+}
 
-	t := &Trainer{cfg: cfg, model: model, sampler: sampler}
-	t.workers = make([]*worker, numWorkers)
-	access := Plain
-	if numWorkers > 1 {
-		access = Atomic
-	}
-	for id := range t.workers {
-		t.workers[id] = &worker{id: id, label: strconv.Itoa(id), kern: NewKernel(model, access)}
-	}
-	if numWorkers == 1 {
-		w := t.workers[0]
-		w.rng, w.sampler, w.pairs = rng, sampler, pairs
-		return t, nil
-	}
-	// Shard users deterministically: walk users in id order, placing each
-	// on the worker with the lightest record load so far (ties break to
-	// the lowest id). Record-count balance keeps barrier idle time low even
-	// under heavy-tailed user activity.
-	for len(pairs) > 0 {
-		n := 1
-		for n < len(pairs) && pairs[n].User == pairs[0].User {
-			n++
-		}
-		best := t.workers[0]
-		for _, w := range t.workers[1:] {
-			if len(w.pairs) < len(best.pairs) {
-				best = w
-			}
-		}
-		best.pairs = append(best.pairs, pairs[:n]...)
-		pairs = pairs[n:]
-	}
-	for _, w := range t.workers {
-		w.streams = [2]mathx.RNG{*rng.Split(), *rng.Split()}
-		w.rng = &w.streams[0]
-		w.sampler = sampler.View(&w.streams[1])
-	}
-	return t, nil
+// NewParallelTrainer is NewTrainer; numWorkers is ignored. It survives
+// only because the frozen benchmark/ calls it, and goes at the next
+// benchmark re-cut (ROADMAP).
+func NewParallelTrainer(cfg Config, train *dataset.Dataset, numWorkers int) (*Trainer, error) {
+	return NewTrainer(cfg, train)
 }
 
 // Model returns the live model; it satisfies eval.Scorer.
 func (t *Trainer) Model() *mf.Model { return t.model }
 
-// StepsDone returns the aggregate number of SGD updates applied so far.
+// StepsDone returns the number of SGD updates applied so far.
 func (t *Trainer) StepsDone() int { return t.stepsDone }
-
-// Workers returns the worker count (which may be lower than requested on
-// degenerate datasets with fewer trainable records than workers).
-func (t *Trainer) Workers() int { return len(t.workers) }
 
 // GradMagnitude returns the mean of the multiplicative gradient scalar
 // 1−σ(R) (Eq. 23) since the last call, and resets the accumulator. A
@@ -357,16 +240,12 @@ func (t *Trainer) Run() {
 }
 
 // Step draws one record and its step and applies Eq. 22. It is
-// RunSteps(1) and pays that call's barrier bookkeeping every time; loops
-// should hand their whole budget to RunSteps.
+// RunSteps(1) and pays that call's bookkeeping every time; loops should
+// hand their whole budget to RunSteps.
 func (t *Trainer) Step() { t.RunSteps(1) }
 
-// RunSteps performs n aggregate SGD updates and returns once all of them
-// have been applied (so the caller always observes a quiescent model).
-// Steps are divided among workers in proportion to their shard's record
-// count, which keeps sampling record-uniform in expectation. A tripped
-// guard stops the loop early; the caller observes the trip via
-// GuardTrip.
+// RunSteps performs n SGD updates. A tripped guard stops the loop early;
+// the caller observes the trip via GuardTrip.
 func (t *Trainer) RunSteps(n int) {
 	if n <= 0 {
 		return
@@ -376,31 +255,18 @@ func (t *Trainer) RunSteps(n int) {
 		t.trainStart, t.lastHookTime, t.lastHookStep = now, now, t.stepsDone
 	}
 	// With a tracer attached the whole call is one "train.batch" trace
-	// (tail-kept when the guard trips); segment, barrier, refresh, and
-	// hook work become child spans, so a slow batch in the flight recorder
-	// shows which phase ate the time.
+	// (tail-kept when the guard trips); segments and hook work become
+	// child spans, so a slow batch in the flight recorder shows which
+	// phase ate the time.
 	ctx := context.Background()
 	var batch *trace.Trace
 	if t.tracer != nil {
 		ctx, batch = t.tracer.StartTrace(ctx, "train.batch")
 	}
-	// One worker samples from the sampler that owns the rank lists, and
-	// that sampler rebuilds them itself, *before* the draw on which its
-	// own step count reaches a multiple of RefreshEvery. Views never
-	// rebuild, so with several workers the coordinator does it here,
-	// *after* RefreshEvery aggregate steps. Doing both would refresh a
-	// one-worker run twice per period and move its trajectory.
-	refreshEvery := 0
-	if len(t.workers) > 1 {
-		refreshEvery = t.sampler.RefreshEvery() // 0: nothing to rebuild
-	}
 	for n > 0 && t.GuardTrip() == nil {
-		// Cut the segment at whichever boundary is due first, so hooks,
-		// guard checks and refreshes all land on a quiescent barrier.
+		// Cut the segment at whichever boundary is due first, so the hook
+		// and the guard check land exactly on their cadence.
 		seg := n
-		if refreshEvery > 0 && refreshEvery-t.sinceRefresh < seg {
-			seg = refreshEvery - t.sinceRefresh
-		}
 		if t.hook != nil {
 			if due := t.hookEvery - (t.stepsDone - t.lastHookStep); due < seg {
 				seg = due
@@ -417,12 +283,6 @@ func (t *Trainer) RunSteps(n int) {
 		t.runSegment(ctx, seg)
 		n -= seg
 
-		if refreshEvery > 0 && t.sinceRefresh >= refreshEvery {
-			sp := trace.StartSpanNoCtx(ctx, "train.refresh")
-			t.sampler.Refresh() // workers are quiescent: safe to rebuild
-			sp.End()
-			t.sinceRefresh = 0
-		}
 		if t.hook != nil && t.stepsDone-t.lastHookStep >= t.hookEvery {
 			sp := trace.StartSpanNoCtx(ctx, "train.hook")
 			t.fireHook()
@@ -443,131 +303,71 @@ func (t *Trainer) RunSteps(n int) {
 	batch.Finish(0, 0)
 }
 
-// runSegment runs seg steps — inline on one worker, fanned out to
-// goroutines on several — and merges telemetry after the join barrier.
-// The run-to-join interval is the "train.segment" span; the
-// coordinator-side merge that follows is "train.barrier".
+// runSegment applies up to seg steps, as the "train.segment" span; a trip
+// ends it early (the tripped step counts, its update was not applied).
 func (t *Trainer) runSegment(ctx context.Context, seg int) {
 	sp := trace.StartSpanNoCtx(ctx, "train.segment")
-	if len(t.workers) == 1 {
-		t.workers[0].run(t, seg)
-	} else {
-		var wg sync.WaitGroup
-		for i, quota := range proportionalShares(seg, t.workers) {
-			if quota == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(w *worker, quota int) {
-				defer wg.Done()
-				w.run(t, quota)
-			}(t.workers[i], quota)
-		}
-		wg.Wait()
+	start, from := time.Now(), t.stepsDone
+	for t.stepsDone-from < seg && t.GuardTrip() == nil {
+		t.stepsDone++
+		t.step()
 	}
-	sp.End()
-
-	sp = trace.StartSpanNoCtx(ctx, "train.barrier")
-	// Merge per-worker accumulators in worker order (deterministic
-	// reduction) and refresh the exported metrics.
-	var trip *guard.Trip
-	for _, w := range t.workers {
-		t.stepsDone += w.seg.steps
-		if len(t.workers) > 1 {
-			t.sinceRefresh += w.seg.steps
+	t.busy += time.Since(start)
+	if t.stepsTotal != nil {
+		t.stepsTotal.Add(uint64(t.stepsDone - from))
+		if secs := t.busy.Seconds(); secs > 0 {
+			t.stepsRate.Set(float64(t.stepsTotal.Value()) / secs)
 		}
-		t.gradSum += w.seg.gradSum
-		t.gradN += w.seg.gradN
-		t.foldLoss(w.seg.lossSum, w.seg.lossN)
-		t.clips += uint64(w.seg.clips)
-		if t.stepsVec != nil {
-			t.stepsVec.With(w.label).Add(uint64(w.seg.steps))
-			if secs := w.busy.Seconds(); secs > 0 {
-				t.spsVec.With(w.label).Set(float64(w.steps) / secs)
-			}
-		}
-		if trip == nil {
-			trip = w.seg.trip
-		}
-		w.seg = segment{}
-	}
-	// Worker-local trips carry no step (workers do not know the aggregate
-	// count); the first one becomes the trainer's, stamped here.
-	if trip != nil {
-		trip.Step = t.stepsDone
-		t.gd.trip = trip
 	}
 	sp.End()
 }
 
-// run applies up to quota steps on this worker's shard; a trip ends the
-// segment early (the tripped step counts, its update was not applied).
-func (w *worker) run(t *Trainer, quota int) {
-	start := time.Now()
-	for w.seg.steps < quota && w.seg.trip == nil {
-		w.step(t)
-		w.seg.steps++
-	}
-	w.busy += time.Since(start)
-	w.steps += w.seg.steps
-}
-
-// step draws one record from this worker's stream, has the objective turn
-// it into item rows and a coefficient vector, and applies the Eq. 22 step
-// for R = Σ_t c_t·f_ut. Everything around the kernel's arithmetic — the
-// non-finite sentinel, the Eq. 23 scalar's mean, loss tracking, clip
-// counting, sampled phase timing — is attached here, once, for every
-// objective.
-func (w *worker) step(t *Trainer) {
+// step draws one record, has the objective turn it into item rows and a
+// coefficient vector, and applies the Eq. 22 step for R = Σ_t c_t·f_ut.
+// Everything around the kernel's arithmetic — the non-finite sentinel,
+// the Eq. 23 scalar's mean, loss tracking, clip counting, sampled phase
+// timing — is attached here, once, for every objective.
+func (t *Trainer) step() {
 	var timedAt time.Time
 	timed := false
 	if t.stages != nil {
-		if w.stageTick&(stageSampleEvery-1) == 0 {
+		if t.stageTick&(stageSampleEvery-1) == 0 {
 			timed = true
 			timedAt = time.Now()
 		}
-		w.stageTick++
+		t.stageTick++
 	}
-	rec := w.pairs[w.rng.Intn(len(w.pairs))]
-	coef := w.sampler.Draw(rec.User, rec.Item, w.items[:])
+	rec := t.pairs[t.rng.Intn(len(t.pairs))]
+	coef := t.sampler.Draw(rec.User, rec.Item, t.items[:])
 	if timed {
 		timedAt = observePhase(t.stages.sample, timedAt)
 	}
 
-	r := w.kern.Risk(rec.User, w.items[:len(coef)], coef)
+	r := t.kern.Risk(rec.User, t.items[:len(coef)], coef)
 
 	watchdog := t.gd != nil && t.gd.cfg.Watchdog
 	if watchdog && !isFinite(r) {
 		// Applying this update would spread the poison to every item row
 		// of the step; record the trip and leave the parameters as they
-		// are. No step stamp: the aggregate count lives with the
-		// coordinator, which adds it at the barrier.
-		w.seg.trip = &guard.Trip{Reason: guard.ReasonNonFiniteRisk,
-			Detail: fmt.Sprintf("risk R = %v for user %d on worker %d", r, rec.User, w.id)}
+		// are.
+		t.gd.trip = &guard.Trip{Step: t.stepsDone, Reason: guard.ReasonNonFiniteRisk,
+			Detail: fmt.Sprintf("risk R = %v for user %d", r, rec.User)}
 		return
 	}
 
 	g := 1 - mathx.Sigmoid(r) // Eq. 23's multiplicative scalar
-	w.seg.gradSum += g
-	w.seg.gradN++
+	t.gradSum += g
+	t.gradN++
 	trackLoss := t.hook != nil
 	if !trackLoss && watchdog {
 		// The watchdog needs the loss curve but not per-step resolution:
 		// a 1-in-8 sample keeps the average faithful while sparing the
 		// unhooked hot path most of the LogSigmoid cost.
-		w.lossTick++
-		trackLoss = w.lossTick&7 == 0
+		t.lossTick++
+		trackLoss = t.lossTick&7 == 0
 	}
 	if trackLoss {
-		loss := -mathx.LogSigmoid(r)
-		if len(t.workers) == 1 {
-			// Fold per step, not per segment: the watchdog's thresholds
-			// are tuned to this form, and nobody else is writing.
-			t.foldLoss(loss, 1)
-		} else {
-			w.seg.lossSum += loss
-			w.seg.lossN++
-		}
+		t.foldLoss(-mathx.LogSigmoid(r))
 	}
 	if timed {
 		timedAt = observePhase(t.stages.risk, timedAt)
@@ -575,46 +375,14 @@ func (w *worker) step(t *Trainer) {
 
 	if cn := t.cfg.ClipNorm; cn > 0 {
 		var clipped bool
-		if g, clipped = w.kern.Clip(g, cn); clipped {
-			w.seg.clips++
+		if g, clipped = t.kern.Clip(g, cn); clipped {
+			t.clips++
 		}
 	}
-	w.kern.Apply(g, Rates{Learn: t.cfg.LearnRate, RegUser: t.cfg.RegUser, RegItem: t.cfg.RegItem, RegBias: t.cfg.RegBias})
+	t.kern.Apply(g, Rates{Learn: t.cfg.LearnRate, RegUser: t.cfg.RegUser, RegItem: t.cfg.RegItem, RegBias: t.cfg.RegBias})
 	if timed {
 		observePhase(t.stages.update, timedAt)
 	}
-}
-
-// proportionalShares splits seg among the workers in proportion to their
-// record counts (largest-remainder rounding, ties to the lowest id), so
-// aggregate sampling stays record-uniform and the allocation is a pure
-// function of (seg, shard sizes) — reproducible across runs and resumes.
-func proportionalShares(seg int, workers []*worker) []int {
-	total := 0
-	for _, w := range workers {
-		total += len(w.pairs)
-	}
-	shares := make([]int, len(workers))
-	rems := make([]int64, len(workers))
-	assigned := 0
-	for i, w := range workers {
-		num := int64(seg) * int64(len(w.pairs))
-		shares[i] = int(num / int64(total))
-		rems[i] = num % int64(total)
-		assigned += shares[i]
-	}
-	for assigned < seg {
-		best := -1
-		for i := range workers {
-			if rems[i] >= 0 && (best < 0 || rems[i] > rems[best]) {
-				best = i
-			}
-		}
-		shares[best]++
-		rems[best] = -1 // one top-up per worker per round
-		assigned++
-	}
-	return shares
 }
 
 // TripleLoss returns the tentative objective f(u, S) of §4.3 for one

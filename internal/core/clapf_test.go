@@ -8,7 +8,9 @@ import (
 	"clapf/internal/datagen"
 	"clapf/internal/dataset"
 	"clapf/internal/eval"
+	"clapf/internal/guard"
 	"clapf/internal/mathx"
+	"clapf/internal/obs"
 	"clapf/internal/sampling"
 )
 
@@ -130,7 +132,7 @@ func checkStepGradient(t *testing.T, label string, tr *Trainer, u int32, items [
 		minus := tr.TripleLoss(u, items, coef)
 		set(orig)
 		fd := (plus - minus) / (2 * h)
-		kernelStep(NewKernel(tr.model, Plain), u, items, coef, 0,
+		kernelStep(NewKernel(tr.model), u, items, coef, 0,
 			Rates{Learn: cfg.LearnRate, RegUser: cfg.RegUser, RegItem: cfg.RegItem, RegBias: cfg.RegBias})
 		moved := get() - orig // = −γ·grad with γ = 1
 		if !mathx.AlmostEqual(-moved, fd, 1e-4*(1+math.Abs(fd))) {
@@ -179,7 +181,7 @@ func TestGradientMatchesFiniteDifference(t *testing.T) {
 			// Warm up so factors are not at the tiny init scale.
 			tr.RunSteps(200)
 
-			u := tr.workers[0].pairs[0].User
+			u := tr.pairs[0].User
 			obs := d.Positives(u)
 			coef, _ := riskCoeffs(variant, lambda)
 			checkStepGradient(t, fmt.Sprintf("%v λ=%v", variant, lambda), tr, u,
@@ -353,5 +355,55 @@ func TestNoBiasTraining(t *testing.T) {
 	tr.Run()
 	if tr.Model().HasBias() {
 		t.Error("model should be bias-free")
+	}
+}
+
+// benchTrainer is the benchmarks' trainer: the paper's defaults at d = 16
+// on an ML100K-shaped corpus, with a step budget the loop never reaches.
+func benchTrainer(b *testing.B, clipNorm float64) *Trainer {
+	profile := datagen.Table1Profiles[0].Scaled(0.25)
+	w, err := datagen.Generate(profile, mathx.NewRNG(42))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := DefaultConfig(sampling.MAP, w.Data.NumPairs())
+	cfg.Dim = 16
+	cfg.Steps = 1 << 62
+	cfg.ClipNorm = clipNorm
+	tr, err := NewTrainer(cfg, w.Data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tr
+}
+
+// timeSteps runs b.N steps after a warm-up outside the timer and reports
+// steps/s.
+func timeSteps(b *testing.B, tr *Trainer) {
+	tr.RunSteps(1000)
+	b.ResetTimer()
+	tr.RunSteps(b.N)
+	b.StopTimer()
+	b.ReportMetric(float64(tr.StepsDone()-1000)/b.Elapsed().Seconds(), "steps/s")
+}
+
+// BenchmarkTrain measures the trainer's throughput with uniform
+// sampling; the ledger's train_steps_per_s row tracks DSS at ML1M size.
+func BenchmarkTrain(b *testing.B) {
+	timeSteps(b, benchTrainer(b, 0))
+}
+
+// BenchmarkTrainGuarded is BenchmarkTrain with the full guardrail stack
+// armed: loss watchdog, non-finite sentinels, and gradient clipping with
+// live counter flushes. Comparing steps/s against BenchmarkTrain prices
+// the guard's hot-path overhead (the acceptance bar is < 3%).
+func BenchmarkTrainGuarded(b *testing.B) {
+	tr := benchTrainer(b, 10) // loose enough to rarely fire, so only the norm check is priced
+	if err := tr.SetGuard(guard.Config{Watchdog: true}, guard.NewMetrics(obs.NewRegistry())); err != nil {
+		b.Fatal(err)
+	}
+	timeSteps(b, tr)
+	if trip := tr.GuardTrip(); trip != nil {
+		b.Fatalf("guard tripped during benchmark: %v", trip)
 	}
 }

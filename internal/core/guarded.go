@@ -10,19 +10,16 @@ import (
 )
 
 // This file wires the guard subsystem (internal/guard) into the trainer.
-// Division of labor: the workers own the hot path — per-step non-finite
+// Division of labor: Trainer.step owns the hot path — per-step non-finite
 // risk sentinels, gradient clipping, sampled loss tracking — and the
 // guardState below runs the periodic checks (sampled parameter scan,
-// loss watchdog, metric flush) every CheckEvery steps at segment
-// barriers, where the model is quiescent for any worker count, so the
-// race detector stays clean.
+// loss watchdog, metric flush) every CheckEvery steps, between segments.
 
 // Compile-time proof that the trainer can be supervised.
 var _ guard.Trainee = (*Trainer)(nil)
 
 // guardState is a trainer's installed guard: configuration, watchdog,
-// pending trip, and check bookkeeping. Touched only from the coordinating
-// goroutine.
+// pending trip, and check bookkeeping.
 type guardState struct {
 	cfg     guard.Config
 	wd      *guard.Watchdog
@@ -74,7 +71,7 @@ func (g *guardState) flushClips(clips uint64) {
 }
 
 // check flushes clip deltas, samples the parameters, and feeds the
-// watchdog. Runs on the coordinating goroutine with the model quiescent.
+// watchdog. Runs between segments.
 func (g *guardState) check(step int, ewma float64, lossN int, clips uint64, m *mf.Model) {
 	if g.tracer != nil {
 		defer func(t0 time.Time) {
@@ -119,9 +116,9 @@ func isFinite(x float64) bool {
 // SetGuard installs training guardrails (defaults applied to zero
 // fields): with cfg.Watchdog, per-step non-finite sentinels, sampled
 // parameter scans, and the loss watchdog; in any case, the clip counter
-// flush into m. Checks run at segment barriers (see RunSteps), so the
-// hot path only pays for the per-step sentinel and worker-local
-// accumulation. Call before training or between RunSteps calls; passing
+// flush into m. Checks run between segments (see RunSteps), so the hot
+// path only pays for the per-step sentinel and its counters. Call before
+// training or between RunSteps calls; passing
 // metrics m is optional. A second call replaces the guard; the new one
 // counts clips from here on.
 func (t *Trainer) SetGuard(cfg guard.Config, m *guard.Metrics) error {
@@ -159,13 +156,11 @@ func (t *Trainer) ClearGuardTrip() {
 // ScaleLearnRate multiplies the learning rate by factor and returns the
 // new rate. Rollback recovery uses it for backoff; the scaling survives
 // Restore because restored state covers the optimization trajectory, not
-// the hyper-parameters. Call only between RunSteps calls (workers read
-// the rate lock-free while training).
+// the hyper-parameters. Call only between RunSteps calls.
 func (t *Trainer) ScaleLearnRate(factor float64) float64 {
 	t.cfg.LearnRate *= factor
 	return t.cfg.LearnRate
 }
 
-// GradClips returns the lifetime count of norm-clipped updates (merged at
-// barriers; exact between RunSteps calls).
+// GradClips returns the lifetime count of norm-clipped updates.
 func (t *Trainer) GradClips() uint64 { return t.clips }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -59,7 +60,7 @@ func TestClipScalarMatchesBruteForce(t *testing.T) {
 	for _, bias := range []bool{true, false} {
 		const dim = 6
 		m := mf.MustNew(mf.Config{NumUsers: 1, NumItems: 3, Dim: dim, UseBias: bias})
-		kern := NewKernel(m, Plain)
+		kern := NewKernel(m)
 		for trial := 0; trial < 50; trial++ {
 			m.InitGaussian(rng, 1)
 			uf, vi, vk, vj := m.UserFactors(0), m.ItemFactors(0), m.ItemFactors(1), m.ItemFactors(2)
@@ -169,14 +170,10 @@ func TestSetGuardValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := tr.SetGuard(guard.Config{RiseFactor: 0.5}, nil); err == nil {
-		t.Error("serial SetGuard accepted RiseFactor 0.5")
+		t.Error("SetGuard accepted RiseFactor 0.5")
 	}
-	pt, err := NewParallelTrainer(quickConfig(sampling.MAP), d, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pt.SetGuard(guard.Config{RisePatience: -1}, nil); err == nil {
-		t.Error("parallel SetGuard accepted RisePatience -1")
+	if err := tr.SetGuard(guard.Config{RisePatience: -1}, nil); err == nil {
+		t.Error("SetGuard accepted RisePatience -1")
 	}
 }
 
@@ -216,15 +213,10 @@ func TestScaleLearnRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := tr.ScaleLearnRate(0.5); math.Abs(got-cfg.LearnRate*0.5) > 1e-15 {
-		t.Errorf("serial ScaleLearnRate = %v, want %v", got, cfg.LearnRate*0.5)
+		t.Errorf("ScaleLearnRate = %v, want %v", got, cfg.LearnRate*0.5)
 	}
-	pt, err := NewParallelTrainer(cfg, d, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt.ScaleLearnRate(0.5)
-	if got := pt.ScaleLearnRate(0.5); math.Abs(got-cfg.LearnRate*0.25) > 1e-15 {
-		t.Errorf("parallel ScaleLearnRate compounded to %v, want %v", got, cfg.LearnRate*0.25)
+	if got := tr.ScaleLearnRate(0.5); math.Abs(got-cfg.LearnRate*0.25) > 1e-15 {
+		t.Errorf("ScaleLearnRate compounded to %v, want %v", got, cfg.LearnRate*0.25)
 	}
 }
 
@@ -257,46 +249,14 @@ func TestSerialGuardTripsOnPoison(t *testing.T) {
 	if trip.Reason != guard.ReasonNonFiniteRisk && trip.Reason != guard.ReasonNonFiniteParams {
 		t.Fatalf("trip reason = %s", trip.Reason)
 	}
+	if trip.Step != tr.StepsDone() {
+		t.Errorf("trip stamped with step %d, trainer stopped at %d", trip.Step, tr.StepsDone())
+	}
 	// A tripped trainer stops consuming steps until re-armed.
 	before := tr.StepsDone()
 	tr.RunSteps(500)
 	if tr.StepsDone() != before {
 		t.Errorf("tripped trainer advanced from %d to %d", before, tr.StepsDone())
-	}
-}
-
-// TestParallelGuardTripsOnPoison is the Hogwild twin: worker-local
-// sentinels must surface the trip at a segment barrier.
-func TestParallelGuardTripsOnPoison(t *testing.T) {
-	d := smallData(t, 13)
-	cfg := quickConfig(sampling.MAP)
-	pt, err := NewParallelTrainer(cfg, d, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pt.SetGuard(guard.Config{Watchdog: true, CheckEvery: 256}, nil); err != nil {
-		t.Fatal(err)
-	}
-	pt.RunSteps(1000)
-	if pt.GuardTrip() != nil {
-		t.Fatalf("healthy run tripped: %v", pt.GuardTrip())
-	}
-	_, v, _ := pt.Model().RawParams()
-	for i := range v {
-		v[i] = math.NaN()
-	}
-	pt.RunSteps(1000)
-	trip := pt.GuardTrip()
-	if trip == nil {
-		t.Fatal("poisoned run never tripped")
-	}
-	if trip.Step == 0 || trip.Step > pt.StepsDone() {
-		t.Errorf("merged trip stamped with step %d (done %d)", trip.Step, pt.StepsDone())
-	}
-	before := pt.StepsDone()
-	pt.RunSteps(500)
-	if pt.StepsDone() != before {
-		t.Errorf("tripped trainer advanced from %d to %d", before, pt.StepsDone())
 	}
 }
 
@@ -365,42 +325,6 @@ func TestMetaSnapshotRoundTripSerial(t *testing.T) {
 	}
 }
 
-func TestMetaSnapshotRoundTripParallel(t *testing.T) {
-	d := smallData(t, 16)
-	cfg := quickConfig(sampling.MAP)
-
-	// Single worker: the only parallel configuration with a deterministic
-	// trajectory, so the round-trip can demand bit-identity.
-	ref, err := NewParallelTrainer(cfg, d, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.RunSteps(2000)
-	meta := ref.MetaSnapshot()
-	if len(meta.Workers) != 0 || len(meta.RNG) != 4 {
-		t.Fatalf("meta = %+v, want the one-worker (serial) trailer shape", meta)
-	}
-	frozen := ref.Model().Clone()
-	ref.RunSteps(3000)
-
-	resumed, err := NewParallelTrainer(cfg, d, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := resumed.RestoreFromMeta(frozen, meta); err != nil {
-		t.Fatal(err)
-	}
-	resumed.RunSteps(3000)
-
-	ru, _, _ := ref.Model().RawParams()
-	su, _, _ := resumed.Model().RawParams()
-	for i := range ru {
-		if ru[i] != su[i] {
-			t.Fatalf("U[%d]: straight-through %v vs meta round-trip %v", i, ru[i], su[i])
-		}
-	}
-}
-
 func TestRestoreFromMetaErrors(t *testing.T) {
 	d := smallData(t, 17)
 	cfg := quickConfig(sampling.MAP)
@@ -408,26 +332,10 @@ func TestRestoreFromMetaErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := NewParallelTrainer(cfg, d, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := tr.Model().Clone()
 
 	if err := tr.RestoreFromMeta(m, nil); err == nil {
-		t.Error("serial: nil meta accepted")
-	}
-	if err := pt.RestoreFromMeta(m, nil); err == nil {
-		t.Error("parallel: nil meta accepted")
-	}
-	// Cross-topology trailers are rejected by shape, not by crashing.
-	parallelMeta := pt.MetaSnapshot()
-	if err := tr.RestoreFromMeta(m, parallelMeta); err == nil || !strings.Contains(err.Error(), "parallel") {
-		t.Errorf("serial trainer took a parallel trailer: %v", err)
-	}
-	serialMeta := tr.MetaSnapshot()
-	if err := pt.RestoreFromMeta(m, serialMeta); err == nil || !strings.Contains(err.Error(), "serial") {
-		t.Errorf("parallel trainer took a serial trailer: %v", err)
+		t.Error("nil meta accepted")
 	}
 	// Truncated RNG state is a corrupt trailer.
 	bad := tr.MetaSnapshot()
@@ -435,5 +343,32 @@ func TestRestoreFromMetaErrors(t *testing.T) {
 	if err := tr.RestoreFromMeta(m, bad); err == nil || !strings.Contains(err.Error(), "state words") {
 		t.Errorf("truncated RNG accepted: %v", err)
 	}
-	var _ *store.Meta = serialMeta // the trailer type is the store schema, not a core shadow
+	var _ *store.Meta = bad // the trailer type is the store schema, not a core shadow
+}
+
+// TestRestoreFromMetaRefusesMultiWorkerTrailer: a checkpoint trailer in
+// the shape multi-worker runs wrote — per-worker streams under "workers",
+// nothing at the top level — is refused by name, with its worker count,
+// instead of failing on the missing top-level streams.
+func TestRestoreFromMetaRefusesMultiWorkerTrailer(t *testing.T) {
+	d := smallData(t, 18)
+	tr, err := NewTrainer(quickConfig(sampling.MAP), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const trailer = `{"step":2000,"loss_ewma":0.6,"loss_n":2000,"since_refresh":300,"workers":[
+		{"rng":[1,2,3,4],"sampler_rng":[5,6,7,8],"sampler_steps":0},
+		{"rng":[9,10,11,12],"sampler_rng":[13,14,15,16],"sampler_steps":0},
+		{"rng":[17,18,19,20],"sampler_rng":[21,22,23,24],"sampler_steps":0}]}`
+	var meta store.Meta
+	if err := json.Unmarshal([]byte(trailer), &meta); err != nil {
+		t.Fatal(err)
+	}
+	err = tr.RestoreFromMeta(tr.Model().Clone(), &meta)
+	if err == nil || !strings.Contains(err.Error(), "3 workers") || !strings.Contains(err.Error(), "no longer supported") {
+		t.Fatalf("multi-worker trailer: %v, want a refusal naming 3 workers as no longer supported", err)
+	}
+	if tr.StepsDone() != 0 {
+		t.Errorf("refused restore moved the trainer to step %d", tr.StepsDone())
+	}
 }

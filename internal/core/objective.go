@@ -30,7 +30,7 @@ type Objective interface {
 	// Bind builds the objective's sampler over the training split and the
 	// live model. root is the seed's stream after the model's split: Bind
 	// splits its own streams off it in a fixed order and may keep root
-	// itself, which a one-worker trainer goes on to draw records from.
+	// itself, which the trainer goes on to draw records from.
 	Bind(train *dataset.Dataset, model *mf.Model, root *mathx.RNG) (Sampler, error)
 }
 
@@ -42,18 +42,10 @@ type Sampler interface {
 	// items[:len(c)], at most maxStepItems (4) rows. The returned slice
 	// is the sampler's own and must not be written.
 	Draw(u, i int32, items []int32) (coef []float64)
-	// View returns the sampler one of several workers draws from: private
-	// streams seeded from rng, the owner's read-only structures shared in
-	// place, live item rows read through mf's atomic accessors. A view
-	// never refreshes; the owner does, at a barrier.
-	View(rng *mathx.RNG) Sampler
-	// RefreshEvery is the number of steps between rebuilds of whatever
-	// the sampler derives from the live model, 0 if nothing; Refresh is
-	// the rebuild. One worker's sampler refreshes itself as it draws.
-	RefreshEvery() int
-	Refresh()
 	// State and Restore carry every stream the sampler owns, so a
-	// restored one-worker Uniform run continues bit for bit.
+	// restored Uniform run continues bit for bit. Whatever the sampler
+	// derives from the live model it rebuilds itself, as it draws and on
+	// Restore.
 	State() sampling.SamplerState
 	Restore(sampling.SamplerState) error
 	// SetDrawHists attaches the rank-position histograms of
@@ -145,10 +137,6 @@ func (s *clapfSampler) Draw(u, i int32, items []int32) []float64 {
 	return s.coef[:]
 }
 
-func (s *clapfSampler) View(rng *mathx.RNG) Sampler {
-	return &clapfSampler{TripleSampler: s.SharedView(rng), coef: s.coef, folded: s.folded}
-}
-
 // BPR is Bayesian Personalized Ranking (Rendle et al. 2009), the seminal
 // pairwise method and CLAPF's λ = 0 reduction: R = f_ui − f_uj over an
 // (observed, unobserved) pair, with a choice of negative samplers.
@@ -180,8 +168,6 @@ func (s bprSampler) Draw(u, i int32, items []int32) []float64 {
 	items[0], items[1] = i, s.Sample(u, i)
 	return bprCoef[:]
 }
-
-func (s bprSampler) View(rng *mathx.RNG) Sampler { return bprSampler{s.NegativeSampler.View(rng)} }
 
 // MPR is Multiple Pairwise Ranking (Yu et al., CIKM 2018): it relaxes
 // BPR's single pairwise assumption into a chain of criteria over three
@@ -233,10 +219,6 @@ func (s *mprSampler) Draw(u, i int32, items []int32) []float64 {
 	v, j := s.draw(u)
 	items[0], items[1], items[2] = i, v, j
 	return s.coef[:]
-}
-
-func (s *mprSampler) View(rng *mathx.RNG) Sampler {
-	return &mprSampler{twoNegatives: s.view(rng), coef: s.coef}
 }
 
 // Multi is CLAPF-Multi, an instantiation of the paper's closing
@@ -296,8 +278,8 @@ func (o Multi) Bind(train *dataset.Dataset, _ *mf.Model, root *mathx.RNG) (Sampl
 
 type multiSampler struct {
 	twoNegatives
-	// kStream draws k: the record stream of a one-worker run (so k follows
-	// the record as it always has), a view's own stream otherwise.
+	// kStream draws k: the record stream, so k follows the record as it
+	// always has.
 	kStream      *mathx.RNG
 	coef, folded [4]float64
 }
@@ -312,14 +294,10 @@ func (s *multiSampler) Draw(u, i int32, items []int32) []float64 {
 	return s.coef[:]
 }
 
-func (s *multiSampler) View(rng *mathx.RNG) Sampler {
-	return &multiSampler{twoNegatives: s.view(rng), kStream: rng, coef: s.coef, folded: s.folded}
-}
-
 // twoNegatives draws the two unobserved items MPR and CLAPF-Multi rank
 // below the observed ones — j uniformly, a distinct v by popularity — each
-// from its own stream, and is everything but Draw and View of their
-// samplers: two streams to checkpoint, nothing derived from the model.
+// from its own stream, and is everything but Draw of their samplers: two
+// streams to checkpoint, nothing derived from the model.
 type twoNegatives struct {
 	data             *dataset.Dataset
 	uniform, popular *mathx.RNG
@@ -340,19 +318,6 @@ func (s *twoNegatives) draw(u int32) (v, j int32) {
 	return v, j
 }
 
-// view takes rng as the uniform stream and splits the popularity stream
-// off it, into a padded allocation of its own: see worker.streams for
-// what two workers' generators on one cache line cost.
-func (s *twoNegatives) view(rng *mathx.RNG) twoNegatives {
-	popular := &(&paddedRNG{RNG: *rng.Split()}).RNG
-	return twoNegatives{s.data, rng, popular, s.byPopularity.View(popular)}
-}
-
-type paddedRNG struct {
-	mathx.RNG
-	_ [64]byte
-}
-
 func (s *twoNegatives) State() sampling.SamplerState {
 	return sampling.SamplerState{RNG: sampling.StreamWords(s.uniform, s.popular)}
 }
@@ -361,6 +326,4 @@ func (s *twoNegatives) Restore(st sampling.SamplerState) error {
 	return sampling.SetStreams(st.RNG, s.uniform, s.popular)
 }
 
-func (*twoNegatives) RefreshEvery() int                { return 0 }
-func (*twoNegatives) Refresh()                         {}
 func (*twoNegatives) SetDrawHists(_, _ *obs.Histogram) {}

@@ -6,11 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"clapf/internal/datagen"
 	"clapf/internal/dataset"
-	"clapf/internal/eval"
 	"clapf/internal/guard"
-	"clapf/internal/mathx"
 	"clapf/internal/sampling"
 	"clapf/internal/store"
 )
@@ -170,25 +167,6 @@ func TestObjectiveResumeBitIdentical(t *testing.T) {
 		if err := resumed.RestoreFromMeta(frozen, &meta); err == nil || !strings.Contains(err.Error(), "RNG words") {
 			t.Errorf("%s: trailer with %d sampler words accepted: %v", c.name, len(meta.SamplerRNG), err)
 		}
-
-		// Several workers: the per-worker trailer carries every view's
-		// streams and restores (the continuation is statistical).
-		two, err := NewParallelTrainer(cfg, d, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		two.RunSteps(1000)
-		pm := two.MetaSnapshot()
-		if len(pm.Workers) != 2 || len(pm.Workers[1].SamplerRNG) != c.samplerWords {
-			t.Errorf("%s: two-worker trailer %+v, want 2 workers with %d sampler words", c.name, pm.Workers, c.samplerWords)
-		}
-		if err := two.RestoreFromMeta(two.Model().Clone(), pm); err != nil {
-			t.Errorf("%s: two-worker restore: %v", c.name, err)
-		}
-		two.Run()
-		if two.StepsDone() != cfg.Steps {
-			t.Errorf("%s: two-worker resumed run ended at step %d", c.name, two.StepsDone())
-		}
 	}
 }
 
@@ -207,11 +185,11 @@ func TestObjectiveGradients(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr.RunSteps(200) // off the tiny init scale
-		w := tr.workers[0]
+		pairs := tr.pairs
 		// The last record belongs to a single-positive user.
-		for _, rec := range []dataset.Interaction{w.pairs[0], w.pairs[len(w.pairs)/2], w.pairs[len(w.pairs)-1]} {
+		for _, rec := range []dataset.Interaction{pairs[0], pairs[len(pairs)/2], pairs[len(pairs)-1]} {
 			var items [maxStepItems]int32
-			coef := w.sampler.Draw(rec.User, rec.Item, items[:])
+			coef := tr.sampler.Draw(rec.User, rec.Item, items[:])
 			if items[0] != rec.Item || len(coef) < 2 || len(coef) > maxStepItems {
 				t.Fatalf("%s: Draw(%d, %d) = items %v, coef %v", c.name, rec.User, rec.Item, items, coef)
 			}
@@ -253,62 +231,6 @@ func TestObjectiveGuardTripsOnPoison(t *testing.T) {
 		}
 		if u, _, b := tr.Model().CountNonFinite(); u != 0 || b != 0 {
 			t.Errorf("%s: poison spread to %d user and %d bias parameters", c.name, u, b)
-		}
-	}
-}
-
-// TestObjectiveTwoWorkers: every objective runs on two Hogwild workers —
-// under the race detector in scripts/check.sh, which is half the
-// assertion: DNS and ABS score their candidates against item rows other
-// workers are writing, and must do so through mf's atomic accessors — and
-// ends statistically where one worker does (Welch's t-test over seeded
-// repetitions on final loss and NDCG@5, rejecting below α = 0.002 as
-// TestParallelStatisticalEquivalence does for CLAPF).
-func TestObjectiveTwoWorkers(t *testing.T) {
-	t.Parallel()
-	const reps = 10
-	profile := datagen.Table1Profiles[0].Scaled(0.12) // ML100K shape, unit-test size
-	// CLAPF has TestParallelStatisticalEquivalence.
-	cases := append(objectiveCases()[1:], objectiveCase{name: "BPR-AoBPR", obj: BPR{Negatives: sampling.AoBPRNegatives}})
-	for _, c := range cases {
-		var loss, ndcg [2][]float64
-		for r := 0; r < reps; r++ {
-			w, err := datagen.Generate(profile, mathx.NewRNG(uint64(5000+r)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			train, test := dataset.Split(w.Data, mathx.NewRNG(uint64(6000+r)), 0.8)
-			for arm, workers := range []int{1, 2} {
-				cfg := DefaultConfig(sampling.MAP, train.NumPairs())
-				cfg.Objective = c.obj
-				cfg.Dim = 8
-				cfg.Steps = 6 * train.NumPairs()
-				cfg.Seed = uint64(7000 + r)
-				tr, err := NewParallelTrainer(cfg, train, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := tr.SetStatsHook(1024, func(TrainStats) {}); err != nil {
-					t.Fatal(err)
-				}
-				tr.Run()
-				if tr.Workers() != workers || tr.StepsDone() != cfg.Steps {
-					t.Fatalf("%s: %d workers ran %d steps, want %d and %d", c.name, tr.Workers(), tr.StepsDone(), workers, cfg.Steps)
-				}
-				res := eval.Evaluate(tr.Model(), train, test, eval.Options{Ks: []int{5}})
-				loss[arm] = append(loss[arm], tr.SmoothedLoss())
-				ndcg[arm] = append(ndcg[arm], res.MustAt(5).NDCG)
-			}
-		}
-		for name, m := range map[string][2][]float64{"final loss": loss, "NDCG@5": ndcg} {
-			res, err := mathx.WelchTTest(m[0], m[1])
-			if err != nil {
-				t.Fatalf("%s %s: t-test failed: %v", c.name, name, err)
-			}
-			t.Logf("%s %s: one worker %.5f, two workers %.5f, p = %.4f", c.name, name, mathx.Mean(m[0]), mathx.Mean(m[1]), res.P)
-			if res.P < 0.002 {
-				t.Errorf("%s: %s diverges between one and two workers: t = %.3f, p = %.5f", c.name, name, res.T, res.P)
-			}
 		}
 	}
 }

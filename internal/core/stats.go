@@ -40,12 +40,11 @@ type StatsHook func(TrainStats)
 // behaves like an EWMA with α = 1/window.
 const lossEWMAWindow = 1024
 
-// SetStatsHook installs fn to fire at the first barrier at or after every
-// `every` aggregate steps; segments are cut at that boundary, so it fires
-// exactly there. The hook runs on the coordinating goroutine while all
-// workers are quiescent. The per-step loss is only computed while a hook
-// or a watchdog guard is installed, so an un-instrumented trainer pays
-// nothing. Passing a nil hook removes instrumentation.
+// SetStatsHook installs fn to fire every `every` steps; segments are cut
+// at that boundary, so it fires exactly there, on the training goroutine.
+// The per-step loss is only computed while a hook or a watchdog guard is
+// installed, so an un-instrumented trainer pays nothing. Passing a nil
+// hook removes instrumentation.
 func (t *Trainer) SetStatsHook(every int, fn StatsHook) error {
 	if fn != nil && every <= 0 {
 		return fmt.Errorf("core: stats interval = %d, want > 0", every)
@@ -58,40 +57,25 @@ func (t *Trainer) SetStatsHook(every int, fn StatsHook) error {
 
 // SmoothedLoss returns the smoothed per-step logistic loss −ln σ(R). It
 // is tracked while a stats hook is installed (every step) or a watchdog
-// guard is (one step in eight), and stays 0 otherwise. One worker folds
-// each observation as it happens; several workers' observations are
-// folded as segment means at barriers.
+// guard is (one step in eight), and stays 0 otherwise.
 func (t *Trainer) SmoothedLoss() float64 { return t.lossEWMA }
 
-// InstrumentSampler attaches draw-position histograms to every worker's
-// sampler (histograms are atomic, so concurrent observation is safe);
+// InstrumentSampler attaches draw-position histograms to the sampler;
 // see sampling.TripleSampler.SetDrawHists.
 func (t *Trainer) InstrumentSampler(pos, neg *obs.Histogram) {
 	t.sampler.SetDrawHists(pos, neg)
-	for _, w := range t.workers {
-		w.sampler.SetDrawHists(pos, neg)
-	}
 }
 
-// foldLoss folds n loss observations summing to sum into the smoothed
-// loss. During warm-up (fewer than lossEWMAWindow observations) this is
-// the exact running mean; afterwards a batch folds with weight n/window,
-// which for n = 1 is the per-step EWMA with α = 1/window.
-func (t *Trainer) foldLoss(sum float64, n int) {
-	if n == 0 {
-		return
-	}
-	mean := sum / float64(n)
-	t.lossN += n
+// foldLoss folds one loss observation into the smoothed loss. During
+// warm-up (fewer than lossEWMAWindow observations) this is the exact
+// running mean; afterwards it is the EWMA with α = 1/window.
+func (t *Trainer) foldLoss(loss float64) {
+	t.lossN++
 	if t.lossN <= lossEWMAWindow {
-		t.lossEWMA += float64(n) / float64(t.lossN) * (mean - t.lossEWMA)
+		t.lossEWMA += 1 / float64(t.lossN) * (loss - t.lossEWMA)
 		return
 	}
-	alpha := float64(n) / float64(lossEWMAWindow)
-	if alpha > 1 {
-		alpha = 1
-	}
-	t.lossEWMA += alpha * (mean - t.lossEWMA)
+	t.lossEWMA += 1 / float64(lossEWMAWindow) * (loss - t.lossEWMA)
 }
 
 // fireHook emits one TrainStats snapshot.
@@ -116,40 +100,10 @@ func (t *Trainer) fireHook() {
 	t.hook(stats)
 }
 
-// RegisterMetrics exports the trainer to reg: clapf_train_workers, and
-// per-worker lifetime step counts and throughput
-// (clapf_train_worker_steps_total / clapf_train_worker_steps_per_sec,
-// labeled by worker id). Values update at each barrier.
+// RegisterMetrics exports the trainer to reg: its lifetime step count
+// (clapf_train_steps_total) and throughput (clapf_train_steps_per_sec),
+// updated after every segment.
 func (t *Trainer) RegisterMetrics(reg *obs.Registry) {
-	n := len(t.workers)
-	reg.NewGaugeFunc("clapf_train_workers",
-		"Hogwild training workers in the current run.",
-		func() float64 { return float64(n) })
-	t.stepsVec = reg.NewCounterVec("clapf_train_worker_steps_total",
-		"SGD updates applied, per worker.", "worker")
-	t.spsVec = reg.NewGaugeVec("clapf_train_worker_steps_per_sec",
-		"Lifetime SGD throughput, per worker.", "worker")
-}
-
-// WorkerStat reports one worker's lifetime throughput.
-type WorkerStat struct {
-	ID          int
-	Pairs       int           // records in this worker's user shard
-	Steps       int           // SGD updates applied
-	Busy        time.Duration // time spent inside training segments
-	StepsPerSec float64       // Steps / Busy
-}
-
-// WorkerStats returns per-worker lifetime counters; safe to call between
-// RunSteps calls.
-func (t *Trainer) WorkerStats() []WorkerStat {
-	out := make([]WorkerStat, len(t.workers))
-	for i, w := range t.workers {
-		sps := 0.0
-		if secs := w.busy.Seconds(); secs > 0 {
-			sps = float64(w.steps) / secs
-		}
-		out[i] = WorkerStat{ID: w.id, Pairs: len(w.pairs), Steps: w.steps, Busy: w.busy, StepsPerSec: sps}
-	}
-	return out
+	t.stepsTotal = reg.NewCounter("clapf_train_steps_total", "SGD updates applied.")
+	t.stepsRate = reg.NewGauge("clapf_train_steps_per_sec", "Lifetime SGD throughput.")
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"clapf/internal/dataset"
 	"clapf/internal/mathx"
@@ -25,23 +26,8 @@ import (
 //
 // The Kernel below does exactly that and nothing else: what to do with a
 // non-finite R, whether to track the loss, and how to time the phases
-// are decisions of its one caller, worker.step, taken between Risk and
+// are decisions of its one caller, Trainer.step, taken between Risk and
 // Apply.
-
-// Access selects how a Kernel reaches the item rows and biases.
-type Access int
-
-const (
-	// Plain works in place on the model's own slices. One goroutine owns
-	// the model for the duration of a step.
-	Plain Access = iota
-	// Atomic copies each item row into scratch with element-wise atomic
-	// loads, runs the same arithmetic there, and publishes the result
-	// with element-wise atomic stores (mf's atomic accessors) — what
-	// Hogwild workers sharing the item matrix need. User rows are always
-	// touched plainly: users are sharded, so a row has one writer.
-	Atomic
-)
 
 // maxStepItems is the most item rows one step can touch (CLAPF-Multi's).
 const maxStepItems = 4
@@ -55,39 +41,26 @@ type Rates struct {
 	RegBias float64
 }
 
-// Kernel applies Eq. 22 steps to one model. It carries the scratch a
-// step needs, so each goroutine stepping a shared model owns its own
-// Kernel; a Kernel is not safe for concurrent use.
+// Kernel applies Eq. 22 steps to one model, in place on the model's own
+// slices. It carries the scratch a step needs and is not safe for
+// concurrent use.
 type Kernel struct {
-	model  *mf.Model
-	access Access
+	model *mf.Model
 
 	// The step in flight, filled by Risk and consumed by Clip and Apply.
 	n     int
 	uf    []float64
 	item  [maxStepItems]int32
 	c     [maxStepItems]float64
-	v     [maxStepItems][]float64 // the rows the arithmetic runs on
+	v     [maxStepItems][]float64 // the item rows
 	b     [maxStepItems]float64   // biases as read
 	inert [maxStepItems]bool      // zero-coefficient alias of an earlier row
 	w     []float64               // Σ_t c_t·V_t
-
-	buf [maxStepItems][]float64 // Atomic's row scratch
-
-	// Hogwild workers write the fields above on every step; the pad keeps
-	// the next worker's kernel, allocated right behind, off their lines.
-	_ [64]byte
 }
 
-// NewKernel prepares a kernel over m with the given access policy.
-func NewKernel(m *mf.Model, access Access) *Kernel {
-	k := &Kernel{model: m, access: access, w: make([]float64, m.Dim())}
-	if access == Atomic {
-		for t := range k.buf {
-			k.buf[t] = make([]float64, m.Dim())
-		}
-	}
-	return k
+// NewKernel prepares a kernel over m.
+func NewKernel(m *mf.Model) *Kernel {
+	return &Kernel{model: m, w: make([]float64, m.Dim())}
 }
 
 // Risk gathers user u's row and the item rows and returns
@@ -110,27 +83,8 @@ func (k *Kernel) Risk(u int32, items []int32, coef []float64) float64 {
 	for t, it := range items {
 		c := coef[t]
 		k.item[t], k.c[t] = it, c
-		src := -1
-		if c == 0 {
-			for s := 0; s < t; s++ {
-				if items[s] == it {
-					src = s
-				}
-			}
-		}
-		k.inert[t] = src >= 0
-		var v []float64
-		var b float64
-		switch {
-		case k.access == Plain:
-			v, b = m.ItemFactors(it), m.Bias(it)
-		case src >= 0:
-			v, b = k.v[src], k.b[src]
-		default:
-			v = k.buf[t]
-			m.LoadItemFactors(it, v)
-			b = m.LoadBias(it)
-		}
+		k.inert[t] = c == 0 && slices.Contains(items[:t], it)
+		v, b := m.ItemFactors(it), m.Bias(it)
 		k.v[t], k.b[t] = v, b
 		v = v[:len(uf)]
 		var d float64
@@ -207,14 +161,8 @@ func (k *Kernel) Apply(g float64, rt Rates) {
 		for q, x := range uf {
 			v[q] += gamma * (gc*x - rt.RegItem*v[q])
 		}
-		// Either bias write is a no-op on a bias-free model.
-		delta := gamma * (gc - rt.RegBias*k.b[t])
-		if k.access == Atomic {
-			m.StoreItemFactors(k.item[t], v)
-			m.StoreBias(k.item[t], k.b[t]+delta)
-		} else {
-			m.AddBias(k.item[t], delta)
-		}
+		// A no-op on a bias-free model.
+		m.AddBias(k.item[t], gamma*(gc-rt.RegBias*k.b[t]))
 	}
 	w := k.w[:len(uf)]
 	for q, x := range uf {

@@ -114,40 +114,33 @@ func kernelCases() []kernelCase {
 	}
 }
 
-// TestStepKernelAccessPoliciesAgree runs the same steps through a Plain
-// and an Atomic kernel, single-threaded, and through the spelled-out
-// reference: all three must leave bit-identical parameters and report the
-// same risk, for every arity, aliased or not, with and without bias, with
-// clipping off, armed-but-idle, and firing.
-func TestStepKernelAccessPoliciesAgree(t *testing.T) {
+// TestStepKernelMatchesReference runs the same steps through the kernel
+// and through the spelled-out reference: both must leave bit-identical
+// parameters and report the same risk, for every arity, aliased or not,
+// with and without bias, with clipping off and armed-but-idle; a firing
+// clip must report itself on every step.
+func TestStepKernelMatchesReference(t *testing.T) {
 	rt := Rates{Learn: 0.05, RegUser: 0.01, RegItem: 0.02, RegBias: 0.03}
 	for _, bias := range []bool{true, false} {
 		for _, clip := range []float64{0, 1e9, 0.01} {
 			for _, c := range kernelCases() {
 				name := fmt.Sprintf("%s/bias=%t/clip=%g", c.name, bias, clip)
-				plain, atomic, ref := kernelWorld(bias, 5), kernelWorld(bias, 5), kernelWorld(bias, 5)
-				kp, ka := NewKernel(plain, Plain), NewKernel(atomic, Atomic)
+				model, ref := kernelWorld(bias, 5), kernelWorld(bias, 5)
+				k := NewKernel(model)
 				for rep := 0; rep < 3; rep++ { // repeated steps reuse the scratch
 					u := int32(rep % 2)
-					rp, clippedP := kernelStep(kp, u, c.items, c.coef, clip, rt)
-					ra, clippedA := kernelStep(ka, u, c.items, c.coef, clip, rt)
-					if math.Float64bits(rp) != math.Float64bits(ra) || clippedP != clippedA {
-						t.Fatalf("%s rep %d: plain (R %v, clipped %v) vs atomic (R %v, clipped %v)", name, rep, rp, clippedP, ra, clippedA)
-					}
-					if clippedP != (clip == 0.01) {
-						t.Fatalf("%s rep %d: clipped = %v", name, rep, clippedP)
+					r, clipped := kernelStep(k, u, c.items, c.coef, clip, rt)
+					if clipped != (clip == 0.01) {
+						t.Fatalf("%s rep %d: clipped = %v", name, rep, clipped)
 					}
 					if clip != 0.01 {
-						if rr := referenceStep(ref, u, c.items, c.coef, rt); math.Float64bits(rr) != math.Float64bits(rp) {
-							t.Fatalf("%s rep %d: kernel R %v, reference R %v", name, rep, rp, rr)
+						if rr := referenceStep(ref, u, c.items, c.coef, rt); math.Float64bits(rr) != math.Float64bits(r) {
+							t.Fatalf("%s rep %d: kernel R %v, reference R %v", name, rep, r, rr)
 						}
 					}
 				}
-				if err := sameBits(plain, atomic); err != nil {
-					t.Errorf("%s: plain vs atomic: %v", name, err)
-				}
 				if clip != 0.01 {
-					if err := sameBits(plain, ref); err != nil {
+					if err := sameBits(model, ref); err != nil {
 						t.Errorf("%s: kernel vs spelled-out reference: %v", name, err)
 					}
 				}
@@ -171,12 +164,12 @@ func TestStepKernelLambdaZeroIsBPR(t *testing.T) {
 			for _, k := range []int32{8, i} {
 				bpr, clapf := kernelWorld(bias, 9), kernelWorld(bias, 9)
 				before := clapf.Clone()
-				kernelStep(NewKernel(bpr, Plain), u, []int32{i, j}, bprCoef[:], 0, rt)
+				kernelStep(NewKernel(bpr), u, []int32{i, j}, bprCoef[:], 0, rt)
 				coef, folded := riskCoeffs(variant, 0)
 				if k == i {
 					coef = folded
 				}
-				kernelStep(NewKernel(clapf, Plain), u, []int32{i, k, j}, coef[:], 0, rt)
+				kernelStep(NewKernel(clapf), u, []int32{i, k, j}, coef[:], 0, rt)
 
 				if k != i {
 					// Give BPR's model the shrink CLAPF's regularizer applied to

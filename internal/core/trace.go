@@ -10,11 +10,9 @@ import (
 // Training-loop latency attribution. Two granularities:
 //
 //   - Batch/segment level: each RunSteps call runs under a "train.batch"
-//     trace with "train.segment" (the workers stepping, fan-out to join),
-//     "train.barrier" (telemetry merge + metric export), "train.refresh"
-//     (barrier DSS rank-list rebuild, several workers only), and
-//     "train.hook" spans, so the flight recorder shows where a slow batch
-//     went. The periodic guard check reports as the "train.guard_scan"
+//     trace with "train.segment" (the stepping between two boundaries)
+//     and "train.hook" spans, so the flight recorder shows where a slow
+//     batch went. The periodic guard check reports as the "train.guard_scan"
 //     stage and checkpoint writes as "train.checkpoint" (cmd/clapf-train).
 //
 //   - Step level, sampled: timing every SGD step would double its cost,
@@ -36,8 +34,8 @@ import (
 // still collecting hundreds of phase samples per million steps.
 const stageSampleEvery = 256
 
-// stageTimers caches the per-phase histogram children so workers observe
-// them atomically without a vec map lookup per timed step.
+// stageTimers caches the per-phase histogram children so a timed step
+// observes them without a vec map lookup.
 type stageTimers struct {
 	sample *obs.Histogram
 	risk   *obs.Histogram
@@ -58,8 +56,7 @@ func newStageTimers(t *trace.Tracer) *stageTimers {
 // SetTracer attaches tr to the trainer: RunSteps batches become traces,
 // sampled step phases feed the stage histogram, and the guard (whenever
 // installed, before or after this call) reports its scan latency. nil
-// detaches. Call between RunSteps calls only: workers read the stage
-// timers lock-free while training.
+// detaches. Call between RunSteps calls only.
 func (t *Trainer) SetTracer(tr *trace.Tracer) {
 	t.tracer = tr
 	t.stages = newStageTimers(tr)

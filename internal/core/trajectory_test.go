@@ -181,33 +181,22 @@ func TestTrajectoryPinned(t *testing.T) {
 	}
 }
 
-// TestTrajectoryOneWorkerIsSerial is "serial is parallel with one worker"
-// as a test: NewParallelTrainer(cfg, d, 1) ends on the same bits as
-// NewTrainer(cfg, d) — same RNG streams, same self-refreshing sampler —
-// and so does a run that is chopped into uneven RunSteps calls and
-// carries the whole instrumentation stack (guard, hook, tracer), because
+// TestTrajectoryInstrumentedIsPlain: a run that is chopped into uneven
+// RunSteps calls and carries the whole instrumentation stack (guard,
+// hook, tracer, metrics) ends on the same bits as the plain run, because
 // none of those may touch the trajectory.
-func TestTrajectoryOneWorkerIsSerial(t *testing.T) {
+func TestTrajectoryInstrumentedIsPlain(t *testing.T) {
 	d := trajectoryWorld(t)
 	for _, c := range trajectoryCases() {
 		if c.cfg.Variant != sampling.MAP || !c.cfg.UseBias {
 			continue
 		}
-		serial, err := NewTrainer(c.cfg, d)
+		plain, err := NewTrainer(c.cfg, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial.Run()
-		want := paramsHash(serial.Model())
-
-		one, err := NewParallelTrainer(c.cfg, d, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		one.Run()
-		if got := paramsHash(one.Model()); got != want {
-			t.Errorf("%s: NewParallelTrainer(…, 1) ends at %s, NewTrainer at %s", c.name, got, want)
-		}
+		plain.Run()
+		want := paramsHash(plain.Model())
 
 		inst, err := NewTrainer(c.cfg, d)
 		if err != nil {

@@ -6,6 +6,7 @@ package fault_test
 // clapf-train runs, and are exercised under -race by scripts/check.sh.
 
 import (
+	"math"
 	"testing"
 
 	"clapf/internal/core"
@@ -195,11 +196,10 @@ func TestChaosTornCheckpointFallsBack(t *testing.T) {
 	}
 }
 
-// TestChaosExplodingLRParallelBacksOff feeds a Hogwild trainer a runaway
-// learning-rate schedule. Each divergence trips a guard at a segment
-// barrier; each rollback halves the rate; the run must geometrically back
-// off until it converges again — all race-detector clean.
-func TestChaosExplodingLRParallelBacksOff(t *testing.T) {
+// TestChaosExplodingLRBacksOff feeds the trainer a runaway learning-rate
+// schedule. Each divergence trips the guard; each rollback halves the
+// rate; the run must geometrically back off until it converges again.
+func TestChaosExplodingLRBacksOff(t *testing.T) {
 	t.Parallel()
 	w, err := datagen.Generate(chaosProfile, mathx.NewRNG(81))
 	if err != nil {
@@ -210,30 +210,30 @@ func TestChaosExplodingLRParallelBacksOff(t *testing.T) {
 	cfg.Dim = 8
 	cfg.Steps = 8 * train.NumPairs()
 	cfg.Seed = 83
-	pt, err := core.NewParallelTrainer(cfg, train, 3)
+	tr, err := core.NewTrainer(cfg, train)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := pt.SetGuard(guard.Config{Watchdog: true, CheckEvery: 512}, nil); err != nil {
+	if err := tr.SetGuard(guard.Config{Watchdog: true, CheckEvery: 512}, nil); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	sup := &guard.Supervisor{Dir: dir, MaxRollbacks: 16}
-	explode := fault.ExplodingLR(pt, cfg.Steps/2, 100)
-	rep, _, err := sup.Run(pt, guard.RunOptions{
+	explode := fault.ExplodingLR(tr, cfg.Steps/2, 100)
+	rep, _, err := sup.Run(tr, guard.RunOptions{
 		TotalSteps:      cfg.Steps,
 		BatchSteps:      1024,
 		CheckpointEvery: 2048,
 		Checkpoint: func() (string, error) {
-			return store.WriteCheckpoint(dir, pt.Model(), pt.MetaSnapshot(), 0)
+			return store.WriteCheckpoint(dir, tr.Model(), tr.MetaSnapshot(), 0)
 		},
 		AfterBatch: explode,
 	})
 	if err != nil {
 		t.Fatalf("Run = %v\n%s", err, rep.String())
 	}
-	if pt.StepsDone() != cfg.Steps {
-		t.Errorf("finished at step %d, want %d", pt.StepsDone(), cfg.Steps)
+	if tr.StepsDone() != cfg.Steps {
+		t.Errorf("finished at step %d, want %d", tr.StepsDone(), cfg.Steps)
 	}
 	if len(rep.Rollbacks) == 0 {
 		t.Fatal("exploded learning rate never tripped a guard")
@@ -242,10 +242,15 @@ func TestChaosExplodingLRParallelBacksOff(t *testing.T) {
 		len(rep.Rollbacks), rep.Rollbacks[len(rep.Rollbacks)-1].LearnRate)
 	// Each rollback halves the post-explosion rate of 100×0.05 = 5; the
 	// run cannot finish while updates still overflow.
+	for i, rb := range rep.Rollbacks {
+		if want := 5 * math.Pow(0.5, float64(i+1)); math.Abs(rb.LearnRate-want) > 1e-12 {
+			t.Errorf("rollback %d left learning rate %g, want %g", i+1, rb.LearnRate, want)
+		}
+	}
 	if lr := rep.Rollbacks[len(rep.Rollbacks)-1].LearnRate; lr >= 5 {
 		t.Errorf("final learning rate %g never backed off below the exploded 5", lr)
 	}
-	if u, v, b := pt.Model().CountNonFinite(); u+v+b > 0 {
+	if u, v, b := tr.Model().CountNonFinite(); u+v+b > 0 {
 		t.Errorf("final model carries %d non-finite params", u+v+b)
 	}
 }

@@ -14,9 +14,9 @@
 // loudly with a diagnostic report instead of reporting garbage.
 //
 // The detection state machine lives here; the trainer in internal/core
-// owns the hot path and calls into it at its natural quiescent points
-// (every step for sentinels, the segment barrier every CheckEvery steps
-// for scans and the watchdog). Supervisor.Run is the one loop that slices
+// owns the hot path and calls into it at its natural points (every step
+// for sentinels, every CheckEvery steps between segments for scans and
+// the watchdog). Supervisor.Run is the one loop that slices
 // a run into batches, handles a trip, and gates and writes checkpoints;
 // clapf-train runs it, supervised or not.
 package guard
@@ -47,13 +47,13 @@ const (
 
 // Trip records why a guarded trainer stopped applying updates.
 type Trip struct {
-	// Step is the aggregate SGD step at which the trip was recorded: the
-	// barrier at which the tripping worker's segment ended.
+	// Step is the SGD step at which the trip was recorded (the tripping
+	// step counts).
 	Step int
 	// Reason is one of the Reason* constants.
 	Reason string
-	// Detail is a human-readable elaboration (the offending value, the
-	// scan counts, the worker id).
+	// Detail is a human-readable elaboration (the offending value and
+	// user, the scan counts).
 	Detail string
 }
 
@@ -69,9 +69,9 @@ type Config struct {
 	// scans. When false, a guard only accounts for gradient clipping.
 	Watchdog bool
 	// CheckEvery is the step interval between guard checks (watchdog
-	// observation, sampled parameter scan, metric flush). The parallel
-	// trainer caps its segment length at this interval so checks always
-	// run at quiescent barriers.
+	// observation, sampled parameter scan, metric flush). The trainer
+	// caps its segment length at this interval so checks run between
+	// segments.
 	CheckEvery int
 	// RiseFactor is the multiplicative loss-rise threshold: the watchdog
 	// trips when the loss EWMA exceeds RiseFactor × its best (lowest)
@@ -92,11 +92,10 @@ type Config struct {
 }
 
 // Default check cadence and thresholds. The cadence trades detection
-// latency for hot-path cost: each check costs a parameter sample plus,
-// with several workers, a barrier, so 16384 steps (~10 ms of SGD)
-// keeps the amortized overhead well under a percent — even when workers
-// outnumber cores and every barrier is a context switch — while still
-// bounding how far a divergence can run before it is caught.
+// latency for hot-path cost: each check costs a parameter sample, so
+// 16384 steps (~10 ms of SGD) keeps the amortized overhead well under a
+// percent while still bounding how far a divergence can run before it is
+// caught.
 const (
 	DefaultCheckEvery   = 16384
 	DefaultRiseFactor   = 1.5

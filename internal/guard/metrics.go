@@ -3,9 +3,9 @@ package guard
 import "clapf/internal/obs"
 
 // Metrics is the guard subsystem's obs export. All fields are plain
-// counters/gauges updated from quiescent points (check boundaries,
-// barriers, rollbacks), never from inside the SGD hot path — trainers
-// accumulate locally and flush deltas here.
+// counters/gauges updated between segments (check boundaries, the end of
+// a RunSteps call, rollbacks), never from inside the SGD hot path —
+// trainers accumulate locally and flush deltas here.
 type Metrics struct {
 	// Rollbacks counts automatic checkpoint rollbacks
 	// (clapf_train_rollbacks_total).

@@ -10,8 +10,7 @@ import (
 )
 
 // Trainee is the trainer surface the supervisor drives; core.Trainer
-// satisfies it for any worker count. All methods are called between
-// RunSteps calls, when the trainer is quiescent.
+// satisfies it. All methods are called between RunSteps calls.
 type Trainee interface {
 	RunSteps(n int)
 	StepsDone() int

@@ -149,10 +149,9 @@ func sign(x float64) int {
 
 // WelchTTest tests whether two independent samples share a mean, without
 // assuming equal variances (Welch's unequal-variance t-test, with the
-// Welch–Satterthwaite degrees of freedom). The parallel-training
-// equivalence suite uses it to compare replicate metric distributions of
-// the serial and Hogwild trainers, whose runs are independent (different
-// RNG streams), so the paired test does not apply. Each sample needs at
+// Welch–Satterthwaite degrees of freedom). The chaos and float32-parity
+// suites use it to compare replicate metric distributions of independent
+// runs, to which the paired test does not apply. Each sample needs at
 // least two observations; two identical zero-variance samples report
 // p = 1, distinct ones p = 0.
 func WelchTTest(a, b []float64) (TTestResult, error) {

@@ -90,9 +90,9 @@ func (v *CounterVec) children() []*counterChild {
 	return out
 }
 
-// GaugeVec is a family of Gauges distinguished by label values — e.g.
-// per-worker training throughput partitioned by worker id. Children are
-// created on first use and live forever.
+// GaugeVec is a family of Gauges distinguished by label values — e.g. a
+// router's per-shard availability. Children are created on first use and
+// live forever.
 type GaugeVec struct {
 	labels []string
 

@@ -56,10 +56,6 @@ type NegativeSampler struct {
 	*TripleSampler
 	scheme     Negatives
 	candidates int
-	// row is a view's scratch for reading candidate item rows with atomic
-	// loads while other workers write them; nil on the owner, which has
-	// the model to itself.
-	row []float64
 }
 
 // NewNegativeSampler builds the sampler over the training data. model is
@@ -83,18 +79,6 @@ func NewNegativeSampler(scheme Negatives, candidates int, data *dataset.Dataset,
 	return &NegativeSampler{TripleSampler: ts, scheme: scheme, candidates: candidates}, nil
 }
 
-// View returns a sampler for one of several Hogwild workers: its own
-// stream, the owner's rank lists (see SharedView), and candidate scores
-// read through mf's atomic accessors.
-func (s *NegativeSampler) View(rng *mathx.RNG) *NegativeSampler {
-	v := *s
-	v.TripleSampler = s.SharedView(rng)
-	if s.model != nil {
-		v.row = make([]float64, s.model.Dim())
-	}
-	return &v
-}
-
 // Sample draws the unobserved item for the record (u, i).
 func (s *NegativeSampler) Sample(u, i int32) int32 {
 	switch s.scheme {
@@ -109,30 +93,19 @@ func (s *NegativeSampler) Sample(u, i int32) int32 {
 		abs := s.scheme == ABSNegatives
 		var fi float64
 		if abs {
-			fi = s.score(u, i)
+			fi = s.model.Score(u, i)
 		}
 		best := Unobserved(s.data, u, s.rng)
-		bestScore := s.score(u, best)
+		bestScore := s.model.Score(u, best)
 		for c := 1; c < s.candidates && !(abs && fi-bestScore < 0); c++ {
 			j := Unobserved(s.data, u, s.rng)
-			if sc := s.score(u, j); sc > bestScore {
+			if sc := s.model.Score(u, j); sc > bestScore {
 				best, bestScore = j, sc
 			}
 		}
 		return best
 	}
 	return Unobserved(s.data, u, s.rng)
-}
-
-// score is f_ut under the live model. U_u is the calling worker's own
-// row (users are sharded); item rows are shared, so a view copies them
-// out with atomic loads.
-func (s *NegativeSampler) score(u, t int32) float64 {
-	if s.row == nil {
-		return s.model.Score(u, t)
-	}
-	s.model.LoadItemFactors(t, s.row)
-	return mathx.Dot(s.model.UserFactors(u), s.row) + s.model.LoadBias(t)
 }
 
 // PopNegative draws unobserved items with probability proportional to
@@ -158,12 +131,6 @@ func NewPopNegative(data *dataset.Dataset, rng *mathx.RNG) (*PopNegative, error)
 		return nil, err
 	}
 	return &PopNegative{data: data, rng: rng, alias: alias}, nil
-}
-
-// View returns a sampler over the same (read-only) alias table that draws
-// from its own stream.
-func (s *PopNegative) View(rng *mathx.RNG) *PopNegative {
-	return &PopNegative{data: s.data, rng: rng, alias: s.alias}
 }
 
 // Sample draws a popularity-weighted item unobserved by u.

@@ -97,12 +97,8 @@ type TripleSampler struct {
 	model *mf.Model
 	rng   *mathx.RNG
 
-	steps int
-	geomP float64
-	// view marks a SharedView: it borrows the owner's rank structures and
-	// never refreshes them itself (the owner refreshes at a barrier while
-	// all views are quiescent).
-	view   bool
+	steps  int
+	geomP  float64
 	orders [][]int32 // per-factor item ids, descending factor value
 	pos    [][]int32 // per-factor position of each item in orders
 
@@ -161,11 +157,6 @@ func NewTripleSampler(cfg TripleConfig, data *dataset.Dataset, model *mf.Model, 
 	}
 	return s, nil
 }
-
-// RefreshEvery returns the resolved rank-list rebuild cadence in Sample
-// calls (the configured value, or the m·⌈log₂ m⌉ default), and 0 for the
-// Uniform strategy, which keeps no rank lists.
-func (s *TripleSampler) RefreshEvery() int { return s.cfg.RefreshEvery }
 
 // Refresh rebuilds the per-factor ranking lists from the current model
 // (§5.2, Step 2). Cost: d · m log m. A Uniform sampler has none and
@@ -251,7 +242,7 @@ func (s *TripleSampler) Sample(u int32) Triple {
 // training record (§4.3: "randomly select a record").
 func (s *TripleSampler) SampleWithI(u, i int32) Triple {
 	s.steps++
-	if !s.view && s.cfg.RefreshEvery > 0 && s.steps%s.cfg.RefreshEvery == 0 {
+	if s.cfg.RefreshEvery > 0 && s.steps%s.cfg.RefreshEvery == 0 {
 		s.Refresh()
 	}
 
@@ -278,23 +269,6 @@ func (s *TripleSampler) SampleWithI(u, i int32) Triple {
 		panic(fmt.Sprintf("sampling: unknown strategy %v", s.cfg.Strategy))
 	}
 	return Triple{I: i, K: k, J: j}
-}
-
-// SharedView returns a sampler that draws with its own RNG stream but
-// borrows this sampler's dataset, model, and rank-aware structures
-// in place. Hogwild training workers each hold a view: sampling reads the
-// shared rank lists without copies or locks, while refreshes stay the
-// owner's job — views never rebuild, so the owner must call Refresh only
-// at a barrier when no view is concurrently sampling. The view's State
-// and Restore manage its private RNG/step position; restoring a view does
-// not rebuild rank lists (again the owner's job).
-func (s *TripleSampler) SharedView(rng *mathx.RNG) *TripleSampler {
-	v := *s
-	v.rng = rng
-	v.steps = 0
-	v.view = true
-	v.fill = nil // Refresh scratch; views never refresh
-	return &v
 }
 
 // SamplerState captures a sampler's resumable state: the position of
@@ -344,9 +318,7 @@ func (s *TripleSampler) Restore(st SamplerState) error {
 		return err
 	}
 	s.steps = st.Steps
-	if !s.view {
-		s.Refresh()
-	}
+	s.Refresh()
 	return nil
 }
 

@@ -19,6 +19,7 @@ package store
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -53,13 +54,10 @@ type Meta struct {
 	// Hyper records the run's hyper-parameters as printable strings so a
 	// resume can verify it continues the same optimization problem.
 	Hyper map[string]string `json:"hyper,omitempty"`
-	// Workers holds per-worker RNG streams for parallel (Hogwild) training
-	// checkpoints; empty for serial runs. A resume must be configured with
-	// the same worker count.
-	Workers []WorkerMeta `json:"workers,omitempty"`
-	// SinceRefresh preserves the parallel trainer's position in the
-	// rank-list rebuild cadence.
-	SinceRefresh int `json:"since_refresh,omitempty"`
+	// Workers is the per-worker stream list a multi-worker training run
+	// wrote. Nothing writes it any more; it is decoded only so that
+	// core.Trainer.RestoreFromMeta can refuse such a checkpoint by name.
+	Workers []json.RawMessage `json:"workers,omitempty"`
 	// FeedbackSeq is the streaming-ingest watermark: the last feedback
 	// WAL sequence number whose fold-in update is baked into the user
 	// factors of this file. On startup the serving stack replays only WAL
@@ -67,17 +65,6 @@ type Meta struct {
 	// promote step recovers to exactly the factors an uninterrupted run
 	// would hold. Zero means no feedback is incorporated.
 	FeedbackSeq uint64 `json:"feedback_seq,omitempty"`
-}
-
-// WorkerMeta is one Hogwild worker's resumable state inside a parallel
-// training checkpoint.
-type WorkerMeta struct {
-	// RNG is the worker's record-selection generator (4 xoshiro256**
-	// state words).
-	RNG []uint64 `json:"rng"`
-	// SamplerRNG and SamplerSteps are the worker's sampler-view state.
-	SamplerRNG   []uint64 `json:"sampler_rng"`
-	SamplerSteps int      `json:"sampler_steps"`
 }
 
 // Save writes the model to w as a float64 file with an empty metadata
