@@ -24,13 +24,14 @@ import (
 // as a float32. The bytes are laid out for the kernel, not by row: the
 // rows go in blocks of 16 (the last padded with q = 0 rows), and within a
 // block every 8 rows × 4 dimensions are one 32-byte group, row r's four
-// bytes at offset 4r (imageByte). The residual ρ_k = max_i |v_ik − c_k·q_ik|
-// and Lmax = max_i Σ_k |q_ik| are measured, so nothing depends on how q was
-// rounded. A query u becomes w_k = u_k·c_k, Δ = float32(max_k |w_k|/63) and
-// p_k = round(w_k/Δ) clamped to [−63, 63] (0 where Δ = 0), and
-// e_q = max_k |w_k − Δ·p_k| is measured too. With 7-bit p and 8-bit
-// unsigned bytes, VPMADDUBSW's 16-bit pair sums, at most 2·255·63, cannot
-// saturate. The kernel's score is
+// bytes at offset 4r (imageByte). The residual ρ_k = max_i |v_ik − c_k·q_ik|,
+// Lmax = max_i Σ_k |q_ik| and Qmax = max_i ‖q_i‖₂ (the root of an exact
+// integer sum) are measured, so nothing depends on how q was rounded. A
+// query u becomes w_k = u_k·c_k, Δ = float32(max_k |w_k|/63) and
+// p_k = round(w_k/Δ) clamped to [−63, 63] (0 where Δ = 0); its errors
+// e_k = w_k − Δ·p_k are measured too, as e_q = max_k |e_k| and ‖e‖₂. With
+// 7-bit p and 8-bit unsigned bytes, VPMADDUBSW's 16-bit pair sums, at most
+// 2·255·63, cannot saturate. The kernel's score is
 //
 //	s̃_i = float32(float32(I_i · Δ) + b̃_i),  I_i = Σ_k p_k·q_ik,
 //
@@ -41,36 +42,48 @@ import (
 // R = Σ_k |u_k|·(M_k + ρ_k) + maxBias, maxBias = max_i |b_i| (b_i the
 // catalog's own bias). Since v_ik = c_k·q_ik + r_ik with |r_ik| ≤ ρ_k,
 //
-//	Σ_k u_k·v_ik − Δ·I_i = Σ_k (w_k − Δ·p_k)·q_ik + Σ_k u_k·r_ik,
+//	Σ_k u_k·v_ik − Δ·I_i = Σ_k e_k·q_ik + Σ_k u_k·r_ik,
 //
-// so the real sum and Δ·I_i differ by at most e_q·Lmax + Σ_k |u_k|·ρ_k — the
-// two terms E is made of. Everything else is rounding, each a multiple of R
-// or of e_q·Lmax:
+// and |Σ_k e_k·q_ik| is at most e_q·Σ_k |q_ik| ≤ e_q·Lmax and, by
+// Cauchy–Schwarz, at most ‖e‖₂·‖q_i‖₂ ≤ ‖e‖₂·Qmax. So the real sum and Δ·I_i
+// differ by at most T + Σ_k |u_k|·ρ_k, T = min(e_q·Lmax, ‖e‖₂·Qmax) — the
+// two terms E is made of. The second bound of T is the tighter when the
+// errors are spread: ‖e‖₂ is near √(d/3)·e_q for uniform ones, while Lmax
+// runs up to √d·Qmax. Everything else is rounding, each a multiple of R or
+// of T:
 //
 //   - the exact kernel against the real sum S_i: n = d+1 terms, one product
 //     rounding and at most d additions in float64, |s − S| ≤ γ64(n)·R with
 //     γ(n) = n·u/(1 − n·u) (Σ|u_k·v_ik| ≤ Σ|u_k|·M_k);
 //   - the two float32 roundings of s̃, and b̃_i = float32(b_i) on a float64
 //     catalog: at most 2·u32·|Δ·I_i| + u32·(|b̃_i| + |b_i|), where
-//     |Δ·I_i| ≤ (1 + u64)·Σ|u_k|·(M_k + ρ_k) + e_q·Lmax;
-//   - w_k, ρ_k and e_q are float64 values: w_k is off by u64·|w_k|, which
-//     moves Σ w_k·q_ik by u64·Σ|u_k|·(M_k + ρ_k); c_k·q_ik and the residual
-//     subtraction are exact or relative (a subnormal product of a float64
-//     and a small integer is exact), so the true residual exceeds the
-//     measured ρ_k by at most 2·u64·(M_k + ρ_k); e_q by at most u64·e_q.
+//     |Δ·I_i| ≤ (1 + u64)·Σ|u_k|·(M_k + ρ_k) + T;
+//   - w_k, ρ_k, e_q, ‖e‖₂ and Qmax are float64 values: w_k is off by
+//     u64·|w_k|, which moves Σ w_k·q_ik by u64·Σ|u_k|·(M_k + ρ_k); c_k·q_ik
+//     and the residual subtraction are exact or relative (a subnormal
+//     product of a float64 and a small integer is exact), so the true
+//     residual exceeds the measured ρ_k by at most 2·u64·(M_k + ρ_k); e_q by
+//     at most u64·e_q; Qmax, one square root, by u64·Qmax. ‖e‖₂ is computed
+//     as e_q·√Σ_k (e_k/e_q)², not as √Σ_k e_k², whose squares lose bits
+//     below |e_k| = 2⁻⁵¹¹ and read 0 below 2⁻⁵³⁸: the ratios are at most 1 and
+//     the largest is 1, so the sum is at least 1 (to a rounding), a ratio
+//     or square that underflows is off by under 2⁻¹⁰⁷⁴ of it, and the rest
+//     is relative rounding, under (d + 6)·u64 — below 2⁻⁴¹·‖e‖₂ all told
+//     while d ≤ maxBoundDim.
 //
 // With d ≤ maxBoundDim, γ64(n) < 2⁻⁴¹, and the sum of the three is below
-// 2⁻²³·(1 + 2⁻¹⁷)·(R + e_q·Lmax). E takes 2⁻²¹·R and 2⁻²⁰ of the two
-// main terms, four and eight times that; the spare absorbs E's own float64
-// rounding (relative, below 2⁻⁴⁰) and that of the survivor test's
-// floor − E, at most (|floor| + E)·u64, which matters only while
+// 2⁻²³·(1 + 2⁻¹⁷)·(R + T). E takes 2⁻²¹·R and 2⁻²⁰ of the two main
+// terms, four and eight times that; the spare absorbs E's own float64
+// rounding (relative, below 2⁻⁴⁰, T's included) and that of the survivor
+// test's floor − E, at most (|floor| + E)·u64, which matters only while
 // |floor| ≤ 2·R (a lower floor is below every s̃ of a finite row, a higher
 // one above every s). Gradual underflow adds absolute errors the relative
 // terms do not cover: float32(I·Δ) and b̃_i are off by up to 2⁻¹⁵⁰ each in
 // float32's subnormal range (a sum that lands there is exact), and the
-// float64 products by 2⁻¹⁰⁷⁵·(d + Lmax) all told; 2⁻¹⁴⁶ covers them:
+// float64 products by 2⁻¹⁰⁷⁵·(d + Lmax + 2·Qmax + 2) all told; 2⁻¹⁴⁶
+// covers them:
 //
-//	E(u) = (Σ_k |u_k|·ρ_k + e_q·Lmax)·(1 + 2⁻²⁰) + 2⁻²¹·R + 2⁻¹⁴⁶
+//	E(u) = (Σ_k |u_k|·ρ_k + T)·(1 + 2⁻²⁰) + 2⁻²¹·R + 2⁻¹⁴⁶
 //
 // E is +Inf when R exceeds 2¹⁰⁰⁰, so that where s̃ and E are finite the
 // exact kernel cannot overflow either, and past maxBoundDim.
@@ -107,6 +120,7 @@ type Bound struct {
 	mag          []float64 // M_k
 	rho          []float64 // ρ_k
 	lmax         float64   // Lmax
+	qmax         float64   // Qmax
 	maxBias      float64   // largest |b_i| over the finite rows
 }
 
@@ -129,7 +143,7 @@ func BoundOverF32(v, b []float32, d int) *Bound { return newBound(v, b, d) }
 func BoundOverF64(v, b []float64, d int) *Bound { return newBound(v, b, d) }
 
 // newBound builds the image in two passes over the rows: the maxima, then
-// the bytes and residuals.
+// the bytes, residuals and row norms.
 func newBound[T float32 | float64](v, b []T, d int) *Bound {
 	n := 0
 	if d > 0 {
@@ -171,12 +185,14 @@ func newBound[T float32 | float64](v, b []T, d int) *Bound {
 	for j := range bd.q {
 		bd.q[j] = 128
 	}
+	var maxSq int64 // max_i Σ_k q_ik², exact
 	for i := 0; i < n; i++ {
 		if bd.b[i] != bd.b[i] {
 			continue // not finite: q = 0
 		}
 		row := v[i*d : (i+1)*d]
 		var l float64
+		var sq int64
 		for k, x := range row {
 			c, xf, q := bd.scale[k], float64(x), 0.0
 			if c > 0 {
@@ -190,9 +206,12 @@ func newBound[T float32 | float64](v, b []T, d int) *Bound {
 				bd.rho[k] = r
 			}
 			l += math.Abs(q)
+			sq += int64(q * q)
 		}
 		bd.lmax = max(bd.lmax, l)
+		maxSq = max(maxSq, sq)
 	}
+	bd.qmax = math.Sqrt(float64(maxSq))
 	return bd
 }
 
@@ -223,37 +242,73 @@ func (bd *Bound) WithBias(b []float64) *Bound {
 	return &nb
 }
 
-// Stride is the length of a query image: 4·⌈d/4⌉.
-func (bd *Bound) Stride() int { return bd.stride }
+// Query is one query under a Bound: its image p_k (4·⌈d/4⌉ elements, zero
+// past d), its scale Δ, Σ_k p_k and E. Bound.Query fills it, clamping the
+// image to [−63, 63] as it writes it, and nothing else writes it, so a Scan
+// under it neither range-checks nor sums the image, as BoundI8 does on
+// every call. The image is held inline up to queryInline elements: a
+// Query is a plain value, and one in a frame needs nothing from the heap.
+type Query struct {
+	img   [queryInline]int8
+	heap  []int8 // the image, when it outgrows img
+	n     int    // the image's length
+	delta float32
+	sum   int32
+	tol   float64
+}
 
-// Query writes u's image p_k into p, which must hold Stride() elements
-// (zero past d), and returns its scale Δ and E(u): for every finite row,
-// the exact score and the bound scan's differ by at most E.
+// queryInline is the longest image a Query holds without a heap slice,
+// that of a d up to 512.
+const queryInline = 512
+
+func (q *Query) image() []int8 {
+	if q.heap != nil {
+		return q.heap
+	}
+	return q.img[:q.n]
+}
+
+// Tol is E(u): for every finite row, the exact score and the bound scan's
+// differ by at most E. It is +Inf when the query is not finite, its image
+// or R overflows, or d passes maxBoundDim; a Scan against floor − E then
+// keeps every row.
+func (q *Query) Tol() float64 { return q.tol }
+
+// Query makes q the query u under bd: u's image, its scale and E(u). It
+// writes q in place, as a large value is not worth copying; a q that held
+// another query holds none of it after.
 //
 // The clamps and maxima are plain comparisons, not the builtin max and
 // min, whose NaN and signed-zero cases cost more than the rest of the
 // query: past the finiteness test nothing compared here is NaN, and
 // every maximum is over absolute values, so the results are the same bits.
-func (bd *Bound) Query(u []float64, p []int8) (delta float32, tol float64) {
+func (bd *Bound) Query(u []float64, q *Query) {
+	q.n, q.delta, q.sum, q.tol = bd.stride, 0, 0, math.Inf(1)
+	if bd.stride <= queryInline {
+		q.heap = nil
+	} else if len(q.heap) != bd.stride {
+		q.heap = make([]int8, bd.stride)
+	}
+	p := q.image()
 	clear(p)
-	inf := math.Inf(1)
 	if bd.d > maxBoundDim {
-		return 0, inf
+		return
 	}
 	var maxW float64
 	for k, x := range u {
 		if x-x != 0 {
-			return 0, inf
+			return
 		}
 		if a := math.Abs(x * bd.scale[k]); a > maxW {
 			maxW = a
 		}
 	}
-	delta = float32(maxW / 63)
+	delta := float32(maxW / 63)
 	if delta-delta != 0 {
-		return 0, inf // a w_k or Δ beyond range
+		return // a w_k or Δ beyond range
 	}
 	var quant, eq, r float64
+	var sum int32
 	for k, x := range u {
 		w, pk := x*bd.scale[k], 0.0
 		if delta > 0 {
@@ -265,6 +320,7 @@ func (bd *Bound) Query(u []float64, p []int8) (delta float32, tol float64) {
 			}
 		}
 		p[k] = int8(pk)
+		sum += int32(pk)
 		if e := math.Abs(w - float64(delta)*pk); e > eq {
 			eq = e
 		}
@@ -272,31 +328,61 @@ func (bd *Bound) Query(u []float64, p []int8) (delta float32, tol float64) {
 		quant += ax * bd.rho[k]
 		r += ax * (bd.mag[k] + bd.rho[k])
 	}
+	q.delta, q.sum = delta, sum
 	if r += bd.maxBias; !(r <= 0x1p1000) {
-		return delta, inf
+		return
 	}
-	return delta, (quant+eq*bd.lmax)*(1+0x1p-20) + 0x1p-21*r + 0x1p-146
+	q.tol = (quant+bd.deviation(u, p, delta, eq))*(1+0x1p-20) + 0x1p-21*r + 0x1p-146
 }
 
-// Scan runs the survivor test over rows [lo, hi) under the query image p
-// and its scale delta (a Query result) against the threshold thr — the
-// selector's floor minus E — and returns the first ⌈(hi−lo)/64⌉ words of
-// mask: bit j of word j/64 is set exactly when row lo+j survives, its bound
-// score not a finite value below thr (FirstNotBelow's predicate), and every
-// bit past hi−lo is clear. mask must hold (hi−lo)/64 + 2 words: the kernel
-// scores the whole blocks that hold [lo, hi).
-func (bd *Bound) Scan(p []int8, delta float32, thr float64, lo, hi int, mask []uint64) []uint64 {
+// deviation is E's term T = min(e_q·Lmax, ‖e‖₂·Qmax) for the query u, its
+// image p and scale delta, and e_q.
+func (bd *Bound) deviation(u []float64, p []int8, delta float32, eq float64) float64 {
+	t := eq * bd.lmax
+	if l2 := bd.errNorm(u, p, delta, eq) * bd.qmax; l2 < t {
+		return l2
+	}
+	return t
+}
+
+// errNorm is ‖e‖₂, e_k = w_k − Δ·p_k, computed as e_q·√Σ_k (e_k/e_q)²: no
+// e_k too small to square reduces it to 0.
+func (bd *Bound) errNorm(u []float64, p []int8, delta float32, eq float64) float64 {
+	if eq == 0 {
+		return 0
+	}
+	var ss float64
+	for k, x := range u {
+		e := (x*bd.scale[k] - float64(delta)*float64(p[k])) / eq
+		ss += e * e
+	}
+	return eq * math.Sqrt(ss)
+}
+
+// Scan runs the survivor test over rows [lo, hi) under q, a Query of bd or
+// of a Bound bd was rebiased from, against the threshold thr — the
+// selector's floor minus q.Tol() — and returns the first ⌈(hi−lo)/64⌉
+// words of mask: bit j of word j/64 is set exactly when row lo+j survives,
+// its bound score not a finite value below thr (FirstNotBelow's
+// predicate), and every bit past hi−lo is clear. mask must hold
+// (hi−lo)/64 + 2 words: the kernel scores the whole blocks that hold
+// [lo, hi). A q whose image is not bd's length, or a short mask, panics.
+func (bd *Bound) Scan(q *Query, thr float64, lo, hi int, mask []uint64) []uint64 {
 	if hi <= lo {
 		return mask[:0]
 	}
 	first, end := lo/blockRows, (hi+blockRows-1)/blockRows
+	p, n := q.image(), (end-first)*blockRows
+	if len(p) != bd.stride || len(mask) < (n+63)/64 {
+		panic(fmt.Sprintf("mathx: Scan of %d rows under a query image of %d (stride %d), mask %d words", hi-lo, len(p), bd.stride, len(mask)))
+	}
 	block := blockRows * bd.stride
-	BoundI8(p, delta, thr, bd.q[first*block:end*block], bd.b[first*blockRows:end*blockRows], mask)
-	n, words := (end-first+3)/4, (hi-lo+63)/64
+	boundI8(p, q.delta, q.sum, thr, bd.q[first*block:end*block], bd.b[first*blockRows:end*blockRows], mask[:(n+63)/64])
+	words := (hi - lo + 63) / 64
 	if s := uint(lo % blockRows); s > 0 { // bit j is row first·16 + j: move row lo to bit 0
 		for w := 0; w < words; w++ {
 			next := uint64(0)
-			if w+1 < n {
+			if w+1 < (n+63)/64 {
 				next = mask[w+1]
 			}
 			mask[w] = mask[w]>>s | next<<(64-s)

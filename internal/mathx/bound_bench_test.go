@@ -31,9 +31,9 @@ func BenchmarkBoundI8(b *testing.B) {
 		return xs
 	}
 	var mask [tile/64 + 2]uint64
-	tiles := func(bd *mathx.Bound, p []int8, delta float32, thr float64, rows int) (survivors int) {
+	tiles := func(bd *mathx.Bound, q *mathx.Query, thr float64, rows int) (survivors int) {
 		for lo := 0; lo < rows; lo += tile {
-			for _, w := range bd.Scan(p, delta, thr, lo, min(lo+tile, rows), mask[:]) {
+			for _, w := range bd.Scan(q, thr, lo, min(lo+tile, rows), mask[:]) {
 				survivors += bits.OnesCount64(w)
 			}
 		}
@@ -41,38 +41,38 @@ func BenchmarkBoundI8(b *testing.B) {
 	}
 	for _, d := range []int{16, 18} {
 		bd := mathx.BoundOverF32(randF(n*d), randF(n), d)
-		p := make([]int8, bd.Stride())
 		u := make([]float64, d)
 		for k := range u {
 			u[k] = rng.NormFloat64()
 		}
-		delta, _ := bd.Query(u, p)
+		var q mathx.Query
+		bd.Query(u, &q)
 		b.Run(fmt.Sprintf("tiles/d=%d", d), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tiles(bd, p, delta, 3, n)
+				tiles(bd, &q, 3, n)
 			}
 		})
 		b.Run(fmt.Sprintf("portable/d=%d", d), func(b *testing.B) {
 			all := make([]uint64, (n+63)/64+1)
 			for i := 0; i < b.N; i++ {
-				bd.ScanPortable(p, delta, 3, all)
+				bd.ScanPortable(&q, 3, all)
 			}
 		})
 	}
 	b.Run("served", func(b *testing.B) {
 		c := servedCatalog()
-		p := make([]int8, c.bound.Stride())
+		var q mathx.Query
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			u := i % len(c.thr)
-			delta, _ := c.bound.Query(c.users[u], p)
-			tiles(c.bound, p, delta, c.thr[u], c.rows)
+			c.bound.Query(c.users[u], &q)
+			tiles(c.bound, &q, c.thr[u], c.rows)
 		}
 		b.StopTimer()
 		survivors := 0
 		for u, uf := range c.users {
-			delta, _ := c.bound.Query(uf, p)
-			survivors += tiles(c.bound, p, delta, c.thr[u], c.rows)
+			c.bound.Query(uf, &q)
+			survivors += tiles(c.bound, &q, c.thr[u], c.rows)
 		}
 		b.ReportMetric(float64(survivors)/float64(len(c.users)), "survivors/query")
 	})
@@ -93,20 +93,22 @@ var servedCatalog = sync.OnceValue(func() servedBound {
 	f := mf.QuantizeF32(m)
 	_, v, b := f.RawParams32()
 	c := servedBound{bound: mathx.BoundOverF32(v, b, f.Dim()), rows: f.NumItems()}
-	scores, img := make([]float64, f.NumItems()), make([]int8, c.bound.Stride())
+	scores := make([]float64, f.NumItems())
 	for u := int32(0); u < 256; u++ {
 		uf := f.UserVector(u, nil)
 		f.ScoreRangeFoldIn(uf, 0, f.NumItems(), scores)
 		top := rank.NewSelector(10, positives[u])
 		top.OfferRun(0, scores)
-		_, tol := c.bound.Query(uf, img)
-		c.users, c.thr = append(c.users, uf), append(c.thr, top.Floor()-tol)
+		var q mathx.Query
+		c.bound.Query(uf, &q)
+		c.users, c.thr = append(c.users, uf), append(c.thr, top.Floor()-q.Tol())
 	}
 	return c
 })
 
 // BenchmarkBoundQuery is one query's image and E, which every bound scan
-// pays once: a serving miss per request, the IVF build per point and sweep.
+// pays once: a serving miss per request, the IVF build per centroid and
+// sweep.
 func BenchmarkBoundQuery(b *testing.B) {
 	const n = 4096
 	rng := mathx.NewRNG(2)
@@ -119,10 +121,11 @@ func BenchmarkBoundQuery(b *testing.B) {
 			u[k] = rng.NormFloat64()
 		}
 		bd := mathx.BoundOverF64(v, nil, d)
-		p := make([]int8, bd.Stride())
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			var q mathx.Query
 			for i := 0; i < b.N; i++ {
-				_, tolSink = bd.Query(u, p)
+				bd.Query(u, &q)
+				tolSink = q.Tol()
 			}
 		})
 	}

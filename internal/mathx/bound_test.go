@@ -204,9 +204,9 @@ func TestBoundI8MatchesPortable(t *testing.T) {
 	for _, n := range []int{1, 2, 15, 16, 17, 31, 33, 100, 511, 512, 513, 530} {
 		d := 1 + rng.Intn(20)
 		bd := BoundOverF32(randF32(rng, n*d), randF32(rng, n), d)
-		p := make([]int8, bd.Stride())
-		delta, _ := bd.Query(randF64(rng, d), p)
-		scores := boundScores(bd, p, delta)
+		var q Query
+		bd.Query(randF64(rng, d), &q)
+		scores := boundScores(bd, q.image(), q.delta)
 		spans := [][2]int{{0, n}, {1, n}, {min(3, n), max(min(3, n), n-2)}, {n / 3, n / 2}, {min(15, n), min(17, n)}, {n, n}}
 		for range 6 {
 			lo := rng.Intn(n)
@@ -221,7 +221,7 @@ func TestBoundI8MatchesPortable(t *testing.T) {
 				for w := range mask {
 					mask[w] = 0xdeadbeefcafef00d
 				}
-				got := bd.Scan(p, delta, thr, lo, hi, mask[:words])
+				got := bd.Scan(&q, thr, lo, hi, mask[:words])
 				if len(got) != (hi-lo+63)/64 {
 					t.Fatalf("%s: %d mask words, want %d", label, len(got), (hi-lo+63)/64)
 				}
@@ -237,20 +237,28 @@ func TestBoundI8MatchesPortable(t *testing.T) {
 // TestBoundI8ShortSlicePanics: a q one element short (or long), a b that
 // is not whole blocks, a mask short of a word, a query that is not whole
 // four-byte groups, or one with an element outside [−63, 63], is refused
-// before the kernel is handed a pointer.
+// before the kernel is handed a pointer; so is a Bound.Scan under a Query
+// of another stride (or the zero Query) or into a short mask.
 func TestBoundI8ShortSlicePanics(t *testing.T) {
 	const n, dp = 2 * blockRows, 8
 	p, q, b, mask := make([]int8, dp), make([]uint8, n*dp), make([]float32, n), make([]uint64, 1)
 	wide := make([]int8, dp)
 	wide[3] = 64
+	bd, other := BoundOverF64(make([]float64, 100*dp), nil, dp), BoundOverF64(make([]float64, 100*12), nil, 12)
+	var bq, oq Query
+	bd.Query(make([]float64, dp), &bq)
+	other.Query(make([]float64, 12), &oq)
 	for name, call := range map[string]func(){
-		"q short":    func() { BoundI8(p, 1, 0, q[:n*dp-1], b, mask) },
-		"q long":     func() { BoundI8(p, 1, 0, append(q, 0), b, mask) },
-		"b ragged":   func() { BoundI8(p, 1, 0, q[:(n-1)*dp], b[:n-1], mask) },
-		"b nil":      func() { BoundI8(p, 1, 0, q, nil, mask) },
-		"mask short": func() { BoundI8(p, 1, 0, q, b, nil) },
-		"p ragged":   func() { BoundI8(p[:dp-1], 1, 0, q[:n*(dp-1)], b, mask) },
-		"p wide":     func() { BoundI8(wide, 1, 0, q, b, mask) },
+		"Scan, other stride": func() { bd.Scan(&oq, 0, 0, 64, make([]uint64, 3)) },
+		"Scan, zero Query":   func() { bd.Scan(&Query{}, 0, 0, 64, make([]uint64, 3)) },
+		"Scan, short mask":   func() { bd.Scan(&bq, 0, 1, 65, make([]uint64, 1)) },
+		"q short":            func() { BoundI8(p, 1, 0, q[:n*dp-1], b, mask) },
+		"q long":             func() { BoundI8(p, 1, 0, append(q, 0), b, mask) },
+		"b ragged":           func() { BoundI8(p, 1, 0, q[:(n-1)*dp], b[:n-1], mask) },
+		"b nil":              func() { BoundI8(p, 1, 0, q, nil, mask) },
+		"mask short":         func() { BoundI8(p, 1, 0, q, b, nil) },
+		"p ragged":           func() { BoundI8(p[:dp-1], 1, 0, q[:n*(dp-1)], b, mask) },
+		"p wide":             func() { BoundI8(wide, 1, 0, q, b, mask) },
 	} {
 		func() {
 			defer func() {
@@ -262,6 +270,7 @@ func TestBoundI8ShortSlicePanics(t *testing.T) {
 		}()
 	}
 	BoundI8(p, 1, 0, q, b, mask)
+	bd.Scan(&bq, 0, 1, 65, make([]uint64, 2))
 }
 
 // within reports |approx − exact| ≤ tol, decided exactly: the difference
@@ -279,10 +288,11 @@ func within(approx, exact, tol float64) bool {
 // promises nothing.
 func checkBound(t *testing.T, label string, bd *Bound, u []float64, n int, exact func(i int) float64) {
 	t.Helper()
-	p := make([]int8, bd.Stride())
-	delta, tol := bd.Query(u, p)
+	var q Query
+	bd.Query(u, &q)
+	tol := q.Tol()
 	var mask [2]uint64
-	for i, st := range boundScores(bd, p, delta)[:n] {
+	for i, st := range boundScores(bd, q.image(), q.delta)[:n] {
 		if st-st != 0 || tol-tol != 0 {
 			continue
 		}
@@ -290,7 +300,7 @@ func checkBound(t *testing.T, label string, bd *Bound, u []float64, n int, exact
 		if s-s != 0 || !within(st, s, tol) {
 			t.Fatalf("%s: row %d: bound scan %v (%#x), exact %v (%#x), E = %v", label, i, st, math.Float64bits(st), s, math.Float64bits(s), tol)
 		}
-		if bd.Scan(p, delta, s-tol, i, i+1, mask[:])[0] != 1 {
+		if bd.Scan(&q, s-tol, i, i+1, mask[:])[0] != 1 {
 			t.Fatalf("%s: row %d: exact %v, E = %v: Scan drops it at the threshold s − E", label, i, s, tol)
 		}
 	}
@@ -359,9 +369,10 @@ func axisQueries(d int) [][]float64 {
 }
 
 // TestBoundCoversTheExactScore is E's table: gaussian catalogs at every d
-// in 1..67 under queries scaled from 1e-30 to 1e30 and along the axes;
-// catalogs whose every value is an integer in [−127, 127] (ρ = 0, so the
-// query's rounding, the e_q·Lmax term, is all of the distance); rows built so
+// in 1..67 under queries scaled from 1e-160 (every e_k² underflows) to 1e30
+// and along the axes; catalogs whose every value is an integer in
+// [−127, 127] (ρ = 0, so the query's rounding, the term T, is all of the
+// distance), under those queries too; rows built so
 // that their products cancel to almost nothing; rows, queries and biases in
 // float32's subnormal range and below it; float64 rows near ±1e300 and
 // biases beyond float32's range; and queries whose scale Δ is float32's
@@ -373,7 +384,7 @@ func TestBoundCoversTheExactScore(t *testing.T) {
 		const n = 37
 		v64, b64 := randF64(rng, n*d), randF64(rng, n)
 		v32, b32 := randF32(rng, n*d), randF32(rng, n)
-		for _, scale := range []float64{1e-30, 1e-3, 1, 7, 1e30} {
+		for _, scale := range []float64{1e-160, 1e-30, 1e-3, 1, 7, 1e30} {
 			u := randF64(rng, d)
 			Scale(scale, u)
 			label := fmt.Sprintf("gaussian d=%d scale=%g", d, scale)
@@ -394,6 +405,9 @@ func TestBoundCoversTheExactScore(t *testing.T) {
 			ints[k] = 127
 		}
 		checkBoundBoth(t, fmt.Sprintf("integers d=%d", d), randF64(rng, d), ints, nil)
+		tiny := randF64(rng, d) // every e_k² underflows: Δ is 0, so e_k = w_k ~ 1e-160
+		Scale(1e-160, tiny)
+		checkBoundBoth(t, fmt.Sprintf("integers d=%d, e_k² underflowing", d), tiny, ints, nil)
 	}
 	for _, d := range []int{2, 3, 8, 9, 16, 18, 33} {
 		const n = 19
@@ -453,6 +467,92 @@ func TestBoundCoversTheExactScore(t *testing.T) {
 	}
 }
 
+// TestBoundTightENeverAboveLmax: E with the ‖e‖₂·Qmax bound of the
+// query's rounding is never above E with e_q·Lmax alone (queryLmax), and
+// is below it on dense catalogs, where Σ|q_ik| is near √d·‖q_i‖₂; and ‖e‖₂
+// is within 2⁻⁴⁰ of its exact value, computed in big.Float, also where every
+// e_k² underflows (queries near 1e-160 and 1e-300, Δ = 0, so e_k = w_k), and
+// would read 0 as √Σ e_k². Over gaussian, unit-norm and integer catalogs
+// at eight d from 1 to 67, under gaussian queries from 1e-300 to 1e30,
+// the axes, and NaN and ±Inf queries (E = +Inf under both).
+func TestBoundTightENeverAboveLmax(t *testing.T) {
+	rng := NewRNG(55)
+	for _, d := range []int{1, 2, 3, 5, 16, 18, 33, 67} {
+		const n = 41
+		unit := randF64(rng, n*d)
+		for i := 0; i < n; i++ {
+			Scale(1/math.Sqrt(Norm2Sq(unit[i*d:(i+1)*d])), unit[i*d:(i+1)*d])
+		}
+		ints := make([]float64, n*d)
+		for i := range ints {
+			ints[i] = float64(rng.Intn(255) - 127)
+		}
+		for _, c := range []struct {
+			name string
+			v, b []float64
+		}{{"gaussian", randF64(rng, n*d), randF64(rng, n)}, {"unit", unit, nil}, {"integers", ints, nil}} {
+			bd := BoundOverF64(c.v, c.b, d)
+			queries := axisQueries(d)
+			for _, scale := range []float64{1e-300, 1e-160, 1e-30, 1e-3, 1, 1e30} {
+				for range 4 {
+					u := randF64(rng, d)
+					Scale(scale, u)
+					queries = append(queries, u)
+				}
+			}
+			for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				u := randF64(rng, d)
+				u[d/2] = x
+				queries = append(queries, u)
+			}
+			lower := 0
+			for qi, u := range queries {
+				label := fmt.Sprintf("%s d=%d query %d", c.name, d, qi)
+				var q Query
+				bd.Query(u, &q)
+				_, old := queryLmax(bd, u, make([]int8, bd.stride))
+				if !(q.Tol() <= old) {
+					t.Fatalf("%s: E = %v, above the e_q·Lmax bound's %v", label, q.Tol(), old)
+				}
+				if q.Tol() < old {
+					lower++
+				}
+				if q.Tol()-q.Tol() != 0 {
+					continue
+				}
+				checkErrNorm(t, label, bd, u, &q)
+			}
+			if d >= 16 && c.name != "integers" && lower < len(queries)/2 {
+				t.Errorf("%s d=%d: E below the e_q·Lmax bound's for %d of %d queries", c.name, d, lower, len(queries))
+			}
+		}
+	}
+}
+
+// checkErrNorm holds errNorm, ‖e‖₂ as Query computes it, within 2⁻⁴⁰ of
+// √Σ_k e_k² computed exactly (to 4096 bits) from e_k = w_k − Δ·p_k, w_k the
+// float64 product u_k·c_k.
+func checkErrNorm(t *testing.T, label string, bd *Bound, u []float64, q *Query) {
+	t.Helper()
+	const prec = 4096
+	p, delta := q.image(), float64(q.delta)
+	var eq float64
+	ss := new(big.Float).SetPrec(prec)
+	for k, x := range u {
+		w := x * bd.scale[k]
+		eq = max(eq, math.Abs(w-delta*float64(p[k])))
+		e := new(big.Float).SetPrec(prec).Sub(big.NewFloat(w), new(big.Float).SetPrec(prec).Mul(big.NewFloat(delta), big.NewFloat(float64(p[k]))))
+		ss.Add(ss, e.Mul(e, e))
+	}
+	exact := new(big.Float).SetPrec(prec).Sqrt(ss)
+	got := bd.errNorm(u, p, q.delta, eq)
+	diff := new(big.Float).SetPrec(prec).Sub(big.NewFloat(got), exact)
+	slack := new(big.Float).SetPrec(prec).Mul(exact, big.NewFloat(0x1p-40))
+	if diff.Abs(diff).Cmp(slack) > 0 {
+		t.Fatalf("%s: ‖e‖₂ = %v, exact %v", label, got, exact.Text('g', 20))
+	}
+}
+
 // sameBoundFields fails unless got and want are the same bound field for
 // field, every float by its bits.
 func sameBoundFields(t *testing.T, label string, got, want *Bound) {
@@ -470,6 +570,7 @@ func sameBoundFields(t *testing.T, label string, got, want *Bound) {
 		{"mag", slices.EqualFunc(got.mag, want.mag, same64)},
 		{"rho", slices.EqualFunc(got.rho, want.rho, same64)},
 		{"lmax", same64(got.lmax, want.lmax)},
+		{"qmax", same64(got.qmax, want.qmax)},
 		{"maxBias", same64(got.maxBias, want.maxBias)},
 	} {
 		if !f.ok {
@@ -481,7 +582,7 @@ func sameBoundFields(t *testing.T, label string, got, want *Bound) {
 // TestBoundWithBiasMatchesBuild: rebiasing an image built without biases
 // gives, field for field and bit for bit, the bound built with them —
 // image, biases (the NaN of a row that is not finite included), scale,
-// mag, rho, lmax and maxBias — over gaussian catalogs around the 16-row
+// mag, rho, lmax, qmax and maxBias — over gaussian catalogs around the 16-row
 // block, cancelling rows and rows with a NaN or ±Inf value, under
 // gaussian biases and biases at float32's extremes (±0, subnormal, near
 // its largest). The receiver is left as it was. A bias float32 cannot
@@ -547,11 +648,11 @@ func TestBoundWithBiasMatchesBuild(t *testing.T) {
 		if math.Float64bits(rb.maxBias) != math.Float64bits(want) {
 			t.Fatalf("%s: maxBias %v, want %v, the rows still finite", name, rb.maxBias, want)
 		}
-		p := make([]int8, rb.Stride())
-		delta, _ := rb.Query(randF64(rng, d), p)
+		var q Query
+		rb.Query(randF64(rng, d), &q)
 		mask := make([]uint64, n/64+2)
 		for _, thr := range []float64{math.Inf(1), 1e300, math.MaxFloat32} {
-			rb.Scan(p, delta, thr, 0, n, mask)
+			rb.Scan(&q, thr, 0, n, mask)
 			for _, i := range bad {
 				if mask[i/64]>>(i%64)&1 == 0 || !math.IsNaN(float64(rb.b[i])) {
 					t.Fatalf("%s: row %d with bias %v: bias %v, dropped at threshold %v", name, i, b[i], rb.b[i], thr)
@@ -587,9 +688,10 @@ func TestBoundNonFinite(t *testing.T) {
 	v[4*d+2] = 1e39       // row 4: finite, beyond float32
 	bd := BoundOverF64(v, b, d)
 	u := randF64(rng, d)
-	p := make([]int8, bd.Stride())
-	delta, tol := bd.Query(u, p)
-	for i, s := range boundScores(bd, p, delta)[:5] {
+	var q Query
+	bd.Query(u, &q)
+	tol := q.Tol()
+	for i, s := range boundScores(bd, q.image(), q.delta)[:5] {
 		if notFinite := i >= 1 && i <= 3; notFinite != math.IsNaN(s) || notFinite != math.IsNaN(float64(bd.b[i])) {
 			t.Errorf("row %d: bound scan %v, bias %v", i, s, bd.b[i])
 		}
@@ -605,15 +707,16 @@ func TestBoundNonFinite(t *testing.T) {
 	if tol-tol != 0 {
 		t.Errorf("E = %v for a finite query", tol)
 	}
-	for _, q := range [][]float64{{math.NaN()}, {math.Inf(1)}, {math.Inf(-1)}, {1e300, 1e300}} {
-		uq := append(append([]float64(nil), q...), make([]float64, d-len(q))...)
-		if _, tol := bd.Query(uq, p); tol-tol == 0 {
-			t.Errorf("query %v: E = %v, want NaN or +Inf", q, tol)
+	for _, head := range [][]float64{{math.NaN()}, {math.Inf(1)}, {math.Inf(-1)}, {1e300, 1e300}} {
+		uq := append(append([]float64(nil), head...), make([]float64, d-len(head))...)
+		if bd.Query(uq, &q); q.Tol()-q.Tol() == 0 {
+			t.Errorf("query %v: E = %v, want NaN or +Inf", head, q.Tol())
 		}
 	}
 	wide := BoundOverF32(make([]float32, maxBoundDim+1), nil, maxBoundDim+1)
-	if _, tol := wide.Query(make([]float64, maxBoundDim+1), make([]int8, wide.Stride())); !math.IsInf(tol, 1) {
-		t.Errorf("d = %d: E = %v, want +Inf", maxBoundDim+1, tol)
+	var wq Query
+	if wide.Query(make([]float64, maxBoundDim+1), &wq); !math.IsInf(wq.Tol(), 1) {
+		t.Errorf("d = %d: E = %v, want +Inf", maxBoundDim+1, wq.Tol())
 	}
 }
 
@@ -682,9 +785,9 @@ func FuzzBoundI8(f *testing.F) {
 		}
 		rng := NewRNG(uint64(n))
 		for _, bd := range []*Bound{BoundOverF32(v, b, d), BoundOverF64(v64, b64, d)} {
-			p := make([]int8, bd.Stride())
-			delta, _ := bd.Query(u, p)
-			sameBound(t, "fuzz", rng, bd, p, delta)
+			var q Query
+			bd.Query(u, &q)
+			sameBound(t, "fuzz", rng, bd, q.image(), q.delta)
 		}
 		checkBoundF32(t, "fuzz", u, v, b)
 		checkBoundF32(t, "fuzz, no bias", u, v, nil)
@@ -693,10 +796,20 @@ func FuzzBoundI8(f *testing.F) {
 	})
 }
 
-// queryBuiltin is Bound.Query as it was written with the builtin max and
-// min, the specification TestBoundQueryMatchesSpec holds the plain
-// comparisons to.
+// queryBuiltin is Bound.Query written with the builtin max and min, the
+// specification TestBoundQueryMatchesSpec holds the plain comparisons to:
+// p's image, its scale and E, whose deviation term is
+// min(e_q·Lmax, ‖e‖₂·Qmax) with ‖e‖₂ = e_q·√Σ(e_k/e_q)². queryLmax is E as
+// it was before the ‖e‖₂·Qmax bound, with e_q·Lmax the whole term.
 func queryBuiltin(bd *Bound, u []float64, p []int8) (delta float32, tol float64) {
+	return querySpec(bd, u, p, true)
+}
+
+func queryLmax(bd *Bound, u []float64, p []int8) (delta float32, tol float64) {
+	return querySpec(bd, u, p, false)
+}
+
+func querySpec(bd *Bound, u []float64, p []int8, l2 bool) (delta float32, tol float64) {
 	clear(p)
 	inf := math.Inf(1)
 	if bd.d > maxBoundDim {
@@ -728,11 +841,21 @@ func queryBuiltin(bd *Bound, u []float64, p []int8) (delta float32, tol float64)
 	if r += bd.maxBias; !(r <= 0x1p1000) {
 		return delta, inf
 	}
-	return delta, (quant+eq*bd.lmax)*(1+0x1p-20) + 0x1p-21*r + 0x1p-146
+	dev := eq * bd.lmax
+	if eq > 0 && l2 {
+		var ss float64
+		for k, x := range u {
+			e := (x*bd.scale[k] - float64(delta)*float64(p[k])) / eq
+			ss += e * e
+		}
+		dev = min(dev, eq*math.Sqrt(ss)*bd.qmax)
+	}
+	return delta, (quant+dev)*(1+0x1p-20) + 0x1p-21*r + 0x1p-146
 }
 
-// TestBoundQueryMatchesSpec: Query's image p, its scale Δ and E have the
-// bits of queryBuiltin's, at d = 1, 16, 18 and 33, over gaussian catalogs
+// TestBoundQueryMatchesSpec: Query's image p, its scale Δ, E and Σp have the
+// bits of queryBuiltin's, at d = 33, 18, 600 (an image past queryInline),
+// 16 and 1, one Query filled again for every query, over gaussian catalogs
 // at unit scale, near float64's smallest and largest values and with a
 // zero column, under gaussian queries from 1e-300 to 1e300 and at the
 // scales where Δ is a float32 subnormal and the clamps bite, queries with
@@ -742,7 +865,8 @@ func TestBoundQueryMatchesSpec(t *testing.T) {
 	rng := NewRNG(39)
 	specials := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1060, 1.7e308, -1.7e308,
 		math.NaN(), math.Inf(1), math.Inf(-1)}
-	for _, d := range []int{1, 16, 18, 33} {
+	var q Query // one for every query: nothing of the last may survive into the next
+	for _, d := range []int{33, 18, 600, 16, 1} {
 		for _, scale := range []float64{1, 1e-300, 1e300, 0} {
 			const n = 40
 			v, b := make([]float64, n*d), make([]float64, n)
@@ -798,14 +922,15 @@ func TestBoundQueryMatchesSpec(t *testing.T) {
 				}
 				queries = append(queries, u)
 			}
-			got, want := make([]int8, bd.Stride()), make([]int8, bd.Stride())
+			want := make([]int8, bd.stride)
 			for qi, u := range queries {
-				gd, ge := bd.Query(u, got)
+				bd.Query(u, &q)
+				got, gd, ge := q.image(), q.delta, q.Tol()
 				wd, we := queryBuiltin(bd, u, want)
 				if math.Float32bits(gd) != math.Float32bits(wd) || math.Float64bits(ge) != math.Float64bits(we) ||
-					!slices.Equal(got, want) {
-					t.Fatalf("d=%d scale %g query %d %v: Query = (%v, %v, %v), builtin (%v, %v, %v)",
-						d, scale, qi, u, gd, ge, got, wd, we, want)
+					!slices.Equal(got, want) || q.sum != querySum(want) {
+					t.Fatalf("d=%d scale %g query %d %v: Query = (%v, %v, %v, Σp %d), builtin (%v, %v, %v, Σp %d)",
+						d, scale, qi, u, gd, ge, got, q.sum, wd, we, want, querySum(want))
 				}
 			}
 		}

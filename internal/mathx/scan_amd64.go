@@ -79,7 +79,7 @@ func boundI8(p []int8, delta float32, sum int32, thr float64, q []uint8, b []flo
 		boundMaskGo(p, delta, sum, thr, q, b, mask)
 		return
 	}
-	// BoundI8 checked len(q), len(b) and len(mask): the kernel reads
+	// BoundI8 or Bound.Scan checked len(q), len(b) and len(mask): the kernel reads
 	// exactly the len(b)/16 blocks and writes their 16 bits each, and
 	// nothing else; the last word's bits past them are cleared here.
 	mask[len(mask)-1] = 0

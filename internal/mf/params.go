@@ -142,10 +142,7 @@ type Sweep struct {
 	rows  ItemRows
 	bound *mathx.Bound
 	uf    []float64
-	delta float32 // the scale of uf's bound image
-	tol   float64 // E(uf): how far a bound score may be from the exact one
-	pbuf  [512]int8
-	pheap []int8 // the image, when it outgrows pbuf
+	q     mathx.Query // uf under bound: its image, scale and E
 	tile  [SweepTile]float64
 	mask  [SweepTile/64 + 2]uint64
 	g     gatherBuf
@@ -156,21 +153,8 @@ type Sweep struct {
 func (s *Sweep) Start(rows ItemRows, bound *mathx.Bound, uf []float64) {
 	s.rows, s.bound, s.uf = rows, bound, uf
 	if bound != nil {
-		s.delta, s.tol = bound.Query(uf, s.image())
+		bound.Query(uf, &s.q)
 	}
-}
-
-// image is uf's bound image: pbuf's first Stride() bytes, or past those a
-// slice of its own.
-func (s *Sweep) image() []int8 {
-	n := s.bound.Stride()
-	if n <= len(s.pbuf) {
-		return s.pbuf[:n]
-	}
-	if len(s.pheap) != n {
-		s.pheap = make([]int8, n)
-	}
-	return s.pheap
 }
 
 // Offer offers rows [lo, hi) to sel, a tile of up to 512 rows at a time,
@@ -198,7 +182,7 @@ func (s *Sweep) Offer(sel *rank.Selector, lo, hi int, ids []int32) {
 			}
 			continue
 		}
-		mask := s.bound.Scan(s.image(), s.delta, floor-s.tol, lo, end, s.mask[:])
+		mask := s.bound.Scan(&s.q, floor-s.q.Tol(), lo, end, s.mask[:])
 		for {
 			rows, scores := s.rows.scanMasked(s.uf, lo, mask, &s.g, s.tile[:])
 			if len(rows) == 0 {

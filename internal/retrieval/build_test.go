@@ -90,10 +90,10 @@ func TestReseedModelReseeds(t *testing.T) {
 
 // TestBuildIVFSameAcrossWorkers: the index is the same bits whatever the
 // number of cores the assignment sweep was fanned over — one worker (the
-// serial loop), two, and seven (more workers than most of these catalogs
-// have 256-point chunks). Catalog sizes sit on both sides of the chunk
-// boundary; the degenerate inputs are the ones BuildIVF promises to
-// handle, plus the empty-cell reseed, whose choice of point reads the
+// serial loop), two, and seven (more workers than any of these catalogs
+// has 1024-point chunks). Catalog sizes sit on both sides of the chunk
+// boundary, and of 256; the degenerate inputs are the ones BuildIVF
+// promises to handle, plus the empty-cell reseed, whose choice of point reads the
 // affinities the workers wrote.
 func TestBuildIVFSameAcrossWorkers(t *testing.T) {
 	type tc struct {
@@ -108,7 +108,7 @@ func TestBuildIVFSameAcrossWorkers(t *testing.T) {
 		{"nlists over items", gaussianModel(300, 4, 5), Config{NLists: 1000}},
 		{"reseed", reseedModel(), Config{NLists: 16}},
 	}
-	for _, n := range []int{1, 255, 256, 257, 1000} {
+	for _, n := range []int{1, 255, 256, 257, 1000, 1023, 1024, 1025, 3000} {
 		cases = append(cases, tc{"gaussian", gaussianModel(n, 6, uint64(n)), Config{}})
 	}
 	poisoned := gaussianModel(1000, 6, 11)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"clapf/internal/mathx"
 	"clapf/internal/mf"
 )
 
@@ -16,7 +17,7 @@ import (
 // exhaustive partition, in-range sorted candidates, and a full-width
 // Search that only ever drops the non-finite rows — and must build the
 // same bits with the assignment sweep fanned over four workers as on one
-// (catalogs run to 600 items, a little over two of kmeans' 256-point
+// (catalogs run to 2100 items, a little over two of kmeans' 1024-point
 // chunks, so the fan-out is real).
 func FuzzIVFBuild(f *testing.F) {
 	// Seed corpus: the interesting shapes called out in the issue.
@@ -25,10 +26,11 @@ func FuzzIVFBuild(f *testing.F) {
 	f.Add(3, 2, 1, encodeFloats([]float64{math.NaN(), 1, 2, math.Inf(1), 0.5, -0.5, 1, 1, 1})) // poisoned rows
 	f.Add(1, 1, 1, encodeFloats([]float64{42, 42}))                                            // single item
 	f.Add(8, 4, 3, []byte{})                                                                   // no bytes: zero params
-	f.Add(520, 2, 7, encodeFloats([]float64{1, 2, 3, 1, 2, 3, math.Inf(-1), 4}))               // three chunks, mostly zero rows
+	f.Add(520, 2, 7, encodeFloats([]float64{1, 2, 3, 1, 2, 3, math.Inf(-1), 4}))               // mostly zero rows
+	f.Add(1100, 3, 40, encodeFloats(fuzzGaussian(1100*4)))                                     // two chunks, a partial second
 
 	f.Fuzz(func(t *testing.T, numItems, dim, nlist int, raw []byte) {
-		if numItems < 1 || numItems > 600 || dim < 1 || dim > 8 || nlist < -2 || nlist > 128 {
+		if numItems < 1 || numItems > 2100 || dim < 1 || dim > 8 || nlist < -2 || nlist > 128 {
 			return
 		}
 		params := decodeFloats(raw, numItems*(dim+1))
@@ -98,6 +100,16 @@ func FuzzIVFBuild(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzGaussian is n seeded gaussian values, a catalog with no special in it.
+func fuzzGaussian(n int) []float64 {
+	rng := mathx.NewRNG(uint64(n))
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
+	}
+	return xs
 }
 
 func encodeFloats(xs []float64) []byte {

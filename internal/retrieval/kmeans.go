@@ -15,10 +15,10 @@ import (
 // members, assignments break ties toward the lower cell index, and empty
 // cells are reseeded deterministically from the worst-served point. It
 // returns the flat centroid matrix (k'×D, k' = min(k, n)) and each row's
-// cell assignment. The first sweep scores every centroid against every
-// point; each later one rescores, for each centroid, only the points the
-// bound filter over the points (one image a build, rebiased by each
-// sweep) lets through (assignAll), with the same result.
+// cell assignment. Every sweep rescores, for each centroid, only the
+// points the bound filter over the points (one image a build, rebiased by
+// each sweep) lets through (assignAll), with the full scan's result; the
+// first takes its floors from a full scan of a few centroids (firstSweep).
 //
 // Determinism is a contract, not a nicety: the serve path rebuilds the
 // index whenever the item half changes, and hot-reload tests pin exact
@@ -49,12 +49,9 @@ func kmeans(x []float64, n, D, k, iters int, rng *mathx.RNG) (centroids []float6
 
 	points := mathx.BoundOverF64(x, nil, D) // the image every bounded sweep rebiases
 	for it := 0; it < iters; it++ {
-		bound := points
 		if it == 0 {
-			bound = nil // no point has a cell to beat yet
-		}
-		changed := assignAll(centroids, x, n, D, bound, assign, affinity)
-		if it > 0 && !changed {
+			firstSweep(centroids, x, n, D, points, assign, affinity)
+		} else if !assignAll(centroids, x, n, D, points, assign, affinity) {
 			break
 		}
 
@@ -105,12 +102,33 @@ func kmeans(x []float64, n, D, k, iters int, rng *mathx.RNG) (centroids []float6
 	return centroids, assign
 }
 
+// firstSweep is the first assignment sweep, which has no cells from a last
+// one to take floors from. It scores the pilot — the first ⌈√k⌉
+// centroids — against every point in a full scan, which gives each point
+// the dot with a real centroid as its floor, then runs the bounded sweep
+// over all k from those cells. The argmax and every centroid tied with it
+// are at or above that floor, so they survive, and assign and affinity
+// are the full scan's bits. With k at most the pilot the full scan is the
+// whole sweep.
+func firstSweep(centroids, x []float64, n, D int, points *mathx.Bound, assign []int32, affinity []float64) {
+	k := len(centroids) / D
+	pilot := 1
+	for pilot*pilot < k {
+		pilot++
+	}
+	assignAll(centroids[:pilot*D], x, n, D, nil, assign, affinity)
+	if pilot < k {
+		assignAll(centroids, x, n, D, points, assign, affinity)
+	}
+}
+
 // assignChunk is how many points a sweep worker claims at a time, a
 // multiple of the bound's 16-row block so that every chunk's scans start
 // on one: each centroid is scanned over the chunk in one call, and the
-// chunk's points, their image and their running bests stay in cache
-// across all k of them.
-const assignChunk = 256
+// chunk's points, their image and their running bests stay in L2 across
+// all k of them. A longer run makes fewer (centroid, run) calls, each of
+// which pays the bound scan's and the rescoring's setup.
+const assignChunk = 1024
 
 // assignAll is one assignment sweep, nearly all of the build: assign[i]
 // and affinity[i] become point i's nearest centroid and its dot product,
@@ -133,17 +151,14 @@ const assignChunk = 256
 // exactly, so at least −E in the image, and survives the scan against −E.
 // Only the survivors are rescored, one mathx.ScanF64Rows call per centroid
 // and run. The argmax and every centroid tied with it are among them, so
-// the cell and its affinity are the full scan's, bit for bit; after the
-// first sweep a point's cell is rarely beaten, and 14–18 of 328 centroids
-// reach a point of the served catalog.
+// the cell and its affinity are the full scan's, bit for bit; a point's
+// cell is rarely beaten, and on the served catalog 8–10 of 328 centroids
+// reach a point after the first sweep, ~44 in it (firstSweep).
 func assignAll(centroids, x []float64, n, D int, points *mathx.Bound, assign []int32, affinity []float64) bool {
 	k := len(centroids) / D
 	var (
-		bound  *mathx.Bound
-		stride int
-		images []int8    // centroid c's query image at c·stride
-		deltas []float32 // its scale Δ_c
-		thrs   []float64 // −E_c
+		bound   *mathx.Bound
+		queries []mathx.Query // centroid c under bound: its image, scale and E
 	)
 	if points != nil {
 		negFloor := make([]float64, n)
@@ -151,11 +166,10 @@ func assignAll(centroids, x []float64, n, D int, points *mathx.Bound, assign []i
 			c := int(assign[i])
 			negFloor[i] = -mathx.Dot(centroids[c*D:c*D+D], x[i*D:i*D+D])
 		}
-		bound, stride = points.WithBias(negFloor), points.Stride()
-		images, deltas, thrs = make([]int8, k*stride), make([]float32, k), make([]float64, k)
-		for c := 0; c < k; c++ {
-			delta, tol := bound.Query(centroids[c*D:c*D+D], images[c*stride:c*stride+stride])
-			deltas[c], thrs[c] = delta, -tol
+		bound = points.WithBias(negFloor)
+		queries = make([]mathx.Query, k)
+		for c := range queries {
+			bound.Query(centroids[c*D:c*D+D], &queries[c])
 		}
 	}
 	workers := max(1, min(runtime.GOMAXPROCS(0), (n+assignChunk-1)/assignChunk))
@@ -192,7 +206,8 @@ func assignAll(centroids, x []float64, n, D int, points *mathx.Bound, assign []i
 					continue
 				}
 				rows = rows[:0]
-				for w, word := range bound.Scan(images[c*stride:c*stride+stride], deltas[c], thrs[c], lo, hi, mask) {
+				q := &queries[c]
+				for w, word := range bound.Scan(q, -q.Tol(), lo, hi, mask) {
 					for ; word != 0; word &= word - 1 {
 						rows = append(rows, int32(w*64+bits.TrailingZeros64(word)))
 					}

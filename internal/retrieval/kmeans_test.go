@@ -202,3 +202,80 @@ func TestBoundedAssignMatchesFullScan(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstSweepPilotMatchesFullScan: the first sweep — a full scan of the
+// pilot centroids, then the bounded sweep over all k from their cells —
+// assigns every point the cell and affinity a full scan of every centroid
+// does, bit for bit, whatever the points' cells were before it. Cases: k
+// at most the pilot (the full scan is the whole sweep), k one past it, a
+// duplicate of the argmax behind the pilot and duplicated points (ties,
+// which must go to the lower index), zero centroids and zero points, and
+// a NaN centroid inside the pilot (centroid 0: every floor it sets is NaN)
+// and outside it, over two runs of points, on one worker and on several.
+func TestFirstSweepPilotMatchesFullScan(t *testing.T) {
+	rng := mathx.NewRNG(41)
+	const n = assignChunk + 77
+	for _, c := range []struct {
+		name string
+		k    int
+		edit func(centroids, x []float64, D int)
+	}{
+		{"k=1, the pilot", 1, nil},
+		{"k=2, the pilot", 2, nil},
+		{"k=3, one past the pilot", 3, nil},
+		{"k=17", 17, nil},
+		{"k=65", 65, nil},
+		{"duplicates", 40, func(centroids, x []float64, D int) {
+			copy(centroids[30*D:31*D], centroids[2*D:3*D]) // behind the pilot of 7, tied with a pilot centroid
+			copy(centroids[35*D:36*D], centroids[20*D:21*D])
+			for i := 1; i < n; i += 5 {
+				copy(x[i*D:i*D+D], x[:D])
+			}
+			for i := 3; i < n; i += 11 {
+				copy(x[i*D:i*D+D], centroids[(i%40)*D:][:D])
+			}
+		}},
+		{"zero rows", 40, func(centroids, x []float64, D int) {
+			clear(centroids[D : 2*D])
+			clear(centroids[33*D : 34*D])
+			for i := 0; i < n; i += 9 {
+				clear(x[i*D : i*D+D])
+			}
+		}},
+		{"NaN centroid 0", 40, func(centroids, x []float64, D int) { centroids[0] = math.NaN() }},
+		{"NaN centroid behind the pilot", 40, func(centroids, x []float64, D int) { centroids[25*D] = math.NaN() }},
+		{"NaN centroid, k=2", 2, func(centroids, x []float64, D int) { centroids[D] = math.NaN() }},
+	} {
+		for _, D := range []int{1, 6, 18} {
+			centroids, x := make([]float64, c.k*D), make([]float64, n*D)
+			for i := range centroids {
+				centroids[i] = rng.NormFloat64()
+			}
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			if c.edit != nil {
+				c.edit(centroids, x, D)
+			}
+			fullA, fullF := make([]int32, n), make([]float64, n)
+			assignAll(centroids, x, n, D, nil, fullA, fullF)
+			points := mathx.BoundOverF64(x, nil, D)
+			for _, procs := range []int{1, 3} {
+				start := make([]int32, n)
+				for i := range start {
+					start[i] = int32(rng.Intn(c.k))
+				}
+				old := runtime.GOMAXPROCS(procs)
+				gotF := make([]float64, n)
+				firstSweep(centroids, x, n, D, points, start, gotF)
+				runtime.GOMAXPROCS(old)
+				for i := range n {
+					if start[i] != fullA[i] || !sameBits(gotF[i], fullF[i]) {
+						t.Fatalf("%s D=%d GOMAXPROCS %d point %d: first sweep (%d, %v), full scan (%d, %v)",
+							c.name, D, procs, i, start[i], gotF[i], fullA[i], fullF[i])
+					}
+				}
+			}
+		}
+	}
+}

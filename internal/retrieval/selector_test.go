@@ -186,8 +186,8 @@ const tileItems = mf.SweepTile
 // the selector as SearchCells leaves it, since the members the mask clears
 // score below that floor.
 func cellSurvivors(ix *Index, uf []float64, cells []int32, k int, exclude []int32) (n int) {
-	p := make([]int8, ix.bound.Stride())
-	delta, tol := ix.bound.Query(uf, p)
+	var q mathx.Query
+	ix.bound.Query(uf, &q)
 	sel := rank.NewSelector(k, exclude)
 	var tile [tileItems]float64
 	var mask [tileItems/64 + 2]uint64
@@ -195,7 +195,7 @@ func cellSurvivors(ix *Index, uf []float64, cells []int32, k int, exclude []int3
 		for lo, end := int(ix.offsets[c]), int(ix.offsets[c+1]); lo < end; lo += tileItems {
 			hi := min(lo+tileItems, end)
 			if floor := sel.Floor(); !math.IsInf(floor, -1) {
-				for _, w := range ix.bound.Scan(p, delta, floor-tol, lo, hi, mask[:]) {
+				for _, w := range ix.bound.Scan(&q, floor-q.Tol(), lo, hi, mask[:]) {
 					n += bits.OnesCount64(w)
 				}
 			}

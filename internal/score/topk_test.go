@@ -399,15 +399,15 @@ func benchCatalog() *mf.Model {
 // clears score below that floor.
 func sweepSurvivors(e *Engine, uf []float64, k int, exclude []int32) (n int) {
 	bd := e.filter()
-	p := make([]int8, bd.Stride())
-	delta, tol := bd.Query(uf, p)
+	var q mathx.Query
+	bd.Query(uf, &q)
 	sel := rank.NewSelector(k, exclude)
 	var tile [tileItems]float64
 	var mask [tileItems/64 + 2]uint64
 	for lo := 0; lo < e.m.NumItems(); lo += tileItems {
 		hi := min(lo+tileItems, e.m.NumItems())
 		if floor := sel.Floor(); !math.IsInf(floor, -1) {
-			for _, w := range bd.Scan(p, delta, floor-tol, lo, hi, mask[:]) {
+			for _, w := range bd.Scan(&q, floor-q.Tol(), lo, hi, mask[:]) {
 				n += bits.OnesCount64(w)
 			}
 		}

@@ -246,7 +246,8 @@ echo "batch-ivf gate ok"
 # survivors, match Offer called per item; the index build's assignment step matches the plain
 # mathx.Dot loop bit for bit, and so does its sweep through the bound
 # filter (cells, affinities and "moved", ties and zero rows included),
-# and ProbeCells' threshold selection and its
+# as does the first sweep, a full scan of ⌈√k⌉ pilot centroids and then
+# the bounded sweep from their cells, and ProbeCells' threshold selection and its
 # best-first order a full sort of the affinities. Allocation: an exact-mode miss through the
 # handler allocates nothing proportional to NumItems, and an IVF miss only
 # its cell list and its k entries. Index build and reuse: the build is
@@ -260,7 +261,7 @@ echo "batch-ivf gate ok"
 # test cache so the gate always actually runs.
 gate -race -count=1 -run '^Test(FusedTopKBitIdentical|ScanUnderUserVectorIsScore|WrongLengthUserVectorPanics)$' ./internal/score
 gate -race -count=1 -run '^Test(SelectorMatchesNaive|OfferRunAndOfferIDsMatchOffer)$' ./internal/rank
-retrieval_gate='^Test(SearchCellsMatchesTwoPass|FullSweepMatchesDot|BoundedAssignMatchesFullScan|ProbeCellsMatchesFullSort|WrongLengthQueryPanics|MissAllocatesOnlyItsResults|BuildIVFSameAcrossWorkers|BuildIVFPinned|IndexesMatchesOnlyItsOwnItems)$'
+retrieval_gate='^Test(SearchCellsMatchesTwoPass|FullSweepMatchesDot|BoundedAssignMatchesFullScan|FirstSweepPilotMatchesFullScan|ProbeCellsMatchesFullSort|WrongLengthQueryPanics|MissAllocatesOnlyItsResults|BuildIVFSameAcrossWorkers|BuildIVFPinned|IndexesMatchesOnlyItsOwnItems)$'
 gate -race -count=1 -run "$retrieval_gate" ./internal/retrieval
 gate -race -count=1 -cpu 1,4 -run "$retrieval_gate" ./internal/retrieval
 gate -race -count=1 -run '^Test(ExactMissAllocatesNoScoreRow|IndexReusedAcrossReinstalls|InstallBuildsIndexOutsideSinkLock(Live)?)$' ./internal/serve
@@ -318,10 +319,12 @@ echo "fused exact-scan gate ok"
 # near-overflow queries included; its error bound E, which lets the top-K skip a row,
 # holds (|s̃ − s| ≤ E, exactly, and Scan keeps a row at the threshold
 # s − E) on cancelling, exactly quantised, subnormal and out-of-range
-# catalogs; and the image marks non-finite rows and leaves them out of E's
-# maxima. And a few seconds of raw bit patterns through both bodies of all
-# four — FuzzBoundI8 builds the image and checks E too, and FuzzScanF64
-# reads its rows through a list as well.
+# catalogs; E with the ‖e‖₂·Qmax bound is never above E with e_q·Lmax
+# alone, and its ‖e‖₂ is within 2⁻⁴⁰ of exact where every e_k² underflows;
+# and the image marks non-finite rows and leaves them out of E's maxima.
+# And a few seconds of raw bit patterns through both bodies of all four —
+# FuzzBoundI8 builds the image and checks E too, and FuzzScanF64 reads its
+# rows through a list as well.
 # go vet's asmdecl checks the assembly's frames against their Go
 # declarations. The arm64 cross-build keeps the portable bodies compiling
 # (offline: no cgo, no downloads). The kernels never fuse multiply and add
@@ -336,7 +339,7 @@ echo "fused exact-scan gate ok"
 # Another of any is another kernel to keep bit-identical.
 gate -count=1 -run '^TestScanF64F32(MatchesPortable|IsDotF64F32|ShortSlicePanics)$' ./internal/mathx
 gate -count=1 -run '^Test(ScanF64(MatchesPortable|IsDot|ShortSlicePanics|Rows(IsDot|Panics))|FirstNotBelowMatchesLoop)$' ./internal/mathx
-gate -count=1 -run '^TestBound(I8MatchesPortable|I8ShortSlicePanics|QueryMatchesSpec|CoversTheExactScore|NonFinite|WithBiasMatchesBuild)$' ./internal/mathx
+gate -count=1 -run '^TestBound(I8MatchesPortable|I8ShortSlicePanics|QueryMatchesSpec|CoversTheExactScore|TightENeverAboveLmax|NonFinite|WithBiasMatchesBuild)$' ./internal/mathx
 gate -run='^$' -fuzz='^FuzzScanF64F32$' -fuzztime=5s ./internal/mathx
 gate -run='^$' -fuzz='^FuzzScanF64$' -fuzztime=5s ./internal/mathx
 gate -run='^$' -fuzz='^FuzzFirstNotBelow$' -fuzztime=5s ./internal/mathx
